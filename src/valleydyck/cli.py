@@ -41,6 +41,13 @@ def _parse_params(pairs: list[str] | None) -> dict[str, str]:
         if "=" not in pair:
             raise ValleyDyckError(f"--param needs key=value, got {pair!r}")
         key, value = pair.split("=", 1)
+        if value != "sym":
+            try:
+                Fraction(value)
+            except (ValueError, ZeroDivisionError):
+                raise ValleyDyckError(
+                    f"--param {key} needs a rational number or 'sym', got {value!r}"
+                ) from None
         params[key] = value
     return params
 

@@ -50,11 +50,10 @@ def narayana_polynomial(n: int) -> Polynomial:
         raise IndexOutOfRange("narayana index must be nonnegative")
     if n == 0:
         return Polynomial.one()
-    total = Polynomial.zero()
-    for i in range(1, n + 1):
-        coeff = Fraction(binomial(n, i) * binomial(n, i - 1), n)
-        total = total + Polynomial.const(coeff) * _T**i
-    return total
+    return Polynomial.sum(
+        Polynomial.const(Fraction(binomial(n, i) * binomial(n, i - 1), n)) * _T**i
+        for i in range(1, n + 1)
+    )
 
 
 def motzkin_polynomial(n: int) -> Polynomial:

@@ -1,10 +1,12 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
-A polynomial is a finite map from monomials to nonzero ``Fraction``
-coefficients.  A monomial is a tuple of ``(variable, exponent)`` pairs with
-positive integer exponents, sorted by variable.  The zero polynomial has an
-empty term map, and two polynomials are equal exactly when their term maps
-are equal, so identity testing is fully reliable.
+A polynomial is a finite map from monomials to nonzero rational
+coefficients.  An integral coefficient is stored as an ``int`` and any other
+as a ``Fraction``, so every coefficient has exactly one representation.  A
+monomial is a tuple of ``(variable, exponent)`` pairs with positive integer
+exponents, sorted by variable.  The zero polynomial has an empty term map,
+and two polynomials are equal exactly when their term maps are equal, so
+identity testing is fully reliable.
 
 Variables are plain names such as ``a``, ``q``, ``t`` or members of the
 indexed families ``alpha1``, ``beta3``, ``gamma2``.  Two distinguished
@@ -17,12 +19,19 @@ honest rational functions of a single quantity stay inside one ring:
 Canonicalization rewrites any monomial containing both a base variable and
 its inverse, so products such as ``a**3 * a_inv`` reduce to ``a**2``
 automatically and never leak out of arithmetic.
+
+The public constructor coerces and canonicalizes whatever it is given.  The
+ring operations build their results through a trusted internal constructor
+instead: their operands are already canonical, so only the new coefficients
+need normalizing, and only a product whose operands hold an inverse variable
+needs the rewrite.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 from typing import Iterable, Mapping, Union
 
@@ -34,14 +43,15 @@ PolyLike = Union["Polynomial", int, Fraction]
 
 # Formal inverse variables: name -> (base variable, shift); the pair means
 # name = 1 / (base + shift), rewritten via base * name = 1 - shift * name.
-INVERSE_VARS: dict[str, tuple[str, Fraction]] = {
-    "a_inv": ("a", Fraction(0)),
-    "t1_inv": ("t", Fraction(1)),
+INVERSE_VARS: dict[str, tuple[str, int]] = {
+    "a_inv": ("a", 0),
+    "t1_inv": ("t", 1),
 }
 
 _NAME_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*?)(\d*)$")
 
 
+@lru_cache(maxsize=4096)
 def var_key(name: str) -> tuple[str, int]:
     """Sort key that orders indexed variables numerically (alpha2 < alpha10)."""
     m = _NAME_RE.match(name)
@@ -49,6 +59,27 @@ def var_key(name: str) -> tuple[str, int]:
         raise ValueError(f"bad variable name: {name!r}")
     prefix, digits = m.group(1), m.group(2)
     return (prefix, int(digits) if digits else -1)
+
+
+def _scalar(value) -> Scalar:
+    """Canonical coefficient: ``int`` when integral, ``Fraction`` otherwise."""
+    if type(value) is int:
+        return value
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def _canonical(raw: dict[Monomial, Scalar]) -> dict[Monomial, Scalar]:
+    """Drop zero coefficients and store integral ones as ``int``."""
+    return {
+        m: c if type(c) is int or c.denominator != 1 else c.numerator
+        for m, c in raw.items()
+        if c
+    }
+
+
+def _holds_inverse(terms: Mapping[Monomial, Scalar]) -> bool:
+    return any(v in INVERSE_VARS for mono in terms for v, _ in mono)
 
 
 def _mono_degree(mono: Monomial) -> int:
@@ -63,21 +94,35 @@ def _mono_sort_key(mono: Monomial):
 
 
 def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
+    """Product of two monomials: one merge of the two sorted factor lists."""
     if not m1:
         return m2
     if not m2:
         return m1
-    merged = dict(m1)
-    for v, e in m2:
-        merged[v] = merged.get(v, 0) + e
-    return _freeze(merged)
+    out = []
+    i = j = 0
+    n1, n2 = len(m1), len(m2)
+    while i < n1 and j < n2:
+        v1, e1 = m1[i]
+        v2, e2 = m2[j]
+        if v1 == v2:
+            out.append((v1, e1 + e2))
+            i += 1
+            j += 1
+        elif var_key(v1) < var_key(v2):
+            out.append(m1[i])
+            i += 1
+        else:
+            out.append(m2[j])
+            j += 1
+    return tuple(out) + m1[i:] + m2[j:]
 
 
 def _freeze(mono: Mapping[str, int]) -> Monomial:
     return tuple(sorted(((v, e) for v, e in mono.items() if e), key=lambda it: var_key(it[0])))
 
 
-def _needs_reduction(raw: dict[Monomial, Fraction]) -> bool:
+def _needs_reduction(raw: Mapping[Monomial, Scalar]) -> bool:
     for mono in raw:
         names = {v for v, _ in mono}
         for inv, (base, _) in INVERSE_VARS.items():
@@ -86,12 +131,12 @@ def _needs_reduction(raw: dict[Monomial, Fraction]) -> bool:
     return False
 
 
-def _reduce_inverses(raw: dict[Monomial, Fraction]) -> dict[Monomial, Fraction]:
+def _reduce_inverses(raw: dict[Monomial, Scalar]) -> dict[Monomial, Scalar]:
     """Apply the base*inverse rewrite rules until no monomial holds both."""
     if not _needs_reduction(raw):
         return raw
-    out: dict[Monomial, Fraction] = {}
-    stack: list[tuple[dict[str, int], Fraction]] = [(dict(m), c) for m, c in raw.items()]
+    out: dict[Monomial, Scalar] = {}
+    stack: list[tuple[dict[str, int], Scalar]] = [(dict(m), c) for m, c in raw.items()]
     while stack:
         mono, coeff = stack.pop()
         if not coeff:
@@ -103,7 +148,7 @@ def _reduce_inverses(raw: dict[Monomial, Fraction]) -> dict[Monomial, Fraction]:
                 break
         if rule is None:
             key = _freeze(mono)
-            out[key] = out.get(key, Fraction(0)) + coeff
+            out[key] = out.get(key, 0) + coeff
             continue
         inv, base, shift = rule
         lowered = dict(mono)
@@ -113,7 +158,7 @@ def _reduce_inverses(raw: dict[Monomial, Fraction]) -> dict[Monomial, Fraction]:
         stack.append((cancelled, coeff))
         if shift:
             stack.append((lowered, -shift * coeff))
-    return {m: c for m, c in out.items() if c}
+    return _canonical(out)
 
 
 class Polynomial:
@@ -121,13 +166,20 @@ class Polynomial:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
+    def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
         if terms is None:
             object.__setattr__(self, "_terms", {})
             return
-        raw = {m: Fraction(c) for m, c in terms.items() if c}
+        raw = {m: _scalar(c) for m, c in terms.items() if c}
         raw = _reduce_inverses(raw)
         object.__setattr__(self, "_terms", raw)
+
+    @classmethod
+    def _trusted(cls, terms: dict[Monomial, Scalar]) -> "Polynomial":
+        """Wrap a term map that is already canonical, without copying or checking it."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "_terms", terms)
+        return poly
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("Polynomial is immutable")
@@ -144,13 +196,13 @@ class Polynomial:
 
     @classmethod
     def const(cls, value: Scalar) -> "Polynomial":
-        value = Fraction(value)
-        return cls({(): value} if value else {})
+        value = _scalar(value)
+        return cls._trusted({(): value} if value else {})
 
     @classmethod
     def var(cls, name: str) -> "Polynomial":
         var_key(name)  # validates
-        return cls({((name, 1),): Fraction(1)})
+        return cls._trusted({((name, 1),): 1})
 
     @classmethod
     def monomial(cls, coeff: Scalar, powers: Mapping[str, int]) -> "Polynomial":
@@ -158,7 +210,17 @@ class Polynomial:
             var_key(v)
             if e < 0:
                 raise ValueError("monomial exponents must be nonnegative")
-        return cls({_freeze(powers): Fraction(coeff)})
+        return cls({_freeze(powers): coeff})
+
+    @classmethod
+    def sum(cls, items: Iterable[PolyLike]) -> "Polynomial":
+        """Sum of many polynomials, accumulated in place in one term map."""
+        acc: dict[Monomial, Scalar] = {}
+        get = acc.get
+        for item in items:
+            for m, c in cls._coerce(item)._terms.items():
+                acc[m] = get(m, 0) + c
+        return cls._trusted(_canonical(acc))
 
     # -- ring operations ---------------------------------------------------
 
@@ -176,15 +238,24 @@ class Polynomial:
             return other
         if not other._terms:
             return self
+        # canonical operands have canonical monomials, so their sum needs no
+        # inverse rewrite; only merged coefficients can become zero or integral
         out = dict(self._terms)
         for m, c in other._terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return Polynomial(out)
+            if m in out:
+                c = out[m] + c
+                if not c:
+                    del out[m]
+                    continue
+                if type(c) is not int and c.denominator == 1:
+                    c = c.numerator
+            out[m] = c
+        return Polynomial._trusted(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial({m: -c for m, c in self._terms.items()})
+        return Polynomial._trusted({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other: PolyLike) -> "Polynomial":
         return self + (-self._coerce(other))
@@ -194,14 +265,19 @@ class Polynomial:
 
     def __mul__(self, other: PolyLike) -> "Polynomial":
         other = self._coerce(other)
-        if not self._terms or not other._terms:
+        left, right = self._terms, other._terms
+        if not left or not right:
             return Polynomial()
-        out: dict[Monomial, Fraction] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
+        out: dict[Monomial, Scalar] = {}
+        get = out.get
+        for m1, c1 in left.items():
+            for m2, c2 in right.items():
                 m = _mono_mul(m1, m2)
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
-        return Polynomial(out)
+                out[m] = get(m, 0) + c1 * c2
+        out = _canonical(out)
+        if _holds_inverse(left) or _holds_inverse(right):
+            out = _reduce_inverses(out)
+        return Polynomial._trusted(out)
 
     __rmul__ = __mul__
 
@@ -238,11 +314,12 @@ class Polynomial:
         return not self._terms or (len(self._terms) == 1 and () in self._terms)
 
     def constant_value(self) -> Fraction:
+        """The value of a constant polynomial, always as a ``Fraction``."""
         if not self._terms:
             return Fraction(0)
         if not self.is_constant:
             raise ValueError(f"not a constant polynomial: {self}")
-        return self._terms[()]
+        return Fraction(self._terms[()])
 
     def total_degree(self) -> int:
         if not self._terms:
@@ -253,10 +330,10 @@ class Polynomial:
         seen = {v for m in self._terms for v, _ in m}
         return tuple(sorted(seen, key=var_key))
 
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Monomial, Scalar]]:
         return sorted(self._terms.items(), key=lambda item: _mono_sort_key(item[0]))
 
-    def leading_term(self) -> tuple[Monomial, Fraction]:
+    def leading_term(self) -> tuple[Monomial, Scalar]:
         if not self._terms:
             raise ValueError("zero polynomial has no leading term")
         mono = min(self._terms, key=_mono_sort_key)
@@ -282,19 +359,20 @@ class Polynomial:
                         f"binding {base} that way leaves no rational value for {inv}"
                     )
                 bound[inv] = Polynomial.const(Fraction(1) / value.constant_value())
-        total = Polynomial()
+        pieces = []
         for mono, coeff in self._terms.items():
             piece = Polynomial.const(coeff)
-            residual: dict[str, int] = {}
+            residual = []
             for v, e in mono:
                 if v in bound:
                     piece = piece * (bound[v] ** e)
                 else:
-                    residual[v] = e
+                    residual.append((v, e))
             if residual:
-                piece = piece * Polynomial({_freeze(residual): Fraction(1)})
-            total = total + piece
-        return total
+                # a sub-monomial of a canonical monomial is itself canonical
+                piece = piece * Polynomial._trusted({tuple(residual): 1})
+            pieces.append(piece)
+        return Polynomial.sum(pieces)
 
     def evaluate(self, bindings: Mapping[str, Scalar]) -> Fraction:
         """Evaluate at rational values for every variable of the polynomial."""
@@ -312,7 +390,7 @@ class Polynomial:
         lead_mono, lead_coeff = divisor.leading_term()
         lead_exp = dict(lead_mono)
         remainder = dict(self._terms)
-        quotient: dict[Monomial, Fraction] = {}
+        quotient: dict[Monomial, Scalar] = {}
         while remainder:
             mono = min(remainder, key=_mono_sort_key)
             coeff = remainder[mono]
@@ -322,16 +400,16 @@ class Polynomial:
                     raise NotDivisible(f"({self}) is not divisible by ({divisor})")
                 exps[v] = exps.get(v, 0) - e
             q_mono = _freeze(exps)
-            q_coeff = coeff / lead_coeff
-            quotient[q_mono] = quotient.get(q_mono, Fraction(0)) + q_coeff
-            piece = Polynomial({q_mono: q_coeff}) * divisor
+            q_coeff = _scalar(Fraction(coeff) / lead_coeff)
+            quotient[q_mono] = quotient.get(q_mono, 0) + q_coeff
+            piece = Polynomial._trusted({q_mono: q_coeff}) * divisor
             for m, c in piece._terms.items():
-                new = remainder.get(m, Fraction(0)) - c
+                new = remainder.get(m, 0) - c
                 if new:
                     remainder[m] = new
                 else:
                     remainder.pop(m, None)
-        result = Polynomial(quotient)
+        result = Polynomial._trusted(_canonical(quotient))
         if result * divisor != self:
             raise NotDivisible(f"({self}) is not divisible by ({divisor})")
         return result
@@ -368,10 +446,10 @@ class Polynomial:
 
     @classmethod
     def from_json(cls, data: Iterable[Mapping]) -> "Polynomial":
-        terms: dict[Monomial, Fraction] = {}
+        terms: dict[Monomial, Scalar] = {}
         for entry in data:
             mono = _freeze(dict(entry["monomial"]))
-            terms[mono] = terms.get(mono, Fraction(0)) + Fraction(entry["coeff"])
+            terms[mono] = terms.get(mono, 0) + Fraction(entry["coeff"])
         return cls(terms)
 
 

@@ -89,11 +89,6 @@ class TruncatedSeries:
             raise IndexError(f"coefficient {n} outside stored order {self.order}")
         return self._coeffs[n]
 
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order > self.order:
-            raise OrderMismatch(f"cannot extend order {self.order} to {order}")
-        return TruncatedSeries(self._coeffs[: order + 1])
-
     def map_coeffs(self, fn: Callable[[Polynomial], CoeffLike]) -> "TruncatedSeries":
         return TruncatedSeries([fn(c) for c in self._coeffs])
 

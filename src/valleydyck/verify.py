@@ -11,6 +11,7 @@ underlying identity was only ever stated for a finite range.
 from __future__ import annotations
 
 import concurrent.futures
+import os
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
@@ -32,6 +33,7 @@ from .bijections import (
     tau_ustep_weights,
     tau_value,
 )
+from .errors import BadParams
 from .oracles import (
     catalan_number,
     delannoy_hstep_count,
@@ -123,10 +125,9 @@ def _master_triple(max_n: int) -> CheckResult:
     for n in range(bound + 1):
         by_structures = valley_weight_sum(n, spec)
         by_series = series.coefficient(n)
-        by_paths = Polynomial.zero()
-        for p in enumerate_family("dyck", n):
-            if is_valley_uniform(p):
-                by_paths = by_paths + path_weight(p, spec)
+        by_paths = Polynomial.sum(
+            path_weight(p, spec) for p in enumerate_family("dyck", n) if is_valley_uniform(p)
+        )
         if not (by_structures == by_series == by_paths):
             return _fail(
                 "master_triple_agreement",
@@ -202,7 +203,7 @@ def _bijection_check(map_id: str, max_n: int) -> CheckResult:
     family, filt = MAP_TARGET[map_id]
     weighting = MAP_TARGET_WEIGHTING[map_id]
     for n in range(bound + 1):
-        total = Polynomial.zero()
+        weights = []
         images = []
         for obj in enumerate_decorated(n, map_id):
             image = forward(map_id, obj)
@@ -211,7 +212,7 @@ def _bijection_check(map_id: str, max_n: int) -> CheckResult:
             weight = decorated_weight(obj)
             if weight != target_weight(image, weighting):
                 return _fail(name, f"n={n}: weight not preserved on {image.steps!r}")
-            total = total + weight
+            weights.append(weight)
             images.append(image.steps)
         targets = [p.steps for p in enumerate_family(family, n, filt)]
         if Counter(images) != Counter(targets):
@@ -219,6 +220,7 @@ def _bijection_check(map_id: str, max_n: int) -> CheckResult:
         for p in enumerate_family(family, n, filt):
             if forward(map_id, inverse(map_id, p)).steps != p.steps:
                 return _fail(name, f"n={n}: forward(inverse) moved {p.steps!r}")
+        total = Polynomial.sum(weights)
         want = formula_vn(_AGGREGATE_FORMULA[map_id], n)
         if total != want:
             return _fail(name, f"n={n}: aggregate {total} != {want}")
@@ -227,6 +229,15 @@ def _bijection_check(map_id: str, max_n: int) -> CheckResult:
 
 for _map in MAP_IDS:
     CHECKS[f"bijection_{_map}"] = (lambda m: lambda max_n: _bijection_check(m, max_n))(_map)
+
+
+def _structure_total(n: int, map_id: str, structure: ValleyStructure) -> Polynomial:
+    """Summed weight of every decoration of one valley structure."""
+    return Polynomial.sum(
+        decorated_weight(cand)
+        for cand in enumerate_decorated(n, map_id)
+        if cand.structure == structure
+    )
 
 
 _INTRO_EXAMPLE = "UUU" + "UUUDDD" + "UDUD" + "DDD" + "UU" + "UDUD" + "DD" + "UU" + "DD"
@@ -255,10 +266,7 @@ def _worked_examples(max_n: int) -> CheckResult:
     )
     if forward("phi", obj).steps != "UFFFDUFFDFFFUD":
         return _fail(name, "Motzkin image shape is wrong")
-    total = Polynomial.zero()
-    for cand in enumerate_decorated(14, "phi"):
-        if cand.structure == structure:
-            total = total + decorated_weight(cand)
+    total = _structure_total(14, "phi", structure)
     if total != _A**3 * _B**3 * (_A**2 + _B) * (_A**3 + 3 * _A * _B):
         return _fail(name, "Motzkin example weight is wrong")
 
@@ -274,10 +282,7 @@ def _worked_examples(max_n: int) -> CheckResult:
     )
     if forward("theta", obj).steps != "UHHDUHDHUD":
         return _fail(name, "Schroder image shape is wrong")
-    total = Polynomial.zero()
-    for cand in enumerate_decorated(7, "theta"):
-        if cand.structure == structure:
-            total = total + decorated_weight(cand)
+    total = _structure_total(7, "theta", structure)
     if total != (_Q + 2) * (_Q + 1) ** 4:
         return _fail(name, "Schroder example weight is wrong")
 
@@ -290,10 +295,7 @@ def _worked_examples(max_n: int) -> CheckResult:
     )
     if forward("rho", obj).steps != "UUUDDDUUDUDDUDUDUD":
         return _fail(name, "Narayana image shape is wrong")
-    total = Polynomial.zero()
-    for cand in enumerate_decorated(9, "rho"):
-        if cand.structure == structure:
-            total = total + decorated_weight(cand)
+    total = _structure_total(9, "rho", structure)
     if total != (_T + _T * _T) ** 2 * _T**3:
         return _fail(name, "Narayana example weight is wrong")
 
@@ -564,11 +566,19 @@ def _execute(args: tuple[str, int]) -> CheckResult:
         return CheckResult(name, False, f"{type(exc).__name__}: {exc}")
 
 
+def _require_bound(max_n: int) -> None:
+    if max_n < 0:
+        raise BadParams(f"the sweep bound must be nonnegative, got {max_n}")
+
+
 def run_suite(suite: str, max_n: int, jobs: int = 1) -> VerifyReport:
     if suite not in SUITES:
         raise KeyError(f"unknown suite {suite!r}; known: {', '.join(SUITES)}")
+    _require_bound(max_n)
     names = SUITES[suite]
-    if jobs <= 1 or len(names) <= 1:
+    # more workers than checks or CPUs only costs start-up time and memory
+    jobs = min(jobs, len(names), os.cpu_count() or 1)
+    if jobs <= 1:
         results = tuple(_execute((name, max_n)) for name in names)
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -580,4 +590,5 @@ def run_check(check_name: str, max_n: int) -> VerifyReport:
     """Run one named check as a single-entry report."""
     if check_name not in CHECKS:
         raise KeyError(f"unknown check {check_name!r}")
+    _require_bound(max_n)
     return VerifyReport(check_name, max_n, (_execute((check_name, max_n)),))

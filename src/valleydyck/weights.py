@@ -151,10 +151,7 @@ def path_weight(path: Path, spec: WeightSpec) -> Polynomial:
 
 def valley_weight_sum(n: int, spec: WeightSpec) -> Polynomial:
     """Sum of structure weights over every valley structure of size n."""
-    total = Polynomial.zero()
-    for structure in valley_structures(n):
-        total = total + structure_weight(structure, spec)
-    return total
+    return Polynomial.sum(structure_weight(s, spec) for s in valley_structures(n))
 
 
 # -- target-family weightings --------------------------------------------------
@@ -203,10 +200,9 @@ def target_weight(path: Path, weighting: str) -> Polynomial:
 
 
 def target_weight_sum(n: int, family: str, filt: str, weighting: str) -> Polynomial:
-    total = Polynomial.zero()
-    for path in enumerate_family(family, n, filt):
-        total = total + target_weight(path, weighting)
-    return total
+    return Polynomial.sum(
+        target_weight(path, weighting) for path in enumerate_family(family, n, filt)
+    )
 
 
 # -- the registry of specializations -------------------------------------------
@@ -421,10 +417,6 @@ DELANNOY_TUPLES: tuple[tuple[tuple[int, int, int, int], int], ...] = (
     ((3, 2, 8, 3), 8),
     ((3, 1, 4, 3), 8),
 )
-
-
-def registry_names() -> tuple[str, ...]:
-    return tuple(REGISTRY)
 
 
 @lru_cache(maxsize=None)

@@ -1,7 +1,10 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path as FilePath
+
+from valleydyck import verify
 
 FIXTURES = FilePath(__file__).parent / "fixtures"
 
@@ -178,3 +181,47 @@ def test_usage_errors_exit_two():
     run_cli("enumerate", "--family", "nope", "--n", "1", expect=2)
     run_cli("series", "--spec", "no_such_table", expect=2)
     run_cli(expect=2)
+
+
+def _one_error_line(proc):
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
+def test_unreadable_param_value_is_a_usage_error():
+    proc = run_cli("series", "--spec", "geom_3x", "--param", "a=1/0", expect=2)
+    _one_error_line(proc)
+    assert "--param a" in proc.stderr
+
+
+def test_negative_verify_bound_is_a_usage_error():
+    proc = run_cli("verify", "--suite", "master", "--max-n", "-3", expect=2)
+    _one_error_line(proc)
+
+
+def test_verify_jobs_clamped_to_checks_and_cpus(monkeypatch):
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(verify.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    serial = verify.run_suite("bijections", 2)
+    assert verify.run_suite("bijections", 2, jobs=1000) == serial
+    assert verify.run_suite("closed_forms", 2, jobs=1000).passed
+    assert pools == [3, 2]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert verify.run_suite("closed_forms", 2, jobs=1000).passed
+    assert pools == [3, 2]

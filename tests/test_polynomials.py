@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from valleydyck.errors import NotDivisible
-from valleydyck.polynomials import Polynomial, binomial
+from valleydyck.polynomials import Polynomial, binomial, var_key
 
 A = Polynomial.var("a")
 B = Polynomial.var("b")
@@ -137,6 +137,103 @@ def test_string_and_json_round_trip():
     assert str(-A) == "-a"
     data = p.to_json()
     assert data[0]["coeff"] == "7/3"
+
+
+def test_integral_coefficients_are_canonical_ints():
+    two = Polynomial({(): Fraction(4, 2)})
+    assert two == Polynomial.const(2)
+    assert hash(two) == hash(Polynomial.const(2))
+    half = Fraction(1, 2)
+    p = (half * A + half) * 2 + half * B + half * B
+    assert p == A + B + 1
+    assert all(type(c) is int for _, c in p.sorted_terms())
+    assert [type(c) for _, c in (half * A + 3).sorted_terms()] == [Fraction, int]
+    assert (Fraction(2, 3) * A).exact_div(Fraction(1, 3)) == 2 * A
+    assert all(type(c) is int for _, c in (2 * A).sorted_terms())
+
+
+def test_public_contract_keeps_fraction_values_and_integer_text():
+    for value in (
+        Polynomial.const(3).constant_value(),
+        Polynomial.zero().constant_value(),
+        (A + 1).evaluate({"a": 2}),
+    ):
+        assert type(value) is Fraction
+    assert Polynomial.const(3).constant_value() / 2 == Fraction(3, 2)
+    three = Polynomial.const(Fraction(6, 2))
+    assert str(three) == "3"
+    assert three.to_json() == [{"coeff": "3", "monomial": {}}]
+    assert str(Fraction(3, 1) * A - Fraction(9, 3)) == "3*a - 3"
+
+
+def test_inverse_cancellation_through_trusted_path():
+    a_inv = Polynomial.var("a_inv")
+    t1_inv = Polynomial.var("t1_inv")
+    assert A**3 * a_inv == A**2
+    assert (T + 1) * t1_inv == 1
+    assert -(A * a_inv) == -1
+    assert Polynomial.sum([A**2 * a_inv, -A]) == 0
+    assert (B * a_inv) * (A**2 - A) == A * B - B
+
+
+def test_merged_monomials_keep_numeric_variable_order():
+    alpha = Polynomial.var
+    assert str(alpha("alpha10") * alpha("alpha2") * alpha("alpha1")) == "alpha1*alpha2*alpha10"
+    assert alpha("beta3") * alpha("alpha12") == alpha("alpha12") * alpha("beta3")
+    assert var_key.cache_info().maxsize is not None
+
+
+def test_sum_agrees_with_repeated_addition():
+    rng = random.Random(17)
+    for _ in range(30):
+        parts = [random_poly(rng) for _ in range(rng.randrange(6))]
+        total = Polynomial.zero()
+        for part in parts:
+            total = total + part
+        assert Polynomial.sum(parts) == total
+        assert Polynomial.sum(iter(parts)) == total
+    assert Polynomial.sum([]) == Polynomial.zero()
+    p = random_poly(rng, terms=4) + A
+    cancelled = Polynomial.sum([p, -p, Fraction(1, 2), Fraction(1, 2)])
+    assert cancelled == 1 and cancelled.sorted_terms() == [((), 1)]
+    assert not Polynomial.sum([p, -p])
+
+
+def _to_sympy(sympy, poly):
+    # the formal inverses are honest reciprocals in sympy's field of fractions
+    symbols = {"a_inv": 1 / sympy.Symbol("a"), "t1_inv": 1 / (sympy.Symbol("t") + 1)}
+    expr = sympy.Integer(0)
+    for mono, coeff in poly.sorted_terms():
+        term = sympy.Rational(coeff.numerator, coeff.denominator)
+        for v, e in mono:
+            term *= symbols.get(v, sympy.Symbol(v)) ** e
+        expr += term
+    return expr
+
+
+def test_differential_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(23)
+    binding = {"a": T + 1, "b": Polynomial.const(Fraction(2, 3))}
+    a, b, t = sympy.symbols("a b t")
+    sym_binding = {a: t + 1, b: sympy.Rational(2, 3)}
+    for _ in range(25):
+        p = random_poly(rng, variables=("a", "b", "q"), terms=4)
+        r = random_poly(rng, variables=("a", "b", "q"), terms=4)
+        sp, sr = _to_sympy(sympy, p), _to_sympy(sympy, r)
+        assert sympy.expand(_to_sympy(sympy, p * r) - sp * sr) == 0
+        assert sympy.expand(_to_sympy(sympy, p + r) - (sp + sr)) == 0
+        got = _to_sympy(sympy, p.substitute(binding))
+        assert sympy.expand(got - sp.subs(sym_binding)) == 0
+        if r:
+            quotient, remainder = sympy.div(sympy.expand(sp * sr), sr)
+            assert remainder == 0
+            assert sympy.expand(_to_sympy(sympy, (p * r).exact_div(r)) - quotient) == 0
+    for _ in range(15):
+        p = random_poly(rng, variables=("a", "a_inv", "t1_inv", "t"), terms=3, degree=2)
+        r = random_poly(rng, variables=("a", "a_inv", "t1_inv", "t"), terms=3, degree=2)
+        diff = _to_sympy(sympy, p * r) - _to_sympy(sympy, p) * _to_sympy(sympy, r)
+        assert sympy.cancel(diff) == 0
 
 
 def test_binomial_generalized():
