@@ -158,10 +158,22 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-def _decorated_from_json(data: dict):
-    if "side" in data:
-        return TauDecorated.from_json(data)
-    return DecoratedStructure.from_json(data)
+def _object_from_json(parse, data):
+    """Build an ``--apply`` object; JSON of the wrong shape is a usage error."""
+    if not isinstance(data, dict):
+        raise ValleyDyckError(f"--apply needs a JSON object, got {type(data).__name__}")
+    try:
+        return parse(data)
+    except KeyError as exc:
+        raise ValleyDyckError(f"--apply JSON lacks the key {exc}") from None
+    except (TypeError, AttributeError) as exc:
+        raise ValleyDyckError(f"--apply JSON has the wrong shape: {exc}") from None
+
+
+def _decorated_from_json(data):
+    if isinstance(data, dict) and "side" in data:
+        return _object_from_json(TauDecorated.from_json, data)
+    return _object_from_json(DecoratedStructure.from_json, data)
 
 
 def _cmd_biject(args) -> int:
@@ -176,10 +188,8 @@ def _cmd_biject(args) -> int:
         raise ValleyDyckError("biject needs --roundtrip or --apply")
     data = _load_json(args.apply)
     if args.direction == "inverse":
-        if args.map == "tau":
-            result = inverse("tau", TauDecorated.from_json(data))
-        else:
-            result = inverse(args.map, Path.from_json(data))
+        parse = TauDecorated.from_json if args.map == "tau" else Path.from_json
+        result = inverse(args.map, _object_from_json(parse, data))
         _emit(json.dumps(result.to_json(), indent=2))
         return 0
     obj = _decorated_from_json(data)

@@ -78,10 +78,6 @@ def _canonical(raw: dict[Monomial, Scalar]) -> dict[Monomial, Scalar]:
     }
 
 
-def _holds_inverse(terms: Mapping[Monomial, Scalar]) -> bool:
-    return any(v in INVERSE_VARS for mono in terms for v, _ in mono)
-
-
 def _mono_degree(mono: Monomial) -> int:
     return sum(e for _, e in mono)
 
@@ -164,22 +160,29 @@ def _reduce_inverses(raw: dict[Monomial, Scalar]) -> dict[Monomial, Scalar]:
 class Polynomial:
     """Immutable sparse polynomial with exact rational coefficients."""
 
-    __slots__ = ("_terms",)
+    # _inv caches whether a monomial holds an inverse variable: None until
+    # the first product asks, then a bool that never changes
+    __slots__ = ("_terms", "_inv")
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
-        if terms is None:
-            object.__setattr__(self, "_terms", {})
-            return
-        raw = {m: _scalar(c) for m, c in terms.items() if c}
-        raw = _reduce_inverses(raw)
-        object.__setattr__(self, "_terms", raw)
+        raw = {} if terms is None else {m: _scalar(c) for m, c in terms.items() if c}
+        object.__setattr__(self, "_terms", _reduce_inverses(raw))
+        object.__setattr__(self, "_inv", None)
 
     @classmethod
-    def _trusted(cls, terms: dict[Monomial, Scalar]) -> "Polynomial":
+    def _trusted(cls, terms: dict[Monomial, Scalar], inv: bool | None = None) -> "Polynomial":
         """Wrap a term map that is already canonical, without copying or checking it."""
         poly = object.__new__(cls)
         object.__setattr__(poly, "_terms", terms)
+        object.__setattr__(poly, "_inv", inv)
         return poly
+
+    def _holds_inverse(self) -> bool:
+        inv = self._inv
+        if inv is None:
+            inv = any(v in INVERSE_VARS for mono in self._terms for v, _ in mono)
+            object.__setattr__(self, "_inv", inv)
+        return inv
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("Polynomial is immutable")
@@ -255,7 +258,7 @@ class Polynomial:
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._trusted({m: -c for m, c in self._terms.items()})
+        return Polynomial._trusted({m: -c for m, c in self._terms.items()}, self._inv)
 
     def __sub__(self, other: PolyLike) -> "Polynomial":
         return self + (-self._coerce(other))
@@ -275,9 +278,9 @@ class Polynomial:
                 m = _mono_mul(m1, m2)
                 out[m] = get(m, 0) + c1 * c2
         out = _canonical(out)
-        if _holds_inverse(left) or _holds_inverse(right):
-            out = _reduce_inverses(out)
-        return Polynomial._trusted(out)
+        if self._holds_inverse() or other._holds_inverse():
+            return Polynomial._trusted(_reduce_inverses(out))
+        return Polynomial._trusted(out, False)
 
     __rmul__ = __mul__
 

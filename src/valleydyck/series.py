@@ -4,8 +4,21 @@ A series of order N stores the coefficients of x^0 .. x^N exactly; all
 arithmetic is the truncated ring arithmetic and never consults anything
 beyond the stored order.  Generating functions defined by a quadratic (or
 higher) functional equation are produced by :func:`solve_fixed_point`, which
-iterates the equation and then *checks* the fixed-point property instead of
-trusting convergence; no square root is ever taken.
+lifts the solution one order at a time and then *checks* the fixed-point
+property instead of trusting convergence; no square root is ever taken.
+
+The equation maps handed to the solver are order-polymorphic: a map takes a
+series of any order and returns one of the same order, so it builds its
+constants from ``f.order`` (``1 + f`` or :meth:`TruncatedSeries.times_x`)
+instead of capturing series of one fixed order.  Since such a map is an
+x-adic contraction, running it at order k on the solution known to order
+k - 1 (padded with one zero coefficient) fixes coefficient k exactly, so
+step k of the solver costs one order-k evaluation, not a full-order one.
+
+Products skip zero coefficients, stop at the truncation order, reuse a
+factor that is the constant 1 instead of multiplying by it, form each cross
+product of a square only once, and add each output coefficient up once with
+:meth:`Polynomial.sum`.
 """
 
 from __future__ import annotations
@@ -27,10 +40,23 @@ from .polynomials import Polynomial, binomial
 CoeffLike = Union[Polynomial, int, Fraction]
 
 
+_ZERO = Polynomial.zero()
+_ONE = Polynomial.one()
+
+
 def _coeff(value: CoeffLike) -> Polynomial:
     if isinstance(value, Polynomial):
         return value
     return Polynomial.const(value)
+
+
+def _nonzero(coeffs: Sequence[Polynomial]) -> list[tuple[int, Polynomial, bool]]:
+    """(index, coefficient, is the constant 1) for each nonzero coefficient."""
+    return [(i, c, c == _ONE) for i, c in enumerate(coeffs) if c]
+
+
+def _total(terms: list[Polynomial]) -> Polynomial:
+    return terms[0] if len(terms) == 1 else Polynomial.sum(terms)
 
 
 class TruncatedSeries:
@@ -43,6 +69,13 @@ class TruncatedSeries:
         if not data:
             raise ValueError("a truncated series needs at least the x^0 coefficient")
         object.__setattr__(self, "_coeffs", data)
+
+    @classmethod
+    def _trusted(cls, coeffs: tuple[Polynomial, ...]) -> "TruncatedSeries":
+        """Wrap a nonempty tuple of Polynomials without coercing it."""
+        series = object.__new__(cls)
+        object.__setattr__(series, "_coeffs", coeffs)
+        return series
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("TruncatedSeries is immutable")
@@ -143,16 +176,20 @@ class TruncatedSeries:
             return self.scale(other)
         self._match(other)
         n = self.order
-        out = []
-        for k in range(n + 1):
-            acc = Polynomial.zero()
-            for i in range(k + 1):
-                a = self._coeffs[i]
-                b = other._coeffs[k - i]
-                if a and b:
-                    acc = acc + a * b
-            out.append(acc)
-        return TruncatedSeries(out)
+        left = _nonzero(self._coeffs)
+        square = other is self
+        right = left if square else _nonzero(other._coeffs)
+        terms: list[list[Polynomial]] = [[] for _ in range(n + 1)]
+        for pos, (i, a, a_one) in enumerate(left):
+            # a square needs each product a_i * a_j only once, for i <= j
+            for j, b, b_one in right[pos:] if square else right:
+                if i + j > n:
+                    break
+                product = b if a_one else a if b_one else a * b
+                terms[i + j].append(product)
+                if square and j != i:
+                    terms[i + j].append(product)
+        return TruncatedSeries._trusted(tuple(_total(t) for t in terms))
 
     __rmul__ = __mul__
 
@@ -180,21 +217,33 @@ class TruncatedSeries:
         if not c0.is_constant or not c0:
             raise NotAUnit(f"constant term {c0} is not a nonzero rational")
         inv0 = Fraction(1) / c0.constant_value()
+        neg_inv0 = Polynomial.const(-inv0)
+        tail = _nonzero(self._coeffs)[1:]
         out = [Polynomial.const(inv0)]
         for n in range(1, self.order + 1):
-            acc = Polynomial.zero()
-            for i in range(1, n + 1):
-                ci = self._coeffs[i]
-                if ci:
-                    acc = acc + ci * out[n - i]
-            out.append(acc * Polynomial.const(-inv0))
-        return TruncatedSeries(out)
+            terms = []
+            for i, ci, ci_one in tail:
+                if i > n:
+                    break
+                prev = out[n - i]
+                if prev:
+                    terms.append(prev if ci_one else ci * prev)
+            acc = _total(terms)
+            out.append(-acc if inv0 == 1 else acc * neg_inv0)
+        return TruncatedSeries._trusted(tuple(out))
 
     def __truediv__(self, other) -> "TruncatedSeries":
         if isinstance(other, (Polynomial, int, Fraction)):
             return self.div_poly(other)
         self._match(other)
         return self * other.inverse()
+
+    def times_x(self, k: int = 1) -> "TruncatedSeries":
+        """Multiply by x^k at the same order; the top k coefficients drop."""
+        if k < 0:
+            raise ValueError("times_x needs a nonnegative power")
+        k = min(k, self.order + 1)
+        return TruncatedSeries._trusted((_ZERO,) * k + self._coeffs[: self.order + 1 - k])
 
     def shift_div_x(self, k: int = 1) -> "TruncatedSeries":
         """Divide by x^k exactly; the order drops to N - k."""
@@ -227,19 +276,28 @@ def solve_fixed_point(
 ) -> TruncatedSeries:
     """Unique fixed point of an x-adically contracting series map.
 
-    The map is probed with two series that differ only in the top
-    coefficient; a contraction must send them to equal truncations.  The
-    iteration then runs exactly order+1 steps from the constant seed and the
-    fixed-point property is asserted rather than assumed.
+    ``phi`` must be order-polymorphic: it takes a series of any order and
+    returns one of the same order, the truncation of what it would return at
+    a higher order.  A map that captures series of one fixed order fails with
+    OrderMismatch at the first lower order it is given.
+
+    The map is probed at the full order with two series that differ only in
+    the top coefficient; a contraction must send them to equal truncations.
+    The solution then grows from the constant seed at order 0: step k runs
+    the map at order k on the solution known to order k - 1, padded with one
+    zero coefficient, which fixes coefficient k exactly.  The fixed-point
+    property is asserted at the full order rather than assumed.
     """
     zero = TruncatedSeries.zero(order)
     bumped = TruncatedSeries.from_coeffs([0] * order + [1], order)
-    if phi(zero) != phi(bumped):
+    image = phi(zero)
+    if image != phi(bumped):
         raise NotAContraction("map distinguishes series that agree below the top order")
-    seed = phi(zero).coefficient(0)
-    current = TruncatedSeries.constant(seed, order)
-    for _ in range(order + 1):
-        current = phi(current)
+    current = TruncatedSeries._trusted((image.coefficient(0),))
+    for k in range(1, order + 1):
+        current = phi(TruncatedSeries._trusted(current._coeffs + (_ZERO,)))
+        if current.order != k:
+            raise OrderMismatch(f"map returned order {current.order} for an order-{k} series")
     if phi(current) != current:
         raise NotAContraction("iteration did not reach a fixed point")
     return current
@@ -262,31 +320,37 @@ def named_series(name: str, order: int, r: int | None = None) -> TruncatedSeries
         raise BadParams("order must be nonnegative")
     if name != "fuss" and r is not None:
         raise BadParams(f"series {name!r} takes no r parameter")
-    x = TruncatedSeries.x(order)
-    one = TruncatedSeries.one(order)
     a, b = Polynomial.var("a"), Polynomial.var("b")
     q, t = Polynomial.var("q"), Polynomial.var("t")
     if name == "catalan":
-        return solve_fixed_point(lambda f: one + x * f * f, order)
+        return solve_fixed_point(lambda f: 1 + (f * f).times_x(), order)
     if name == "motzkin_ab":
-        return solve_fixed_point(lambda f: one + (x * f).scale(a) + (x * x * f * f).scale(b), order)
+        return solve_fixed_point(
+            lambda f: 1 + f.times_x().scale(a) + (f * f).times_x(2).scale(b), order
+        )
     if name == "schroder_large":
-        return solve_fixed_point(lambda f: one + (x * f).scale(q) + x * f * f, order)
+        return solve_fixed_point(lambda f: 1 + f.times_x().scale(q) + (f * f).times_x(), order)
     if name == "schroder_small":
         return solve_fixed_point(
-            lambda f: one - (x * f).scale(q) + (x * f * f).scale(q + 1), order
+            lambda f: 1 - f.times_x().scale(q) + (f * f).times_x().scale(q + 1), order
         )
     if name == "narayana":
-        return solve_fixed_point(lambda f: one + (x * f).scale(t - 1) + x * f * f, order)
+        return solve_fixed_point(
+            lambda f: 1 + f.times_x().scale(t - 1) + (f * f).times_x(), order
+        )
     if name == "narayana_shift":
         # the series whose n-th coefficient is the (n+1)-st Narayana polynomial over t
-        return solve_fixed_point(lambda f: (one + x * f) * (one + (x * f).scale(t)), order)
+        def narayana_shift(f: TruncatedSeries) -> TruncatedSeries:
+            xf = f.times_x()
+            return (1 + xf) * (1 + xf.scale(t))
+
+        return solve_fixed_point(narayana_shift, order)
     if name == "chebyshev_u":
         return TruncatedSeries.from_coeffs([1, -2 * t, 1], order).inverse()
     if name == "fuss":
         if r is None or r < 1:
             raise BadParams("fuss needs an integer parameter r >= 1")
-        return solve_fixed_point(lambda f: one + x * f ** (r + 1), order)
+        return solve_fixed_point(lambda f: 1 + (f ** (r + 1)).times_x(), order)
     if name == "delannoy":
         return TruncatedSeries([_delannoy_number(n) for n in range(order + 1)])
     raise BadParams(f"unknown series name {name!r}")

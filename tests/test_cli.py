@@ -4,7 +4,7 @@ import subprocess
 import sys
 from pathlib import Path as FilePath
 
-from valleydyck import verify
+from valleydyck import cli, verify
 
 FIXTURES = FilePath(__file__).parent / "fixtures"
 
@@ -198,6 +198,24 @@ def test_unreadable_param_value_is_a_usage_error():
 def test_negative_verify_bound_is_a_usage_error():
     proc = run_cli("verify", "--suite", "master", "--max-n", "-3", expect=2)
     _one_error_line(proc)
+
+
+def test_biject_apply_malformed_json_is_a_usage_error(capsys):
+    for text in ('{"map":"rho"}', "[1,2]"):
+        _one_error_line(run_cli("biject", "--map", "rho", "--apply", text, expect=2))
+    for map_id, direction, text in [
+        ("rho", "inverse", "[1,2]"),
+        ("rho", "inverse", '{"steps": "UD"}'),
+        ("rho", "forward", '{"map": "rho", "parts": [1]}'),
+        ("tau", "forward", '{"side": "src_4372"}'),
+        ("tau", "inverse", '{"side": "src_4372", "parts": [{"k0": 1, "letters": 5}]}'),
+    ]:
+        argv = ["biject", "--map", map_id, "--direction", direction, "--apply", text]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: --apply ")
 
 
 def test_verify_jobs_clamped_to_checks_and_cpus(monkeypatch):

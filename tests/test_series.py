@@ -218,3 +218,104 @@ def test_reciprocal_functional_equation_forms():
 def test_json_round_trip():
     s = named_series("narayana", 3)
     assert TruncatedSeries.from_json(s.to_json()) == s
+
+
+def naive_product(s, u):
+    """Dense schoolbook convolution, one coefficient at a time."""
+    out = []
+    for k in range(s.order + 1):
+        acc = Polynomial.zero()
+        for i in range(k + 1):
+            acc = acc + s.coefficient(i) * u.coefficient(k - i)
+        out.append(acc)
+    return TruncatedSeries(out)
+
+
+def naive_inverse(s):
+    """Coefficients of 1/s from s * g = 1, solved term by term."""
+    inv0 = Polynomial.const(1 / s.coefficient(0).constant_value())
+    g = [inv0]
+    for k in range(1, s.order + 1):
+        acc = Polynomial.zero()
+        for i in range(1, k + 1):
+            acc = acc + s.coefficient(i) * g[k - i]
+        g.append(-(acc * inv0))
+    return TruncatedSeries(g)
+
+
+_RATIONALS = [Polynomial.const(c) for c in (1, -1, 2, Fraction(-3, 2))]
+_ATOMS = _RATIONALS + [
+    A,
+    B,
+    T,
+    Polynomial.var("a_inv"),
+    Polynomial.var("t1_inv"),
+    A * Polynomial.var("t1_inv") + 1,
+]
+
+
+def random_series(rng, order, unit=False):
+    """Sparse series: zero, unit and inverse-variable coefficients are common."""
+    coeffs = []
+    for _ in range(order + 1):
+        roll = rng.random()
+        if roll < 0.3:
+            coeffs.append(Polynomial.zero())
+        elif roll < 0.5:
+            coeffs.append(Polynomial.one())
+        else:
+            term = rng.choice(_ATOMS) * rng.choice(_ATOMS)
+            coeffs.append(term + rng.choice(_ATOMS) if rng.random() < 0.5 else term)
+    if unit:
+        coeffs[0] = rng.choice(_RATIONALS)
+    return TruncatedSeries(coeffs)
+
+
+def test_product_and_inverse_match_dense_reference():
+    rng = random.Random(11)
+    for order in range(13):
+        for _ in range(4):
+            s = random_series(rng, order)
+            u = random_series(rng, order)
+            assert s * u == naive_product(s, u)
+            assert s * s == naive_product(s, s)
+            assert s * s == s * TruncatedSeries(s.coeffs)
+            unit = random_series(rng, order, unit=True)
+            inv = unit.inverse()
+            assert inv == naive_inverse(unit)
+            assert naive_product(unit, inv) == TruncatedSeries.one(order)
+
+
+def test_times_x_mirrors_shift_div_x():
+    s = TruncatedSeries.from_coeffs([1, A, 0, T], 3)
+    assert s.times_x() == TruncatedSeries.x(3) * s
+    assert s.times_x(2) == TruncatedSeries.from_coeffs([0, 0, 1, A], 3)
+    assert s.times_x(5) == TruncatedSeries.zero(3)
+    assert s.times_x(0) == s
+    assert s.times_x(2).shift_div_x(2) == TruncatedSeries.from_coeffs([1, A], 1)
+
+
+def test_solved_series_truncate_consistently():
+    top = 12
+    names = ("catalan", "motzkin_ab", "schroder_large", "schroder_small", "narayana",
+             "narayana_shift")
+    cases = [(name, None) for name in names]
+    cases += [("fuss", r) for r in (1, 2, 3)]
+    for name, r in cases:
+        full = named_series(name, top, r=r)
+        for k in range(top + 1):
+            assert TruncatedSeries(full.coeffs[: k + 1]) == named_series(name, k, r=r)
+
+
+def test_fixed_order_map_fails_loudly():
+    x = TruncatedSeries.x(6)
+    one = TruncatedSeries.one(6)
+    with pytest.raises(OrderMismatch):
+        solve_fixed_point(lambda f: one + x * f * f, 6)
+    with pytest.raises(OrderMismatch):
+        solve_fixed_point(lambda f: one + (f * f).times_x(), 6)
+    # a map that pads its image to one fixed order breaks the order contract
+    with pytest.raises(OrderMismatch):
+        solve_fixed_point(
+            lambda f: TruncatedSeries.from_coeffs((1 + (f * f).times_x()).coeffs, 6), 6
+        )
