@@ -16,7 +16,7 @@ from valleydyck import (
     ValleyBlock,
     ValleyStructure,
     decorated_weight,
-    enumerate_decorated,
+    decorations,
     forward,
     inverse,
     render_ascii,
@@ -27,12 +27,12 @@ source = ValleyStructure((Pyramid(5), ValleyBlock(3, (1, 1, 1, 1)), Pyramid(2)))
 print("source path (semilength 14):")
 print(render_ascii(source.to_path()))
 
-decorations = (
+chosen = (
     PartDecoration(Path("motzkin", "UFD")),
     PartDecoration(Path("motzkin", "UD")),
     PartDecoration(Path("motzkin", "")),
 )
-obj = DecoratedStructure("phi", source, decorations)
+obj = DecoratedStructure("phi", source, chosen)
 image = forward("phi", obj)
 print("\none decorated image (a Motzkin path of length 14):")
 print(render_ascii(image))
@@ -42,10 +42,7 @@ recovered = inverse("phi", image)
 assert recovered == obj
 print("round trip recovered the decorated source exactly")
 
-total = Polynomial.zero()
-for candidate in enumerate_decorated(14, "phi"):
-    if candidate.structure == source:
-        total = total + decorated_weight(candidate)
+total = Polynomial.sum(decorated_weight(c) for c in decorations(source, "phi"))
 print("\nsummed over all decorations of this structure:")
 print(" ", total)
 a, b = Polynomial.var("a"), Polynomial.var("b")

@@ -42,11 +42,13 @@ from .weights import (
     valley_weight_sum,
 )
 from .bijections import (
+    MAPS,
     DecoratedStructure,
     PartDecoration,
     TauDecorated,
     TauFactor,
     decorated_weight,
+    decorations,
     enumerate_decorated,
     enumerate_tau,
     forward,
@@ -88,11 +90,13 @@ __all__ = [
     "target_weight",
     "target_weight_sum",
     "valley_weight_sum",
+    "MAPS",
     "DecoratedStructure",
     "PartDecoration",
     "TauDecorated",
     "TauFactor",
     "decorated_weight",
+    "decorations",
     "enumerate_decorated",
     "enumerate_tau",
     "forward",

@@ -4,18 +4,14 @@ Five of the maps (phi, theta, sigma, rho, psi) share one shape: their weight
 tables force every block to have inner height 1 and every axis pyramid to
 have height at least 2, so each part normalizes to u^k (ud)^r d^k with
 k, r >= 1 (a pyramid of height h is the case k = h - 1, r = 1).  A part is
-decorated with a subpath whose size matches k, plus, for theta, a string of
-r - 1 two-way symbols; the forward map emits per part
-
-    phi:    u Q d f^(r-1)          Q a Motzkin path of length k - 1
-    theta:  u Q d s_1 .. s_(r-1)   Q a q-large Schroder path of semilength k
-    sigma:  u W d (ud)^(r-1)       W a q-large Schroder path of semilength k
-    rho:    u Q d (ud)^(r-1)       Q a Dyck path of semilength k
-    psi:    u Q d (ud)^(r-1)       Q a Dyck path of semilength k
-
-and concatenates the images.  The inverse reads the unique factorization of
-a target path back off: first primitive factor, then the maximal run of
-trailing flats / double flats / (ud) factors.
+decorated with a subpath Q and one tail unit for each of its r - 1 further
+peaks; the forward map emits u Q d t_1 .. t_(r-1) per part and concatenates
+the images.  Each map's :class:`MapSpec` record in :data:`MAPS` says which
+family Q comes from and at what size, what the tail units are and what
+everything weighs, and which target family the images form.  Where a map
+offers two tail units (theta), a decoration records its choices as one
+symbol per unit.  The inverse reads the unique factorization of a target
+path back off: first primitive factor, then the maximal run of tail units.
 
 The sixth map, tau, exchanges the two integer weight systems of the
 Delannoy pair (4,3,7,2) and (2,1,7,4).  It works purely on run-length data:
@@ -49,44 +45,82 @@ from .paths import (
 from .polynomials import Polynomial
 from .weights import target_weight
 
-MAP_IDS = ("phi", "theta", "sigma", "rho", "psi")
-
-MAP_TARGET: dict[str, tuple[str, str]] = {
-    "phi": ("motzkin", "first_not_flat"),
-    "theta": ("schroder_large", "y_filter"),
-    "sigma": ("schroder_small", "first_two_not_ud"),
-    "rho": ("dyck", "first_two_not_ud"),
-    "psi": ("dyck", "first_two_not_ud"),
-}
-
-MAP_REGISTRY_SPEC: dict[str, str] = {
-    "phi": "motzkin_ab",
-    "theta": "schroder_large_q",
-    "sigma": "schroder_small_q",
-    "rho": "narayana_t",
-    "psi": "narayana_shift_t",
-}
-
-MAP_TARGET_WEIGHTING: dict[str, str] = {
-    "phi": "motzkin_ab",
-    "theta": "schroder_q",
-    "sigma": "schroder_q",
-    "rho": "narayana_t",
-    "psi": "level_peaks",
-}
-
-_DECORATION_FAMILY: dict[str, str] = {
-    "phi": "motzkin",
-    "theta": "schroder_large",
-    "sigma": "schroder_large",
-    "rho": "dyck",
-    "psi": "dyck",
-}
-
 _A = Polynomial.var("a")
 _B = Polynomial.var("b")
 _Q = Polynomial.var("q")
 _T = Polynomial.var("t")
+_ONE = Polynomial.one()
+
+
+@dataclass(frozen=True)
+class MapSpec:
+    """What one structure map is: its two sides and how a part crosses.
+
+    ``tail`` lists the tail units a part may append, as (symbol, letters,
+    weight).  A lone unit has the symbol None and is never recorded; where
+    there are several, a decoration names each of its units by symbol.
+    """
+
+    target: tuple[str, str]  # family and filter of the image paths
+    target_weighting: str  # target_weight() weighting the images carry
+    registry: str  # weight table whose structure weights the map realizes
+    formula: str  # formula_vn() name of the summed weight at each size
+    decoration: str  # family of the subpath Q decorating a part
+    decoration_weighting: str  # target_weight() weighting of Q
+    tail: tuple[tuple[str | None, str, Polynomial], ...]
+    offset: int = 0  # Q has size k - offset
+    core: Polynomial | None = None  # weight of u Q d beyond Q's own
+    symbols: tuple[str, ...] = field(init=False)  # what a decoration may record
+
+    def __post_init__(self):
+        object.__setattr__(self, "symbols", tuple(s for s, _, _ in self.tail if s is not None))
+
+
+MAPS: dict[str, MapSpec] = {
+    "phi": MapSpec(
+        target=("motzkin", "first_not_flat"), target_weighting="motzkin_ab",
+        registry="motzkin_ab", formula="motzkin_diff",
+        decoration="motzkin", decoration_weighting="motzkin_ab",
+        tail=((None, "F", _A),), offset=1, core=_B,
+    ),
+    "theta": MapSpec(
+        target=("schroder_large", "y_filter"), target_weighting="schroder_q",
+        registry="schroder_large_q", formula="schroder_large_diff",
+        decoration="schroder_large", decoration_weighting="schroder_q",
+        tail=(("H", "H", _Q), ("ud", "UD", _ONE)),
+    ),
+    "sigma": MapSpec(
+        target=("schroder_small", "first_two_not_ud"), target_weighting="schroder_q",
+        registry="schroder_small_q", formula="schroder_small_diff",
+        decoration="schroder_large", decoration_weighting="schroder_q",
+        tail=((None, "UD", _ONE),),
+    ),
+    "rho": MapSpec(
+        target=("dyck", "first_two_not_ud"), target_weighting="narayana_t",
+        registry="narayana_t", formula="narayana_diff",
+        decoration="dyck", decoration_weighting="narayana_t",
+        tail=((None, "UD", _T),),
+    ),
+    "psi": MapSpec(
+        target=("dyck", "first_two_not_ud"), target_weighting="level_peaks",
+        registry="narayana_shift_t", formula="narayana_shift_diff",
+        decoration="dyck", decoration_weighting="narayana_t",
+        tail=((None, "UD", _T + 1),),
+    ),
+}
+
+MAP_IDS = tuple(MAPS)
+
+MAP_TARGET = {map_id: spec.target for map_id, spec in MAPS.items()}
+
+_SYMBOLS = frozenset(s for spec in MAPS.values() for s in spec.symbols)
+
+
+def _map_spec(map_id: str) -> MapSpec:
+    spec = MAPS.get(map_id)
+    if spec is None:
+        raise BadParams(f"unknown map {map_id!r}")
+    return spec
 
 
 @dataclass(frozen=True)
@@ -97,7 +131,7 @@ class PartDecoration:
     def __post_init__(self):
         object.__setattr__(self, "symbols", tuple(self.symbols))
         for s in self.symbols:
-            if s not in ("H", "ud"):
+            if s not in _SYMBOLS:
                 raise InvalidDecoration(f"unknown decoration symbol {s!r}")
 
 
@@ -109,23 +143,22 @@ class DecoratedStructure:
 
     def __post_init__(self):
         object.__setattr__(self, "decorations", tuple(self.decorations))
-        if self.map_id not in MAP_IDS:
-            raise BadParams(f"unknown map {self.map_id!r}")
+        spec = _map_spec(self.map_id)
         if len(self.decorations) != len(self.structure.parts):
             raise InvalidDecoration("one decoration per part is required")
-        family = _DECORATION_FAMILY[self.map_id]
+        family = spec.decoration
         for part, deco in zip(self.structure.parts, self.decorations):
             k, r = _part_form(self.map_id, part)
             if deco.subpath.family != family:
                 raise InvalidDecoration(f"{self.map_id} decorations are {family} paths")
-            wanted = k - 1 if self.map_id == "phi" else k
+            wanted = k - spec.offset
             if deco.subpath.size != wanted:
                 raise InvalidDecoration(
                     f"decoration size {deco.subpath.size} does not match part size {wanted}"
                 )
-            if self.map_id == "theta":
+            if spec.symbols:
                 if len(deco.symbols) != r - 1:
-                    raise InvalidDecoration("theta needs r-1 symbols")
+                    raise InvalidDecoration(f"{self.map_id} needs r-1 symbols")
             elif deco.symbols:
                 raise InvalidDecoration(f"{self.map_id} takes no symbols")
 
@@ -149,9 +182,7 @@ class DecoratedStructure:
     @classmethod
     def from_json(cls, data: Mapping) -> "DecoratedStructure":
         map_id = data["map"]
-        family = _DECORATION_FAMILY.get(map_id)
-        if family is None:
-            raise BadParams(f"unknown map {map_id!r}")
+        family = _map_spec(map_id).decoration
         parts: list = []
         decos: list[PartDecoration] = []
         for entry in data["parts"]:
@@ -176,48 +207,44 @@ def _part_form(map_id: str, part) -> tuple[int, int]:
     return part.ascent, len(part.heights)
 
 
-def _part_in_domain(map_id: str, part) -> bool:
+def decorations(structure: ValleyStructure, map_id: str) -> Iterator[DecoratedStructure]:
+    """Every decoration of one valley structure; none if a part is outside the domain."""
+    spec = _map_spec(map_id)
     try:
-        _part_form(map_id, part)
+        forms = [_part_form(map_id, part) for part in structure.parts]
     except InvalidDecoration:
-        return False
-    return True
+        return
+    per_part = []
+    for k, r in forms:
+        subs = list(enumerate_family(spec.decoration, k - spec.offset))
+        if spec.symbols:
+            choices = [
+                PartDecoration(sub, syms)
+                for sub in subs
+                for syms in product(spec.symbols, repeat=r - 1)
+            ]
+        else:
+            choices = [PartDecoration(sub) for sub in subs]
+        per_part.append(choices)
+    for combo in product(*per_part):
+        yield DecoratedStructure(map_id, structure, combo)
 
 
 def enumerate_decorated(n: int, map_id: str) -> Iterator[DecoratedStructure]:
     """All decorated objects of size n, structure by structure."""
-    if map_id not in MAP_IDS:
-        raise BadParams(f"unknown map {map_id!r}")
-    family = _DECORATION_FAMILY[map_id]
+    _map_spec(map_id)
     for structure in valley_structures(n):
-        if not all(_part_in_domain(map_id, p) for p in structure.parts):
-            continue
-        per_part = []
-        for part in structure.parts:
-            k, r = _part_form(map_id, part)
-            sub_size = k - 1 if map_id == "phi" else k
-            subs = list(enumerate_family(family, sub_size))
-            if map_id == "theta":
-                choices = [
-                    PartDecoration(sub, syms)
-                    for sub in subs
-                    for syms in product(("H", "ud"), repeat=r - 1)
-                ]
-            else:
-                choices = [PartDecoration(sub) for sub in subs]
-            per_part.append(choices)
-        for combo in product(*per_part):
-            yield DecoratedStructure(map_id, structure, tuple(combo))
+        yield from decorations(structure, map_id)
 
 
-def _part_image(map_id: str, part, deco: PartDecoration) -> str:
-    k, r = _part_form(map_id, part)
+def _part_image(map_id: str, spec: MapSpec, part, deco: PartDecoration) -> str:
     core = "U" + deco.subpath.steps + "D"
-    if map_id == "phi":
-        return core + "F" * (r - 1)
-    if map_id == "theta":
-        return core + "".join("H" if s == "H" else "UD" for s in deco.symbols)
-    return core + "UD" * (r - 1)
+    if spec.symbols:
+        return core + "".join(
+            letters for s in deco.symbols for symbol, letters, _ in spec.tail if symbol == s
+        )
+    _, r = _part_form(map_id, part)
+    return core + spec.tail[0][1] * (r - 1)
 
 
 def forward(map_id: str, obj):
@@ -228,12 +255,12 @@ def forward(map_id: str, obj):
         return tau_apply(obj)
     if not isinstance(obj, DecoratedStructure) or obj.map_id != map_id:
         raise BadParams(f"object does not belong to map {map_id!r}")
-    family, _ = MAP_TARGET[map_id]
+    spec = MAPS[map_id]
     steps = "".join(
-        _part_image(map_id, part, deco)
+        _part_image(map_id, spec, part, deco)
         for part, deco in zip(obj.structure.parts, obj.decorations)
     )
-    return Path(family, steps)
+    return Path(spec.target[0], steps)
 
 
 def inverse(map_id: str, target):
@@ -242,14 +269,12 @@ def inverse(map_id: str, target):
         if not isinstance(target, TauDecorated):
             raise BadParams("tau applies to marked, lettered objects")
         return tau_apply(target)
-    if map_id not in MAP_IDS:
-        raise BadParams(f"unknown map {map_id!r}")
-    family, filt = MAP_TARGET[map_id]
+    spec = _map_spec(map_id)
+    family, filt = spec.target
     if not isinstance(target, Path) or target.family != family:
         raise NotInTargetFamily(f"{map_id} inverts paths of family {family!r}")
     if not passes_filter(target.steps, filt):
         raise NotInTargetFamily(f"path {target.steps!r} fails the {filt} condition")
-    deco_family = _DECORATION_FAMILY[map_id]
     steps = target.steps
     i = 0
     parts: list = []
@@ -264,33 +289,22 @@ def inverse(map_id: str, target):
             j += 1
         if level != 0:
             raise UniqueFactorizationFailure(f"unbalanced factor at {i} in {steps!r}")
-        sub = Path(deco_family, steps[i + 1 : j - 1])
+        sub = Path(spec.decoration, steps[i + 1 : j - 1])
         i = j
+        # the maximal run of tail units after the core factor
         symbols: list[str] = []
-        if map_id == "phi":
-            flats = 0
-            while i < len(steps) and steps[i] == "F":
-                i += 1
-                flats += 1
-            r = 1 + flats
-        elif map_id == "theta":
-            while i < len(steps):
-                if steps[i] == "H":
-                    symbols.append("H")
-                    i += 1
-                elif steps[i : i + 2] == "UD":
-                    symbols.append("ud")
-                    i += 2
-                else:
+        r = 1
+        while i < len(steps):
+            for symbol, letters, _ in spec.tail:
+                if steps.startswith(letters, i):
                     break
-            r = 1 + len(symbols)
-        else:
-            count = 0
-            while steps[i : i + 2] == "UD":
-                count += 1
-                i += 2
-            r = 1 + count
-        k = sub.size + 1 if map_id == "phi" else sub.size
+            else:
+                break
+            i += len(letters)
+            r += 1
+            if symbol is not None:
+                symbols.append(symbol)
+        k = sub.size + spec.offset
         if k < 1:
             raise UniqueFactorizationFailure(f"empty core factor at {i} in {steps!r}")
         parts.append(Pyramid(k + 1) if r == 1 else ValleyBlock(k, (1,) * r))
@@ -299,22 +313,23 @@ def inverse(map_id: str, target):
 
 
 def decorated_weight(obj: DecoratedStructure) -> Polynomial:
-    """Product of target-side weights of the decorations of every part."""
+    """Product over the parts of the core, decoration and tail-unit weights."""
+    spec = MAPS[obj.map_id]
     total = Polynomial.one()
     for part, deco in zip(obj.structure.parts, obj.decorations):
-        _, r = _part_form(obj.map_id, part)
-        sub = deco.subpath
-        if obj.map_id == "phi":
-            total = total * _B * target_weight(sub, "motzkin_ab") * _A ** (r - 1)
-        elif obj.map_id == "theta":
-            sym = sum(1 for s in deco.symbols if s == "H")
-            total = total * target_weight(sub, "schroder_q") * _Q**sym
-        elif obj.map_id == "sigma":
-            total = total * target_weight(sub, "schroder_q")
-        elif obj.map_id == "rho":
-            total = total * target_weight(sub, "narayana_t") * _T ** (r - 1)
-        else:  # psi
-            total = total * target_weight(sub, "narayana_t") * (_T + 1) ** (r - 1)
+        if spec.core is not None:
+            total = total * spec.core
+        total = total * target_weight(deco.subpath, spec.decoration_weighting)
+        if spec.symbols:
+            for symbol, _, weight in spec.tail:
+                units = deco.symbols.count(symbol)
+                if units and weight != _ONE:
+                    total = total * weight**units
+        else:
+            _, r = _part_form(obj.map_id, part)
+            weight = spec.tail[0][2]
+            if r > 1 and weight != _ONE:
+                total = total * weight ** (r - 1)
     return total
 
 

@@ -187,6 +187,10 @@ class Polynomial:
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("Polynomial is immutable")
 
+    def __reduce__(self):
+        # the default slot restore would go through the raising __setattr__
+        return (Polynomial, (self._terms,))
+
     # -- constructors ------------------------------------------------------
 
     @classmethod

@@ -80,6 +80,10 @@ class TruncatedSeries:
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("TruncatedSeries is immutable")
 
+    def __reduce__(self):
+        # the default slot restore would go through the raising __setattr__
+        return (TruncatedSeries, (self._coeffs,))
+
     # -- constructors ------------------------------------------------------
 
     @classmethod

@@ -17,13 +17,12 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .bijections import (
-    MAP_IDS,
-    MAP_TARGET,
-    MAP_TARGET_WEIGHTING,
+    MAPS,
     DecoratedStructure,
     PartDecoration,
     TauDecorated,
     TauFactor,
+    decorations,
     enumerate_decorated,
     enumerate_tau,
     forward,
@@ -161,47 +160,32 @@ def _geom_fib(max_n: int) -> CheckResult:
     return _geom_check("geom_fib_values", "geom_fib", "geom_fib", max_n)
 
 
-_DIFFERENCE_CASES = {
-    "diff_motzkin": ("motzkin_ab", "motzkin_diff"),
-    "diff_schroder_large": ("schroder_large_q", "schroder_large_diff"),
-    "diff_schroder_small": ("schroder_small_q", "schroder_small_diff"),
-    "diff_narayana": ("narayana_t", "narayana_diff"),
-    "diff_narayana_shift": ("narayana_shift_t", "narayana_shift_diff"),
-}
-
-
-def _difference_check(check_name: str, max_n: int) -> CheckResult:
-    table, formula = _DIFFERENCE_CASES[check_name]
-    alpha, beta, gamma = registry_get(table, max(max_n, 1)).to_series()
+def _difference_check(check_name: str, map_id: str, max_n: int) -> CheckResult:
+    spec = MAPS[map_id]
+    alpha, beta, gamma = registry_get(spec.registry, max(max_n, 1)).to_series()
     series = valley_series_ab(alpha, beta)
     if gamma != alpha * beta:
         return _fail(check_name, "registry gamma is not alpha*beta")
     for n in range(max_n + 1):
-        want = formula_vn(formula, n)
+        want = formula_vn(spec.formula, n)
         got = series.coefficient(n)
         if got != want:
             return _fail(check_name, f"n={n}: {got} != {want}")
     return _ok(check_name)
 
 
-for _name in _DIFFERENCE_CASES:
-    CHECKS[_name] = (lambda nm: lambda max_n: _difference_check(nm, max_n))(_name)
-
-
-_AGGREGATE_FORMULA = {
-    "phi": "motzkin_diff",
-    "theta": "schroder_large_diff",
-    "sigma": "schroder_small_diff",
-    "rho": "narayana_diff",
-    "psi": "narayana_shift_diff",
-}
+for _map, _spec in MAPS.items():
+    # diff_motzkin checks the map whose summed weight is motzkin_diff, and so on
+    _name = "diff_" + _spec.formula.removesuffix("_diff")
+    CHECKS[_name] = (lambda nm, m: lambda max_n: _difference_check(nm, m, max_n))(_name, _map)
 
 
 def _bijection_check(map_id: str, max_n: int) -> CheckResult:
     name = f"bijection_{map_id}"
     bound = min(max_n, 6)
-    family, filt = MAP_TARGET[map_id]
-    weighting = MAP_TARGET_WEIGHTING[map_id]
+    spec = MAPS[map_id]
+    family, filt = spec.target
+    weighting = spec.target_weighting
     for n in range(bound + 1):
         weights = []
         images = []
@@ -221,23 +205,19 @@ def _bijection_check(map_id: str, max_n: int) -> CheckResult:
             if forward(map_id, inverse(map_id, p)).steps != p.steps:
                 return _fail(name, f"n={n}: forward(inverse) moved {p.steps!r}")
         total = Polynomial.sum(weights)
-        want = formula_vn(_AGGREGATE_FORMULA[map_id], n)
+        want = formula_vn(spec.formula, n)
         if total != want:
             return _fail(name, f"n={n}: aggregate {total} != {want}")
     return _ok(name)
 
 
-for _map in MAP_IDS:
+for _map in MAPS:
     CHECKS[f"bijection_{_map}"] = (lambda m: lambda max_n: _bijection_check(m, max_n))(_map)
 
 
-def _structure_total(n: int, map_id: str, structure: ValleyStructure) -> Polynomial:
+def _structure_total(map_id: str, structure: ValleyStructure) -> Polynomial:
     """Summed weight of every decoration of one valley structure."""
-    return Polynomial.sum(
-        decorated_weight(cand)
-        for cand in enumerate_decorated(n, map_id)
-        if cand.structure == structure
-    )
+    return Polynomial.sum(decorated_weight(c) for c in decorations(structure, map_id))
 
 
 _INTRO_EXAMPLE = "UUU" + "UUUDDD" + "UDUD" + "DDD" + "UU" + "UDUD" + "DD" + "UU" + "DD"
@@ -266,7 +246,7 @@ def _worked_examples(max_n: int) -> CheckResult:
     )
     if forward("phi", obj).steps != "UFFFDUFFDFFFUD":
         return _fail(name, "Motzkin image shape is wrong")
-    total = _structure_total(14, "phi", structure)
+    total = _structure_total("phi", structure)
     if total != _A**3 * _B**3 * (_A**2 + _B) * (_A**3 + 3 * _A * _B):
         return _fail(name, "Motzkin example weight is wrong")
 
@@ -282,7 +262,7 @@ def _worked_examples(max_n: int) -> CheckResult:
     )
     if forward("theta", obj).steps != "UHHDUHDHUD":
         return _fail(name, "Schroder image shape is wrong")
-    total = _structure_total(7, "theta", structure)
+    total = _structure_total("theta", structure)
     if total != (_Q + 2) * (_Q + 1) ** 4:
         return _fail(name, "Schroder example weight is wrong")
 
@@ -295,7 +275,7 @@ def _worked_examples(max_n: int) -> CheckResult:
     )
     if forward("rho", obj).steps != "UUUDDDUUDUDDUDUDUD":
         return _fail(name, "Narayana image shape is wrong")
-    total = _structure_total(9, "rho", structure)
+    total = _structure_total("rho", structure)
     if total != (_T + _T * _T) ** 2 * _T**3:
         return _fail(name, "Narayana example weight is wrong")
 
@@ -489,17 +469,12 @@ def _oracle_bridges(max_n: int) -> CheckResult:
 def _target_differences(max_n: int) -> CheckResult:
     name = "target_difference_enumeration"
     bound = min(max_n, 6)
-    cases = [
-        ("motzkin", "first_not_flat", "motzkin_ab", "motzkin_diff"),
-        ("schroder_large", "y_filter", "schroder_q", "schroder_large_diff"),
-        ("schroder_small", "first_two_not_ud", "schroder_q", "schroder_small_diff"),
-        ("dyck", "first_two_not_ud", "narayana_t", "narayana_diff"),
-        ("dyck", "first_two_not_ud", "level_peaks", "narayana_shift_diff"),
-    ]
-    for family, filt, weighting, formula in cases:
+    for spec in MAPS.values():
+        family, filt = spec.target
+        weighting = spec.target_weighting
         for n in range(bound + 1):
             got = target_weight_sum(n, family, filt, weighting)
-            want = formula_vn(formula, n)
+            want = formula_vn(spec.formula, n)
             if got != want:
                 return _fail(name, f"{family}/{weighting} at n={n}: {got} != {want}")
     return _ok(name)

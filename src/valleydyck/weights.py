@@ -19,6 +19,7 @@ polynomial.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -390,21 +391,9 @@ REGISTRY: dict[str, Callable[..., WeightSpec]] = {
 
 # keyword parameters each builder accepts; anything else a caller supplies is
 # treated as a value for one of the entry's symbolic coefficients
-REGISTRY_PARAMS: dict[str, tuple[str, ...]] = {
-    "generic": (),
-    "geom_3x": (),
-    "geom_fib": (),
-    "motzkin_ab": (),
-    "schroder_large_q": (),
-    "schroder_small_q": (),
-    "narayana_t": (),
-    "narayana_shift_t": (),
-    "chebyshev_abcd": ("a", "b", "c", "d"),
-    "chebyshev_second": ("a", "b", "c"),
-    "delannoy_tuple": ("a", "b", "c", "d"),
-    "fuss_sym": ("m", "r"),
-    "fuss_asym": ("m", "r"),
-    "fuss_cubic": ("m", "r"),
+_DECLARED_PARAMS: dict[str, tuple[str, ...]] = {
+    name: tuple(p for p in inspect.signature(builder).parameters if p != "order")
+    for name, builder in REGISTRY.items()
 }
 
 # the seven weight tuples whose scaled weight sums agree, with their multipliers
@@ -438,7 +427,7 @@ def registry_get(name: str, order: int, **params: ParamValue) -> WeightSpec:
         raise BadParams(f"unknown weight table {name!r}; known: {', '.join(REGISTRY)}")
     if order < 0:
         raise BadParams("order must be nonnegative")
-    declared = REGISTRY_PARAMS[name]
+    declared = _DECLARED_PARAMS[name]
     builder_params = {k: v for k, v in params.items() if k in declared}
     bindings = {
         k: _as_poly(v)

@@ -1,17 +1,17 @@
+import dataclasses
 from collections import Counter
 
 import pytest
 
+from valleydyck import verify
 from valleydyck.bijections import (
-    MAP_IDS,
-    MAP_REGISTRY_SPEC,
-    MAP_TARGET,
-    MAP_TARGET_WEIGHTING,
+    MAPS,
     DecoratedStructure,
     PartDecoration,
     TauDecorated,
     TauFactor,
     decorated_weight,
+    decorations,
     enumerate_decorated,
     enumerate_tau,
     forward,
@@ -29,6 +29,7 @@ from valleydyck.paths import (
     ValleyBlock,
     ValleyStructure,
     enumerate_family,
+    valley_structures,
 )
 from valleydyck.polynomials import Polynomial
 from valleydyck.weights import registry_get, structure_weight, target_weight
@@ -53,6 +54,7 @@ def test_phi_smallest_object():
 
 def test_phi_size_one_is_empty():
     assert list(enumerate_decorated(1, "phi")) == []
+    assert list(decorations(ValleyStructure((Pyramid(1),)), "phi")) == []
     assert list(enumerate_family("motzkin", 1, "first_not_flat")) == []
 
 
@@ -72,9 +74,9 @@ def test_inverse_rejects_outside_family():
         inverse("rho", Path("dyck", "UDUD"))
 
 
-@pytest.mark.parametrize("map_id", MAP_IDS)
+@pytest.mark.parametrize("map_id", MAPS)
 def test_round_trip_and_completeness(map_id):
-    family, filt = MAP_TARGET[map_id]
+    family, filt = MAPS[map_id].target
     for n in range(MAX_N + 1):
         images = []
         for obj in enumerate_decorated(n, map_id):
@@ -88,23 +90,23 @@ def test_round_trip_and_completeness(map_id):
             assert forward(map_id, inverse(map_id, p)).steps == p.steps
 
 
-@pytest.mark.parametrize("map_id", MAP_IDS)
+@pytest.mark.parametrize("map_id", MAPS)
 def test_weight_preservation(map_id):
-    weighting = MAP_TARGET_WEIGHTING[map_id]
+    weighting = MAPS[map_id].target_weighting
     for n in range(MAX_N + 1):
         for obj in enumerate_decorated(n, map_id):
             assert decorated_weight(obj) == target_weight(forward(map_id, obj), weighting)
 
 
-@pytest.mark.parametrize("map_id", MAP_IDS)
+@pytest.mark.parametrize("map_id", MAPS)
 def test_decoration_sum_reproduces_structure_weight(map_id):
-    spec = registry_get(MAP_REGISTRY_SPEC[map_id], MAX_N + 1)
+    # structures outside the map's domain have no decorations and weigh 0 in its table
+    spec = registry_get(MAPS[map_id].registry, MAX_N + 1)
     for n in range(MAX_N + 1):
-        by_structure: dict = {}
-        for obj in enumerate_decorated(n, map_id):
-            key = obj.structure
-            by_structure[key] = by_structure.get(key, Polynomial.zero()) + decorated_weight(obj)
-        for structure, total in by_structure.items():
+        for structure in valley_structures(n):
+            objects = list(decorations(structure, map_id))
+            assert all(obj.structure == structure for obj in objects)
+            total = Polynomial.sum(decorated_weight(obj) for obj in objects)
             assert total == structure_weight(structure, spec), (map_id, structure)
 
 
@@ -121,10 +123,7 @@ def test_motzkin_worked_example():
     image = forward("phi", obj)
     assert image.steps == "U" + "FFF" + "D" + "U" + "FF" + "D" + "FFF" + "UD"
     # summed over all decorations of this structure the weight is the example's
-    total = Polynomial.zero()
-    for cand in enumerate_decorated(14, "phi"):
-        if cand.structure == structure:
-            total = total + decorated_weight(cand)
+    total = Polynomial.sum(decorated_weight(c) for c in decorations(structure, "phi"))
     assert total == A**3 * B**3 * (A**2 + B) * (A**3 + 3 * A * B)
     # Q3 has four possible cases and Q2 has two at a = b = 1
     m3 = sum(1 for p in enumerate_family("motzkin", 3))
@@ -143,10 +142,7 @@ def test_schroder_worked_example():
     )
     image = forward("theta", obj)
     assert image.steps == "U" + "HH" + "D" + "U" + "H" + "D" + "H" + "UD"
-    total = Polynomial.zero()
-    for cand in enumerate_decorated(7, "theta"):
-        if cand.structure == structure:
-            total = total + decorated_weight(cand)
+    total = Polynomial.sum(decorated_weight(c) for c in decorations(structure, "theta"))
     assert total == (Q + 2) * (Q + 1) ** 4
 
 
@@ -157,10 +153,7 @@ def test_narayana_worked_example():
     obj = DecoratedStructure("rho", structure, (PartDecoration(q2), PartDecoration(q2p)))
     image = forward("rho", obj)
     assert image.steps == "U" + "UUDD" + "D" + "U" + "UDUD" + "D" + "UDUDUD"
-    total = Polynomial.zero()
-    for cand in enumerate_decorated(9, "rho"):
-        if cand.structure == structure:
-            total = total + decorated_weight(cand)
+    total = Polynomial.sum(decorated_weight(c) for c in decorations(structure, "rho"))
     assert total == (T + T * T) ** 2 * T**3
 
 
@@ -172,22 +165,27 @@ def test_theta_inverse_of_worked_image():
     assert obj.decorations[1].symbols == ("H", "ud")
 
 
-def test_aggregate_weights_match_formulas():
-    from valleydyck.oracles import formula_vn
+# one wrong fact in a map's record, and the check that covers it must fail
+ONE = Polynomial.one()
+FAULTS = {
+    "psi_tail_weight": ("psi", {"tail": ((None, "UD", T),)}, "bijection_psi"),
+    "sigma_tail_letters": ("sigma", {"tail": ((None, "H", ONE),)}, "bijection_sigma"),
+    "theta_h_weight": ("theta", {"tail": (("H", "H", ONE), ("ud", "UD", ONE))},
+                       "bijection_theta"),
+    "phi_core_weight": ("phi", {"core": A}, "bijection_phi"),
+    "rho_weighting": ("rho", {"target_weighting": "level_peaks"}, "bijection_rho"),
+    "difference_formula": ("sigma", {"formula": "schroder_large_diff"},
+                           "target_difference_enumeration"),
+}
 
-    formula_of = {
-        "phi": "motzkin_diff",
-        "theta": "schroder_large_diff",
-        "sigma": "schroder_small_diff",
-        "rho": "narayana_diff",
-        "psi": "narayana_shift_diff",
-    }
-    for map_id in MAP_IDS:
-        for n in range(MAX_N + 1):
-            total = Polynomial.zero()
-            for obj in enumerate_decorated(n, map_id):
-                total = total + decorated_weight(obj)
-            assert total == formula_vn(formula_of[map_id], n), (map_id, n)
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_checks_catch_a_wrong_map_record(fault, monkeypatch):
+    map_id, changes, check = FAULTS[fault]
+    assert verify.run_check(check, 4).passed
+    monkeypatch.setitem(MAPS, map_id, dataclasses.replace(MAPS[map_id], **changes))
+    result = verify.run_check(check, 4).results[0]
+    assert not result.passed and result.detail
 
 
 # -- tau ------------------------------------------------------------------------

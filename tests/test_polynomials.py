@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 
@@ -247,3 +248,16 @@ def test_binomial_generalized():
     for n in range(-6, 7):
         for k in range(-2, 9):
             assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
+
+
+def test_pickle_round_trip():
+    a_inv, t1_inv = Polynomial.var("a_inv"), Polynomial.var("t1_inv")
+    for p in (
+        Polynomial.const(7),
+        Polynomial.const(Fraction(-2, 3)) * A * B + 1,
+        a_inv * B + t1_inv * T,
+        Polynomial.zero(),
+    ):
+        q = pickle.loads(pickle.dumps(p))
+        assert q == p and hash(q) == hash(p) and str(q) == str(p)
+        assert q * A == p * A  # the restored polynomial computes like the original

@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 
@@ -319,3 +320,11 @@ def test_fixed_order_map_fails_loudly():
         solve_fixed_point(
             lambda f: TruncatedSeries.from_coeffs((1 + (f * f).times_x()).coeffs, 6), 6
         )
+
+
+def test_pickle_round_trip():
+    s = named_series("motzkin_ab", 6) + TruncatedSeries.from_coeffs(
+        [0, Fraction(1, 2), Polynomial.var("a_inv")], 6
+    )
+    t = pickle.loads(pickle.dumps(s))
+    assert t == s and hash(t) == hash(s) and str(t) == str(s)
