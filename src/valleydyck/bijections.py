@@ -34,6 +34,7 @@ from .errors import (
     UniqueFactorizationFailure,
 )
 from .paths import (
+    STEP_RISE,
     Path,
     Pyramid,
     ValleyBlock,
@@ -285,7 +286,7 @@ def inverse(map_id: str, target):
         level = 1
         j = i + 1
         while j < len(steps) and level > 0:
-            level += {"U": 1, "D": -1, "F": 0, "H": 0}[steps[j]]
+            level += STEP_RISE[steps[j]]
             j += 1
         if level != 0:
             raise UniqueFactorizationFailure(f"unbalanced factor at {i} in {steps!r}")
@@ -312,25 +313,31 @@ def inverse(map_id: str, target):
     return DecoratedStructure(map_id, ValleyStructure(tuple(parts)), tuple(decos))
 
 
+def _decorated_part_weight(map_id: str, spec: MapSpec, part, deco: PartDecoration) -> Polynomial:
+    """Core, decoration and tail-unit weight of one decorated part."""
+    factors = [target_weight(deco.subpath, spec.decoration_weighting)]
+    if spec.core is not None:
+        factors.append(spec.core)
+    if spec.symbols:
+        for symbol, _, weight in spec.tail:
+            units = deco.symbols.count(symbol)
+            if units and weight != _ONE:
+                factors.append(weight**units)
+    else:
+        _, r = _part_form(map_id, part)
+        weight = spec.tail[0][2]
+        if r > 1 and weight != _ONE:
+            factors.append(weight ** (r - 1))
+    return Polynomial.product(factors)
+
+
 def decorated_weight(obj: DecoratedStructure) -> Polynomial:
     """Product over the parts of the core, decoration and tail-unit weights."""
     spec = MAPS[obj.map_id]
-    total = Polynomial.one()
-    for part, deco in zip(obj.structure.parts, obj.decorations):
-        if spec.core is not None:
-            total = total * spec.core
-        total = total * target_weight(deco.subpath, spec.decoration_weighting)
-        if spec.symbols:
-            for symbol, _, weight in spec.tail:
-                units = deco.symbols.count(symbol)
-                if units and weight != _ONE:
-                    total = total * weight**units
-        else:
-            _, r = _part_form(obj.map_id, part)
-            weight = spec.tail[0][2]
-            if r > 1 and weight != _ONE:
-                total = total * weight ** (r - 1)
-    return total
+    return Polynomial.product(
+        _decorated_part_weight(obj.map_id, spec, part, deco)
+        for part, deco in zip(obj.structure.parts, obj.decorations)
+    )
 
 
 # -- the tau exchange between the two integer Delannoy weightings ---------------

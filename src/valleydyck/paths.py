@@ -77,7 +77,8 @@ class Path:
 
     @property
     def width(self) -> int:
-        return sum(STEP_WIDTH[ch] for ch in self.steps)
+        # every step is one unit wide except H, which is two
+        return len(self.steps) + self.steps.count("H")
 
     @property
     def size(self) -> int:

@@ -24,7 +24,10 @@ The public constructor coerces and canonicalizes whatever it is given.  The
 ring operations build their results through a trusted internal constructor
 instead: their operands are already canonical, so only the new coefficients
 need normalizing, and only a product whose operands hold an inverse variable
-needs the rewrite.
+needs the rewrite.  A product of one term by one term, the common case when
+path weights are multiplied out part by part, takes one monomial merge and
+one coefficient product.  Powers are built by repeated squaring starting
+from the base itself, so ``p ** 1`` takes no product and ``p ** 2`` one.
 """
 
 from __future__ import annotations
@@ -229,6 +232,14 @@ class Polynomial:
                 acc[m] = get(m, 0) + c
         return cls._trusted(_canonical(acc))
 
+    @classmethod
+    def product(cls, items: Iterable[PolyLike]) -> "Polynomial":
+        """Product of many polynomials, starting from the first factor; 1 when empty."""
+        result = None
+        for item in items:
+            result = cls._coerce(item) if result is None else result * item
+        return cls.one() if result is None else result
+
     # -- ring operations ---------------------------------------------------
 
     @staticmethod
@@ -275,13 +286,22 @@ class Polynomial:
         left, right = self._terms, other._terms
         if not left or not right:
             return Polynomial()
-        out: dict[Monomial, Scalar] = {}
-        get = out.get
-        for m1, c1 in left.items():
-            for m2, c2 in right.items():
-                m = _mono_mul(m1, m2)
-                out[m] = get(m, 0) + c1 * c2
-        out = _canonical(out)
+        if len(left) == 1 and len(right) == 1:
+            # one term times one term: one monomial merge, one coefficient product
+            ((m1, c1),) = left.items()
+            ((m2, c2),) = right.items()
+            c = c1 * c2
+            if type(c) is not int and c.denominator == 1:
+                c = c.numerator
+            out = {_mono_mul(m1, m2): c}
+        else:
+            out = {}
+            get = out.get
+            for m1, c1 in left.items():
+                for m2, c2 in right.items():
+                    m = _mono_mul(m1, m2)
+                    out[m] = get(m, 0) + c1 * c2
+            out = _canonical(out)
         if self._holds_inverse() or other._holds_inverse():
             return Polynomial._trusted(_reduce_inverses(out))
         return Polynomial._trusted(out, False)
@@ -291,15 +311,18 @@ class Polynomial:
     def __pow__(self, exponent: int) -> "Polynomial":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
-        result = Polynomial.one()
+        if exponent == 0:
+            return Polynomial.one()
+        # square-and-multiply from the base itself: p ** 1 takes no product
+        result = None
         base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        while True:
+            if exponent & 1:
+                result = base if result is None else result * base
+            exponent >>= 1
+            if not exponent:
+                return result
+            base = base * base
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -366,15 +389,20 @@ class Polynomial:
                         f"binding {base} that way leaves no rational value for {inv}"
                     )
                 bound[inv] = Polynomial.const(Fraction(1) / value.constant_value())
+        powers: dict[tuple[str, int], Polynomial] = {}  # (variable, exponent) -> power
         pieces = []
         for mono, coeff in self._terms.items():
             piece = Polynomial.const(coeff)
             residual = []
-            for v, e in mono:
+            for factor in mono:
+                v, e = factor
                 if v in bound:
-                    piece = piece * (bound[v] ** e)
+                    power = powers.get(factor)
+                    if power is None:
+                        power = powers[factor] = bound[v] ** e
+                    piece = piece * power
                 else:
-                    residual.append((v, e))
+                    residual.append(factor)
             if residual:
                 # a sub-monomial of a canonical monomial is itself canonical
                 piece = piece * Polynomial._trusted({tuple(residual): 1})

@@ -27,6 +27,7 @@ from typing import Callable, Mapping, Union
 
 from .errors import BadParams, FamilyViolation, NotValleyUniform, OrderExceeded
 from .paths import (
+    Part,
     Path,
     Pyramid,
     ValleyStructure,
@@ -111,18 +112,19 @@ def spec_from_series(
     return WeightSpec(alpha.coeffs[1:], beta.coeffs[1:], gamma.coeffs[1:])
 
 
+def part_weight(part: Part, spec: WeightSpec) -> Polynomial:
+    """A pyramid of height h weighs gamma[h]; a block with ascent k and inner
+    heights i_1..i_r weighs beta[k] * alpha[i_1] * ... * alpha[i_r]."""
+    if isinstance(part, Pyramid):
+        return spec.gamma_at(part.height)
+    return Polynomial.product(
+        [spec.beta_at(part.ascent)] + [spec.alpha_at(h) for h in part.heights]
+    )
+
+
 def structure_weight(structure: ValleyStructure, spec: WeightSpec) -> Polynomial:
-    """Product over parts: a pyramid of height h weighs gamma[h], a block
-    with ascent k and inner heights i_1..i_r weighs beta[k] * alpha[i_1] * ... ."""
-    total = Polynomial.one()
-    for part in structure.parts:
-        if isinstance(part, Pyramid):
-            total = total * spec.gamma_at(part.height)
-        else:
-            total = total * spec.beta_at(part.ascent)
-            for h in part.heights:
-                total = total * spec.alpha_at(h)
-    return total
+    """Product of the part weights."""
+    return Polynomial.product(part_weight(part, spec) for part in structure.parts)
 
 
 def path_weight(path: Path, spec: WeightSpec) -> Polynomial:
@@ -151,8 +153,24 @@ def path_weight(path: Path, spec: WeightSpec) -> Polynomial:
 
 
 def valley_weight_sum(n: int, spec: WeightSpec) -> Polynomial:
-    """Sum of structure weights over every valley structure of size n."""
-    return Polynomial.sum(structure_weight(s, spec) for s in valley_structures(n))
+    """Sum of structure weights over every valley structure of size n.
+
+    The sum is exhaustive: every structure is visited and its part weights
+    are multiplied out.  The weight of each distinct part is computed once
+    per call and kept in a dict local to the call, so nothing carries over
+    to a later call with another table.
+    """
+    weights: dict[Part, Polynomial] = {}
+
+    def weight_of(part: Part) -> Polynomial:
+        weight = weights.get(part)
+        if weight is None:
+            weight = weights[part] = part_weight(part, spec)
+        return weight
+
+    return Polynomial.sum(
+        Polynomial.product(weight_of(part) for part in s.parts) for s in valley_structures(n)
+    )
 
 
 # -- target-family weightings --------------------------------------------------
@@ -174,7 +192,8 @@ def _schroder_q_weight(path: Path) -> Polynomial:
 
 
 def _narayana_t_weight(path: Path) -> Polynomial:
-    return _T ** len(analyze(path).peaks)
+    # a peak is a "UD" pair of steps, and two such pairs never overlap
+    return _T ** path.steps.count("UD")
 
 
 def _level_peaks_weight(path: Path) -> Polynomial:

@@ -99,6 +99,24 @@ def test_weight_preservation(map_id):
 
 
 @pytest.mark.parametrize("map_id", MAPS)
+def test_decorated_weight_is_the_product_over_parts(map_id):
+    spec = MAPS[map_id]
+    unit_weight = {symbol: weight for symbol, _, weight in spec.tail}
+    for n in range(7):
+        for obj in enumerate_decorated(n, map_id):
+            expected = Polynomial.one()
+            for part, deco in zip(obj.structure.parts, obj.decorations):
+                if spec.core is not None:
+                    expected = expected * spec.core
+                expected = expected * target_weight(deco.subpath, spec.decoration_weighting)
+                units = 1 if isinstance(part, Pyramid) else len(part.heights)
+                chosen = deco.symbols if spec.symbols else [None] * (units - 1)
+                for symbol in chosen:
+                    expected = expected * unit_weight[symbol]
+            assert decorated_weight(obj) == expected, obj
+
+
+@pytest.mark.parametrize("map_id", MAPS)
 def test_decoration_sum_reproduces_structure_weight(map_id):
     # structures outside the map's domain have no decorations and weigh 0 in its table
     spec = registry_get(MAPS[map_id].registry, MAX_N + 1)

@@ -8,6 +8,8 @@ from valleydyck.errors import (
     NotValleyUniform,
 )
 from valleydyck.paths import (
+    FAMILY_STEPS,
+    STEP_WIDTH,
     Path,
     Pyramid,
     ValleyBlock,
@@ -181,3 +183,13 @@ def test_render_ascii():
 def test_json_round_trip():
     p = Path("dyck", "UUDD")
     assert Path.from_json(p.to_json()) == p
+
+
+def test_width_counts_h_twice():
+    for family in FAMILY_STEPS:
+        for n in range(6):
+            for path in enumerate_family(family, n):
+                assert path.width == sum(STEP_WIDTH[ch] for ch in path.steps)
+                if family != "motzkin":
+                    assert path.size == n
+    assert Path("delannoy", "DHUHDU").width == 8

@@ -1,0 +1,117 @@
+"""Ring-axiom properties of the polynomial kernel, generated by hypothesis.
+
+Operands are drawn as single terms (the products' fast path) and as general
+sums of terms, over plain variables and the two formal inverses, so the
+inverse rewrite is exercised by every property.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from valleydyck.polynomials import Polynomial  # noqa: E402
+
+VARIABLES = ("a", "b", "t", "a_inv", "t1_inv")
+
+A = Polynomial.var("a")
+T = Polynomial.var("t")
+A_INV = Polynomial.var("a_inv")
+T1_INV = Polynomial.var("t1_inv")
+
+coefficients = st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool)
+monomials = st.dictionaries(st.sampled_from(VARIABLES), st.integers(1, 3), max_size=3)
+
+
+def holds_base_and_inverse(names) -> bool:
+    """A monomial the inverse rewrite would turn into another (or two) terms."""
+    names = set(names)
+    return {"a", "a_inv"} <= names or {"t", "t1_inv"} <= names
+
+
+@st.composite
+def single_terms(draw):
+    mono = draw(monomials.filter(lambda m: not holds_base_and_inverse(m)))
+    return Polynomial.monomial(draw(coefficients), mono)
+
+
+@st.composite
+def general(draw):
+    terms = draw(st.lists(st.tuples(coefficients, monomials), max_size=4))
+    return Polynomial.sum(Polynomial.monomial(c, m) for c, m in terms)
+
+
+polys = st.one_of(single_terms(), general())
+
+kernel = settings(max_examples=100, deadline=None)
+
+
+def canonical(p: Polynomial) -> bool:
+    """Integral coefficients are ints and no monomial holds a base with its inverse."""
+    for mono, coeff in p.sorted_terms():
+        if type(coeff) is not int and coeff.denominator == 1:
+            return False
+        if holds_base_and_inverse(v for v, _ in mono):
+            return False
+    return True
+
+
+@kernel
+@given(single_terms(), single_terms())
+def test_single_term_product_matches_constructor(p, r):
+    ((m1, c1),) = p.sorted_terms()
+    ((m2, c2),) = r.sorted_terms()
+    powers = dict(m1)
+    for v, e in m2:
+        powers[v] = powers.get(v, 0) + e
+    # the public constructor canonicalizes its input, inverse rewrite included
+    expected = Polynomial.monomial(Fraction(c1) * c2, powers)
+    assert p * r == expected
+    assert canonical(p * r)
+
+
+@kernel
+@given(polys, polys, polys)
+def test_multiplication_is_a_commutative_monoid(p, r, s):
+    assert p * r == r * p
+    assert (p * r) * s == p * (r * s)
+    assert p * 1 == p and 1 * p == p
+    assert p * 0 == 0
+    assert canonical(p * r)
+
+
+@kernel
+@given(polys, polys, polys)
+def test_addition_is_an_abelian_group(p, r, s):
+    assert p + r == r + p
+    assert (p + r) + s == p + (r + s)
+    assert p + 0 == p
+    assert p - p == 0
+    assert canonical(p + r)
+
+
+@kernel
+@given(polys, polys, polys)
+def test_multiplication_distributes(p, r, s):
+    assert p * (r + s) == p * r + p * s
+
+
+@kernel
+@given(polys, st.integers(0, 3), st.integers(0, 3))
+def test_powers_add_exponents(p, m, n):
+    assert p**0 == 1
+    assert p**1 == p
+    assert p ** (m + n) == p**m * p**n
+    assert canonical(p ** (m + n))
+
+
+@kernel
+@given(polys)
+def test_inverse_variables_cancel(p):
+    assert p * A * A_INV == p
+    assert p * (T + 1) * T1_INV == p
+    assert (p * A_INV) * A == p
+    assert p * T * T1_INV == p - p * T1_INV

@@ -261,3 +261,57 @@ def test_pickle_round_trip():
         q = pickle.loads(pickle.dumps(p))
         assert q == p and hash(q) == hash(p) and str(q) == str(p)
         assert q * A == p * A  # the restored polynomial computes like the original
+
+
+def test_powers_equal_repeated_products():
+    rng = random.Random(29)
+    polys = [random_poly(rng, terms=3) for _ in range(8)]
+    polys += [
+        random_poly(rng, variables=("a", "a_inv", "t", "t1_inv"), terms=3, degree=2)
+        for _ in range(8)
+    ]
+    polys += [Fraction(2, 3) * A, Polynomial.var("a_inv"), T + 1, Polynomial.zero()]
+    for p in polys:
+        copies = Polynomial.one()
+        for e in range(7):
+            assert p**e == copies
+            copies = copies * p
+    assert Polynomial.zero() ** 0 == 1
+    with pytest.raises(ValueError):
+        A ** -1
+
+
+def test_single_term_products():
+    half_a = Fraction(1, 2) * A
+    product = half_a * (2 * B)
+    assert product == A * B
+    assert [type(c) for _, c in product.sorted_terms()] == [int]
+    assert [type(c) for _, c in (half_a * B).sorted_terms()] == [Fraction]
+    assert A * Polynomial.var("a_inv") == 1
+    assert T * Polynomial.var("t1_inv") == 1 - Polynomial.var("t1_inv")
+    assert (3 * A**2) * Polynomial.var("a_inv") == 3 * A
+    assert Polynomial.const(5) * Polynomial.const(Fraction(1, 5)) == 1
+
+
+def test_product_starts_from_the_first_factor():
+    rng = random.Random(31)
+    for _ in range(20):
+        factors = [random_poly(rng) for _ in range(rng.randrange(5))]
+        total = Polynomial.one()
+        for f in factors:
+            total = total * f
+        assert Polynomial.product(factors) == total
+        assert Polynomial.product(iter(factors)) == total
+    assert Polynomial.product([]) == 1
+    assert Polynomial.product([3]) == 3
+
+
+def test_substitute_reuses_powers_within_one_call():
+    # many monomials share (variable, exponent) pairs; each binding kind once
+    p = Polynomial.sum(Polynomial.monomial(k + 1, {"a": 2, "b": k % 3, "q": 1}) for k in range(9))
+    p = p + Polynomial.var("a_inv") * B
+    got = p.substitute({"a": Fraction(3, 2), "b": T + 1})
+    expected = Polynomial.zero()
+    for k in range(9):
+        expected = expected + (k + 1) * Fraction(9, 4) * (T + 1) ** (k % 3) * Q
+    assert got == expected + Fraction(2, 3) * (T + 1)

@@ -8,13 +8,16 @@ from valleydyck.paths import (
     Pyramid,
     ValleyBlock,
     ValleyStructure,
+    analyze,
     enumerate_family,
     is_valley_uniform,
+    valley_structures,
 )
 from valleydyck.polynomials import Polynomial
 from valleydyck.series import valley_series, valley_series_ab
 from valleydyck.weights import (
     WeightSpec,
+    part_weight,
     path_weight,
     registry_get,
     spec_from_series,
@@ -205,6 +208,9 @@ def test_target_weightings():
     assert target_weight(Path("dyck", "UDUUDD"), "narayana_t") == T * T
     lp = target_weight(Path("dyck", "UDUUDD"), "level_peaks")
     assert lp == (T + 1) * T
+    for n in range(7):
+        for path in enumerate_family("dyck", n):
+            assert target_weight(path, "narayana_t") == T ** len(analyze(path).peaks)
 
 
 def test_target_weight_sums_match_differences():
@@ -215,3 +221,58 @@ def test_target_weight_sums_match_differences():
         assert target_weight_sum(n, "dyck", "none", "narayana_t") == narayana_polynomial(n)
     assert target_weight_sum(2, "motzkin", "first_not_flat", "motzkin_ab") == B
     assert target_weight_sum(2, "schroder_large", "y_filter", "schroder_q") == Q + 1
+
+
+def _reference_structure_weight(structure, spec):
+    """The part-by-part product, one factor at a time from 1."""
+    total = Polynomial.one()
+    for part in structure.parts:
+        if isinstance(part, Pyramid):
+            total = total * spec.gamma_at(part.height)
+        else:
+            total = total * spec.beta_at(part.ascent)
+            for h in part.heights:
+                total = total * spec.alpha_at(h)
+    return total
+
+
+@pytest.mark.parametrize(
+    "table, params, max_n",
+    [
+        ("generic", {}, 7),
+        ("motzkin_ab", {}, 7),  # a_inv inside beta
+        ("narayana_shift_t", {}, 6),  # t1_inv inside beta
+        ("delannoy_tuple", dict(a=4, b=3, c=7, d=2), 9),
+    ],
+)
+def test_memoized_weight_sum_matches_reference(table, params, max_n):
+    spec = registry_get(table, max_n, **params)
+    for n in range(max_n + 1):
+        reference = Polynomial.zero()
+        for structure in valley_structures(n):
+            weight = _reference_structure_weight(structure, spec)
+            assert structure_weight(structure, spec) == weight
+            reference = reference + weight
+        assert valley_weight_sum(n, spec) == reference, (table, n)
+
+
+def test_part_weight_of_each_part_kind():
+    spec = registry_get("generic", 4)
+    assert part_weight(Pyramid(3), spec) == sym("gamma", 3)
+    assert part_weight(ValleyBlock(2, (1, 2)), spec) == (
+        sym("beta", 2) * sym("alpha", 1) * sym("alpha", 2)
+    )
+
+
+def test_weight_sum_memo_is_per_call():
+    # back-to-back sums with different tables must not share part weights
+    n = 6
+    first = registry_get("generic", n)
+    second = registry_get("geom_3x", n)
+    third = registry_get("delannoy_tuple", n, a=2, b=1, c=7, d=4)
+    values = [valley_weight_sum(n, spec) for spec in (first, second, third, first)]
+    assert values[0] == values[3] and values[0].variables()
+    assert values[1] == 121
+    assert values[2] == Polynomial.sum(
+        _reference_structure_weight(s, third) for s in valley_structures(n)
+    )
