@@ -130,7 +130,8 @@ class PartDecoration:
     symbols: tuple[str, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        object.__setattr__(self, "symbols", tuple(self.symbols))
+        if type(self.symbols) is not tuple:
+            object.__setattr__(self, "symbols", tuple(self.symbols))
         for s in self.symbols:
             if s not in _SYMBOLS:
                 raise InvalidDecoration(f"unknown decoration symbol {s!r}")
@@ -143,7 +144,8 @@ class DecoratedStructure:
     decorations: tuple[PartDecoration, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        object.__setattr__(self, "decorations", tuple(self.decorations))
+        if type(self.decorations) is not tuple:
+            object.__setattr__(self, "decorations", tuple(self.decorations))
         spec = _map_spec(self.map_id)
         if len(self.decorations) != len(self.structure.parts):
             raise InvalidDecoration("one decoration per part is required")
@@ -190,11 +192,9 @@ class DecoratedStructure:
             if entry["kind"] == "pyramid":
                 parts.append(Pyramid(entry["height"]))
             else:
-                parts.append(ValleyBlock(entry["ascent"], tuple(entry["heights"])))
-            decos.append(
-                PartDecoration(Path(family, entry["sub"]), tuple(entry.get("symbols", ())))
-            )
-        return cls(map_id, ValleyStructure(tuple(parts)), tuple(decos))
+                parts.append(ValleyBlock(entry["ascent"], entry["heights"]))
+            decos.append(PartDecoration(Path(family, entry["sub"]), entry.get("symbols", ())))
+        return cls(map_id, ValleyStructure(parts), decos)
 
 
 def _part_form(map_id: str, part) -> tuple[int, int]:

@@ -263,7 +263,8 @@ class ValleyBlock:
     heights: tuple[int, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        object.__setattr__(self, "heights", tuple(self.heights))
+        if type(self.heights) is not tuple:
+            object.__setattr__(self, "heights", tuple(self.heights))
         if self.ascent < 1:
             raise ValueError("block ascent must be positive")
         if len(self.heights) < 2 or any(h < 1 for h in self.heights):
@@ -284,7 +285,8 @@ class ValleyStructure:
     parts: tuple[Part, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(self.parts))
+        if type(self.parts) is not tuple:
+            object.__setattr__(self, "parts", tuple(self.parts))
 
     @property
     def semilength(self) -> int:

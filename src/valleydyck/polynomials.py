@@ -2,11 +2,23 @@
 
 A polynomial is a finite map from monomials to nonzero rational
 coefficients.  An integral coefficient is stored as an ``int`` and any other
-as a ``Fraction``, so every coefficient has exactly one representation.  A
-monomial is a tuple of ``(variable, exponent)`` pairs with positive integer
-exponents, sorted by variable.  The zero polynomial has an empty term map,
-and two polynomials are equal exactly when their term maps are equal, so
-identity testing is fully reliable.
+as a ``Fraction``, so every coefficient has exactly one representation.  The
+zero polynomial has an empty term map, and two polynomials are equal exactly
+when their term maps are equal, so identity testing is fully reliable.
+
+Monomials have a public view and a packed storage form.  The public view is
+a tuple of ``(variable, exponent)`` pairs with positive exponents, sorted by
+``var_key``: the constructor, ``monomial`` and ``from_json`` take it, and
+``sorted_terms``, ``leading_term``, text, JSON and pickles give it back.
+Inside, a monomial is one ``int`` holding a packed exponent vector (Monagan
+and Pearce, "Polynomial division using dynamic arrays, heaps, and packed
+exponent vectors", 2007).  Each variable owns a bit field of ``_WIDTH`` bits,
+assigned the first time the process sees the variable, so the product of two
+monomials is one integer addition.  The top bit of every field is a guard
+bit: no exponent may exceed ``MAX_EXPONENT`` (32767), and an operation that
+would go past it raises ``OverflowError`` naming the variable instead of
+carrying into the next field.  Field positions differ from process to
+process, so nothing packed leaves one: a pickle holds the public view.
 
 Variables are plain names such as ``a``, ``q``, ``t`` or members of the
 indexed families ``alpha1``, ``beta3``, ``gamma2``.  Two distinguished
@@ -25,14 +37,15 @@ ring operations build their results through a trusted internal constructor
 instead: their operands are already canonical, so only the new coefficients
 need normalizing, and only a product whose operands hold an inverse variable
 needs the rewrite.  A product of one term by one term, the common case when
-path weights are multiplied out part by part, takes one monomial merge and
-one coefficient product.  Powers are built by repeated squaring starting
+path weights are multiplied out part by part, takes one integer addition
+and one coefficient product.  Powers are built by repeated squaring starting
 from the base itself, so ``p ** 1`` takes no product and ``p ** 2`` one.
 """
 
 from __future__ import annotations
 
 import re
+import threading
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -64,6 +77,115 @@ def var_key(name: str) -> tuple[str, int]:
     return (prefix, int(digits) if digits else -1)
 
 
+# -- packed monomials ----------------------------------------------------------
+#
+# Field i occupies bits [i * _WIDTH, (i + 1) * _WIDTH); its top bit is the
+# guard bit.  Every stored monomial has all guard bits clear, so adding two of
+# them puts at most 2 * MAX_EXPONENT < 2 ** _WIDTH in each field: nothing
+# carries into the next field, and a field that went past MAX_EXPONENT shows
+# as a set guard bit.  The monomial 1 is the int 0.
+
+_WIDTH = 16  # a power of two, so that _FLOOR rounds a bit index down to its field
+_FLOOR = -_WIDTH
+MAX_EXPONENT = (1 << (_WIDTH - 1)) - 1
+
+_SHIFT: dict[str, int] = {}  # variable -> bit offset of its field
+_NAMES: list[str] = []  # field index -> variable
+# bit offset -> (rank, variable, place): the rank is the variable's position
+# in var_key order, and the place is the bit offset of its field in a
+# monomial repacked in var_key order, the first variable topmost.  Both move
+# when a variable is added, so sort keys are compared only within one call.
+_RANKED: dict[int, tuple[int, str, int]] = {}
+_GUARD = 0  # the guard bits of every assigned field
+_INV_FIELDS = 0  # the fields of the assigned inverse variables
+# (inverse field, inverse unit, base field, base unit, shift) for each
+# inverse variable whose base and inverse both have fields
+_RULES: tuple[tuple[int, int, int, int, int], ...] = ()
+_ASSIGN_LOCK = threading.Lock()
+
+
+def _shift(name: str) -> int:
+    """Bit offset of the field of ``name``, assigning one on first sight."""
+    shift = _SHIFT.get(name)
+    return _assign(name) if shift is None else shift
+
+
+def _assign(name: str) -> int:
+    global _GUARD, _INV_FIELDS, _RULES, _RANKED
+    var_key(name)  # validates
+    with _ASSIGN_LOCK:
+        shift = _SHIFT.get(name)
+        if shift is not None:
+            return shift
+        shift = len(_NAMES) * _WIDTH
+        _NAMES.append(name)
+        ranked = sorted(range(len(_NAMES)), key=lambda i: (var_key(_NAMES[i]), _NAMES[i]))
+        top = len(ranked) - 1
+        _RANKED = {
+            i * _WIDTH: (rank, _NAMES[i], (top - rank) * _WIDTH) for rank, i in enumerate(ranked)
+        }
+        _GUARD |= 1 << (shift + _WIDTH - 1)
+        if name in INVERSE_VARS:
+            _INV_FIELDS |= MAX_EXPONENT << shift
+        _SHIFT[name] = shift
+        _RULES = tuple(
+            (MAX_EXPONENT << _SHIFT[inv], 1 << _SHIFT[inv],
+             MAX_EXPONENT << _SHIFT[base], 1 << _SHIFT[base], step)
+            for inv, (base, step) in INVERSE_VARS.items()
+            if inv in _SHIFT and base in _SHIFT
+        )
+        return shift
+
+
+def _overflow(mono: int) -> OverflowError:
+    names = [v for i, v in enumerate(_NAMES) if mono >> (i * _WIDTH + _WIDTH - 1) & 1]
+    return OverflowError(f"exponent of {', '.join(names)} would exceed {MAX_EXPONENT}")
+
+
+def _pack(pairs: Iterable[tuple[str, int]]) -> int:
+    """Packed form of ``(variable, exponent)`` pairs, in any order."""
+    mono = 0
+    for v, e in pairs:
+        if e < 0:
+            raise ValueError("monomial exponents must be nonnegative")
+        if e > MAX_EXPONENT:
+            raise OverflowError(f"exponent {e} of {v} exceeds {MAX_EXPONENT}")
+        if e:
+            mono += e << _shift(v)
+            if mono & _GUARD:
+                raise _overflow(mono)
+    return mono
+
+
+def _decode(mono: int) -> tuple[tuple[int, int], Monomial]:
+    """Sort key and public view of a packed monomial; visits its nonzero fields only.
+
+    The key is graded lexicographic, encoded so that plain ascending sort
+    puts the leading monomial first: higher total degree first, then the
+    larger exponent vector read in var_key order.
+    """
+    fields = []
+    degree = repacked = 0
+    while mono:
+        shift = (mono.bit_length() - 1) & _FLOOR
+        e = mono >> shift  # the top field, so no mask is needed
+        mono ^= e << shift
+        rank, name, place = _RANKED[shift]
+        fields.append((rank, name, e))
+        degree += e
+        repacked += e << place
+    fields.sort()
+    return (-degree, -repacked), tuple([(v, e) for _, v, e in fields])
+
+
+def _unpack(mono: int) -> Monomial:
+    return _decode(mono)[1]
+
+
+def _mono_sort_key(mono: int) -> tuple[int, int]:
+    return _decode(mono)[0]
+
+
 def _scalar(value) -> Scalar:
     """Canonical coefficient: ``int`` when integral, ``Fraction`` otherwise."""
     if type(value) is int:
@@ -72,7 +194,7 @@ def _scalar(value) -> Scalar:
     return value.numerator if value.denominator == 1 else value
 
 
-def _canonical(raw: dict[Monomial, Scalar]) -> dict[Monomial, Scalar]:
+def _canonical(raw: dict[int, Scalar]) -> dict[int, Scalar]:
     """Drop zero coefficients and store integral ones as ``int``."""
     return {
         m: c if type(c) is int or c.denominator != 1 else c.numerator
@@ -81,109 +203,53 @@ def _canonical(raw: dict[Monomial, Scalar]) -> dict[Monomial, Scalar]:
     }
 
 
-def _mono_degree(mono: Monomial) -> int:
-    return sum(e for _, e in mono)
-
-
-def _mono_sort_key(mono: Monomial):
-    # Graded lexicographic, encoded so that plain ascending sort puts the
-    # leading monomial first: higher total degree first, then earlier
-    # variables with larger exponents first.
-    return (-_mono_degree(mono), tuple((var_key(v), -e) for v, e in mono))
-
-
-def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    """Product of two monomials: one merge of the two sorted factor lists."""
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    out = []
-    i = j = 0
-    n1, n2 = len(m1), len(m2)
-    while i < n1 and j < n2:
-        v1, e1 = m1[i]
-        v2, e2 = m2[j]
-        if v1 == v2:
-            out.append((v1, e1 + e2))
-            i += 1
-            j += 1
-        elif var_key(v1) < var_key(v2):
-            out.append(m1[i])
-            i += 1
-        else:
-            out.append(m2[j])
-            j += 1
-    return tuple(out) + m1[i:] + m2[j:]
-
-
-def _freeze(mono: Mapping[str, int]) -> Monomial:
-    return tuple(sorted(((v, e) for v, e in mono.items() if e), key=lambda it: var_key(it[0])))
-
-
-def _needs_reduction(raw: Mapping[Monomial, Scalar]) -> bool:
-    for mono in raw:
-        names = {v for v, _ in mono}
-        for inv, (base, _) in INVERSE_VARS.items():
-            if inv in names and base in names:
-                return True
-    return False
-
-
-def _reduce_inverses(raw: dict[Monomial, Scalar]) -> dict[Monomial, Scalar]:
+def _reduce_inverses(raw: dict[int, Scalar]) -> dict[int, Scalar]:
     """Apply the base*inverse rewrite rules until no monomial holds both."""
-    if not _needs_reduction(raw):
+    rules = _RULES
+    if not any(m & inv and m & base for m in raw for inv, _, base, _, _ in rules):
         return raw
-    out: dict[Monomial, Scalar] = {}
-    stack: list[tuple[dict[str, int], Scalar]] = [(dict(m), c) for m, c in raw.items()]
+    out: dict[int, Scalar] = {}
+    stack = list(raw.items())
     while stack:
         mono, coeff = stack.pop()
-        if not coeff:
-            continue
-        rule = None
-        for inv, (base, shift) in INVERSE_VARS.items():
-            if mono.get(inv, 0) > 0 and mono.get(base, 0) > 0:
-                rule = (inv, base, shift)
+        for inv, inv_unit, base, base_unit, step in rules:
+            if mono & inv and mono & base:
+                lowered = mono - base_unit
+                stack.append((lowered - inv_unit, coeff))
+                if step:
+                    stack.append((lowered, -step * coeff))
                 break
-        if rule is None:
-            key = _freeze(mono)
-            out[key] = out.get(key, 0) + coeff
-            continue
-        inv, base, shift = rule
-        lowered = dict(mono)
-        lowered[base] -= 1
-        cancelled = dict(lowered)
-        cancelled[inv] -= 1
-        stack.append((cancelled, coeff))
-        if shift:
-            stack.append((lowered, -shift * coeff))
+        else:
+            out[mono] = out.get(mono, 0) + coeff
     return _canonical(out)
+
+
+def _collect(terms: Iterable[tuple[Iterable[tuple[str, int]], Scalar]]) -> dict[int, Scalar]:
+    """Canonical term map of ``(public monomial, coefficient)`` pairs; repeats add up."""
+    raw: dict[int, Scalar] = {}
+    for mono, c in terms:
+        m = _pack(mono)
+        raw[m] = raw.get(m, 0) + _scalar(c)
+    return _reduce_inverses(_canonical(raw))
 
 
 class Polynomial:
     """Immutable sparse polynomial with exact rational coefficients."""
 
-    # _inv caches whether a monomial holds an inverse variable: None until
-    # the first product asks, then a bool that never changes
+    # _terms maps packed monomials to coefficients; _inv caches whether a
+    # monomial holds an inverse variable: a bool where the constructor knows
+    # it, else None until the first product asks
     __slots__ = ("_terms", "_inv")
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
-        raw = {} if terms is None else {m: _scalar(c) for m, c in terms.items() if c}
-        object.__setattr__(self, "_terms", _reduce_inverses(raw))
+        object.__setattr__(self, "_terms", _collect((terms or {}).items()))
         object.__setattr__(self, "_inv", None)
-
-    @classmethod
-    def _trusted(cls, terms: dict[Monomial, Scalar], inv: bool | None = None) -> "Polynomial":
-        """Wrap a term map that is already canonical, without copying or checking it."""
-        poly = object.__new__(cls)
-        object.__setattr__(poly, "_terms", terms)
-        object.__setattr__(poly, "_inv", inv)
-        return poly
 
     def _holds_inverse(self) -> bool:
         inv = self._inv
         if inv is None:
-            inv = any(v in INVERSE_VARS for mono in self._terms for v, _ in mono)
+            fields = _INV_FIELDS
+            inv = any(m & fields for m in self._terms)
             object.__setattr__(self, "_inv", inv)
         return inv
 
@@ -191,14 +257,15 @@ class Polynomial:
         raise AttributeError("Polynomial is immutable")
 
     def __reduce__(self):
-        # the default slot restore would go through the raising __setattr__
-        return (Polynomial, (self._terms,))
+        # the default slot restore would go through the raising __setattr__,
+        # and field positions are per process, so pickle the public view
+        return (Polynomial, ({_unpack(m): c for m, c in self._terms.items()},))
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls) -> "Polynomial":
-        return cls()
+        return _trusted({}, False)
 
     @classmethod
     def one(cls) -> "Polynomial":
@@ -207,30 +274,31 @@ class Polynomial:
     @classmethod
     def const(cls, value: Scalar) -> "Polynomial":
         value = _scalar(value)
-        return cls._trusted({(): value} if value else {})
+        return _trusted({0: value} if value else {}, False)
 
     @classmethod
     def var(cls, name: str) -> "Polynomial":
-        var_key(name)  # validates
-        return cls._trusted({((name, 1),): 1})
+        return _trusted({1 << _shift(name): 1}, name in INVERSE_VARS)
 
     @classmethod
     def monomial(cls, coeff: Scalar, powers: Mapping[str, int]) -> "Polynomial":
-        for v, e in powers.items():
+        for v in powers:
             var_key(v)
-            if e < 0:
-                raise ValueError("monomial exponents must be nonnegative")
-        return cls({_freeze(powers): coeff})
+        return cls({tuple(powers.items()): coeff})
 
     @classmethod
     def sum(cls, items: Iterable[PolyLike]) -> "Polynomial":
         """Sum of many polynomials, accumulated in place in one term map."""
-        acc: dict[Monomial, Scalar] = {}
+        acc: dict[int, Scalar] = {}
         get = acc.get
         for item in items:
-            for m, c in cls._coerce(item)._terms.items():
+            terms = item._terms if isinstance(item, Polynomial) else cls._coerce(item)._terms
+            if not acc:
+                acc.update(terms)
+                continue
+            for m, c in terms.items():
                 acc[m] = get(m, 0) + c
-        return cls._trusted(_canonical(acc))
+        return _trusted(_canonical(acc))
 
     @classmethod
     def product(cls, items: Iterable[PolyLike]) -> "Polynomial":
@@ -268,12 +336,12 @@ class Polynomial:
                 if type(c) is not int and c.denominator == 1:
                     c = c.numerator
             out[m] = c
-        return Polynomial._trusted(out)
+        return _trusted(out, False if self._inv is False and other._inv is False else None)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._trusted({m: -c for m, c in self._terms.items()}, self._inv)
+        return _trusted({m: -c for m, c in self._terms.items()}, self._inv)
 
     def __sub__(self, other: PolyLike) -> "Polynomial":
         return self + (-self._coerce(other))
@@ -282,29 +350,46 @@ class Polynomial:
         return self._coerce(other) + (-self)
 
     def __mul__(self, other: PolyLike) -> "Polynomial":
-        other = self._coerce(other)
+        if not isinstance(other, Polynomial):
+            other = self._coerce(other)
         left, right = self._terms, other._terms
         if not left or not right:
-            return Polynomial()
+            return _trusted({}, False)
+        guard = _GUARD
         if len(left) == 1 and len(right) == 1:
-            # one term times one term: one monomial merge, one coefficient product
+            # one term times one term: one integer addition, one coefficient product
             ((m1, c1),) = left.items()
             ((m2, c2),) = right.items()
+            m = m1 + m2
+            if m & guard:
+                raise _overflow(m)
             c = c1 * c2
             if type(c) is not int and c.denominator == 1:
                 c = c.numerator
-            out = {_mono_mul(m1, m2): c}
+            out = {m: c}
         else:
-            out = {}
+            if len(left) > len(right):
+                left, right = right, left
+            # the first row of term pairs cannot collide, so it needs no lookups
+            rows = iter(left.items())
+            m1, c1 = next(rows)
+            pairs = right.items()
+            out = {m1 + m2: c1 * c2 for m2, c2 in pairs}
             get = out.get
-            for m1, c1 in left.items():
-                for m2, c2 in right.items():
-                    m = _mono_mul(m1, m2)
+            for m1, c1 in rows:
+                for m2, c2 in pairs:
+                    m = m1 + m2
                     out[m] = get(m, 0) + c1 * c2
+            # fields never carry, so every overflowed pair left its guard bit
+            # in a key of out; one test per key covers every pair
+            if any(map(guard.__and__, out)):
+                raise _overflow(next(m for m in out if m & guard))
             out = _canonical(out)
+        if self._inv is False and other._inv is False:
+            return _trusted(out, False)
         if self._holds_inverse() or other._holds_inverse():
-            return Polynomial._trusted(_reduce_inverses(out))
-        return Polynomial._trusted(out, False)
+            return _trusted(_reduce_inverses(out))
+        return _trusted(out, False)
 
     __rmul__ = __mul__
 
@@ -341,7 +426,7 @@ class Polynomial:
 
     @property
     def is_constant(self) -> bool:
-        return not self._terms or (len(self._terms) == 1 and () in self._terms)
+        return not self._terms or (len(self._terms) == 1 and 0 in self._terms)
 
     def constant_value(self) -> Fraction:
         """The value of a constant polynomial, always as a ``Fraction``."""
@@ -349,25 +434,36 @@ class Polynomial:
             return Fraction(0)
         if not self.is_constant:
             raise ValueError(f"not a constant polynomial: {self}")
-        return Fraction(self._terms[()])
+        return Fraction(self._terms[0])
+
+    def _support(self) -> int:
+        """Union of the monomials: a field is nonzero where some term has it."""
+        support = 0
+        for m in self._terms:
+            support |= m
+        return support
 
     def total_degree(self) -> int:
         if not self._terms:
             return 0
-        return max(_mono_degree(m) for m in self._terms)
+        return -min(_mono_sort_key(m)[0] for m in self._terms)  # the key leads with -degree
 
     def variables(self) -> tuple[str, ...]:
-        seen = {v for m in self._terms for v, _ in m}
-        return tuple(sorted(seen, key=var_key))
+        return tuple([v for v, _ in _unpack(self._support())])
 
     def sorted_terms(self) -> list[tuple[Monomial, Scalar]]:
-        return sorted(self._terms.items(), key=lambda item: _mono_sort_key(item[0]))
+        # distinct monomials have distinct keys, so rows compare by key alone
+        rows = sorted([(*_decode(m), c) for m, c in self._terms.items()])
+        return [(mono, c) for _, mono, c in rows]
+
+    def _leading(self) -> int:
+        return min(self._terms, key=_mono_sort_key)
 
     def leading_term(self) -> tuple[Monomial, Scalar]:
         if not self._terms:
             raise ValueError("zero polynomial has no leading term")
-        mono = min(self._terms, key=_mono_sort_key)
-        return mono, self._terms[mono]
+        mono = self._leading()
+        return _unpack(mono), self._terms[mono]
 
     # -- substitution ------------------------------------------------------
 
@@ -380,32 +476,42 @@ class Polynomial:
         defining relation survives every substitution.
         """
         bound = {v: self._coerce(val) for v, val in bindings.items()}
-        present = {v for m in self._terms for v, _ in m}
+        support = self._support()
         for inv, (base, shift) in INVERSE_VARS.items():
-            if inv in present and inv not in bound and base in bound:
+            held = inv in _SHIFT and support >> _SHIFT[inv] & MAX_EXPONENT
+            if held and inv not in bound and base in bound:
                 value = bound[base] + Polynomial.const(shift)
                 if not value.is_constant or not value:
                     raise ValueError(
                         f"binding {base} that way leaves no rational value for {inv}"
                     )
                 bound[inv] = Polynomial.const(Fraction(1) / value.constant_value())
+        # the bound variables that have a field, in var_key order; a variable
+        # without a field is in no monomial
+        order = sorted((_RANKED[_SHIFT[v]][0], v, _SHIFT[v]) for v in bound if v in _SHIFT)
+        mask = 0
+        for _, _, shift in order:
+            mask |= MAX_EXPONENT << shift
         powers: dict[tuple[str, int], Polynomial] = {}  # (variable, exponent) -> power
         pieces = []
         for mono, coeff in self._terms.items():
             piece = Polynomial.const(coeff)
-            residual = []
-            for factor in mono:
-                v, e = factor
-                if v in bound:
+            split = mono & mask
+            residual = mono ^ split
+            for _, v, shift in order:
+                if not split:
+                    break
+                e = split >> shift & MAX_EXPONENT
+                if e:
+                    split -= e << shift
+                    factor = (v, e)
                     power = powers.get(factor)
                     if power is None:
                         power = powers[factor] = bound[v] ** e
                     piece = piece * power
-                else:
-                    residual.append(factor)
             if residual:
                 # a sub-monomial of a canonical monomial is itself canonical
-                piece = piece * Polynomial._trusted({tuple(residual): 1})
+                piece = piece * _trusted({residual: 1})
             pieces.append(piece)
         return Polynomial.sum(pieces)
 
@@ -421,30 +527,31 @@ class Polynomial:
         if not divisor:
             raise ZeroDivisionError("division by the zero polynomial")
         if not self:
-            return Polynomial()
-        lead_mono, lead_coeff = divisor.leading_term()
-        lead_exp = dict(lead_mono)
+            return _trusted({}, False)
+        lead = divisor._leading()
+        lead_coeff = divisor._terms[lead]
+        guard = _GUARD
         remainder = dict(self._terms)
-        quotient: dict[Monomial, Scalar] = {}
+        quotient: dict[int, Scalar] = {}
         while remainder:
             mono = min(remainder, key=_mono_sort_key)
             coeff = remainder[mono]
-            exps = dict(mono)
-            for v, e in lead_exp.items():
-                if exps.get(v, 0) < e:
-                    raise NotDivisible(f"({self}) is not divisible by ({divisor})")
-                exps[v] = exps.get(v, 0) - e
-            q_mono = _freeze(exps)
+            # every field at once: a field of mono below the lead's borrows
+            # its own guard bit and no other
+            lifted = (mono | guard) - lead
+            if lifted & guard != guard:
+                raise NotDivisible(f"({self}) is not divisible by ({divisor})")
+            q_mono = lifted - guard
             q_coeff = _scalar(Fraction(coeff) / lead_coeff)
             quotient[q_mono] = quotient.get(q_mono, 0) + q_coeff
-            piece = Polynomial._trusted({q_mono: q_coeff}) * divisor
+            piece = _trusted({q_mono: q_coeff}) * divisor
             for m, c in piece._terms.items():
                 new = remainder.get(m, 0) - c
                 if new:
                     remainder[m] = new
                 else:
                     remainder.pop(m, None)
-        result = Polynomial._trusted(_canonical(quotient))
+        result = _trusted(_canonical(quotient))
         if result * divisor != self:
             raise NotDivisible(f"({self}) is not divisible by ({divisor})")
         return result
@@ -481,11 +588,20 @@ class Polynomial:
 
     @classmethod
     def from_json(cls, data: Iterable[Mapping]) -> "Polynomial":
-        terms: dict[Monomial, Scalar] = {}
-        for entry in data:
-            mono = _freeze(dict(entry["monomial"]))
-            terms[mono] = terms.get(mono, 0) + Fraction(entry["coeff"])
-        return cls(terms)
+        return _trusted(_collect((entry["monomial"].items(), entry["coeff"]) for entry in data))
+
+
+_new = object.__new__
+_set_terms = Polynomial._terms.__set__
+_set_inv = Polynomial._inv.__set__
+
+
+def _trusted(terms: dict[int, Scalar], inv: bool | None = None) -> Polynomial:
+    """Wrap a term map that is already canonical, without copying or checking it."""
+    poly = _new(Polynomial)
+    _set_terms(poly, terms)
+    _set_inv(poly, inv)
+    return poly
 
 
 def binomial(n: int, k: int) -> int:

@@ -10,7 +10,6 @@ underlying identity was only ever stated for a finite range.
 
 from __future__ import annotations
 
-import concurrent.futures
 import os
 from collections import Counter
 from dataclasses import dataclass
@@ -556,6 +555,9 @@ def run_suite(suite: str, max_n: int, jobs: int = 1) -> VerifyReport:
     if jobs <= 1:
         results = tuple(_execute((name, max_n)) for name in names)
     else:
+        # imported here: it pulls in logging, and most runs start no pool
+        import concurrent.futures
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             results = tuple(pool.map(_execute, [(name, max_n) for name in names]))
     return VerifyReport(suite, max_n, results)

@@ -36,7 +36,7 @@ from .paths import (
     primitive_factors,
     valley_structures,
 )
-from .polynomials import Polynomial
+from .polynomials import Polynomial, var_key
 from .series import TruncatedSeries, _require_weight_series, named_series
 
 ParamValue = Union[int, Fraction, Polynomial, str]
@@ -440,7 +440,8 @@ def registry_get(name: str, order: int, **params: ParamValue) -> WeightSpec:
     ints, Fractions or fraction strings like ``"7/3"``, and ``"sym"`` keeps
     a parameter symbolic where the entry has a symbolic default.  Parameters
     an entry does not declare are substituted into the finished table, so a
-    symbolic table can be pinned to numeric values in one call.
+    symbolic table can be pinned to numeric values in one call; one that
+    names no variable of the table at this order raises ``BadParams``.
     """
     if name not in REGISTRY:
         raise BadParams(f"unknown weight table {name!r}; known: {', '.join(REGISTRY)}")
@@ -459,4 +460,15 @@ def registry_get(name: str, order: int, **params: ParamValue) -> WeightSpec:
         spec = _registry_get_cached(name, order, frozen)
     except TypeError:
         spec = REGISTRY[name](order, **builder_params)
+    unknown = [k for k in params if k not in declared]
+    if unknown:
+        tables = (spec.alpha, spec.beta, spec.gamma)
+        present = {v for table in tables for p in table for v in p.variables()}
+        unknown = [k for k in unknown if k not in present]
+    if unknown:
+        has = f"parameters: {', '.join(declared)}; " if declared else ""
+        has += f"variables: {', '.join(sorted(present, key=var_key)) or 'none'}"
+        raise BadParams(
+            f"{name} at order {order} has no parameter or variable {', '.join(unknown)} ({has})"
+        )
     return spec.substitute(bindings)

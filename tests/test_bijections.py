@@ -1,4 +1,5 @@
 import dataclasses
+import json
 from collections import Counter
 
 import pytest
@@ -293,3 +294,48 @@ def test_decorated_json_round_trip():
     for n in (3, 4):
         for obj in enumerate_decorated(n, "theta"):
             assert DecoratedStructure.from_json(obj.to_json()) == obj
+
+
+def _tuple_fields(obj: DecoratedStructure) -> bool:
+    blocks = [p for p in obj.structure.parts if isinstance(p, ValleyBlock)]
+    return (
+        type(obj.decorations) is tuple
+        and type(obj.structure.parts) is tuple
+        and all(type(b.heights) is tuple for b in blocks)
+        and all(type(d.symbols) is tuple for d in obj.decorations)
+    )
+
+
+def test_list_input_is_stored_as_tuples(monkeypatch, capsys):
+    # enumerated objects arrive with tuple fields; JSON brings lists, which the
+    # constructors still convert, so both kinds compare and hash alike
+    from valleydyck import cli
+
+    block = ValleyBlock(2, [1, 1])
+    assert type(block.heights) is tuple and hash(block) == hash(ValleyBlock(2, (1, 1)))
+    structure = ValleyStructure([Pyramid(3), block])
+    assert type(structure.parts) is tuple
+    assert hash(structure) == hash(ValleyStructure((Pyramid(3), ValleyBlock(2, (1, 1)))))
+    deco = PartDecoration(Path("schroder_large", "H"), ["H", "ud"])
+    assert deco == PartDecoration(Path("schroder_large", "H"), ("H", "ud"))
+    assert type(deco.symbols) is tuple
+
+    seen = []
+    real_forward = cli.forward
+
+    def recording_forward(map_id, obj):
+        seen.append(obj)
+        return real_forward(map_id, obj)
+
+    monkeypatch.setattr(cli, "forward", recording_forward)
+    for map_id in ("phi", "psi", "rho", "sigma", "theta"):
+        for obj in enumerate_decorated(4, map_id):
+            assert _tuple_fields(obj)
+            back = DecoratedStructure.from_json(obj.to_json())
+            assert _tuple_fields(back) and back == obj and hash(back) == hash(obj)
+        assert obj.map_id == map_id
+        assert cli.main(["biject", "--map", map_id, "--apply", json.dumps(obj.to_json())]) == 0
+        applied = seen.pop()
+        assert _tuple_fields(applied) and applied == obj and hash(applied) == hash(obj)
+        image = json.dumps(forward(map_id, obj).to_json(), indent=2)
+        assert capsys.readouterr().out == image + "\n"

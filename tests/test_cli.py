@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -147,19 +148,6 @@ def test_biject_apply_phi(tmp_path):
     assert json.loads(back.stdout) == obj
 
 
-def test_verify_all_passes_and_jobs_invariance():
-    base = run_cli("verify", "--suite", "all", "--max-n", "6")
-    jobs = run_cli("verify", "--suite", "all", "--max-n", "6", "--jobs", "4")
-    assert base.stdout == jobs.stdout
-    assert "result: PASS" in base.stdout
-    json_base = run_cli("verify", "--suite", "all", "--max-n", "6", "--format", "json")
-    json_jobs = run_cli(
-        "verify", "--suite", "all", "--max-n", "6", "--jobs", "3", "--format", "json"
-    )
-    assert json_base.stdout == json_jobs.stdout
-    assert json.loads(json_base.stdout)["passed"] is True
-
-
 def test_enumerate_ascii_and_csv_formats():
     proc = run_cli("enumerate", "--family", "dyck", "--n", "2", "--format", "ascii")
     assert "/\\" in proc.stdout
@@ -195,6 +183,27 @@ def test_unreadable_param_value_is_a_usage_error():
     assert "--param a" in proc.stderr
 
 
+def test_param_naming_nothing_is_a_usage_error(capsys):
+    from valleydyck.polynomials import Polynomial
+    from valleydyck.series import TruncatedSeries
+
+    proc = run_cli("series", "--spec", "geom_3x", "--param", "zz=1", expect=2)
+    _one_error_line(proc)
+    assert "zz" in proc.stderr and "variables: none" in proc.stderr
+    assert cli.main(["count", "--spec", "generic", "--n", "2", "--param", "alpha5=sym"]) == 2
+    err = capsys.readouterr().err
+    assert "alpha5" in err and "alpha1, alpha2, beta1" in err
+    # a pinned variable of the table is substituted, a declared parameter is built in
+    assert cli.main(["series", "--spec", "motzkin_ab", "--order", "6", "--format", "json"]) == 0
+    symbolic = TruncatedSeries.from_json(json.loads(capsys.readouterr().out))
+    argv = ["series", "--spec", "motzkin_ab", "--order", "6", "--format", "json"]
+    assert cli.main(argv + ["--param", "a=1", "--param", "b=1"]) == 0
+    pinned = TruncatedSeries.from_json(json.loads(capsys.readouterr().out))
+    one = Polynomial.const(1)
+    assert pinned == TruncatedSeries([c.substitute({"a": one, "b": one}) for c in symbolic.coeffs])
+    assert cli.main(["count", "--spec", "chebyshev_abcd", "--n", "3", "--param", "d=2"]) == 0
+
+
 def test_negative_verify_bound_is_a_usage_error():
     proc = run_cli("verify", "--suite", "master", "--max-n", "-3", expect=2)
     _one_error_line(proc)
@@ -218,6 +227,13 @@ def test_biject_apply_malformed_json_is_a_usage_error(capsys):
         assert captured.err.startswith("error: --apply ")
 
 
+def test_cli_import_loads_no_process_pool():
+    # verify imports concurrent.futures (and with it logging) only to start a pool
+    code = "import sys, valleydyck.cli; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.stdout == "False\n", proc.stderr
+
+
 def test_verify_jobs_clamped_to_checks_and_cpus(monkeypatch):
     pools = []
 
@@ -234,7 +250,7 @@ def test_verify_jobs_clamped_to_checks_and_cpus(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(verify.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     serial = verify.run_suite("bijections", 2)
     assert verify.run_suite("bijections", 2, jobs=1000) == serial
