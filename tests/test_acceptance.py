@@ -111,7 +111,7 @@ def _cli(*args, expect=0):
     return proc
 
 
-def test_a12_cli_smoke(tmp_path):
+def test_a12_cli_smoke(tmp_path, verify_all_runs):
     ok = True
     # JSON round trips: weight spec, path, decorated object
     dump = tmp_path / "spec.json"
@@ -140,16 +140,14 @@ def test_a12_cli_smoke(tmp_path):
     back = _cli("biject", "--map", "rho", "--apply", f"@{image_file}", "--direction", "inverse")
     ok = ok and json.loads(back.stdout) == obj
 
-    # full verification suite is green through the CLI
-    base = _cli("verify", "--suite", "all", "--max-n", "6")
-    ok = ok and "result: PASS" in base.stdout
+    # full verification suite is green through the CLI (the four
+    # ``verify --suite all --max-n 6`` runs are shared with test_cli)
+    runs = verify_all_runs
+    ok = ok and "result: PASS" in runs["text"]
 
     # byte-for-byte jobs invariance, and the JSON report byte-identical to the golden one
-    jobs = _cli("verify", "--suite", "all", "--max-n", "6", "--jobs", "4")
-    ok = ok and base.stdout == jobs.stdout
-    json_base = _cli("verify", "--suite", "all", "--max-n", "6", "--format", "json")
-    json_jobs = _cli("verify", "--suite", "all", "--max-n", "6", "--format", "json", "--jobs", "3")
-    ok = ok and json_base.stdout == json_jobs.stdout
-    ok = ok and json.loads(json_base.stdout)["passed"] is True
-    ok = ok and json_base.stdout == (FIXTURES / "verify_all_max6.json").read_text()
+    ok = ok and runs["text"] == runs["text_jobs4"]
+    ok = ok and runs["json"] == runs["json_jobs3"]
+    ok = ok and json.loads(runs["json"])["passed"] is True
+    ok = ok and runs["json"] == (FIXTURES / "verify_all_max6.json").read_text()
     report("A12 CLI smoke: JSON round trips, verify all green, jobs invariance", ok)

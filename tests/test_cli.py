@@ -148,6 +148,13 @@ def test_biject_apply_phi(tmp_path):
     assert json.loads(back.stdout) == obj
 
 
+def test_verify_all_passes_and_jobs_invariance(verify_all_runs):
+    assert verify_all_runs["text"] == verify_all_runs["text_jobs4"]
+    assert "result: PASS" in verify_all_runs["text"]
+    assert verify_all_runs["json"] == verify_all_runs["json_jobs3"]
+    assert json.loads(verify_all_runs["json"])["passed"] is True
+
+
 def test_enumerate_ascii_and_csv_formats():
     proc = run_cli("enumerate", "--family", "dyck", "--n", "2", "--format", "ascii")
     assert "/\\" in proc.stdout
