@@ -30,7 +30,7 @@ from .paths import FAMILY_STEPS, FILTERS, Path, enumerate_family, render_ascii
 from .polynomials import Polynomial
 from .series import valley_series, valley_series_ab
 from .verify import SUITES, run_check, run_suite
-from .weights import WeightSpec, registry_get, valley_weight_sum
+from .weights import WeightSpec, _pin_params, registry_get, valley_weight_sum
 
 DEFAULT_ORDER = 12
 
@@ -66,7 +66,8 @@ def _resolve_spec(name: str, order: int, params: dict[str, str]) -> WeightSpec:
             raise ValleyDyckError(
                 f"spec file holds order {spec.order}, but order {order} was requested"
             )
-        return WeightSpec(spec.alpha[:order], spec.beta[:order], spec.gamma[:order])
+        spec = WeightSpec(spec.alpha[:order], spec.beta[:order], spec.gamma[:order])
+        return _pin_params(spec, params, f"{name} at order {order}")
     return registry_get(name, order, **params)
 
 
@@ -176,13 +177,21 @@ def _decorated_from_json(data):
     return _object_from_json(DecoratedStructure.from_json, data)
 
 
+def _note_clamps(report) -> None:
+    """Say on stderr which checks stopped below the requested bound."""
+    for r in report.results:
+        if r.bound < report.max_n:
+            sys.stderr.write(f"note: {r.name} checked n <= {r.bound}, not {report.max_n}\n")
+
+
 def _cmd_biject(args) -> int:
     if args.roundtrip:
         if args.n is None:
             raise ValleyDyckError("--roundtrip needs --n")
         check = "tau_exchange" if args.map == "tau" else f"bijection_{args.map}"
         report = run_check(check, args.n)
-        _emit(("PASS " if report.passed else "FAIL ") + check)
+        _emit(f"{report.results[0].status.upper()} {check}")
+        _note_clamps(report)
         return 0 if report.passed else 1
     if not args.apply:
         raise ValleyDyckError("biject needs --roundtrip or --apply")
@@ -210,13 +219,13 @@ def _cmd_verify(args) -> int:
         width = max(len(r.name) for r in report.results)
         lines = [f"suite {report.suite} (max n {report.max_n})"]
         for r in report.results:
-            status = "PASS" if r.passed else "FAIL"
-            line = f"  {status}  {r.name.ljust(width)}"
+            line = f"  {r.status.upper()}  {r.name.ljust(width)}"
             if r.detail:
                 line += f"  {r.detail}"
             lines.append(line.rstrip())
         lines.append(f"result: {'PASS' if report.passed else 'FAIL'}")
         _emit("\n".join(lines))
+    _note_clamps(report)
     sys.stderr.write(f"wall time {time.monotonic() - started:.2f}s\n")
     return 0 if report.passed else 1
 

@@ -126,13 +126,6 @@ class TruncatedSeries:
             raise IndexError(f"coefficient {n} outside stored order {self.order}")
         return self._coeffs[n]
 
-    def map_coeffs(self, fn: Callable[[Polynomial], CoeffLike]) -> "TruncatedSeries":
-        return TruncatedSeries([fn(c) for c in self._coeffs])
-
-    def substitute_params(self, bindings: Mapping[str, CoeffLike]) -> "TruncatedSeries":
-        """Substitute values for coefficient-level variables in every coefficient."""
-        return self.map_coeffs(lambda c: c.substitute(bindings))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented

@@ -449,26 +449,31 @@ def registry_get(name: str, order: int, **params: ParamValue) -> WeightSpec:
         raise BadParams("order must be nonnegative")
     declared = _DECLARED_PARAMS[name]
     builder_params = {k: v for k, v in params.items() if k in declared}
-    bindings = {
-        k: _as_poly(v)
-        for k, v in params.items()
-        if k not in declared and v != "sym"
-    }
     try:
         frozen = tuple(sorted(builder_params.items()))
         hash(frozen)
         spec = _registry_get_cached(name, order, frozen)
     except TypeError:
         spec = REGISTRY[name](order, **builder_params)
-    unknown = [k for k in params if k not in declared]
-    if unknown:
-        tables = (spec.alpha, spec.beta, spec.gamma)
-        present = {v for table in tables for p in table for v in p.variables()}
-        unknown = [k for k in unknown if k not in present]
+    return _pin_params(spec, params, f"{name} at order {order}", declared)
+
+
+def _pin_params(
+    spec: WeightSpec, params: Mapping[str, ParamValue], label: str, declared: tuple[str, ...] = ()
+) -> WeightSpec:
+    """Substitute into ``spec`` every binding in ``params`` that ``declared`` does not name.
+
+    Each such name must be a variable of the table, or ``BadParams`` lists what
+    the table ``label`` has; a ``"sym"`` value leaves its variable symbolic.
+    """
+    pinned = {k: v for k, v in params.items() if k not in declared}
+    if not pinned:
+        return spec
+    tables = (spec.alpha, spec.beta, spec.gamma)
+    present = {v for table in tables for p in table for v in p.variables()}
+    unknown = [k for k in pinned if k not in present]
     if unknown:
         has = f"parameters: {', '.join(declared)}; " if declared else ""
         has += f"variables: {', '.join(sorted(present, key=var_key)) or 'none'}"
-        raise BadParams(
-            f"{name} at order {order} has no parameter or variable {', '.join(unknown)} ({has})"
-        )
-    return spec.substitute(bindings)
+        raise BadParams(f"{label} has no parameter or variable {', '.join(unknown)} ({has})")
+    return spec.substitute({k: _as_poly(v) for k, v in pinned.items() if v != "sym"})

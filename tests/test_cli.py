@@ -211,6 +211,19 @@ def test_param_naming_nothing_is_a_usage_error(capsys):
     assert cli.main(["count", "--spec", "chebyshev_abcd", "--n", "3", "--param", "d=2"]) == 0
 
 
+def test_param_on_spec_file_matches_registry(tmp_path):
+    dump = tmp_path / "m.json"
+    run_cli("series", "--spec", "motzkin_ab", "--order", "3", "--dump-spec", str(dump))
+    from_file = run_cli("series", "--spec", f"@{dump}", "--order", "3", "--param", "a=2")
+    from_registry = run_cli("series", "--spec", "motzkin_ab", "--order", "3", "--param", "a=2")
+    assert from_file.stdout == from_registry.stdout
+    assert from_file.stdout.splitlines()[3] == "3: 4*b"
+    argv = ("series", "--spec", f"@{dump}", "--order", "3", "--param", "zz=1", "--param", "a=2")
+    proc = run_cli(*argv, expect=2)
+    _one_error_line(proc)
+    assert "no parameter or variable zz" in proc.stderr and "variables: a, a_inv, b" in proc.stderr
+
+
 def test_negative_verify_bound_is_a_usage_error():
     proc = run_cli("verify", "--suite", "master", "--max-n", "-3", expect=2)
     _one_error_line(proc)

@@ -121,8 +121,8 @@ def test_schroder_small_values():
 
 
 def test_schroder_large_at_one():
-    r_ser = named_series("schroder_large", 2).substitute_params({"q": 1})
-    assert [c.constant_value() for c in r_ser.coeffs] == [1, 2, 6]
+    r_ser = named_series("schroder_large", 2)
+    assert [c.substitute({"q": 1}).constant_value() for c in r_ser.coeffs] == [1, 2, 6]
 
 
 def test_delannoy_series():
@@ -132,9 +132,13 @@ def test_delannoy_series():
 
 def test_narayana_bridges():
     n_ser = named_series("narayana", 8)
-    assert n_ser.substitute_params({"t": Q + 1}) == named_series("schroder_large", 8)
+
+    def at(value):
+        return TruncatedSeries([c.substitute({"t": value}) for c in n_ser.coeffs])
+
+    assert at(Q + 1) == named_series("schroder_large", 8)
     cat = named_series("catalan", 8)
-    assert n_ser.substitute_params({"t": 1}) == cat
+    assert at(1) == cat
 
 
 def test_valley_series_trivial_and_examples():

@@ -1,0 +1,126 @@
+"""The verify runner: effective bounds, skipped checks, clamp notes, and faults."""
+
+import json
+
+import pytest
+
+from valleydyck import cli, verify
+from valleydyck.bijections import MAPS
+from valleydyck.oracles import (
+    catalan_number,
+    delannoy_hstep_count,
+    delannoy_number,
+    formula_vn,
+)
+from valleydyck.verify import CHECKS
+from valleydyck.weights import DELANNOY_TUPLES, path_weight
+
+# the clamp each check puts on the requested bound
+UPTO = {
+    "master_triple_agreement": 7,
+    **{f"bijection_{map_id}": 6 for map_id in MAPS},
+    "target_difference_enumeration": 6,
+    "tau_exchange": 8,
+    "delannoy_scaled_sums": 9,
+    "fuss_formulas": 9,
+    "delannoy_axis_hsteps": 5,
+}
+LEAST = {"chebyshev_rational_identity": 2, "delannoy_table": 4, "oracle_bridges": 12}
+UNCLAMPED = {"geom_3x_values", "geom_fib_values", "worked_examples"} | {
+    c for c in CHECKS if c.startswith("diff_")
+}
+SKIPPED_AT_0 = ("tau_exchange", "delannoy_scaled_sums", "delannoy_axis_hsteps")
+
+
+def test_check_bounds_match_their_clamps():
+    assert set(UPTO) | set(LEAST) | UNCLAMPED == set(CHECKS)
+    for name, check in CHECKS.items():
+        for max_n in (0, 6, 50) if name in UPTO else (0, 6):
+            want = max(min(max_n, UPTO.get(name, max_n)), LEAST.get(name, 0))
+            result = check(max_n)
+            assert result.bound == want, (name, max_n)
+            skips = max_n == 0 and name in SKIPPED_AT_0
+            assert result.status == ("skip" if skips else "pass"), (name, max_n, result)
+            assert (result.compared == 0) == skips
+
+
+def test_checks_that_compare_nothing_skip(capsys):
+    for max_n, skipped in ((0, SKIPPED_AT_0), (1, SKIPPED_AT_0[:2])):
+        argv = ["verify", "--suite", "all", "--max-n", str(max_n)]
+        assert cli.main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        statuses = {line.split()[1]: line.split()[0] for line in lines[1:-1]}
+        assert [name for name, s in statuses.items() if s != "PASS"] == list(skipped)
+        assert {statuses[name] for name in skipped} == {"SKIP"}
+        assert lines[-1] == "result: PASS"
+        assert cli.main(argv + ["--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["passed"] is True
+        assert [c["name"] for c in report["checks"] if c["status"] == "skip"] == list(skipped)
+    assert cli.main(["biject", "--map", "tau", "--n", "1", "--roundtrip"]) == 0
+    assert capsys.readouterr().out == "SKIP tau_exchange\n"
+
+
+def test_clamped_bound_is_noted_on_stderr(capsys):
+    assert cli.main(["biject", "--map", "phi", "--n", "30", "--roundtrip"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "PASS bijection_phi\n"
+    assert captured.err == "note: bijection_phi checked n <= 6, not 30\n"
+
+    assert cli.main(["verify", "--suite", "delannoy", "--max-n", "10"]) == 0
+    captured = capsys.readouterr()
+    assert "note" not in captured.out
+    assert [line for line in captured.err.splitlines() if line.startswith("note: ")] == [
+        "note: tau_exchange checked n <= 8, not 10",
+        "note: delannoy_scaled_sums checked n <= 9, not 10",
+        "note: delannoy_axis_hsteps checked n <= 5, not 10",
+    ]
+    # a bound every check reaches draws no note
+    assert cli.main(["verify", "--suite", "delannoy", "--max-n", "5"]) == 0
+    assert "note" not in capsys.readouterr().err
+
+
+def _formula_off_at_one(name, n, **params):
+    value = formula_vn(name, n, **params)
+    return value + 1 if n == 1 else value
+
+
+_FORMULA_CHECKS = (
+    "geom_3x_values",
+    "geom_fib_values",
+    "diff_motzkin",
+    "diff_schroder_large",
+    "diff_schroder_small",
+    "diff_narayana",
+    "diff_narayana_shift",
+    "chebyshev_rational_identity",
+    "fuss_formulas",
+)
+
+# one wrong input in the verify namespace per check: (name, replacement)
+FAULTS = {
+    **{check: ("formula_vn", _formula_off_at_one) for check in _FORMULA_CHECKS},
+    "master_triple_agreement": ("path_weight", lambda p, spec: 2 * path_weight(p, spec)),
+    "tau_exchange": ("delannoy_number", lambda n: delannoy_number(n + 1)),
+    "delannoy_scaled_sums": ("delannoy_number", lambda n: delannoy_number(n + 1)),
+    "oracle_bridges": ("catalan_number", lambda n: catalan_number(n) + 1),
+    "delannoy_table": ("DELANNOY_TUPLES", ((DELANNOY_TUPLES[0][0], 8),) + DELANNOY_TUPLES[1:]),
+    "delannoy_axis_hsteps": ("delannoy_hstep_count", lambda n: delannoy_hstep_count(n) + 1),
+    "worked_examples": ("_INTRO_EXAMPLE", verify._INTRO_EXAMPLE.replace("UDUD", "UUDD", 1)),
+}
+
+
+def test_every_check_has_a_fault():
+    # the bijection checks and target_difference_enumeration are faulted in test_bijections
+    faulted_elsewhere = {f"bijection_{map_id}" for map_id in MAPS}
+    faulted_elsewhere.add("target_difference_enumeration")
+    assert set(FAULTS) == set(CHECKS) - faulted_elsewhere
+
+
+@pytest.mark.parametrize("check", FAULTS)
+def test_check_fails_on_a_wrong_input(check, monkeypatch):
+    assert CHECKS[check](3).status == "pass"
+    monkeypatch.setattr(verify, *FAULTS[check])
+    result = CHECKS[check](3)
+    assert result.status == "fail"
+    assert " != " in result.detail, result.detail  # a comparison caught it, not an exception
