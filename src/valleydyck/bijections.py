@@ -24,6 +24,7 @@ value product.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
 from typing import Iterator, Mapping
 
@@ -72,9 +73,12 @@ class MapSpec:
     offset: int = 0  # Q has size k - offset
     core: Polynomial | None = None  # weight of u Q d beyond Q's own
     symbols: tuple[str, ...] = field(init=False)  # what a decoration may record
+    letters: dict = field(init=False, compare=False, repr=False)  # symbol -> its tail letters
 
     def __post_init__(self):
-        object.__setattr__(self, "symbols", tuple(s for s, _, _ in self.tail if s is not None))
+        letters = {s: unit for s, unit, _ in self.tail if s is not None}
+        object.__setattr__(self, "symbols", tuple(letters))
+        object.__setattr__(self, "letters", letters)
 
 
 MAPS: dict[str, MapSpec] = {
@@ -132,9 +136,9 @@ class PartDecoration:
     def __post_init__(self):
         if type(self.symbols) is not tuple:
             object.__setattr__(self, "symbols", tuple(self.symbols))
-        for s in self.symbols:
-            if s not in _SYMBOLS:
-                raise InvalidDecoration(f"unknown decoration symbol {s!r}")
+        if not _SYMBOLS.issuperset(self.symbols):
+            bad = next(s for s in self.symbols if s not in _SYMBOLS)
+            raise InvalidDecoration(f"unknown decoration symbol {bad!r}")
 
 
 @dataclass(frozen=True)
@@ -203,9 +207,10 @@ def _part_form(map_id: str, part) -> tuple[int, int]:
         if part.height < 2:
             raise InvalidDecoration(f"{map_id} admits no axis pyramid of height 1")
         return part.height - 1, 1
-    if any(h != 1 for h in part.heights):
+    heights = part.heights
+    if heights.count(1) != len(heights):
         raise InvalidDecoration(f"{map_id} admits only blocks with unit inner pyramids")
-    return part.ascent, len(part.heights)
+    return part.ascent, len(heights)
 
 
 def decorations(structure: ValleyStructure, map_id: str) -> Iterator[DecoratedStructure]:
@@ -218,15 +223,8 @@ def decorations(structure: ValleyStructure, map_id: str) -> Iterator[DecoratedSt
     per_part = []
     for k, r in forms:
         subs = list(enumerate_family(spec.decoration, k - spec.offset))
-        if spec.symbols:
-            choices = [
-                PartDecoration(sub, syms)
-                for sub in subs
-                for syms in product(spec.symbols, repeat=r - 1)
-            ]
-        else:
-            choices = [PartDecoration(sub) for sub in subs]
-        per_part.append(choices)
+        tails = list(product(spec.symbols, repeat=r - 1)) if spec.symbols else [()]
+        per_part.append([PartDecoration(sub, syms) for sub in subs for syms in tails])
     for combo in product(*per_part):
         yield DecoratedStructure(map_id, structure, combo)
 
@@ -238,16 +236,6 @@ def enumerate_decorated(n: int, map_id: str) -> Iterator[DecoratedStructure]:
         yield from decorations(structure, map_id)
 
 
-def _part_image(map_id: str, spec: MapSpec, part, deco: PartDecoration) -> str:
-    core = "U" + deco.subpath.steps + "D"
-    if spec.symbols:
-        return core + "".join(
-            letters for s in deco.symbols for symbol, letters, _ in spec.tail if symbol == s
-        )
-    _, r = _part_form(map_id, part)
-    return core + spec.tail[0][1] * (r - 1)
-
-
 def forward(map_id: str, obj):
     """Apply a map; decorated structures map to target paths, tau maps sides."""
     if map_id == "tau":
@@ -257,19 +245,30 @@ def forward(map_id: str, obj):
     if not isinstance(obj, DecoratedStructure) or obj.map_id != map_id:
         raise BadParams(f"object does not belong to map {map_id!r}")
     spec = MAPS[map_id]
-    steps = "".join(
-        _part_image(map_id, spec, part, deco)
-        for part, deco in zip(obj.structure.parts, obj.decorations)
-    )
-    return Path(spec.target[0], steps)
+    chunks: list[str] = []
+    if spec.symbols:
+        letters = spec.letters
+        for deco in obj.decorations:
+            chunks.append("U" + deco.subpath.steps + "D")
+            chunks.extend([letters[s] for s in deco.symbols])
+    else:
+        unit = spec.tail[0][1]
+        for part, deco in zip(obj.structure.parts, obj.decorations):
+            _, r = _part_form(map_id, part)
+            chunks.append("U" + deco.subpath.steps + "D" + unit * (r - 1))
+    return Path(spec.target[0], "".join(chunks))
+
+
+@lru_cache(maxsize=256)
+def _unit_part(k: int, r: int):
+    """The part u^k (ud)^r d^k: a pyramid of height k + 1 when r = 1."""
+    return Pyramid(k + 1) if r == 1 else ValleyBlock(k, (1,) * r)
 
 
 def inverse(map_id: str, target):
     """Invert a map via the unique factorization of the target object."""
     if map_id == "tau":
-        if not isinstance(target, TauDecorated):
-            raise BadParams("tau applies to marked, lettered objects")
-        return tau_apply(target)
+        return forward(map_id, target)  # the exchange inverts itself
     spec = _map_spec(map_id)
     family, filt = spec.target
     if not isinstance(target, Path) or target.family != family:
@@ -277,26 +276,28 @@ def inverse(map_id: str, target):
     if not passes_filter(target.steps, filt):
         raise NotInTargetFamily(f"path {target.steps!r} fails the {filt} condition")
     steps = target.steps
+    end = len(steps)
+    rise, tail, decoration, offset = STEP_RISE, spec.tail, spec.decoration, spec.offset
     i = 0
     parts: list = []
     decos: list[PartDecoration] = []
-    while i < len(steps):
+    while i < end:
         if steps[i] != "U":
             raise UniqueFactorizationFailure(f"expected an up step at {i} in {steps!r}")
         level = 1
         j = i + 1
-        while j < len(steps) and level > 0:
-            level += STEP_RISE[steps[j]]
+        while j < end and level > 0:
+            level += rise[steps[j]]
             j += 1
         if level != 0:
             raise UniqueFactorizationFailure(f"unbalanced factor at {i} in {steps!r}")
-        sub = Path(spec.decoration, steps[i + 1 : j - 1])
+        sub = Path(decoration, steps[i + 1 : j - 1])
         i = j
         # the maximal run of tail units after the core factor
         symbols: list[str] = []
         r = 1
-        while i < len(steps):
-            for symbol, letters, _ in spec.tail:
+        while i < end:
+            for symbol, letters, _ in tail:
                 if steps.startswith(letters, i):
                     break
             else:
@@ -305,39 +306,35 @@ def inverse(map_id: str, target):
             r += 1
             if symbol is not None:
                 symbols.append(symbol)
-        k = sub.size + spec.offset
+        k = sub.size + offset
         if k < 1:
             raise UniqueFactorizationFailure(f"empty core factor at {i} in {steps!r}")
-        parts.append(Pyramid(k + 1) if r == 1 else ValleyBlock(k, (1,) * r))
+        parts.append(_unit_part(k, r))
         decos.append(PartDecoration(sub, tuple(symbols)))
     return DecoratedStructure(map_id, ValleyStructure(tuple(parts)), tuple(decos))
-
-
-def _decorated_part_weight(map_id: str, spec: MapSpec, part, deco: PartDecoration) -> Polynomial:
-    """Core, decoration and tail-unit weight of one decorated part."""
-    factors = [target_weight(deco.subpath, spec.decoration_weighting)]
-    if spec.core is not None:
-        factors.append(spec.core)
-    if spec.symbols:
-        for symbol, _, weight in spec.tail:
-            units = deco.symbols.count(symbol)
-            if units and weight != _ONE:
-                factors.append(weight**units)
-    else:
-        _, r = _part_form(map_id, part)
-        weight = spec.tail[0][2]
-        if r > 1 and weight != _ONE:
-            factors.append(weight ** (r - 1))
-    return Polynomial.product(factors)
 
 
 def decorated_weight(obj: DecoratedStructure) -> Polynomial:
     """Product over the parts of the core, decoration and tail-unit weights."""
     spec = MAPS[obj.map_id]
-    return Polynomial.product(
-        _decorated_part_weight(obj.map_id, spec, part, deco)
-        for part, deco in zip(obj.structure.parts, obj.decorations)
-    )
+    weighting, core, tail = spec.decoration_weighting, spec.core, spec.tail
+    total = None
+    for part, deco in zip(obj.structure.parts, obj.decorations):
+        weight = target_weight(deco.subpath, weighting)
+        if core is not None:
+            weight = weight * core
+        if spec.symbols:
+            for symbol, _, unit in tail:
+                count = deco.symbols.count(symbol)
+                if count and unit != _ONE:
+                    weight = weight * unit**count
+        else:
+            _, r = _part_form(obj.map_id, part)
+            unit = tail[0][2]
+            if r > 1 and unit != _ONE:
+                weight = weight * unit ** (r - 1)
+        total = weight if total is None else total * weight
+    return _ONE if total is None else total
 
 
 # -- the tau exchange between the two integer Delannoy weightings ---------------
@@ -345,6 +342,7 @@ def decorated_weight(obj: DecoratedStructure) -> Polynomial:
 TAU_SIDES = ("src_4372", "dst_2174")
 
 _TAU_LETTERS = {"src_4372": ("1", "1h"), "dst_2174": ("1", "3h")}
+_TAU_ALLOWED = {side: frozenset(letters) for side, letters in _TAU_LETTERS.items()}
 
 _LETTER_VALUE = {"1": 1, "1h": 1, "3": 3, "3h": 3, "7": 7}
 
@@ -362,11 +360,13 @@ class TauFactor:
     letters: tuple[str, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        object.__setattr__(self, "heights", tuple(self.heights))
-        object.__setattr__(self, "letters", tuple(self.letters))
+        if type(self.heights) is not tuple:
+            object.__setattr__(self, "heights", tuple(self.heights))
+        if type(self.letters) is not tuple:
+            object.__setattr__(self, "letters", tuple(self.letters))
         if self.ascent < 1:
             raise InvalidDecoration("the marked ascent must have length at least 1")
-        if not self.heights or any(h < 1 for h in self.heights):
+        if not self.heights or min(self.heights) < 1:
             raise InvalidDecoration("inner pyramid heights must be positive")
         if len(self.letters) != self.ascent - 1:
             raise InvalidDecoration("a factor carries ascent-1 letters")
@@ -382,27 +382,22 @@ class TauDecorated:
     factors: tuple[TauFactor, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(self.factors))
+        if type(self.factors) is not tuple:
+            object.__setattr__(self, "factors", tuple(self.factors))
         if self.side not in TAU_SIDES:
             raise BadParams(f"unknown tau side {self.side!r}")
-        allowed = set(_TAU_LETTERS[self.side])
+        allowed = _TAU_ALLOWED[self.side]
         for factor in self.factors:
-            bad = [tok for tok in factor.letters if tok not in allowed]
-            if bad:
-                raise InvalidDecoration(
-                    f"letters {bad} are not allowed on side {self.side}"
-                )
+            if not allowed.issuperset(factor.letters):
+                bad = [tok for tok in factor.letters if tok not in allowed]
+                raise InvalidDecoration(f"letters {bad} are not allowed on side {self.side}")
 
     @property
     def size(self) -> int:
         return sum(f.semilength for f in self.factors)
 
     def to_path(self) -> Path:
-        chunks = []
-        for f in self.factors:
-            inner = "".join("U" * h + "D" * h for h in f.heights)
-            chunks.append("U" * f.ascent + inner + "D" * f.ascent)
-        return Path("dyck", "".join(chunks))
+        return tau_structure(self).to_path()
 
     def to_json(self) -> dict:
         return {
@@ -415,10 +410,7 @@ class TauDecorated:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "TauDecorated":
-        factors = tuple(
-            TauFactor(entry["k0"], tuple(entry["blocks"]), tuple(entry["letters"]))
-            for entry in data["parts"]
-        )
+        factors = [TauFactor(e["k0"], e["blocks"], e["letters"]) for e in data["parts"]]
         return cls(data["side"], factors)
 
 
@@ -429,25 +421,23 @@ def enumerate_tau(n: int, side: str) -> Iterator[TauDecorated]:
     alphabet = _TAU_LETTERS[side]
     for structure in valley_structures(n):
         per_part: list[list[TauFactor]] = []
-        feasible = True
         for part in structure.parts:
-            choices: list[TauFactor] = []
             if isinstance(part, Pyramid):
                 # the mark splits a height-h axis pyramid as k0 + (h - k0)
-                for k0 in range(1, part.height):
-                    for letters in product(alphabet, repeat=k0 - 1):
-                        choices.append(TauFactor(k0, (part.height - k0,), letters))
+                marks = [(k0, (part.height - k0,)) for k0 in range(1, part.height)]
             else:
-                for letters in product(alphabet, repeat=part.ascent - 1):
-                    choices.append(TauFactor(part.ascent, part.heights, letters))
+                marks = [(part.ascent, part.heights)]
+            choices = [
+                TauFactor(k0, heights, letters)
+                for k0, heights in marks
+                for letters in product(alphabet, repeat=k0 - 1)
+            ]
             if not choices:
-                feasible = False
                 break
             per_part.append(choices)
-        if not feasible:
-            continue
-        for combo in product(*per_part):
-            yield TauDecorated(side, tuple(combo))
+        else:
+            for combo in product(*per_part):
+                yield TauDecorated(side, tuple(combo))
 
 
 def _encode_heights(heights: tuple[int, ...], marker: str) -> tuple[str, ...]:
@@ -478,32 +468,25 @@ def _decode_heights(tokens: tuple[str, ...], marker: str) -> tuple[int, ...]:
 def tau_apply(obj: TauDecorated) -> TauDecorated:
     """Exchange sides one primitive factor at a time.
 
-    Per factor, with V the '3'/'1' encoding of the inner heights (which
+    Per factor, with V the encoding of the inner heights in the other
+    side's hatted letter ('3h' from the source, '1h' from the target; V
     always ends in '1'):
 
         new ascent   = sum of old heights
-        new heights  = decode of reversed(letters) + ('1',)
-        new letters  = relabeled reverse of V without its final '1'
+        new heights  = decode of reversed(letters) + ('1',), this side's
+                       hatted letter marking the pyramid steps
+        new letters  = reverse of V without its final '1'
 
-    Applying the map from the other side uses the mirrored alphabet; the
-    construction is an involution up to the side tag, and the letter value
-    product (3 per hatted-3, 7 once per factor) is preserved because the
-    dropped token is always the valueless '1'.
+    The construction is an involution up to the side tag, and the letter
+    value product (3 per hatted-3, 7 once per factor) is preserved because
+    the dropped token is always the valueless '1'.
     """
     src = obj.side == "src_4372"
+    ours, theirs = ("1h", "3h") if src else ("3h", "1h")
     out: list[TauFactor] = []
     for f in obj.factors:
-        if src:
-            encoded = _encode_heights(f.heights, "3")
-            new_letters = tuple(
-                "3h" if tok == "3" else "1" for tok in reversed(encoded[:-1])
-            )
-            new_heights = _decode_heights(tuple(reversed(f.letters)) + ("1",), "1h")
-        else:
-            encoded = _encode_heights(f.heights, "1h")
-            new_letters = tuple(reversed(encoded[:-1]))
-            unhatted = tuple("3" if tok == "3h" else "1" for tok in f.letters)
-            new_heights = _decode_heights(tuple(reversed(unhatted)) + ("1",), "3")
+        new_letters = tuple(reversed(_encode_heights(f.heights, theirs)[:-1]))
+        new_heights = _decode_heights(tuple(reversed(f.letters)) + ("1",), ours)
         out.append(TauFactor(sum(f.heights), new_heights, new_letters))
     return TauDecorated("dst_2174" if src else "src_4372", tuple(out))
 
@@ -527,9 +510,7 @@ def tau_ustep_weights(factor: TauFactor, side: str) -> tuple[str, ...]:
     tokens: list[str] = ["7"]
     tokens.extend(factor.letters)
     if side == "src_4372":
-        for h in factor.heights:
-            tokens.extend(["3"] * (h - 1))
-            tokens.append("1")
+        tokens.extend(_encode_heights(factor.heights, "3"))
     else:
         tokens.extend(["1"] * sum(factor.heights))
     return tuple(tokens)

@@ -30,9 +30,37 @@ from .paths import FAMILY_STEPS, FILTERS, Path, enumerate_family, render_ascii
 from .polynomials import Polynomial
 from .series import valley_series, valley_series_ab
 from .verify import SUITES, run_check, run_suite
-from .weights import WeightSpec, _pin_params, registry_get, valley_weight_sum
+from .weights import REGISTRY, WeightSpec, _pin_params, registry_get, valley_weight_sum
 
 DEFAULT_ORDER = 12
+
+# each command's size flag, the option naming its input, and per input the
+# largest size that ran within an 8 s budget (CHANGES.md); an input without a
+# cap of its own (a spec file) is held to the lowest cap of its command
+SIZE_CAPS = {
+    "series": ("order", "spec", {
+        "generic": 19, "geom_3x": 1405, "geom_fib": 1277, "motzkin_ab": 106,
+        "schroder_large_q": 78, "schroder_small_q": 78, "narayana_t": 75,
+        "narayana_shift_t": 69, "chebyshev_abcd": 45, "chebyshev_second": 71,
+        "delannoy_tuple": 829, "fuss_sym": 220, "fuss_asym": 220, "fuss_cubic": 239,
+    }),
+    "count": ("n", "spec", dict.fromkeys(REGISTRY, 14)
+              | dict.fromkeys(("generic", "chebyshev_abcd", "chebyshev_second"), 13)),
+    "enumerate": ("n", "family", {
+        "dyck": 11, "motzkin": 14, "schroder_large": 9, "schroder_small": 9, "delannoy": 7,
+    }),
+    "oracle": ("n", "name", {
+        "catalan": 7057, "fibonacci": 19965, "motzkin_ab": 107, "schroder_large": 77,
+        "schroder_small": 81, "narayana": 3047, "chebyshev_u": 4570, "delannoy": 2509,
+        "fuss": 4302, "geom_3x": 8873, "geom_fib": 10285, "motzkin_diff": 90,
+        "schroder_large_diff": 68, "schroder_small_diff": 68, "narayana_diff": 2330,
+        "narayana_shift_diff": 2091, "chebyshev_closed": 107, "abcd_power": 8873,
+        "abcd_chebyshev": 5511, "abcd_fibonacci": 10285, "chebyshev_second": 378,
+        "delannoy_convolution": 460, "fuss_sym": 3405, "fuss_asym": 602,
+        "fuss_asym_collapse": 4302, "fuss_cubic": 637, "fuss_cubic_collapse": 4302,
+    }),
+    "verify": ("max_n", "suite", dict.fromkeys(SUITES, 33)),
+}
 
 
 def _parse_params(pairs: list[str] | None) -> dict[str, str]:
@@ -351,6 +379,11 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
+        if args.command in SIZE_CAPS:
+            dest, key, caps = SIZE_CAPS[args.command]
+            value, cap = getattr(args, dest), caps.get(getattr(args, key), min(caps.values()))
+            if value > cap:
+                raise ValleyDyckError(f"--{dest.replace('_', '-')} {value} is above its cap of {cap}")
         return args.fn(args)
     except ValleyDyckError as exc:
         sys.stderr.write(f"error: {exc}\n")

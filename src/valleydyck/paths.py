@@ -3,7 +3,8 @@
 Steps are single characters: ``U`` = (1,1), ``D`` = (1,-1), ``F`` = (1,0)
 (the Motzkin unit flat) and ``H`` = (2,0) (the Schroder/Delannoy double
 flat).  A path is a family tag plus a step string; validation happens at
-construction.  Delannoy paths may dip below the axis; every other family is
+construction, in one scan of the steps against the family's step-to-rise
+table.  Delannoy paths may dip below the axis; every other family is
 confined to the first quadrant, and the small Schroder family additionally
 forbids ``H`` on the axis.
 
@@ -13,7 +14,9 @@ paths, whose size is the step count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from itertools import accumulate, groupby
 from typing import Iterator, Mapping, Union
 
 from .errors import (
@@ -33,6 +36,17 @@ FAMILY_STEPS = {
     "schroder_large": "UDH",
     "schroder_small": "UDH",
     "delannoy": "UDH",
+}
+
+# per family: its step -> rise table (a step missing from it is illegal), the
+# lowest level it may reach and the step it bars on the axis
+_FAMILY_RULES = {
+    family: (
+        {ch: STEP_RISE[ch] for ch in alphabet},
+        -math.inf if family == "delannoy" else 0,
+        "H" if family == "schroder_small" else None,
+    )
+    for family, alphabet in FAMILY_STEPS.items()
 }
 
 FILTERS = ("none", "first_not_flat", "first_two_not_ud", "y_filter")
@@ -59,19 +73,21 @@ class Path:
     steps: str = ""
 
     def __post_init__(self):
-        alphabet = FAMILY_STEPS.get(self.family)
-        if alphabet is None:
+        rules = _FAMILY_RULES.get(self.family)
+        if rules is None:
             raise FamilyViolation(f"unknown family {self.family!r}")
+        rise, floor, barred = rules
         level = 0
-        below_ok = self.family == "delannoy"
-        for ch in self.steps:
-            if ch not in alphabet:
-                raise IllegalCharacter(f"step {ch!r} is not allowed in {self.family}")
-            if self.family == "schroder_small" and ch == "H" and level == 0:
-                raise FamilyViolation("small Schroder paths have no H-step on the axis")
-            level += STEP_RISE[ch]
-            if level < 0 and not below_ok:
-                raise NegativeLevel(f"path dips to level {level}")
+        try:
+            for ch in self.steps:
+                level += rise[ch]
+                if level < floor:
+                    raise NegativeLevel(f"path dips to level {level}")
+                # the barred step is flat, so it sat on the axis iff it ends there
+                if level == 0 and ch == barred:
+                    raise FamilyViolation("small Schroder paths have no H-step on the axis")
+        except KeyError:
+            raise IllegalCharacter(f"step {ch!r} is not allowed in {self.family}") from None
         if level != 0:
             raise NonzeroEnd(f"path ends at level {level}")
 
@@ -89,10 +105,7 @@ class Path:
 
     def levels(self) -> tuple[int, ...]:
         """Level after 0, 1, 2, ... steps (length len(steps)+1)."""
-        out = [0]
-        for ch in self.steps:
-            out.append(out[-1] + STEP_RISE[ch])
-        return tuple(out)
+        return tuple(accumulate(map(STEP_RISE.__getitem__, self.steps), initial=0))
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -200,12 +213,12 @@ def enumerate_family(family: str, n: int, filt: str = "none") -> Iterator[Path]:
         raise ValueError("size must be nonnegative")
     if filt not in _FILTER_PREDICATES:
         raise ValueError(f"unknown filter {filt!r}")
-    alphabet = FAMILY_STEPS.get(family)
-    if alphabet is None:
+    rules = _FAMILY_RULES.get(family)
+    if rules is None:
         raise FamilyViolation(f"unknown family {family!r}")
+    rise, floor, barred = rules
     keep = _FILTER_PREDICATES[filt]
     width = n if family == "motzkin" else 2 * n
-    below_ok = family == "delannoy"
     prefix: list[str] = []
 
     def walk(level: int, remaining: int) -> Iterator[str]:
@@ -213,14 +226,14 @@ def enumerate_family(family: str, n: int, filt: str = "none") -> Iterator[Path]:
             if level == 0:
                 yield "".join(prefix)
             return
-        for ch in alphabet:
+        for ch in rise:
             w = STEP_WIDTH[ch]
             if w > remaining:
                 continue
-            if family == "schroder_small" and ch == "H" and level == 0:
+            if ch == barred and level == 0:
                 continue
-            nl = level + STEP_RISE[ch]
-            if nl < 0 and not below_ok:
+            nl = level + rise[ch]
+            if nl < floor:
                 continue
             if abs(nl) > remaining - w:
                 continue
@@ -306,20 +319,11 @@ class ValleyStructure:
     def from_path(cls, path: Path) -> "ValleyStructure":
         if path.family != "dyck":
             raise FamilyViolation("valley structures are built from Dyck paths")
-        parts: list[Part] = []
-        for factor in primitive_factors(path):
-            parts.append(_parse_factor(factor))
-        return cls(tuple(parts))
+        return cls(tuple(_parse_factor(factor) for factor in primitive_factors(path)))
 
 
 def _run_lengths(steps: str) -> list[tuple[str, int]]:
-    runs = []
-    for ch in steps:
-        if runs and runs[-1][0] == ch:
-            runs[-1][1] += 1
-        else:
-            runs.append([ch, 1])
-    return [(ch, n) for ch, n in runs]
+    return [(ch, len(list(run))) for ch, run in groupby(steps)]
 
 
 def _parse_factor(factor: Path) -> Part:
@@ -361,23 +365,25 @@ def valley_structures(n: int) -> Iterator[ValleyStructure]:
     if n < 0:
         raise ValueError("size must be nonnegative")
 
-    def parts_of_size(s: int) -> Iterator[Part]:
-        yield Pyramid(s)
-        for k in range(1, s - 1):
-            for heights in _compositions(s - k, 2):
-                yield ValleyBlock(k, heights)
-
-    def rec(remaining: int) -> Iterator[tuple[Part, ...]]:
-        if remaining == 0:
-            yield ()
-            return
-        for s in range(1, remaining + 1):
-            for part in parts_of_size(s):
-                for tail in rec(remaining - s):
-                    yield (part,) + tail
-
-    for parts in rec(n):
+    # every part of each size, built once and shared by the structures
+    parts_of_size = {
+        s: [Pyramid(s)]
+        + [ValleyBlock(k, heights) for k in range(1, s - 1) for heights in _compositions(s - k, 2)]
+        for s in range(1, n + 1)
+    }
+    for parts in _part_sequences(n, parts_of_size):
         yield ValleyStructure(parts)
+
+
+def _part_sequences(remaining: int, parts_of_size: dict) -> Iterator[tuple[Part, ...]]:
+    # not a closure: a recursive closure is a cycle that would keep the parts alive
+    if remaining == 0:
+        yield ()
+        return
+    for s in range(1, remaining + 1):
+        for part in parts_of_size[s]:
+            for tail in _part_sequences(remaining - s, parts_of_size):
+                yield (part,) + tail
 
 
 def _compositions(total: int, min_parts: int) -> Iterator[tuple[int, ...]]:

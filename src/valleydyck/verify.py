@@ -462,8 +462,9 @@ def run_suite(suite: str, max_n: int, jobs: int = 1) -> VerifyReport:
         raise KeyError(f"unknown suite {suite!r}; known: {', '.join(SUITES)}")
     _require_bound(max_n)
     names = SUITES[suite]
-    # more workers than checks or CPUs only costs start-up time and memory
-    jobs = min(jobs, len(names), os.cpu_count() or 1)
+    # more workers than checks or usable CPUs only costs start-up time and memory
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    jobs = min(jobs, len(names), cpus or 1)
     if jobs <= 1:
         results = tuple(_execute((name, max_n)) for name in names)
     else:

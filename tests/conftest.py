@@ -30,3 +30,35 @@ def verify_all_runs():
         assert proc.returncode == 0, proc.stderr + proc.stdout
         out[key] = proc.stdout
     return out
+
+
+@pytest.fixture
+def assert_capped(monkeypatch, capsys):
+    """Check one size cap: ``check(command, name, in_use)``.
+
+    ``name`` is the input the cap belongs to (a weight table, a family, an
+    oracle name or a suite) and ``in_use`` the largest size the tests, the
+    golden files or ``perfbench/jobs.py`` ask of it; the cap must admit it.
+    At the cap the command runs; one more, or a huge value, exits 2 with
+    exactly one ``error:`` line before the command starts.
+    """
+    from valleydyck import cli
+
+    def check(command, name, in_use):
+        flag, key, caps = cli.SIZE_CAPS[command]
+        cap = caps[name]
+        assert cap >= in_use, (command, name)
+        option = "--" + flag.replace("_", "-")
+        ran = []
+        monkeypatch.setattr(cli, f"_cmd_{command}", lambda args: ran.append(getattr(args, flag)) or 0)
+        argv = [command, f"--{key}", name, option]
+        assert cli.main([*argv, str(cap)]) == 0
+        capsys.readouterr()
+        for value in (cap + 1, 10**9):
+            assert cli.main([*argv, str(value)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {option} {value} is above its cap of {cap}\n"
+        assert ran == [cap]
+
+    return check

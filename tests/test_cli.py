@@ -1,4 +1,5 @@
 import concurrent.futures
+import importlib.util
 import json
 import os
 import subprocess
@@ -6,6 +7,9 @@ import sys
 from pathlib import Path as FilePath
 
 from valleydyck import cli, verify
+from valleydyck.oracles import _ORACLES, formula_names
+from valleydyck.paths import FAMILY_STEPS
+from valleydyck.weights import REGISTRY
 
 FIXTURES = FilePath(__file__).parent / "fixtures"
 
@@ -271,11 +275,68 @@ def test_verify_jobs_clamped_to_checks_and_cpus(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    # the CPUs this process may run on count, not the CPUs of the machine
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     serial = verify.run_suite("bijections", 2)
     assert verify.run_suite("bijections", 2, jobs=1000) == serial
     assert verify.run_suite("closed_forms", 2, jobs=1000).passed
     assert pools == [3, 2]
+    # a run pinned to one CPU builds no pool
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1})
+    assert verify.run_suite("bijections", 2, jobs=2) == serial
+    assert pools == [3, 2]
+    # without an affinity call the CPU count decides, and an unknown count means one
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert verify.run_suite("bijections", 2, jobs=1000) == serial
+    assert pools == [3, 2, 3]
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert verify.run_suite("closed_forms", 2, jobs=1000).passed
-    assert pools == [3, 2]
+    assert pools == [3, 2, 3]
+
+
+def _perfbench_jobs():
+    """``perfbench/jobs.py``, loaded by path; it imports nothing of the program."""
+    path = FilePath(__file__).parents[1] / "perfbench" / "jobs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_jobs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_order_cap(assert_capped, capsys):
+    # every weight table has its own cap, at least the orders the series
+    # workload runs it at; a spec file is held to the lowest cap
+    served = {table: hi for table, _, hi, *_ in _perfbench_jobs().SERIES_TABLES}
+    caps = cli.SIZE_CAPS["series"][2]
+    assert set(caps) == set(REGISTRY) == set(served)
+    for table in REGISTRY:
+        assert_capped("series", table, in_use=max(served[table], cli.DEFAULT_ORDER))
+    lowest = min(caps.values())
+    assert cli.main(["series", "--spec", "@unread.json", "--order", str(lowest + 1)]) == 2
+    assert capsys.readouterr().err == f"error: --order {lowest + 1} is above its cap of {lowest}\n"
+
+
+def test_n_cap(assert_capped):
+    # count: the golden files and the quick CLI jobs go to n = 6, the
+    # brute-force structure sums to generic 10 and delannoy_tuple 12
+    assert set(cli.SIZE_CAPS["count"][2]) == set(REGISTRY)
+    for table in REGISTRY:
+        assert_capped("count", table, in_use={"generic": 10, "delannoy_tuple": 12}.get(table, 6))
+    # enumerate: the quick CLI jobs go to dyck 7, the brute-force jobs
+    # enumerate each target family up to its largest size
+    in_use = dict.fromkeys(FAMILY_STEPS, 0) | {"dyck": 7}
+    for family, *_, hi in _perfbench_jobs().TARGETS:
+        in_use[family] = max(in_use[family], hi)
+    assert set(cli.SIZE_CAPS["enumerate"][2]) == set(FAMILY_STEPS)
+    for family in FAMILY_STEPS:
+        assert_capped("enumerate", family, in_use=in_use[family])
+
+
+def test_oracle_n_cap(assert_capped):
+    # the quick CLI jobs ask catalan up to 15 and fuss up to 12
+    names = set(_ORACLES) | set(formula_names())
+    assert set(cli.SIZE_CAPS["oracle"][2]) == names
+    for name in names:
+        assert_capped("oracle", name, in_use=15)

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from valleydyck.errors import (
@@ -135,6 +138,19 @@ def test_valley_structures_small():
     assert len(three) == 5
     assert ValleyStructure((ValleyBlock(1, (1, 1)),)) in three
     assert ValleyStructure((Pyramid(1), Pyramid(2))) in three
+
+
+def test_valley_structures_frees_its_parts():
+    # one call's structures share their parts; once the structures are gone,
+    # nothing, not even a reference cycle, may keep a part alive
+    gc.disable()
+    try:
+        structures = list(valley_structures(6))
+        part = weakref.ref(structures[-1].parts[0])
+        del structures
+        assert part() is None
+    finally:
+        gc.enable()
 
 
 def test_intro_structure_round_trips():

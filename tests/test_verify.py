@@ -124,3 +124,13 @@ def test_check_fails_on_a_wrong_input(check, monkeypatch):
     result = CHECKS[check](3)
     assert result.status == "fail"
     assert " != " in result.detail, result.detail  # a comparison caught it, not an exception
+
+
+
+def test_max_n_cap(assert_capped):
+    # the cap lets every check reach its own clamp and admits the largest
+    # bound the tests use (10)
+    clamps = max(max(UPTO.values()), max(LEAST.values()))
+    assert set(cli.SIZE_CAPS["verify"][2]) == set(verify.SUITES)
+    for suite in verify.SUITES:
+        assert_capped("verify", suite, in_use=max(10, clamps))
