@@ -19,15 +19,18 @@ a factor is (marked ascent k0, inner pyramid heights, a letter string of
 length k0 - 1), and the map is a reversal-and-relabeling shuffle between
 the letter string and the encoded pyramid heights that preserves the letter
 value product.
+
+``MapSpec``, the decorated objects and the tau factors are slotted immutable
+values (``_value.Value``), each checked once, by its constructor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 from typing import Iterator, Mapping
 
+from ._value import Value, slot_setters
 from .errors import (
     BadParams,
     InvalidDecoration,
@@ -54,31 +57,36 @@ _T = Polynomial.var("t")
 _ONE = Polynomial.one()
 
 
-@dataclass(frozen=True)
-class MapSpec:
+class MapSpec(Value, hidden=("letters",)):
     """What one structure map is: its two sides and how a part crosses.
 
     ``tail`` lists the tail units a part may append, as (symbol, letters,
     weight).  A lone unit has the symbol None and is never recorded; where
     there are several, a decoration names each of its units by symbol.
+    Two fields are derived from ``tail``: ``symbols``, what a decoration may
+    record, and ``letters``, each symbol's tail letters (not compared).
     """
 
-    target: tuple[str, str]  # family and filter of the image paths
-    target_weighting: str  # target_weight() weighting the images carry
-    registry: str  # weight table whose structure weights the map realizes
-    formula: str  # formula_vn() name of the summed weight at each size
-    decoration: str  # family of the subpath Q decorating a part
-    decoration_weighting: str  # target_weight() weighting of Q
-    tail: tuple[tuple[str | None, str, Polynomial], ...]
-    offset: int = 0  # Q has size k - offset
-    core: Polynomial | None = None  # weight of u Q d beyond Q's own
-    symbols: tuple[str, ...] = field(init=False)  # what a decoration may record
-    letters: dict = field(init=False, compare=False, repr=False)  # symbol -> its tail letters
+    __slots__ = (
+        "target", "target_weighting", "registry", "formula", "decoration",
+        "decoration_weighting", "tail", "offset", "core", "symbols", "letters",
+    )
 
-    def __post_init__(self):
-        letters = {s: unit for s, unit, _ in self.tail if s is not None}
-        object.__setattr__(self, "symbols", tuple(letters))
-        object.__setattr__(self, "letters", letters)
+    def __init__(
+        self,
+        target: tuple[str, str],  # family and filter of the image paths
+        target_weighting: str,  # target_weight() weighting the images carry
+        registry: str,  # weight table whose structure weights the map realizes
+        formula: str,  # formula_vn() name of the summed weight at each size
+        decoration: str,  # family of the subpath Q decorating a part
+        decoration_weighting: str,  # target_weight() weighting of Q
+        tail: tuple[tuple[str | None, str, Polynomial], ...],
+        offset: int = 0,  # Q has size k - offset
+        core: Polynomial | None = None,  # weight of u Q d beyond Q's own
+    ):
+        letters = {s: unit for s, unit, _ in tail if s is not None}
+        self._fill(target, target_weighting, registry, formula, decoration,
+                   decoration_weighting, tail, offset, core, tuple(letters), letters)
 
 
 MAPS: dict[str, MapSpec] = {
@@ -128,36 +136,44 @@ def _map_spec(map_id: str) -> MapSpec:
     return spec
 
 
-@dataclass(frozen=True)
-class PartDecoration:
-    subpath: Path
-    symbols: tuple[str, ...] = field(default_factory=tuple)
+class PartDecoration(Value):
+    __slots__ = ("subpath", "symbols")
 
-    def __post_init__(self):
-        if type(self.symbols) is not tuple:
-            object.__setattr__(self, "symbols", tuple(self.symbols))
-        if not _SYMBOLS.issuperset(self.symbols):
-            bad = next(s for s in self.symbols if s not in _SYMBOLS)
+    def __init__(self, subpath: Path, symbols: tuple[str, ...] = ()):
+        if type(symbols) is not tuple:
+            symbols = tuple(symbols)
+        if not _SYMBOLS.issuperset(symbols):
+            bad = next(s for s in symbols if s not in _SYMBOLS)
             raise InvalidDecoration(f"unknown decoration symbol {bad!r}")
+        _deco_subpath(self, subpath)
+        _deco_symbols(self, symbols)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.subpath, self.symbols) == (other.subpath, other.symbols)
+
+    def __hash__(self):
+        return hash((self.subpath, self.symbols))
 
 
-@dataclass(frozen=True)
-class DecoratedStructure:
-    map_id: str
-    structure: ValleyStructure
-    decorations: tuple[PartDecoration, ...] = field(default_factory=tuple)
+_deco_subpath, _deco_symbols = slot_setters(PartDecoration)
 
-    def __post_init__(self):
-        if type(self.decorations) is not tuple:
-            object.__setattr__(self, "decorations", tuple(self.decorations))
-        spec = _map_spec(self.map_id)
-        if len(self.decorations) != len(self.structure.parts):
+
+class DecoratedStructure(Value):
+    __slots__ = ("map_id", "structure", "decorations")
+
+    def __init__(self, map_id: str, structure: ValleyStructure, decorations: tuple = ()):
+        if type(decorations) is not tuple:
+            decorations = tuple(decorations)
+        spec = _map_spec(map_id)
+        if len(decorations) != len(structure.parts):
             raise InvalidDecoration("one decoration per part is required")
         family = spec.decoration
-        for part, deco in zip(self.structure.parts, self.decorations):
-            k, r = _part_form(self.map_id, part)
+        for part, deco in zip(structure.parts, decorations):
+            k, r = _part_form(map_id, part)
             if deco.subpath.family != family:
-                raise InvalidDecoration(f"{self.map_id} decorations are {family} paths")
+                raise InvalidDecoration(f"{map_id} decorations are {family} paths")
             wanted = k - spec.offset
             if deco.subpath.size != wanted:
                 raise InvalidDecoration(
@@ -165,9 +181,22 @@ class DecoratedStructure:
                 )
             if spec.symbols:
                 if len(deco.symbols) != r - 1:
-                    raise InvalidDecoration(f"{self.map_id} needs r-1 symbols")
+                    raise InvalidDecoration(f"{map_id} needs r-1 symbols")
             elif deco.symbols:
-                raise InvalidDecoration(f"{self.map_id} takes no symbols")
+                raise InvalidDecoration(f"{map_id} takes no symbols")
+        _decorated_map_id(self, map_id)
+        _decorated_structure(self, structure)
+        _decorated_decorations(self, decorations)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.map_id, self.structure, self.decorations) == (
+            other.map_id, other.structure, other.decorations
+        )
+
+    def __hash__(self):
+        return hash((self.map_id, self.structure, self.decorations))
 
     @property
     def size(self) -> int:
@@ -199,6 +228,9 @@ class DecoratedStructure:
                 parts.append(ValleyBlock(entry["ascent"], entry["heights"]))
             decos.append(PartDecoration(Path(family, entry["sub"]), entry.get("symbols", ())))
         return cls(map_id, ValleyStructure(parts), decos)
+
+
+_decorated_map_id, _decorated_structure, _decorated_decorations = slot_setters(DecoratedStructure)
 
 
 def _part_form(map_id: str, part) -> tuple[int, int]:
@@ -347,50 +379,71 @@ _TAU_ALLOWED = {side: frozenset(letters) for side, letters in _TAU_LETTERS.items
 _LETTER_VALUE = {"1": 1, "1h": 1, "3": 3, "3h": 3, "7": 7}
 
 
-@dataclass(frozen=True)
-class TauFactor:
+class TauFactor(Value):
     """One primitive factor: marked ascent, inner pyramid heights, letters.
 
     The mark sits at the end of the ascent; the letters decorate ascent
     steps 2..k0 and the first up step always carries the value 7.
     """
 
-    ascent: int
-    heights: tuple[int, ...]
-    letters: tuple[str, ...] = field(default_factory=tuple)
+    __slots__ = ("ascent", "heights", "letters")
 
-    def __post_init__(self):
-        if type(self.heights) is not tuple:
-            object.__setattr__(self, "heights", tuple(self.heights))
-        if type(self.letters) is not tuple:
-            object.__setattr__(self, "letters", tuple(self.letters))
-        if self.ascent < 1:
+    def __init__(self, ascent: int, heights: tuple[int, ...], letters: tuple[str, ...] = ()):
+        if type(heights) is not tuple:
+            heights = tuple(heights)
+        if type(letters) is not tuple:
+            letters = tuple(letters)
+        if ascent < 1:
             raise InvalidDecoration("the marked ascent must have length at least 1")
-        if not self.heights or min(self.heights) < 1:
+        if not heights or min(heights) < 1:
             raise InvalidDecoration("inner pyramid heights must be positive")
-        if len(self.letters) != self.ascent - 1:
+        if len(letters) != ascent - 1:
             raise InvalidDecoration("a factor carries ascent-1 letters")
+        _factor_ascent(self, ascent)
+        _factor_heights(self, heights)
+        _factor_letters(self, letters)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ascent, self.heights, self.letters) == (
+            other.ascent, other.heights, other.letters
+        )
+
+    def __hash__(self):
+        return hash((self.ascent, self.heights, self.letters))
 
     @property
     def semilength(self) -> int:
         return self.ascent + sum(self.heights)
 
 
-@dataclass(frozen=True)
-class TauDecorated:
-    side: str
-    factors: tuple[TauFactor, ...] = field(default_factory=tuple)
+_factor_ascent, _factor_heights, _factor_letters = slot_setters(TauFactor)
 
-    def __post_init__(self):
-        if type(self.factors) is not tuple:
-            object.__setattr__(self, "factors", tuple(self.factors))
-        if self.side not in TAU_SIDES:
-            raise BadParams(f"unknown tau side {self.side!r}")
-        allowed = _TAU_ALLOWED[self.side]
-        for factor in self.factors:
+
+class TauDecorated(Value):
+    __slots__ = ("side", "factors")
+
+    def __init__(self, side: str, factors: tuple[TauFactor, ...] = ()):
+        if type(factors) is not tuple:
+            factors = tuple(factors)
+        if side not in TAU_SIDES:
+            raise BadParams(f"unknown tau side {side!r}")
+        allowed = _TAU_ALLOWED[side]
+        for factor in factors:
             if not allowed.issuperset(factor.letters):
                 bad = [tok for tok in factor.letters if tok not in allowed]
-                raise InvalidDecoration(f"letters {bad} are not allowed on side {self.side}")
+                raise InvalidDecoration(f"letters {bad} are not allowed on side {side}")
+        _tau_side(self, side)
+        _tau_factors(self, factors)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.side, self.factors) == (other.side, other.factors)
+
+    def __hash__(self):
+        return hash((self.side, self.factors))
 
     @property
     def size(self) -> int:
@@ -412,6 +465,9 @@ class TauDecorated:
     def from_json(cls, data: Mapping) -> "TauDecorated":
         factors = [TauFactor(e["k0"], e["blocks"], e["letters"]) for e in data["parts"]]
         return cls(data["side"], factors)
+
+
+_tau_side, _tau_factors = slot_setters(TauDecorated)
 
 
 def enumerate_tau(n: int, side: str) -> Iterator[TauDecorated]:

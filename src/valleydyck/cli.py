@@ -180,10 +180,17 @@ def _cmd_oracle(args) -> int:
         value = formula_vn(args.name, args.n, **params)
     else:
         value = oracle(args.name, args.n, **params)
-    if args.format == "json":
-        _emit(json.dumps({"name": args.name, "n": args.n, "value": value.to_json()}, indent=2))
-    else:
-        _emit(str(value))
+    try:
+        if args.format == "json":
+            text = json.dumps({"name": args.name, "n": args.n, "value": value.to_json()}, indent=2)
+        else:
+            text = str(value)
+    except ValueError:  # past the interpreter's cap on turning an int into text
+        raise ValleyDyckError(
+            f"oracle {args.name} at n = {args.n} gives a number of more than "
+            f"{sys.get_int_max_str_digits()} digits, more than can be printed"
+        ) from None
+    _emit(text)
     return 0
 
 

@@ -10,15 +10,19 @@ forbids ``H`` on the axis.
 
 The size of a path is its semilength (half the width) except for Motzkin
 paths, whose size is the step count.
+
+``Path``, ``PathStats`` and the structure types ``Pyramid``, ``ValleyBlock``
+and ``ValleyStructure`` are slotted immutable values (``_value.Value``):
+each is checked once, by its constructor, and compares by its fields.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import accumulate, groupby
 from typing import Iterator, Mapping, Union
 
+from ._value import Value, slot_setters
 from .errors import (
     FamilyViolation,
     IllegalCharacter,
@@ -67,19 +71,17 @@ def passes_filter(steps: str, filt: str) -> bool:
         raise ValueError(f"unknown filter {filt!r}") from None
 
 
-@dataclass(frozen=True)
-class Path:
-    family: str
-    steps: str = ""
+class Path(Value):
+    __slots__ = ("family", "steps")
 
-    def __post_init__(self):
-        rules = _FAMILY_RULES.get(self.family)
+    def __init__(self, family: str, steps: str = ""):
+        rules = _FAMILY_RULES.get(family)
         if rules is None:
-            raise FamilyViolation(f"unknown family {self.family!r}")
+            raise FamilyViolation(f"unknown family {family!r}")
         rise, floor, barred = rules
         level = 0
         try:
-            for ch in self.steps:
+            for ch in steps:
                 level += rise[ch]
                 if level < floor:
                     raise NegativeLevel(f"path dips to level {level}")
@@ -87,9 +89,19 @@ class Path:
                 if level == 0 and ch == barred:
                     raise FamilyViolation("small Schroder paths have no H-step on the axis")
         except KeyError:
-            raise IllegalCharacter(f"step {ch!r} is not allowed in {self.family}") from None
+            raise IllegalCharacter(f"step {ch!r} is not allowed in {family}") from None
         if level != 0:
             raise NonzeroEnd(f"path ends at level {level}")
+        _path_family(self, family)
+        _path_steps(self, steps)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.family, self.steps) == (other.family, other.steps)
+
+    def __hash__(self):
+        return hash((self.family, self.steps))
 
     @property
     def width(self) -> int:
@@ -118,26 +130,27 @@ class Path:
         return cls(data["family"], data["steps"])
 
 
+_path_family, _path_steps = slot_setters(Path)
+
+
 def parse_path(text: str, family: str) -> Path:
     """Validate a step string and wrap it as a Path."""
     return Path(family, text)
 
 
-@dataclass(frozen=True)
-class PathStats:
+class PathStats(Value):
     """Deterministic structural statistics of a path.
 
     Positions are 0-based step indices.  A peak/valley is recorded with the
     level of the shared point of its two steps; a maximal pyramid with its
     height, altitude (level of its last down step) and start position.
+    Every field but the two opening-step strings is a tuple of such tuples.
     """
 
-    peaks: tuple[tuple[int, int], ...]
-    valleys: tuple[tuple[int, int], ...]
-    pyramids: tuple[tuple[int, int, int], ...]  # (height, altitude, start)
-    factor_spans: tuple[tuple[int, int], ...]
-    first_step: str
-    first_two: str
+    __slots__ = ("peaks", "valleys", "pyramids", "factor_spans", "first_step", "first_two")
+
+    def __init__(self, peaks, valleys, pyramids, factor_spans, first_step, first_two):
+        self._fill(peaks, valleys, pyramids, factor_spans, first_step, first_two)
 
 
 def analyze(path: Path) -> PathStats:
@@ -249,57 +262,87 @@ def enumerate_family(family: str, n: int, filt: str = "none") -> Iterator[Path]:
 # -- valley-uniform structure ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Pyramid:
+class Pyramid(Value):
     """A primitive factor u^h d^h (no valleys)."""
 
-    height: int
+    __slots__ = ("height",)
 
-    def __post_init__(self):
-        if self.height < 1:
+    def __init__(self, height: int):
+        if height < 1:
             raise ValueError("pyramid height must be positive")
+        _pyramid_height(self, height)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.height == other.height
+
+    def __hash__(self):
+        return hash((self.height,))
 
     @property
     def size(self) -> int:
         return self.height
 
 
-@dataclass(frozen=True)
-class ValleyBlock:
+(_pyramid_height,) = slot_setters(Pyramid)
+
+
+class ValleyBlock(Value):
     """A primitive factor u^k (u^i1 d^i1 ... u^ir d^ir) d^k with r >= 2 peaks.
 
     All valleys sit at the ascent level k; heights are the inner pyramid
     heights in path order.
     """
 
-    ascent: int
-    heights: tuple[int, ...] = field(default_factory=tuple)
+    __slots__ = ("ascent", "heights")
 
-    def __post_init__(self):
-        if type(self.heights) is not tuple:
-            object.__setattr__(self, "heights", tuple(self.heights))
-        if self.ascent < 1:
+    def __init__(self, ascent: int, heights: tuple[int, ...] = ()):
+        if type(heights) is not tuple:
+            heights = tuple(heights)
+        if ascent < 1:
             raise ValueError("block ascent must be positive")
-        if len(self.heights) < 2 or any(h < 1 for h in self.heights):
+        if len(heights) < 2 or any(h < 1 for h in heights):
             raise ValueError("a block needs at least two positive pyramid heights")
+        _block_ascent(self, ascent)
+        _block_heights(self, heights)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ascent, self.heights) == (other.ascent, other.heights)
+
+    def __hash__(self):
+        return hash((self.ascent, self.heights))
 
     @property
     def size(self) -> int:
         return self.ascent + sum(self.heights)
 
 
+_block_ascent, _block_heights = slot_setters(ValleyBlock)
+
+
 Part = Union[Pyramid, ValleyBlock]
 
 
-@dataclass(frozen=True)
-class ValleyStructure:
+class ValleyStructure(Value):
     """Canonical decomposition of a valley-uniform Dyck path into parts."""
 
-    parts: tuple[Part, ...] = field(default_factory=tuple)
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        if type(self.parts) is not tuple:
-            object.__setattr__(self, "parts", tuple(self.parts))
+    def __init__(self, parts: tuple[Part, ...] = ()):
+        if type(parts) is not tuple:
+            parts = tuple(parts)
+        _structure_parts(self, parts)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.parts == other.parts
+
+    def __hash__(self):
+        return hash((self.parts,))
 
     @property
     def semilength(self) -> int:
@@ -320,6 +363,9 @@ class ValleyStructure:
         if path.family != "dyck":
             raise FamilyViolation("valley structures are built from Dyck paths")
         return cls(tuple(_parse_factor(factor) for factor in primitive_factors(path)))
+
+
+(_structure_parts,) = slot_setters(ValleyStructure)
 
 
 def _run_lengths(steps: str) -> list[tuple[str, int]]:

@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import os
 from collections import Counter
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterator
 
+from ._value import Value
 from .bijections import (
     MAPS,
     DecoratedStructure,
@@ -70,30 +70,28 @@ _T = Polynomial.var("t")
 Comparison = tuple[str, object, object]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Value):
     """One check's outcome: ``status`` is ``"pass"``, ``"fail"`` or ``"skip"``.
 
     ``bound`` is the sweep bound after the check's clamp, ``compared`` the
     number of comparisons made, and ``detail`` names the first mismatch.
     """
 
-    name: str
-    status: str
-    detail: str = ""
-    bound: int = 0
-    compared: int = 0
+    __slots__ = ("name", "status", "detail", "bound", "compared")
+
+    def __init__(self, name: str, status: str, detail: str = "", bound: int = 0, compared: int = 0):
+        self._fill(name, status, detail, bound, compared)
 
     @property
     def passed(self) -> bool:
         return self.status != "fail"
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    suite: str
-    max_n: int
-    results: tuple[CheckResult, ...]
+class VerifyReport(Value):
+    __slots__ = ("suite", "max_n", "results")
+
+    def __init__(self, suite: str, max_n: int, results: tuple[CheckResult, ...]):
+        self._fill(suite, max_n, results)
 
     @property
     def passed(self) -> bool:

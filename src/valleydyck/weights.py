@@ -19,12 +19,11 @@ polynomial.
 
 from __future__ import annotations
 
-import inspect
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Mapping, Union
 
+from ._value import Value
 from .errors import BadParams, FamilyViolation, NotValleyUniform, OrderExceeded
 from .paths import (
     Part,
@@ -42,17 +41,15 @@ from .series import TruncatedSeries, _require_weight_series, named_series
 ParamValue = Union[int, Fraction, Polynomial, str]
 
 
-@dataclass(frozen=True)
-class WeightSpec:
-    """The three 1-indexed weight sequences, each stored up to one order."""
+class WeightSpec(Value):
+    """The three 1-indexed weight sequences, each a tuple of polynomials up to one order."""
 
-    alpha: tuple[Polynomial, ...]
-    beta: tuple[Polynomial, ...]
-    gamma: tuple[Polynomial, ...]
+    __slots__ = ("alpha", "beta", "gamma")
 
-    def __post_init__(self):
-        if not len(self.alpha) == len(self.beta) == len(self.gamma):
+    def __init__(self, alpha: tuple, beta: tuple, gamma: tuple):
+        if not len(alpha) == len(beta) == len(gamma):
             raise ValueError("weight sequences must share one length")
+        self._fill(alpha, beta, gamma)
 
     @property
     def order(self) -> int:
@@ -408,10 +405,11 @@ REGISTRY: dict[str, Callable[..., WeightSpec]] = {
     "fuss_cubic": _build_fuss_cubic,
 }
 
-# keyword parameters each builder accepts; anything else a caller supplies is
-# treated as a value for one of the entry's symbolic coefficients
+# keyword parameters each builder accepts, after its leading order; anything
+# else a caller supplies is treated as a value for one of the entry's symbolic
+# coefficients
 _DECLARED_PARAMS: dict[str, tuple[str, ...]] = {
-    name: tuple(p for p in inspect.signature(builder).parameters if p != "order")
+    name: builder.__code__.co_varnames[1 : builder.__code__.co_argcount]
     for name, builder in REGISTRY.items()
 }
 

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path as FilePath
 
+import pytest
+
 from valleydyck import cli, verify
 from valleydyck.oracles import _ORACLES, formula_names
 from valleydyck.paths import FAMILY_STEPS
@@ -110,6 +112,19 @@ def test_oracle_command():
     data = json.loads(proc.stdout)
     assert data["value"] == [{"coeff": "13", "monomial": {}}]
     run_cli("oracle", "--name", "nonsense", "--n", "1", expect=2)
+
+
+@pytest.mark.parametrize("fmt", ["pretty", "json"])
+def test_oracle_value_past_the_digit_limit_is_a_usage_error(fmt):
+    # n = 2000 is under the fuss cap, yet its value has more digits than
+    # Python turns into text by default
+    proc = run_cli("oracle", "--name", "fuss", "--n", "2000", "--param", "r=99",
+                   "--format", fmt, expect=2)
+    _one_error_line(proc)
+    assert proc.stderr == (
+        "error: oracle fuss at n = 2000 gives a number of more than "
+        f"{sys.get_int_max_str_digits()} digits, more than can be printed\n"
+    )
 
 
 def test_biject_roundtrip_exit_codes():
@@ -256,6 +271,45 @@ def test_cli_import_loads_no_process_pool():
     code = "import sys, valleydyck.cli; print('concurrent.futures' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.stdout == "False\n", proc.stderr
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # the value types are slotted classes, and no module reads signatures
+    modules = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    code = f"import sys, valleydyck.cli; print([m for m in {modules!r} if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.stdout == "[]\n", proc.stderr
+
+
+def test_package_namespace_loads_on_first_use():
+    code = """if True:
+        import sys, valleydyck
+        def loaded():
+            return sorted(m for m in sys.modules if m.startswith("valleydyck."))
+        print(loaded())
+        from valleydyck import Path, tau_value
+        print(loaded())
+        from valleydyck.paths import Path as P
+        print(Path is P, valleydyck.verify.__name__, "oracle" in dir(valleydyck))
+        names = {}
+        exec("from valleydyck import *", names)
+        print(sorted(valleydyck.__all__) == sorted(k for k in names if k != "__builtins__"))
+        try:
+            valleydyck.nothing
+        except AttributeError as exc:
+            print(exc)
+    """
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "[]"
+    # a name loads its own module and what that module imports, no more
+    assert "valleydyck.bijections" in lines[1] and "valleydyck.verify" not in lines[1]
+    assert lines[2:] == [
+        "True valleydyck.verify True",
+        "True",
+        "module 'valleydyck' has no attribute 'nothing'",
+    ]
 
 
 def test_verify_jobs_clamped_to_checks_and_cpus(monkeypatch):

@@ -1,0 +1,196 @@
+"""The contract every immutable value type keeps, pinned once for all 13.
+
+Each case builds one instance by keyword and checks: positional construction
+gives an equal object; equality holds only against the same class with the
+same compared fields; the hash is the hash of the compared-field tuple; the
+exact ``repr``; assignment and deletion raise ``AttributeError``; a pickle
+round trip gives an equal object; defaults fill omitted trailing fields; and
+omitting the last required argument raises the usual ``TypeError``.
+"""
+
+import pickle
+
+import pytest
+
+from valleydyck.bijections import (
+    MAPS,
+    DecoratedStructure,
+    MapSpec,
+    PartDecoration,
+    TauDecorated,
+    TauFactor,
+)
+from valleydyck.paths import Path, PathStats, Pyramid, ValleyBlock, ValleyStructure, analyze
+from valleydyck.polynomials import Polynomial
+from valleydyck.verify import CheckResult, VerifyReport
+from valleydyck.weights import WeightSpec
+
+A = Polynomial.var("a")
+Q = Polynomial.var("q")
+ONE = Polynomial.one()
+
+THETA_FIELDS = dict(
+    target=("schroder_large", "y_filter"), target_weighting="schroder_q",
+    registry="schroder_large_q", formula="schroder_large_diff",
+    decoration="schroder_large", decoration_weighting="schroder_q",
+    tail=(("H", "H", Q), ("ud", "UD", ONE)), offset=0, core=None,
+)
+
+# name -> (class, keyword fields in declaration order, number of required
+# fields, compared fields beyond the init fields, repr, an unequal instance)
+CASES = {
+    "Path": (
+        Path, dict(family="dyck", steps="UD"), 1, (),
+        "Path(family='dyck', steps='UD')",
+        Path("dyck", "UUDD"),
+    ),
+    "PathStats": (
+        PathStats,
+        dict(peaks=((1, 2),), valleys=(), pyramids=((2, 0, 0),), factor_spans=((0, 4),),
+             first_step="U", first_two="UU"),
+        6, (),
+        "PathStats(peaks=((1, 2),), valleys=(), pyramids=((2, 0, 0),), "
+        "factor_spans=((0, 4),), first_step='U', first_two='UU')",
+        analyze(Path("dyck", "UDUD")),
+    ),
+    "Pyramid": (Pyramid, dict(height=2), 1, (), "Pyramid(height=2)", Pyramid(3)),
+    "ValleyBlock": (
+        ValleyBlock, dict(ascent=1, heights=(1, 2)), 1, (),
+        "ValleyBlock(ascent=1, heights=(1, 2))",
+        ValleyBlock(1, (2, 1)),
+    ),
+    "ValleyStructure": (
+        ValleyStructure, dict(parts=(Pyramid(2), ValleyBlock(1, (1, 1)))), 0, (),
+        "ValleyStructure(parts=(Pyramid(height=2), ValleyBlock(ascent=1, heights=(1, 1))))",
+        ValleyStructure((ValleyBlock(1, (1, 1)), Pyramid(2))),
+    ),
+    "WeightSpec": (
+        WeightSpec, dict(alpha=(A,), beta=(ONE,), gamma=(Polynomial.zero(),)), 3, (),
+        "WeightSpec(alpha=(Polynomial(a),), beta=(Polynomial(1),), gamma=(Polynomial(0),))",
+        WeightSpec((A,), (ONE,), (ONE,)),
+    ),
+    "MapSpec": (
+        MapSpec, THETA_FIELDS, 7, (("H", "ud"),),
+        "MapSpec(target=('schroder_large', 'y_filter'), target_weighting='schroder_q', "
+        "registry='schroder_large_q', formula='schroder_large_diff', "
+        "decoration='schroder_large', decoration_weighting='schroder_q', "
+        "tail=(('H', 'H', Polynomial(q)), ('ud', 'UD', Polynomial(1))), offset=0, "
+        "core=None, symbols=('H', 'ud'))",
+        MAPS["sigma"],
+    ),
+    "PartDecoration": (
+        PartDecoration, dict(subpath=Path("schroder_large", "H"), symbols=("H",)), 1, (),
+        "PartDecoration(subpath=Path(family='schroder_large', steps='H'), symbols=('H',))",
+        PartDecoration(Path("schroder_large", "H"), ("ud",)),
+    ),
+    "DecoratedStructure": (
+        DecoratedStructure,
+        dict(map_id="rho", structure=ValleyStructure((Pyramid(2),)),
+             decorations=(PartDecoration(Path("dyck", "UD")),)),
+        2, (),
+        "DecoratedStructure(map_id='rho', structure=ValleyStructure(parts=(Pyramid(height=2),)), "
+        "decorations=(PartDecoration(subpath=Path(family='dyck', steps='UD'), symbols=()),))",
+        DecoratedStructure("psi", ValleyStructure((Pyramid(2),)),
+                           (PartDecoration(Path("dyck", "UD")),)),
+    ),
+    "TauFactor": (
+        TauFactor, dict(ascent=2, heights=(1,), letters=("1h",)), 2, (),
+        "TauFactor(ascent=2, heights=(1,), letters=('1h',))",
+        TauFactor(2, (1,), ("1",)),
+    ),
+    "TauDecorated": (
+        TauDecorated, dict(side="src_4372", factors=(TauFactor(2, (1,), ("1h",)),)), 1, (),
+        "TauDecorated(side='src_4372', factors=(TauFactor(ascent=2, heights=(1,), "
+        "letters=('1h',)),))",
+        TauDecorated("src_4372", (TauFactor(2, (1,), ("1",)),)),
+    ),
+    "CheckResult": (
+        CheckResult,
+        dict(name="tau_exchange", status="pass", detail="", bound=3, compared=12), 2, (),
+        "CheckResult(name='tau_exchange', status='pass', detail='', bound=3, compared=12)",
+        CheckResult("tau_exchange", "pass", "", 3, 13),
+    ),
+    "VerifyReport": (
+        VerifyReport,
+        dict(suite="tau", max_n=3, results=(CheckResult("tau_exchange", "pass", "", 3, 12),)),
+        3, (),
+        "VerifyReport(suite='tau', max_n=3, results=(CheckResult(name='tau_exchange', "
+        "status='pass', detail='', bound=3, compared=12),))",
+        VerifyReport("tau", 4, (CheckResult("tau_exchange", "pass", "", 3, 12),)),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_value_type_contract(name):
+    cls, fields, required, derived, text, other = CASES[name]
+    obj = cls(**fields)
+    assert type(obj) is cls
+    for field, value in fields.items():
+        assert getattr(obj, field) == value
+
+    # positional construction, equality and the hash of the compared fields
+    twin = cls(*fields.values())
+    assert twin == obj and not twin != obj
+    compared = tuple(fields.values()) + derived
+    assert hash(obj) == hash(twin) == hash(compared)
+    assert obj != other and type(other) is cls
+    assert obj.__eq__(compared) is NotImplemented
+    assert obj != compared and obj != object()
+
+    assert repr(obj) == text
+
+    # immutable: no field can be assigned or deleted, and no attribute added
+    first = next(iter(fields))
+    with pytest.raises(AttributeError):
+        setattr(obj, first, getattr(other, first))
+    with pytest.raises(AttributeError):
+        delattr(obj, first)
+    with pytest.raises(AttributeError):
+        obj.extra = 1
+    assert obj == twin and repr(obj) == text
+
+    back = pickle.loads(pickle.dumps(obj))
+    assert type(back) is cls and back == obj and hash(back) == hash(obj)
+    assert repr(back) == text
+
+    # omitting the last required argument names it
+    names = list(fields)
+    if required:
+        with pytest.raises(TypeError) as err:
+            cls(*list(fields.values())[: required - 1])
+        missing = names[required - 1]
+        assert str(err.value) == (
+            f"{cls.__name__}.__init__() missing 1 required positional argument: '{missing}'"
+        )
+
+
+def test_value_type_defaults():
+    sub = Path("dyck", "UD")
+    assert Path("dyck").steps == ""
+    assert PartDecoration(sub).symbols == ()
+    assert ValleyStructure().parts == ()
+    assert DecoratedStructure("rho", ValleyStructure()).decorations == ()
+    assert TauFactor(1, (2,)).letters == ()
+    assert TauDecorated("dst_2174").factors == ()
+    assert CheckResult("x", "skip") == CheckResult("x", "skip", "", 0, 0)
+    # a block's heights default to (), which its own check then rejects
+    with pytest.raises(ValueError, match="at least two positive pyramid heights"):
+        ValleyBlock(1)
+    spec = MapSpec(**{k: v for k, v in THETA_FIELDS.items() if k not in ("offset", "core")})
+    assert spec == MapSpec(**THETA_FIELDS) and spec.offset == 0 and spec.core is None
+
+
+def test_map_spec_derives_symbols_and_letters():
+    spec = MapSpec(**THETA_FIELDS)
+    assert spec.symbols == ("H", "ud")
+    assert spec.letters == {"H": "H", "ud": "UD"}
+    assert "letters" not in repr(spec)
+    assert pickle.loads(pickle.dumps(spec)).letters == spec.letters
+    for map_id, spec in MAPS.items():
+        assert spec.letters == {s: unit for s, unit, _ in spec.tail if s is not None}, map_id
+        assert spec.symbols == tuple(spec.letters), map_id
+    # the derived fields are not init arguments
+    with pytest.raises(TypeError):
+        MapSpec(**THETA_FIELDS, symbols=("H",))
+
