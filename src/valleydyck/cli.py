@@ -15,6 +15,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path as FilePath
 
 from .bijections import (
@@ -25,7 +26,7 @@ from .bijections import (
     inverse,
 )
 from .errors import ValleyDyckError
-from .oracles import formula_names, formula_vn, oracle
+from .oracles import oracle
 from .paths import FAMILY_STEPS, FILTERS, Path, enumerate_family, render_ascii
 from .polynomials import Polynomial
 from .series import valley_series, valley_series_ab
@@ -33,6 +34,7 @@ from .verify import SUITES, run_check, run_suite
 from .weights import REGISTRY, WeightSpec, _pin_params, registry_get, valley_weight_sum
 
 DEFAULT_ORDER = 12
+ENUMERATE_BATCH = 2048  # paths held at once by enumerate
 
 # each command's size flag, the option naming its input, and per input the
 # largest size that ran within an 8 s budget (CHANGES.md); an input without a
@@ -161,25 +163,34 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    paths = list(enumerate_family(args.family, args.n, args.filter))
+    # the paths are written in batches as they are enumerated, so memory stays
+    # flat; each batch is joined as the whole listing would be, and the layout
+    # is (opening, separator, closing, the text when there is no path)
+    paths = enumerate_family(args.family, args.n, args.filter)
     if args.format == "json":
-        _emit(json.dumps([p.to_json() for p in paths], indent=2))
+        # json.dumps(items, indent=2) is "[\n", the items joined by ",\n", "\n]"
+        join = lambda batch: json.dumps([p.to_json() for p in batch], indent=2)[2:-2]
+        layout = ("[\n", ",\n", "\n]", "[]")
     elif args.format == "ascii":
-        _emit("\n\n".join(render_ascii(p) for p in paths))
+        join, layout = lambda batch: "\n\n".join(map(render_ascii, batch)), ("", "\n\n", "", "")
     elif args.format == "csv":
-        _emit("\n".join(["family,steps"] + [f"{p.family},{p.steps}" for p in paths]))
+        join = lambda batch: "\n".join(f"{p.family},{p.steps}" for p in batch)
+        layout = ("family,steps\n", "\n", "", "family,steps")
     else:  # steps
-        _emit("\n".join(p.steps for p in paths))
-    sys.stderr.write(f"{len(paths)} paths\n")
+        join, layout = lambda batch: "\n".join(p.steps for p in batch), ("", "\n", "", "")
+    opening, separator, closing, empty = layout
+    count = 0
+    while batch := list(islice(paths, ENUMERATE_BATCH)):
+        sys.stdout.write((separator if count else opening) + join(batch))
+        count += len(batch)
+    # no listing ends in a newline (render_ascii strips its rows), so one follows
+    sys.stdout.write((closing if count else empty) + "\n")
+    sys.stderr.write(f"{count} paths\n")
     return 0
 
 
 def _cmd_oracle(args) -> int:
-    params = _parse_params(args.param)
-    if args.name in formula_names():
-        value = formula_vn(args.name, args.n, **params)
-    else:
-        value = oracle(args.name, args.n, **params)
+    value = oracle(args.name, args.n, **_parse_params(args.param))
     try:
         if args.format == "json":
             text = json.dumps({"name": args.name, "n": args.n, "value": value.to_json()}, indent=2)
@@ -322,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command")
 
-    fmt = dict(choices=("pretty", "json", "ascii", "csv"), default="pretty")
+    fmt = dict(choices=("pretty", "json", "csv"), default="pretty")
 
     p = sub.add_parser("series", help="generating function of a weight table")
     p.add_argument("--spec", required=True, help="registry name or @spec.json")

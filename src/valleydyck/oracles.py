@@ -5,27 +5,28 @@ module obtains a family from its functional equation, the oracle here uses
 the explicit binomial formula or three-term recurrence, so agreement between
 the two is meaningful.  The Fibonacci convention is fixed globally at
 F0 = 0, F1 = 1.
+
+``ORACLES`` is the one table of the 27 names ``oracle`` evaluates: the nine
+sequences and the 18 closed forms of the weighted sums V_n.  Each entry
+declares its first index, its body and any condition on its parameters.
+Below the first index a closed form is 1 at n = 0 and 0 at n = 1.  The
+body's keyword parameters and their annotations declare the parameters the
+name takes, read by the registry's rule, :func:`valleydyck.weights.read_params`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Union
+from typing import Callable
 
 from .errors import BadParams, IndexOutOfRange
-from .paths import enumerate_family
+from .paths import STEP_RISE, enumerate_family
 from .polynomials import Polynomial, binomial
 from .series import named_series
+from .weights import Arity, read_params
 
-_A = Polynomial.var("a")
-_B = Polynomial.var("b")
-_C = Polynomial.var("c")
-_D = Polynomial.var("d")
-_Q = Polynomial.var("q")
 _T = Polynomial.var("t")
-
-Number = Union[int, Fraction]
 
 
 def catalan_number(n: int) -> int:
@@ -80,10 +81,8 @@ def chebyshev_u_at(n: int, argument) -> Polynomial:
     if n < 0:
         raise IndexOutOfRange("chebyshev index must be nonnegative")
     arg = argument if isinstance(argument, Polynomial) else Polynomial.const(argument)
-    prev, cur = Polynomial.one(), 2 * arg
-    if n == 0:
-        return prev
-    for _ in range(n - 1):
+    prev, cur = Polynomial.zero(), Polynomial.one()  # U_-1 and U_0
+    for _ in range(n):
         prev, cur = cur, 2 * arg * cur - prev
     return cur
 
@@ -115,111 +114,66 @@ def fuss_catalan_number(n: int, r: int) -> int:
     return value.numerator
 
 
-_ORACLES = {
-    "catalan": lambda n, p: Polynomial.const(catalan_number(n)),
-    "fibonacci": lambda n, p: Polynomial.const(fibonacci_number(n)),
-    "motzkin_ab": lambda n, p: motzkin_polynomial(n),
-    "schroder_large": lambda n, p: schroder_large_polynomial(n),
-    "schroder_small": lambda n, p: schroder_small_polynomial(n),
-    "narayana": lambda n, p: narayana_polynomial(n),
-    "chebyshev_u": lambda n, p: chebyshev_u_polynomial(n),
-    "delannoy": lambda n, p: Polynomial.const(delannoy_number(n)),
-    "fuss": lambda n, p: Polynomial.const(fuss_catalan_number(n, int(p["r"]))),
-}
+def delannoy_convolution(n: int, gap: int) -> int:
+    """The sum of D(i) * D(n - gap - i) over i = 0..n - gap."""
+    return sum(delannoy_number(i) * delannoy_number(n - gap - i) for i in range(n - gap + 1))
 
 
-def oracle(name: str, n: int, **params) -> Polynomial:
-    """Exact value of a named sequence; symbolic where the family is weighted."""
-    try:
-        fn = _ORACLES[name]
-    except KeyError:
-        raise BadParams(f"unknown oracle {name!r}; known: {', '.join(_ORACLES)}") from None
-    if name == "fuss" and "r" not in params:
-        raise BadParams("fuss needs the parameter r")
-    value = fn(n, params)
-    substitutions = {
-        k: v for k, v in params.items() if k in ("a", "b", "c", "d", "q", "t") and v != "sym"
-    }
-    if substitutions:
-        value = value.substitute({k: Polynomial.const(Fraction(v)) for k, v in substitutions.items()})
-    return value
+# -- the bodies of the oracles that take parameters --------------------------------
+# A variable parameter arrives as its symbol or as the constant it is pinned
+# to; a body may compute with it or leave the symbol, which oracle() pins.
 
 
-# -- closed forms for the weighted sums V_n -------------------------------------
+def _motzkin_ab(n: int, a: Polynomial, b: Polynomial) -> Polynomial:
+    return motzkin_polynomial(n)
 
 
-def _num(params: dict, key: str) -> Fraction:
-    if key not in params:
-        raise BadParams(f"formula needs the parameter {key}")
-    return Fraction(params[key])
+def _schroder_large(n: int, q: Polynomial) -> Polynomial:
+    return schroder_large_polynomial(n)
 
 
-def _abcd(params: dict) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    return tuple(_num(params, k) for k in ("a", "b", "c", "d"))  # type: ignore[return-value]
+def _schroder_small(n: int, q: Polynomial) -> Polynomial:
+    return schroder_small_polynomial(n)
 
 
-def _formula_geom_3x(n: int, params: dict) -> Polynomial:
-    if n == 0:
-        return Polynomial.one()
-    return Polynomial.const(Fraction(3 ** (n - 1) - 1, 2))
+def _narayana(n: int, t: Polynomial) -> Polynomial:
+    return narayana_polynomial(n)
 
 
-def _formula_geom_fib(n: int, params: dict) -> Polynomial:
-    if n == 0:
-        return Polynomial.one()
-    return Polynomial.const(fibonacci_number(2 * (n - 1)))
+def _chebyshev_u(n: int, t: Polynomial) -> Polynomial:
+    return chebyshev_u_at(n, t)
 
 
-def _formula_motzkin_diff(n: int, params: dict) -> Polynomial:
-    if n == 0:
-        return Polynomial.one()
-    return motzkin_polynomial(n) - _A * motzkin_polynomial(n - 1)
+def _fuss(n: int, r: Arity) -> Polynomial:
+    return Polynomial.const(fuss_catalan_number(n, r))
 
 
-def _formula_schroder_large_diff(n: int, params: dict) -> Polynomial:
-    if n == 0:
-        return Polynomial.one()
-    return schroder_large_polynomial(n) - (_Q + 1) * schroder_large_polynomial(n - 1)
+def _motzkin_diff(n: int, a: Polynomial, b: Polynomial) -> Polynomial:
+    return motzkin_polynomial(n) - a * motzkin_polynomial(n - 1)
 
 
-def _formula_schroder_small_diff(n: int, params: dict) -> Polynomial:
-    if n == 0:
-        return Polynomial.one()
+def _schroder_large_diff(n: int, q: Polynomial) -> Polynomial:
+    return schroder_large_polynomial(n) - (q + 1) * schroder_large_polynomial(n - 1)
+
+
+def _schroder_small_diff(n: int, q: Polynomial) -> Polynomial:
     return schroder_small_polynomial(n) - schroder_small_polynomial(n - 1)
 
 
-def _formula_narayana_diff(n: int, params: dict) -> Polynomial:
-    if n == 0:
-        return Polynomial.one()
-    return narayana_polynomial(n) - _T * narayana_polynomial(n - 1)
+def _narayana_diff(n: int, t: Polynomial) -> Polynomial:
+    return narayana_polynomial(n) - t * narayana_polynomial(n - 1)
 
 
-def _formula_narayana_shift_diff(n: int, params: dict) -> Polynomial:
-    if n == 0:
-        return Polynomial.one()
+def _narayana_shift_diff(n: int, t: Polynomial) -> Polynomial:
+    # divided by the symbol t, so that a pin to t = 0 is taken after the division
     diff = narayana_polynomial(n + 1) - (_T + 1) * narayana_polynomial(n)
     return diff.exact_div(_T)
 
 
-def _symbolic_or(params: dict, key: str, default: Polynomial) -> Polynomial:
-    value = params.get(key, "sym")
-    if value == "sym":
-        return default
-    if isinstance(value, Polynomial):
-        return value
-    return Polynomial.const(Fraction(value))
-
-
-def _formula_chebyshev_closed(n: int, params: dict) -> Polynomial:
+def _chebyshev_closed(
+    n: int, a: Polynomial, b: Polynomial, c: Polynomial, d: Polynomial
+) -> Polynomial:
     """Coefficient of the rational form 1 + (a-b)c x^2 / (1-(a+d)x+(ad-(a-b)c)x^2)."""
-    a = _symbolic_or(params, "a", _A)
-    b = _symbolic_or(params, "b", _B)
-    c = _symbolic_or(params, "c", _C)
-    d = _symbolic_or(params, "d", _D)
-    if n == 0:
-        return Polynomial.one()
-    if n == 1:
-        return Polynomial.zero()
     s = a + d
     e = a * d - (a - b) * c
     # walk the kernel coefficients w_k of 1/(1 - sx + ex^2) up to k = n - 2
@@ -229,75 +183,30 @@ def _formula_chebyshev_closed(n: int, params: dict) -> Polynomial:
     return (a - b) * c * prev
 
 
-def _formula_abcd_power(n: int, params: dict) -> Polynomial:
-    a, b, c, d = _abcd(params)
-    if a * d != (a - b) * c:
-        raise BadParams("this closed form needs ad = (a-b)c")
-    if n == 0:
-        return Polynomial.one()
-    if n == 1:
-        return Polynomial.zero()
+def _abcd_power(n: int, a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> Polynomial:
     return Polynomial.const(a * d * (a + d) ** (n - 2))
 
 
-def _formula_abcd_chebyshev(n: int, params: dict) -> Polynomial:
-    a, b, c, d = _abcd(params)
-    if a * d != (a - b) * c + 1:
-        raise BadParams("this closed form needs ad = (a-b)c + 1")
-    if n == 0:
-        return Polynomial.one()
-    if n == 1:
-        return Polynomial.zero()
+def _abcd_chebyshev(n: int, a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> Polynomial:
     value = (a * d - 1) * chebyshev_u_at(n - 2, (a + d) / 2).constant_value()
     if value.denominator != 1:
         raise ArithmeticError("expected an integer value from the Chebyshev recurrence")
     return Polynomial.const(value)
 
 
-def _formula_abcd_fibonacci(n: int, params: dict) -> Polynomial:
-    a, b, c, d = _abcd(params)
-    if a + d != 3 or a * d != (a - b) * c + 1:
-        raise BadParams("this closed form needs a + d = 3 and ad = (a-b)c + 1")
-    if n == 0:
-        return Polynomial.one()
+def _abcd_fibonacci(n: int, a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> Polynomial:
     return Polynomial.const((a * d - 1) * fibonacci_number(2 * n - 2))
 
 
-def _formula_chebyshev_second(n: int, params: dict) -> Polynomial:
-    a = _symbolic_or(params, "a", _A)
-    b = _symbolic_or(params, "b", _B)
-    c = _symbolic_or(params, "c", _C)
-    if n == 0:
-        return Polynomial.one()
-    if n == 1:
-        return Polynomial.zero()
+def _chebyshev_second(n: int, a: Polynomial, b: Polynomial, c: Polynomial) -> Polynomial:
     return 2 * a * b * chebyshev_u_at(n - 2, b + c)
 
 
-def _formula_delannoy_convolution(n: int, params: dict) -> Polynomial:
-    multiplier = _num(params, "multiplier")
-    if n == 0:
-        return Polynomial.one()
-    if n == 1:
-        return Polynomial.zero()
-    conv = sum(delannoy_number(i) * delannoy_number(n - 2 - i) for i in range(n - 1))
-    return Polynomial.const(multiplier * conv)
+def _delannoy_convolution(n: int, multiplier: Fraction) -> Polynomial:
+    return Polynomial.const(multiplier * delannoy_convolution(n, 2))
 
 
-def _fuss_params(params: dict) -> tuple[int, int]:
-    m = int(_num(params, "m"))
-    r = int(_num(params, "r"))
-    if r < 1:
-        raise BadParams("fuss formulas need r >= 1")
-    return m, r
-
-
-def _formula_fuss_sym(n: int, params: dict) -> Polynomial:
-    m, r = _fuss_params(params)
-    if n == 0:
-        return Polynomial.one()
-    if n == 1:
-        return Polynomial.zero()
+def _fuss_sym(n: int, m: int, r: Arity) -> Polynomial:
     total = Fraction(0)
     for k in range(1, n):
         weight = m * (k + 1) * fibonacci_number(k)
@@ -308,10 +217,7 @@ def _formula_fuss_sym(n: int, params: dict) -> Polynomial:
     return Polynomial.const(total)
 
 
-def _formula_fuss_asym(n: int, params: dict) -> Polynomial:
-    m, r = _fuss_params(params)
-    if n == 0:
-        return Polynomial.one()
+def _fuss_asym(n: int, m: int, r: Arity) -> Polynomial:
     total = Fraction(0)
     for k in range(n // 2 + 1):
         for j in range(n - 2 * k + 1):
@@ -322,22 +228,14 @@ def _formula_fuss_asym(n: int, params: dict) -> Polynomial:
     return Polynomial.const(total)
 
 
-def _formula_fuss_asym_collapse(n: int, params: dict) -> Polynomial:
-    r = int(_num(params, "r"))
-    if r < 1:
-        raise BadParams("fuss formulas need r >= 1")
-    if n == 0:
-        return Polynomial.one()
+def _fuss_asym_collapse(n: int, r: Arity) -> Polynomial:
     total = sum(
         Fraction(2 * k, n) * binomial(n * (r + 1), n - 2 * k) for k in range(n // 2 + 1)
     )
     return Polynomial.const(total)
 
 
-def _formula_fuss_cubic(n: int, params: dict) -> Polynomial:
-    m, r = _fuss_params(params)
-    if n == 0:
-        return Polynomial.one()
+def _fuss_cubic(n: int, m: int, r: Arity) -> Polynomial:
     total = Fraction(0)
     for k in range(n // 3 + 1):
         for j in range(n - 3 * k + 1):
@@ -348,12 +246,7 @@ def _formula_fuss_cubic(n: int, params: dict) -> Polynomial:
     return Polynomial.const(total)
 
 
-def _formula_fuss_cubic_collapse(n: int, params: dict) -> Polynomial:
-    r = int(_num(params, "r"))
-    if r < 1:
-        raise BadParams("fuss formulas need r >= 1")
-    if n == 0:
-        return Polynomial.one()
+def _fuss_cubic_collapse(n: int, r: Arity) -> Polynomial:
     total = sum(
         Fraction(3 * k * r + 3 * k + 1, n * r + 3 * k + 1) * binomial(n * (r + 1), n - 3 * k)
         for k in range(n // 3 + 1)
@@ -361,45 +254,76 @@ def _formula_fuss_cubic_collapse(n: int, params: dict) -> Polynomial:
     return Polynomial.const(total)
 
 
-_FORMULAS = {
-    "geom_3x": _formula_geom_3x,
-    "geom_fib": _formula_geom_fib,
-    "motzkin_diff": _formula_motzkin_diff,
-    "schroder_large_diff": _formula_schroder_large_diff,
-    "schroder_small_diff": _formula_schroder_small_diff,
-    "narayana_diff": _formula_narayana_diff,
-    "narayana_shift_diff": _formula_narayana_shift_diff,
-    "chebyshev_closed": _formula_chebyshev_closed,
-    "abcd_power": _formula_abcd_power,
-    "abcd_chebyshev": _formula_abcd_chebyshev,
-    "abcd_fibonacci": _formula_abcd_fibonacci,
-    "chebyshev_second": _formula_chebyshev_second,
-    "delannoy_convolution": _formula_delannoy_convolution,
-    "fuss_sym": _formula_fuss_sym,
-    "fuss_asym": _formula_fuss_asym,
-    "fuss_asym_collapse": _formula_fuss_asym_collapse,
-    "fuss_cubic": _formula_fuss_cubic,
-    "fuss_cubic_collapse": _formula_fuss_cubic_collapse,
+# name: (first index, body, condition on the parameters or None).  The nine
+# sequences start at 0; each closed form of the weighted sum V_n is 1 at
+# n = 0, and one that starts at 2 is also 0 at n = 1.
+ORACLES: dict[str, tuple[int, Callable[..., Polynomial], tuple | None]] = {
+    "catalan": (0, lambda n: Polynomial.const(catalan_number(n)), None),
+    "fibonacci": (0, lambda n: Polynomial.const(fibonacci_number(n)), None),
+    "motzkin_ab": (0, _motzkin_ab, None),
+    "schroder_large": (0, _schroder_large, None),
+    "schroder_small": (0, _schroder_small, None),
+    "narayana": (0, _narayana, None),
+    "chebyshev_u": (0, _chebyshev_u, None),
+    "delannoy": (0, lambda n: Polynomial.const(delannoy_number(n)), None),
+    "fuss": (0, _fuss, None),
+    "geom_3x": (1, lambda n: Polynomial.const(Fraction(3 ** (n - 1) - 1, 2)), None),
+    "geom_fib": (1, lambda n: Polynomial.const(fibonacci_number(2 * (n - 1))), None),
+    "motzkin_diff": (1, _motzkin_diff, None),
+    "schroder_large_diff": (1, _schroder_large_diff, None),
+    "schroder_small_diff": (1, _schroder_small_diff, None),
+    "narayana_diff": (1, _narayana_diff, None),
+    "narayana_shift_diff": (1, _narayana_shift_diff, None),
+    "chebyshev_closed": (2, _chebyshev_closed, None),
+    "abcd_power": (2, _abcd_power, (
+        "ad = (a-b)c", lambda a, b, c, d: a * d == (a - b) * c)),
+    "abcd_chebyshev": (2, _abcd_chebyshev, (
+        "ad = (a-b)c + 1", lambda a, b, c, d: a * d == (a - b) * c + 1)),
+    "abcd_fibonacci": (1, _abcd_fibonacci, (
+        "a + d = 3 and ad = (a-b)c + 1",
+        lambda a, b, c, d: a + d == 3 and a * d == (a - b) * c + 1)),
+    "chebyshev_second": (2, _chebyshev_second, None),
+    "delannoy_convolution": (2, _delannoy_convolution, None),
+    "fuss_sym": (2, _fuss_sym, None),
+    "fuss_asym": (1, _fuss_asym, None),
+    "fuss_asym_collapse": (1, _fuss_asym_collapse, None),
+    "fuss_cubic": (1, _fuss_cubic, None),
+    "fuss_cubic_collapse": (1, _fuss_cubic_collapse, None),
 }
 
 
-def formula_names() -> tuple[str, ...]:
-    return tuple(_FORMULAS)
+def oracle(name: str, n: int, **params) -> Polynomial:
+    """Exact value of the named sequence or closed form at index n.
 
-
-def formula_vn(name: str, n: int, **params) -> Polynomial:
-    """Closed-form value of the weighted sum V_n for a named specialization.
-
-    The stated boundary conventions are honored: every formula returns 1 at
-    n = 0, and the forms that start at n = 2 return 0 at n = 1.
+    The parameters are those the name's body declares, read by
+    :func:`valleydyck.weights.read_params`; any other raises ``BadParams``,
+    as does a value that breaks the name's condition, at every n.  A value
+    stays symbolic in the variables no parameter pins.
     """
     try:
-        fn = _FORMULAS[name]
+        start, body, condition = ORACLES[name]
     except KeyError:
-        raise BadParams(f"unknown formula {name!r}; known: {', '.join(_FORMULAS)}") from None
+        raise BadParams(f"unknown oracle {name!r}; known: {', '.join(ORACLES)}") from None
     if n < 0:
-        raise IndexOutOfRange("formula index must be nonnegative")
-    return fn(n, params)
+        raise IndexOutOfRange(f"{name} index must be nonnegative")
+    values = read_params(body, params, name)
+    unknown = [k for k in params if k not in values]
+    if unknown:
+        has = ", ".join(values) or "none"
+        raise BadParams(f"{name} has no parameter {', '.join(unknown)} (parameters: {has})")
+    if condition and not condition[1](**values):
+        raise BadParams(f"{name} needs {condition[0]}")
+    if n < start:
+        return Polynomial.one() if n == 0 else Polynomial.zero()
+    value = body(n, **values)
+    pins = {k: v for k, v in values.items() if isinstance(v, Polynomial) and v.is_constant}
+    return value.substitute(pins) if pins and not value.is_constant else value
+
+
+# the same function under the closed forms' name, bound after ``oracle``:
+# perfbench's tracer wraps a function two names share under the later name,
+# and counts oracles.formula_vn_calls under this one
+formula_vn = oracle
 
 
 def delannoy_hstep_count(n: int) -> int:
@@ -416,8 +340,8 @@ def delannoy_hstep_count(n: int) -> int:
         for ch in path.steps:
             if ch == "H" and level == 0:
                 count += 1
-            level += {"U": 1, "D": -1, "H": 0}[ch]
-    expected = sum(delannoy_number(i) * delannoy_number(n - 1 - i) for i in range(n))
+            level += STEP_RISE[ch]
+    expected = delannoy_convolution(n, 1)
     if count != expected:
         raise ArithmeticError(
             f"axis H-step brute force {count} disagrees with convolution {expected} at n={n}"

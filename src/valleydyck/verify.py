@@ -43,6 +43,7 @@ from .bijections import (
 from .errors import BadParams
 from .oracles import (
     catalan_number,
+    delannoy_convolution,
     delannoy_hstep_count,
     delannoy_number,
     formula_vn,
@@ -142,11 +143,6 @@ def _coefficients(series, formula: str, bound: int, **params) -> Iterator[Compar
     label = f"{formula} {params} n=" if params else f"{formula} n="
     for n in range(bound + 1):
         yield f"{label}{n}", series.coefficient(n), formula_vn(formula, n, **params)
-
-
-def _delannoy_convolution(n: int, gap: int) -> int:
-    """The sum of D(i) * D(n - gap - i) over i = 0..n - gap."""
-    return sum(delannoy_number(i) * delannoy_number(n - gap - i) for i in range(n - gap + 1))
 
 
 @_check("master_triple_agreement", upto=7)
@@ -328,7 +324,7 @@ def _tau_exchange(bound: int) -> Iterator[Comparison]:
             yield reverse, tau_apply(tau_apply(obj)), obj
         total_dst = sum(tau_value(t) for t in dst_objects)
         yield f"n={n}: source sum vs far-side sum", total_src, total_dst
-        yield f"n={n}: far-side sum vs 7 * convolution", total_dst, 7 * _delannoy_convolution(n, 2)
+        yield f"n={n}: far-side sum vs 7 * convolution", total_dst, 7 * delannoy_convolution(n, 2)
 
 
 @_check("delannoy_scaled_sums", upto=9)
@@ -338,7 +334,7 @@ def _delannoy_scaled(bound: int) -> Iterator[Comparison]:
         for (a, b, c, d), multiplier in DELANNOY_TUPLES
     ]
     for n in range(2, bound + 1):
-        conv = _delannoy_convolution(n, 2)
+        conv = delannoy_convolution(n, 2)
         for spec, multiplier, key in specs:
             total = valley_weight_sum(n, spec).constant_value()
             yield f"n={n}, tuple {key} vs {multiplier} * convolution", total, multiplier * conv
@@ -348,7 +344,7 @@ def _delannoy_scaled(bound: int) -> Iterator[Comparison]:
 def _delannoy_hsteps(bound: int) -> Iterator[Comparison]:
     # delannoy_hstep_count raises if its brute force and the convolution differ
     for n in range(1, bound + 1):
-        yield f"n={n}", delannoy_hstep_count(n), _delannoy_convolution(n, 1)
+        yield f"n={n}", delannoy_hstep_count(n), delannoy_convolution(n, 1)
 
 
 @_check("fuss_formulas", upto=9)

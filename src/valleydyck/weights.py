@@ -38,7 +38,7 @@ from .paths import (
 from .polynomials import Polynomial, var_key
 from .series import TruncatedSeries, _require_weight_series, named_series
 
-ParamValue = Union[int, Fraction, Polynomial, str]
+ParamValue = Union[int, Fraction, str]
 
 
 class WeightSpec(Value):
@@ -225,30 +225,51 @@ def target_weight_sum(n: int, family: str, filt: str, weighting: str) -> Polynom
 # -- the registry of specializations -------------------------------------------
 
 
-def _as_poly(value: ParamValue, default: Polynomial | None = None) -> Polynomial:
+class Arity(int):
+    """The annotation of an integer parameter that must be at least 1."""
+
+
+# how a declared parameter is read, by its annotation: what it must be, and
+# the value it becomes (None when the rational does not qualify)
+_KINDS: dict[str, tuple[str, Callable[[Fraction], object]]] = {
+    "int": ("an integer", lambda q: int(q) if q.denominator == 1 else None),
+    "Arity": ("an integer >= 1", lambda q: int(q) if q.denominator == 1 and q >= 1 else None),
+    "Fraction": ("a rational number", lambda q: q),
+    "Polynomial": ("a rational number or 'sym'", Polynomial.const),
+}
+
+
+def _read(name: str, kind: str, value: ParamValue | None, label: str):
+    if kind == "Polynomial" and value in (None, "sym"):
+        return Polynomial.var(name)
     if value is None:
-        if default is None:
-            raise BadParams("missing required parameter")
-        return default
-    if isinstance(value, Polynomial):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return Polynomial.const(value)
-    if isinstance(value, str):
-        if value == "sym":
-            if default is None:
-                raise BadParams("this parameter has no symbolic default")
-            return default
-        return Polynomial.const(Fraction(value))
-    raise BadParams(f"cannot interpret parameter value {value!r}")
-
-
-def _as_int(value: ParamValue, name: str) -> int:
+        raise BadParams(f"{label} needs the parameter {name}")
+    what, convert = _KINDS[kind]
     try:
-        n = int(value)  # type: ignore[arg-type]
-    except (TypeError, ValueError):
-        raise BadParams(f"parameter {name} must be an integer") from None
-    return n
+        read = convert(Fraction(value))
+    except (TypeError, ValueError, ZeroDivisionError):
+        read = None
+    if read is None:
+        raise BadParams(f"{label}: parameter {name} must be {what}, got {value!r}")
+    return read
+
+
+def read_params(fn: Callable, params: Mapping[str, ParamValue], label: str) -> dict:
+    """Read from ``params`` each keyword parameter ``fn`` declares after its first.
+
+    The parameter's annotation says how: ``int`` is an integer (a rational
+    that is integral), ``Arity`` an integer >= 1, ``Fraction`` a rational,
+    and ``Polynomial`` a variable of that name, which a rational pins and
+    ``"sym"`` (or no value) leaves symbolic.  Values may be ints, Fractions
+    or fraction strings like ``"7/3"``; a missing or unreadable one raises
+    ``BadParams`` naming the parameter.  Names ``fn`` does not declare are
+    left to the caller.
+    """
+    code, kinds = fn.__code__, fn.__annotations__
+    return {  # an annotation is its name as text, or the class when evaluated
+        name: _read(name, getattr(kinds[name], "__name__", kinds[name]), params.get(name), label)
+        for name in code.co_varnames[1 : code.co_argcount]
+    }
 
 
 def _build_generic(order: int) -> WeightSpec:
@@ -260,11 +281,11 @@ def _build_generic(order: int) -> WeightSpec:
     )
 
 
-def _geometric(order: int, pole: ParamValue) -> TruncatedSeries:
+def _geometric(order: int, pole: int) -> TruncatedSeries:
     """x / (1 - pole*x) up to the order."""
     x = TruncatedSeries.x(order)
     one = TruncatedSeries.one(order)
-    return x * (one - x.scale(_as_poly(pole))).inverse()
+    return x * (one - x.scale(pole)).inverse()
 
 
 def _build_geom_3x(order: int) -> WeightSpec:
@@ -331,19 +352,14 @@ def _chebyshev_series(order, a, b, c, d):
     return alpha, beta
 
 
-def _build_chebyshev_abcd(order: int, a=None, b=None, c=None, d=None) -> WeightSpec:
-    a = _as_poly(a, _A)
-    b = _as_poly(b, _B)
-    c = _as_poly(c, Polynomial.var("c"))
-    d = _as_poly(d, Polynomial.var("d"))
+def _build_chebyshev_abcd(
+    order: int, a: Polynomial, b: Polynomial, c: Polynomial, d: Polynomial
+) -> WeightSpec:
     alpha, beta = _chebyshev_series(order, a, b, c, d)
     return spec_from_series(alpha, beta, alpha * beta)
 
 
-def _build_chebyshev_second(order: int, a=None, b=None, c=None) -> WeightSpec:
-    a = _as_poly(a, _A)
-    b = _as_poly(b, _B)
-    c = _as_poly(c, Polynomial.var("c"))
+def _build_chebyshev_second(order: int, a: Polynomial, b: Polynomial, c: Polynomial) -> WeightSpec:
     x = TruncatedSeries.x(order)
     one = TruncatedSeries.one(order)
     kernel = (one - x.scale(2 * c) + x * x).inverse()
@@ -353,11 +369,10 @@ def _build_chebyshev_second(order: int, a=None, b=None, c=None) -> WeightSpec:
     return spec_from_series(alpha, beta, gamma)
 
 
-def _build_delannoy_tuple(order: int, a=None, b=None, c=None, d=None) -> WeightSpec:
-    values = [a, b, c, d]
-    if any(v is None for v in values):
-        raise BadParams("delannoy_tuple needs numeric a, b, c, d")
-    a, b, c, d = (Polynomial.const(Fraction(v)) for v in values)  # type: ignore[arg-type]
+def _build_delannoy_tuple(
+    order: int, a: Fraction, b: Fraction, c: Fraction, d: Fraction
+) -> WeightSpec:
+    a, b, c, d = (Polynomial.const(v) for v in (a, b, c, d))
     alpha, beta = _chebyshev_series(order, a, b, c, d)
     return spec_from_series(alpha, beta, alpha * beta)
 
@@ -367,22 +382,19 @@ def _fuss_power(order: int, r: int, exponent: int) -> TruncatedSeries:
     return TruncatedSeries.x(order) * t_series**exponent
 
 
-def _build_fuss_sym(order: int, m=None, r=None) -> WeightSpec:
-    m, r = _as_int(m, "m"), _as_int(r, "r")
+def _build_fuss_sym(order: int, m: int, r: Arity) -> WeightSpec:
     alpha = _fuss_power(order, r, m)
     return spec_from_series(alpha, alpha, alpha * alpha)
 
 
-def _build_fuss_asym(order: int, m=None, r=None) -> WeightSpec:
-    m, r = _as_int(m, "m"), _as_int(r, "r")
+def _build_fuss_asym(order: int, m: int, r: Arity) -> WeightSpec:
     alpha = _fuss_power(order, r, r)
     beta = _fuss_power(order, r, m)
     return spec_from_series(alpha, beta, alpha * beta)
 
 
-def _build_fuss_cubic(order: int, m=None, r=None) -> WeightSpec:
+def _build_fuss_cubic(order: int, m: int, r: Arity) -> WeightSpec:
     # gamma deliberately equals alpha here, not alpha*beta
-    m, r = _as_int(m, "m"), _as_int(r, "r")
     alpha = _fuss_power(order, r, r)
     beta = _fuss_power(order, r, m)
     return spec_from_series(alpha, beta, alpha)
@@ -403,14 +415,6 @@ REGISTRY: dict[str, Callable[..., WeightSpec]] = {
     "fuss_sym": _build_fuss_sym,
     "fuss_asym": _build_fuss_asym,
     "fuss_cubic": _build_fuss_cubic,
-}
-
-# keyword parameters each builder accepts, after its leading order; anything
-# else a caller supplies is treated as a value for one of the entry's symbolic
-# coefficients
-_DECLARED_PARAMS: dict[str, tuple[str, ...]] = {
-    name: builder.__code__.co_varnames[1 : builder.__code__.co_argcount]
-    for name, builder in REGISTRY.items()
 }
 
 # the seven weight tuples whose scaled weight sums agree, with their multipliers
@@ -434,26 +438,19 @@ def _registry_get_cached(name: str, order: int, frozen_params: tuple) -> WeightS
 def registry_get(name: str, order: int, **params: ParamValue) -> WeightSpec:
     """Build a registered weight table at the given order.
 
-    Parameterized entries accept keyword parameters; numeric values may be
-    ints, Fractions or fraction strings like ``"7/3"``, and ``"sym"`` keeps
-    a parameter symbolic where the entry has a symbolic default.  Parameters
-    an entry does not declare are substituted into the finished table, so a
-    symbolic table can be pinned to numeric values in one call; one that
-    names no variable of the table at this order raises ``BadParams``.
+    The keyword parameters of an entry's builder are read by
+    :func:`read_params`.  Parameters an entry does not declare are
+    substituted into the finished table, so a symbolic table can be pinned
+    to numeric values in one call; one that names no variable of the table
+    at this order raises ``BadParams``.
     """
     if name not in REGISTRY:
         raise BadParams(f"unknown weight table {name!r}; known: {', '.join(REGISTRY)}")
     if order < 0:
         raise BadParams("order must be nonnegative")
-    declared = _DECLARED_PARAMS[name]
-    builder_params = {k: v for k, v in params.items() if k in declared}
-    try:
-        frozen = tuple(sorted(builder_params.items()))
-        hash(frozen)
-        spec = _registry_get_cached(name, order, frozen)
-    except TypeError:
-        spec = REGISTRY[name](order, **builder_params)
-    return _pin_params(spec, params, f"{name} at order {order}", declared)
+    declared = read_params(REGISTRY[name], params, name)
+    spec = _registry_get_cached(name, order, tuple(declared.items()))
+    return _pin_params(spec, params, f"{name} at order {order}", tuple(declared))
 
 
 def _pin_params(
@@ -474,4 +471,6 @@ def _pin_params(
         has = f"parameters: {', '.join(declared)}; " if declared else ""
         has += f"variables: {', '.join(sorted(present, key=var_key)) or 'none'}"
         raise BadParams(f"{label} has no parameter or variable {', '.join(unknown)} ({has})")
-    return spec.substitute({k: _as_poly(v) for k, v in pinned.items() if v != "sym"})
+    return spec.substitute(
+        {k: _read(k, "Polynomial", v, label) for k, v in pinned.items() if v != "sym"}
+    )

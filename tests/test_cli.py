@@ -9,7 +9,7 @@ from pathlib import Path as FilePath
 import pytest
 
 from valleydyck import cli, verify
-from valleydyck.oracles import _ORACLES, formula_names
+from valleydyck.oracles import ORACLES
 from valleydyck.paths import FAMILY_STEPS
 from valleydyck.weights import REGISTRY
 
@@ -243,6 +243,80 @@ def test_param_on_spec_file_matches_registry(tmp_path):
     assert "no parameter or variable zz" in proc.stderr and "variables: a, a_inv, b" in proc.stderr
 
 
+@pytest.mark.parametrize("argv, names", [
+    (("catalan", "--n", "5", "--param", "zz=1"), "catalan has no parameter zz"),
+    (("fuss_sym", "--n", "6", "--param", "m=2", "--param", "r=1.9"), "parameter r"),
+    (("fuss", "--n", "3", "--param", "r=2.5"), "parameter r"),
+    (("abcd_power", "--n", "0", "--param", "a=2", "--param", "b=1", "--param", "c=3",
+      "--param", "d=1"), "abcd_power needs ad = (a-b)c"),
+    (("fuss_asym_collapse", "--n", "0", "--param", "r=0"), "parameter r"),
+])
+def test_oracle_param_errors_exit_two(argv, names):
+    proc = run_cli("oracle", "--name", *argv, expect=2)
+    _one_error_line(proc)
+    assert names in proc.stderr
+
+
+def test_oracle_pins_its_variables():
+    assert run_cli("oracle", "--name", "motzkin_diff", "--n", "3", "--param", "a=2").stdout == "4*b\n"
+    proc = run_cli("oracle", "--name", "narayana_diff", "--n", "4", "--param", "t=3")
+    assert proc.stdout == "129\n"  # 3t^3 + 5t^2 + t at t = 3
+
+
+@pytest.mark.parametrize("value, accepted", [("3", True), ("3/1", True), ("1.9", False), ("sym", False)])
+def test_fuss_params_read_alike_by_oracle_and_series(value, accepted, capsys):
+    for name in ("m", "r"):
+        other = "r=2" if name == "m" else "m=2"
+        for argv in [["oracle", "--name", "fuss_sym", "--n", "4"]] + [
+            ["series", "--spec", table, "--order", "4"] for table in ("fuss_sym", "fuss_asym", "fuss_cubic")
+        ]:
+            code = cli.main(argv + ["--param", f"{name}={value}", "--param", other])
+            captured = capsys.readouterr()
+            assert code == (0 if accepted else 2), (argv, name, captured.err)
+            if not accepted:
+                assert captured.err.startswith("error: ") and f"parameter {name} " in captured.err
+
+
+@pytest.mark.parametrize("command", [("series", "--order"), ("count", "--n")])
+def test_series_and_count_have_no_ascii_format(command):
+    proc = run_cli(command[0], "--spec", "geom_3x", command[1], "3", "--format", "ascii", expect=2)
+    assert proc.stdout == "" and "invalid choice: 'ascii'" in proc.stderr
+
+
+def test_enumerate_writes_each_batch_as_it_comes(monkeypatch, capsys):
+    real = cli.enumerate_family
+    seen = []
+
+    def watched(*args):
+        for path in real(*args):
+            seen.append(capsys.readouterr().out)  # what was written since the last path
+            yield path
+
+    monkeypatch.setattr(cli, "enumerate_family", watched)
+    monkeypatch.setattr(cli, "ENUMERATE_BATCH", 2)
+    for fmt in ("steps", "json", "ascii", "csv"):
+        seen.clear()
+        assert cli.main(["enumerate", "--family", "dyck", "--n", "3", "--format", fmt]) == 0
+        assert capsys.readouterr().err == "5 paths\n"
+        # a batch of two is written before the path after it is made
+        assert [bool(out) for out in seen] == [False, False, True, False, True], fmt
+
+
+@pytest.mark.parametrize("fmt", ["steps", "json", "ascii", "csv"])
+def test_enumerate_output_does_not_depend_on_the_batch(fmt, monkeypatch, capsys):
+    # the listing in one batch is held in tests/fixtures/cli_golden.json
+    one_batch = cli.ENUMERATE_BATCH
+    for family, n, filt in [("dyck", 0, "none"), ("dyck", 1, "first_two_not_ud"),
+                            ("motzkin", 4, "none"), ("schroder_large", 3, "y_filter")]:
+        argv = ["enumerate", "--family", family, "--n", str(n), "--filter", filt, "--format", fmt]
+        outputs = []
+        for size in (one_batch, 1, 2, 3):
+            monkeypatch.setattr(cli, "ENUMERATE_BATCH", size)
+            assert cli.main(argv) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[1:] == outputs[:1] * 3, argv
+
+
 def test_negative_verify_bound_is_a_usage_error():
     proc = run_cli("verify", "--suite", "master", "--max-n", "-3", expect=2)
     _one_error_line(proc)
@@ -390,7 +464,6 @@ def test_n_cap(assert_capped):
 
 def test_oracle_n_cap(assert_capped):
     # the quick CLI jobs ask catalan up to 15 and fuss up to 12
-    names = set(_ORACLES) | set(formula_names())
-    assert set(cli.SIZE_CAPS["oracle"][2]) == names
-    for name in names:
+    assert set(cli.SIZE_CAPS["oracle"][2]) == set(ORACLES)
+    for name in ORACLES:
         assert_capped("oracle", name, in_use=15)

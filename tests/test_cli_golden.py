@@ -1,4 +1,6 @@
-"""Golden stdout of ``count`` for every weight table and of every round trip.
+"""Golden stdout of ``count`` for every weight table, of every round trip, of
+``oracle`` for every name and of ``enumerate`` for every family, filter and
+format at small sizes.
 
 The fixture ``fixtures/cli_golden.json`` maps each command line to the exact
 stdout it printed when the fixture was made, so a change that alters one
@@ -19,6 +21,7 @@ import pytest
 
 from valleydyck import cli
 from valleydyck.bijections import MAP_IDS
+from valleydyck.paths import FAMILY_STEPS, FILTERS
 from valleydyck.weights import REGISTRY
 
 GOLDEN = FilePath(__file__).parent / "fixtures" / "cli_golden.json"
@@ -38,9 +41,47 @@ def _argv_of(table: str) -> list[str]:
     return argv
 
 
-CASES = [_argv_of(table) for table in REGISTRY] + [
-    ["biject", "--map", map_id, "--n", "5", "--roundtrip"] for map_id in MAP_IDS + ("tau",)
-]
+# every oracle name at n = 7, with parameters that meet its conditions
+_ORACLE_PARAMS = {
+    "catalan": (), "fibonacci": (), "motzkin_ab": (), "schroder_large": (),
+    "schroder_small": (), "narayana": ("t=sym",), "chebyshev_u": (), "delannoy": (),
+    "fuss": ("r=2",), "geom_3x": (), "geom_fib": (), "motzkin_diff": (),
+    "schroder_large_diff": (), "schroder_small_diff": (), "narayana_diff": (),
+    "narayana_shift_diff": (), "chebyshev_closed": (),
+    "abcd_power": ("a=2", "b=1", "c=2", "d=1"),
+    "abcd_chebyshev": ("a=3", "b=2", "c=2", "d=1"),
+    "abcd_fibonacci": ("a=2", "b=1", "c=1", "d=1"),
+    "chebyshev_second": (), "delannoy_convolution": ("multiplier=7",),
+    "fuss_sym": ("m=2", "r=2"), "fuss_asym": ("m=3", "r=2"), "fuss_asym_collapse": ("r=2",),
+    "fuss_cubic": ("m=1", "r=3"), "fuss_cubic_collapse": ("r=3",),
+}
+
+
+def _oracle_argv(name: str, fmt: str, pairs=None) -> list[str]:
+    argv = ["oracle", "--name", name, "--n", "7", "--format", fmt]
+    for pair in _ORACLE_PARAMS[name] if pairs is None else pairs:
+        argv += ["--param", pair]
+    return argv
+
+
+CASES = (
+    [_argv_of(table) for table in REGISTRY]
+    + [["biject", "--map", map_id, "--n", "5", "--roundtrip"] for map_id in MAP_IDS + ("tau",)]
+    + [_oracle_argv(name, "json") for name in _ORACLE_PARAMS]
+    + [_oracle_argv(name, "pretty") for name in ("catalan", "narayana", "chebyshev_closed")]
+    + [
+        _oracle_argv("narayana", "json", ("t=3",)),
+        _oracle_argv("chebyshev_closed", "json", ("a=4", "b=3", "c=7", "d=2")),
+        _oracle_argv("chebyshev_second", "json", ("a=1", "b=2", "c=3")),
+    ]
+    + [
+        ["enumerate", "--family", family, "--n", str(n), "--filter", filt, "--format", fmt]
+        for family in sorted(FAMILY_STEPS)
+        for filt in FILTERS
+        for fmt in ("steps", "json", "ascii", "csv")
+        for n in (0, 1, 2)
+    ]
+)
 
 
 def _stdout_of(argv: list[str]) -> str:

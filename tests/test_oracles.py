@@ -4,6 +4,7 @@ import pytest
 
 from valleydyck.errors import BadParams, IndexOutOfRange
 from valleydyck.oracles import (
+    ORACLES,
     catalan_number,
     chebyshev_u_at,
     chebyshev_u_polynomial,
@@ -196,8 +197,11 @@ def test_delannoy_convolution():
 
 def test_fuss_collapse_small_value():
     # the two-route value at n=2, r=1 with m = r+1
-    assert formula_vn("fuss_asym_collapse", 2, r=1, m=2) == 1
+    assert formula_vn("fuss_asym_collapse", 2, r=1) == 1
     assert formula_vn("fuss_asym", 2, r=1, m=2) == 1
+    # the collapse takes no m
+    with pytest.raises(BadParams, match="fuss_asym_collapse has no parameter m"):
+        formula_vn("fuss_asym_collapse", 2, r=1, m=2)
 
 
 def test_fuss_formulas_match_series():
@@ -264,3 +268,51 @@ def test_formula_index_validation():
         formula_vn("geom_3x", -1)
     with pytest.raises(BadParams):
         formula_vn("nope", 1)
+
+
+# parameters that meet every condition, for the names that need some
+VALID = {
+    "fuss": dict(r=2), "abcd_power": dict(a=2, b=1, c=2, d=1),
+    "abcd_chebyshev": dict(a=3, b=2, c=2, d=1), "abcd_fibonacci": dict(a=2, b=1, c=1, d=1),
+    "delannoy_convolution": dict(multiplier=7), "fuss_sym": dict(m=2, r=2),
+    "fuss_asym": dict(m=3, r=2), "fuss_asym_collapse": dict(r=2), "fuss_cubic": dict(m=1, r=3),
+    "fuss_cubic_collapse": dict(r=3),
+}
+
+
+def test_boundary_values_follow_the_first_index():
+    for name, (start, _, _) in ORACLES.items():
+        params = VALID.get(name, {})
+        if start >= 1:
+            assert oracle(name, 0, **params) == 1, name
+        if start == 2:
+            assert oracle(name, 1, **params) == 0, name
+
+
+def test_conditions_and_unknown_names_raise_at_every_n():
+    for n in (0, 1, 4):
+        with pytest.raises(BadParams, match="abcd_power needs ad = \\(a-b\\)c"):
+            oracle("abcd_power", n, a=2, b=1, c=3, d=1)
+        with pytest.raises(BadParams, match="a \\+ d = 3"):
+            oracle("abcd_fibonacci", n, a=3, b=2, c=2, d=1)
+        with pytest.raises(BadParams, match="parameter r must be an integer >= 1"):
+            oracle("fuss_cubic_collapse", n, r=0)
+        with pytest.raises(BadParams, match="needs the parameter multiplier"):
+            oracle("delannoy_convolution", n)
+        with pytest.raises(BadParams, match="geom_3x has no parameter t"):
+            oracle("geom_3x", n, t=1)
+
+
+def test_variables_pin_at_every_n():
+    # the pins perfbench's correctness gate passes for each weight table, as strings
+    for n in range(6):
+        for name, pins in [
+            ("motzkin_diff", dict(a=3, b=5)), ("schroder_large_diff", dict(q=2)),
+            ("schroder_small_diff", dict(q=2)), ("narayana_diff", dict(t=4)),
+            ("narayana_shift_diff", dict(t=0)), ("chebyshev_closed", dict(a=4, b=3, c=7, d=2)),
+            ("chebyshev_second", dict(a=1, b=2, c=3)), ("narayana", dict(t=Fraction(1, 2))),
+            ("chebyshev_u", dict(t=3)), ("schroder_large", dict(q=1)), ("motzkin_ab", dict(a=1)),
+        ]:
+            symbolic = oracle(name, n)
+            pinned = oracle(name, n, **{k: str(v) for k, v in pins.items()})
+            assert pinned == symbolic.substitute(pins), (name, n)

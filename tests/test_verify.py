@@ -8,8 +8,8 @@ from valleydyck import cli, verify
 from valleydyck.bijections import MAPS
 from valleydyck.oracles import (
     catalan_number,
+    delannoy_convolution,
     delannoy_hstep_count,
-    delannoy_number,
     formula_vn,
 )
 from valleydyck.verify import CHECKS
@@ -101,8 +101,10 @@ _FORMULA_CHECKS = (
 FAULTS = {
     **{check: ("formula_vn", _formula_off_at_one) for check in _FORMULA_CHECKS},
     "master_triple_agreement": ("path_weight", lambda p, spec: 2 * path_weight(p, spec)),
-    "tau_exchange": ("delannoy_number", lambda n: delannoy_number(n + 1)),
-    "delannoy_scaled_sums": ("delannoy_number", lambda n: delannoy_number(n + 1)),
+    "tau_exchange": ("delannoy_convolution", lambda n, gap: delannoy_convolution(n + 1, gap)),
+    "delannoy_scaled_sums": (
+        "delannoy_convolution", lambda n, gap: delannoy_convolution(n + 1, gap)
+    ),
     "oracle_bridges": ("catalan_number", lambda n: catalan_number(n) + 1),
     "delannoy_table": ("DELANNOY_TUPLES", ((DELANNOY_TUPLES[0][0], 8),) + DELANNOY_TUPLES[1:]),
     "delannoy_axis_hsteps": ("delannoy_hstep_count", lambda n: delannoy_hstep_count(n) + 1),

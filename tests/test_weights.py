@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from valleydyck.errors import NotValleyUniform, OrderExceeded
+from valleydyck.errors import BadParams, NotValleyUniform, OrderExceeded
 from valleydyck.paths import (
     Path,
     Pyramid,
@@ -16,9 +16,11 @@ from valleydyck.paths import (
 from valleydyck.polynomials import Polynomial
 from valleydyck.series import valley_series, valley_series_ab
 from valleydyck.weights import (
+    Arity,
     WeightSpec,
     part_weight,
     path_weight,
+    read_params,
     registry_get,
     spec_from_series,
     structure_weight,
@@ -276,3 +278,33 @@ def test_weight_sum_memo_is_per_call():
     assert values[2] == Polynomial.sum(
         _reference_structure_weight(s, third) for s in valley_structures(n)
     )
+
+
+def test_read_params_by_annotation():
+    # annotations evaluated here, as text in the package's modules
+    def body(n: int, m: int, r: Arity, x: Fraction, t: Polynomial):
+        return None
+
+    read = read_params(body, {"m": "6/2", "r": 1, "x": "7/3", "t": "2", "zz": 5}, "body")
+    assert read == {"m": 3, "r": 1, "x": Fraction(7, 3), "t": Polynomial.const(2)}
+    assert type(read["m"]) is int
+    assert read_params(body, {"m": 0, "r": 2, "x": 0, "t": "sym"}, "body")["t"] == T
+    assert read_params(body, {"m": 0, "r": 2, "x": 0}, "body")["t"] == T
+    for params, message in [
+        ({"m": "1.5", "r": 1, "x": 0}, "body: parameter m must be an integer, got '1.5'"),
+        ({"m": 1, "r": 0, "x": 0}, "body: parameter r must be an integer >= 1, got 0"),
+        ({"m": 1, "r": "sym", "x": 0}, "parameter r must be an integer >= 1, got 'sym'"),
+        ({"m": 1, "r": 1, "x": "sym"}, "parameter x must be a rational number, got 'sym'"),
+        ({"m": 1, "r": 1, "x": 0, "t": "1/0"}, "parameter t must be a rational number or 'sym'"),
+        ({"m": 1, "x": 0}, "body needs the parameter r"),
+    ]:
+        with pytest.raises(BadParams, match=message.replace("(", "\\(").replace(")", "\\)")):
+            read_params(body, params, "body")
+
+
+def test_registry_caches_read_values():
+    # equal values spelled differently build the table once
+    assert registry_get("fuss_sym", 5, m="3", r=2) is registry_get("fuss_sym", 5, m=3, r="4/2")
+    assert registry_get("chebyshev_abcd", 3) is registry_get("chebyshev_abcd", 3, a="sym")
+    with pytest.raises(BadParams, match="fuss_asym: parameter r must be an integer >= 1"):
+        registry_get("fuss_asym", 3, m=1, r="1.9")
