@@ -1,7 +1,7 @@
 """Exact arithmetic for valley-uniform weighted Dyck paths.
 
 The package provides sparse multivariate polynomials over the rationals,
-truncated formal power series with a checked fixed-point solver, lattice
+truncated formal power series with checked equation solvers, lattice
 path enumeration and statistics, the valley weight system with its registry
 of specializations, six constructive weight-preserving bijections, and
 closed-form sequence oracles used to cross-check everything at desk scale.
@@ -32,8 +32,8 @@ _EXPORTS = {
     )
     for name in names
 }
-_SUBMODULES = ("bijections", "cli", "errors", "oracles", "paths", "polynomials", "series",
-               "verify", "weights")
+_SUBMODULES = ("bijections", "cli", "errors", "oracles", "params", "paths", "polynomials",
+               "series", "verify", "weights")
 
 __all__ = [*_EXPORTS, "__version__"]
 

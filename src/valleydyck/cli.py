@@ -41,10 +41,10 @@ ENUMERATE_BATCH = 2048  # paths held at once by enumerate
 # cap of its own (a spec file) is held to the lowest cap of its command
 SIZE_CAPS = {
     "series": ("order", "spec", {
-        "generic": 19, "geom_3x": 1405, "geom_fib": 1277, "motzkin_ab": 106,
-        "schroder_large_q": 78, "schroder_small_q": 78, "narayana_t": 75,
-        "narayana_shift_t": 69, "chebyshev_abcd": 45, "chebyshev_second": 71,
-        "delannoy_tuple": 829, "fuss_sym": 220, "fuss_asym": 220, "fuss_cubic": 239,
+        "generic": 19, "geom_3x": 1405, "geom_fib": 1277, "motzkin_ab": 204,
+        "schroder_large_q": 142, "schroder_small_q": 146, "narayana_t": 141,
+        "narayana_shift_t": 143, "chebyshev_abcd": 45, "chebyshev_second": 71,
+        "delannoy_tuple": 829, "fuss_sym": 859, "fuss_asym": 789, "fuss_cubic": 775,
     }),
     "count": ("n", "spec", dict.fromkeys(REGISTRY, 14)
               | dict.fromkeys(("generic", "chebyshev_abcd", "chebyshev_second"), 13)),
@@ -52,10 +52,10 @@ SIZE_CAPS = {
         "dyck": 11, "motzkin": 14, "schroder_large": 9, "schroder_small": 9, "delannoy": 7,
     }),
     "oracle": ("n", "name", {
-        "catalan": 7057, "fibonacci": 19965, "motzkin_ab": 107, "schroder_large": 77,
-        "schroder_small": 81, "narayana": 3047, "chebyshev_u": 4570, "delannoy": 2509,
-        "fuss": 4302, "geom_3x": 8873, "geom_fib": 10285, "motzkin_diff": 90,
-        "schroder_large_diff": 68, "schroder_small_diff": 68, "narayana_diff": 2330,
+        "catalan": 7057, "fibonacci": 19965, "motzkin_ab": 5179, "schroder_large": 2481,
+        "schroder_small": 2005, "narayana": 3047, "chebyshev_u": 4570, "delannoy": 2509,
+        "fuss": 4302, "geom_3x": 8873, "geom_fib": 10285, "motzkin_diff": 3336,
+        "schroder_large_diff": 1803, "schroder_small_diff": 1530, "narayana_diff": 2330,
         "narayana_shift_diff": 2091, "chebyshev_closed": 107, "abcd_power": 8873,
         "abcd_chebyshev": 5511, "abcd_fibonacci": 10285, "chebyshev_second": 378,
         "delannoy_convolution": 460, "fuss_sym": 3405, "fuss_asym": 602,

@@ -3,15 +3,16 @@
 These are the independent side of every dual-route check: where the series
 module obtains a family from its functional equation, the oracle here uses
 the explicit binomial formula or three-term recurrence, so agreement between
-the two is meaningful.  The Fibonacci convention is fixed globally at
-F0 = 0, F1 = 1.
+the two is meaningful.  Nothing here imports the series module: the
+Motzkin and Schroder polynomials are binomial sums too.  The Fibonacci
+convention is fixed globally at F0 = 0, F1 = 1.
 
 ``ORACLES`` is the one table of the 27 names ``oracle`` evaluates: the nine
 sequences and the 18 closed forms of the weighted sums V_n.  Each entry
 declares its first index, its body and any condition on its parameters.
 Below the first index a closed form is 1 at n = 0 and 0 at n = 1.  The
 body's keyword parameters and their annotations declare the parameters the
-name takes, read by the registry's rule, :func:`valleydyck.weights.read_params`.
+name takes, read by the registry's rule, :func:`valleydyck.params.read_params`.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from typing import Callable
 from .errors import BadParams, IndexOutOfRange
 from .paths import STEP_RISE, enumerate_family
 from .polynomials import Polynomial, binomial
-from .series import named_series
-from .weights import Arity, read_params
+from .params import Arity, read_params
 
+_Q = Polynomial.var("q")
 _T = Polynomial.var("t")
 
 
@@ -58,22 +59,31 @@ def narayana_polynomial(n: int) -> Polynomial:
 
 
 def motzkin_polynomial(n: int) -> Polynomial:
-    """The weighted Motzkin value in a and b, from the functional equation."""
+    """M_n(a, b), the sum over k of C(n, 2k) Cat_k a^(n-2k) b^k."""
     if n < 0:
         raise IndexOutOfRange("motzkin index must be nonnegative")
-    return named_series("motzkin_ab", n).coefficient(n)
+    return Polynomial({
+        (("a", n - 2 * k), ("b", k)): binomial(n, 2 * k) * catalan_number(k)
+        for k in range(n // 2 + 1)
+    })
 
 
 def schroder_large_polynomial(n: int) -> Polynomial:
+    """R_n(q), the sum over k of C(n+k, 2k) Cat_k q^(n-k)."""
     if n < 0:
         raise IndexOutOfRange("schroder index must be nonnegative")
-    return named_series("schroder_large", n).coefficient(n)
+    return Polynomial({
+        (("q", n - k),): binomial(n + k, 2 * k) * catalan_number(k) for k in range(n + 1)
+    })
 
 
 def schroder_small_polynomial(n: int) -> Polynomial:
+    """S_n(q): S_0 = 1, and (q + 1) S_n = R_n for n >= 1."""
     if n < 0:
         raise IndexOutOfRange("schroder index must be nonnegative")
-    return named_series("schroder_small", n).coefficient(n)
+    if n == 0:
+        return Polynomial.one()
+    return schroder_large_polynomial(n).exact_div(_Q + 1)
 
 
 def chebyshev_u_at(n: int, argument) -> Polynomial:
@@ -296,7 +306,7 @@ def oracle(name: str, n: int, **params) -> Polynomial:
     """Exact value of the named sequence or closed form at index n.
 
     The parameters are those the name's body declares, read by
-    :func:`valleydyck.weights.read_params`; any other raises ``BadParams``,
+    :func:`valleydyck.params.read_params`; any other raises ``BadParams``,
     as does a value that breaks the name's condition, at every n.  A value
     stays symbolic in the variables no parameter pins.
     """

@@ -2,18 +2,25 @@
 
 A series of order N stores the coefficients of x^0 .. x^N exactly; all
 arithmetic is the truncated ring arithmetic and never consults anything
-beyond the stored order.  Generating functions defined by a quadratic (or
-higher) functional equation are produced by :func:`solve_fixed_point`, which
-lifts the solution one order at a time and then *checks* the fixed-point
-property instead of trusting convergence; no square root is ever taken.
+beyond the stored order.  No square root is ever taken.
 
-The equation maps handed to the solver are order-polymorphic: a map takes a
-series of any order and returns one of the same order, so it builds its
-constants from ``f.order`` (``1 + f`` or :meth:`TruncatedSeries.times_x`)
-instead of capturing series of one fixed order.  Since such a map is an
-x-adic contraction, running it at order k on the solution known to order
-k - 1 (padded with one zero coefficient) fixes coefficient k exactly, so
-step k of the solver costs one order-k evaluation, not a full-order one.
+The named series that solve an algebraic equation F = sum_j c_j(x) F^j are
+one table, ``EQUATIONS``: each entry lists the terms of its equation, and
+its constructor checks the contraction condition c_j(0) = 0 for j >= 1
+once.  One online solver, :func:`solve_equation`, serves every entry: it
+reads coefficient k of F off the power tables [x^m] F^j for m < k, grows
+each table by one convolution, and at the end checks the equation at the
+full order with the ordinary arithmetic below instead of trusting it.
+
+:func:`solve_fixed_point` solves a map given as a function.  It lifts the
+solution one order at a time and then *checks* the fixed-point property.
+Its maps are order-polymorphic: a map takes a series of any order and
+returns one of the same order, so it builds its constants from ``f.order``
+(``1 + f`` or :meth:`TruncatedSeries.times_x`) instead of capturing series
+of one fixed order.  Since such a map is an x-adic contraction, running it
+at order k on the solution known to order k - 1 (padded with one zero
+coefficient) fixes coefficient k exactly, so step k of the solver costs one
+order-k evaluation, not a full-order one.
 
 Products skip zero coefficients, stop at the truncation order, reuse a
 factor that is the constant 1 instead of multiplying by it, form each cross
@@ -300,6 +307,110 @@ def solve_fixed_point(
     return current
 
 
+ARITY = "r+1"  # a power of F that is the equation's parameter r plus one
+
+
+class Equation:
+    """The algebraic equation F = sum of c x^i F^j over its terms (j, i, c).
+
+    A term with j >= 1 must have i >= 1: each c_j(x) but c_0 vanishes at
+    x = 0, so the map is an x-adic contraction with one fixed point.  The
+    constructor checks that, once per equation, and :func:`solve_equation`
+    relies on it.  The power j may be ``ARITY``, which stands for r + 1, where
+    r >= 1 is the parameter the equation then takes.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, *terms: tuple[int | str, int, CoeffLike]):
+        checked = []
+        for j, i, c in terms:
+            if j != ARITY and not (isinstance(j, int) and j >= 0) or i < 0:
+                raise ValueError(f"term ({j}, {i}) needs a power of F >= 0 and of x >= 0")
+            if j != 0 and i == 0:
+                raise NotAContraction(f"the coefficient of F^{j} must vanish at x = 0")
+            checked.append((j, i, _coeff(c)))
+        object.__setattr__(self, "terms", tuple(checked))
+
+    def __setattr__(self, name, value):  # pragma: no cover - defensive
+        raise AttributeError("Equation is immutable")
+
+    @property
+    def takes_r(self) -> bool:
+        return any(j == ARITY for j, _, _ in self.terms)
+
+
+def solve_equation(equation: Equation, order: int, r: int | None = None) -> TruncatedSeries:
+    """The solution F of ``equation`` to order ``order``, solved online, then checked.
+
+    Coefficient k of F is read off the terms and the power tables
+    [x^m] F^j for m < k, which is all a term with i >= 1 needs; then each
+    table grows by one coefficient, one convolution (the relaxed method of
+    van der Hoeven, "Relax, but don't be too lazy", 2002).  That is O(d k)
+    products for coefficient k, d the top power, where rerunning the whole
+    map at every order costs O(k^2).  F^j is kept as the square of F^(j/2)
+    for even j, which takes half the products, and as F^(j-1) F for odd j.
+    The result is checked at the full order with ordinary series arithmetic:
+    the sum of the terms must give F back, else NotAContraction.
+    """
+    terms = [(r + 1 if j == ARITY else j, i, c) for j, i, c in equation.terms]
+    # the powers of F the terms read, and the powers those are built from
+    chain: dict[int, int] = {}
+    todo = [j for j, _, _ in terms]
+    while todo:
+        j = todo.pop()
+        if j >= 2 and j not in chain:
+            chain[j] = j // 2 if j % 2 == 0 else j - 1
+            todo.append(chain[j])
+    f: list[Polynomial] = []
+    powers: dict[int, list[Polynomial]] = {1: f}
+    powers.update((j, []) for j in chain)
+    steps = sorted(chain)
+    reads = [(powers[j], i, c, c == _ONE) for j, i, c in terms if j]
+    for k in range(order + 1):
+        acc = [c for j, i, c in terms if j == 0 and i == k]
+        for row, i, c, one in reads:
+            if i <= k and row[k - i]:
+                acc.append(row[k - i] if one else row[k - i] * c)
+        f.append(_total(acc) if acc else _ZERO)
+        if k == order:
+            break
+        for j in steps:
+            half = chain[j]
+            if j == 2 * half:  # a square: each cross product once, doubled
+                row = powers[half]
+                cross = [row[m] * row[k - m] for m in range((k + 1) // 2)]
+                total = Polynomial.sum(cross) * 2 if cross else _ZERO
+                powers[j].append(total + row[k // 2] ** 2 if k % 2 == 0 else total)
+            else:
+                row = powers[half]
+                powers[j].append(Polynomial.sum(row[m] * f[k - m] for m in range(k + 1)))
+    solution = TruncatedSeries._trusted(tuple(f))
+    image = TruncatedSeries.zero(order)
+    for j, i, c in terms:
+        term = (solution**j).times_x(i)
+        image = image + (term if c == _ONE else term.scale(c))
+    if image != solution:
+        raise NotAContraction("the solution does not satisfy its equation")
+    return solution
+
+
+_A, _B, _Q, _T = (Polynomial.var(v) for v in "abqt")
+
+# the seven named series that solve an algebraic equation; the others are
+# built from a product formula or a binomial sum
+EQUATIONS: dict[str, Equation] = {
+    "catalan": Equation((0, 0, 1), (2, 1, 1)),
+    "motzkin_ab": Equation((0, 0, 1), (1, 1, _A), (2, 2, _B)),
+    "schroder_large": Equation((0, 0, 1), (1, 1, _Q), (2, 1, 1)),
+    "schroder_small": Equation((0, 0, 1), (1, 1, -_Q), (2, 1, _Q + 1)),
+    "narayana": Equation((0, 0, 1), (1, 1, _T - 1), (2, 1, 1)),
+    # (1 + xF)(1 + txF): the n-th coefficient is the (n+1)-st Narayana polynomial
+    "narayana_shift": Equation((0, 0, 1), (1, 1, _T + 1), (2, 2, _T)),
+    "fuss": Equation((0, 0, 1), (ARITY, 1, 1)),
+}
+
+
 def _delannoy_number(n: int) -> int:
     return sum(binomial(n, i) * binomial(n + i, i) for i in range(n + 1))
 
@@ -308,46 +419,24 @@ def _delannoy_number(n: int) -> int:
 def named_series(name: str, order: int, r: int | None = None) -> TruncatedSeries:
     """Generating functions used throughout, each from its defining relation.
 
-    Symbolic parameters stay symbolic: motzkin_ab in a and b, the Schroder
-    families in q, the Narayana family and chebyshev_u in t.  ``fuss``
-    requires the arity parameter ``r >= 1``; ``delannoy`` is built from the
-    central Delannoy binomial sum.
+    The names in ``EQUATIONS`` are solved from their equation by
+    :func:`solve_equation`.  Symbolic parameters stay symbolic: motzkin_ab
+    in a and b, the Schroder families in q, the Narayana family and
+    chebyshev_u in t.  ``fuss`` requires the arity parameter ``r >= 1``;
+    ``delannoy`` is built from the central Delannoy binomial sum.
     """
     if order < 0:
         raise BadParams("order must be nonnegative")
-    if name != "fuss" and r is not None:
+    equation = EQUATIONS.get(name)
+    takes_r = equation is not None and equation.takes_r
+    if not takes_r and r is not None:
         raise BadParams(f"series {name!r} takes no r parameter")
-    a, b = Polynomial.var("a"), Polynomial.var("b")
-    q, t = Polynomial.var("q"), Polynomial.var("t")
-    if name == "catalan":
-        return solve_fixed_point(lambda f: 1 + (f * f).times_x(), order)
-    if name == "motzkin_ab":
-        return solve_fixed_point(
-            lambda f: 1 + f.times_x().scale(a) + (f * f).times_x(2).scale(b), order
-        )
-    if name == "schroder_large":
-        return solve_fixed_point(lambda f: 1 + f.times_x().scale(q) + (f * f).times_x(), order)
-    if name == "schroder_small":
-        return solve_fixed_point(
-            lambda f: 1 - f.times_x().scale(q) + (f * f).times_x().scale(q + 1), order
-        )
-    if name == "narayana":
-        return solve_fixed_point(
-            lambda f: 1 + f.times_x().scale(t - 1) + (f * f).times_x(), order
-        )
-    if name == "narayana_shift":
-        # the series whose n-th coefficient is the (n+1)-st Narayana polynomial over t
-        def narayana_shift(f: TruncatedSeries) -> TruncatedSeries:
-            xf = f.times_x()
-            return (1 + xf) * (1 + xf.scale(t))
-
-        return solve_fixed_point(narayana_shift, order)
+    if takes_r and (r is None or r < 1):
+        raise BadParams(f"{name} needs an integer parameter r >= 1")
+    if equation is not None:
+        return solve_equation(equation, order, r)
     if name == "chebyshev_u":
-        return TruncatedSeries.from_coeffs([1, -2 * t, 1], order).inverse()
-    if name == "fuss":
-        if r is None or r < 1:
-            raise BadParams("fuss needs an integer parameter r >= 1")
-        return solve_fixed_point(lambda f: 1 + (f ** (r + 1)).times_x(), order)
+        return TruncatedSeries.from_coeffs([1, -2 * _T, 1], order).inverse()
     if name == "delannoy":
         return TruncatedSeries([_delannoy_number(n) for n in range(order + 1)])
     raise BadParams(f"unknown series name {name!r}")

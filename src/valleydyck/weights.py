@@ -21,10 +21,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Mapping, Union
+from typing import Callable, Mapping
 
 from ._value import Value
 from .errors import BadParams, FamilyViolation, NotValleyUniform, OrderExceeded
+from .params import Arity, ParamValue, _read, read_params
 from .paths import (
     Part,
     Path,
@@ -37,9 +38,6 @@ from .paths import (
 )
 from .polynomials import Polynomial, var_key
 from .series import TruncatedSeries, _require_weight_series, named_series
-
-ParamValue = Union[int, Fraction, str]
-
 
 class WeightSpec(Value):
     """The three 1-indexed weight sequences, each a tuple of polynomials up to one order."""
@@ -223,53 +221,6 @@ def target_weight_sum(n: int, family: str, filt: str, weighting: str) -> Polynom
 
 
 # -- the registry of specializations -------------------------------------------
-
-
-class Arity(int):
-    """The annotation of an integer parameter that must be at least 1."""
-
-
-# how a declared parameter is read, by its annotation: what it must be, and
-# the value it becomes (None when the rational does not qualify)
-_KINDS: dict[str, tuple[str, Callable[[Fraction], object]]] = {
-    "int": ("an integer", lambda q: int(q) if q.denominator == 1 else None),
-    "Arity": ("an integer >= 1", lambda q: int(q) if q.denominator == 1 and q >= 1 else None),
-    "Fraction": ("a rational number", lambda q: q),
-    "Polynomial": ("a rational number or 'sym'", Polynomial.const),
-}
-
-
-def _read(name: str, kind: str, value: ParamValue | None, label: str):
-    if kind == "Polynomial" and value in (None, "sym"):
-        return Polynomial.var(name)
-    if value is None:
-        raise BadParams(f"{label} needs the parameter {name}")
-    what, convert = _KINDS[kind]
-    try:
-        read = convert(Fraction(value))
-    except (TypeError, ValueError, ZeroDivisionError):
-        read = None
-    if read is None:
-        raise BadParams(f"{label}: parameter {name} must be {what}, got {value!r}")
-    return read
-
-
-def read_params(fn: Callable, params: Mapping[str, ParamValue], label: str) -> dict:
-    """Read from ``params`` each keyword parameter ``fn`` declares after its first.
-
-    The parameter's annotation says how: ``int`` is an integer (a rational
-    that is integral), ``Arity`` an integer >= 1, ``Fraction`` a rational,
-    and ``Polynomial`` a variable of that name, which a rational pins and
-    ``"sym"`` (or no value) leaves symbolic.  Values may be ints, Fractions
-    or fraction strings like ``"7/3"``; a missing or unreadable one raises
-    ``BadParams`` naming the parameter.  Names ``fn`` does not declare are
-    left to the caller.
-    """
-    code, kinds = fn.__code__, fn.__annotations__
-    return {  # an annotation is its name as text, or the class when evaluated
-        name: _read(name, getattr(kinds[name], "__name__", kinds[name]), params.get(name), label)
-        for name in code.co_varnames[1 : code.co_argcount]
-    }
 
 
 def _build_generic(order: int) -> WeightSpec:

@@ -1,6 +1,6 @@
-"""Golden stdout of ``count`` for every weight table, of every round trip, of
-``oracle`` for every name and of ``enumerate`` for every family, filter and
-format at small sizes.
+"""Golden stdout of ``count`` and ``series`` for every weight table, of every
+round trip, of ``oracle`` for every name and of ``enumerate`` for every family,
+filter and format at small sizes.
 
 The fixture ``fixtures/cli_golden.json`` maps each command line to the exact
 stdout it printed when the fixture was made, so a change that alters one
@@ -41,6 +41,23 @@ def _argv_of(table: str) -> list[str]:
     return argv
 
 
+# every weight table's series at an order inside its perfbench series_sweep
+# range, symbolic where the table has parameters; two tables also pinned
+_SERIES_ORDERS = {
+    "generic": 8, "motzkin_ab": 14, "schroder_large_q": 12, "schroder_small_q": 12,
+    "narayana_t": 12, "narayana_shift_t": 12, "chebyshev_abcd": 8, "chebyshev_second": 8,
+    "geom_3x": 24, "geom_fib": 24, "delannoy_tuple": 24, "fuss_sym": 14, "fuss_asym": 14,
+    "fuss_cubic": 14,
+}
+
+
+def _series_argv(table: str, order: int, pairs=None) -> list[str]:
+    argv = ["series", "--spec", table, "--order", str(order), "--format", "json"]
+    for pair in _PARAMS.get(table, ()) if pairs is None else pairs:
+        argv += ["--param", pair]
+    return argv
+
+
 # every oracle name at n = 7, with parameters that meet its conditions
 _ORACLE_PARAMS = {
     "catalan": (), "fibonacci": (), "motzkin_ab": (), "schroder_large": (),
@@ -66,6 +83,11 @@ def _oracle_argv(name: str, fmt: str, pairs=None) -> list[str]:
 
 CASES = (
     [_argv_of(table) for table in REGISTRY]
+    + [_series_argv(table, _SERIES_ORDERS[table]) for table in REGISTRY]
+    + [
+        _series_argv("motzkin_ab", 20, ("a=2", "b=3")),
+        _series_argv("schroder_large_q", 16, ("q=3",)),
+    ]
     + [["biject", "--map", map_id, "--n", "5", "--roundtrip"] for map_id in MAP_IDS + ("tau",)]
     + [_oracle_argv(name, "json") for name in _ORACLE_PARAMS]
     + [_oracle_argv(name, "pretty") for name in ("catalan", "narayana", "chebyshev_closed")]

@@ -1,3 +1,6 @@
+import json
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -125,6 +128,25 @@ def test_motzkin_values():
     assert motzkin_polynomial(3) == A ** 3 + 3 * A * B
     ones = motzkin_polynomial(6).substitute({"a": 1, "b": 1})
     assert ones == 51
+
+
+def test_binomial_sums_match_the_solved_series():
+    # two routes: the closed binomial sums here, the equations in series
+    order = 30
+    for poly, name in (
+        (motzkin_polynomial, "motzkin_ab"),
+        (schroder_large_polynomial, "schroder_large"),
+        (schroder_small_polynomial, "schroder_small"),
+    ):
+        assert [poly(n) for n in range(order + 1)] == list(named_series(name, order).coeffs)
+
+
+def test_oracles_load_no_series_code():
+    code = "import json, sys, valleydyck.oracles; print(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    loaded = json.loads(proc.stdout)
+    assert "valleydyck.oracles" in loaded
+    assert "valleydyck.series" not in loaded and "valleydyck.weights" not in loaded
 
 
 def test_oracle_dispatch():

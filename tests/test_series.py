@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from valleydyck.errors import (
+    BadParams,
     NonzeroConstantTerm,
     NotAContraction,
     NotAUnit,
@@ -13,8 +14,12 @@ from valleydyck.errors import (
 )
 from valleydyck.polynomials import Polynomial
 from valleydyck.series import (
+    ARITY,
+    EQUATIONS,
+    Equation,
     TruncatedSeries,
     named_series,
+    solve_equation,
     solve_fixed_point,
     valley_series,
     valley_series_ab,
@@ -332,3 +337,109 @@ def test_pickle_round_trip():
     )
     t = pickle.loads(pickle.dumps(s))
     assert t == s and hash(t) == hash(s) and str(t) == str(s)
+
+
+def test_each_solved_series_declares_its_contraction():
+    assert set(EQUATIONS) == {
+        "catalan", "motzkin_ab", "schroder_large", "schroder_small", "narayana",
+        "narayana_shift", "fuss",
+    }
+    for name, equation in EQUATIONS.items():
+        # built by the checking constructor: c_j(0) = 0 for every j >= 1
+        assert type(equation) is Equation
+        assert all(i >= 1 for j, i, _ in equation.terms if j != 0), name
+        assert equation.takes_r == (name == "fuss")
+    with pytest.raises(NotAContraction):
+        Equation((0, 0, 1), (1, 1, 1), (2, 0, Q))
+    with pytest.raises(NotAContraction):
+        Equation((0, 0, 1), (ARITY, 0, 1))
+    with pytest.raises(ValueError):
+        Equation((0, 0, 1), (-1, 1, 1))
+    with pytest.raises(ValueError):
+        Equation((0, -1, 1))
+
+
+def test_named_series_parameter_errors():
+    cases = [
+        (("fuss", 3), "fuss needs an integer parameter r >= 1"),
+        (("fuss", 3, 0), "fuss needs an integer parameter r >= 1"),
+        (("catalan", 3, 2), "series 'catalan' takes no r parameter"),
+        (("chebyshev_u", 3, 1), "series 'chebyshev_u' takes no r parameter"),
+        (("nope", 3), "unknown series name 'nope'"),
+        (("catalan", -1), "order must be nonnegative"),
+    ]
+    for args, message in cases:
+        with pytest.raises(BadParams) as info:
+            named_series(*args)
+        assert str(info.value) == message
+
+
+def test_solve_equation_beyond_the_named_series():
+    # c_0 with x terms, a power of F above 2 and rational coefficients
+    half = Fraction(1, 2)
+    equation = Equation((0, 0, 2), (0, 2, -1), (1, 2, half), (3, 1, T), (5, 2, 1))
+    got = solve_equation(equation, 9)
+    assert got == solve_fixed_point(
+        lambda f: TruncatedSeries.from_coeffs([2, 0, -1], f.order) + f.times_x(2).scale(half)
+        + (f**3).times_x().scale(T) + (f**5).times_x(2),
+        9,
+    )
+    assert got.coefficient(0) == 2
+    # the fuss arity is bound per solve
+    assert solve_equation(EQUATIONS["fuss"], 6, r=2) == named_series("fuss", 6, r=2)
+
+
+def _sympy_of(sympy, poly):
+    return sum(
+        (sympy.Rational(c.numerator, c.denominator)
+         * sympy.Mul(*(sympy.Symbol(v) ** e for v, e in mono)) for mono, c in poly.sorted_terms()),
+        sympy.Integer(0),
+    )
+
+
+def test_named_series_against_sympy():
+    """Each equation solved by sympy alone, against named_series at order 10."""
+    sympy = pytest.importorskip("sympy")
+    order = 10
+    x, f = sympy.symbols("x F")
+    for name, equation in EQUATIONS.items():
+        r = 2 if equation.takes_r else None
+        rhs = sum(
+            _sympy_of(sympy, c) * x**i * f ** (r + 1 if j == ARITY else j)
+            for j, i, c in equation.terms
+        )
+        if sympy.degree(rhs, f) == 2:
+            # the radical root that is 1 at x = 0, expanded as a series
+            roots = sympy.solve(sympy.Eq(f, rhs), f)
+            root = next(s for s in roots if sympy.simplify(sympy.limit(s, x, 0)) == 1)
+            expansion = sympy.series(root, x, 0, order + 1).removeO()
+            want = [expansion.coeff(x, k) for k in range(order + 1)]
+        else:
+            # undetermined coefficients, each solved from its own equation
+            unknowns = sympy.symbols(f"f0:{order + 1}")
+            trial = sum(u * x**k for k, u in enumerate(unknowns))
+            residual = sympy.Poly(sympy.expand(trial - rhs.subs(f, trial)), x)
+            solved: dict = {}
+            for k, u in enumerate(unknowns):
+                (solved[u],) = sympy.solve(residual.coeff_monomial(x**k).subs(solved), u)
+            want = [solved[u] for u in unknowns]
+        got = named_series(name, order, r=r)
+        for k in range(order + 1):
+            assert sympy.cancel(_sympy_of(sympy, got.coefficient(k)) - want[k]) == 0, (name, k)
+
+
+def test_product_and_inverse_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.ring_series import rs_mul, rs_series_inversion
+
+    order = 10
+    ring, x = sympy.ring("x", sympy.QQ[sympy.symbols("a b q")])
+
+    def in_ring(series):
+        return ring(sum(_sympy_of(sympy, c) * sympy.Symbol("x") ** k
+                        for k, c in enumerate(series.coeffs)))
+
+    s, u = named_series("motzkin_ab", order), named_series("schroder_large", order)
+    assert in_ring(s * u) == rs_mul(in_ring(s), in_ring(u), x, order + 1)
+    assert in_ring(s.inverse()) == rs_series_inversion(in_ring(s), x, order + 1)
+    assert in_ring(u.inverse()) == rs_series_inversion(in_ring(u), x, order + 1)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from valleydyck import cli, verify
+from valleydyck import cli, series, verify, weights
 from valleydyck.bijections import MAPS
 from valleydyck.oracles import (
     catalan_number,
@@ -12,6 +12,8 @@ from valleydyck.oracles import (
     delannoy_hstep_count,
     formula_vn,
 )
+from valleydyck.polynomials import Polynomial
+from valleydyck.series import Equation
 from valleydyck.verify import CHECKS
 from valleydyck.weights import DELANNOY_TUPLES, path_weight
 
@@ -127,6 +129,37 @@ def test_check_fails_on_a_wrong_input(check, monkeypatch):
     assert result.status == "fail"
     assert " != " in result.detail, result.detail  # a comparison caught it, not an exception
 
+
+
+_A, _B, _Q = (Polynomial.var(v) for v in "abq")
+
+# a wrong coefficient in one entry of series.EQUATIONS, which the weight
+# table is built from; the oracle side is a binomial sum that never sees it
+EQUATION_FAULTS = {
+    "diff_motzkin": ("motzkin_ab", Equation((0, 0, 1), (1, 1, _A), (2, 2, 2 * _B))),
+    "diff_schroder_large": ("schroder_large", Equation((0, 0, 1), (1, 1, _Q), (2, 1, _Q + 2))),
+}
+
+
+def _clear_series_caches():
+    series.named_series.cache_clear()
+    weights._registry_get_cached.cache_clear()
+
+
+@pytest.mark.parametrize("check", EQUATION_FAULTS)
+def test_diff_check_fails_on_a_wrong_equation(check, monkeypatch):
+    name, wrong = EQUATION_FAULTS[check]
+    assert verify.run_check(check, 6).passed
+    monkeypatch.setitem(series.EQUATIONS, name, wrong)
+    _clear_series_caches()
+    try:
+        report = verify.run_check(check, 6)
+    finally:
+        monkeypatch.undo()
+        _clear_series_caches()
+    (result,) = report.results
+    assert not report.passed and result.status == "fail"
+    assert " != " in result.detail, result.detail  # a comparison caught it, not an exception
 
 
 def test_max_n_cap(assert_capped):
