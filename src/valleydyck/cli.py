@@ -30,6 +30,7 @@ from .oracles import oracle
 from .paths import FAMILY_STEPS, FILTERS, Path, enumerate_family, render_ascii
 from .polynomials import Polynomial
 from .series import valley_series, valley_series_ab
+from . import verify
 from .verify import SUITES, run_check, run_suite
 from .weights import REGISTRY, WeightSpec, _pin_params, registry_get, valley_weight_sum
 
@@ -91,6 +92,8 @@ def _load_json(reference: str) -> dict:
 
 def _resolve_spec(name: str, order: int, params: dict[str, str]) -> WeightSpec:
     if name.startswith("@"):
+        if order < 0:  # refused as registry_get refuses it for a name
+            raise ValleyDyckError("order must be nonnegative")
         spec = WeightSpec.from_json(_load_json(name))
         if spec.order < order:
             raise ValleyDyckError(
@@ -285,36 +288,17 @@ def _cmd_render(args) -> int:
     return 0
 
 
-_EXAMPLE_PATHS = {
-    "intro_example": ("dyck", "UUUUUUDDDUDUDDDDUUUDUDDDUUDD"),
-    "motzkin_source": ("dyck", "UUUUUDDDDDUUUUDUDUDUDDDDUUDD"),
-    "schroder_source": ("dyck", "UUUDDDUUDUDUDD"),
-    "narayana_source": ("dyck", "UUUDDDUUUDUDUDUDDD"),
-    "exchange_source": ("dyck", "U" * 8 + "UUUDDD" + "UD" + "UUDD" + "D" * 8),
-    "exchange_image": ("dyck", "U" * 6 + "UUUUDDDD" + "UD" + "UUDD" + "UD" + "D" * 6),
-}
-
-
 def _seed_fixtures(directory: str) -> int:
     target = FilePath(directory)
     target.mkdir(parents=True, exist_ok=True)
-    for name, (family, steps) in _EXAMPLE_PATHS.items():
-        (target / f"{name}.txt").write_text(render_ascii(Path(family, steps)) + "\n")
-    exchange = TauDecorated.from_json(
-        {
-            "side": "src_4372",
-            "parts": [
-                {
-                    "k0": 8,
-                    "letters": ["1", "1h", "1", "1", "1h", "1h", "1h"],
-                    "blocks": [3, 1, 2],
-                }
-            ],
-        }
-    )
-    (target / "exchange_source.json").write_text(
-        json.dumps(exchange.to_json(), indent=2) + "\n"
-    )
+    source = verify.EXCHANGE_SOURCE
+    paths = {f"{name}_source": obj.structure.to_path()
+             for name, obj in verify.DECORATED_EXAMPLES.items()}
+    paths.update(intro_example=verify.INTRO_EXAMPLE, exchange_source=source.to_path(),
+                 exchange_image=verify.EXCHANGE_IMAGE)
+    for name, path in paths.items():
+        (target / f"{name}.txt").write_text(render_ascii(path) + "\n")
+    (target / "exchange_source.json").write_text(json.dumps(source.to_json(), indent=2) + "\n")
     spec = registry_get("motzkin_ab", 6)
     (target / "motzkin_spec.json").write_text(json.dumps(spec.to_json(), indent=2) + "\n")
     sys.stderr.write(f"fixtures written to {target}\n")

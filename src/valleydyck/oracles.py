@@ -103,14 +103,10 @@ def chebyshev_u_polynomial(n: int) -> Polynomial:
 
 @lru_cache(maxsize=None)
 def delannoy_number(n: int) -> int:
-    """Central Delannoy number; both binomial forms are computed and compared."""
+    """Central Delannoy number, the sum over i of C(n, i) C(n+i, i)."""
     if n < 0:
         raise IndexOutOfRange("delannoy index must be nonnegative")
-    first = sum(binomial(n, i) * binomial(n + i, i) for i in range(n + 1))
-    second = sum(binomial(n, i) ** 2 * 2**i for i in range(n + 1))
-    if first != second:
-        raise ArithmeticError(f"delannoy binomial forms disagree at {n}")
-    return first
+    return sum(binomial(n, i) * binomial(n + i, i) for i in range(n + 1))
 
 
 def fuss_catalan_number(n: int, r: int) -> int:
@@ -118,10 +114,7 @@ def fuss_catalan_number(n: int, r: int) -> int:
         raise IndexOutOfRange("fuss index must be nonnegative")
     if r < 1:
         raise BadParams("fuss needs r >= 1")
-    value = Fraction(binomial(n * (r + 1), n), n * r + 1)
-    if value.denominator != 1:
-        raise ArithmeticError(f"fuss value is not integral at n={n}, r={r}")
-    return value.numerator
+    return binomial(n * (r + 1), n) // (n * r + 1)
 
 
 def delannoy_convolution(n: int, gap: int) -> int:
@@ -198,10 +191,7 @@ def _abcd_power(n: int, a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> P
 
 
 def _abcd_chebyshev(n: int, a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> Polynomial:
-    value = (a * d - 1) * chebyshev_u_at(n - 2, (a + d) / 2).constant_value()
-    if value.denominator != 1:
-        raise ArithmeticError("expected an integer value from the Chebyshev recurrence")
-    return Polynomial.const(value)
+    return Polynomial.const((a * d - 1) * chebyshev_u_at(n - 2, (a + d) / 2).constant_value())
 
 
 def _abcd_fibonacci(n: int, a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> Polynomial:
@@ -339,8 +329,8 @@ formula_vn = oracle
 def delannoy_hstep_count(n: int) -> int:
     """Number of axis-level double flats over all Delannoy paths of semilength n.
 
-    Counted by brute force over the full enumeration and checked against the
-    convolution of consecutive central Delannoy numbers before returning.
+    Counted by brute force over the full enumeration; ``delannoy_axis_hsteps``
+    compares it with the convolution of consecutive central Delannoy numbers.
     """
     if n < 1:
         raise IndexOutOfRange("axis H-step counting starts at semilength 1")
@@ -351,9 +341,4 @@ def delannoy_hstep_count(n: int) -> int:
             if ch == "H" and level == 0:
                 count += 1
             level += STEP_RISE[ch]
-    expected = delannoy_convolution(n, 1)
-    if count != expected:
-        raise ArithmeticError(
-            f"axis H-step brute force {count} disagrees with convolution {expected} at n={n}"
-        )
     return count

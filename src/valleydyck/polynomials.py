@@ -48,7 +48,7 @@ import re
 import threading
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial, prod
 from typing import Iterable, Mapping, Union
 
 from .errors import NotDivisible
@@ -605,14 +605,14 @@ def _trusted(terms: dict[int, Scalar], inv: bool | None = None) -> Polynomial:
 
 
 def binomial(n: int, k: int) -> int:
-    """Generalized binomial coefficient via the falling factorial.
+    """Generalized binomial coefficient.
 
-    Defined for any integer ``n``: zero when ``k < 0``, otherwise
-    ``n (n-1) ... (n-k+1) / k!``, which is always an integer.
+    Defined for any integer ``n``: zero when ``k < 0``, otherwise the falling
+    factorial ``n (n-1) ... (n-k+1) / k!``, which is always an integer.  For
+    ``n >= 0`` that is ``math.comb``; a negative ``n`` takes the product.
     """
     if k < 0:
         return 0
-    num = 1
-    for i in range(k):
-        num *= n - i
-    return num // factorial(k)
+    if n >= 0:
+        return comb(n, k)
+    return prod(range(n, n - k, -1)) // factorial(k)

@@ -52,7 +52,7 @@ from .oracles import (
     schroder_small_polynomial,
 )
 from .paths import Path, Pyramid, ValleyBlock, ValleyStructure, enumerate_family, is_valley_uniform
-from .polynomials import Polynomial
+from .polynomials import Polynomial, binomial
 from .series import TruncatedSeries, valley_series, valley_series_ab
 from .weights import (
     DELANNOY_TUPLES,
@@ -211,7 +211,33 @@ for _map_id, _spec in MAPS.items():
     _check(f"bijection_{_map_id}", upto=6)(partial(_bijection, _map_id))
 
 
-_INTRO_EXAMPLE = "UUU" + "UUUDDD" + "UDUD" + "DDD" + "UU" + "UDUD" + "DD" + "UU" + "DD"
+# The worked examples of the paper, each written once: ``worked_examples``
+# compares them with the values the paper gives, ``--seed-fixtures`` renders
+# them, and the tests take them as inputs.
+INTRO_EXAMPLE = Path("dyck", "UUU" + "UUUDDD" + "UDUD" + "DDD" + "UU" + "UDUD" + "DD" + "UU" + "DD")
+DECORATED_EXAMPLES = {
+    "motzkin": DecoratedStructure(
+        "phi",
+        ValleyStructure((Pyramid(5), ValleyBlock(3, (1, 1, 1, 1)), Pyramid(2))),
+        (PartDecoration(Path("motzkin", "FFF")), PartDecoration(Path("motzkin", "FF")),
+         PartDecoration(Path("motzkin", ""))),
+    ),
+    "schroder": DecoratedStructure(
+        "theta",
+        ValleyStructure((Pyramid(3), ValleyBlock(1, (1, 1, 1)))),
+        (PartDecoration(Path("schroder_large", "HH")),
+         PartDecoration(Path("schroder_large", "H"), ("H", "ud"))),
+    ),
+    "narayana": DecoratedStructure(
+        "rho",
+        ValleyStructure((Pyramid(3), ValleyBlock(2, (1, 1, 1, 1)))),
+        (PartDecoration(Path("dyck", "UUDD")), PartDecoration(Path("dyck", "UDUD"))),
+    ),
+}
+EXCHANGE_SOURCE = TauDecorated(
+    "src_4372", (TauFactor(8, (3, 1, 2), ("1", "1h", "1", "1", "1h", "1h", "1h")),)
+)
+EXCHANGE_IMAGE = Path("dyck", "U" * 6 + "UUUUDDDD" + "UD" + "UUDD" + "UD" + "D" * 6)
 
 
 @_check("worked_examples")
@@ -220,43 +246,34 @@ def _worked_examples(bound: int) -> Iterator[Comparison]:
     var = Polynomial.var
     yield (
         "introductory example weight",
-        path_weight(Path("dyck", _INTRO_EXAMPLE), registry_get("generic", 14)),
+        path_weight(INTRO_EXAMPLE, registry_get("generic", 14)),
         var("alpha1") ** 4 * var("alpha3") * var("beta2") * var("beta3") * var("gamma2"),
     )
 
-    # image shape and summed structure weight of the Motzkin, Schroder and Narayana examples
-    examples = (
-        ("Motzkin", "phi", (Pyramid(5), ValleyBlock(3, (1, 1, 1, 1)), Pyramid(2)),
-         (PartDecoration(Path("motzkin", "FFF")), PartDecoration(Path("motzkin", "FF")),
-          PartDecoration(Path("motzkin", ""))),
-         "UFFFDUFFDFFFUD", _A**3 * _B**3 * (_A**2 + _B) * (_A**3 + 3 * _A * _B)),
-        ("Schroder", "theta", (Pyramid(3), ValleyBlock(1, (1, 1, 1))),
-         (PartDecoration(Path("schroder_large", "HH")),
-          PartDecoration(Path("schroder_large", "H"), ("H", "ud"))),
-         "UHHDUHDHUD", (_Q + 2) * (_Q + 1) ** 4),
-        ("Narayana", "rho", (Pyramid(3), ValleyBlock(2, (1, 1, 1, 1))),
-         (PartDecoration(Path("dyck", "UUDD")), PartDecoration(Path("dyck", "UDUD"))),
-         "UUUDDDUUDUDDUDUDUD", (_T + _T * _T) ** 2 * _T**3),
-    )
-    for label, map_id, parts, decorated, image, total in examples:
-        structure = ValleyStructure(parts)
-        obj = DecoratedStructure(map_id, structure, decorated)
-        yield f"{label} image shape", forward(map_id, obj).steps, image
-        summed = Polynomial.sum(decorated_weight(c) for c in decorations(structure, map_id))
+    # image shape, inverse and summed structure weight of the Motzkin, Schroder
+    # and Narayana examples, all above the bijection checks' clamp
+    expected = {
+        "motzkin": ("UFFFDUFFDFFFUD", _A**3 * _B**3 * (_A**2 + _B) * (_A**3 + 3 * _A * _B)),
+        "schroder": ("UHHDUHDHUD", (_Q + 2) * (_Q + 1) ** 4),
+        "narayana": ("UUUDDDUUDUDDUDUDUD", (_T + _T * _T) ** 2 * _T**3),
+    }
+    for name, obj in DECORATED_EXAMPLES.items():
+        steps, total = expected[name]
+        label = name.capitalize()
+        image = forward(obj.map_id, obj)
+        yield f"{label} image shape", image.steps, steps
+        yield f"{label} inverse of the image", inverse(obj.map_id, image), obj
+        summed = Polynomial.sum(map(decorated_weight, decorations(obj.structure, obj.map_id)))
         yield f"{label} example weight", summed, total
 
     # the integer-weight exchange example
-    src = TauDecorated(
-        "src_4372",
-        (TauFactor(8, (3, 1, 2), ("1", "1h", "1", "1", "1h", "1h", "1h")),),
-    )
+    src = EXCHANGE_SOURCE
     yield "exchange source letters", tau_ustep_weights(src.factors[0], "src_4372"), (
         "7", "1", "1h", "1", "1", "1h", "1h", "1h", "3", "3", "1", "1", "3", "1",
     )
     dst = tau_apply(src)
-    yield "exchange image path", dst.to_path().steps, (
-        "U" * 6 + "UUUUDDDD" + "UD" + "UUDD" + "UD" + "D" * 6
-    )
+    yield "exchange image side", dst.side, "dst_2174"
+    yield "exchange image path", dst.to_path(), EXCHANGE_IMAGE
     yield "exchange image letters", tau_ustep_weights(dst.factors[0], "dst_2174"), (
         "7", "3h", "1", "1", "3h", "3h", "1", "1", "1", "1", "1", "1", "1", "1",
     )
@@ -342,7 +359,7 @@ def _delannoy_scaled(bound: int) -> Iterator[Comparison]:
 
 @_check("delannoy_axis_hsteps", upto=5)
 def _delannoy_hsteps(bound: int) -> Iterator[Comparison]:
-    # delannoy_hstep_count raises if its brute force and the convolution differ
+    # the brute-force count of axis-level double flats against the convolution
     for n in range(1, bound + 1):
         yield f"n={n}", delannoy_hstep_count(n), delannoy_convolution(n, 1)
 
@@ -380,8 +397,11 @@ def _oracle_bridges(bound: int) -> Iterator[Comparison]:
         yield f"t -> q+1 bridge, n={n}", nar.substitute({"t": _Q + 1}), large
         if n >= 1:
             yield f"small/large Schroder, n={n}", (_Q + 1) * schroder_small_polynomial(n), large
-    # delannoy_number compares both binomial forms itself; the recurrence is a third route
+    # the two binomial forms of the central Delannoy numbers, and the recurrence
     d = [delannoy_number(n) for n in range(21)]
+    for n in range(21):
+        second = sum(binomial(n, i) ** 2 * 2**i for i in range(n + 1))
+        yield f"Delannoy binomial forms, n={n}", d[n], second
     for n in range(2, 21):
         want = 3 * (2 * n - 1) * d[n - 1] - (n - 1) * d[n - 2]
         yield f"Delannoy recurrence, n={n}", n * d[n], want

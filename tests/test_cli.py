@@ -183,18 +183,24 @@ def test_enumerate_ascii_and_csv_formats():
 
 def test_seed_fixtures_regenerates_goldens(tmp_path):
     run_cli("--seed-fixtures", str(tmp_path))
-    for name in ("intro_example", "schroder_source", "exchange_source"):
-        fresh = (tmp_path / f"{name}.txt").read_text()
-        assert fresh == (FIXTURES / f"{name}.txt").read_text()
-    assert json.loads((tmp_path / "exchange_source.json").read_text()) == json.loads(
-        (FIXTURES / "exchange_source.json").read_text()
-    )
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == [
+        "exchange_image.txt", "exchange_source.json", "exchange_source.txt",
+        "intro_example.txt", "motzkin_source.txt", "motzkin_spec.json",
+        "narayana_source.txt", "schroder_source.txt",
+    ]
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (FIXTURES / name).read_bytes(), name
 
 
-def test_usage_errors_exit_two():
+def test_usage_errors_exit_two(capsys):
     run_cli("enumerate", "--family", "nope", "--n", "1", expect=2)
     run_cli("series", "--spec", "no_such_table", expect=2)
     run_cli(expect=2)
+    # a negative order is refused alike for a registry name and a spec file
+    for spec in ("motzkin_ab", f"@{FIXTURES / 'motzkin_spec.json'}"):
+        assert cli.main(["series", "--spec", spec, "--order", "-1"]) == 2
+        assert capsys.readouterr() == ("", "error: order must be nonnegative\n")
 
 
 def _one_error_line(proc):

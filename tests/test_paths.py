@@ -27,15 +27,13 @@ from valleydyck.paths import (
     render_ascii,
     valley_structures,
 )
-
-INTRO_EXAMPLE = "UUU" + "UUUDDD" + "UDUD" + "DDD" + "UU" + "UDUD" + "DD" + "UU" + "DD"
-THETA_EXAMPLE = "UUUDDD" + "U" + "UDUDUD" + "D"
+from valleydyck.verify import INTRO_EXAMPLE
 
 
 def test_parse_and_validation():
     p = parse_path("UUDD", "dyck")
     assert p.size == 2
-    parse_path(THETA_EXAMPLE, "dyck")
+    assert parse_path(INTRO_EXAMPLE.steps, "dyck") == INTRO_EXAMPLE
     with pytest.raises(NonzeroEnd):
         parse_path("UDU", "dyck")
     with pytest.raises(NegativeLevel):
@@ -61,7 +59,7 @@ def test_analyze_simple():
 
 
 def test_analyze_intro_example():
-    stats = analyze(Path("dyck", INTRO_EXAMPLE))
+    stats = analyze(INTRO_EXAMPLE)
     assert [(h, alt) for h, alt, _ in stats.pyramids] == [
         (3, 3),
         (1, 3),
@@ -75,7 +73,7 @@ def test_analyze_intro_example():
 
 
 def test_primitive_factors_and_rebuild():
-    p = Path("dyck", INTRO_EXAMPLE)
+    p = INTRO_EXAMPLE
     factors = primitive_factors(p)
     assert [f.size for f in factors] == [8, 4, 2]
     rebuilt = factors[0]
@@ -158,8 +156,8 @@ def test_intro_structure_round_trips():
         (ValleyBlock(3, (3, 1, 1)), ValleyBlock(2, (1, 1)), Pyramid(2))
     )
     assert structure.semilength == 14
-    assert structure.to_path() == Path("dyck", INTRO_EXAMPLE)
-    assert ValleyStructure.from_path(Path("dyck", INTRO_EXAMPLE)) == structure
+    assert structure.to_path() == INTRO_EXAMPLE
+    assert ValleyStructure.from_path(INTRO_EXAMPLE) == structure
 
 
 def test_structures_match_filtered_enumeration():
@@ -178,7 +176,7 @@ def test_round_trip_structure_path():
 
 
 def test_is_valley_uniform():
-    assert is_valley_uniform(Path("dyck", INTRO_EXAMPLE))
+    assert is_valley_uniform(INTRO_EXAMPLE)
     assert is_valley_uniform(Path("dyck", "UD"))
     assert not is_valley_uniform(Path("dyck", "UUUDUDDUDD"))
     with pytest.raises(NotValleyUniform):

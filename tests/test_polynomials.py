@@ -1,6 +1,7 @@
 import pickle
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -248,6 +249,13 @@ def test_binomial_generalized():
     for n in range(-6, 7):
         for k in range(-2, 9):
             assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
+    # the falling factorial over k!, for negative n and for k > n too
+    for n in range(-9, 13):
+        for k in range(-3, 16):
+            falling = 1
+            for i in range(k):
+                falling *= n - i
+            assert binomial(n, k) == (falling // factorial(k) if k >= 0 else 0), (n, k)
 
 
 def test_pickle_round_trip():

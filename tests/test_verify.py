@@ -10,8 +10,10 @@ from valleydyck.oracles import (
     catalan_number,
     delannoy_convolution,
     delannoy_hstep_count,
+    delannoy_number,
     formula_vn,
 )
+from valleydyck.paths import Path
 from valleydyck.polynomials import Polynomial
 from valleydyck.series import Equation
 from valleydyck.verify import CHECKS
@@ -110,7 +112,9 @@ FAULTS = {
     "oracle_bridges": ("catalan_number", lambda n: catalan_number(n) + 1),
     "delannoy_table": ("DELANNOY_TUPLES", ((DELANNOY_TUPLES[0][0], 8),) + DELANNOY_TUPLES[1:]),
     "delannoy_axis_hsteps": ("delannoy_hstep_count", lambda n: delannoy_hstep_count(n) + 1),
-    "worked_examples": ("_INTRO_EXAMPLE", verify._INTRO_EXAMPLE.replace("UDUD", "UUDD", 1)),
+    "worked_examples": (
+        "INTRO_EXAMPLE", Path("dyck", verify.INTRO_EXAMPLE.steps.replace("UDUD", "UUDD", 1))
+    ),
 }
 
 
@@ -129,6 +133,12 @@ def test_check_fails_on_a_wrong_input(check, monkeypatch):
     assert result.status == "fail"
     assert " != " in result.detail, result.detail  # a comparison caught it, not an exception
 
+
+def test_binomial_forms_of_delannoy_fail_by_comparison(monkeypatch):
+    # delannoy_number computes one form; oracle_bridges compares it with the other
+    monkeypatch.setattr(verify, "delannoy_number", lambda n: delannoy_number(n) + (n == 7))
+    result = CHECKS["oracle_bridges"](3)
+    assert result.detail == "Delannoy binomial forms, n=7: 48640 != 48639"
 
 
 _A, _B, _Q = (Polynomial.var(v) for v in "abq")

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from valleydyck.bijections import MAPS, decorated_weight, decorations
 from valleydyck.errors import BadParams, NotValleyUniform, OrderExceeded
 from valleydyck.paths import (
     Path,
@@ -10,11 +11,11 @@ from valleydyck.paths import (
     ValleyStructure,
     analyze,
     enumerate_family,
-    is_valley_uniform,
     valley_structures,
 )
 from valleydyck.polynomials import Polynomial
 from valleydyck.series import valley_series, valley_series_ab
+from valleydyck.verify import DECORATED_EXAMPLES, INTRO_EXAMPLE
 from valleydyck.weights import (
     Arity,
     WeightSpec,
@@ -34,31 +35,20 @@ B = Polynomial.var("b")
 Q = Polynomial.var("q")
 T = Polynomial.var("t")
 
-INTRO_EXAMPLE = "UUU" + "UUUDDD" + "UDUD" + "DDD" + "UU" + "UDUD" + "DD" + "UU" + "DD"
-INTRO_STRUCTURE = ValleyStructure(
-    (ValleyBlock(3, (3, 1, 1)), ValleyBlock(2, (1, 1)), Pyramid(2))
-)
-MOTZKIN_EXAMPLE = "UUUUUDDDDD" + "UUU" + "UDUDUDUD" + "DDD" + "UUDD"
-MOTZKIN_STRUCTURE = ValleyStructure(
-    (Pyramid(5), ValleyBlock(3, (1, 1, 1, 1)), Pyramid(2))
-)
-
-
 def sym(stem, k):
     return Polynomial.var(f"{stem}{k}")
 
 
-def test_generic_weight_of_intro_example():
+def test_worked_examples_weigh_alike_by_structure_and_by_path():
+    # worked_examples pins the intro path's weight and each decoration sum
     spec = registry_get("generic", 14)
-    expected = (
-        sym("alpha", 1) ** 4
-        * sym("alpha", 3)
-        * sym("beta", 2)
-        * sym("beta", 3)
-        * sym("gamma", 2)
-    )
-    assert structure_weight(INTRO_STRUCTURE, spec) == expected
-    assert path_weight(Path("dyck", INTRO_EXAMPLE), spec) == expected
+    intro = ValleyStructure.from_path(INTRO_EXAMPLE)
+    assert structure_weight(intro, spec) == path_weight(INTRO_EXAMPLE, spec)
+    for obj in DECORATED_EXAMPLES.values():
+        spec = registry_get(MAPS[obj.map_id].registry, 14)
+        summed = Polynomial.sum(decorated_weight(c) for c in decorations(obj.structure, obj.map_id))
+        assert structure_weight(obj.structure, spec) == summed, obj.map_id
+        assert path_weight(obj.structure.to_path(), spec) == summed, obj.map_id
 
 
 def test_single_pyramid_weight():
@@ -79,13 +69,6 @@ def test_path_weight_rejects_nonuniform():
         path_weight(Path("dyck", "UUUDUDDUDD"), spec)
 
 
-def test_motzkin_weight_of_worked_example():
-    spec = registry_get("motzkin_ab", 14)
-    expected = A**3 * B**3 * (A**2 + B) * (A**3 + 3 * A * B)
-    assert structure_weight(MOTZKIN_STRUCTURE, spec) == expected
-    assert path_weight(Path("dyck", MOTZKIN_EXAMPLE), spec) == expected
-
-
 def test_weight_sums_small_generic():
     spec = registry_get("generic", 4)
     assert valley_weight_sum(0, spec) == 1
@@ -103,20 +86,6 @@ def test_geom_3x_values():
     spec = registry_get("geom_3x", 6)
     values = [valley_weight_sum(n, spec).constant_value() for n in range(6)]
     assert values == [1, 0, 1, 4, 13, 40]
-
-
-def test_master_formula_triple_agreement():
-    order = 6
-    spec = registry_get("generic", order)
-    series = valley_series(*spec.to_series())
-    for n in range(order + 1):
-        by_structures = valley_weight_sum(n, spec)
-        by_series = series.coefficient(n)
-        by_paths = Polynomial.zero()
-        for p in enumerate_family("dyck", n):
-            if is_valley_uniform(p):
-                by_paths = by_paths + path_weight(p, spec)
-        assert by_structures == by_series == by_paths
 
 
 def test_registry_motzkin_coefficients():
