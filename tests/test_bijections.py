@@ -1,5 +1,6 @@
 import inspect
 import json
+import re
 
 import pytest
 
@@ -128,6 +129,31 @@ def test_checks_catch_a_wrong_map_record(fault, monkeypatch):
     monkeypatch.setitem(MAPS, map_id, _rebuilt(MAPS[map_id], **changes))
     result = verify.run_check(check, 4).results[0]
     assert not result.passed and result.detail
+
+
+# each property a bijection check sweeps, broken in the verify namespace, and
+# the comparison that must catch it: (attribute, replacement, label)
+BROKEN_PROPERTIES = {
+    "round_trip": (
+        "inverse", lambda m, p: next(iter(enumerate_decorated(p.size, m))), "inverse(forward)"
+    ),
+    "completeness": (
+        "enumerate_family",
+        lambda family, n, filt="none": list(enumerate_family(family, n, filt))[1:],
+        "image multiset",
+    ),
+    "weight": ("target_weight", lambda p, w: 2 * target_weight(p, w), "(image, weight)"),
+}
+
+
+@pytest.mark.parametrize("prop", BROKEN_PROPERTIES)
+@pytest.mark.parametrize("map_id", MAPS)
+def test_bijection_check_catches_a_broken_property(map_id, prop, monkeypatch):
+    attr, replacement, label = BROKEN_PROPERTIES[prop]
+    monkeypatch.setattr(verify, attr, replacement)
+    result = verify.CHECKS[f"bijection_{map_id}"](MAX_N)
+    assert result.status == "fail"
+    assert re.match(rf"n=\d+: {re.escape(label)}: .* != ", result.detail), result.detail
 
 
 # -- tau ------------------------------------------------------------------------

@@ -5,19 +5,28 @@ import json
 import pytest
 
 from valleydyck import cli, series, verify, weights
-from valleydyck.bijections import MAPS
+from valleydyck.bijections import (
+    MAPS,
+    decorated_weight,
+    decorations,
+    inverse,
+    tau_ustep_weights,
+    tau_value,
+)
 from valleydyck.oracles import (
     catalan_number,
     delannoy_convolution,
     delannoy_hstep_count,
     delannoy_number,
     formula_vn,
+    narayana_polynomial,
+    schroder_small_polynomial,
 )
 from valleydyck.paths import Path
 from valleydyck.polynomials import Polynomial
-from valleydyck.series import Equation
+from valleydyck.series import Equation, valley_series, valley_series_ab
 from valleydyck.verify import CHECKS
-from valleydyck.weights import DELANNOY_TUPLES, path_weight
+from valleydyck.weights import DELANNOY_TUPLES, path_weight, valley_weight_sum
 
 # the clamp each check puts on the requested bound
 UPTO = {
@@ -139,6 +148,85 @@ def test_binomial_forms_of_delannoy_fail_by_comparison(monkeypatch):
     monkeypatch.setattr(verify, "delannoy_number", lambda n: delannoy_number(n) + (n == 7))
     result = CHECKS["oracle_bridges"](3)
     assert result.detail == "Delannoy binomial forms, n=7: 48640 != 48639"
+
+
+def _other(obj):
+    """A decoration of ``obj``'s structure other than ``obj`` itself."""
+    return next(c for c in decorations(obj.structure, obj.map_id) if c != obj)
+
+
+def _other_example(name):
+    return {**verify.DECORATED_EXAMPLES, name: _other(verify.DECORATED_EXAMPLES[name])}
+
+
+def _doubled(fn):
+    return lambda *args: 2 * fn(*args)
+
+
+def _formula_off_for(name):
+    return lambda f, n, **params: formula_vn(f, n, **params) + (f == name)
+
+
+# one property a check compares, broken in the verify namespace, and the label
+# of the comparison that must catch it: (check, attribute, replacement, label)
+PROPERTY_FAULTS = {
+    **{
+        f"{name}_example": ("worked_examples", "DECORATED_EXAMPLES", _other_example(name),
+                            f"{name.capitalize()} image shape")
+        for name in ("motzkin", "schroder", "narayana")
+    },
+    "example_weight": ("worked_examples", "decorated_weight", _doubled(decorated_weight),
+                       "Motzkin example weight"),
+    "theta_inverse": (
+        "worked_examples", "inverse",
+        lambda m, p: _other(inverse(m, p)) if m == "theta" else inverse(m, p),
+        "Schroder inverse of the image",
+    ),
+    "exchange_letters": ("worked_examples", "tau_ustep_weights",
+                         lambda f, side: tau_ustep_weights(f, side)[::-1],
+                         "exchange source letters"),
+    "exchange_image": ("worked_examples", "EXCHANGE_IMAGE", verify.EXCHANGE_SOURCE.to_path(),
+                       "exchange image path"),
+    **{
+        f"tau_values_n{n}": (
+            "tau_exchange", "tau_value",
+            lambda t, n=n: tau_value(t) + (t.size == n and t.side == "dst_2174"),
+            f"n={n}: letter values",
+        )
+        for n in range(2, 7)
+    },
+    "narayana_bridge": ("oracle_bridges", "narayana_polynomial",
+                        lambda n: narayana_polynomial(n) * Polynomial.var("t"),
+                        "t -> q+1 bridge, n=0"),
+    "small_schroder_scaling": ("oracle_bridges", "schroder_small_polynomial",
+                               _doubled(schroder_small_polynomial), "small/large Schroder, n=1"),
+    "fuss_two_weight_series": ("fuss_formulas", "valley_series_ab", _doubled(valley_series_ab),
+                               "fuss_sym {'m': 1, 'r': 1} n=0"),
+    "fuss_three_weight_series": ("fuss_formulas", "valley_series", _doubled(valley_series),
+                                 "fuss_cubic {'m': 1, 'r': 1} n=0"),
+    "fuss_asym_collapse": ("fuss_formulas", "formula_vn", _formula_off_for("fuss_asym_collapse"),
+                           "asymmetric collapse r=1 n=0"),
+    "fuss_cubic_collapse": ("fuss_formulas", "formula_vn", _formula_off_for("fuss_cubic_collapse"),
+                            "cubic collapse r=1 n=0"),
+    "master_structure_sums": ("master_triple_agreement", "valley_weight_sum",
+                              _doubled(valley_weight_sum), "n=0: structures vs series"),
+    "geom_3x_structure_sums": ("geom_3x_values", "valley_weight_sum",
+                               _doubled(valley_weight_sum), "enumeration n=0"),
+    "geom_fib_structure_sums": ("geom_fib_values", "valley_weight_sum",
+                                _doubled(valley_weight_sum), "enumeration n=0"),
+    "chebyshev_second_kind": ("chebyshev_rational_identity", "valley_series",
+                              _doubled(valley_series), "chebyshev_second n=0"),
+}
+
+
+@pytest.mark.parametrize("fault", PROPERTY_FAULTS)
+def test_check_catches_a_broken_property(fault, monkeypatch):
+    # test_check_bounds_match_their_clamps shows each check passes unbroken
+    check, attr, replacement, label = PROPERTY_FAULTS[fault]
+    monkeypatch.setattr(verify, attr, replacement)
+    result = CHECKS[check](6)
+    assert result.status == "fail"
+    assert result.detail.startswith(f"{label}: ") and " != " in result.detail, result.detail
 
 
 _A, _B, _Q = (Polynomial.var(v) for v in "abq")
