@@ -12,18 +12,19 @@ from valleydyck import (
     DecoratedStructure,
     PartDecoration,
     Path,
-    Pyramid,
-    ValleyBlock,
-    ValleyStructure,
     decorated_weight,
     decorations,
     forward,
     inverse,
+    registry_get,
     render_ascii,
+    structure_weight,
 )
 from valleydyck.polynomials import Polynomial
+from valleydyck.verify import DECORATED_EXAMPLES
 
-source = ValleyStructure((Pyramid(5), ValleyBlock(3, (1, 1, 1, 1)), Pyramid(2)))
+# the paper's Motzkin example: u^5 d^5, u^3 (ud)^4 d^3, u^2 d^2
+source = DECORATED_EXAMPLES["motzkin"].structure
 print("source path (semilength 14):")
 print(render_ascii(source.to_path()))
 
@@ -45,6 +46,5 @@ print("round trip recovered the decorated source exactly")
 total = Polynomial.sum(decorated_weight(c) for c in decorations(source, "phi"))
 print("\nsummed over all decorations of this structure:")
 print(" ", total)
-a, b = Polynomial.var("a"), Polynomial.var("b")
-assert total == a**3 * b**3 * (a**2 + b) * (a**3 + 3 * a * b)
+assert total == structure_weight(source, registry_get("motzkin_ab", source.semilength))
 print("which factors as a^3 b^3 (a^2+b)(a^3+3ab), the structure's table weight")

@@ -1,7 +1,7 @@
 """Exact arithmetic for valley-uniform weighted Dyck paths.
 
 The package provides sparse multivariate polynomials over the rationals,
-truncated formal power series with checked equation solvers, lattice
+truncated formal power series with a checked equation solver, lattice
 path enumeration and statistics, the valley weight system with its registry
 of specializations, six constructive weight-preserving bijections, and
 closed-form sequence oracles used to cross-check everything at desk scale.
@@ -17,11 +17,10 @@ _EXPORTS = {
     name: module
     for module, names in (
         ("polynomials", ("Polynomial", "binomial")),
-        ("series", ("TruncatedSeries", "named_series", "solve_fixed_point", "valley_series",
-                    "valley_series_ab")),
+        ("series", ("TruncatedSeries", "named_series", "valley_series", "valley_series_ab")),
         ("paths", ("Path", "PathStats", "Pyramid", "ValleyBlock", "ValleyStructure", "analyze",
-                   "concat", "elevate", "enumerate_family", "is_valley_uniform", "parse_path",
-                   "primitive_factors", "render_ascii", "valley_structures")),
+                   "enumerate_family", "is_valley_uniform", "primitive_factors", "render_ascii",
+                   "valley_structures")),
         ("weights", ("WeightSpec", "path_weight", "registry_get", "spec_from_series",
                      "structure_weight", "target_weight", "target_weight_sum",
                      "valley_weight_sum")),

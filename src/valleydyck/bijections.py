@@ -226,7 +226,8 @@ class DecoratedStructure(Value):
                 parts.append(Pyramid(entry["height"]))
             else:
                 parts.append(ValleyBlock(entry["ascent"], entry["heights"]))
-            decos.append(PartDecoration(Path(family, entry["sub"]), entry.get("symbols", ())))
+            sub = Path.from_json({"family": family, "steps": entry["sub"]})
+            decos.append(PartDecoration(sub, entry.get("symbols", ())))
         return cls(map_id, ValleyStructure(parts), decos)
 
 
@@ -463,7 +464,14 @@ class TauDecorated(Value):
 
     @classmethod
     def from_json(cls, data: Mapping) -> "TauDecorated":
-        factors = [TauFactor(e["k0"], e["blocks"], e["letters"]) for e in data["parts"]]
+        factors = []
+        for e in data["parts"]:
+            k0, blocks = e["k0"], e["blocks"]
+            if type(k0) is not int or type(blocks) is not list or any(
+                type(h) is not int for h in blocks
+            ):
+                raise TypeError("a tau part needs an integer k0 and a list of integer blocks")
+            factors.append(TauFactor(k0, blocks, e["letters"]))
         return cls(data["side"], factors)
 
 

@@ -94,7 +94,7 @@ def _resolve_spec(name: str, order: int, params: dict[str, str]) -> WeightSpec:
     if name.startswith("@"):
         if order < 0:  # refused as registry_get refuses it for a name
             raise ValleyDyckError("order must be nonnegative")
-        spec = WeightSpec.from_json(_load_json(name))
+        spec = _read_object(WeightSpec.from_json, name, "--spec")
         if spec.order < order:
             raise ValleyDyckError(
                 f"spec file holds order {spec.order}, but order {order} was requested"
@@ -208,22 +208,23 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-def _object_from_json(parse, data):
-    """Build an ``--apply`` object; JSON of the wrong shape is a usage error."""
+def _read_object(parse, reference: str, flag: str):
+    """Build the object a ``@FILE`` or ``--apply`` input holds; malformed JSON is a usage error."""
+    data = _load_json(reference)
     if not isinstance(data, dict):
-        raise ValleyDyckError(f"--apply needs a JSON object, got {type(data).__name__}")
+        raise ValleyDyckError(f"{flag} needs a JSON object, got {type(data).__name__}")
     try:
         return parse(data)
     except KeyError as exc:
-        raise ValleyDyckError(f"--apply JSON lacks the key {exc}") from None
+        raise ValleyDyckError(f"{flag} JSON lacks the key {exc}") from None
     except (TypeError, AttributeError) as exc:
-        raise ValleyDyckError(f"--apply JSON has the wrong shape: {exc}") from None
+        raise ValleyDyckError(f"{flag} JSON has the wrong shape: {exc}") from None
+    except OverflowError as exc:
+        raise ValleyDyckError(f"{flag} JSON: {exc}") from None
 
 
-def _decorated_from_json(data):
-    if isinstance(data, dict) and "side" in data:
-        return _object_from_json(TauDecorated.from_json, data)
-    return _object_from_json(DecoratedStructure.from_json, data)
+def _decorated_from_json(data: dict):
+    return (TauDecorated if "side" in data else DecoratedStructure).from_json(data)
 
 
 def _note_clamps(report) -> None:
@@ -244,15 +245,12 @@ def _cmd_biject(args) -> int:
         return 0 if report.passed else 1
     if not args.apply:
         raise ValleyDyckError("biject needs --roundtrip or --apply")
-    data = _load_json(args.apply)
     if args.direction == "inverse":
         parse = TauDecorated.from_json if args.map == "tau" else Path.from_json
-        result = inverse(args.map, _object_from_json(parse, data))
-        _emit(json.dumps(result.to_json(), indent=2))
-        return 0
-    obj = _decorated_from_json(data)
-    image = forward(args.map, obj)
-    _emit(json.dumps(image.to_json(), indent=2))
+        result = inverse(args.map, _read_object(parse, args.apply, "--apply"))
+    else:
+        result = forward(args.map, _read_object(_decorated_from_json, args.apply, "--apply"))
+    _emit(json.dumps(result.to_json(), indent=2))
     return 0
 
 
@@ -281,7 +279,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_render(args) -> int:
     if args.path.startswith("@"):
-        path = Path.from_json(_load_json(args.path))
+        path = _read_object(Path.from_json, args.path, "--path")
     else:
         path = Path(args.family, args.path)
     _emit(render_ascii(path))

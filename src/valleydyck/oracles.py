@@ -97,10 +97,6 @@ def chebyshev_u_at(n: int, argument) -> Polynomial:
     return cur
 
 
-def chebyshev_u_polynomial(n: int) -> Polynomial:
-    return chebyshev_u_at(n, _T)
-
-
 @lru_cache(maxsize=None)
 def delannoy_number(n: int) -> int:
     """Central Delannoy number, the sum over i of C(n, i) C(n+i, i)."""

@@ -127,15 +127,13 @@ class Path(Value):
 
     @classmethod
     def from_json(cls, data: Mapping) -> "Path":
-        return cls(data["family"], data["steps"])
+        steps = data["steps"]
+        if type(steps) is not str:
+            raise TypeError(f"path steps must be a string, got {type(steps).__name__}")
+        return cls(data["family"], steps)
 
 
 _path_family, _path_steps = slot_setters(Path)
-
-
-def parse_path(text: str, family: str) -> Path:
-    """Validate a step string and wrap it as a Path."""
-    return Path(family, text)
 
 
 class PathStats(Value):
@@ -144,13 +142,13 @@ class PathStats(Value):
     Positions are 0-based step indices.  A peak/valley is recorded with the
     level of the shared point of its two steps; a maximal pyramid with its
     height, altitude (level of its last down step) and start position.
-    Every field but the two opening-step strings is a tuple of such tuples.
+    Every field is a tuple of such tuples.
     """
 
-    __slots__ = ("peaks", "valleys", "pyramids", "factor_spans", "first_step", "first_two")
+    __slots__ = ("peaks", "valleys", "pyramids")
 
-    def __init__(self, peaks, valleys, pyramids, factor_spans, first_step, first_two):
-        self._fill(peaks, valleys, pyramids, factor_spans, first_step, first_two)
+    def __init__(self, peaks, valleys, pyramids):
+        self._fill(peaks, valleys, pyramids)
 
 
 def analyze(path: Path) -> PathStats:
@@ -174,20 +172,7 @@ def analyze(path: Path) -> PathStats:
         ):
             h += 1
         pyramids.append((h, levels[i + 1 + h], i - h + 1))
-    spans = []
-    start = 0
-    for i in range(len(steps)):
-        if levels[i + 1] == 0:
-            spans.append((start, i + 1))
-            start = i + 1
-    return PathStats(
-        peaks=tuple(peaks),
-        valleys=tuple(valleys),
-        pyramids=tuple(pyramids),
-        factor_spans=tuple(spans),
-        first_step=steps[:1],
-        first_two=steps[:2],
-    )
+    return PathStats(peaks=tuple(peaks), valleys=tuple(valleys), pyramids=tuple(pyramids))
 
 
 def primitive_factors(path: Path) -> list[Path]:
@@ -201,18 +186,6 @@ def primitive_factors(path: Path) -> list[Path]:
             factors.append(Path(path.family, path.steps[start : i + 1]))
             start = i + 1
     return factors
-
-
-def elevate(path: Path) -> Path:
-    if path.family != "dyck":
-        raise FamilyViolation("elevation is defined for Dyck paths")
-    return Path("dyck", "U" + path.steps + "D")
-
-
-def concat(first: Path, second: Path) -> Path:
-    if first.family != second.family:
-        raise FamilyViolation("cannot concatenate paths of different families")
-    return Path(first.family, first.steps + second.steps)
 
 
 def enumerate_family(family: str, n: int, filt: str = "none") -> Iterator[Path]:

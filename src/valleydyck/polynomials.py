@@ -532,9 +532,11 @@ class Polynomial:
         lead_coeff = divisor._terms[lead]
         guard = _GUARD
         remainder = dict(self._terms)
+        # each monomial's sort key, decoded once, when it enters the remainder
+        keys = {m: _mono_sort_key(m) for m in remainder}
         quotient: dict[int, Scalar] = {}
         while remainder:
-            mono = min(remainder, key=_mono_sort_key)
+            mono = min(remainder, key=keys.__getitem__)
             coeff = remainder[mono]
             # every field at once: a field of mono below the lead's borrows
             # its own guard bit and no other
@@ -548,6 +550,8 @@ class Polynomial:
             for m, c in piece._terms.items():
                 new = remainder.get(m, 0) - c
                 if new:
+                    if m not in keys:
+                        keys[m] = _mono_sort_key(m)
                     remainder[m] = new
                 else:
                     remainder.pop(m, None)

@@ -4,23 +4,13 @@ A series of order N stores the coefficients of x^0 .. x^N exactly; all
 arithmetic is the truncated ring arithmetic and never consults anything
 beyond the stored order.  No square root is ever taken.
 
-The named series that solve an algebraic equation F = sum_j c_j(x) F^j are
-one table, ``EQUATIONS``: each entry lists the terms of its equation, and
+The named series, each the solution of an algebraic equation
+F = sum_j c_j(x) F^j, are one table, ``EQUATIONS``: each entry lists the terms of its equation, and
 its constructor checks the contraction condition c_j(0) = 0 for j >= 1
 once.  One online solver, :func:`solve_equation`, serves every entry: it
 reads coefficient k of F off the power tables [x^m] F^j for m < k, grows
 each table by one convolution, and at the end checks the equation at the
 full order with the ordinary arithmetic below instead of trusting it.
-
-:func:`solve_fixed_point` solves a map given as a function.  It lifts the
-solution one order at a time and then *checks* the fixed-point property.
-Its maps are order-polymorphic: a map takes a series of any order and
-returns one of the same order, so it builds its constants from ``f.order``
-(``1 + f`` or :meth:`TruncatedSeries.times_x`) instead of capturing series
-of one fixed order.  Since such a map is an x-adic contraction, running it
-at order k on the solution known to order k - 1 (padded with one zero
-coefficient) fixes coefficient k exactly, so step k of the solver costs one
-order-k evaluation, not a full-order one.
 
 Products skip zero coefficients, stop at the truncation order, reuse a
 factor that is the constant 1 instead of multiplying by it, form each cross
@@ -32,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import (
     BadParams,
@@ -42,7 +32,7 @@ from .errors import (
     NotDivisibleByX,
     OrderMismatch,
 )
-from .polynomials import Polynomial, binomial
+from .polynomials import Polynomial
 
 CoeffLike = Union[Polynomial, int, Fraction]
 
@@ -275,38 +265,6 @@ class TruncatedSeries:
         return cls(coeffs)
 
 
-def solve_fixed_point(
-    phi: Callable[[TruncatedSeries], TruncatedSeries], order: int
-) -> TruncatedSeries:
-    """Unique fixed point of an x-adically contracting series map.
-
-    ``phi`` must be order-polymorphic: it takes a series of any order and
-    returns one of the same order, the truncation of what it would return at
-    a higher order.  A map that captures series of one fixed order fails with
-    OrderMismatch at the first lower order it is given.
-
-    The map is probed at the full order with two series that differ only in
-    the top coefficient; a contraction must send them to equal truncations.
-    The solution then grows from the constant seed at order 0: step k runs
-    the map at order k on the solution known to order k - 1, padded with one
-    zero coefficient, which fixes coefficient k exactly.  The fixed-point
-    property is asserted at the full order rather than assumed.
-    """
-    zero = TruncatedSeries.zero(order)
-    bumped = TruncatedSeries.from_coeffs([0] * order + [1], order)
-    image = phi(zero)
-    if image != phi(bumped):
-        raise NotAContraction("map distinguishes series that agree below the top order")
-    current = TruncatedSeries._trusted((image.coefficient(0),))
-    for k in range(1, order + 1):
-        current = phi(TruncatedSeries._trusted(current._coeffs + (_ZERO,)))
-        if current.order != k:
-            raise OrderMismatch(f"map returned order {current.order} for an order-{k} series")
-    if phi(current) != current:
-        raise NotAContraction("iteration did not reach a fixed point")
-    return current
-
-
 ARITY = "r+1"  # a power of F that is the equation's parameter r plus one
 
 
@@ -397,8 +355,7 @@ def solve_equation(equation: Equation, order: int, r: int | None = None) -> Trun
 
 _A, _B, _Q, _T = (Polynomial.var(v) for v in "abqt")
 
-# the seven named series that solve an algebraic equation; the others are
-# built from a product formula or a binomial sum
+# the named series, each the solution of its algebraic equation
 EQUATIONS: dict[str, Equation] = {
     "catalan": Equation((0, 0, 1), (2, 1, 1)),
     "motzkin_ab": Equation((0, 0, 1), (1, 1, _A), (2, 2, _B)),
@@ -411,35 +368,24 @@ EQUATIONS: dict[str, Equation] = {
 }
 
 
-def _delannoy_number(n: int) -> int:
-    return sum(binomial(n, i) * binomial(n + i, i) for i in range(n + 1))
-
-
 @lru_cache(maxsize=None)
 def named_series(name: str, order: int, r: int | None = None) -> TruncatedSeries:
-    """Generating functions used throughout, each from its defining relation.
+    """The solution of the equation ``EQUATIONS[name]``, by :func:`solve_equation`.
 
-    The names in ``EQUATIONS`` are solved from their equation by
-    :func:`solve_equation`.  Symbolic parameters stay symbolic: motzkin_ab
-    in a and b, the Schroder families in q, the Narayana family and
-    chebyshev_u in t.  ``fuss`` requires the arity parameter ``r >= 1``;
-    ``delannoy`` is built from the central Delannoy binomial sum.
+    Symbolic parameters stay symbolic: motzkin_ab in a and b, the Schroder
+    families in q, the Narayana family in t.  ``fuss`` requires the arity
+    parameter ``r >= 1``.
     """
     if order < 0:
         raise BadParams("order must be nonnegative")
     equation = EQUATIONS.get(name)
-    takes_r = equation is not None and equation.takes_r
-    if not takes_r and r is not None:
+    if equation is None:
+        raise BadParams(f"unknown series name {name!r}")
+    if not equation.takes_r and r is not None:
         raise BadParams(f"series {name!r} takes no r parameter")
-    if takes_r and (r is None or r < 1):
+    if equation.takes_r and (r is None or r < 1):
         raise BadParams(f"{name} needs an integer parameter r >= 1")
-    if equation is not None:
-        return solve_equation(equation, order, r)
-    if name == "chebyshev_u":
-        return TruncatedSeries.from_coeffs([1, -2 * _T, 1], order).inverse()
-    if name == "delannoy":
-        return TruncatedSeries([_delannoy_number(n) for n in range(order + 1)])
-    raise BadParams(f"unknown series name {name!r}")
+    return solve_equation(equation, order, r)
 
 
 def _require_weight_series(*series: TruncatedSeries) -> None:

@@ -475,6 +475,8 @@ def run_suite(suite: str, max_n: int, jobs: int = 1) -> VerifyReport:
     if suite not in SUITES:
         raise KeyError(f"unknown suite {suite!r}; known: {', '.join(SUITES)}")
     _require_bound(max_n)
+    if jobs < 1:
+        raise BadParams(f"the number of jobs must be at least 1, got {jobs}")
     names = SUITES[suite]
     # more workers than checks or usable CPUs only costs start-up time and memory
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()

@@ -201,6 +201,11 @@ def test_usage_errors_exit_two(capsys):
     for spec in ("motzkin_ab", f"@{FIXTURES / 'motzkin_spec.json'}"):
         assert cli.main(["series", "--spec", spec, "--order", "-1"]) == 2
         assert capsys.readouterr() == ("", "error: order must be nonnegative\n")
+    # fewer than one verify job is refused, not run serially
+    for jobs in ("0", "-3"):
+        assert cli.main(["verify", "--suite", "master", "--max-n", "2", "--jobs", jobs]) == 2
+        message = f"error: the number of jobs must be at least 1, got {jobs}\n"
+        assert capsys.readouterr() == ("", message)
 
 
 def _one_error_line(proc):
@@ -337,6 +342,13 @@ def test_biject_apply_malformed_json_is_a_usage_error(capsys):
         ("rho", "forward", '{"map": "rho", "parts": [1]}'),
         ("tau", "forward", '{"side": "src_4372"}'),
         ("tau", "inverse", '{"side": "src_4372", "parts": [{"k0": 1, "letters": 5}]}'),
+        ("phi", "inverse", '{"family": "motzkin", "steps": ["U", "D"]}'),
+        ("rho", "forward", '{"map": "rho", "parts": [{"kind": "pyramid", "height": 2, '
+                           '"sub": ["U", "D"]}]}'),
+        ("tau", "forward", '{"side": "src_4372", "parts": [{"k0": 1, "letters": [], '
+                           '"blocks": [1.5]}]}'),
+        ("tau", "forward", '{"side": "src_4372", "parts": [{"k0": true, "letters": [], '
+                           '"blocks": [1]}]}'),
     ]:
         argv = ["biject", "--map", map_id, "--direction", direction, "--apply", text]
         assert cli.main(argv) == 2
@@ -344,6 +356,31 @@ def test_biject_apply_malformed_json_is_a_usage_error(capsys):
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("error: --apply ")
+
+
+# per command line reading a @FILE, JSON files it must refuse with one usage error
+MALFORMED_FILES = [
+    (["render", "--path"], '{"family": "dyck"}'),
+    (["render", "--path"], "[1]"),
+    (["render", "--path"], '{"family": "dyck", "steps": 5}'),
+    (["series", "--order", "1", "--spec"], '{"alpha": [[]], "beta": [[]]}'),
+    (["series", "--order", "1", "--spec"], "[]"),
+    (["series", "--order", "1", "--spec"],
+     '{"alpha": [[{"coeff": "1", "monomial": {"a": 99999}}]], "beta": [[]], "gamma": [[]]}'),
+    (["series", "--order", "1", "--spec"],
+     '{"alpha": [[{"coeff": "1", "monomial": {"a": "x"}}]], "beta": [[]], "gamma": [[]]}'),
+]
+
+
+@pytest.mark.parametrize("argv, text", MALFORMED_FILES)
+def test_malformed_json_file_is_a_usage_error(tmp_path, capsys, argv, text):
+    source = tmp_path / "input.json"
+    source.write_text(text)
+    assert cli.main(argv + [f"@{source}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"error: {argv[-1]} ")
 
 
 def test_cli_import_loads_no_process_pool():

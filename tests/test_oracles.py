@@ -10,7 +10,6 @@ from valleydyck.oracles import (
     ORACLES,
     catalan_number,
     chebyshev_u_at,
-    chebyshev_u_polynomial,
     delannoy_hstep_count,
     delannoy_number,
     fibonacci_number,
@@ -24,7 +23,7 @@ from valleydyck.oracles import (
 )
 from valleydyck.paths import enumerate_family
 from valleydyck.polynomials import Polynomial
-from valleydyck.series import named_series
+from valleydyck.series import TruncatedSeries, named_series
 
 A = Polynomial.var("a")
 B = Polynomial.var("b")
@@ -57,9 +56,9 @@ def test_delannoy_numbers():
 
 
 def test_chebyshev_recurrence_and_series():
-    series = named_series("chebyshev_u", 20)
+    series = TruncatedSeries.from_coeffs([1, -2 * T, 1], 20).inverse()
     for n in range(21):
-        assert chebyshev_u_polynomial(n) == series.coefficient(n)
+        assert chebyshev_u_at(n, T) == series.coefficient(n)
     assert chebyshev_u_at(2, Fraction(3, 2)) == Polynomial.const(8)
     assert chebyshev_u_at(2, B + C) == 4 * (B + C) ** 2 - 1
 

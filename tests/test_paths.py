@@ -18,11 +18,8 @@ from valleydyck.paths import (
     ValleyBlock,
     ValleyStructure,
     analyze,
-    concat,
-    elevate,
     enumerate_family,
     is_valley_uniform,
-    parse_path,
     primitive_factors,
     render_ascii,
     valley_structures,
@@ -31,19 +28,19 @@ from valleydyck.verify import INTRO_EXAMPLE
 
 
 def test_parse_and_validation():
-    p = parse_path("UUDD", "dyck")
+    p = Path("dyck", "UUDD")
     assert p.size == 2
-    assert parse_path(INTRO_EXAMPLE.steps, "dyck") == INTRO_EXAMPLE
+    assert Path("dyck", INTRO_EXAMPLE.steps) == INTRO_EXAMPLE
     with pytest.raises(NonzeroEnd):
-        parse_path("UDU", "dyck")
+        Path("dyck", "UDU")
     with pytest.raises(NegativeLevel):
-        parse_path("DU", "dyck")
+        Path("dyck", "DU")
     with pytest.raises(IllegalCharacter):
-        parse_path("UFD", "dyck")
+        Path("dyck", "UFD")
     with pytest.raises(FamilyViolation):
-        parse_path("H", "schroder_small")
+        Path("schroder_small", "H")
     # Delannoy paths may dip below the axis
-    assert parse_path("DU", "delannoy").size == 1
+    assert Path("delannoy", "DU").size == 1
 
 
 def test_analyze_simple():
@@ -69,18 +66,13 @@ def test_analyze_intro_example():
         (2, 0),
     ]
     assert [lvl for _, lvl in stats.valleys] == [3, 3, 0, 2, 0]
-    assert len(stats.factor_spans) == 3
 
 
 def test_primitive_factors_and_rebuild():
     p = INTRO_EXAMPLE
     factors = primitive_factors(p)
     assert [f.size for f in factors] == [8, 4, 2]
-    rebuilt = factors[0]
-    for f in factors[1:]:
-        rebuilt = concat(rebuilt, f)
-    assert rebuilt == p
-    assert elevate(Path("dyck", "UD")) == Path("dyck", "UUDD")
+    assert Path(p.family, "".join(f.steps for f in factors)) == p
     assert primitive_factors(Path("dyck", "UDUD")) == [
         Path("dyck", "UD"),
         Path("dyck", "UD"),

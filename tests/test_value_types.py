@@ -46,11 +46,8 @@ CASES = {
     ),
     "PathStats": (
         PathStats,
-        dict(peaks=((1, 2),), valleys=(), pyramids=((2, 0, 0),), factor_spans=((0, 4),),
-             first_step="U", first_two="UU"),
-        6, (),
-        "PathStats(peaks=((1, 2),), valleys=(), pyramids=((2, 0, 0),), "
-        "factor_spans=((0, 4),), first_step='U', first_two='UU')",
+        dict(peaks=((1, 2),), valleys=(), pyramids=((2, 0, 0),)), 3, (),
+        "PathStats(peaks=((1, 2),), valleys=(), pyramids=((2, 0, 0),))",
         analyze(Path("dyck", "UDUD")),
     ),
     "Pyramid": (Pyramid, dict(height=2), 1, (), "Pyramid(height=2)", Pyramid(3)),
