@@ -10,17 +10,15 @@ class Value:
     ``_fill``, or through :func:`slot_setters` where objects are built in
     bulk; such a subclass, and any with one field, also writes ``__eq__`` and
     ``__hash__`` over an explicit field tuple, which is faster than a getter.
-    Equality, hash and ``repr`` read every slot not named in ``hidden``, and
-    pickling rebuilds through ``__init__``, whose parameters name fields.
+    Equality, hash and ``repr`` read every slot, and pickling rebuilds
+    through ``__init__``, whose parameters name fields.
     """
 
     __slots__ = ("__weakref__",)  # objects stay weakly referenceable
 
-    def __init_subclass__(cls, hidden=()):
+    def __init_subclass__(cls):
         super().__init_subclass__()
-        fields = tuple(f for f in cls.__slots__ if f not in hidden)
-        cls._fields = fields
-        cls._key = staticmethod(attrgetter(*fields))  # a tuple for two fields or more
+        cls._key = staticmethod(attrgetter(*cls.__slots__))  # a tuple for two fields or more
         code = cls.__init__.__code__
         cls._params = code.co_varnames[1 : code.co_argcount]
 
@@ -38,7 +36,7 @@ class Value:
         return hash(self._key(self))
 
     def __repr__(self):
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name, value):

@@ -10,7 +10,9 @@ the images.  Each map's :class:`MapSpec` record in :data:`MAPS` says which
 family Q comes from and at what size, what the tail units are and what
 everything weighs, and which target family the images form.  Where a map
 offers two tail units (theta), a decoration records its choices as one
-symbol per unit.  The inverse reads the unique factorization of a target
+symbol per unit.  The forward map and the weight read a part's tail units
+from one place: the recorded symbols' units, or else the lone unit r - 1
+times.  The inverse reads the unique factorization of a target
 path back off: first primitive factor, then the maximal run of tail units.
 
 The sixth map, tau, exchanges the two integer weight systems of the
@@ -57,19 +59,18 @@ _T = Polynomial.var("t")
 _ONE = Polynomial.one()
 
 
-class MapSpec(Value, hidden=("letters",)):
+class MapSpec(Value):
     """What one structure map is: its two sides and how a part crosses.
 
     ``tail`` lists the tail units a part may append, as (symbol, letters,
     weight).  A lone unit has the symbol None and is never recorded; where
     there are several, a decoration names each of its units by symbol.
-    Two fields are derived from ``tail``: ``symbols``, what a decoration may
-    record, and ``letters``, each symbol's tail letters (not compared).
+    ``symbols``, what a decoration may record, is derived from ``tail``.
     """
 
     __slots__ = (
         "target", "target_weighting", "registry", "formula", "decoration",
-        "decoration_weighting", "tail", "offset", "core", "symbols", "letters",
+        "decoration_weighting", "tail", "offset", "core", "symbols",
     )
 
     def __init__(
@@ -84,9 +85,9 @@ class MapSpec(Value, hidden=("letters",)):
         offset: int = 0,  # Q has size k - offset
         core: Polynomial | None = None,  # weight of u Q d beyond Q's own
     ):
-        letters = {s: unit for s, unit, _ in tail if s is not None}
+        symbols = tuple(s for s, _, _ in tail if s is not None)
         self._fill(target, target_weighting, registry, formula, decoration,
-                   decoration_weighting, tail, offset, core, tuple(letters), letters)
+                   decoration_weighting, tail, offset, core, symbols)
 
 
 MAPS: dict[str, MapSpec] = {
@@ -222,10 +223,11 @@ class DecoratedStructure(Value):
         parts: list = []
         decos: list[PartDecoration] = []
         for entry in data["parts"]:
-            if entry["kind"] == "pyramid":
-                parts.append(Pyramid(entry["height"]))
-            else:
-                parts.append(ValleyBlock(entry["ascent"], entry["heights"]))
+            block = entry["kind"] != "pyramid"
+            sizes = [entry["ascent"], *entry["heights"]] if block else [entry["height"]]
+            if any(type(size) is not int for size in sizes):
+                raise TypeError("a part's height, ascent and heights must be integers")
+            parts.append(ValleyBlock(sizes[0], tuple(sizes[1:])) if block else Pyramid(sizes[0]))
             sub = Path.from_json({"family": family, "steps": entry["sub"]})
             decos.append(PartDecoration(sub, entry.get("symbols", ())))
         return cls(map_id, ValleyStructure(parts), decos)
@@ -279,17 +281,17 @@ def forward(map_id: str, obj):
         raise BadParams(f"object does not belong to map {map_id!r}")
     spec = MAPS[map_id]
     chunks: list[str] = []
-    if spec.symbols:
-        letters = spec.letters
-        for deco in obj.decorations:
-            chunks.append("U" + deco.subpath.steps + "D")
-            chunks.extend([letters[s] for s in deco.symbols])
-    else:
-        unit = spec.tail[0][1]
-        for part, deco in zip(obj.structure.parts, obj.decorations):
-            _, r = _part_form(map_id, part)
-            chunks.append("U" + deco.subpath.steps + "D" + unit * (r - 1))
+    for part, deco in zip(obj.structure.parts, obj.decorations):
+        chunks.append("U" + deco.subpath.steps + "D")
+        chunks += [letters for _, letters, _ in _tail_units(spec, map_id, part, deco)]
     return Path(spec.target[0], "".join(chunks))
+
+
+def _tail_units(spec: MapSpec, map_id: str, part, deco: PartDecoration):
+    """The ``tail`` entries one part appends, in path order."""
+    if spec.symbols:
+        return [unit for symbol in deco.symbols for unit in spec.tail if unit[0] == symbol]
+    return spec.tail * (_part_form(map_id, part)[1] - 1)  # the lone unit, r - 1 times
 
 
 @lru_cache(maxsize=256)
@@ -350,22 +352,15 @@ def inverse(map_id: str, target):
 def decorated_weight(obj: DecoratedStructure) -> Polynomial:
     """Product over the parts of the core, decoration and tail-unit weights."""
     spec = MAPS[obj.map_id]
-    weighting, core, tail = spec.decoration_weighting, spec.core, spec.tail
+    weighting, core = spec.decoration_weighting, spec.core
     total = None
     for part, deco in zip(obj.structure.parts, obj.decorations):
         weight = target_weight(deco.subpath, weighting)
         if core is not None:
             weight = weight * core
-        if spec.symbols:
-            for symbol, _, unit in tail:
-                count = deco.symbols.count(symbol)
-                if count and unit != _ONE:
-                    weight = weight * unit**count
-        else:
-            _, r = _part_form(obj.map_id, part)
-            unit = tail[0][2]
-            if r > 1 and unit != _ONE:
-                weight = weight * unit ** (r - 1)
+        for _, _, unit in _tail_units(spec, obj.map_id, part, deco):
+            if unit != _ONE:
+                weight = weight * unit
         total = weight if total is None else total * weight
     return _ONE if total is None else total
 

@@ -104,16 +104,8 @@ def _resolve_spec(name: str, order: int, params: dict[str, str]) -> WeightSpec:
     return registry_get(name, order, **params)
 
 
-def _numeric_bindings(params: dict[str, str]) -> dict[str, Polynomial]:
-    return {
-        key: Polynomial.const(Fraction(value))
-        for key, value in params.items()
-        if value != "sym"
-    }
-
-
-def _flatten(poly: Polynomial, bindings: dict[str, Polynomial]) -> str:
-    value = poly.substitute(bindings)
+def _flatten(value: Polynomial) -> str:
+    # the table is pinned to every numeric --param already, so a variable left is symbolic
     if not value.is_constant:
         raise ValleyDyckError(
             f"csv output needs every parameter bound; {value.variables()} remain symbolic"
@@ -140,11 +132,7 @@ def _cmd_series(args) -> int:
     if args.format == "json":
         _emit(json.dumps(series.to_json(), indent=2))
     elif args.format == "csv":
-        bindings = _numeric_bindings(params)
-        rows = ["n,value"] + [
-            f"{n},{_flatten(series.coefficient(n), bindings)}" for n in range(series.order + 1)
-        ]
-        _emit("\n".join(rows))
+        _emit("\n".join(["n,value"] + [f"{n},{_flatten(c)}" for n, c in enumerate(series.coeffs)]))
     else:
         _emit(series.pretty())
     return 0
@@ -159,7 +147,7 @@ def _cmd_count(args) -> int:
     if args.format == "json":
         _emit(json.dumps({"n": args.n, "value": value.to_json()}, indent=2))
     elif args.format == "csv":
-        _emit("n,value\n" + f"{args.n},{_flatten(value, _numeric_bindings(params))}")
+        _emit("n,value\n" + f"{args.n},{_flatten(value)}")
     else:
         _emit(str(value))
     return 0

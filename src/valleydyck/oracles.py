@@ -22,7 +22,7 @@ from functools import lru_cache
 from typing import Callable
 
 from .errors import BadParams, IndexOutOfRange
-from .paths import STEP_RISE, enumerate_family
+from .paths import enumerate_family
 from .polynomials import Polynomial, binomial
 from .params import Arity, read_params
 
@@ -332,9 +332,6 @@ def delannoy_hstep_count(n: int) -> int:
         raise IndexOutOfRange("axis H-step counting starts at semilength 1")
     count = 0
     for path in enumerate_family("delannoy", n):
-        level = 0
-        for ch in path.steps:
-            if ch == "H" and level == 0:
-                count += 1
-            level += STEP_RISE[ch]
+        # levels() starts at the level before the first step
+        count += sum(ch == "H" and level == 0 for ch, level in zip(path.steps, path.levels()))
     return count

@@ -19,7 +19,7 @@ each is checked once, by its constructor, and compares by its fields.
 from __future__ import annotations
 
 import math
-from itertools import accumulate, groupby
+from itertools import accumulate
 from typing import Iterator, Mapping, Union
 
 from ._value import Value, slot_setters
@@ -341,31 +341,16 @@ class ValleyStructure(Value):
 (_structure_parts,) = slot_setters(ValleyStructure)
 
 
-def _run_lengths(steps: str) -> list[tuple[str, int]]:
-    return [(ch, len(list(run))) for ch, run in groupby(steps)]
-
-
 def _parse_factor(factor: Path) -> Part:
-    steps = factor.steps
-    runs = _run_lengths(steps)
-    if len(runs) == 2:
-        return Pyramid(runs[0][1])
+    # a primitive factor whose valleys all sit at level k is u^k (pyramids) d^k,
+    # and its maximal pyramids are those inner pyramids
     stats = analyze(factor)
-    valley_levels = {level for _, level in stats.valleys}
-    if len(valley_levels) != 1:
-        raise NotValleyUniform(f"valleys of {steps!r} sit at levels {sorted(valley_levels)}")
-    k = valley_levels.pop()
-    if runs[0][1] < k or runs[-1][1] < k:
-        raise NotValleyUniform(f"{steps!r} is not of the form u^k (pyramids) d^k")
-    inner_runs = _run_lengths(steps[k:-k])
-    heights = []
-    for i in range(0, len(inner_runs), 2):
-        up = inner_runs[i]
-        down = inner_runs[i + 1] if i + 1 < len(inner_runs) else ("?", -1)
-        if up[0] != "U" or down[0] != "D" or up[1] != down[1]:
-            raise NotValleyUniform(f"{steps!r} is not of the form u^k (pyramids) d^k")
-        heights.append(up[1])
-    return ValleyBlock(k, tuple(heights))
+    levels = sorted({level for _, level in stats.valleys})
+    if not levels:
+        return Pyramid(factor.size)
+    if len(levels) > 1:
+        raise NotValleyUniform(f"valleys of {factor.steps!r} sit at levels {levels}")
+    return ValleyBlock(levels[0], tuple(h for h, _, _ in stats.pyramids))
 
 
 def is_valley_uniform(path: Path) -> bool:
@@ -420,33 +405,24 @@ def _compositions(total: int, min_parts: int) -> Iterator[tuple[int, ...]]:
     return go(total, 0)
 
 
+_GLYPHS = {"U": "/", "D": "\\", "F": "_", "H": "__"}
+
+
 def render_ascii(path: Path) -> str:
     """Fixed-width picture: '/' and '\\' for slopes, '_' for flats, one row per level."""
     if not path.steps:
         return ""
     cells: dict[tuple[int, int], str] = {}
     x = 0
-    level = 0
-    for ch in path.steps:
-        if ch == "U":
-            cells[(level, x)] = "/"
-            level += 1
+    levels = path.levels()
+    # a step is drawn in the row of its lower end, one glyph per unit of width
+    for ch, before, after in zip(path.steps, levels, levels[1:]):
+        for glyph in _GLYPHS[ch]:
+            cells[(min(before, after), x)] = glyph
             x += 1
-        elif ch == "D":
-            level -= 1
-            cells[(level, x)] = "\\"
-            x += 1
-        elif ch == "F":
-            cells[(level, x)] = "_"
-            x += 1
-        else:  # H
-            cells[(level, x)] = "_"
-            cells[(level, x + 1)] = "_"
-            x += 2
     rows = sorted({r for r, _ in cells})
-    width = x
     lines = []
     for r in range(rows[-1], rows[0] - 1, -1):
-        line = "".join(cells.get((r, c), " ") for c in range(width))
+        line = "".join(cells.get((r, c), " ") for c in range(x))
         lines.append(line.rstrip())
     return "\n".join(lines)

@@ -592,7 +592,13 @@ class Polynomial:
 
     @classmethod
     def from_json(cls, data: Iterable[Mapping]) -> "Polynomial":
-        return _trusted(_collect((entry["monomial"].items(), entry["coeff"]) for entry in data))
+        """Read ``to_json`` output.  A coefficient is an int or an exact string such as
+        "1/10"; a JSON float is refused, as it holds a binary fraction, not what was written."""
+        terms = [(entry["monomial"].items(), entry["coeff"]) for entry in data]
+        for _, coeff in terms:
+            if type(coeff) is not int and type(coeff) is not str:
+                raise TypeError(f"a coefficient must be an integer or a string, got {coeff!r}")
+        return _trusted(_collect(terms))
 
 
 _new = object.__new__

@@ -1,9 +1,27 @@
+import inspect
 import subprocess
 import sys
 
 import pytest
 
+from valleydyck.bijections import MapSpec
+
 VERIFY_ALL = ("verify", "--suite", "all", "--max-n", "6")
+
+
+def run_cli(*args, expect=0):
+    """Run ``python -m valleydyck`` with ``args``; assert its exit code and return the process."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "valleydyck", *args], capture_output=True, text=True
+    )
+    assert proc.returncode == expect, proc.stderr + proc.stdout
+    return proc
+
+
+def rebuilt(spec, **change):
+    """``spec`` rebuilt through the ``MapSpec`` constructor with one field changed."""
+    fields = {name: getattr(spec, name) for name in inspect.signature(MapSpec).parameters}
+    return MapSpec(**{**fields, **change})
 
 
 @pytest.fixture(scope="session")

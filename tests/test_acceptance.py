@@ -9,10 +9,9 @@ a checklist.
 """
 
 import json
-import subprocess
-import sys
 from pathlib import Path as FilePath
 
+from conftest import run_cli
 from valleydyck.bijections import MAPS
 from valleydyck.verify import CHECKS
 
@@ -95,28 +94,20 @@ def test_a11_oracle_cross_checks():
     report("A11 oracle bridges and both binomial forms (n<=20), axis H-steps", ok)
 
 
-def _cli(*args, expect=0):
-    proc = subprocess.run(
-        [sys.executable, "-m", "valleydyck", *args], capture_output=True, text=True
-    )
-    assert proc.returncode == expect, proc.stderr + proc.stdout
-    return proc
-
-
 def test_a12_cli_smoke(tmp_path, verify_all_runs):
     ok = True
     # JSON round trips: weight spec, path, decorated object
     dump = tmp_path / "spec.json"
-    first = _cli("series", "--spec", "narayana_t", "--order", "6", "--dump-spec", str(dump))
-    again = _cli("series", "--spec", f"@{dump}", "--order", "6")
+    first = run_cli("series", "--spec", "narayana_t", "--order", "6", "--dump-spec", str(dump))
+    again = run_cli("series", "--spec", f"@{dump}", "--order", "6")
     ok = ok and first.stdout == again.stdout
 
     paths = json.loads(
-        _cli("enumerate", "--family", "schroder_large", "--n", "2", "--format", "json").stdout
+        run_cli("enumerate", "--family", "schroder_large", "--n", "2", "--format", "json").stdout
     )
     path_file = tmp_path / "path.json"
     path_file.write_text(json.dumps(paths[0]))
-    ok = ok and _cli("render", "--path", f"@{path_file}").stdout == _cli(
+    ok = ok and run_cli("render", "--path", f"@{path_file}").stdout == run_cli(
         "render", "--path", paths[0]["steps"], "--family", "schroder_large"
     ).stdout
 
@@ -126,10 +117,10 @@ def test_a12_cli_smoke(tmp_path, verify_all_runs):
     }
     obj_file = tmp_path / "obj.json"
     obj_file.write_text(json.dumps(obj))
-    image = _cli("biject", "--map", "rho", "--apply", f"@{obj_file}")
+    image = run_cli("biject", "--map", "rho", "--apply", f"@{obj_file}")
     image_file = tmp_path / "img.json"
     image_file.write_text(image.stdout)
-    back = _cli("biject", "--map", "rho", "--apply", f"@{image_file}", "--direction", "inverse")
+    back = run_cli("biject", "--map", "rho", "--apply", f"@{image_file}", "--direction", "inverse")
     ok = ok and json.loads(back.stdout) == obj
 
     # full verification suite is green through the CLI (the four

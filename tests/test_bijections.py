@@ -1,14 +1,13 @@
-import inspect
 import json
 import re
 
 import pytest
 
+from conftest import rebuilt
 from valleydyck import verify
 from valleydyck.bijections import (
     MAPS,
     DecoratedStructure,
-    MapSpec,
     PartDecoration,
     TauDecorated,
     TauFactor,
@@ -116,17 +115,11 @@ FAULTS = {
 }
 
 
-def _rebuilt(spec, **change):
-    """``spec`` rebuilt through the ``MapSpec`` constructor with one field changed."""
-    fields = {name: getattr(spec, name) for name in inspect.signature(MapSpec).parameters}
-    return MapSpec(**{**fields, **change})
-
-
 @pytest.mark.parametrize("fault", FAULTS)
 def test_checks_catch_a_wrong_map_record(fault, monkeypatch):
     map_id, changes, check = FAULTS[fault]
     assert verify.run_check(check, 4).passed
-    monkeypatch.setitem(MAPS, map_id, _rebuilt(MAPS[map_id], **changes))
+    monkeypatch.setitem(MAPS, map_id, rebuilt(MAPS[map_id], **changes))
     result = verify.run_check(check, 4).results[0]
     assert not result.passed and result.detail
 

@@ -8,22 +8,13 @@ from pathlib import Path as FilePath
 
 import pytest
 
+from conftest import run_cli
 from valleydyck import cli, verify
 from valleydyck.oracles import ORACLES
 from valleydyck.paths import FAMILY_STEPS
 from valleydyck.weights import REGISTRY
 
 FIXTURES = FilePath(__file__).parent / "fixtures"
-
-
-def run_cli(*args, expect=0):
-    proc = subprocess.run(
-        [sys.executable, "-m", "valleydyck", *args],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == expect, proc.stderr + proc.stdout
-    return proc
 
 
 def test_series_pretty_matches_example():
@@ -349,6 +340,14 @@ def test_biject_apply_malformed_json_is_a_usage_error(capsys):
                            '"blocks": [1.5]}]}'),
         ("tau", "forward", '{"side": "src_4372", "parts": [{"k0": true, "letters": [], '
                            '"blocks": [1]}]}'),
+        ("rho", "forward", '{"map": "rho", "parts": [{"kind": "pyramid", "height": 1.5, '
+                           '"sub": "U"}]}'),
+        ("rho", "forward", '{"map": "rho", "parts": [{"kind": "pyramid", "height": 2.0, '
+                           '"sub": "UD"}]}'),
+        ("rho", "forward", '{"map": "rho", "parts": [{"kind": "block", "ascent": true, '
+                           '"heights": [1, 1], "sub": "UD"}]}'),
+        ("rho", "forward", '{"map": "rho", "parts": [{"kind": "block", "ascent": 1, '
+                           '"heights": [1, 1.0], "sub": "UD"}]}'),
     ]:
         argv = ["biject", "--map", map_id, "--direction", direction, "--apply", text]
         assert cli.main(argv) == 2
@@ -369,6 +368,8 @@ MALFORMED_FILES = [
      '{"alpha": [[{"coeff": "1", "monomial": {"a": 99999}}]], "beta": [[]], "gamma": [[]]}'),
     (["series", "--order", "1", "--spec"],
      '{"alpha": [[{"coeff": "1", "monomial": {"a": "x"}}]], "beta": [[]], "gamma": [[]]}'),
+    (["series", "--order", "1", "--spec"],
+     '{"alpha": [[{"coeff": 0.1, "monomial": {}}]], "beta": [[]], "gamma": [[]]}'),
 ]
 
 

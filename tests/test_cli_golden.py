@@ -1,6 +1,7 @@
-"""Golden stdout of ``count`` and ``series`` for every weight table, of every
-round trip, of ``oracle`` for every name and of ``enumerate`` for every family,
-filter and format at small sizes.
+"""Golden stdout of ``count`` and ``series`` for every weight table (and in
+every format for two pinned tables), of every round trip, of ``biject
+--apply`` for every structure map, of ``render``, of ``oracle`` for every name
+and of ``enumerate`` for every family, filter and format at small sizes.
 
 The fixture ``fixtures/cli_golden.json`` maps each command line to the exact
 stdout it printed when the fixture was made, so a change that alters one
@@ -19,7 +20,7 @@ from pathlib import Path as FilePath
 
 import pytest
 
-from valleydyck import cli
+from valleydyck import cli, verify
 from valleydyck.bijections import MAP_IDS
 from valleydyck.paths import FAMILY_STEPS, FILTERS
 from valleydyck.weights import REGISTRY
@@ -81,6 +82,20 @@ def _oracle_argv(name: str, fmt: str, pairs=None) -> list[str]:
     return argv
 
 
+# one object per structure map in compact JSON: the worked examples of the
+# paper for phi, theta and rho, and a small object each for sigma and psi
+_APPLY_OBJECTS = [obj.to_json() for obj in verify.DECORATED_EXAMPLES.values()] + [
+    {"map": "sigma", "parts": [{"kind": "pyramid", "height": 3, "sub": "UHD"},
+                               {"kind": "block", "ascent": 1, "heights": [1, 1], "sub": "H"}]},
+    {"map": "psi", "parts": [{"kind": "pyramid", "height": 2, "sub": "UD"},
+                             {"kind": "block", "ascent": 2, "heights": [1, 1, 1], "sub": "UUDD"}]},
+]
+
+
+def _compact(data) -> str:
+    return json.dumps(data, separators=(",", ":"))
+
+
 CASES = (
     [_argv_of(table) for table in REGISTRY]
     + [_series_argv(table, _SERIES_ORDERS[table]) for table in REGISTRY]
@@ -88,7 +103,23 @@ CASES = (
         _series_argv("motzkin_ab", 20, ("a=2", "b=3")),
         _series_argv("schroder_large_q", 16, ("q=3",)),
     ]
+    + [
+        [command, "--spec", table, size, "8" if command == "series" else "6", "--format", fmt]
+        + [arg for pair in pairs for arg in ("--param", pair)]
+        for table, pairs in (
+            ("motzkin_ab", ("a=2", "b=3")),
+            ("chebyshev_abcd", ("a=4", "b=3", "c=7", "d=2")),
+        )
+        for command, size in (("series", "--order"), ("count", "--n"))
+        for fmt in ("csv", "pretty")
+    ]
     + [["biject", "--map", map_id, "--n", "5", "--roundtrip"] for map_id in MAP_IDS + ("tau",)]
+    + [["biject", "--map", data["map"], "--apply", _compact(data)] for data in _APPLY_OBJECTS]
+    + [
+        ["biject", "--map", "theta", "--direction", "inverse", "--apply",
+         _compact({"family": "schroder_large", "steps": "UHDHUD"})],
+        ["render", "--path", "UUDDUD"],
+    ]
     + [_oracle_argv(name, "json") for name in _ORACLE_PARAMS]
     + [_oracle_argv(name, "pretty") for name in ("catalan", "narayana", "chebyshev_closed")]
     + [

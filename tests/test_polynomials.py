@@ -141,6 +141,15 @@ def test_string_and_json_round_trip():
     assert data[0]["coeff"] == "7/3"
 
 
+def test_from_json_reads_int_and_string_coefficients_only():
+    assert Polynomial.from_json([{"coeff": 3, "monomial": {"a": 1}}]) == 3 * A
+    assert Polynomial.from_json([{"coeff": "1/10", "monomial": {}}]) == Fraction(1, 10)
+    # a JSON float is a binary fraction (0.1 is not 1/10), and true is no coefficient
+    for coeff in (0.1, 2.0, True):
+        with pytest.raises(TypeError, match="a coefficient must be an integer or a string"):
+            Polynomial.from_json([{"coeff": coeff, "monomial": {}}])
+
+
 def test_integral_coefficients_are_canonical_ints():
     two = Polynomial({(): Fraction(4, 2)})
     assert two == Polynomial.const(2)

@@ -5,15 +5,14 @@ with a reference validator written out below; every other raise branch of
 the decorated objects and of ``inverse`` is pinned by type and message.
 """
 
-import inspect
 from itertools import product
 
 import pytest
 
+from conftest import rebuilt
 from valleydyck.bijections import (
     MAPS,
     DecoratedStructure,
-    MapSpec,
     PartDecoration,
     TauDecorated,
     TauFactor,
@@ -183,12 +182,6 @@ def _unchecked_path(family: str, steps: str) -> Path:
     return path
 
 
-def _rebuilt(spec, **change):
-    """``spec`` rebuilt through the ``MapSpec`` constructor with one field changed."""
-    fields = {name: getattr(spec, name) for name in inspect.signature(MapSpec).parameters}
-    return MapSpec(**{**fields, **change})
-
-
 def test_inverse_raise_branches(monkeypatch):
     raises(NotInTargetFamily, "rho inverts paths of family 'dyck'",
            lambda: inverse("rho", Path("motzkin", "UD")))
@@ -209,7 +202,7 @@ def test_inverse_raise_branches(monkeypatch):
     # with the filter lifted, a leading ud is a core factor with an empty subpath
     for map_id in ("rho", "theta"):
         spec = MAPS[map_id]
-        lifted = _rebuilt(spec, target=(spec.target[0], "none"))
+        lifted = rebuilt(spec, target=(spec.target[0], "none"))
         monkeypatch.setitem(MAPS, map_id, lifted)
     raises(UniqueFactorizationFailure, "empty core factor at 2 in 'UD'",
            lambda: inverse("rho", Path("dyck", "UD")))

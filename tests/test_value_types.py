@@ -178,16 +178,13 @@ def test_value_type_defaults():
     assert spec == MapSpec(**THETA_FIELDS) and spec.offset == 0 and spec.core is None
 
 
-def test_map_spec_derives_symbols_and_letters():
+def test_map_spec_derives_symbols():
     spec = MapSpec(**THETA_FIELDS)
     assert spec.symbols == ("H", "ud")
-    assert spec.letters == {"H": "H", "ud": "UD"}
-    assert "letters" not in repr(spec)
-    assert pickle.loads(pickle.dumps(spec)).letters == spec.letters
+    assert pickle.loads(pickle.dumps(spec)).symbols == spec.symbols
     for map_id, spec in MAPS.items():
-        assert spec.letters == {s: unit for s, unit, _ in spec.tail if s is not None}, map_id
-        assert spec.symbols == tuple(spec.letters), map_id
-    # the derived fields are not init arguments
+        assert spec.symbols == tuple(s for s, _, _ in spec.tail if s is not None), map_id
+    # the derived field is not an init argument
     with pytest.raises(TypeError):
         MapSpec(**THETA_FIELDS, symbols=("H",))
 
