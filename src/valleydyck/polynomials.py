@@ -40,6 +40,10 @@ needs the rewrite.  A product of one term by one term, the common case when
 path weights are multiplied out part by part, takes one integer addition
 and one coefficient product.  Powers are built by repeated squaring starting
 from the base itself, so ``p ** 1`` takes no product and ``p ** 2`` one.
+A sum of products, each coefficient of a series convolution, is one
+multiply-accumulate, ``Polynomial.dot``: every term product goes straight
+into one term map, which then gets one overflow test, one canonical pass
+and at most one inverse rewrite.
 """
 
 from __future__ import annotations
@@ -299,6 +303,38 @@ class Polynomial:
             for m, c in terms.items():
                 acc[m] = get(m, 0) + c
         return _trusted(_canonical(acc))
+
+    @staticmethod
+    def dot(pairs: Iterable[tuple["Polynomial", "Polynomial"]]) -> "Polynomial":
+        """Sum of the products a * b over ``pairs``, multiplied and added into one term map.
+
+        No product is built on its own: the sum gets one overflow test, one
+        canonical pass and, only if some operand holds an inverse variable,
+        one inverse rewrite, which is linear, so rewriting the sum is summing
+        the rewritten products.
+        """
+        acc: dict[int, Scalar] = {}
+        get = acc.get
+        inv = False
+        for a, b in pairs:
+            left, right = a._terms, b._terms
+            if not left or not right:
+                continue
+            if not inv and (a._inv is not False or b._inv is not False):
+                inv = a._holds_inverse() or b._holds_inverse()
+            if len(left) > len(right):
+                left, right = right, left
+            terms = right.items()
+            for m1, c1 in left.items():
+                for m2, c2 in terms:
+                    m = m1 + m2
+                    acc[m] = get(m, 0) + c1 * c2
+        # as in __mul__: every overflowed pair left its guard bit in a key of acc
+        guard = _GUARD
+        if any(map(guard.__and__, acc)):
+            raise _overflow(next(m for m in acc if m & guard))
+        out = _canonical(acc)
+        return _trusted(_reduce_inverses(out)) if inv else _trusted(out, False)
 
     @classmethod
     def product(cls, items: Iterable[PolyLike]) -> "Polynomial":
@@ -593,11 +629,15 @@ class Polynomial:
     @classmethod
     def from_json(cls, data: Iterable[Mapping]) -> "Polynomial":
         """Read ``to_json`` output.  A coefficient is an int or an exact string such as
-        "1/10"; a JSON float is refused, as it holds a binary fraction, not what was written."""
+        "1/10"; a JSON float is refused, as it holds a binary fraction, not what was written.
+        An exponent is an int; JSON ``true`` is refused, though Python counts it as 1."""
         terms = [(entry["monomial"].items(), entry["coeff"]) for entry in data]
-        for _, coeff in terms:
+        for mono, coeff in terms:
             if type(coeff) is not int and type(coeff) is not str:
                 raise TypeError(f"a coefficient must be an integer or a string, got {coeff!r}")
+            for v, e in mono:
+                if type(e) is not int:
+                    raise TypeError(f"the exponent of {v} must be an integer, got {e!r}")
         return _trusted(_collect(terms))
 
 

@@ -12,10 +12,12 @@ reads coefficient k of F off the power tables [x^m] F^j for m < k, grows
 each table by one convolution, and at the end checks the equation at the
 full order with the ordinary arithmetic below instead of trusting it.
 
-Products skip zero coefficients, stop at the truncation order, reuse a
-factor that is the constant 1 instead of multiplying by it, form each cross
-product of a square only once, and add each output coefficient up once with
-:meth:`Polynomial.sum`.
+Every convolution, the product, the square, the inverse and the solver's
+power tables, hands each output coefficient's pairs of factors to
+:meth:`Polynomial.dot`, which multiplies and adds them into one term map
+without building any product on its own.  Products skip zero coefficients
+and stop at the truncation order, and a square forms each cross product
+a_i a_j, i < j, only once, against 2 a_j.
 """
 
 from __future__ import annotations
@@ -47,13 +49,9 @@ def _coeff(value: CoeffLike) -> Polynomial:
     return Polynomial.const(value)
 
 
-def _nonzero(coeffs: Sequence[Polynomial]) -> list[tuple[int, Polynomial, bool]]:
-    """(index, coefficient, is the constant 1) for each nonzero coefficient."""
-    return [(i, c, c == _ONE) for i, c in enumerate(coeffs) if c]
-
-
-def _total(terms: list[Polynomial]) -> Polynomial:
-    return terms[0] if len(terms) == 1 else Polynomial.sum(terms)
+def _nonzero(coeffs: Sequence[Polynomial]) -> list[tuple[int, Polynomial]]:
+    """(index, coefficient) for each nonzero coefficient."""
+    return [(i, c) for i, c in enumerate(coeffs) if c]
 
 
 class TruncatedSeries:
@@ -172,18 +170,19 @@ class TruncatedSeries:
         n = self.order
         left = _nonzero(self._coeffs)
         square = other is self
-        right = left if square else _nonzero(other._coeffs)
-        terms: list[list[Polynomial]] = [[] for _ in range(n + 1)]
-        for pos, (i, a, a_one) in enumerate(left):
-            # a square needs each product a_i * a_j only once, for i <= j
-            for j, b, b_one in right[pos:] if square else right:
+        # a square forms each cross product a_i a_j, i < j, once, against 2 a_j
+        right = [(j, b * 2) for j, b in left] if square else _nonzero(other._coeffs)
+        pairs: list[list[tuple[Polynomial, Polynomial]]] = [[] for _ in range(n + 1)]
+        for pos, (i, a) in enumerate(left):
+            if square:
+                if 2 * i > n:
+                    break
+                pairs[2 * i].append((a, a))
+            for j, b in right[pos + 1:] if square else right:
                 if i + j > n:
                     break
-                product = b if a_one else a if b_one else a * b
-                terms[i + j].append(product)
-                if square and j != i:
-                    terms[i + j].append(product)
-        return TruncatedSeries._trusted(tuple(_total(t) for t in terms))
+                pairs[i + j].append((a, b))
+        return TruncatedSeries._trusted(tuple(map(Polynomial.dot, pairs)))
 
     __rmul__ = __mul__
 
@@ -211,19 +210,11 @@ class TruncatedSeries:
         if not c0.is_constant or not c0:
             raise NotAUnit(f"constant term {c0} is not a nonzero rational")
         inv0 = Fraction(1) / c0.constant_value()
-        neg_inv0 = Polynomial.const(-inv0)
-        tail = _nonzero(self._coeffs)[1:]
+        # out[n] = -inv0 * sum of c_i out[n - i]: the factor -inv0 rides on each c_i, once
+        tail = [(i, c * -inv0) for i, c in _nonzero(self._coeffs)[1:]]
         out = [Polynomial.const(inv0)]
         for n in range(1, self.order + 1):
-            terms = []
-            for i, ci, ci_one in tail:
-                if i > n:
-                    break
-                prev = out[n - i]
-                if prev:
-                    terms.append(prev if ci_one else ci * prev)
-            acc = _total(terms)
-            out.append(-acc if inv0 == 1 else acc * neg_inv0)
+            out.append(Polynomial.dot([(c, out[n - i]) for i, c in tail if i <= n]))
         return TruncatedSeries._trusted(tuple(out))
 
     def __truediv__(self, other) -> "TruncatedSeries":
@@ -324,25 +315,28 @@ def solve_equation(equation: Equation, order: int, r: int | None = None) -> Trun
     powers: dict[int, list[Polynomial]] = {1: f}
     powers.update((j, []) for j in chain)
     steps = sorted(chain)
-    reads = [(powers[j], i, c, c == _ONE) for j, i, c in terms if j]
+    reads = [(powers[j], i, c) for j, i, c in terms if j]
+    constants = [(i, c) for j, i, c in terms if j == 0]
+    # for a square F^j = (F^h)^2: the coefficients 2 [x^m] F^h, so that each
+    # cross product is formed once
+    twice: dict[int, list[Polynomial]] = {j: [] for j in steps if j == 2 * chain[j]}
     for k in range(order + 1):
-        acc = [c for j, i, c in terms if j == 0 and i == k]
-        for row, i, c, one in reads:
-            if i <= k and row[k - i]:
-                acc.append(row[k - i] if one else row[k - i] * c)
-        f.append(_total(acc) if acc else _ZERO)
+        pairs = [(c, _ONE) for i, c in constants if i == k]
+        pairs += [(row[k - i], c) for row, i, c in reads if i <= k]
+        f.append(Polynomial.dot(pairs))
         if k == order:
             break
         for j in steps:
-            half = chain[j]
-            if j == 2 * half:  # a square: each cross product once, doubled
-                row = powers[half]
-                cross = [row[m] * row[k - m] for m in range((k + 1) // 2)]
-                total = Polynomial.sum(cross) * 2 if cross else _ZERO
-                powers[j].append(total + row[k // 2] ** 2 if k % 2 == 0 else total)
+            row = powers[chain[j]]
+            if j in twice:
+                doubled = twice[j]
+                doubled.append(row[k] * 2)
+                pairs = [(row[m], doubled[k - m]) for m in range((k + 1) // 2)]
+                if k % 2 == 0:
+                    pairs.append((row[k // 2], row[k // 2]))
             else:
-                row = powers[half]
-                powers[j].append(Polynomial.sum(row[m] * f[k - m] for m in range(k + 1)))
+                pairs = [(row[m], f[k - m]) for m in range(k + 1)]
+            powers[j].append(Polynomial.dot(pairs))
     solution = TruncatedSeries._trusted(tuple(f))
     image = TruncatedSeries.zero(order)
     for j, i, c in terms:

@@ -370,6 +370,10 @@ MALFORMED_FILES = [
      '{"alpha": [[{"coeff": "1", "monomial": {"a": "x"}}]], "beta": [[]], "gamma": [[]]}'),
     (["series", "--order", "1", "--spec"],
      '{"alpha": [[{"coeff": 0.1, "monomial": {}}]], "beta": [[]], "gamma": [[]]}'),
+    (["series", "--order", "1", "--spec"],
+     '{"alpha": [[{"coeff": "1", "monomial": {"a": true}}]], "beta": [[]], "gamma": [[]]}'),
+    (["series", "--order", "1", "--spec"],
+     '{"alpha": [[{"coeff": "1", "monomial": {"a": 1.0}}]], "beta": [[]], "gamma": [[]]}'),
 ]
 
 

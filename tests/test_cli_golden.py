@@ -5,7 +5,8 @@ and of ``enumerate`` for every family, filter and format at small sizes.
 
 The fixture ``fixtures/cli_golden.json`` maps each command line to the exact
 stdout it printed when the fixture was made, so a change that alters one
-output byte fails here.  Print a fresh fixture with
+output byte fails here.  Five larger ``series`` outputs are pinned the same
+way by the sha256 of their stdout (``DIGESTS``).  Print a fresh fixture with
 
     PYTHONPATH=src python tests/test_cli_golden.py > tests/fixtures/cli_golden.json
 
@@ -13,6 +14,7 @@ but only from code whose output is known to be right.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import sys
@@ -144,6 +146,23 @@ def _stdout_of(argv: list[str]) -> str:
     return out.getvalue()
 
 
+# series outputs too large for the fixture (180-640 kB each), pinned by the
+# sha256 of their stdout; the beta series of motzkin_ab holds a_inv and that
+# of narayana_shift_t holds t1_inv
+DIGESTS = {
+    "series --spec generic --order 12 --format json":
+        "361283f5a2856a1c6d5d5dbacf8642fd38d21b8d4a2fbf56f89b74516d5fd005",
+    "series --spec generic --order 12 --format json --param alpha1=3":
+        "e8dfc6d2e417e2d6d87cf0e32d23a42cd5225d85bd45dbe804a9f33dc2901a13",
+    "series --spec chebyshev_abcd --order 16 --format json":
+        "541177bc8b79d6cdfc13e6fd7b81d370bbb993fd7871aa34fc05f85fab7f8aa4",
+    "series --spec motzkin_ab --order 40 --format json":
+        "532e8ce798e118b15fd09265a7a334f7465e9655356c058dff190066671ea0e5",
+    "series --spec narayana_shift_t --order 40 --format json":
+        "cd830a89fe94662b3df48d398f833ac5b441d154e0539edd54116f44698022a7",
+}
+
+
 def test_golden_covers_every_case():
     assert sorted(json.loads(GOLDEN.read_text())) == sorted(" ".join(a) for a in CASES)
 
@@ -151,6 +170,12 @@ def test_golden_covers_every_case():
 @pytest.mark.parametrize("argv", CASES, ids=" ".join)
 def test_stdout_matches_golden(argv):
     assert _stdout_of(argv) == json.loads(GOLDEN.read_text())[" ".join(argv)]
+
+
+@pytest.mark.parametrize("command", DIGESTS)
+def test_large_series_stdout_matches_digest(command):
+    stdout = _stdout_of(command.split())
+    assert hashlib.sha256(stdout.encode()).hexdigest() == DIGESTS[command]
 
 
 if __name__ == "__main__":

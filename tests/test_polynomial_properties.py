@@ -2,7 +2,9 @@
 
 Operands are drawn as single terms (the products' fast path) and as general
 sums of terms, over plain variables and the two formal inverses, so the
-inverse rewrite is exercised by every property.
+inverse rewrite is exercised by every property.  The multiply-accumulate
+``Polynomial.dot`` is held to the products and the sum it fuses, and JSON
+output must read back to the same polynomial.
 """
 
 from fractions import Fraction
@@ -10,10 +12,10 @@ from fractions import Fraction
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from valleydyck.polynomials import Polynomial  # noqa: E402
+from valleydyck.polynomials import MAX_EXPONENT, Polynomial  # noqa: E402
 
 VARIABLES = ("a", "b", "t", "a_inv", "t1_inv")
 
@@ -45,6 +47,9 @@ def general(draw):
 
 
 polys = st.one_of(single_terms(), general())
+# also the zero polynomial and the constants, the operands a series convolution
+# meets at its unit constant term and at the zero coefficients it skips
+operands = st.one_of(polys, coefficients.map(Polynomial.const), st.just(Polynomial.zero()))
 
 kernel = settings(max_examples=100, deadline=None)
 
@@ -115,3 +120,33 @@ def test_inverse_variables_cancel(p):
     assert p * (T + 1) * T1_INV == p
     assert (p * A_INV) * A == p
     assert p * T * T1_INV == p - p * T1_INV
+
+
+@kernel
+@given(st.lists(st.tuples(operands, operands), max_size=6))
+@example([])
+def test_dot_is_the_sum_of_the_products(pairs):
+    got = Polynomial.dot(pairs)
+    assert got == Polynomial.sum(a * b for a, b in pairs)
+    assert canonical(got)
+
+
+@kernel
+@given(st.sampled_from(VARIABLES), st.integers(1, MAX_EXPONENT), polys)
+def test_dot_refuses_an_exponent_past_the_cap_as_mul_does(name, e, other):
+    high = Polynomial.monomial(1, {name: e})
+    past = Polynomial.monomial(1, {name: MAX_EXPONENT + 1 - e})
+    with pytest.raises(OverflowError) as by_mul:
+        high * past
+    assert str(by_mul.value) == f"exponent of {name} would exceed {MAX_EXPONENT}"
+    # even where the sum cancels the product that went past the cap
+    for pairs in ([(high, past)], [(other, other), (high, past), (-high, past)]):
+        with pytest.raises(OverflowError) as by_dot:
+            Polynomial.dot(pairs)
+        assert str(by_dot.value) == str(by_mul.value)
+
+
+@kernel
+@given(operands)
+def test_json_round_trip(p):
+    assert Polynomial.from_json(p.to_json()) == p

@@ -150,6 +150,14 @@ def test_from_json_reads_int_and_string_coefficients_only():
             Polynomial.from_json([{"coeff": coeff, "monomial": {}}])
 
 
+def test_from_json_reads_int_exponents_only():
+    assert Polynomial.from_json([{"coeff": 1, "monomial": {"a": 2}}]) == A**2
+    # Python counts true as the int 1; an exponent is a JSON integer, nothing else
+    for exponent in (True, 1.0, "1"):
+        with pytest.raises(TypeError, match="the exponent of a must be an integer"):
+            Polynomial.from_json([{"coeff": 1, "monomial": {"a": exponent}}])
+
+
 def test_integral_coefficients_are_canonical_ints():
     two = Polynomial({(): Fraction(4, 2)})
     assert two == Polynomial.const(2)

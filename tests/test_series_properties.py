@@ -1,9 +1,13 @@
-"""The online solver on equations drawn by hypothesis.
+"""Series arithmetic and the online solver on inputs drawn by hypothesis.
 
 Each drawn equation F = sum of c x^i F^j has c_j(0) = 0 for j >= 1, small
 rational or one-variable coefficients, powers of F up to 4 and of x up to 2.
 Such a map is an x-adic contraction with one fixed point, so a series the
 map sends to itself is the solution.
+
+The series product, square and inverse and the solver are also held to a
+schoolbook reference, built here from ``Polynomial.__mul__`` and
+``Polynomial.sum`` only, over coefficients that hold the formal inverses.
 """
 
 import pytest
@@ -33,6 +37,58 @@ terms = st.lists(st.tuples(powers, coefficients), max_size=5).map(
     lambda drawn: [(j, i, c) for (j, i), c in drawn]
 )
 
+# polynomials over the bases and their inverses, so products need the inverse rewrite
+monomials = st.dictionaries(
+    st.sampled_from(("a", "t", "a_inv", "t1_inv")), st.integers(1, 2), max_size=2
+)
+polys = st.lists(st.tuples(rationals, monomials), max_size=3).map(
+    lambda drawn: Polynomial.sum(Polynomial.monomial(c, m) for c, m in drawn)
+)
+mixed_terms = st.lists(st.tuples(powers, polys), max_size=4).map(
+    lambda drawn: [(j, i, c) for (j, i), c in drawn]
+)
+
+
+def series_of(order: int, head=polys):
+    return st.tuples(head, st.lists(polys, min_size=order, max_size=order)).map(
+        lambda drawn: TruncatedSeries([drawn[0], *drawn[1]])
+    )
+
+
+series_pairs = st.integers(0, 6).flatmap(lambda n: st.tuples(series_of(n), series_of(n)))
+units = st.integers(0, 6).flatmap(
+    lambda n: series_of(n, rationals.filter(bool).map(Polynomial.const))
+)
+
+
+def schoolbook_product(f, g):
+    """Coefficients of f * g at the order of f, each a plain sum of plain products."""
+    return [Polynomial.sum(f[i] * g[k - i] for i in range(k + 1)) for k in range(len(f))]
+
+
+def schoolbook_inverse(f):
+    inv0 = Polynomial.const(1 / f[0].constant_value())
+    out = [inv0]
+    for k in range(1, len(f)):
+        out.append(-inv0 * Polynomial.sum(f[i] * out[k - i] for i in range(1, k + 1)))
+    return out
+
+
+def schoolbook_solution(equation_terms, order):
+    """The fixed point of the equation, by order + 1 rounds of plain iteration."""
+    zero, one = Polynomial.zero(), Polynomial.one()
+    f = [zero] * (order + 1)
+    for _ in range(order + 1):
+        image = [zero] * (order + 1)
+        for j, i, c in equation_terms:
+            power = [one] + [zero] * order
+            for _ in range(j):
+                power = schoolbook_product(power, f)
+            for k in range(i, order + 1):
+                image[k] = image[k] + c * power[k - i]
+        f = image
+    return f
+
 
 def as_map(equation_terms):
     """The equation's right side as an order-polymorphic series map."""
@@ -53,3 +109,31 @@ def test_online_solver_finds_the_fixed_point(equation_terms, order):
     assert got.order == order
     assert as_map(equation_terms)(got) == got
 
+
+@settings(max_examples=30, deadline=None)
+@given(mixed_terms, st.integers(0, 6))
+def test_online_solver_matches_schoolbook_iteration(equation_terms, order):
+    got = solve_equation(Equation(*equation_terms), order)
+    assert list(got.coeffs) == schoolbook_solution(equation_terms, order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(series_pairs)
+def test_product_and_square_match_schoolbook(pair):
+    f, g = pair
+    assert list((f * g).coeffs) == schoolbook_product(f.coeffs, g.coeffs)
+    assert list((f * f).coeffs) == schoolbook_product(f.coeffs, f.coeffs)
+    cube = schoolbook_product(schoolbook_product(f.coeffs, f.coeffs), f.coeffs)
+    assert list((f**3).coeffs) == cube
+
+
+@settings(max_examples=60, deadline=None)
+@given(units)
+def test_inverse_matches_schoolbook(f):
+    assert list(f.inverse().coeffs) == schoolbook_inverse(f.coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 6).flatmap(series_of))
+def test_json_round_trip(f):
+    assert TruncatedSeries.from_json(f.to_json()) == f
