@@ -29,7 +29,7 @@ from .errors import ValleyDyckError
 from .oracles import oracle
 from .paths import FAMILY_STEPS, FILTERS, Path, enumerate_family, render_ascii
 from .polynomials import Polynomial
-from .series import valley_series, valley_series_ab
+from .series import valley_series
 from . import verify
 from .verify import SUITES, run_check, run_suite
 from .weights import REGISTRY, WeightSpec, _pin_params, registry_get, valley_weight_sum
@@ -122,11 +122,7 @@ def _emit(text: str) -> None:
 def _cmd_series(args) -> int:
     params = _parse_params(args.param)
     spec = _resolve_spec(args.spec, args.order, params)
-    alpha, beta, gamma = spec.to_series()
-    if gamma == alpha * beta:
-        series = valley_series_ab(alpha, beta)
-    else:
-        series = valley_series(alpha, beta, gamma)
+    series = valley_series(*spec.to_series())
     if args.dump_spec:
         FilePath(args.dump_spec).write_text(json.dumps(spec.to_json(), indent=2) + "\n")
     if args.format == "json":
@@ -207,7 +203,9 @@ def _read_object(parse, reference: str, flag: str):
         raise ValleyDyckError(f"{flag} JSON lacks the key {exc}") from None
     except (TypeError, AttributeError) as exc:
         raise ValleyDyckError(f"{flag} JSON has the wrong shape: {exc}") from None
-    except OverflowError as exc:
+    except ValleyDyckError:
+        raise
+    except (ValueError, ArithmeticError) as exc:  # a bad number: "abc", "1/0", an overflow
         raise ValleyDyckError(f"{flag} JSON: {exc}") from None
 
 

@@ -12,12 +12,13 @@ reads coefficient k of F off the power tables [x^m] F^j for m < k, grows
 each table by one convolution, and at the end checks the equation at the
 full order with the ordinary arithmetic below instead of trusting it.
 
-Every convolution, the product, the square, the inverse and the solver's
+Every convolution, the product, the square, the quotient and the solver's
 power tables, hands each output coefficient's pairs of factors to
 :meth:`Polynomial.dot`, which multiplies and adds them into one term map
 without building any product on its own.  Products skip zero coefficients
 and stop at the truncation order, and a square forms each cross product
-a_i a_j, i < j, only once, against 2 a_j.
+a_i a_j, i < j, only once, against 2 a_j.  A quotient N / D is one pass,
+never N times the inverse of D, and the inverse is the quotient 1 / D.
 """
 
 from __future__ import annotations
@@ -205,23 +206,25 @@ class TruncatedSeries:
         return result
 
     def inverse(self) -> "TruncatedSeries":
-        """Multiplicative inverse; the constant term must be a nonzero rational."""
-        c0 = self._coeffs[0]
-        if not c0.is_constant or not c0:
-            raise NotAUnit(f"constant term {c0} is not a nonzero rational")
-        inv0 = Fraction(1) / c0.constant_value()
-        # out[n] = -inv0 * sum of c_i out[n - i]: the factor -inv0 rides on each c_i, once
-        tail = [(i, c * -inv0) for i, c in _nonzero(self._coeffs)[1:]]
-        out = [Polynomial.const(inv0)]
-        for n in range(1, self.order + 1):
-            out.append(Polynomial.dot([(c, out[n - i]) for i, c in tail if i <= n]))
-        return TruncatedSeries._trusted(tuple(out))
+        """Multiplicative inverse, the quotient 1 / self."""
+        return TruncatedSeries.one(self.order) / self
 
     def __truediv__(self, other) -> "TruncatedSeries":
+        """N / D in one pass, q_n = (N_n - sum of D_i q_(n-i), i >= 1) / D_0, one ``dot``
+        per q_n; D_0 must be a nonzero rational.  A scalar divides each coefficient."""
         if isinstance(other, (Polynomial, int, Fraction)):
             return self.div_poly(other)
         self._match(other)
-        return self * other.inverse()
+        d0 = other._coeffs[0]
+        if not d0.is_constant or not d0:
+            raise NotAUnit(f"constant term {d0} is not a nonzero rational")
+        # the factor 1/D_0 rides on N_n and, negated, on each D_i, once
+        inv0 = Polynomial.const(Fraction(1) / d0.constant_value())
+        tail = [(i, c * -inv0) for i, c in _nonzero(other._coeffs)[1:]]
+        out: list[Polynomial] = []
+        for n, num in enumerate(self._coeffs):
+            out.append(Polynomial.dot([(num, inv0)] + [(d, out[n - i]) for i, d in tail if i <= n]))
+        return TruncatedSeries._trusted(tuple(out))
 
     def times_x(self, k: int = 1) -> "TruncatedSeries":
         """Multiply by x^k at the same order; the top k coefficients drop."""
@@ -394,15 +397,18 @@ def _require_weight_series(*series: TruncatedSeries) -> None:
 def valley_series(
     alpha: TruncatedSeries, beta: TruncatedSeries, gamma: TruncatedSeries
 ) -> TruncatedSeries:
-    """Master generating function 1 / (1 - gamma - alpha^2 beta / (1 - alpha))."""
+    """Master generating function 1 / (1 - gamma - alpha^2 beta / (1 - alpha)); alpha*beta
+    is formed once, and if gamma equals it the series is the one quotient of valley_series_ab."""
     _require_weight_series(alpha, beta, gamma)
     one = TruncatedSeries.one(alpha.order)
-    pyramids_above = (alpha * alpha * beta) * (one - alpha).inverse()
-    return (one - gamma - pyramids_above).inverse()
+    alpha_beta = alpha * beta
+    if gamma == alpha_beta:
+        return (one - alpha) / (one - alpha - alpha_beta)
+    return (one - gamma - alpha * alpha_beta / (one - alpha)).inverse()
 
 
 def valley_series_ab(alpha: TruncatedSeries, beta: TruncatedSeries) -> TruncatedSeries:
     """Specialization gamma = alpha*beta: (1 - alpha) / (1 - alpha - alpha*beta)."""
     _require_weight_series(alpha, beta)
     one = TruncatedSeries.one(alpha.order)
-    return (one - alpha) * (one - alpha - alpha * beta).inverse()
+    return (one - alpha) / (one - alpha - alpha * beta)

@@ -369,11 +369,7 @@ def _fuss_formulas(bound: int) -> Iterator[Comparison]:
     for r in (1, 2, 3):
         for m in (r, r + 1, r + 2):
             for formula in ("fuss_sym", "fuss_asym", "fuss_cubic"):
-                alpha, beta, gamma = registry_get(formula, bound, m=m, r=r).to_series()
-                if formula == "fuss_cubic":
-                    series = valley_series(alpha, beta, gamma)
-                else:
-                    series = valley_series_ab(alpha, beta)
+                series = valley_series(*registry_get(formula, bound, m=m, r=r).to_series())
                 yield from _coefficients(series, formula, bound, m=m, r=r)
         for n in range(bound + 1):
             yield (

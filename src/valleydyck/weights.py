@@ -235,8 +235,7 @@ def _build_generic(order: int) -> WeightSpec:
 def _geometric(order: int, pole: int) -> TruncatedSeries:
     """x / (1 - pole*x) up to the order."""
     x = TruncatedSeries.x(order)
-    one = TruncatedSeries.one(order)
-    return x * (one - x.scale(pole)).inverse()
+    return x / (TruncatedSeries.one(order) - x.scale(pole))
 
 
 def _build_geom_3x(order: int) -> WeightSpec:
@@ -298,8 +297,8 @@ def _build_narayana_shift_t(order: int) -> WeightSpec:
 def _chebyshev_series(order, a, b, c, d):
     x = TruncatedSeries.x(order)
     one = TruncatedSeries.one(order)
-    alpha = x.scale(a - b) * (one - x.scale(b)).inverse()
-    beta = x.scale(c) * (one - x.scale(d)).inverse()
+    alpha = x.scale(a - b) / (one - x.scale(b))
+    beta = x.scale(c) / (one - x.scale(d))
     return alpha, beta
 
 
@@ -315,7 +314,7 @@ def _build_chebyshev_second(order: int, a: Polynomial, b: Polynomial, c: Polynom
     one = TruncatedSeries.one(order)
     kernel = (one - x.scale(2 * c) + x * x).inverse()
     alpha = (x.scale(2 * b) * (one - x.scale(a))) * kernel
-    beta = x.scale(a) * (one - x.scale(a)).inverse()
+    beta = x.scale(a) / (one - x.scale(a))
     gamma = (x * x).scale(2 * a * b) * kernel
     return spec_from_series(alpha, beta, gamma)
 

@@ -374,6 +374,10 @@ MALFORMED_FILES = [
      '{"alpha": [[{"coeff": "1", "monomial": {"a": true}}]], "beta": [[]], "gamma": [[]]}'),
     (["series", "--order", "1", "--spec"],
      '{"alpha": [[{"coeff": "1", "monomial": {"a": 1.0}}]], "beta": [[]], "gamma": [[]]}'),
+    (["series", "--order", "1", "--spec"],
+     '{"alpha": [[{"coeff": "1/0", "monomial": {}}]], "beta": [[]], "gamma": [[]]}'),
+    (["count", "--n", "1", "--spec"],
+     '{"alpha": [[{"coeff": "abc", "monomial": {}}]], "beta": [[]], "gamma": [[]]}'),
 ]
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from schoolbook import schoolbook_inverse, schoolbook_product
 from valleydyck.errors import (
     BadParams,
     NonzeroConstantTerm,
@@ -23,6 +24,7 @@ from valleydyck.series import (
     valley_series,
     valley_series_ab,
 )
+from valleydyck.weights import registry_get
 
 A = Polynomial.var("a")
 B = Polynomial.var("b")
@@ -161,6 +163,32 @@ def test_valley_series_matches_ab_form():
             [0] + [Fraction(rng.randrange(-3, 4)) for _ in range(order)]
         )
         assert valley_series_ab(alpha, beta) == valley_series(alpha, beta, alpha * beta)
+    # and on symbols, where valley_series must find the shape by itself
+    alpha, beta, _ = registry_get("generic", 7).to_series()
+    assert valley_series_ab(alpha, beta) == valley_series(alpha, beta, alpha * beta)
+
+
+def test_quotient_needs_a_rational_unit_and_one_order():
+    num = TruncatedSeries.from_coeffs([1, A], 3)
+    for head in (T, 0):
+        with pytest.raises(NotAUnit):
+            num / TruncatedSeries.from_coeffs([head, 1], 3)
+    with pytest.raises(OrderMismatch):
+        num / TruncatedSeries.one(4)
+
+
+def test_valley_series_is_the_papers_formula():
+    # 1 / (1 - gamma - alpha^2 beta / (1 - alpha)), every product and inverse schoolbook
+    alpha, beta, gamma = (s.coeffs for s in registry_get("generic", 7).to_series())
+    one = TruncatedSeries.one(7).coeffs
+    minus = lambda f, g: [a - b for a, b in zip(f, g)]
+    alpha_beta = schoolbook_product(alpha, beta)
+    pyramids = schoolbook_product(schoolbook_product(schoolbook_product(alpha, alpha), beta),
+                                  schoolbook_inverse(minus(one, alpha)))
+    for g in (gamma, alpha_beta):
+        want = schoolbook_inverse(minus(minus(one, g), pyramids))
+        got = valley_series(*(TruncatedSeries(c) for c in (alpha, beta, g)))
+        assert list(got.coeffs) == want
 
 
 def test_valley_series_rejects_constant_term():
@@ -218,29 +246,6 @@ def test_json_round_trip():
     assert TruncatedSeries.from_json(s.to_json()) == s
 
 
-def naive_product(s, u):
-    """Dense schoolbook convolution, one coefficient at a time."""
-    out = []
-    for k in range(s.order + 1):
-        acc = Polynomial.zero()
-        for i in range(k + 1):
-            acc = acc + s.coefficient(i) * u.coefficient(k - i)
-        out.append(acc)
-    return TruncatedSeries(out)
-
-
-def naive_inverse(s):
-    """Coefficients of 1/s from s * g = 1, solved term by term."""
-    inv0 = Polynomial.const(1 / s.coefficient(0).constant_value())
-    g = [inv0]
-    for k in range(1, s.order + 1):
-        acc = Polynomial.zero()
-        for i in range(1, k + 1):
-            acc = acc + s.coefficient(i) * g[k - i]
-        g.append(-(acc * inv0))
-    return TruncatedSeries(g)
-
-
 _RATIONALS = [Polynomial.const(c) for c in (1, -1, 2, Fraction(-3, 2))]
 _ATOMS = _RATIONALS + [
     A,
@@ -275,13 +280,14 @@ def test_product_and_inverse_match_dense_reference():
         for _ in range(4):
             s = random_series(rng, order)
             u = random_series(rng, order)
-            assert s * u == naive_product(s, u)
-            assert s * s == naive_product(s, s)
+            assert list((s * u).coeffs) == schoolbook_product(s.coeffs, u.coeffs)
+            assert list((s * s).coeffs) == schoolbook_product(s.coeffs, s.coeffs)
             assert s * s == s * TruncatedSeries(s.coeffs)
             unit = random_series(rng, order, unit=True)
             inv = unit.inverse()
-            assert inv == naive_inverse(unit)
-            assert naive_product(unit, inv) == TruncatedSeries.one(order)
+            assert list(inv.coeffs) == schoolbook_inverse(unit.coeffs)
+            one = TruncatedSeries.one(order)
+            assert schoolbook_product(unit.coeffs, inv.coeffs) == list(one.coeffs)
 
 
 def test_times_x_mirrors_shift_div_x():

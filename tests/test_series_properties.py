@@ -5,9 +5,10 @@ rational or one-variable coefficients, powers of F up to 4 and of x up to 2.
 Such a map is an x-adic contraction with one fixed point, so a series the
 map sends to itself is the solution.
 
-The series product, square and inverse and the solver are also held to a
-schoolbook reference, built here from ``Polynomial.__mul__`` and
-``Polynomial.sum`` only, over coefficients that hold the formal inverses.
+The series product, square, inverse and quotient and the solver are also
+held to a schoolbook reference (``schoolbook``, and here the solver's plain
+iteration), built from ``Polynomial.__mul__`` and ``Polynomial.sum`` only,
+over coefficients that hold the formal inverses.
 """
 
 import pytest
@@ -16,6 +17,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from schoolbook import schoolbook_inverse, schoolbook_product  # noqa: E402
 from valleydyck.polynomials import Polynomial  # noqa: E402
 from valleydyck.series import (  # noqa: E402
     Equation,
@@ -59,19 +61,11 @@ series_pairs = st.integers(0, 6).flatmap(lambda n: st.tuples(series_of(n), serie
 units = st.integers(0, 6).flatmap(
     lambda n: series_of(n, rationals.filter(bool).map(Polynomial.const))
 )
-
-
-def schoolbook_product(f, g):
-    """Coefficients of f * g at the order of f, each a plain sum of plain products."""
-    return [Polynomial.sum(f[i] * g[k - i] for i in range(k + 1)) for k in range(len(f))]
-
-
-def schoolbook_inverse(f):
-    inv0 = Polynomial.const(1 / f[0].constant_value())
-    out = [inv0]
-    for k in range(1, len(f)):
-        out.append(-inv0 * Polynomial.sum(f[i] * out[k - i] for i in range(1, k + 1)))
-    return out
+# divisors whose constant term is a rational other than 0 and 1
+divisor_heads = rationals.filter(lambda r: r not in (0, 1)).map(Polynomial.const)
+quotients = st.integers(0, 6).flatmap(
+    lambda n: st.tuples(series_of(n), series_of(n, divisor_heads))
+)
 
 
 def schoolbook_solution(equation_terms, order):
@@ -131,6 +125,13 @@ def test_product_and_square_match_schoolbook(pair):
 @given(units)
 def test_inverse_matches_schoolbook(f):
     assert list(f.inverse().coeffs) == schoolbook_inverse(f.coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(quotients)
+def test_quotient_matches_schoolbook(pair):
+    f, u = pair
+    assert list((f / u).coeffs) == schoolbook_product(f.coeffs, schoolbook_inverse(u.coeffs))
 
 
 @settings(max_examples=60, deadline=None)

@@ -24,7 +24,7 @@ from valleydyck.oracles import (
 )
 from valleydyck.paths import Path
 from valleydyck.polynomials import Polynomial
-from valleydyck.series import Equation, valley_series, valley_series_ab
+from valleydyck.series import Equation, valley_series
 from valleydyck.verify import CHECKS
 from valleydyck.weights import DELANNOY_TUPLES, path_weight, valley_weight_sum
 
@@ -163,6 +163,14 @@ def _doubled(fn):
     return lambda *args: 2 * fn(*args)
 
 
+def _doubled_shape(two_weights):
+    """valley_series, doubled only where gamma == alpha*beta is ``two_weights``."""
+    def broken(alpha, beta, gamma):
+        right = valley_series(alpha, beta, gamma)
+        return 2 * right if (gamma == alpha * beta) == two_weights else right
+    return broken
+
+
 def _formula_off_for(name):
     return lambda f, n, **params: formula_vn(f, n, **params) + (f == name)
 
@@ -200,9 +208,9 @@ PROPERTY_FAULTS = {
                         "t -> q+1 bridge, n=0"),
     "small_schroder_scaling": ("oracle_bridges", "schroder_small_polynomial",
                                _doubled(schroder_small_polynomial), "small/large Schroder, n=1"),
-    "fuss_two_weight_series": ("fuss_formulas", "valley_series_ab", _doubled(valley_series_ab),
+    "fuss_two_weight_series": ("fuss_formulas", "valley_series", _doubled_shape(True),
                                "fuss_sym {'m': 1, 'r': 1} n=0"),
-    "fuss_three_weight_series": ("fuss_formulas", "valley_series", _doubled(valley_series),
+    "fuss_three_weight_series": ("fuss_formulas", "valley_series", _doubled_shape(False),
                                  "fuss_cubic {'m': 1, 'r': 1} n=0"),
     "fuss_asym_collapse": ("fuss_formulas", "formula_vn", _formula_off_for("fuss_asym_collapse"),
                            "asymmetric collapse r=1 n=0"),
