@@ -1,4 +1,12 @@
-"""The base of the package's immutable value types."""
+"""The base of the package's immutable value types.
+
+Public constructors validate: every object built from outside input (a
+constructor call, ``from_json``, the command line) is checked once, there.
+Unchecked construction, a private ``_trusted_*`` function that stores the
+fields through :func:`slot_setters`, is kept for the places whose output is
+valid by construction (the enumerators and the inverse maps), and never for
+a map the checks test.
+"""
 
 from operator import attrgetter
 

@@ -23,7 +23,12 @@ the letter string and the encoded pyramid heights that preserves the letter
 value product.
 
 ``MapSpec``, the decorated objects and the tau factors are slotted immutable
-values (``_value.Value``), each checked once, by its constructor.
+values (``_value.Value``), each checked once, by its constructor.  The
+decorations a structure admits and the inverse's output are valid by how
+they are built, so ``decorations`` and ``inverse`` build them unchecked
+(``_trusted_decoration``, ``_trusted_decorated``); the forward image and
+the tau exchange, the maps the checks test, keep their validating
+constructors.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ from .paths import (
     Pyramid,
     ValleyBlock,
     ValleyStructure,
+    _trusted_path,
     enumerate_family,
     passes_filter,
     valley_structures,
@@ -159,6 +165,15 @@ class PartDecoration(Value):
 
 
 _deco_subpath, _deco_symbols = slot_setters(PartDecoration)
+_new = object.__new__
+
+
+def _trusted_decoration(subpath: Path, symbols: tuple[str, ...]) -> PartDecoration:
+    """A decoration whose symbols come from a map's tail, built without checking them."""
+    deco = _new(PartDecoration)
+    _deco_subpath(deco, subpath)
+    _deco_symbols(deco, symbols)
+    return deco
 
 
 class DecoratedStructure(Value):
@@ -236,6 +251,17 @@ class DecoratedStructure(Value):
 _decorated_map_id, _decorated_structure, _decorated_decorations = slot_setters(DecoratedStructure)
 
 
+def _trusted_decorated(
+    map_id: str, structure: ValleyStructure, decorations: tuple
+) -> DecoratedStructure:
+    """A decorated structure already in the map's domain, built without checking it."""
+    obj = _new(DecoratedStructure)
+    _decorated_map_id(obj, map_id)
+    _decorated_structure(obj, structure)
+    _decorated_decorations(obj, decorations)
+    return obj
+
+
 def _part_form(map_id: str, part) -> tuple[int, int]:
     """Normalize a part to (ascent k, peak count r); reject parts outside the domain."""
     if isinstance(part, Pyramid):
@@ -255,13 +281,14 @@ def decorations(structure: ValleyStructure, map_id: str) -> Iterator[DecoratedSt
         forms = [_part_form(map_id, part) for part in structure.parts]
     except InvalidDecoration:
         return
+    # _part_form admitted every part, and each subpath has the size its part needs
     per_part = []
     for k, r in forms:
         subs = list(enumerate_family(spec.decoration, k - spec.offset))
         tails = list(product(spec.symbols, repeat=r - 1)) if spec.symbols else [()]
-        per_part.append([PartDecoration(sub, syms) for sub in subs for syms in tails])
+        per_part.append([_trusted_decoration(sub, syms) for sub in subs for syms in tails])
     for combo in product(*per_part):
-        yield DecoratedStructure(map_id, structure, combo)
+        yield _trusted_decorated(map_id, structure, combo)
 
 
 def enumerate_decorated(n: int, map_id: str) -> Iterator[DecoratedStructure]:
@@ -326,7 +353,9 @@ def inverse(map_id: str, target):
             j += 1
         if level != 0:
             raise UniqueFactorizationFailure(f"unbalanced factor at {i} in {steps!r}")
-        sub = Path(decoration, steps[i + 1 : j - 1])
+        # a factor of a target path, less its first and last step, is a
+        # decoration path: every map's decoration family admits its target's steps
+        sub = _trusted_path(decoration, steps[i + 1 : j - 1])
         i = j
         # the maximal run of tail units after the core factor
         symbols: list[str] = []
@@ -345,8 +374,10 @@ def inverse(map_id: str, target):
         if k < 1:
             raise UniqueFactorizationFailure(f"empty core factor at {i} in {steps!r}")
         parts.append(_unit_part(k, r))
-        decos.append(PartDecoration(sub, tuple(symbols)))
-    return DecoratedStructure(map_id, ValleyStructure(tuple(parts)), tuple(decos))
+        decos.append(_trusted_decoration(sub, tuple(symbols)))
+    # each part is u^k (ud)^r d^k with k >= 1, its subpath has size k - offset,
+    # and it records one symbol per tail unit that has one
+    return _trusted_decorated(map_id, ValleyStructure(tuple(parts)), tuple(decos))
 
 
 def decorated_weight(obj: DecoratedStructure) -> Polynomial:

@@ -13,7 +13,9 @@ paths, whose size is the step count.
 
 ``Path``, ``PathStats`` and the structure types ``Pyramid``, ``ValleyBlock``
 and ``ValleyStructure`` are slotted immutable values (``_value.Value``):
-each is checked once, by its constructor, and compares by its fields.
+each is checked once, by its constructor, and compares by its fields.  The
+enumerator's walker keeps every rule as it goes, so it builds its paths
+unchecked (``_trusted_path``).
 """
 
 from __future__ import annotations
@@ -134,6 +136,15 @@ class Path(Value):
 
 
 _path_family, _path_steps = slot_setters(Path)
+_new = object.__new__
+
+
+def _trusted_path(family: str, steps: str) -> Path:
+    """A path whose steps already keep the family's rules, built without checking them."""
+    path = _new(Path)
+    _path_family(path, family)
+    _path_steps(path, steps)
+    return path
 
 
 class PathStats(Value):
@@ -227,9 +238,10 @@ def enumerate_family(family: str, n: int, filt: str = "none") -> Iterator[Path]:
             yield from walk(nl, remaining - w)
             prefix.pop()
 
+    # the walker keeps the floor, the barred axis step and the end level
     for steps in walk(0, width):
         if keep(steps):
-            yield Path(family, steps)
+            yield _trusted_path(family, steps)
 
 
 # -- valley-uniform structure ------------------------------------------------

@@ -101,6 +101,30 @@ def test_decoration_sum_reproduces_structure_weight(map_id):
             assert total == structure_weight(structure, spec), (map_id, structure)
 
 
+def _validated(obj: DecoratedStructure) -> DecoratedStructure:
+    """``obj`` rebuilt through the validating constructors, from its fields."""
+    decos = tuple(
+        PartDecoration(Path(d.subpath.family, d.subpath.steps), d.symbols)
+        for d in obj.decorations
+    )
+    return DecoratedStructure(obj.map_id, obj.structure, decos)
+
+
+@pytest.mark.parametrize("map_id", MAPS)
+def test_unchecked_objects_pass_the_constructors(map_id):
+    # decorations() and inverse build their objects unchecked; the validating
+    # constructors must accept each one, and the rebuild must equal it
+    family, filt = MAPS[map_id].target
+    for n in range(7):
+        for obj in enumerate_decorated(n, map_id):
+            assert _tuple_fields(obj)
+            assert _validated(obj) == obj, obj
+        for target in enumerate_family(family, n, filt):
+            obj = inverse(map_id, target)
+            assert _tuple_fields(obj)
+            assert _validated(obj) == obj, target
+
+
 # one wrong fact in a map's record, and the check that covers it must fail
 ONE = Polynomial.one()
 FAULTS = {

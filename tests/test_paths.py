@@ -12,6 +12,7 @@ from valleydyck.errors import (
 )
 from valleydyck.paths import (
     FAMILY_STEPS,
+    FILTERS,
     STEP_WIDTH,
     Path,
     Pyramid,
@@ -110,6 +111,17 @@ def test_enumeration_is_lexicographic_and_duplicate_free():
     assert keyed == sorted(keyed)
     assert len(set(paths)) == len(paths)
     assert paths[0] == "UUUDDD"
+
+
+def test_enumerated_paths_pass_the_constructor():
+    # enumerate_family builds its paths unchecked; the validating constructor
+    # must accept each one as it is
+    for family in FAMILY_STEPS:
+        for filt in FILTERS:
+            for n in range(8):
+                for path in enumerate_family(family, n, filt):
+                    assert type(path.steps) is str
+                    assert path == Path(path.family, path.steps), (family, filt, path)
 
 
 def test_filters():

@@ -7,12 +7,16 @@ import pytest
 from valleydyck import cli, series, verify, weights
 from valleydyck.bijections import (
     MAPS,
+    DecoratedStructure,
+    _trusted_decorated,
+    _trusted_decoration,
     decorated_weight,
     decorations,
     inverse,
     tau_ustep_weights,
     tau_value,
 )
+from valleydyck.errors import InvalidDecoration, NegativeLevel
 from valleydyck.oracles import (
     catalan_number,
     delannoy_convolution,
@@ -22,7 +26,7 @@ from valleydyck.oracles import (
     narayana_polynomial,
     schroder_small_polynomial,
 )
-from valleydyck.paths import Path
+from valleydyck.paths import Path, _trusted_path, enumerate_family
 from valleydyck.polynomials import Polynomial
 from valleydyck.series import Equation, valley_series
 from valleydyck.verify import CHECKS
@@ -175,6 +179,54 @@ def _formula_off_for(name):
     return lambda f, n, **params: formula_vn(f, n, **params) + (f == name)
 
 
+# decorations that only the checks of the validating constructors reject;
+# decorations() and inverse build theirs unchecked, so the round trip must catch them
+UNCHECKED_FAULTS = {
+    # one tail symbol more than the part has further peaks
+    "theta": lambda deco: _trusted_decoration(deco.subpath, deco.symbols + ("H",)),
+    # a Dyck subpath one size larger than its part takes
+    "rho": lambda deco: _trusted_decoration(
+        _trusted_path("dyck", "UD" + deco.subpath.steps), deco.symbols
+    ),
+}
+
+
+def _corrupted_inverse(map_id, target):
+    """``inverse``, with its first decoration replaced by the map's fault."""
+    obj = inverse(map_id, target)
+    if not obj.decorations:
+        return obj
+    first, *rest = obj.decorations
+    return _trusted_decorated(map_id, obj.structure, (UNCHECKED_FAULTS[map_id](first), *rest))
+
+
+_SWAP_UD = str.maketrans("UD", "DU")
+
+
+def _with_stray_path(family, n, filt="none"):
+    """enumerate_family, plus its first path with U and D swapped, which dips below the axis."""
+    paths = list(enumerate_family(family, n, filt))
+    if paths and paths[0].steps:
+        paths.append(_trusted_path(family, paths[0].steps.translate(_SWAP_UD)))
+    return paths
+
+
+@pytest.mark.parametrize("map_id", UNCHECKED_FAULTS)
+def test_constructors_reject_the_unchecked_faults(map_id):
+    family, filt = MAPS[map_id].target
+    for n in range(2, 5):
+        for target in enumerate_family(family, n, filt):
+            obj = _corrupted_inverse(map_id, target)
+            with pytest.raises(InvalidDecoration):
+                DecoratedStructure(map_id, obj.structure, obj.decorations)
+
+
+def test_the_stray_path_is_outside_its_family():
+    stray = _with_stray_path("schroder_small", 2, "first_two_not_ud")[-1]
+    with pytest.raises(NegativeLevel):
+        Path(stray.family, stray.steps)
+
+
 # one property a check compares, broken in the verify namespace, and the label
 # of the comparison that must catch it: (check, attribute, replacement, label)
 PROPERTY_FAULTS = {
@@ -224,6 +276,13 @@ PROPERTY_FAULTS = {
                                 _doubled(valley_weight_sum), "enumeration n=0"),
     "chebyshev_second_kind": ("chebyshev_rational_identity", "valley_series",
                               _doubled(valley_series), "chebyshev_second n=0"),
+    **{
+        f"unchecked_{map_id}_decoration": (f"bijection_{map_id}", "inverse", _corrupted_inverse,
+                                           "n=2: inverse(forward)")
+        for map_id in UNCHECKED_FAULTS
+    },
+    "stray_target_path": ("bijection_sigma", "enumerate_family", _with_stray_path,
+                          "n=2: image multiset"),
 }
 
 
