@@ -113,6 +113,20 @@ def _flatten(value: Polynomial) -> str:
     return str(value.constant_value())
 
 
+def _refuse_symbolic_early(spec: WeightSpec) -> None:
+    """Refuse a symbolic series coefficient, as ``_flatten`` would, before the whole
+    series is computed: coefficients are truncation-consistent, so the series
+    at orders 1, 2, 4, ... below the table's order meet the first one."""
+    if all(p.is_constant for table in (spec.alpha, spec.beta, spec.gamma) for p in table):
+        return  # a table of numbers has a series of numbers
+    order = 1
+    while order < spec.order:
+        low = WeightSpec(spec.alpha[:order], spec.beta[:order], spec.gamma[:order])
+        for coeff in valley_series(*low.to_series()).coeffs:
+            _flatten(coeff)
+        order *= 2
+
+
 def _emit(text: str) -> None:
     sys.stdout.write(text)
     if not text.endswith("\n"):
@@ -122,9 +136,11 @@ def _emit(text: str) -> None:
 def _cmd_series(args) -> int:
     params = _parse_params(args.param)
     spec = _resolve_spec(args.spec, args.order, params)
-    series = valley_series(*spec.to_series())
     if args.dump_spec:
         FilePath(args.dump_spec).write_text(json.dumps(spec.to_json(), indent=2) + "\n")
+    if args.format == "csv":
+        _refuse_symbolic_early(spec)
+    series = valley_series(*spec.to_series())
     if args.format == "json":
         _emit(json.dumps(series.to_json(), indent=2))
     elif args.format == "csv":

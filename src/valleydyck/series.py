@@ -291,6 +291,12 @@ class Equation:
     def takes_r(self) -> bool:
         return any(j == ARITY for j, _, _ in self.terms)
 
+    def substitute(self, bindings: Mapping[str, Polynomial]) -> "Equation":
+        """The equation with ``bindings`` substituted into every coefficient; a
+        term whose coefficient becomes zero is dropped."""
+        terms = [(j, i, c.substitute(bindings)) for j, i, c in self.terms]
+        return Equation(*[(j, i, c) for j, i, c in terms if c])
+
 
 def solve_equation(equation: Equation, order: int, r: int | None = None) -> TruncatedSeries:
     """The solution F of ``equation`` to order ``order``, solved online, then checked.
@@ -362,16 +368,28 @@ EQUATIONS: dict[str, Equation] = {
     # (1 + xF)(1 + txF): the n-th coefficient is the (n+1)-st Narayana polynomial
     "narayana_shift": Equation((0, 0, 1), (1, 1, _T + 1), (2, 2, _T)),
     "fuss": Equation((0, 0, 1), (ARITY, 1, 1)),
+    # the beta series of two weight tables, solved without dividing:
+    # (R - 1) / (q + 1) for R = schroder_large and (N - 1) / t for N = narayana
+    "schroder_large_beta": Equation((0, 1, 1), (1, 1, _Q + 2), (2, 1, _Q + 1)),
+    "narayana_beta": Equation((0, 1, 1), (1, 1, _T + 1), (2, 1, _T)),
 }
+
+# numeric values for some of an equation's variables, as sorted (name, value)
+# pairs, so that they can key a cache
+Pins = tuple[tuple[str, Polynomial], ...]
 
 
 @lru_cache(maxsize=None)
-def named_series(name: str, order: int, r: int | None = None) -> TruncatedSeries:
+def named_series(
+    name: str, order: int, r: int | None = None, pins: Pins = ()
+) -> TruncatedSeries:
     """The solution of the equation ``EQUATIONS[name]``, by :func:`solve_equation`.
 
     Symbolic parameters stay symbolic: motzkin_ab in a and b, the Schroder
-    families in q, the Narayana family in t.  ``fuss`` requires the arity
-    parameter ``r >= 1``.
+    families in q, the Narayana family in t.  ``pins`` binds some of them to
+    values in the equation's coefficients before it is solved, which gives
+    the symbolic solution with those values substituted.  ``fuss`` requires
+    the arity parameter ``r >= 1``.
     """
     if order < 0:
         raise BadParams("order must be nonnegative")
@@ -382,6 +400,8 @@ def named_series(name: str, order: int, r: int | None = None) -> TruncatedSeries
         raise BadParams(f"series {name!r} takes no r parameter")
     if equation.takes_r and (r is None or r < 1):
         raise BadParams(f"{name} needs an integer parameter r >= 1")
+    if pins:
+        equation = equation.substitute(dict(pins))
     return solve_equation(equation, order, r)
 
 

@@ -10,18 +10,19 @@ exhaustive enumeration so they can be checked against generating-function
 coefficients computed independently.
 
 Registry entries build their weight series from each specialization's
-defining generating functions; two of them need the formal inverse variables
-from :mod:`valleydyck.polynomials` (``a_inv`` for the Motzkin table,
-``t1_inv`` for the shifted Narayana table) because a lone ``beta[k]`` is a
-genuine rational function there even though every full path weight is a
-polynomial.
+defining generating functions, with any numeric pins bound into the
+equations and scale factors they read before anything is solved.  Two of
+them need the formal inverse variables from :mod:`valleydyck.polynomials`
+(``a_inv`` for the Motzkin table, ``t1_inv`` for the shifted Narayana table)
+because a lone ``beta[k]`` is a genuine rational function there even though
+every full path weight is a polynomial.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from ._value import Value
 from .errors import BadParams, FamilyViolation, NotValleyUniform, OrderExceeded
@@ -36,8 +37,8 @@ from .paths import (
     primitive_factors,
     valley_structures,
 )
-from .polynomials import Polynomial, var_key
-from .series import TruncatedSeries, _require_weight_series, named_series
+from .polynomials import INVERSE_VARS, Polynomial, var_key
+from .series import Pins, TruncatedSeries, _require_weight_series, named_series
 
 class WeightSpec(Value):
     """The three 1-indexed weight sequences, each a tuple of polynomials up to one order."""
@@ -174,6 +175,8 @@ _A = Polynomial.var("a")
 _B = Polynomial.var("b")
 _Q = Polynomial.var("q")
 _T = Polynomial.var("t")
+_A_INV = Polynomial.var("a_inv")
+_T1_INV = Polynomial.var("t1_inv")
 
 
 def _motzkin_ab_weight(path: Path) -> Polynomial:
@@ -223,13 +226,14 @@ def target_weight_sum(n: int, family: str, filt: str, weighting: str) -> Polynom
 # -- the registry of specializations -------------------------------------------
 
 
-def _build_generic(order: int) -> WeightSpec:
-    mk = lambda stem, k: Polynomial.var(f"{stem}{k}")
-    return WeightSpec(
-        tuple(mk("alpha", k) for k in range(1, order + 1)),
-        tuple(mk("beta", k) for k in range(1, order + 1)),
-        tuple(mk("gamma", k) for k in range(1, order + 1)),
-    )
+def _build_generic(order: int, *, pins: Pins = ()) -> WeightSpec:
+    bound = dict(pins)
+
+    def table(stem: str) -> tuple[Polynomial, ...]:
+        names = [f"{stem}{k}" for k in range(1, order + 1)]
+        return tuple(bound.get(v, Polynomial.var(v)) for v in names)
+
+    return WeightSpec(table("alpha"), table("beta"), table("gamma"))
 
 
 def _geometric(order: int, pole: int) -> TruncatedSeries:
@@ -249,48 +253,64 @@ def _build_geom_fib(order: int) -> WeightSpec:
     return spec_from_series(alpha, alpha, alpha * alpha)
 
 
-def _build_motzkin_ab(order: int) -> WeightSpec:
-    m = named_series("motzkin_ab", order)
+# The solved tables read their variables only through the equations they solve
+# and a few scale factors, and ``pins`` is substituted into both: substitution
+# is a ring homomorphism and every step below is a ring operation, so the
+# table equals the symbolic one with the pins substituted.
+
+
+def _bind(pins: Pins, *factors: Polynomial) -> tuple[Polynomial, ...]:
+    bindings = dict(pins)
+    return tuple(p.substitute(bindings) for p in factors)
+
+
+def _build_motzkin_ab(order: int, *, pins: Pins = ()) -> WeightSpec:
+    m = named_series("motzkin_ab", order, pins=pins)
     x = TruncatedSeries.x(order)
-    alpha = x.scale(_A)
-    beta = (x * m).scale(_B * Polynomial.var("a_inv"))
-    gamma = (x * x * m).scale(_B)
+    a, b_over_a, b = _bind(pins, _A, _B * _A_INV, _B)
+    alpha = x.scale(a)
+    beta = (x * m).scale(b_over_a)
+    gamma = (x * x * m).scale(b)
     return spec_from_series(alpha, beta, gamma)
 
 
-def _build_schroder_large_q(order: int) -> WeightSpec:
-    r = named_series("schroder_large", order)
+def _build_schroder_large_q(order: int, *, pins: Pins = ()) -> WeightSpec:
+    # beta = (R - 1) / (q + 1) for the large Schroder series R, solved directly
+    beta = named_series("schroder_large_beta", order, pins=pins)
     x = TruncatedSeries.x(order)
-    alpha = x.scale(_Q + 1)
-    beta = (r - 1).div_poly(_Q + 1)
-    gamma = x * (r - 1)
+    (q1,) = _bind(pins, _Q + 1)
+    alpha = x.scale(q1)
+    gamma = (x * beta).scale(q1)
     return spec_from_series(alpha, beta, gamma)
 
 
-def _build_schroder_small_q(order: int) -> WeightSpec:
-    s = named_series("schroder_small", order)
+def _build_schroder_small_q(order: int, *, pins: Pins = ()) -> WeightSpec:
+    s = named_series("schroder_small", order, pins=pins)
     x = TruncatedSeries.x(order)
+    (q1,) = _bind(pins, _Q + 1)
     alpha = x
-    beta = (s - 1).scale(_Q + 1)
-    gamma = (x * (s - 1)).scale(_Q + 1)
+    beta = (s - 1).scale(q1)
+    gamma = (x * (s - 1)).scale(q1)
     return spec_from_series(alpha, beta, gamma)
 
 
-def _build_narayana_t(order: int) -> WeightSpec:
-    n = named_series("narayana", order)
+def _build_narayana_t(order: int, *, pins: Pins = ()) -> WeightSpec:
+    # beta = (N - 1) / t for the Narayana series N, solved directly
+    beta = named_series("narayana_beta", order, pins=pins)
     x = TruncatedSeries.x(order)
-    alpha = x.scale(_T)
-    beta = (n - 1).div_poly(_T)
-    gamma = x * (n - 1)
+    (t,) = _bind(pins, _T)
+    alpha = x.scale(t)
+    gamma = (x * beta).scale(t)
     return spec_from_series(alpha, beta, gamma)
 
 
-def _build_narayana_shift_t(order: int) -> WeightSpec:
-    f = named_series("narayana_shift", order)
+def _build_narayana_shift_t(order: int, *, pins: Pins = ()) -> WeightSpec:
+    f = named_series("narayana_shift", order, pins=pins)
     x = TruncatedSeries.x(order)
-    alpha = x.scale(_T + 1)
-    beta = (x * f).scale(_T * Polynomial.var("t1_inv"))
-    gamma = (x * x * f).scale(_T)
+    t1, t_over_t1, t = _bind(pins, _T + 1, _T * _T1_INV, _T)
+    alpha = x.scale(t1)
+    beta = (x * f).scale(t_over_t1)
+    gamma = (x * x * f).scale(t)
     return spec_from_series(alpha, beta, gamma)
 
 
@@ -380,8 +400,10 @@ DELANNOY_TUPLES: tuple[tuple[tuple[int, int, int, int], int], ...] = (
 
 
 @lru_cache(maxsize=None)
-def _registry_get_cached(name: str, order: int, frozen_params: tuple) -> WeightSpec:
+def _registry_get_cached(name: str, order: int, frozen_params: tuple, pins: Pins) -> WeightSpec:
     builder = REGISTRY[name]
+    if pins:
+        return builder(order, **dict(frozen_params), pins=pins)
     return builder(order, **dict(frozen_params))
 
 
@@ -389,38 +411,67 @@ def registry_get(name: str, order: int, **params: ParamValue) -> WeightSpec:
     """Build a registered weight table at the given order.
 
     The keyword parameters of an entry's builder are read by
-    :func:`read_params`.  Parameters an entry does not declare are
-    substituted into the finished table, so a symbolic table can be pinned
-    to numeric values in one call; one that names no variable of the table
-    at this order raises ``BadParams``.
+    :func:`read_params`.  A parameter an entry does not declare pins a
+    variable of the table to a number (``"sym"`` leaves it symbolic).  Pins
+    are bound before the table is solved, in the equation coefficients and
+    scale factors the builder reads, so a pinned table is built from its
+    values and equals the symbolic table with them substituted.  A name that
+    is no variable of the table at this order raises ``BadParams``, and so
+    does a value for a formal inverse variable (``a_inv``, ``t1_inv``), which
+    its base variable's value fixes.
     """
     if name not in REGISTRY:
         raise BadParams(f"unknown weight table {name!r}; known: {', '.join(REGISTRY)}")
     if order < 0:
         raise BadParams("order must be nonnegative")
     declared = read_params(REGISTRY[name], params, name)
-    spec = _registry_get_cached(name, order, tuple(declared.items()))
-    return _pin_params(spec, params, f"{name} at order {order}", tuple(declared))
-
-
-def _pin_params(
-    spec: WeightSpec, params: Mapping[str, ParamValue], label: str, declared: tuple[str, ...] = ()
-) -> WeightSpec:
-    """Substitute into ``spec`` every binding in ``params`` that ``declared`` does not name.
-
-    Each such name must be a variable of the table, or ``BadParams`` lists what
-    the table ``label`` has; a ``"sym"`` value leaves its variable symbolic.
-    """
+    frozen = tuple(declared.items())
     pinned = {k: v for k, v in params.items() if k not in declared}
     if not pinned:
-        return spec
+        return _registry_get_cached(name, order, frozen, ())
+    label = f"{name} at order {order}"
+    # tables are truncation-consistent, so a variable of the table at order 1
+    # is one at every order; only a name not found there needs the full table
+    if not pinned.keys() <= _variables(_registry_get_cached(name, min(order, 1), frozen, ())):
+        _check_names(_registry_get_cached(name, order, frozen, ()), pinned, label, tuple(declared))
+    for k, v in pinned.items():
+        if k in INVERSE_VARS and v != "sym":
+            base = INVERSE_VARS[k][0]
+            raise BadParams(f"{label}: {k} is the formal inverse of {base}; pin {base} instead")
+    pins = tuple(sorted(_bindings(pinned, label).items()))
+    return _registry_get_cached(name, order, frozen, pins)
+
+
+def _variables(spec: WeightSpec) -> set[str]:
     tables = (spec.alpha, spec.beta, spec.gamma)
-    present = {v for table in tables for p in table for v in p.variables()}
-    unknown = [k for k in pinned if k not in present]
+    return {v for table in tables for p in table for v in p.variables()}
+
+
+def _check_names(
+    spec: WeightSpec, names: Iterable[str], label: str, declared: tuple[str, ...] = ()
+) -> None:
+    """Raise ``BadParams``, listing what the table ``label`` has, unless each
+    of ``names`` is a variable of ``spec``."""
+    present = _variables(spec)
+    unknown = [k for k in names if k not in present]
     if unknown:
         has = f"parameters: {', '.join(declared)}; " if declared else ""
         has += f"variables: {', '.join(sorted(present, key=var_key)) or 'none'}"
         raise BadParams(f"{label} has no parameter or variable {', '.join(unknown)} ({has})")
-    return spec.substitute(
-        {k: _read(k, "Polynomial", v, label) for k, v in pinned.items() if v != "sym"}
-    )
+
+
+def _bindings(pinned: Mapping[str, ParamValue], label: str) -> dict[str, Polynomial]:
+    """The value of each pin that is not ``"sym"``."""
+    return {k: _read(k, "Polynomial", v, label) for k, v in pinned.items() if v != "sym"}
+
+
+def _pin_params(spec: WeightSpec, params: Mapping[str, ParamValue], label: str) -> WeightSpec:
+    """Substitute ``params`` into a finished table that has no builder, a ``--spec @FILE``.
+
+    Each name must be a variable of the table, or ``BadParams`` lists what
+    the table ``label`` has; a ``"sym"`` value leaves its variable symbolic.
+    """
+    if not params:
+        return spec
+    _check_names(spec, params, label)
+    return spec.substitute(_bindings(params, label))

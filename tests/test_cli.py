@@ -61,6 +61,49 @@ def test_series_csv_requires_bound_params():
     run_cli("series", "--spec", "motzkin_ab", "--format", "csv", expect=2)
 
 
+# each table with a variable, at orders 1 and 5, with the variables csv names
+# (those of the first coefficient the whole series leaves symbolic); at order 0
+# every series is 1, and an order missing here is a series of numbers
+_CSV_REFUSALS = {
+    ("generic", 1): "('gamma1',)", ("generic", 5): "('gamma1',)",
+    ("motzkin_ab", 5): "('b',)", ("schroder_large_q", 5): "('q',)",
+    ("schroder_small_q", 5): "('q',)", ("narayana_t", 5): "('t',)",
+    ("narayana_shift_t", 5): "('t',)", ("chebyshev_abcd", 5): "('a', 'b', 'c')",
+    ("chebyshev_second", 5): "('a', 'b')",
+}
+
+
+@pytest.mark.parametrize("table", sorted({table for table, _ in _CSV_REFUSALS}))
+def test_csv_refuses_a_symbolic_series_before_computing_it(table, monkeypatch, capsys, tmp_path):
+    from valleydyck.series import valley_series
+    from valleydyck.weights import registry_get
+
+    for order in (0, 1, 5):
+        whole = valley_series(*registry_get(table, order).to_series())
+        symbolic = [c for c in whole.coeffs if not c.is_constant]
+        names = _CSV_REFUSALS.get((table, order))
+        assert names == (str(symbolic[0].variables()) if symbolic else None)
+        code = cli.main(["series", "--spec", table, "--order", str(order), "--format", "csv"])
+        if names is None:
+            rows = [f"{n},{c.constant_value()}" for n, c in enumerate(whole.coeffs)]
+            assert (code, capsys.readouterr()) == (0, ("\n".join(["n,value"] + rows) + "\n", ""))
+        else:
+            message = f"error: csv output needs every parameter bound; {names} remain symbolic\n"
+            assert (code, capsys.readouterr()) == (2, ("", message))
+    # the refusal comes from series at orders 1, 2, 4, ..., not at the order
+    # asked, and after --dump-spec has written the table
+    orders = []
+    monkeypatch.setattr(
+        cli, "valley_series", lambda *s: orders.append(s[0].order) or valley_series(*s)
+    )
+    dump = tmp_path / "spec.json"
+    argv = ["series", "--spec", table, "--order", "16", "--format", "csv", "--dump-spec", str(dump)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: csv output needs every parameter bound")
+    assert orders and max(orders) < 16, orders
+    assert json.loads(dump.read_text()) == registry_get(table, 16).to_json()
+
+
 def test_count_command():
     proc = run_cli("count", "--spec", "geom_3x", "--n", "4")
     assert proc.stdout.strip() == "13"

@@ -5,7 +5,7 @@ and of ``enumerate`` for every family, filter and format at small sizes.
 
 The fixture ``fixtures/cli_golden.json`` maps each command line to the exact
 stdout it printed when the fixture was made, so a change that alters one
-output byte fails here.  Five larger ``series`` outputs are pinned the same
+output byte fails here.  Ten more ``series`` outputs are pinned the same
 way by the sha256 of their stdout (``DIGESTS``).  Print a fresh fixture with
 
     PYTHONPATH=src python tests/test_cli_golden.py > tests/fixtures/cli_golden.json
@@ -146,9 +146,11 @@ def _stdout_of(argv: list[str]) -> str:
     return out.getvalue()
 
 
-# series outputs too large for the fixture (180-640 kB each), pinned by the
-# sha256 of their stdout; the beta series of motzkin_ab holds a_inv and that
-# of narayana_shift_t holds t1_inv
+# series outputs pinned by the sha256 of their stdout: five too large for the
+# fixture (180-640 kB each), where the beta series of motzkin_ab holds a_inv and
+# that of narayana_shift_t holds t1_inv, and the five solved tables pinned to
+# numbers at orders past the fixture's, including q = -1 and t = 0, where the
+# symbolic beta series divides by zero
 DIGESTS = {
     "series --spec generic --order 12 --format json":
         "361283f5a2856a1c6d5d5dbacf8642fd38d21b8d4a2fbf56f89b74516d5fd005",
@@ -160,6 +162,16 @@ DIGESTS = {
         "532e8ce798e118b15fd09265a7a334f7465e9655356c058dff190066671ea0e5",
     "series --spec narayana_shift_t --order 40 --format json":
         "cd830a89fe94662b3df48d398f833ac5b441d154e0539edd54116f44698022a7",
+    "series --spec motzkin_ab --order 60 --format json --param a=2 --param b=3":
+        "2cebbfe9f7520be82018709861fb41d4ade6085207beea8bf2b3e78dfba3a8e6",
+    "series --spec schroder_large_q --order 40 --format json --param q=-1":
+        "b083a96de6426925bcddd38a278655f3c651e2d78924e17754cdec90509effda",
+    "series --spec narayana_t --order 40 --format json --param t=0":
+        "b083a96de6426925bcddd38a278655f3c651e2d78924e17754cdec90509effda",
+    "series --spec narayana_shift_t --order 40 --format json --param t=1/3":
+        "b346b5ad44d5cef0d936beddfca0a7026e0d31d7af8cad2593c17c289b6677c1",
+    "series --spec schroder_small_q --order 40 --format json --param q=-2":
+        "c1079218b5b6042c7acef9a32376ca401d62ad6c8379e471fd847d75bf59d755",
 }
 
 

@@ -302,7 +302,7 @@ def test_times_x_mirrors_shift_div_x():
 def test_solved_series_truncate_consistently():
     top = 12
     names = ("catalan", "motzkin_ab", "schroder_large", "schroder_small", "narayana",
-             "narayana_shift")
+             "narayana_shift", "schroder_large_beta", "narayana_beta")
     cases = [(name, None) for name in names]
     cases += [("fuss", r) for r in (1, 2, 3)]
     for name, r in cases:
@@ -322,7 +322,7 @@ def test_pickle_round_trip():
 def test_each_solved_series_declares_its_contraction():
     assert set(EQUATIONS) == {
         "catalan", "motzkin_ab", "schroder_large", "schroder_small", "narayana",
-        "narayana_shift", "fuss",
+        "narayana_shift", "fuss", "schroder_large_beta", "narayana_beta",
     }
     for name, equation in EQUATIONS.items():
         # built by the checking constructor: c_j(0) = 0 for every j >= 1
@@ -390,9 +390,10 @@ def test_named_series_against_sympy():
             for j, i, c in equation.terms
         )
         if sympy.degree(rhs, f) == 2:
-            # the radical root that is 1 at x = 0, expanded as a series
+            # the radical root that is F(0) = c_0(0) at x = 0, expanded as a series
+            start = rhs.subs(x, 0)
             roots = sympy.solve(sympy.Eq(f, rhs), f)
-            root = next(s for s in roots if sympy.simplify(sympy.limit(s, x, 0)) == 1)
+            root = next(s for s in roots if sympy.simplify(sympy.limit(s, x, 0) - start) == 0)
             expansion = sympy.series(root, x, 0, order + 1).removeO()
             want = [expansion.coeff(x, k) for k in range(order + 1)]
         else:

@@ -302,7 +302,9 @@ _A, _B, _Q = (Polynomial.var(v) for v in "abq")
 # table is built from; the oracle side is a binomial sum that never sees it
 EQUATION_FAULTS = {
     "diff_motzkin": ("motzkin_ab", Equation((0, 0, 1), (1, 1, _A), (2, 2, 2 * _B))),
-    "diff_schroder_large": ("schroder_large", Equation((0, 0, 1), (1, 1, _Q), (2, 1, _Q + 2))),
+    "diff_schroder_large": (
+        "schroder_large_beta", Equation((0, 1, 1), (1, 1, _Q + 2), (2, 1, _Q + 2))
+    ),
 }
 
 

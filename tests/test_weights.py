@@ -13,10 +13,12 @@ from valleydyck.paths import (
     enumerate_family,
     valley_structures,
 )
-from valleydyck.polynomials import Polynomial
-from valleydyck.series import valley_series, valley_series_ab
+from valleydyck import weights
+from valleydyck.polynomials import Polynomial, var_key
+from valleydyck.series import named_series, valley_series, valley_series_ab
 from valleydyck.verify import DECORATED_EXAMPLES, INTRO_EXAMPLE
 from valleydyck.weights import (
+    REGISTRY,
     Arity,
     WeightSpec,
     part_weight,
@@ -277,3 +279,142 @@ def test_registry_caches_read_values():
     assert registry_get("chebyshev_abcd", 3) is registry_get("chebyshev_abcd", 3, a="sym")
     with pytest.raises(BadParams, match="fuss_asym: parameter r must be an integer >= 1"):
         registry_get("fuss_asym", 3, m=1, r="1.9")
+
+
+# -- pinned tables: built from their values, equal to the symbolic table substituted
+
+# the parameters a table declares, which are built in and never pinned
+_DECLARED = {
+    "delannoy_tuple": dict(a=4, b=3, c=7, d=2),
+    "fuss_sym": dict(m=2, r=2),
+    "fuss_asym": dict(m=3, r=2),
+    "fuss_cubic": dict(m=1, r=3),
+}
+
+# pins of every kind: negative, fractional, 0, -1, partial, mixed with sym, and
+# names that are no variable of the table (at some or at every order)
+_PINS = {
+    "generic": [dict(alpha1=3), dict(beta2=-1, gamma3="1/2"), dict(alpha1=0, gamma1="sym"),
+                dict(alpha2=-1, beta1="-3/2"), dict(alpha7=2), dict(zz=1)],
+    "geom_3x": [dict(x=1)],
+    "geom_fib": [dict(a=1)],
+    "motzkin_ab": [dict(a=2, b=3), dict(a=0), dict(b=0), dict(a=-1), dict(a="-3/2", b="1/2"),
+                   dict(a="sym", b=5), dict(a=0, b=0), dict(b=-1), dict(a=1, zz=1)],
+    "schroder_large_q": [dict(q=-1), dict(q=0), dict(q="-3/2"), dict(q=5), dict(q="sym"),
+                         dict(q=-2), dict(t=1)],
+    "schroder_small_q": [dict(q=-1), dict(q=-2), dict(q=0), dict(q="1/2")],
+    "narayana_t": [dict(t=0), dict(t=-1), dict(t="1/3"), dict(t=7), dict(t="sym"), dict(t=-2)],
+    "narayana_shift_t": [dict(t=-1), dict(t=0), dict(t="1/3"), dict(t="-1/2"), dict(t=2)],
+    "chebyshev_abcd": [dict(z=1), dict(a=1, z=1)],
+    "chebyshev_second": [dict(c=0, z=1)],
+    "delannoy_tuple": [dict(e=1)],
+    "fuss_sym": [dict(x=1)],
+    "fuss_asym": [dict(m=1)],
+    "fuss_cubic": [dict(r=2, x=1)],
+}
+
+
+def _substituted(name, order, params):
+    """The route that solved symbolically first: the symbolic table, each pin
+    named in it, and the pins substituted into every entry."""
+    code = REGISTRY[name].__code__
+    names = code.co_varnames[1:code.co_argcount]  # the builder's parameters after the order
+    declared = {k: v for k, v in params.items() if k in names}
+    symbolic = registry_get(name, order, **{**_DECLARED.get(name, {}), **declared})
+    pinned = {k: v for k, v in params.items() if k not in declared}
+    present = {v for t in (symbolic.alpha, symbolic.beta, symbolic.gamma) for p in t
+               for v in p.variables()}
+    unknown = [k for k in pinned if k not in present]
+    if unknown:
+        has = f"parameters: {', '.join(names)}; " if names else ""
+        has += f"variables: {', '.join(sorted(present, key=var_key)) or 'none'}"
+        raise BadParams(f"{name} at order {order} has no parameter or variable "
+                        f"{', '.join(unknown)} ({has})")
+    return symbolic.substitute(
+        {k: Polynomial.const(Fraction(v)) for k, v in pinned.items() if v != "sym"}
+    )
+
+
+def _outcome(build):
+    try:
+        return build()
+    except (BadParams, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", list(REGISTRY))
+def test_pinned_table_equals_the_symbolic_table_substituted(name):
+    assert set(_PINS) == set(REGISTRY)
+    for params in _PINS[name]:
+        for order in range(9):
+            want = _outcome(lambda: _substituted(name, order, params))
+            got = _outcome(lambda: registry_get(name, order, **{**_DECLARED.get(name, {}),
+                                                                **params}))
+            assert got == want, (name, order, params)
+
+
+@pytest.mark.parametrize("name, order, params, message", [
+    ("motzkin_ab", 0, dict(a=0), "motzkin_ab at order 0 has no parameter or variable a "
+     "(variables: none)"),
+    ("motzkin_ab", 5, dict(a=0), "binding a that way leaves no rational value for a_inv"),
+    ("motzkin_ab", 2, dict(a=2, zz=1), "motzkin_ab at order 2 has no parameter or variable zz "
+     "(variables: a, a_inv, b)"),
+    ("narayana_shift_t", 5, dict(t=-1), "binding t that way leaves no rational value for t1_inv"),
+    ("schroder_large_q", 2, dict(t=1), "schroder_large_q at order 2 has no parameter or "
+     "variable t (variables: q)"),
+    ("generic", 2, dict(alpha9=1), "generic at order 2 has no parameter or variable alpha9 "
+     "(variables: alpha1, alpha2, beta1, beta2, gamma1, gamma2)"),
+    ("chebyshev_abcd", 5, dict(a=1, z=1), "chebyshev_abcd at order 5 has no parameter or "
+     "variable z (parameters: a, b, c, d; variables: b, c, d)"),
+    ("delannoy_tuple", 2, dict(a=4, b=3, c=7, d=2, e=1), "delannoy_tuple at order 2 has no "
+     "parameter or variable e (parameters: a, b, c, d; variables: none)"),
+    ("geom_3x", 2, dict(x=1), "geom_3x at order 2 has no parameter or variable x "
+     "(variables: none)"),
+])
+def test_pin_errors_keep_their_text(name, order, params, message):
+    with pytest.raises((BadParams, ValueError)) as info:
+        registry_get(name, order, **params)
+    assert str(info.value) == message
+    assert info.type is (ValueError if message.startswith("binding") else BadParams)
+
+
+def test_a_formal_inverse_variable_is_not_pinned():
+    # its value is fixed by its base variable's; "sym" leaves it as it is
+    for name, inv, base in (("motzkin_ab", "a_inv", "a"), ("narayana_shift_t", "t1_inv", "t")):
+        with pytest.raises(BadParams) as info:
+            registry_get(name, 4, **{inv: 3})
+        assert str(info.value) == (
+            f"{name} at order 4: {inv} is the formal inverse of {base}; pin {base} instead"
+        )
+        assert registry_get(name, 4, **{inv: "sym"}) == registry_get(name, 4)
+
+
+def test_pins_reach_the_builder_and_no_full_symbolic_table_is_built(monkeypatch):
+    calls = []
+    for name in ("motzkin_ab", "generic"):
+        original = REGISTRY[name]
+
+        def recording(order: int, *, pins=(), original=original):
+            calls.append((order, pins))
+            return original(order, pins=pins)
+
+        monkeypatch.setitem(REGISTRY, name, recording)
+    weights._registry_get_cached.cache_clear()
+    two, three = Polynomial.const(2), Polynomial.const(3)
+    registry_get("motzkin_ab", 30, a=2, b=3)
+    # the names are found in the table at order 1, so the table at order 30 is
+    # built once, from the values
+    assert calls == [(1, ()), (30, (("a", two), ("b", three)))]
+    calls.clear()
+    # alpha5 is no variable at order 1: only then is the full symbolic table read
+    registry_get("generic", 8, alpha5=3, beta1="sym")
+    assert calls == [(1, ()), (8, ()), (8, (("alpha5", three),))]
+    weights._registry_get_cached.cache_clear()
+
+
+def test_division_free_betas_equal_the_exact_quotients():
+    for order in range(21):
+        r = named_series("schroder_large", order)
+        assert named_series("schroder_large_beta", order) == (r - 1).div_poly(Q + 1), order
+        n = named_series("narayana", order)
+        assert named_series("narayana_beta", order) == (n - 1).div_poly(T), order
