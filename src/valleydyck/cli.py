@@ -142,12 +142,23 @@ def _cmd_series(args) -> int:
         _refuse_symbolic_early(spec)
     series = valley_series(*spec.to_series())
     if args.format == "json":
-        _emit(json.dumps(series.to_json(), indent=2))
+        _write_series_json(series)
     elif args.format == "csv":
         _emit("\n".join(["n,value"] + [f"{n},{_flatten(c)}" for n, c in enumerate(series.coeffs)]))
     else:
         _emit(series.pretty())
     return 0
+
+
+def _write_series_json(series) -> None:
+    """Write json.dumps(series.to_json(), indent=2) one coefficient at a time, so
+    that no whole document is held: each coefficient's own dump sits two levels
+    deep, so its lines are indented by four more spaces."""
+    sys.stdout.write(f'{{\n  "order": {series.order},\n  "coeffs": [\n')
+    for n, coeff in enumerate(series.coeffs):
+        text = json.dumps(coeff.to_json(), indent=2).replace("\n", "\n    ")
+        sys.stdout.write((",\n    " if n else "    ") + text)
+    sys.stdout.write("\n  ]\n}\n")
 
 
 def _cmd_count(args) -> int:

@@ -20,6 +20,14 @@ would go past it raises ``OverflowError`` naming the variable instead of
 carrying into the next field.  Field positions differ from process to
 process, so nothing packed leaves one: a pickle holds the public view.
 
+Terms are ordered graded lexicographically: higher total degree first, then
+the larger exponent vector read in ``var_key`` order.  One pass over a packed
+monomial's nonzero fields gives its sort key, a single ``int``: the total
+degree above the monomial *repacked* with its fields in ``var_key`` order,
+the first variable topmost.  Keys are distinct, so a reverse sort of plain
+ints puts the leading term first, and the public view is read off the
+repacked fields from the top down, already in ``var_key`` order.
+
 Variables are plain names such as ``a``, ``q``, ``t`` or members of the
 indexed families ``alpha1``, ``beta3``, ``gamma2``.  Two distinguished
 *formal inverse* variables exist so that weight tables whose entries are
@@ -89,17 +97,23 @@ def var_key(name: str) -> tuple[str, int]:
 # carries into the next field, and a field that went past MAX_EXPONENT shows
 # as a set guard bit.  The monomial 1 is the int 0.
 
-_WIDTH = 16  # a power of two, so that _FLOOR rounds a bit index down to its field
-_FLOOR = -_WIDTH
+_WIDTH = 16
 MAX_EXPONENT = (1 << (_WIDTH - 1)) - 1
 
 _SHIFT: dict[str, int] = {}  # variable -> bit offset of its field
 _NAMES: list[str] = []  # field index -> variable
-# bit offset -> (rank, variable, place): the rank is the variable's position
-# in var_key order, and the place is the bit offset of its field in a
-# monomial repacked in var_key order, the first variable topmost.  Both move
-# when a variable is added, so sort keys are compared only within one call.
-_RANKED: dict[int, tuple[int, str, int]] = {}
+# The layout of the sort keys, (fields, places, mask), rebuilt with every new
+# field.  A monomial *repacked* in var_key order puts the field of the first
+# variable topmost, and mask covers all its fields, span bits.  Both tables
+# are indexed by the bit length of what is left to read, so the top field is
+# one lookup away.  fields[n] is (shift, scale, below) for the field holding
+# bit n - 1 of a packed monomial: scale is (1 << place) + (1 << span), place
+# being where the variable's field lands when repacked, so the sum of
+# e * scale over a monomial's fields is its key, (degree << span) | repacked.
+# places[n] is (place, variable, below) for a repacked monomial.  below masks
+# the bits under the field.  Places move when a variable is added, so a call
+# reads the layout once and compares only the keys it made.
+_LAYOUT: tuple[list, list, int] = ([None], [None], 0)
 _GUARD = 0  # the guard bits of every assigned field
 _INV_FIELDS = 0  # the fields of the assigned inverse variables
 # (inverse field, inverse unit, base field, base unit, shift) for each
@@ -115,7 +129,7 @@ def _shift(name: str) -> int:
 
 
 def _assign(name: str) -> int:
-    global _GUARD, _INV_FIELDS, _RULES, _RANKED
+    global _GUARD, _INV_FIELDS, _RULES, _LAYOUT
     var_key(name)  # validates
     with _ASSIGN_LOCK:
         shift = _SHIFT.get(name)
@@ -123,11 +137,15 @@ def _assign(name: str) -> int:
             return shift
         shift = len(_NAMES) * _WIDTH
         _NAMES.append(name)
-        ranked = sorted(range(len(_NAMES)), key=lambda i: (var_key(_NAMES[i]), _NAMES[i]))
-        top = len(ranked) - 1
-        _RANKED = {
-            i * _WIDTH: (rank, _NAMES[i], (top - rank) * _WIDTH) for rank, i in enumerate(ranked)
-        }
+        ranked = sorted(_NAMES, key=lambda v: (var_key(v), v))
+        span = len(ranked) * _WIDTH
+        place = {v: span - (rank + 1) * _WIDTH for rank, v in enumerate(ranked)}
+        fields, places = [None], [None]
+        for i, v in enumerate(_NAMES):
+            fields += [(i * _WIDTH, (1 << place[v]) + (1 << span), (1 << i * _WIDTH) - 1)] * _WIDTH
+        for v in reversed(ranked):
+            places += [(place[v], v, (1 << place[v]) - 1)] * _WIDTH
+        _LAYOUT = (fields, places, (1 << span) - 1)
         _GUARD |= 1 << (shift + _WIDTH - 1)
         if name in INVERSE_VARS:
             _INV_FIELDS |= MAX_EXPONENT << shift
@@ -161,33 +179,34 @@ def _pack(pairs: Iterable[tuple[str, int]]) -> int:
     return mono
 
 
-def _decode(mono: int) -> tuple[tuple[int, int], Monomial]:
-    """Sort key and public view of a packed monomial; visits its nonzero fields only.
-
-    The key is graded lexicographic, encoded so that plain ascending sort
-    puts the leading monomial first: higher total degree first, then the
-    larger exponent vector read in var_key order.
-    """
-    fields = []
-    degree = repacked = 0
+def _key(mono: int, fields: list) -> int:
+    """Sort key of a packed monomial, (degree << span) | repacked; visits its nonzero fields only."""
+    key = 0
     while mono:
-        shift = (mono.bit_length() - 1) & _FLOOR
-        e = mono >> shift  # the top field, so no mask is needed
-        mono ^= e << shift
-        rank, name, place = _RANKED[shift]
-        fields.append((rank, name, e))
-        degree += e
-        repacked += e << place
-    fields.sort()
-    return (-degree, -repacked), tuple([(v, e) for _, v, e in fields])
+        shift, scale, below = fields[mono.bit_length()]
+        key += (mono >> shift) * scale  # the top field, so no mask is needed
+        mono &= below
+    return key
 
 
-def _unpack(mono: int) -> Monomial:
-    return _decode(mono)[1]
+def _view(key: int, places: list, mask: int) -> dict[str, int]:
+    """The variables and exponents of a sort key, read off its repacked fields
+    from the top down, so already in var_key order."""
+    repacked = key & mask
+    view = {}
+    while repacked:
+        place, name, below = places[repacked.bit_length()]
+        view[name] = repacked >> place
+        repacked &= below
+    return view
 
 
-def _mono_sort_key(mono: int) -> tuple[int, int]:
-    return _decode(mono)[0]
+def _decoded(terms: dict[int, Scalar]) -> list[tuple[dict[str, int], Scalar]]:
+    """``(variable -> exponent, coefficient)`` rows, the leading term first."""
+    fields, places, mask = _LAYOUT
+    keyed = {_key(m, fields): c for m, c in terms.items()}
+    # distinct monomials have distinct keys, so plain ints sort the rows
+    return [(_view(k, places, mask), keyed[k]) for k in sorted(keyed, reverse=True)]
 
 
 def _scalar(value) -> Scalar:
@@ -263,7 +282,7 @@ class Polynomial:
     def __reduce__(self):
         # the default slot restore would go through the raising __setattr__,
         # and field positions are per process, so pickle the public view
-        return (Polynomial, ({_unpack(m): c for m, c in self._terms.items()},))
+        return (Polynomial, ({tuple(v.items()): c for v, c in _decoded(self._terms)},))
 
     # -- constructors ------------------------------------------------------
 
@@ -482,24 +501,27 @@ class Polynomial:
     def total_degree(self) -> int:
         if not self._terms:
             return 0
-        return -min(_mono_sort_key(m)[0] for m in self._terms)  # the key leads with -degree
+        fields, _, mask = _LAYOUT
+        # the key leads with the degree
+        return max([_key(m, fields) for m in self._terms]) >> mask.bit_length()
 
     def variables(self) -> tuple[str, ...]:
-        return tuple([v for v, _ in _unpack(self._support())])
+        fields, places, mask = _LAYOUT
+        return tuple(_view(_key(self._support(), fields), places, mask))
 
     def sorted_terms(self) -> list[tuple[Monomial, Scalar]]:
-        # distinct monomials have distinct keys, so rows compare by key alone
-        rows = sorted([(*_decode(m), c) for m, c in self._terms.items()])
-        return [(mono, c) for _, mono, c in rows]
+        return [(tuple(v.items()), c) for v, c in _decoded(self._terms)]
 
     def _leading(self) -> int:
-        return min(self._terms, key=_mono_sort_key)
+        fields = _LAYOUT[0]
+        return max(self._terms, key=lambda m: _key(m, fields))
 
     def leading_term(self) -> tuple[Monomial, Scalar]:
         if not self._terms:
             raise ValueError("zero polynomial has no leading term")
+        fields, places, mask = _LAYOUT
         mono = self._leading()
-        return _unpack(mono), self._terms[mono]
+        return tuple(_view(_key(mono, fields), places, mask).items()), self._terms[mono]
 
     # -- substitution ------------------------------------------------------
 
@@ -524,7 +546,7 @@ class Polynomial:
                 bound[inv] = Polynomial.const(Fraction(1) / value.constant_value())
         # the bound variables that have a field, in var_key order; a variable
         # without a field is in no monomial
-        order = sorted((_RANKED[_SHIFT[v]][0], v, _SHIFT[v]) for v in bound if v in _SHIFT)
+        order = sorted((var_key(v), v, _SHIFT[v]) for v in bound if v in _SHIFT)
         mask = 0
         for _, _, shift in order:
             mask |= MAX_EXPONENT << shift
@@ -569,10 +591,11 @@ class Polynomial:
         guard = _GUARD
         remainder = dict(self._terms)
         # each monomial's sort key, decoded once, when it enters the remainder
-        keys = {m: _mono_sort_key(m) for m in remainder}
+        fields = _LAYOUT[0]
+        keys = {m: _key(m, fields) for m in remainder}
         quotient: dict[int, Scalar] = {}
         while remainder:
-            mono = min(remainder, key=keys.__getitem__)
+            mono = max(remainder, key=keys.__getitem__)
             coeff = remainder[mono]
             # every field at once: a field of mono below the lead's borrows
             # its own guard bit and no other
@@ -587,7 +610,7 @@ class Polynomial:
                 new = remainder.get(m, 0) - c
                 if new:
                     if m not in keys:
-                        keys[m] = _mono_sort_key(m)
+                        keys[m] = _key(m, fields)
                     remainder[m] = new
                 else:
                     remainder.pop(m, None)
@@ -602,8 +625,8 @@ class Polynomial:
         if not self._terms:
             return "0"
         chunks: list[str] = []
-        for mono, coeff in self.sorted_terms():
-            factors = "*".join(v if e == 1 else f"{v}^{e}" for v, e in mono)
+        for mono, coeff in _decoded(self._terms):
+            factors = "*".join(v if e == 1 else f"{v}^{e}" for v, e in mono.items())
             mag = abs(coeff)
             if not factors:
                 body = str(mag)
@@ -621,10 +644,7 @@ class Polynomial:
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> list[dict]:
-        return [
-            {"coeff": str(coeff), "monomial": {v: e for v, e in mono}}
-            for mono, coeff in self.sorted_terms()
-        ]
+        return [{"coeff": str(coeff), "monomial": mono} for mono, coeff in _decoded(self._terms)]
 
     @classmethod
     def from_json(cls, data: Iterable[Mapping]) -> "Polynomial":

@@ -194,16 +194,18 @@ class TruncatedSeries:
     def __pow__(self, exponent: int) -> "TruncatedSeries":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("series powers must be nonnegative integers")
-        result = TruncatedSeries.one(self.order)
+        if exponent == 0:
+            return TruncatedSeries.one(self.order)
+        # square-and-multiply from the base itself: s ** 1 takes no product
+        result = None
         base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            if e > 1:
-                base = base * base
-            e >>= 1
-        return result
+        while True:
+            if exponent & 1:
+                result = base if result is None else result * base
+            exponent >>= 1
+            if not exponent:
+                return result
+            base = base * base
 
     def inverse(self) -> "TruncatedSeries":
         """Multiplicative inverse, the quotient 1 / self."""

@@ -266,51 +266,46 @@ def _bind(pins: Pins, *factors: Polynomial) -> tuple[Polynomial, ...]:
 
 def _build_motzkin_ab(order: int, *, pins: Pins = ()) -> WeightSpec:
     m = named_series("motzkin_ab", order, pins=pins)
-    x = TruncatedSeries.x(order)
     a, b_over_a, b = _bind(pins, _A, _B * _A_INV, _B)
-    alpha = x.scale(a)
-    beta = (x * m).scale(b_over_a)
-    gamma = (x * x * m).scale(b)
+    alpha = TruncatedSeries.x(order).scale(a)
+    beta = m.times_x(1).scale(b_over_a)
+    gamma = m.times_x(2).scale(b)
     return spec_from_series(alpha, beta, gamma)
 
 
 def _build_schroder_large_q(order: int, *, pins: Pins = ()) -> WeightSpec:
     # beta = (R - 1) / (q + 1) for the large Schroder series R, solved directly
     beta = named_series("schroder_large_beta", order, pins=pins)
-    x = TruncatedSeries.x(order)
     (q1,) = _bind(pins, _Q + 1)
-    alpha = x.scale(q1)
-    gamma = (x * beta).scale(q1)
+    alpha = TruncatedSeries.x(order).scale(q1)
+    gamma = beta.times_x(1).scale(q1)
     return spec_from_series(alpha, beta, gamma)
 
 
 def _build_schroder_small_q(order: int, *, pins: Pins = ()) -> WeightSpec:
     s = named_series("schroder_small", order, pins=pins)
-    x = TruncatedSeries.x(order)
     (q1,) = _bind(pins, _Q + 1)
-    alpha = x
+    alpha = TruncatedSeries.x(order)
     beta = (s - 1).scale(q1)
-    gamma = (x * (s - 1)).scale(q1)
+    gamma = (s - 1).times_x(1).scale(q1)
     return spec_from_series(alpha, beta, gamma)
 
 
 def _build_narayana_t(order: int, *, pins: Pins = ()) -> WeightSpec:
     # beta = (N - 1) / t for the Narayana series N, solved directly
     beta = named_series("narayana_beta", order, pins=pins)
-    x = TruncatedSeries.x(order)
     (t,) = _bind(pins, _T)
-    alpha = x.scale(t)
-    gamma = (x * beta).scale(t)
+    alpha = TruncatedSeries.x(order).scale(t)
+    gamma = beta.times_x(1).scale(t)
     return spec_from_series(alpha, beta, gamma)
 
 
 def _build_narayana_shift_t(order: int, *, pins: Pins = ()) -> WeightSpec:
     f = named_series("narayana_shift", order, pins=pins)
-    x = TruncatedSeries.x(order)
     t1, t_over_t1, t = _bind(pins, _T + 1, _T * _T1_INV, _T)
-    alpha = x.scale(t1)
-    beta = (x * f).scale(t_over_t1)
-    gamma = (x * x * f).scale(t)
+    alpha = TruncatedSeries.x(order).scale(t1)
+    beta = f.times_x(1).scale(t_over_t1)
+    gamma = f.times_x(2).scale(t)
     return spec_from_series(alpha, beta, gamma)
 
 
@@ -332,10 +327,11 @@ def _build_chebyshev_abcd(
 def _build_chebyshev_second(order: int, a: Polynomial, b: Polynomial, c: Polynomial) -> WeightSpec:
     x = TruncatedSeries.x(order)
     one = TruncatedSeries.one(order)
-    kernel = (one - x.scale(2 * c) + x * x).inverse()
+    x2 = x.times_x(1)
+    kernel = (one - x.scale(2 * c) + x2).inverse()
     alpha = (x.scale(2 * b) * (one - x.scale(a))) * kernel
     beta = x.scale(a) / (one - x.scale(a))
-    gamma = (x * x).scale(2 * a * b) * kernel
+    gamma = x2.scale(2 * a * b) * kernel
     return spec_from_series(alpha, beta, gamma)
 
 
@@ -348,8 +344,7 @@ def _build_delannoy_tuple(
 
 
 def _fuss_power(order: int, r: int, exponent: int) -> TruncatedSeries:
-    t_series = named_series("fuss", order, r=r)
-    return TruncatedSeries.x(order) * t_series**exponent
+    return (named_series("fuss", order, r=r) ** exponent).times_x(1)
 
 
 def _build_fuss_sym(order: int, m: int, r: Arity) -> WeightSpec:

@@ -347,6 +347,19 @@ def test_enumerate_writes_each_batch_as_it_comes(monkeypatch, capsys):
         assert [bool(out) for out in seen] == [False, False, True, False, True], fmt
 
 
+def test_series_json_is_written_as_the_whole_document(capsys):
+    from fractions import Fraction
+
+    from valleydyck.polynomials import Polynomial
+    from valleydyck.series import TruncatedSeries
+
+    a = Polynomial.var("a")
+    for coeffs in ([1], [1, 0, a * Fraction(-1, 2) + a**2 * Polynomial.var("b")], [0, 0]):
+        series = TruncatedSeries(coeffs)
+        cli._write_series_json(series)
+        assert capsys.readouterr().out == json.dumps(series.to_json(), indent=2) + "\n"
+
+
 @pytest.mark.parametrize("fmt", ["steps", "json", "ascii", "csv"])
 def test_enumerate_output_does_not_depend_on_the_batch(fmt, monkeypatch, capsys):
     # the listing in one batch is held in tests/fixtures/cli_golden.json

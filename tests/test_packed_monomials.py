@@ -24,7 +24,7 @@ package = types.ModuleType("valleydyck")
 package.__path__ = [{SRC!r}]
 sys.modules["valleydyck"] = package
 from valleydyck import polynomials
-from valleydyck.polynomials import Polynomial
+from valleydyck.polynomials import MAX_EXPONENT, Polynomial
 for name in sys.argv[1].split(","):
     Polynomial.var(name)
 assert polynomials._NAMES == sys.argv[1].split(","), polynomials._NAMES
@@ -38,6 +38,8 @@ p = (
     + V("a") ** 3 * V("a_inv") * V("alpha2")
     - (V("alpha2") + V("alpha10") * V("t1_inv")) ** 3 * V("a_inv")
     + 7 * V("t") * V("t1_inv") * V("a") ** 2
+    # three fields near the cap: a total degree above 2**16
+    + V("a") ** MAX_EXPONENT * V("b") ** MAX_EXPONENT * V("alpha10") ** (MAX_EXPONENT - 1)
 )
 q = p * (V("alpha10") - V("a_inv")) + (V("t") * V("alpha2")).exact_div(V("alpha2"))
 for poly in (p, q, q.substitute({"t": 2}), q.substitute({"alpha2": V("a") + 1})):
@@ -47,8 +49,8 @@ for poly in (p, q, q.substitute({"t": 2}), q.substitute({"alpha2": V("a") + 1}))
     print(poly.variables(), poly.leading_term(), poly.total_degree())
 """
 
-IN_ORDER = "a,a_inv,alpha2,alpha10,t,t1_inv"
-OUT_OF_ORDER = "t1_inv,alpha10,a_inv,t,alpha2,a"
+IN_ORDER = "a,a_inv,alpha2,alpha10,b,t,t1_inv"
+OUT_OF_ORDER = "t1_inv,alpha10,b,a_inv,t,alpha2,a"
 
 
 def _kernel(script: str, order: str, stdin: bytes = b"") -> bytes:

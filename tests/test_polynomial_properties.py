@@ -3,8 +3,9 @@
 Operands are drawn as single terms (the products' fast path) and as general
 sums of terms, over plain variables and the two formal inverses, so the
 inverse rewrite is exercised by every property.  The multiply-accumulate
-``Polynomial.dot`` is held to the products and the sum it fuses, and JSON
-output must read back to the same polynomial.
+``Polynomial.dot`` is held to the products and the sum it fuses, JSON
+output must read back to the same polynomial, and the term order is held to
+a plain sort of the public view.
 """
 
 from fractions import Fraction
@@ -15,7 +16,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from valleydyck.polynomials import MAX_EXPONENT, Polynomial  # noqa: E402
+from valleydyck.polynomials import MAX_EXPONENT, Polynomial, var_key  # noqa: E402
 
 VARIABLES = ("a", "b", "t", "a_inv", "t1_inv")
 
@@ -150,3 +151,35 @@ def test_dot_refuses_an_exponent_past_the_cap_as_mul_does(name, e, other):
 @given(operands)
 def test_json_round_trip(p):
     assert Polynomial.from_json(p.to_json()) == p
+
+
+ORDERED = ("a", "alpha2", "alpha10", "b", "beta1", "gamma3", "q", "t", "a_inv", "t1_inv")
+exponents = st.one_of(st.integers(1, 3), st.integers(1, MAX_EXPONENT), st.just(MAX_EXPONENT))
+# public views: (variable, exponent) pairs in var_key order
+views = (
+    st.dictionaries(st.sampled_from(ORDERED), exponents, max_size=5)
+    .filter(lambda m: not holds_base_and_inverse(m))
+    .map(lambda m: tuple(sorted(m.items(), key=lambda ve: var_key(ve[0]))))
+)
+# three fields at the cap: a total degree above 2**16
+TOP = {"alpha2": MAX_EXPONENT, "alpha10": MAX_EXPONENT, "gamma3": MAX_EXPONENT}
+
+
+def graded_lex(term):
+    """Total degree descending, then the exponent vector in var_key order descending."""
+    mono = dict(term[0])
+    return -sum(mono.values()), [-mono.get(v, 0) for v in sorted(ORDERED, key=var_key)]
+
+
+@kernel
+@given(st.dictionaries(views, coefficients, max_size=8))
+@example({tuple(TOP.items()): 1, (("alpha2", MAX_EXPONENT), ("b", 1)): 2, (): 3})
+@example({tuple(TOP.items()): 1, tuple({**TOP, "alpha10": MAX_EXPONENT - 1, "t": 1}.items()): -1})
+def test_sorted_terms_is_graded_lex_in_var_key_order(terms):
+    p = Polynomial(terms)
+    expected = sorted(terms.items(), key=graded_lex)
+    assert p.sorted_terms() == expected
+    assert p.variables() == tuple(sorted({v for mono in terms for v, _ in mono}, key=var_key))
+    if terms:
+        assert p.leading_term() == expected[0]
+        assert p.total_degree() == -graded_lex(expected[0])[0]
