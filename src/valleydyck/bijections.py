@@ -25,9 +25,9 @@ value product.
 ``MapSpec``, the decorated objects and the tau factors are slotted immutable
 values (``_value.Value``), each checked once, by its constructor.  The
 decorations a structure admits and the inverse's output are valid by how
-they are built, so ``decorations`` and ``inverse`` build them unchecked
-(``_trusted_decoration``, ``_trusted_decorated``); the forward image and
-the tau exchange, the maps the checks test, keep their validating
+they are built, so ``decorations`` and ``inverse`` build them unchecked,
+through the ``_trusted`` that ``Value`` writes for each type; the forward
+image and the tau exchange, the maps the checks test, keep their validating
 constructors.
 """
 
@@ -37,7 +37,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterator, Mapping
 
-from ._value import Value, slot_setters
+from ._value import Value
 from .errors import (
     BadParams,
     InvalidDecoration,
@@ -50,7 +50,6 @@ from .paths import (
     Pyramid,
     ValleyBlock,
     ValleyStructure,
-    _trusted_path,
     enumerate_family,
     passes_filter,
     valley_structures,
@@ -152,28 +151,7 @@ class PartDecoration(Value):
         if not _SYMBOLS.issuperset(symbols):
             bad = next(s for s in symbols if s not in _SYMBOLS)
             raise InvalidDecoration(f"unknown decoration symbol {bad!r}")
-        _deco_subpath(self, subpath)
-        _deco_symbols(self, symbols)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.subpath, self.symbols) == (other.subpath, other.symbols)
-
-    def __hash__(self):
-        return hash((self.subpath, self.symbols))
-
-
-_deco_subpath, _deco_symbols = slot_setters(PartDecoration)
-_new = object.__new__
-
-
-def _trusted_decoration(subpath: Path, symbols: tuple[str, ...]) -> PartDecoration:
-    """A decoration whose symbols come from a map's tail, built without checking them."""
-    deco = _new(PartDecoration)
-    _deco_subpath(deco, subpath)
-    _deco_symbols(deco, symbols)
-    return deco
+        self._fill(subpath, symbols)
 
 
 class DecoratedStructure(Value):
@@ -200,19 +178,7 @@ class DecoratedStructure(Value):
                     raise InvalidDecoration(f"{map_id} needs r-1 symbols")
             elif deco.symbols:
                 raise InvalidDecoration(f"{map_id} takes no symbols")
-        _decorated_map_id(self, map_id)
-        _decorated_structure(self, structure)
-        _decorated_decorations(self, decorations)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.map_id, self.structure, self.decorations) == (
-            other.map_id, other.structure, other.decorations
-        )
-
-    def __hash__(self):
-        return hash((self.map_id, self.structure, self.decorations))
+        self._fill(map_id, structure, decorations)
 
     @property
     def size(self) -> int:
@@ -248,20 +214,6 @@ class DecoratedStructure(Value):
         return cls(map_id, ValleyStructure(parts), decos)
 
 
-_decorated_map_id, _decorated_structure, _decorated_decorations = slot_setters(DecoratedStructure)
-
-
-def _trusted_decorated(
-    map_id: str, structure: ValleyStructure, decorations: tuple
-) -> DecoratedStructure:
-    """A decorated structure already in the map's domain, built without checking it."""
-    obj = _new(DecoratedStructure)
-    _decorated_map_id(obj, map_id)
-    _decorated_structure(obj, structure)
-    _decorated_decorations(obj, decorations)
-    return obj
-
-
 def _part_form(map_id: str, part) -> tuple[int, int]:
     """Normalize a part to (ascent k, peak count r); reject parts outside the domain."""
     if isinstance(part, Pyramid):
@@ -286,9 +238,9 @@ def decorations(structure: ValleyStructure, map_id: str) -> Iterator[DecoratedSt
     for k, r in forms:
         subs = list(enumerate_family(spec.decoration, k - spec.offset))
         tails = list(product(spec.symbols, repeat=r - 1)) if spec.symbols else [()]
-        per_part.append([_trusted_decoration(sub, syms) for sub in subs for syms in tails])
+        per_part.append([PartDecoration._trusted(sub, syms) for sub in subs for syms in tails])
     for combo in product(*per_part):
-        yield _trusted_decorated(map_id, structure, combo)
+        yield DecoratedStructure._trusted(map_id, structure, combo)
 
 
 def enumerate_decorated(n: int, map_id: str) -> Iterator[DecoratedStructure]:
@@ -355,7 +307,7 @@ def inverse(map_id: str, target):
             raise UniqueFactorizationFailure(f"unbalanced factor at {i} in {steps!r}")
         # a factor of a target path, less its first and last step, is a
         # decoration path: every map's decoration family admits its target's steps
-        sub = _trusted_path(decoration, steps[i + 1 : j - 1])
+        sub = Path._trusted(decoration, steps[i + 1 : j - 1])
         i = j
         # the maximal run of tail units after the core factor
         symbols: list[str] = []
@@ -374,10 +326,10 @@ def inverse(map_id: str, target):
         if k < 1:
             raise UniqueFactorizationFailure(f"empty core factor at {i} in {steps!r}")
         parts.append(_unit_part(k, r))
-        decos.append(_trusted_decoration(sub, tuple(symbols)))
+        decos.append(PartDecoration._trusted(sub, tuple(symbols)))
     # each part is u^k (ud)^r d^k with k >= 1, its subpath has size k - offset,
     # and it records one symbol per tail unit that has one
-    return _trusted_decorated(map_id, ValleyStructure(tuple(parts)), tuple(decos))
+    return DecoratedStructure._trusted(map_id, ValleyStructure(tuple(parts)), tuple(decos))
 
 
 def decorated_weight(obj: DecoratedStructure) -> Polynomial:
@@ -426,26 +378,11 @@ class TauFactor(Value):
             raise InvalidDecoration("inner pyramid heights must be positive")
         if len(letters) != ascent - 1:
             raise InvalidDecoration("a factor carries ascent-1 letters")
-        _factor_ascent(self, ascent)
-        _factor_heights(self, heights)
-        _factor_letters(self, letters)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.ascent, self.heights, self.letters) == (
-            other.ascent, other.heights, other.letters
-        )
-
-    def __hash__(self):
-        return hash((self.ascent, self.heights, self.letters))
+        self._fill(ascent, heights, letters)
 
     @property
     def semilength(self) -> int:
         return self.ascent + sum(self.heights)
-
-
-_factor_ascent, _factor_heights, _factor_letters = slot_setters(TauFactor)
 
 
 class TauDecorated(Value):
@@ -461,16 +398,7 @@ class TauDecorated(Value):
             if not allowed.issuperset(factor.letters):
                 bad = [tok for tok in factor.letters if tok not in allowed]
                 raise InvalidDecoration(f"letters {bad} are not allowed on side {side}")
-        _tau_side(self, side)
-        _tau_factors(self, factors)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.side, self.factors) == (other.side, other.factors)
-
-    def __hash__(self):
-        return hash((self.side, self.factors))
+        self._fill(side, factors)
 
     @property
     def size(self) -> int:
@@ -499,9 +427,6 @@ class TauDecorated(Value):
                 raise TypeError("a tau part needs an integer k0 and a list of integer blocks")
             factors.append(TauFactor(k0, blocks, e["letters"]))
         return cls(data["side"], factors)
-
-
-_tau_side, _tau_factors = slot_setters(TauDecorated)
 
 
 def enumerate_tau(n: int, side: str) -> Iterator[TauDecorated]:

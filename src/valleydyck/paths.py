@@ -15,7 +15,7 @@ paths, whose size is the step count.
 and ``ValleyStructure`` are slotted immutable values (``_value.Value``):
 each is checked once, by its constructor, and compares by its fields.  The
 enumerator's walker keeps every rule as it goes, so it builds its paths
-unchecked (``_trusted_path``).
+unchecked (``Path._trusted``).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import math
 from itertools import accumulate
 from typing import Iterator, Mapping, Union
 
-from ._value import Value, slot_setters
+from ._value import Value
 from .errors import (
     FamilyViolation,
     IllegalCharacter,
@@ -94,16 +94,7 @@ class Path(Value):
             raise IllegalCharacter(f"step {ch!r} is not allowed in {family}") from None
         if level != 0:
             raise NonzeroEnd(f"path ends at level {level}")
-        _path_family(self, family)
-        _path_steps(self, steps)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.family, self.steps) == (other.family, other.steps)
-
-    def __hash__(self):
-        return hash((self.family, self.steps))
+        self._fill(family, steps)
 
     @property
     def width(self) -> int:
@@ -133,18 +124,6 @@ class Path(Value):
         if type(steps) is not str:
             raise TypeError(f"path steps must be a string, got {type(steps).__name__}")
         return cls(data["family"], steps)
-
-
-_path_family, _path_steps = slot_setters(Path)
-_new = object.__new__
-
-
-def _trusted_path(family: str, steps: str) -> Path:
-    """A path whose steps already keep the family's rules, built without checking them."""
-    path = _new(Path)
-    _path_family(path, family)
-    _path_steps(path, steps)
-    return path
 
 
 class PathStats(Value):
@@ -241,7 +220,7 @@ def enumerate_family(family: str, n: int, filt: str = "none") -> Iterator[Path]:
     # the walker keeps the floor, the barred axis step and the end level
     for steps in walk(0, width):
         if keep(steps):
-            yield _trusted_path(family, steps)
+            yield Path._trusted(family, steps)
 
 
 # -- valley-uniform structure ------------------------------------------------
@@ -255,22 +234,11 @@ class Pyramid(Value):
     def __init__(self, height: int):
         if height < 1:
             raise ValueError("pyramid height must be positive")
-        _pyramid_height(self, height)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.height == other.height
-
-    def __hash__(self):
-        return hash((self.height,))
+        self._fill(height)
 
     @property
     def size(self) -> int:
         return self.height
-
-
-(_pyramid_height,) = slot_setters(Pyramid)
 
 
 class ValleyBlock(Value):
@@ -289,23 +257,11 @@ class ValleyBlock(Value):
             raise ValueError("block ascent must be positive")
         if len(heights) < 2 or any(h < 1 for h in heights):
             raise ValueError("a block needs at least two positive pyramid heights")
-        _block_ascent(self, ascent)
-        _block_heights(self, heights)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.ascent, self.heights) == (other.ascent, other.heights)
-
-    def __hash__(self):
-        return hash((self.ascent, self.heights))
+        self._fill(ascent, heights)
 
     @property
     def size(self) -> int:
         return self.ascent + sum(self.heights)
-
-
-_block_ascent, _block_heights = slot_setters(ValleyBlock)
 
 
 Part = Union[Pyramid, ValleyBlock]
@@ -319,15 +275,7 @@ class ValleyStructure(Value):
     def __init__(self, parts: tuple[Part, ...] = ()):
         if type(parts) is not tuple:
             parts = tuple(parts)
-        _structure_parts(self, parts)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.parts == other.parts
-
-    def __hash__(self):
-        return hash((self.parts,))
+        self._fill(parts)
 
     @property
     def semilength(self) -> int:
@@ -348,9 +296,6 @@ class ValleyStructure(Value):
         if path.family != "dyck":
             raise FamilyViolation("valley structures are built from Dyck paths")
         return cls(tuple(_parse_factor(factor) for factor in primitive_factors(path)))
-
-
-(_structure_parts,) = slot_setters(ValleyStructure)
 
 
 def _parse_factor(factor: Path) -> Part:

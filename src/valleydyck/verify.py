@@ -53,7 +53,7 @@ from .oracles import (
 )
 from .paths import Path, Pyramid, ValleyBlock, ValleyStructure, enumerate_family, is_valley_uniform
 from .polynomials import Polynomial, binomial
-from .series import TruncatedSeries, valley_series, valley_series_ab
+from .series import TruncatedSeries, valley_series
 from .weights import (
     DELANNOY_TUPLES,
     path_weight,
@@ -161,8 +161,8 @@ def _master_triple(bound: int) -> Iterator[Comparison]:
 
 def _geom(table: str, bound: int) -> Iterator[Comparison]:
     """The series and, up to n = 6, the structure sums against the closed form."""
-    alpha, beta, _ = registry_get(table, max(bound, 1)).to_series()
-    yield from _coefficients(valley_series_ab(alpha, beta), table, bound)
+    series = valley_series(*registry_get(table, max(bound, 1)).to_series())
+    yield from _coefficients(series, table, bound)
     small = min(bound, 6)
     spec = registry_get(table, small)
     for n in range(small + 1):
@@ -177,7 +177,7 @@ def _difference(map_id: str, bound: int) -> Iterator[Comparison]:
     spec = MAPS[map_id]
     alpha, beta, gamma = registry_get(spec.registry, max(bound, 1)).to_series()
     yield "registry gamma vs alpha*beta", gamma, alpha * beta
-    yield from _coefficients(valley_series_ab(alpha, beta), spec.formula, bound)
+    yield from _coefficients(valley_series(alpha, beta, gamma), spec.formula, bound)
 
 
 def _bijection(map_id: str, bound: int) -> Iterator[Comparison]:
@@ -285,7 +285,7 @@ def _worked_examples(bound: int) -> Iterator[Comparison]:
 def _chebyshev_identity(bound: int) -> Iterator[Comparison]:
     alpha, beta, gamma = registry_get("chebyshev_abcd", bound).to_series()
     yield "gamma vs alpha*beta", gamma, alpha * beta
-    yield from _coefficients(valley_series_ab(alpha, beta), "chebyshev_closed", bound)
+    yield from _coefficients(valley_series(alpha, beta, gamma), "chebyshev_closed", bound)
     instances = [
         ("abcd_power", dict(a=2, b=1, c=2, d=1)),
         ("abcd_power", dict(a=3, b=1, c=3, d=2)),
@@ -294,8 +294,8 @@ def _chebyshev_identity(bound: int) -> Iterator[Comparison]:
         ("abcd_fibonacci", dict(a=2, b=1, c=1, d=1)),
     ]
     for formula, params in instances:
-        alpha, beta, _ = registry_get("chebyshev_abcd", bound, **params).to_series()
-        yield from _coefficients(valley_series_ab(alpha, beta), formula, bound, **params)
+        series = valley_series(*registry_get("chebyshev_abcd", bound, **params).to_series())
+        yield from _coefficients(series, formula, bound, **params)
     second = valley_series(*registry_get("chebyshev_second", bound).to_series())
     yield from _coefficients(second, "chebyshev_second", bound)
 
@@ -307,8 +307,8 @@ def _delannoy_table(bound: int) -> Iterator[Comparison]:
     series = {}
     for key, multiplier in DELANNOY_TUPLES:
         a, b, c, d = key
-        alpha, beta, _ = registry_get("delannoy_tuple", bound, a=a, b=b, c=c, d=d).to_series()
-        series[key] = valley_series_ab(alpha, beta)
+        spec = registry_get("delannoy_tuple", bound, a=a, b=b, c=c, d=d)
+        series[key] = valley_series(*spec.to_series())
         want = TruncatedSeries.one(bound) + x2.scale(multiplier) * kernel
         yield f"tuple {key} vs 1 + {multiplier}x^2/(1-6x+x^2)", series[key], want
     # implied by the comparisons above, and kept as the table's own statement

@@ -112,7 +112,8 @@ def _validated(obj: DecoratedStructure) -> DecoratedStructure:
 
 @pytest.mark.parametrize("map_id", MAPS)
 def test_unchecked_objects_pass_the_constructors(map_id):
-    # decorations() and inverse build their objects unchecked; the validating
+    # decorations() and inverse build their objects unchecked, through
+    # PartDecoration._trusted and DecoratedStructure._trusted; the validating
     # constructors must accept each one, and the rebuild must equal it
     family, filt = MAPS[map_id].target
     for n in range(7):

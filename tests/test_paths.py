@@ -114,8 +114,8 @@ def test_enumeration_is_lexicographic_and_duplicate_free():
 
 
 def test_enumerated_paths_pass_the_constructor():
-    # enumerate_family builds its paths unchecked; the validating constructor
-    # must accept each one as it is
+    # enumerate_family builds its paths unchecked, through Path._trusted; the
+    # validating constructor must accept each one as it is
     for family in FAMILY_STEPS:
         for filt in FILTERS:
             for n in range(8):

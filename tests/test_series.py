@@ -378,6 +378,31 @@ def _sympy_of(sympy, poly):
     )
 
 
+def _quadratic_root(sympy, rhs, x, f, order):
+    """The power-series root of F = rhs, quadratic in F, to x^order.
+
+    Written A2 F^2 + A1 F + A0 = 0, each equation has A2 = g x^i with g free
+    of x, and its discriminant D = A1^2 - 4 A2 A0 is 1 at x = 0.  So sqrt(D)
+    is the binomial series of 1 + (D - 1), and of the two roots
+    (-A1 -+ sqrt(D)) / (2 A2) only the one with the minus sign is a power
+    series: its numerator vanishes to order i.
+    """
+    a2, a1, a0 = (sympy.Poly(rhs - f, f).coeff_monomial(f**k) for k in (2, 1, 0))
+    ((i,), g), = sympy.Poly(a2, x).terms()
+    top = order + i
+    cut = sympy.Poly(x ** (top + 1), x)  # the remainder by it truncates
+
+    u = sympy.Poly(a1**2 - 4 * a2 * a0 - 1, x)
+    assert u.eval(0) == 0
+    root = power = sympy.Poly(1, x)
+    for k in range(1, top + 1):
+        power = (power * u).rem(cut)
+        root += power * sympy.binomial(sympy.Rational(1, 2), k)
+    numerator = -sympy.Poly(a1, x) - root
+    assert all(numerator.coeff_monomial(x**k) == 0 for k in range(i))
+    return [numerator.coeff_monomial(x ** (k + i)) / (2 * g) for k in range(order + 1)]
+
+
 def test_named_series_against_sympy():
     """Each equation solved by sympy alone, against named_series at order 10."""
     sympy = pytest.importorskip("sympy")
@@ -390,14 +415,9 @@ def test_named_series_against_sympy():
             for j, i, c in equation.terms
         )
         if sympy.degree(rhs, f) == 2:
-            # the radical root that is F(0) = c_0(0) at x = 0, expanded as a series
-            start = rhs.subs(x, 0)
-            roots = sympy.solve(sympy.Eq(f, rhs), f)
-            root = next(s for s in roots if sympy.simplify(sympy.limit(s, x, 0) - start) == 0)
-            expansion = sympy.series(root, x, 0, order + 1).removeO()
-            want = [expansion.coeff(x, k) for k in range(order + 1)]
+            want = _quadratic_root(sympy, rhs, x, f, order)
         else:
-            # undetermined coefficients, each solved from its own equation
+            # undetermined coefficients, each solved from its own linear equation
             unknowns = sympy.symbols(f"f0:{order + 1}")
             trial = sum(u * x**k for k, u in enumerate(unknowns))
             residual = sympy.Poly(sympy.expand(trial - rhs.subs(f, trial)), x)

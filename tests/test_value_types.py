@@ -5,13 +5,15 @@ gives an equal object; equality holds only against the same class with the
 same compared fields; the hash is the hash of the compared-field tuple; the
 exact ``repr``; assignment and deletion raise ``AttributeError``; a pickle
 round trip gives an equal object; defaults fill omitted trailing fields; and
-omitting the last required argument raises the usual ``TypeError``.
+omitting the last required argument raises the usual ``TypeError``.  Then
+the methods ``Value`` writes for every subclass from its ``__slots__``.
 """
 
 import pickle
 
 import pytest
 
+from valleydyck._value import Value
 from valleydyck.bijections import (
     MAPS,
     DecoratedStructure,
@@ -188,3 +190,111 @@ def test_map_spec_derives_symbols():
     with pytest.raises(TypeError):
         MapSpec(**THETA_FIELDS, symbols=("H",))
 
+
+# -- the methods Value writes from __slots__ -----------------------------------
+
+GENERATED = ("__eq__", "__hash__", "_fill", "_trusted")
+
+
+class One(Value):
+    __slots__ = ("x",)
+
+    def __init__(self, x):
+        if x < 0:
+            raise ValueError("x must be nonnegative")
+        self._fill(x)
+
+
+class OtherOne(Value):
+    __slots__ = ("x",)
+
+    def __init__(self, x):
+        self._fill(x)
+
+
+class Three(Value):
+    __slots__ = ("a", "b", "c")
+
+    def __init__(self, a, b, c=0):
+        if a > b:
+            raise ValueError("a must not exceed b")
+        self._fill(a, b, c)
+
+
+def test_generated_equality_holds_only_within_the_class():
+    assert One(1) == One(1) and not One(1) != One(1)
+    assert One(1) != One(2) and Three(1, 2, 3) != Three(1, 2, 4) != Three(0, 2, 4)
+    assert Three(1, 2) == Three(1, 2, 0)
+    assert One(1) != OtherOne(1) and One(1).__eq__(OtherOne(1)) is NotImplemented
+    assert One(1).__eq__((1,)) is NotImplemented
+    assert Three(1, 2, 3).__eq__((1, 2, 3)) is NotImplemented
+
+
+def test_generated_hash_is_the_field_tuple_hash():
+    assert hash(One(5)) == hash((5,))
+    assert hash(Three(1, 2, 3)) == hash((1, 2, 3))
+    assert len({Three(1, 2, 3), Three._trusted(1, 2, 3), Three(1, 2, 4)}) == 2
+
+
+def test_generated_trusted_skips_the_check():
+    with pytest.raises(ValueError):
+        One(-1)
+    obj = One._trusted(-1)
+    assert type(obj) is One and obj.x == -1 and repr(obj) == "One(x=-1)"
+    obj = Three._trusted(3, 2, 1)
+    assert (obj.a, obj.b, obj.c) == (3, 2, 1)
+    with pytest.raises(AttributeError):
+        obj.a = 0
+
+
+def test_generated_fill_takes_every_field_exactly():
+    obj = Three(1, 2, 3)
+    for values in ((1, 2), (1, 2, 3, 4)):
+        with pytest.raises(TypeError):
+            obj._fill(*values)
+        with pytest.raises(TypeError):
+            Three._trusted(*values)
+    with pytest.raises(TypeError):
+        One._trusted()
+    assert (obj.a, obj.b, obj.c) == (1, 2, 3)
+
+
+def test_generated_functions_carry_the_class_names():
+    for cls in (One, Three):
+        for name in GENERATED:
+            fn = getattr(cls, name)
+            assert fn.__qualname__ == f"{cls.__qualname__}.{name}"
+            assert fn.__module__ == __name__
+
+
+def test_a_value_type_may_not_write_its_own_methods():
+    with pytest.raises(TypeError, match="must not define __eq__"):
+        class HandWritten(Value):
+            __slots__ = ("x",)
+
+            def __init__(self, x):
+                self._fill(x)
+
+            def __eq__(self, other):
+                return True
+
+
+def _package_value_types():
+    found, todo = [], [Value]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            if sub.__module__.startswith("valleydyck."):
+                found.append(sub)
+    return found
+
+
+def test_every_package_value_type_uses_the_generated_methods():
+    types = _package_value_types()
+    assert {cls.__name__ for cls in types} == set(CASES)
+    for cls in types:
+        fields = f"<{cls.__module__}.{cls.__qualname__} fields>"
+        for name in GENERATED:
+            fn = getattr(cls, name)
+            assert fn.__code__.co_filename == fields, (cls, name)
+            assert fn.__qualname__ == f"{cls.__qualname__}.{name}", (cls, name)

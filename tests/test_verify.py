@@ -8,8 +8,7 @@ from valleydyck import cli, series, verify, weights
 from valleydyck.bijections import (
     MAPS,
     DecoratedStructure,
-    _trusted_decorated,
-    _trusted_decoration,
+    PartDecoration,
     decorated_weight,
     decorations,
     inverse,
@@ -26,11 +25,11 @@ from valleydyck.oracles import (
     narayana_polynomial,
     schroder_small_polynomial,
 )
-from valleydyck.paths import Path, _trusted_path, enumerate_family
+from valleydyck.paths import Path, enumerate_family
 from valleydyck.polynomials import Polynomial
 from valleydyck.series import Equation, valley_series
 from valleydyck.verify import CHECKS
-from valleydyck.weights import DELANNOY_TUPLES, path_weight, valley_weight_sum
+from valleydyck.weights import DELANNOY_TUPLES, path_weight, registry_get, valley_weight_sum
 
 # the clamp each check puts on the requested bound
 UPTO = {
@@ -175,6 +174,15 @@ def _doubled_shape(two_weights):
     return broken
 
 
+def _doubled_for(table):
+    """valley_series, doubled only on the series of one registry table."""
+    def broken(alpha, beta, gamma):
+        right = valley_series(alpha, beta, gamma)
+        ours = registry_get(table, alpha.order).to_series() == (alpha, beta, gamma)
+        return 2 * right if ours else right
+    return broken
+
+
 def _formula_off_for(name):
     return lambda f, n, **params: formula_vn(f, n, **params) + (f == name)
 
@@ -183,10 +191,10 @@ def _formula_off_for(name):
 # decorations() and inverse build theirs unchecked, so the round trip must catch them
 UNCHECKED_FAULTS = {
     # one tail symbol more than the part has further peaks
-    "theta": lambda deco: _trusted_decoration(deco.subpath, deco.symbols + ("H",)),
+    "theta": lambda deco: PartDecoration._trusted(deco.subpath, deco.symbols + ("H",)),
     # a Dyck subpath one size larger than its part takes
-    "rho": lambda deco: _trusted_decoration(
-        _trusted_path("dyck", "UD" + deco.subpath.steps), deco.symbols
+    "rho": lambda deco: PartDecoration._trusted(
+        Path._trusted("dyck", "UD" + deco.subpath.steps), deco.symbols
     ),
 }
 
@@ -197,7 +205,9 @@ def _corrupted_inverse(map_id, target):
     if not obj.decorations:
         return obj
     first, *rest = obj.decorations
-    return _trusted_decorated(map_id, obj.structure, (UNCHECKED_FAULTS[map_id](first), *rest))
+    return DecoratedStructure._trusted(
+        map_id, obj.structure, (UNCHECKED_FAULTS[map_id](first), *rest)
+    )
 
 
 _SWAP_UD = str.maketrans("UD", "DU")
@@ -207,7 +217,7 @@ def _with_stray_path(family, n, filt="none"):
     """enumerate_family, plus its first path with U and D swapped, which dips below the axis."""
     paths = list(enumerate_family(family, n, filt))
     if paths and paths[0].steps:
-        paths.append(_trusted_path(family, paths[0].steps.translate(_SWAP_UD)))
+        paths.append(Path._trusted(family, paths[0].steps.translate(_SWAP_UD)))
     return paths
 
 
@@ -260,6 +270,21 @@ PROPERTY_FAULTS = {
                         "t -> q+1 bridge, n=0"),
     "small_schroder_scaling": ("oracle_bridges", "schroder_small_polynomial",
                                _doubled(schroder_small_polynomial), "small/large Schroder, n=1"),
+    # every check whose series has gamma == alpha*beta reads it through
+    # valley_series, the route the series command takes
+    **{
+        f"{check}_two_weight_series": (check, "valley_series", _doubled_shape(True), label)
+        for check, label in {
+            "geom_3x_values": "geom_3x n=0",
+            "geom_fib_values": "geom_fib n=0",
+            **{
+                "diff_" + spec.formula.removesuffix("_diff"): f"{spec.formula} n=0"
+                for spec in MAPS.values()
+            },
+            "chebyshev_rational_identity": "chebyshev_closed n=0",
+            "delannoy_table": "tuple (4, 3, 7, 2) vs 1 + 7x^2/(1-6x+x^2)",
+        }.items()
+    },
     "fuss_two_weight_series": ("fuss_formulas", "valley_series", _doubled_shape(True),
                                "fuss_sym {'m': 1, 'r': 1} n=0"),
     "fuss_three_weight_series": ("fuss_formulas", "valley_series", _doubled_shape(False),
@@ -275,7 +300,7 @@ PROPERTY_FAULTS = {
     "geom_fib_structure_sums": ("geom_fib_values", "valley_weight_sum",
                                 _doubled(valley_weight_sum), "enumeration n=0"),
     "chebyshev_second_kind": ("chebyshev_rational_identity", "valley_series",
-                              _doubled(valley_series), "chebyshev_second n=0"),
+                              _doubled_for("chebyshev_second"), "chebyshev_second n=0"),
     **{
         f"unchecked_{map_id}_decoration": (f"bijection_{map_id}", "inverse", _corrupted_inverse,
                                            "n=2: inverse(forward)")
