@@ -19,7 +19,6 @@ from valleydyck import (
     path_weight,
     registry_get,
     valley_series,
-    valley_series_ab,
     valley_weight_sum,
 )
 from valleydyck.oracles import fibonacci_number
@@ -45,8 +44,7 @@ for n in range(ORDER + 1):
     print(f"  n={n}: {len(str(by_series))} characters of polynomial, all equal")
 
 print("\ngeometric specialization with ratios 1 and 2 (counts (3^(n-1)-1)/2):")
-alpha, beta, _ = registry_get("geom_3x", 10).to_series()
-v = valley_series_ab(alpha, beta)
+v = valley_series(*registry_get("geom_3x", 10).to_series())
 values = [int(v.coefficient(n).constant_value()) for n in range(11)]
 closed = [1] + [(3 ** (n - 1) - 1) // 2 for n in range(1, 11)]
 print("  series:", values)
@@ -54,8 +52,7 @@ print("  closed:", closed)
 assert values == closed
 
 print("\nboth ratios 1 (counts even-index Fibonacci numbers):")
-alpha, beta, _ = registry_get("geom_fib", 10).to_series()
-v = valley_series_ab(alpha, beta)
+v = valley_series(*registry_get("geom_fib", 10).to_series())
 values = [int(v.coefficient(n).constant_value()) for n in range(11)]
 closed = [1] + [fibonacci_number(2 * (n - 1)) for n in range(1, 11)]
 print("  series:", values)

@@ -17,6 +17,7 @@ import time
 from fractions import Fraction
 from itertools import islice
 from pathlib import Path as FilePath
+from typing import Callable
 
 from .bijections import (
     MAP_IDS,
@@ -32,7 +33,14 @@ from .polynomials import Polynomial
 from .series import valley_series
 from . import verify
 from .verify import SUITES, run_check, run_suite
-from .weights import REGISTRY, WeightSpec, _pin_params, registry_get, valley_weight_sum
+from .weights import (
+    REGISTRY,
+    WeightSpec,
+    _pin_params,
+    registry_builder,
+    registry_get,
+    valley_weight_sum,
+)
 
 DEFAULT_ORDER = 12
 ENUMERATE_BATCH = 2048  # paths held at once by enumerate
@@ -90,18 +98,24 @@ def _load_json(reference: str) -> dict:
         return json.load(handle)
 
 
-def _resolve_spec(name: str, order: int, params: dict[str, str]) -> WeightSpec:
-    if name.startswith("@"):
-        if order < 0:  # refused as registry_get refuses it for a name
-            raise ValleyDyckError("order must be nonnegative")
-        spec = _read_object(WeightSpec.from_json, name, "--spec")
-        if spec.order < order:
-            raise ValleyDyckError(
-                f"spec file holds order {spec.order}, but order {order} was requested"
-            )
-        spec = WeightSpec(spec.alpha[:order], spec.beta[:order], spec.gamma[:order])
-        return _pin_params(spec, params, f"{name} at order {order}")
-    return registry_get(name, order, **params)
+def _tables(name: str, order: int, params: dict[str, str]) -> Callable[[int], WeightSpec]:
+    """Check the request for the table ``name`` at ``order``, and return the
+    function that gives its table at any order up to that one."""
+    if not name.startswith("@"):
+        return registry_builder(name, order, **params)
+    if order < 0:  # refused as registry_get refuses it for a name
+        raise ValleyDyckError("order must be nonnegative")
+    spec = _read_object(WeightSpec.from_json, name, "--spec")
+    if spec.order < order:
+        raise ValleyDyckError(
+            f"spec file holds order {spec.order}, but order {order} was requested"
+        )
+    spec = WeightSpec(spec.alpha[:order], spec.beta[:order], spec.gamma[:order])
+    return _truncations(_pin_params(spec, params, f"{name} at order {order}"))
+
+
+def _truncations(spec: WeightSpec) -> Callable[[int], WeightSpec]:
+    return lambda at: WeightSpec(spec.alpha[:at], spec.beta[:at], spec.gamma[:at])
 
 
 def _flatten(value: Polynomial) -> str:
@@ -113,18 +127,18 @@ def _flatten(value: Polynomial) -> str:
     return str(value.constant_value())
 
 
-def _refuse_symbolic_early(spec: WeightSpec) -> None:
-    """Refuse a symbolic series coefficient, as ``_flatten`` would, before the whole
-    series is computed: coefficients are truncation-consistent, so the series
-    at orders 1, 2, 4, ... below the table's order meet the first one."""
-    if all(p.is_constant for table in (spec.alpha, spec.beta, spec.gamma) for p in table):
-        return  # a table of numbers has a series of numbers
-    order = 1
-    while order < spec.order:
-        low = WeightSpec(spec.alpha[:order], spec.beta[:order], spec.gamma[:order])
-        for coeff in valley_series(*low.to_series()).coeffs:
-            _flatten(coeff)
-        order *= 2
+def _refuse_symbolic_early(tables: Callable[[int], WeightSpec], order: int) -> None:
+    """Refuse a symbolic series coefficient, as ``_flatten`` would, before the
+    table at ``order`` is read: tables and series are truncation-consistent,
+    so the series of the tables at orders 1, 2, 4, ... below it meet the first
+    one, and a table of numbers has a series of numbers."""
+    low = 1
+    while low < order:
+        spec = tables(low)
+        if not all(p.is_constant for table in (spec.alpha, spec.beta, spec.gamma) for p in table):
+            for coeff in valley_series(*spec.to_series()).coeffs:
+                _flatten(coeff)
+        low *= 2
 
 
 def _emit(text: str) -> None:
@@ -135,12 +149,14 @@ def _emit(text: str) -> None:
 
 def _cmd_series(args) -> int:
     params = _parse_params(args.param)
-    spec = _resolve_spec(args.spec, args.order, params)
-    if args.dump_spec:
+    tables = _tables(args.spec, args.order, params)
+    if args.dump_spec:  # the whole table is built and written first
+        spec = tables(args.order)
         FilePath(args.dump_spec).write_text(json.dumps(spec.to_json(), indent=2) + "\n")
+        tables = _truncations(spec)
     if args.format == "csv":
-        _refuse_symbolic_early(spec)
-    series = valley_series(*spec.to_series())
+        _refuse_symbolic_early(tables, args.order)
+    series = valley_series(*tables(args.order).to_series())
     if args.format == "json":
         _write_series_json(series)
     elif args.format == "csv":
@@ -163,7 +179,8 @@ def _write_series_json(series) -> None:
 
 def _cmd_count(args) -> int:
     params = _parse_params(args.param)
-    spec = _resolve_spec(args.spec, max(args.n, 1), params)
+    order = max(args.n, 1)
+    spec = _tables(args.spec, order, params)(order)
     value = valley_weight_sum(args.n, spec)
     if args.dump_spec:
         FilePath(args.dump_spec).write_text(json.dumps(spec.to_json(), indent=2) + "\n")

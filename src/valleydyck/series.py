@@ -430,7 +430,11 @@ def valley_series(
 
 
 def valley_series_ab(alpha: TruncatedSeries, beta: TruncatedSeries) -> TruncatedSeries:
-    """Specialization gamma = alpha*beta: (1 - alpha) / (1 - alpha - alpha*beta)."""
+    """Specialization gamma = alpha*beta: (1 - alpha) / (1 - alpha - alpha*beta).
+
+    Outside the tests, its only caller is the benchmark worker
+    (``perfbench/worker.py``); the CLI, the verify checks and the demos call
+    :func:`valley_series`."""
     _require_weight_series(alpha, beta)
     one = TruncatedSeries.one(alpha.order)
     return (one - alpha) / (one - alpha - alpha * beta)

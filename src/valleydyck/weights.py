@@ -11,11 +11,21 @@ coefficients computed independently.
 
 Registry entries build their weight series from each specialization's
 defining generating functions, with any numeric pins bound into the
-equations and scale factors they read before anything is solved.  Two of
-them need the formal inverse variables from :mod:`valleydyck.polynomials`
-(``a_inv`` for the Motzkin table, ``t1_inv`` for the shifted Narayana table)
-because a lone ``beta[k]`` is a genuine rational function there even though
-every full path weight is a polynomial.
+equations and scale factors they read before anything is solved.  The
+tables come in a few shapes.  ``generic`` has one variable per entry.  Four
+are rational, alpha = (a - b) x / (1 - b x), beta = c x / (1 - d x) and
+gamma = alpha beta, from one builder: ``chebyshev_abcd`` in its variables,
+``delannoy_tuple`` at rationals, ``geom_3x`` at (2, 1, 1, 2) and
+``geom_fib`` at (2, 1, 1, 1).  Five are solved, each one row of ``SOLVED``:
+alpha = x s, beta = x^j F c and gamma = x^(j+1) F s c, for the series F of
+one ``EQUATIONS`` entry.  The two Schroder tables share one F, the large
+Schroder beta series (R - 1) / (q + 1), because the small and large
+Schroder series S and R have S - 1 = (R - 1) / (q + 1).  ``chebyshev_second``
+and the three Fuss tables are written out.  Two solved tables need the
+formal inverse variables from :mod:`valleydyck.polynomials` (``a_inv`` for
+the Motzkin table, ``t1_inv`` for the shifted Narayana table) because a
+lone ``beta[k]`` is a genuine rational function there even though every
+full path weight is a polynomial.
 """
 
 from __future__ import annotations
@@ -236,92 +246,50 @@ def _build_generic(order: int, *, pins: Pins = ()) -> WeightSpec:
     return WeightSpec(table("alpha"), table("beta"), table("gamma"))
 
 
-def _geometric(order: int, pole: int) -> TruncatedSeries:
-    """x / (1 - pole*x) up to the order."""
-    x = TruncatedSeries.x(order)
-    return x / (TruncatedSeries.one(order) - x.scale(pole))
+def _abcd(order: int, a: Polynomial, b: Polynomial, c: Polynomial, d: Polynomial) -> WeightSpec:
+    """alpha = (a - b) x / (1 - b x), beta = c x / (1 - d x) and gamma = alpha * beta,
+    for polynomials or numbers a, b, c, d.
 
-
-def _build_geom_3x(order: int) -> WeightSpec:
-    alpha = _geometric(order, 1)
-    beta = _geometric(order, 2)
-    return spec_from_series(alpha, beta, alpha * beta)
-
-
-def _build_geom_fib(order: int) -> WeightSpec:
-    alpha = _geometric(order, 1)
-    return spec_from_series(alpha, alpha, alpha * alpha)
-
-
-# The solved tables read their variables only through the equations they solve
-# and a few scale factors, and ``pins`` is substituted into both: substitution
-# is a ring homomorphism and every step below is a ring operation, so the
-# table equals the symbolic one with the pins substituted.
-
-
-def _bind(pins: Pins, *factors: Polynomial) -> tuple[Polynomial, ...]:
-    bindings = dict(pins)
-    return tuple(p.substitute(bindings) for p in factors)
-
-
-def _build_motzkin_ab(order: int, *, pins: Pins = ()) -> WeightSpec:
-    m = named_series("motzkin_ab", order, pins=pins)
-    a, b_over_a, b = _bind(pins, _A, _B * _A_INV, _B)
-    alpha = TruncatedSeries.x(order).scale(a)
-    beta = m.times_x(1).scale(b_over_a)
-    gamma = m.times_x(2).scale(b)
-    return spec_from_series(alpha, beta, gamma)
-
-
-def _build_schroder_large_q(order: int, *, pins: Pins = ()) -> WeightSpec:
-    # beta = (R - 1) / (q + 1) for the large Schroder series R, solved directly
-    beta = named_series("schroder_large_beta", order, pins=pins)
-    (q1,) = _bind(pins, _Q + 1)
-    alpha = TruncatedSeries.x(order).scale(q1)
-    gamma = beta.times_x(1).scale(q1)
-    return spec_from_series(alpha, beta, gamma)
-
-
-def _build_schroder_small_q(order: int, *, pins: Pins = ()) -> WeightSpec:
-    s = named_series("schroder_small", order, pins=pins)
-    (q1,) = _bind(pins, _Q + 1)
-    alpha = TruncatedSeries.x(order)
-    beta = (s - 1).scale(q1)
-    gamma = (s - 1).times_x(1).scale(q1)
-    return spec_from_series(alpha, beta, gamma)
-
-
-def _build_narayana_t(order: int, *, pins: Pins = ()) -> WeightSpec:
-    # beta = (N - 1) / t for the Narayana series N, solved directly
-    beta = named_series("narayana_beta", order, pins=pins)
-    (t,) = _bind(pins, _T)
-    alpha = TruncatedSeries.x(order).scale(t)
-    gamma = beta.times_x(1).scale(t)
-    return spec_from_series(alpha, beta, gamma)
-
-
-def _build_narayana_shift_t(order: int, *, pins: Pins = ()) -> WeightSpec:
-    f = named_series("narayana_shift", order, pins=pins)
-    t1, t_over_t1, t = _bind(pins, _T + 1, _T * _T1_INV, _T)
-    alpha = TruncatedSeries.x(order).scale(t1)
-    beta = f.times_x(1).scale(t_over_t1)
-    gamma = f.times_x(2).scale(t)
-    return spec_from_series(alpha, beta, gamma)
-
-
-def _chebyshev_series(order, a, b, c, d):
+    When (c, d) = (a - b, b), beta is alpha itself, so gamma is formed as a square.
+    """
     x = TruncatedSeries.x(order)
     one = TruncatedSeries.one(order)
     alpha = x.scale(a - b) / (one - x.scale(b))
-    beta = x.scale(c) / (one - x.scale(d))
-    return alpha, beta
-
-
-def _build_chebyshev_abcd(
-    order: int, a: Polynomial, b: Polynomial, c: Polynomial, d: Polynomial
-) -> WeightSpec:
-    alpha, beta = _chebyshev_series(order, a, b, c, d)
+    beta = alpha if (c, d) == (a - b, b) else x.scale(c) / (one - x.scale(d))
     return spec_from_series(alpha, beta, alpha * beta)
+
+
+# The solved tables, each a row (equation, s, c, j): alpha = x s, beta = x^j F c
+# and gamma = x^(j+1) F (s c), for the series F that solves EQUATIONS[equation].
+# schroder_small_q solves the large Schroder beta series, because the small and
+# large Schroder series S and R have S - 1 = (R - 1) / (q + 1).
+SOLVED: dict[str, tuple[str, Polynomial, Polynomial, int]] = {
+    "motzkin_ab": ("motzkin_ab", _A, _B * _A_INV, 1),
+    "schroder_large_q": ("schroder_large_beta", _Q + 1, Polynomial.one(), 0),
+    "schroder_small_q": ("schroder_large_beta", Polynomial.one(), _Q + 1, 0),
+    "narayana_t": ("narayana_beta", _T, Polynomial.one(), 0),
+    "narayana_shift_t": ("narayana_shift", _T + 1, _T * _T1_INV, 1),
+}
+
+
+def _solved(name: str) -> Callable[..., WeightSpec]:
+    """The builder of the solved table ``name``.
+
+    A solved table reads its variables only through its equation and the
+    factors s, c and s c, and ``pins`` is substituted into each of them:
+    substitution is a ring homomorphism and every step below is a ring
+    operation, so the table equals the symbolic one with the pins substituted.
+    """
+    equation, s, c, j = SOLVED[name]
+
+    def build(order: int, *, pins: Pins = ()) -> WeightSpec:
+        f = named_series(equation, order, pins=pins).times_x(j)
+        bindings = dict(pins)
+        s_at, c_at, sc_at = (p.substitute(bindings) for p in (s, c, s * c))
+        alpha = TruncatedSeries.x(order).scale(s_at)
+        return spec_from_series(alpha, f.scale(c_at), f.times_x(1).scale(sc_at))
+
+    return build
 
 
 def _build_chebyshev_second(order: int, a: Polynomial, b: Polynomial, c: Polynomial) -> WeightSpec:
@@ -338,9 +306,7 @@ def _build_chebyshev_second(order: int, a: Polynomial, b: Polynomial, c: Polynom
 def _build_delannoy_tuple(
     order: int, a: Fraction, b: Fraction, c: Fraction, d: Fraction
 ) -> WeightSpec:
-    a, b, c, d = (Polynomial.const(v) for v in (a, b, c, d))
-    alpha, beta = _chebyshev_series(order, a, b, c, d)
-    return spec_from_series(alpha, beta, alpha * beta)
+    return _abcd(order, a, b, c, d)
 
 
 def _fuss_power(order: int, r: int, exponent: int) -> TruncatedSeries:
@@ -367,14 +333,10 @@ def _build_fuss_cubic(order: int, m: int, r: Arity) -> WeightSpec:
 
 REGISTRY: dict[str, Callable[..., WeightSpec]] = {
     "generic": _build_generic,
-    "geom_3x": _build_geom_3x,
-    "geom_fib": _build_geom_fib,
-    "motzkin_ab": _build_motzkin_ab,
-    "schroder_large_q": _build_schroder_large_q,
-    "schroder_small_q": _build_schroder_small_q,
-    "narayana_t": _build_narayana_t,
-    "narayana_shift_t": _build_narayana_shift_t,
-    "chebyshev_abcd": _build_chebyshev_abcd,
+    "geom_3x": lambda order: _abcd(order, 2, 1, 1, 2),
+    "geom_fib": lambda order: _abcd(order, 2, 1, 1, 1),
+    **{name: _solved(name) for name in SOLVED},
+    "chebyshev_abcd": _abcd,
     "chebyshev_second": _build_chebyshev_second,
     "delannoy_tuple": _build_delannoy_tuple,
     "fuss_sym": _build_fuss_sym,
@@ -415,6 +377,13 @@ def registry_get(name: str, order: int, **params: ParamValue) -> WeightSpec:
     does a value for a formal inverse variable (``a_inv``, ``t1_inv``), which
     its base variable's value fixes.
     """
+    return registry_builder(name, order, **params)(order)
+
+
+def registry_builder(name: str, order: int, **params: ParamValue) -> Callable[[int], WeightSpec]:
+    """Check a request as :func:`registry_get` does, at ``order``, and return
+    the function that builds its table, with the checked parameters and pins,
+    at any order it is given."""
     if name not in REGISTRY:
         raise BadParams(f"unknown weight table {name!r}; known: {', '.join(REGISTRY)}")
     if order < 0:
@@ -423,7 +392,7 @@ def registry_get(name: str, order: int, **params: ParamValue) -> WeightSpec:
     frozen = tuple(declared.items())
     pinned = {k: v for k, v in params.items() if k not in declared}
     if not pinned:
-        return _registry_get_cached(name, order, frozen, ())
+        return lambda at: _registry_get_cached(name, at, frozen, ())
     label = f"{name} at order {order}"
     # tables are truncation-consistent, so a variable of the table at order 1
     # is one at every order; only a name not found there needs the full table
@@ -434,7 +403,7 @@ def registry_get(name: str, order: int, **params: ParamValue) -> WeightSpec:
             base = INVERSE_VARS[k][0]
             raise BadParams(f"{label}: {k} is the formal inverse of {base}; pin {base} instead")
     pins = tuple(sorted(_bindings(pinned, label).items()))
-    return _registry_get_cached(name, order, frozen, pins)
+    return lambda at: _registry_get_cached(name, at, frozen, pins)
 
 
 def _variables(spec: WeightSpec) -> set[str]:

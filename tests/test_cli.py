@@ -104,6 +104,40 @@ def test_csv_refuses_a_symbolic_series_before_computing_it(table, monkeypatch, c
     assert json.loads(dump.read_text()) == registry_get(table, 16).to_json()
 
 
+def test_csv_refusal_without_a_dump_builds_no_table_at_the_order_asked(monkeypatch, capsys):
+    from valleydyck import weights
+    from valleydyck.polynomials import Polynomial
+
+    calls = []
+    original = REGISTRY["motzkin_ab"]
+
+    def recording(order: int, *, pins=()):
+        calls.append((order, pins))
+        return original(order, pins=pins)
+
+    monkeypatch.setitem(REGISTRY, "motzkin_ab", recording)
+    weights._registry_get_cached.cache_clear()
+    try:
+        argv = ["series", "--spec", "motzkin_ab", "--order", "204", "--format", "csv"]
+        assert cli.main(argv + ["--param", "a=2"]) == 2
+        message = "error: csv output needs every parameter bound; ('b',) remain symbolic\n"
+        assert capsys.readouterr() == ("", message)
+        # the names check reads the symbolic table at order 1, and the probes
+        # read tables built from the checked pins, each below the order asked
+        assert calls[0] == (1, ())
+        assert calls[1:] and all(
+            order < 204 and pins == (("a", Polynomial.const(2)),) for order, pins in calls[1:]
+        ), calls
+        # the names check still speaks of the order asked
+        assert cli.main(argv[:4] + ["16", "--format", "csv", "--param", "zz=1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: motzkin_ab at order 16 has no parameter or variable zz "
+            "(variables: a, a_inv, b)\n"
+        )
+    finally:
+        weights._registry_get_cached.cache_clear()
+
+
 def test_count_command():
     proc = run_cli("count", "--spec", "geom_3x", "--n", "4")
     assert proc.stdout.strip() == "13"

@@ -5,7 +5,7 @@ and of ``enumerate`` for every family, filter and format at small sizes.
 
 The fixture ``fixtures/cli_golden.json`` maps each command line to the exact
 stdout it printed when the fixture was made, so a change that alters one
-output byte fails here.  Ten more ``series`` outputs are pinned the same
+output byte fails here.  Thirteen more ``series`` outputs are pinned the same
 way by the sha256 of their stdout (``DIGESTS``).  Print a fresh fixture with
 
     PYTHONPATH=src python tests/test_cli_golden.py > tests/fixtures/cli_golden.json
@@ -150,7 +150,8 @@ def _stdout_of(argv: list[str]) -> str:
 # fixture (180-640 kB each), where the beta series of motzkin_ab holds a_inv and
 # that of narayana_shift_t holds t1_inv, and the five solved tables pinned to
 # numbers at orders past the fixture's, including q = -1 and t = 0, where the
-# symbolic beta series divides by zero
+# symbolic beta series divides by zero (both Schroder tables at q = -1, as they
+# share one beta series), and the two geometric tables at order 300
 DIGESTS = {
     "series --spec generic --order 12 --format json":
         "361283f5a2856a1c6d5d5dbacf8642fd38d21b8d4a2fbf56f89b74516d5fd005",
@@ -172,6 +173,12 @@ DIGESTS = {
         "b346b5ad44d5cef0d936beddfca0a7026e0d31d7af8cad2593c17c289b6677c1",
     "series --spec schroder_small_q --order 40 --format json --param q=-2":
         "c1079218b5b6042c7acef9a32376ca401d62ad6c8379e471fd847d75bf59d755",
+    "series --spec schroder_small_q --order 40 --format json --param q=-1":
+        "b083a96de6426925bcddd38a278655f3c651e2d78924e17754cdec90509effda",
+    "series --spec geom_3x --order 300 --format json":
+        "9b828ee6ae9a2d3982fbc682e748ee8b5c4194b92f05f1333e8aec5aa2faa351",
+    "series --spec geom_fib --order 300 --format json":
+        "7cd9a602b64dc2cf74d29192b1a25fafeeae3c80044a898d4dcc6652c724ee41",
 }
 
 

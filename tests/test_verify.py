@@ -323,13 +323,15 @@ def test_check_catches_a_broken_property(fault, monkeypatch):
 
 _A, _B, _Q = (Polynomial.var(v) for v in "abq")
 
+_WRONG_SCHRODER_BETA = Equation((0, 1, 1), (1, 1, _Q + 2), (2, 1, _Q + 2))
+
 # a wrong coefficient in one entry of series.EQUATIONS, which the weight
-# table is built from; the oracle side is a binomial sum that never sees it
+# table is built from; the oracle side is a binomial sum that never sees it.
+# Both Schroder tables solve the large beta series, since S - 1 = (R - 1) / (q + 1)
 EQUATION_FAULTS = {
     "diff_motzkin": ("motzkin_ab", Equation((0, 0, 1), (1, 1, _A), (2, 2, 2 * _B))),
-    "diff_schroder_large": (
-        "schroder_large_beta", Equation((0, 1, 1), (1, 1, _Q + 2), (2, 1, _Q + 2))
-    ),
+    "diff_schroder_large": ("schroder_large_beta", _WRONG_SCHRODER_BETA),
+    "diff_schroder_small": ("schroder_large_beta", _WRONG_SCHRODER_BETA),
 }
 
 
