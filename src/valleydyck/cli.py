@@ -44,6 +44,7 @@ from .weights import (
 
 DEFAULT_ORDER = 12
 ENUMERATE_BATCH = 2048  # paths held at once by enumerate
+SERIES_JSON_BATCH = 1024  # terms of one coefficient dumped at once by series --format json
 
 # each command's size flag, the option naming its input, and per input the
 # largest size that ran within an 8 s budget (CHANGES.md); an input without a
@@ -167,14 +168,22 @@ def _cmd_series(args) -> int:
 
 
 def _write_series_json(series) -> None:
-    """Write json.dumps(series.to_json(), indent=2) one coefficient at a time, so
-    that no whole document is held: each coefficient's own dump sits two levels
-    deep, so its lines are indented by four more spaces."""
-    sys.stdout.write(f'{{\n  "order": {series.order},\n  "coeffs": [\n')
+    """Write json.dumps(series.to_json(), indent=2) one coefficient at a time and
+    each coefficient's terms ``SERIES_JSON_BATCH`` at a time, so that no whole
+    document or coefficient text is held: a batch's dump without its brackets
+    sits two levels deep, so its lines are indented by four more spaces."""
+    write = sys.stdout.write
+    write(f'{{\n  "order": {series.order},\n  "coeffs": [\n')
     for n, coeff in enumerate(series.coeffs):
-        text = json.dumps(coeff.to_json(), indent=2).replace("\n", "\n    ")
-        sys.stdout.write((",\n    " if n else "    ") + text)
-    sys.stdout.write("\n  ]\n}\n")
+        terms = coeff.to_json()
+        write((",\n    " if n else "    ") + ("[\n" if terms else "[]"))
+        for i in range(0, len(terms), SERIES_JSON_BATCH):
+            batch = terms[i : i + SERIES_JSON_BATCH]
+            text = json.dumps(batch, indent=2)[2:-2].replace("\n", "\n    ")
+            write((",\n    " if i else "    ") + text)
+        if terms:
+            write("\n    ]")
+    write("\n  ]\n}\n")
 
 
 def _cmd_count(args) -> int:

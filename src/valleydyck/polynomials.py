@@ -48,10 +48,10 @@ needs the rewrite.  A product of one term by one term, the common case when
 path weights are multiplied out part by part, takes one integer addition
 and one coefficient product.  Powers are built by repeated squaring starting
 from the base itself, so ``p ** 1`` takes no product and ``p ** 2`` one.
-A sum of products, each coefficient of a series convolution, is one
-multiply-accumulate, ``Polynomial.dot``: every term product goes straight
-into one term map, which then gets one overflow test, one canonical pass
-and at most one inverse rewrite.
+A sum of products, each coefficient of a series convolution that is not
+all numbers, is one multiply-accumulate, ``Polynomial.dot``: every term
+product goes straight into one term map, which then gets one overflow test,
+one canonical pass and at most one inverse rewrite.
 """
 
 from __future__ import annotations
@@ -480,16 +480,22 @@ class Polynomial:
     # -- structure ---------------------------------------------------------
 
     @property
+    def scalar(self) -> Scalar | None:
+        """The value of a constant polynomial as stored, an ``int`` when integral,
+        else a ``Fraction``; ``None`` for a polynomial that is not a constant."""
+        terms = self._terms
+        return (terms.get(0) if len(terms) == 1 else None) if terms else 0
+
+    @property
     def is_constant(self) -> bool:
-        return not self._terms or (len(self._terms) == 1 and 0 in self._terms)
+        return self.scalar is not None
 
     def constant_value(self) -> Fraction:
         """The value of a constant polynomial, always as a ``Fraction``."""
-        if not self._terms:
-            return Fraction(0)
-        if not self.is_constant:
+        value = self.scalar
+        if value is None:
             raise ValueError(f"not a constant polynomial: {self}")
-        return Fraction(self._terms[0])
+        return Fraction(value)
 
     def _support(self) -> int:
         """Union of the monomials: a field is nonzero where some term has it."""

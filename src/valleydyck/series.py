@@ -13,19 +13,25 @@ each table by one convolution, and at the end checks the equation at the
 full order with the ordinary arithmetic below instead of trusting it.
 
 Every convolution, the product, the square, the quotient and the solver's
-power tables, hands each output coefficient's pairs of factors to
-:meth:`Polynomial.dot`, which multiplies and adds them into one term map
-without building any product on its own.  Products skip zero coefficients
-and stop at the truncation order, and a square forms each cross product
-a_i a_j, i < j, only once, against 2 a_j.  A quotient N / D is one pass,
-never N times the inverse of D, and the inverse is the quotient 1 / D.
+power tables, hands each output coefficient's pairs of factors to one
+multiply-accumulate kernel, chosen once per call by :func:`_kernel`.  When
+every coefficient of every operand is a constant, the pairs are numbers and
+``_mac`` sums their products as ``int`` and ``Fraction``; the results become
+constant polynomials once, at the end.  Otherwise :meth:`Polynomial.dot`
+multiplies and adds them into one term map without building any product on
+its own.  Products skip zero coefficients and stop at the truncation order,
+and a square forms each cross product a_i a_j, i < j, only once, against
+2 a_j.  A quotient N / D is one pass, never N times the inverse of D, and
+the inverse is the quotient 1 / D.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence, Union
+from itertools import starmap
+from operator import mul
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import (
     BadParams,
@@ -35,7 +41,7 @@ from .errors import (
     NotDivisibleByX,
     OrderMismatch,
 )
-from .polynomials import Polynomial
+from .polynomials import Polynomial, Scalar
 
 CoeffLike = Union[Polynomial, int, Fraction]
 
@@ -53,6 +59,39 @@ def _coeff(value: CoeffLike) -> Polynomial:
 def _nonzero(coeffs: Sequence[Polynomial]) -> list[tuple[int, Polynomial]]:
     """(index, coefficient) for each nonzero coefficient."""
     return [(i, c) for i, c in enumerate(coeffs) if c]
+
+
+def _values(coeffs: Sequence[Polynomial]) -> list[Scalar] | None:
+    """The value of each coefficient, or None if one is not a constant."""
+    values = []
+    for c in coeffs:
+        value = c.scalar
+        if value is None:
+            return None
+        values.append(value)
+    return values
+
+
+def _mac(pairs: Iterable[tuple[Scalar, Scalar]]) -> Scalar:
+    """Sum of the products a * b over ``pairs`` of numbers; an integral sum is an int."""
+    total = sum(starmap(mul, pairs))
+    return total if type(total) is int or total.denominator != 1 else total.numerator
+
+
+def _constants(values: Iterable[Scalar]) -> tuple[Polynomial, ...]:
+    return tuple(map(Polynomial.const, values))
+
+
+def _kernel(*operands: Sequence[Polynomial]) -> tuple[Sequence, Callable, Callable]:
+    """(operands, dot, wrap) for a convolution of ``operands``: their values,
+    ``_mac`` and ``_constants`` when every coefficient is a constant, else the
+    operands themselves, :meth:`Polynomial.dot` and ``tuple``.  ``dot`` maps
+    an output coefficient's pairs of factors to its value, and ``wrap`` turns
+    the values into coefficients."""
+    values = [_values(operand) for operand in operands]
+    if None in values:
+        return operands, Polynomial.dot, tuple
+    return values, _mac, _constants
 
 
 class TruncatedSeries:
@@ -169,11 +208,12 @@ class TruncatedSeries:
             return self.scale(other)
         self._match(other)
         n = self.order
-        left = _nonzero(self._coeffs)
         square = other is self
+        (mine, theirs), dot, wrap = _kernel(self._coeffs, () if square else other._coeffs)
+        left = _nonzero(mine)
         # a square forms each cross product a_i a_j, i < j, once, against 2 a_j
-        right = [(j, b * 2) for j, b in left] if square else _nonzero(other._coeffs)
-        pairs: list[list[tuple[Polynomial, Polynomial]]] = [[] for _ in range(n + 1)]
+        right = [(j, b * 2) for j, b in left] if square else _nonzero(theirs)
+        pairs: list[list[tuple]] = [[] for _ in range(n + 1)]
         for pos, (i, a) in enumerate(left):
             if square:
                 if 2 * i > n:
@@ -183,7 +223,7 @@ class TruncatedSeries:
                 if i + j > n:
                     break
                 pairs[i + j].append((a, b))
-        return TruncatedSeries._trusted(tuple(map(Polynomial.dot, pairs)))
+        return TruncatedSeries._trusted(wrap(map(dot, pairs)))
 
     __rmul__ = __mul__
 
@@ -212,8 +252,9 @@ class TruncatedSeries:
         return TruncatedSeries.one(self.order) / self
 
     def __truediv__(self, other) -> "TruncatedSeries":
-        """N / D in one pass, q_n = (N_n - sum of D_i q_(n-i), i >= 1) / D_0, one ``dot``
-        per q_n; D_0 must be a nonzero rational.  A scalar divides each coefficient."""
+        """N / D in one pass, q_n = (N_n - sum of D_i q_(n-i), i >= 1) / D_0, one
+        multiply-accumulate per q_n; D_0 must be a nonzero rational.  A scalar
+        divides each coefficient."""
         if isinstance(other, (Polynomial, int, Fraction)):
             return self.div_poly(other)
         self._match(other)
@@ -222,11 +263,15 @@ class TruncatedSeries:
             raise NotAUnit(f"constant term {d0} is not a nonzero rational")
         # the factor 1/D_0 rides on N_n and, negated, on each D_i, once
         inv0 = Polynomial.const(Fraction(1) / d0.constant_value())
-        tail = [(i, c * -inv0) for i, c in _nonzero(other._coeffs)[1:]]
-        out: list[Polynomial] = []
-        for n, num in enumerate(self._coeffs):
-            out.append(Polynomial.dot([(num, inv0)] + [(d, out[n - i]) for i, d in tail if i <= n]))
-        return TruncatedSeries._trusted(tuple(out))
+        divisor = _nonzero(other._coeffs)[1:]
+        (nums, (inv0, *scaled)), dot, wrap = _kernel(
+            self._coeffs, [inv0] + [c * -inv0 for _, c in divisor]
+        )
+        tail = [(i, d) for (i, _), d in zip(divisor, scaled)]
+        out: list = []
+        for n, num in enumerate(nums):
+            out.append(dot([(num, inv0)] + [(d, out[n - i]) for i, d in tail if i <= n]))
+        return TruncatedSeries._trusted(wrap(out))
 
     def times_x(self, k: int = 1) -> "TruncatedSeries":
         """Multiply by x^k at the same order; the top k coefficients drop."""
@@ -322,19 +367,21 @@ def solve_equation(equation: Equation, order: int, r: int | None = None) -> Trun
         if j >= 2 and j not in chain:
             chain[j] = j // 2 if j % 2 == 0 else j - 1
             todo.append(chain[j])
-    f: list[Polynomial] = []
-    powers: dict[int, list[Polynomial]] = {1: f}
+    f: list = []
+    powers: dict[int, list] = {1: f}
     powers.update((j, []) for j in chain)
     steps = sorted(chain)
-    reads = [(powers[j], i, c) for j, i, c in terms if j]
-    constants = [(i, c) for j, i, c in terms if j == 0]
+    # 1 and the terms' coefficients, as the kernel reads them
+    ((one, *cs),), dot, wrap = _kernel([_ONE] + [c for _, _, c in terms])
+    reads = [(powers[j], i, c) for (j, i, _), c in zip(terms, cs) if j]
+    constants = [(i, c) for (j, i, _), c in zip(terms, cs) if j == 0]
     # for a square F^j = (F^h)^2: the coefficients 2 [x^m] F^h, so that each
     # cross product is formed once
-    twice: dict[int, list[Polynomial]] = {j: [] for j in steps if j == 2 * chain[j]}
+    twice: dict[int, list] = {j: [] for j in steps if j == 2 * chain[j]}
     for k in range(order + 1):
-        pairs = [(c, _ONE) for i, c in constants if i == k]
+        pairs = [(c, one) for i, c in constants if i == k]
         pairs += [(row[k - i], c) for row, i, c in reads if i <= k]
-        f.append(Polynomial.dot(pairs))
+        f.append(dot(pairs))
         if k == order:
             break
         for j in steps:
@@ -347,8 +394,8 @@ def solve_equation(equation: Equation, order: int, r: int | None = None) -> Trun
                     pairs.append((row[k // 2], row[k // 2]))
             else:
                 pairs = [(row[m], f[k - m]) for m in range(k + 1)]
-            powers[j].append(Polynomial.dot(pairs))
-    solution = TruncatedSeries._trusted(tuple(f))
+            powers[j].append(dot(pairs))
+    solution = TruncatedSeries._trusted(wrap(f))
     image = TruncatedSeries.zero(order)
     for j, i, c in terms:
         term = (solution**j).times_x(i)

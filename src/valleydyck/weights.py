@@ -394,10 +394,10 @@ def registry_builder(name: str, order: int, **params: ParamValue) -> Callable[[i
     if not pinned:
         return lambda at: _registry_get_cached(name, at, frozen, ())
     label = f"{name} at order {order}"
-    # tables are truncation-consistent, so a variable of the table at order 1
-    # is one at every order; only a name not found there needs the full table
-    if not pinned.keys() <= _variables(_registry_get_cached(name, min(order, 1), frozen, ())):
-        _check_names(_registry_get_cached(name, order, frozen, ()), pinned, label, tuple(declared))
+    # tables are truncation-consistent, and each has all its variables by
+    # order 2 but generic, which is its variables and has nothing to solve
+    probe = order if name == "generic" else min(order, 2)
+    _check_names(_registry_get_cached(name, probe, frozen, ()), pinned, label, tuple(declared))
     for k, v in pinned.items():
         if k in INVERSE_VARS and v != "sym":
             base = INVERSE_VARS[k][0]
@@ -406,17 +406,13 @@ def registry_builder(name: str, order: int, **params: ParamValue) -> Callable[[i
     return lambda at: _registry_get_cached(name, at, frozen, pins)
 
 
-def _variables(spec: WeightSpec) -> set[str]:
-    tables = (spec.alpha, spec.beta, spec.gamma)
-    return {v for table in tables for p in table for v in p.variables()}
-
-
 def _check_names(
     spec: WeightSpec, names: Iterable[str], label: str, declared: tuple[str, ...] = ()
 ) -> None:
     """Raise ``BadParams``, listing what the table ``label`` has, unless each
     of ``names`` is a variable of ``spec``."""
-    present = _variables(spec)
+    present = {v for table in (spec.alpha, spec.beta, spec.gamma) for p in table
+               for v in p.variables()}
     unknown = [k for k in names if k not in present]
     if unknown:
         has = f"parameters: {', '.join(declared)}; " if declared else ""

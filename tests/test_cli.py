@@ -122,9 +122,9 @@ def test_csv_refusal_without_a_dump_builds_no_table_at_the_order_asked(monkeypat
         assert cli.main(argv + ["--param", "a=2"]) == 2
         message = "error: csv output needs every parameter bound; ('b',) remain symbolic\n"
         assert capsys.readouterr() == ("", message)
-        # the names check reads the symbolic table at order 1, and the probes
+        # the names check reads the symbolic table at order 2, and the probes
         # read tables built from the checked pins, each below the order asked
-        assert calls[0] == (1, ())
+        assert calls[0] == (2, ())
         assert calls[1:] and all(
             order < 204 and pins == (("a", Polynomial.const(2)),) for order, pins in calls[1:]
         ), calls
@@ -381,14 +381,18 @@ def test_enumerate_writes_each_batch_as_it_comes(monkeypatch, capsys):
         assert [bool(out) for out in seen] == [False, False, True, False, True], fmt
 
 
-def test_series_json_is_written_as_the_whole_document(capsys):
+@pytest.mark.parametrize("batch", [1, 2, 3, cli.SERIES_JSON_BATCH])
+def test_series_json_is_written_as_the_whole_document(batch, monkeypatch, capsys):
     from fractions import Fraction
 
     from valleydyck.polynomials import Polynomial
     from valleydyck.series import TruncatedSeries
 
-    a = Polynomial.var("a")
-    for coeffs in ([1], [1, 0, a * Fraction(-1, 2) + a**2 * Polynomial.var("b")], [0, 0]):
+    monkeypatch.setattr(cli, "SERIES_JSON_BATCH", batch)
+    a, b = Polynomial.var("a"), Polynomial.var("b")
+    # coefficients of 0 to 5 terms, so that batches of 1, 2 and 3 end inside them
+    five = Polynomial.sum([a, b, a * b, a**2 * Fraction(-1, 2), 3])
+    for coeffs in ([1], [1, 0, a * Fraction(-1, 2) + a**2 * b], [0, 0], [five, 0, five, a + b]):
         series = TruncatedSeries(coeffs)
         cli._write_series_json(series)
         assert capsys.readouterr().out == json.dumps(series.to_json(), indent=2) + "\n"

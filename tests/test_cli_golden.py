@@ -5,7 +5,7 @@ and of ``enumerate`` for every family, filter and format at small sizes.
 
 The fixture ``fixtures/cli_golden.json`` maps each command line to the exact
 stdout it printed when the fixture was made, so a change that alters one
-output byte fails here.  Thirteen more ``series`` outputs are pinned the same
+output byte fails here.  Seventeen more ``series`` outputs are pinned the same
 way by the sha256 of their stdout (``DIGESTS``).  Print a fresh fixture with
 
     PYTHONPATH=src python tests/test_cli_golden.py > tests/fixtures/cli_golden.json
@@ -151,7 +151,9 @@ def _stdout_of(argv: list[str]) -> str:
 # that of narayana_shift_t holds t1_inv, and the five solved tables pinned to
 # numbers at orders past the fixture's, including q = -1 and t = 0, where the
 # symbolic beta series divides by zero (both Schroder tables at q = -1, as they
-# share one beta series), and the two geometric tables at order 300
+# share one beta series), the two geometric tables at order 300, and four more
+# tables of numbers at high orders: two Fuss tables, a Delannoy tuple and
+# chebyshev_second pinned to fractions
 DIGESTS = {
     "series --spec generic --order 12 --format json":
         "361283f5a2856a1c6d5d5dbacf8642fd38d21b8d4a2fbf56f89b74516d5fd005",
@@ -179,6 +181,16 @@ DIGESTS = {
         "9b828ee6ae9a2d3982fbc682e748ee8b5c4194b92f05f1333e8aec5aa2faa351",
     "series --spec geom_fib --order 300 --format json":
         "7cd9a602b64dc2cf74d29192b1a25fafeeae3c80044a898d4dcc6652c724ee41",
+    "series --spec fuss_sym --order 300 --format json --param m=2 --param r=3":
+        "1f18720f7c252b6a5565d62c4bd4d051d4171820ce5547f0e7c5d95fb14220a6",
+    "series --spec fuss_cubic --order 300 --format json --param m=2 --param r=2":
+        "425feede10377d24a9ce51d5f6a50c4dde8bef2cbc498c048387048fd30f1ea5",
+    "series --spec delannoy_tuple --order 400 --format json --param a=4 --param b=3 "
+    "--param c=7 --param d=2":
+        "daad12f6e7c94f09edf80c0f677b2147170e2728e46d16e8f16bb3288c78f6c7",
+    "series --spec chebyshev_second --order 71 --format json --param a=1/2 --param b=3 "
+    "--param c=-2/3":
+        "5ab3d7d826b462d7bcc707913e3df87773e77e92e117222987d2ad44aa69d8c0",
 }
 
 

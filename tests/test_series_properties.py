@@ -8,7 +8,9 @@ map sends to itself is the solution.
 The series product, square, inverse and quotient and the solver are also
 held to a schoolbook reference (``schoolbook``, and here the solver's plain
 iteration), built from ``Polynomial.__mul__`` and ``Polynomial.sum`` only,
-over coefficients that hold the formal inverses.
+over coefficients that hold the formal inverses, over series whose
+coefficients are all numbers (the scalar kernel's route), and over a series
+of numbers against a symbolic one.
 """
 
 import pytest
@@ -18,6 +20,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from schoolbook import schoolbook_inverse, schoolbook_product  # noqa: E402
+from valleydyck.errors import NotAUnit  # noqa: E402
 from valleydyck.polynomials import Polynomial  # noqa: E402
 from valleydyck.series import (  # noqa: E402
     Equation,
@@ -65,6 +68,40 @@ units = st.integers(0, 6).flatmap(
 divisor_heads = rationals.filter(lambda r: r not in (0, 1)).map(Polynomial.const)
 quotients = st.integers(0, 6).flatmap(
     lambda n: st.tuples(series_of(n), series_of(n, divisor_heads))
+)
+
+# series of numbers only: ints, Fractions and zeros in any position, orders 0-12
+numbers = st.one_of(st.just(0), st.integers(-9, 9), rationals)
+nonzero_numbers = numbers.filter(bool)
+
+
+def numeric_series_of(order: int, head=numbers):
+    return st.tuples(head, st.lists(numbers, min_size=order, max_size=order)).map(
+        lambda drawn: TruncatedSeries([drawn[0], *drawn[1]])
+    )
+
+
+numeric_orders = st.integers(0, 12)
+numeric_pairs = numeric_orders.flatmap(
+    lambda n: st.tuples(numeric_series_of(n), numeric_series_of(n))
+)
+# a series of numbers and a symbolic one, which take the symbolic route together
+mixed_pairs = st.integers(0, 6).flatmap(lambda n: st.tuples(numeric_series_of(n), series_of(n)))
+numeric_units = numeric_orders.flatmap(lambda n: numeric_series_of(n, nonzero_numbers))
+numeric_quotients = numeric_orders.flatmap(
+    lambda n: st.tuples(numeric_series_of(n), numeric_series_of(n, nonzero_numbers))
+)
+mixed_quotients = st.integers(0, 6).flatmap(
+    lambda n: st.one_of(
+        st.tuples(numeric_series_of(n), series_of(n, divisor_heads)),
+        st.tuples(series_of(n), numeric_series_of(n, nonzero_numbers)),
+    )
+)
+numeric_non_units = numeric_orders.flatmap(
+    lambda n: st.tuples(numeric_series_of(n), numeric_series_of(n, st.just(0)))
+)
+numeric_terms = st.lists(st.tuples(powers, numbers.map(Polynomial.const)), max_size=5).map(
+    lambda drawn: [(j, i, c) for (j, i), c in drawn]
 )
 
 
@@ -132,6 +169,55 @@ def test_inverse_matches_schoolbook(f):
 def test_quotient_matches_schoolbook(pair):
     f, u = pair
     assert list((f / u).coeffs) == schoolbook_product(f.coeffs, schoolbook_inverse(u.coeffs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(numeric_terms, numeric_orders)
+def test_online_solver_finds_the_fixed_point_over_numbers(equation_terms, order):
+    got = solve_equation(Equation(*equation_terms), order)
+    assert got.order == order
+    assert as_map(equation_terms)(got) == got
+
+
+@settings(max_examples=30, deadline=None)
+@given(numeric_terms, numeric_orders)
+def test_online_solver_matches_schoolbook_iteration_over_numbers(equation_terms, order):
+    got = solve_equation(Equation(*equation_terms), order)
+    assert list(got.coeffs) == schoolbook_solution(equation_terms, order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(numeric_pairs, mixed_pairs))
+def test_numeric_and_mixed_products_match_schoolbook(pair):
+    f, g = pair
+    assert list((f * g).coeffs) == schoolbook_product(f.coeffs, g.coeffs)
+    assert list((g * f).coeffs) == schoolbook_product(g.coeffs, f.coeffs)
+    assert list((f * f).coeffs) == schoolbook_product(f.coeffs, f.coeffs)
+    cube = schoolbook_product(schoolbook_product(f.coeffs, f.coeffs), f.coeffs)
+    assert list((f**3).coeffs) == cube
+
+
+@settings(max_examples=60, deadline=None)
+@given(numeric_units)
+def test_numeric_inverse_matches_schoolbook(f):
+    assert list(f.inverse().coeffs) == schoolbook_inverse(f.coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(numeric_quotients, mixed_quotients))
+def test_numeric_and_mixed_quotients_match_schoolbook(pair):
+    f, u = pair
+    assert list((f / u).coeffs) == schoolbook_product(f.coeffs, schoolbook_inverse(u.coeffs))
+
+
+@settings(max_examples=30, deadline=None)
+@given(numeric_non_units)
+def test_a_numeric_zero_constant_term_is_not_a_unit(pair):
+    f, d = pair
+    with pytest.raises(NotAUnit):
+        d.inverse()
+    with pytest.raises(NotAUnit):
+        f / d
 
 
 @settings(max_examples=60, deadline=None)

@@ -356,6 +356,38 @@ def test_diff_check_fails_on_a_wrong_equation(check, monkeypatch):
     assert " != " in result.detail, result.detail  # a comparison caught it, not an exception
 
 
+_MAC = series._mac
+
+
+def _dropping_last_pair(pairs):
+    """The scalar kernel, broken: a coefficient of two or more pairs of factors
+    loses its last pair."""
+    return _MAC(pairs[:-1] if len(pairs) > 1 else pairs)
+
+
+# checks whose tables are all numbers, so every convolution in them runs on
+# the scalar kernel, and the comparison that catches it broken
+KERNEL_FAULTS = {
+    "geom_3x_values": "geom_3x n=1",
+    "delannoy_scaled_sums": "n=3, tuple (4, 3, 7, 2) vs 7 * convolution",
+    "fuss_formulas": "fuss_sym {'m': 1, 'r': 1} n=2",
+}
+
+
+@pytest.mark.parametrize("check", KERNEL_FAULTS)
+def test_check_catches_a_broken_scalar_kernel(check, monkeypatch):
+    assert verify.run_check(check, 6).passed
+    monkeypatch.setattr(series, "_mac", _dropping_last_pair)
+    _clear_series_caches()
+    try:
+        result = CHECKS[check](6)
+    finally:
+        monkeypatch.undo()
+        _clear_series_caches()
+    assert result.status == "fail"
+    assert result.detail.startswith(f"{KERNEL_FAULTS[check]}: ") and " != " in result.detail
+
+
 def test_max_n_cap(assert_capped):
     # the cap lets every check reach its own clamp and admits the largest
     # bound the tests use (10)

@@ -402,14 +402,47 @@ def test_pins_reach_the_builder_and_no_full_symbolic_table_is_built(monkeypatch)
     weights._registry_get_cached.cache_clear()
     two, three = Polynomial.const(2), Polynomial.const(3)
     registry_get("motzkin_ab", 30, a=2, b=3)
-    # the names are found in the table at order 1, so the table at order 30 is
+    # the names are read off the table at order 2, so the table at order 30 is
     # built once, from the values
-    assert calls == [(1, ()), (30, (("a", two), ("b", three)))]
+    assert calls == [(2, ()), (30, (("a", two), ("b", three)))]
     calls.clear()
-    # alpha5 is no variable at order 1: only then is the full symbolic table read
+    # generic is only its variables: its names are read off the symbolic table
+    # at the order asked
     registry_get("generic", 8, alpha5=3, beta1="sym")
-    assert calls == [(1, ()), (8, ()), (8, (("alpha5", three),))]
+    assert calls == [(8, ()), (8, (("alpha5", three),))]
     weights._registry_get_cached.cache_clear()
+
+
+@pytest.mark.parametrize("name", [name for name in REGISTRY if name != "generic"])
+def test_every_table_but_generic_has_all_its_variables_by_order_2(name):
+    # registry_builder reads the names a pin may bind off the table at order 2
+    def variables(order):
+        spec = registry_get(name, order, **_DECLARED.get(name, {}))
+        return {v for table in (spec.alpha, spec.beta, spec.gamma) for p in table
+                for v in p.variables()}
+
+    assert variables(2) == variables(12)
+
+
+def test_an_unknown_pin_is_refused_without_solving_at_the_order_asked(monkeypatch):
+    orders = []
+
+    def recording(name, order, r=None, pins=()):
+        orders.append(order)
+        return named_series(name, order, r, pins)
+
+    monkeypatch.setattr(weights, "named_series", recording)
+    weights._registry_get_cached.cache_clear()
+    try:
+        with pytest.raises(BadParams) as info:
+            registry_get("motzkin_ab", 204, zz=1)
+    finally:
+        weights._registry_get_cached.cache_clear()
+    assert str(info.value) == (
+        "motzkin_ab at order 204 has no parameter or variable zz (variables: a, a_inv, b)"
+    )
+    # the names are read off the table at order 2; the table at order 204 is never built
+    assert orders == [2]
 
 
 def test_division_free_betas_equal_the_exact_quotients():
