@@ -184,6 +184,13 @@ def enumerate_family(family: str, n: int, filt: str = "none") -> Iterator[Path]:
     The optional filter keeps only paths whose opening steps satisfy the
     subfamily condition (no leading flat, no leading ud, or both exclusions
     combined for the large Schroder subfamily).
+
+    The walk is one depth-first loop over an explicit stack, one frame per
+    point of the current prefix: (level, remaining width, index of the next
+    step to try from there).  A step is taken only if it keeps the floor, is
+    not the barred axis step and leaves a level the remaining width can
+    return from, so every frame with no width left closes a path at level 0,
+    which the loop yields itself, unchecked, and then steps back from.
     """
     if n < 0:
         raise ValueError("size must be nonnegative")
@@ -194,33 +201,31 @@ def enumerate_family(family: str, n: int, filt: str = "none") -> Iterator[Path]:
         raise FamilyViolation(f"unknown family {family!r}")
     rise, floor, barred = rules
     keep = _FILTER_PREDICATES[filt]
-    width = n if family == "motzkin" else 2 * n
+    moves = [(ch, rise[ch], STEP_WIDTH[ch]) for ch in rise]  # in U<D<F<H order
+    last = len(moves)
     prefix: list[str] = []
-
-    def walk(level: int, remaining: int) -> Iterator[str]:
-        if remaining == 0:
-            if level == 0:
-                yield "".join(prefix)
-            return
-        for ch in rise:
-            w = STEP_WIDTH[ch]
-            if w > remaining:
+    stack = [(0, n if family == "motzkin" else 2 * n, 0)]
+    pop, push, take = stack.pop, stack.append, prefix.append
+    while stack:
+        level, remaining, i = pop()
+        if not remaining:
+            steps = "".join(prefix)
+            if keep(steps):
+                yield Path._trusted(family, steps)
+            del prefix[-1:]  # step back; the empty path has no step to take back
+            continue
+        while i < last:
+            ch, r, w = moves[i]
+            i += 1
+            nl = level + r
+            if w > remaining or nl < floor or abs(nl) > remaining - w or not level and ch == barred:
                 continue
-            if ch == barred and level == 0:
-                continue
-            nl = level + rise[ch]
-            if nl < floor:
-                continue
-            if abs(nl) > remaining - w:
-                continue
-            prefix.append(ch)
-            yield from walk(nl, remaining - w)
-            prefix.pop()
-
-    # the walker keeps the floor, the barred axis step and the end level
-    for steps in walk(0, width):
-        if keep(steps):
-            yield Path._trusted(family, steps)
+            push((level, remaining, i))
+            push((nl, remaining - w, 0))
+            take(ch)
+            break
+        else:
+            del prefix[-1:]  # no step left from here; the root has none to take back
 
 
 # -- valley-uniform structure ------------------------------------------------

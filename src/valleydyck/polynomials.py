@@ -46,8 +46,10 @@ instead: their operands are already canonical, so only the new coefficients
 need normalizing, and only a product whose operands hold an inverse variable
 needs the rewrite.  A product of one term by one term, the common case when
 path weights are multiplied out part by part, takes one integer addition
-and one coefficient product.  Powers are built by repeated squaring starting
-from the base itself, so ``p ** 1`` takes no product and ``p ** 2`` one.
+and one coefficient product.  A power of one term is one integer product
+of its monomial and one coefficient power; any other power is built by
+repeated squaring starting from the base itself, so ``p ** 1`` takes no
+product and ``p ** 2`` one.
 A sum of products, each coefficient of a series convolution that is not
 all numbers, is one multiply-accumulate, ``Polynomial.dot``: every term
 product goes straight into one term map, which then gets one overflow test,
@@ -377,12 +379,26 @@ class Polynomial:
         other = self._coerce(other)
         if not self._terms:
             return other
-        if not other._terms:
+        return self._merged(other, other._terms.items())
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "Polynomial":
+        return _trusted({m: -c for m, c in self._terms.items()}, self._inv)
+
+    def __sub__(self, other: PolyLike) -> "Polynomial":
+        other = self._coerce(other)
+        return self._merged(other, [(m, -c) for m, c in other._terms.items()])
+
+    def _merged(self, other: "Polynomial", terms) -> "Polynomial":
+        """self plus ``terms``, the terms of ``other`` or of its negation, merged
+        into a copy of self's term map."""
+        if not terms:
             return self
         # canonical operands have canonical monomials, so their sum needs no
         # inverse rewrite; only merged coefficients can become zero or integral
         out = dict(self._terms)
-        for m, c in other._terms.items():
+        for m, c in terms:
             if m in out:
                 c = out[m] + c
                 if not c:
@@ -393,16 +409,8 @@ class Polynomial:
             out[m] = c
         return _trusted(out, False if self._inv is False and other._inv is False else None)
 
-    __radd__ = __add__
-
-    def __neg__(self) -> "Polynomial":
-        return _trusted({m: -c for m, c in self._terms.items()}, self._inv)
-
-    def __sub__(self, other: PolyLike) -> "Polynomial":
-        return self + (-self._coerce(other))
-
     def __rsub__(self, other: PolyLike) -> "Polynomial":
-        return self._coerce(other) + (-self)
+        return self._coerce(other) - self
 
     def __mul__(self, other: PolyLike) -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -453,6 +461,20 @@ class Polynomial:
             raise ValueError("polynomial powers must be nonnegative integers")
         if exponent == 0:
             return Polynomial.one()
+        terms = self._terms
+        if len(terms) == 1:
+            # one term: its monomial times the exponent, if no field passes
+            # MAX_EXPONENT, and its coefficient to that power
+            ((mono, coeff),) = terms.items()
+            fields = _LAYOUT[0]
+            rest = mono
+            while rest:
+                shift, _, below = fields[rest.bit_length()]
+                if (rest >> shift) * exponent > MAX_EXPONENT:
+                    break  # the products below raise the overflow
+                rest &= below
+            else:
+                return _trusted({mono * exponent: coeff**exponent}, self._inv)
         # square-and-multiply from the base itself: p ** 1 takes no product
         result = None
         base = self

@@ -30,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import starmap
-from operator import mul
+from operator import add, mul, neg, sub
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import (
@@ -188,17 +188,18 @@ class TruncatedSeries:
         if isinstance(other, (Polynomial, int, Fraction)):
             other = TruncatedSeries.constant(other, self.order)
         self._match(other)
-        return TruncatedSeries([a + b for a, b in zip(self._coeffs, other._coeffs)])
+        return TruncatedSeries._trusted(tuple(map(add, self._coeffs, other._coeffs)))
 
     __radd__ = __add__
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries([-c for c in self._coeffs])
+        return TruncatedSeries._trusted(tuple(map(neg, self._coeffs)))
 
     def __sub__(self, other) -> "TruncatedSeries":
         if isinstance(other, (Polynomial, int, Fraction)):
             other = TruncatedSeries.constant(other, self.order)
-        return self + (-other)
+        self._match(other)
+        return TruncatedSeries._trusted(tuple(map(sub, self._coeffs, other._coeffs)))
 
     def __rsub__(self, other) -> "TruncatedSeries":
         return (-self) + other
@@ -229,7 +230,7 @@ class TruncatedSeries:
 
     def scale(self, factor: CoeffLike) -> "TruncatedSeries":
         factor = _coeff(factor)
-        return TruncatedSeries([c * factor for c in self._coeffs])
+        return TruncatedSeries._trusted(tuple(c * factor for c in self._coeffs))
 
     def __pow__(self, exponent: int) -> "TruncatedSeries":
         if not isinstance(exponent, int) or exponent < 0:
@@ -291,7 +292,7 @@ class TruncatedSeries:
     def div_poly(self, divisor: CoeffLike) -> "TruncatedSeries":
         """Divide every coefficient exactly by a scalar polynomial."""
         divisor = _coeff(divisor)
-        return TruncatedSeries([c.exact_div(divisor) for c in self._coeffs])
+        return TruncatedSeries._trusted(tuple(c.exact_div(divisor) for c in self._coeffs))
 
     # -- serialization -----------------------------------------------------
 

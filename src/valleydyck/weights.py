@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 from typing import Callable, Iterable, Mapping
 
 from ._value import Value
@@ -47,7 +48,7 @@ from .paths import (
     primitive_factors,
     valley_structures,
 )
-from .polynomials import INVERSE_VARS, Polynomial, var_key
+from .polynomials import INVERSE_VARS, Polynomial, Scalar, var_key
 from .series import Pins, TruncatedSeries, _require_weight_series, named_series
 
 class WeightSpec(Value):
@@ -164,19 +165,30 @@ def valley_weight_sum(n: int, spec: WeightSpec) -> Polynomial:
     The sum is exhaustive: every structure is visited and its part weights
     are multiplied out.  The weight of each distinct part is computed once
     per call and kept in a dict local to the call, so nothing carries over
-    to a later call with another table.
+    to a later call with another table.  When every entry up to n is a
+    constant, the part weights are kept as numbers, multiplied and added as
+    ``int`` and ``Fraction``, and the sum becomes a polynomial once.
     """
-    weights: dict[Part, Polynomial] = {}
+    numbers = all(p.scalar is not None for table in (spec.alpha, spec.beta, spec.gamma)
+                  for p in table[:n])
+    weights: dict[Part, Polynomial | Scalar] = {}
 
-    def weight_of(part: Part) -> Polynomial:
+    def weight_of(part: Part) -> Polynomial | Scalar:
         weight = weights.get(part)
         if weight is None:
-            weight = weights[part] = part_weight(part, spec)
+            weight = part_weight(part, spec)
+            weight = weights[part] = weight.scalar if numbers else weight
         return weight
 
-    return Polynomial.sum(
-        Polynomial.product(weight_of(part) for part in s.parts) for s in valley_structures(n)
-    )
+    rows = (map(weight_of, s.parts) for s in valley_structures(n))
+    if numbers:
+        return Polynomial.const(_number_sum(rows))
+    return Polynomial.sum(map(Polynomial.product, rows))
+
+
+def _number_sum(rows: Iterable[Iterable[Scalar]]) -> Scalar:
+    """Sum over ``rows`` of the product of each row's numbers."""
+    return sum(map(prod, rows))
 
 
 # -- target-family weightings --------------------------------------------------

@@ -80,6 +80,19 @@ def test_guard_refuses_exponent_overflow():
     assert (top * b).sorted_terms() == [((("a", MAX_EXPONENT), ("b", 2)), 1)]
 
 
+def test_one_term_powers_past_the_cap_raise_as_products_do():
+    a, b = Polynomial.var("a"), Polynomial.var("b")
+    for power, name in (
+        (lambda: a ** (MAX_EXPONENT + 1), "a"),
+        (lambda: (a**20000) ** 2, "a"),
+        (lambda: (-3 * a * b**20000) ** 2, "b"),
+    ):
+        with pytest.raises(OverflowError) as raised:
+            power()
+        assert str(raised.value) == f"exponent of {name} would exceed {MAX_EXPONENT}"
+    assert (a * b**16383) ** 2 == Polynomial.monomial(1, {"a": 2, "b": 32766})
+
+
 def test_output_does_not_depend_on_first_sight_order():
     in_order = _kernel(EXPRESSION, IN_ORDER)
     assert in_order.count(b"\n") == 16 and b"alpha2" in in_order

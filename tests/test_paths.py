@@ -1,8 +1,12 @@
 import gc
+import inspect
 import weakref
 
 import pytest
 
+from reference_walk import reference_walk
+
+from valleydyck import paths
 from valleydyck.errors import (
     FamilyViolation,
     IllegalCharacter,
@@ -21,6 +25,7 @@ from valleydyck.paths import (
     analyze,
     enumerate_family,
     is_valley_uniform,
+    passes_filter,
     primitive_factors,
     render_ascii,
     valley_structures,
@@ -122,6 +127,23 @@ def test_enumerated_paths_pass_the_constructor():
                 for path in enumerate_family(family, n, filt):
                     assert type(path.steps) is str
                     assert path == Path(path.family, path.steps), (family, filt, path)
+
+
+@pytest.mark.parametrize("family", FAMILY_STEPS)
+def test_enumeration_matches_the_reference_walker(family):
+    for n in range(11 if family == "motzkin" else 8):
+        every = reference_walk(family, n)
+        for filt in FILTERS:
+            paths_n = list(enumerate_family(family, n, filt))
+            want = [steps for steps in every if passes_filter(steps, filt)]
+            assert [p.steps for p in paths_n] == want, (filt, n)
+            assert {p.family for p in paths_n} <= {family}
+
+
+def test_enumerate_family_is_a_generator_function():
+    # the benchmark tracer counts what a function yields only when it is a
+    # generator function; otherwise paths.family_paths_yielded reads 0
+    assert inspect.isgeneratorfunction(paths.enumerate_family)
 
 
 def test_filters():

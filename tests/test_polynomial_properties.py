@@ -97,6 +97,9 @@ def test_addition_is_an_abelian_group(p, r, s):
     assert p + 0 == p
     assert p - p == 0
     assert canonical(p + r)
+    # subtraction merges the negated terms itself
+    assert p - r == p + (-r) and canonical(p - r)
+    assert 1 - p == 1 + (-p) and p - 1 == p + (-1)
 
 
 @kernel
@@ -112,6 +115,21 @@ def test_powers_add_exponents(p, m, n):
     assert p**1 == p
     assert p ** (m + n) == p**m * p**n
     assert canonical(p ** (m + n))
+
+
+@kernel
+@given(single_terms(), st.integers(0, 40))
+@example(Fraction(-2, 3) * A_INV, 40)
+@example(-T1_INV, 39)
+@example(Fraction(-1, 2) * A * T1_INV, 40)
+def test_one_term_power_is_repeated_multiplication(p, e):
+    want = Polynomial.one()
+    for _ in range(e):
+        want = want * p
+    assert p**e == want
+    assert canonical(p**e)
+    # the power keeps its inverse rewrite: both cancel a base the same way
+    assert p**e * A * (T + 1) == want * A * (T + 1)
 
 
 @kernel

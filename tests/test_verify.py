@@ -388,6 +388,46 @@ def test_check_catches_a_broken_scalar_kernel(check, monkeypatch):
     assert result.detail.startswith(f"{KERNEL_FAULTS[check]}: ") and " != " in result.detail
 
 
+def _without_h_above_the_axis(family, n, filt="none"):
+    """enumerate_family, broken: the walk never takes an H step above the axis."""
+    for path in enumerate_family(family, n, filt):
+        if not any(ch == "H" and level for ch, level in zip(path.steps, path.levels())):
+            yield path
+
+
+_NUMBER_SUM = weights._number_sum
+
+
+def _dropping_last_structure(rows):
+    """The numeric structure sum, broken: the last structure's weight is left out."""
+    return _NUMBER_SUM(list(rows)[:-1])
+
+
+# faults in the brute-force routes, each set in the module that runs it, and
+# the comparison that catches it: (check, module, attribute, replacement, label)
+BRUTE_FORCE_FAULTS = {
+    "walker_targets": ("bijection_theta", verify, "enumerate_family",
+                       _without_h_above_the_axis, "n=2: image multiset"),
+    "walker_target_sums": ("target_difference_enumeration", weights, "enumerate_family",
+                           _without_h_above_the_axis, "schroder_large/schroder_q at n=2"),
+    "numeric_geom_sum": ("geom_3x_values", weights, "_number_sum", _dropping_last_structure,
+                         "enumeration n=0"),
+    "numeric_delannoy_sum": ("delannoy_scaled_sums", weights, "_number_sum",
+                             _dropping_last_structure,
+                             "n=2, tuple (4, 3, 7, 2) vs 7 * convolution"),
+}
+
+
+@pytest.mark.parametrize("fault", BRUTE_FORCE_FAULTS)
+def test_check_catches_a_broken_brute_force_route(fault, monkeypatch):
+    check, module, attr, replacement, label = BRUTE_FORCE_FAULTS[fault]
+    assert CHECKS[check](6).status == "pass"
+    monkeypatch.setattr(module, attr, replacement)
+    result = CHECKS[check](6)
+    assert result.status == "fail"
+    assert result.detail.startswith(f"{label}: ") and " != " in result.detail, result.detail
+
+
 def test_max_n_cap(assert_capped):
     # the cap lets every check reach its own clamp and admits the largest
     # bound the tests use (10)

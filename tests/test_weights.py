@@ -215,7 +215,11 @@ def _reference_structure_weight(structure, spec):
         ("generic", {}, 7),
         ("motzkin_ab", {}, 7),  # a_inv inside beta
         ("narayana_shift_t", {}, 6),  # t1_inv inside beta
-        ("delannoy_tuple", dict(a=4, b=3, c=7, d=2), 9),
+        # every entry a number, so the sums are multiplied and added as numbers
+        *(("delannoy_tuple", dict(zip("abcd", values)), 10)
+          for values, _ in weights.DELANNOY_TUPLES),
+        ("geom_3x", {}, 10),
+        ("geom_fib", {}, 10),
     ],
 )
 def test_memoized_weight_sum_matches_reference(table, params, max_n):
@@ -227,6 +231,25 @@ def test_memoized_weight_sum_matches_reference(table, params, max_n):
             assert structure_weight(structure, spec) == weight
             reference = reference + weight
         assert valley_weight_sum(n, spec) == reference, (table, n)
+
+
+def _by_polynomials(n, spec):
+    return Polynomial.sum(_reference_structure_weight(s, spec) for s in valley_structures(n))
+
+
+def test_a_symbolic_entry_takes_the_polynomial_route(monkeypatch):
+    spec = registry_get("delannoy_tuple", 6, a=4, b=3, c=7, d=2)
+    z = Polynomial.var("z")
+    mixed = WeightSpec(spec.alpha[:1] + (z,) + spec.alpha[2:], spec.beta, spec.gamma)
+    summed = []
+    monkeypatch.setattr(weights, "_number_sum", lambda rows: summed.append(rows) or 0)
+    # alpha2 is an entry from n = 2 on, and a part from n = 4 on
+    assert valley_weight_sum(1, mixed) == 0 and len(summed) == 1
+    for n in range(2, 7):
+        got = valley_weight_sum(n, mixed)
+        assert got == _by_polynomials(n, mixed)
+        assert ("z" in got.variables()) == (n >= 4)
+    assert len(summed) == 1
 
 
 def test_part_weight_of_each_part_kind():
