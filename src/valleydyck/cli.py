@@ -47,8 +47,12 @@ ENUMERATE_BATCH = 2048  # paths held at once by enumerate
 SERIES_JSON_BATCH = 1024  # terms of one coefficient dumped at once by series --format json
 
 # each command's size flag, the option naming its input, and per input the
-# largest size that ran within an 8 s budget (CHANGES.md); an input without a
-# cap of its own (a spec file) is held to the lowest cap of its command
+# largest size that ran within an 8 s budget when measured (CHANGES.md), but
+# for the five solved tables: symbolic, series at motzkin_ab 204,
+# schroder_large_q 142, schroder_small_q 146, narayana_t 141 and
+# narayana_shift_t 143 takes 13-19 s in one process on a 2-vCPU VM (pinned,
+# 0.2-0.5 s). An input without a cap of its own (a spec file) is held to the
+# lowest cap of its command
 SIZE_CAPS = {
     "series": ("order", "spec", {
         "generic": 19, "geom_3x": 1405, "geom_fib": 1277, "motzkin_ab": 204,

@@ -25,13 +25,7 @@ from itertools import accumulate
 from typing import Iterator, Mapping, Union
 
 from ._value import Value
-from .errors import (
-    FamilyViolation,
-    IllegalCharacter,
-    NegativeLevel,
-    NonzeroEnd,
-    NotValleyUniform,
-)
+from .errors import FamilyViolation, IllegalCharacter, NegativeLevel, NonzeroEnd
 
 STEP_RISE = {"U": 1, "D": -1, "F": 0, "H": 0}
 STEP_WIDTH = {"U": 1, "D": 1, "F": 1, "H": 2}
@@ -295,24 +289,6 @@ class ValleyStructure(Value):
                 inner = "".join("U" * h + "D" * h for h in part.heights)
                 chunks.append("U" * part.ascent + inner + "D" * part.ascent)
         return Path("dyck", "".join(chunks))
-
-    @classmethod
-    def from_path(cls, path: Path) -> "ValleyStructure":
-        if path.family != "dyck":
-            raise FamilyViolation("valley structures are built from Dyck paths")
-        return cls(tuple(_parse_factor(factor) for factor in primitive_factors(path)))
-
-
-def _parse_factor(factor: Path) -> Part:
-    # a primitive factor whose valleys all sit at level k is u^k (pyramids) d^k,
-    # and its maximal pyramids are those inner pyramids
-    stats = analyze(factor)
-    levels = sorted({level for _, level in stats.valleys})
-    if not levels:
-        return Pyramid(factor.size)
-    if len(levels) > 1:
-        raise NotValleyUniform(f"valleys of {factor.steps!r} sit at levels {levels}")
-    return ValleyBlock(levels[0], tuple(h for h, _, _ in stats.pyramids))
 
 
 def is_valley_uniform(path: Path) -> bool:

@@ -42,18 +42,21 @@ automatically and never leak out of arithmetic.
 
 The public constructor coerces and canonicalizes whatever it is given.  The
 ring operations build their results through a trusted internal constructor
-instead: their operands are already canonical, so only the new coefficients
-need normalizing, and only a product whose operands hold an inverse variable
-needs the rewrite.  A product of one term by one term, the common case when
-path weights are multiplied out part by part, takes one integer addition
-and one coefficient product.  A power of one term is one integer product
-of its monomial and one coefficient power; any other power is built by
-repeated squaring starting from the base itself, so ``p ** 1`` takes no
-product and ``p ** 2`` one.
-A sum of products, each coefficient of a series convolution that is not
-all numbers, is one multiply-accumulate, ``Polynomial.dot``: every term
-product goes straight into one term map, which then gets one overflow test,
-one canonical pass and at most one inverse rewrite.
+instead: their operands are already canonical, so only what the operation
+made needs a look.  A sum of products, each coefficient of a series
+convolution that is not all numbers, is one multiply-accumulate,
+``Polynomial.dot``: every term product goes straight into one term map.  A
+product of two polynomials is ``dot`` of one pair, and a product of one
+term by one term, the common case when path weights are multiplied out part
+by part, is one integer addition and one coefficient product.  Both end in
+one finishing pass: one scan of the result's monomials for a set guard bit
+or an inverse field, then the canonical pass, and the inverse rewrite only
+when some monomial holds an inverse variable.  Whether an operand holds an
+inverse variable is never recorded: the product's own monomials say whether
+the rewrite can apply.  A power of one term is one integer product of its
+monomial and one coefficient power; any other power, of a polynomial or of
+a series, is built by ``_square_and_multiply`` starting from the base
+itself, so ``p ** 1`` takes no product and ``p ** 2`` one.
 """
 
 from __future__ import annotations
@@ -117,7 +120,9 @@ _NAMES: list[str] = []  # field index -> variable
 # reads the layout once and compares only the keys it made.
 _LAYOUT: tuple[list, list, int] = ([None], [None], 0)
 _GUARD = 0  # the guard bits of every assigned field
-_INV_FIELDS = 0  # the fields of the assigned inverse variables
+# the bits a product's finishing pass looks for: every guard bit and the
+# fields of the assigned inverse variables
+_FLAGS = 0
 # (inverse field, inverse unit, base field, base unit, shift) for each
 # inverse variable whose base and inverse both have fields
 _RULES: tuple[tuple[int, int, int, int, int], ...] = ()
@@ -131,7 +136,7 @@ def _shift(name: str) -> int:
 
 
 def _assign(name: str) -> int:
-    global _GUARD, _INV_FIELDS, _RULES, _LAYOUT
+    global _GUARD, _FLAGS, _RULES, _LAYOUT
     var_key(name)  # validates
     with _ASSIGN_LOCK:
         shift = _SHIFT.get(name)
@@ -149,8 +154,9 @@ def _assign(name: str) -> int:
             places += [(place[v], v, (1 << place[v]) - 1)] * _WIDTH
         _LAYOUT = (fields, places, (1 << span) - 1)
         _GUARD |= 1 << (shift + _WIDTH - 1)
+        _FLAGS |= 1 << (shift + _WIDTH - 1)
         if name in INVERSE_VARS:
-            _INV_FIELDS |= MAX_EXPONENT << shift
+            _FLAGS |= MAX_EXPONENT << shift
         _SHIFT[name] = shift
         _RULES = tuple(
             (MAX_EXPONENT << _SHIFT[inv], 1 << _SHIFT[inv],
@@ -261,22 +267,10 @@ def _collect(terms: Iterable[tuple[Iterable[tuple[str, int]], Scalar]]) -> dict[
 class Polynomial:
     """Immutable sparse polynomial with exact rational coefficients."""
 
-    # _terms maps packed monomials to coefficients; _inv caches whether a
-    # monomial holds an inverse variable: a bool where the constructor knows
-    # it, else None until the first product asks
-    __slots__ = ("_terms", "_inv")
+    __slots__ = ("_terms",)  # packed monomial -> coefficient
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
         object.__setattr__(self, "_terms", _collect((terms or {}).items()))
-        object.__setattr__(self, "_inv", None)
-
-    def _holds_inverse(self) -> bool:
-        inv = self._inv
-        if inv is None:
-            fields = _INV_FIELDS
-            inv = any(m & fields for m in self._terms)
-            object.__setattr__(self, "_inv", inv)
-        return inv
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("Polynomial is immutable")
@@ -290,7 +284,7 @@ class Polynomial:
 
     @classmethod
     def zero(cls) -> "Polynomial":
-        return _trusted({}, False)
+        return _trusted({})
 
     @classmethod
     def one(cls) -> "Polynomial":
@@ -299,11 +293,11 @@ class Polynomial:
     @classmethod
     def const(cls, value: Scalar) -> "Polynomial":
         value = _scalar(value)
-        return _trusted({0: value} if value else {}, False)
+        return _trusted({0: value} if value else {})
 
     @classmethod
     def var(cls, name: str) -> "Polynomial":
-        return _trusted({1 << _shift(name): 1}, name in INVERSE_VARS)
+        return _trusted({1 << _shift(name): 1})
 
     @classmethod
     def monomial(cls, coeff: Scalar, powers: Mapping[str, int]) -> "Polynomial":
@@ -329,20 +323,14 @@ class Polynomial:
     def dot(pairs: Iterable[tuple["Polynomial", "Polynomial"]]) -> "Polynomial":
         """Sum of the products a * b over ``pairs``, multiplied and added into one term map.
 
-        No product is built on its own: the sum gets one overflow test, one
-        canonical pass and, only if some operand holds an inverse variable,
-        one inverse rewrite, which is linear, so rewriting the sum is summing
-        the rewritten products.
+        No product is built on its own: the sum gets one finishing pass
+        (``_finished``).  The inverse rewrite is linear, so rewriting the sum
+        is summing the rewritten products.
         """
         acc: dict[int, Scalar] = {}
         get = acc.get
-        inv = False
         for a, b in pairs:
             left, right = a._terms, b._terms
-            if not left or not right:
-                continue
-            if not inv and (a._inv is not False or b._inv is not False):
-                inv = a._holds_inverse() or b._holds_inverse()
             if len(left) > len(right):
                 left, right = right, left
             terms = right.items()
@@ -350,12 +338,7 @@ class Polynomial:
                 for m2, c2 in terms:
                     m = m1 + m2
                     acc[m] = get(m, 0) + c1 * c2
-        # as in __mul__: every overflowed pair left its guard bit in a key of acc
-        guard = _GUARD
-        if any(map(guard.__and__, acc)):
-            raise _overflow(next(m for m in acc if m & guard))
-        out = _canonical(acc)
-        return _trusted(_reduce_inverses(out)) if inv else _trusted(out, False)
+        return _finished(acc)
 
     @classmethod
     def product(cls, items: Iterable[PolyLike]) -> "Polynomial":
@@ -379,20 +362,20 @@ class Polynomial:
         other = self._coerce(other)
         if not self._terms:
             return other
-        return self._merged(other, other._terms.items())
+        return self._merged(other._terms.items())
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return _trusted({m: -c for m, c in self._terms.items()}, self._inv)
+        return _trusted({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other: PolyLike) -> "Polynomial":
         other = self._coerce(other)
-        return self._merged(other, [(m, -c) for m, c in other._terms.items()])
+        return self._merged([(m, -c) for m, c in other._terms.items()])
 
-    def _merged(self, other: "Polynomial", terms) -> "Polynomial":
-        """self plus ``terms``, the terms of ``other`` or of its negation, merged
-        into a copy of self's term map."""
+    def _merged(self, terms) -> "Polynomial":
+        """self plus ``terms``, the terms of another polynomial or of its
+        negation, merged into a copy of self's term map."""
         if not terms:
             return self
         # canonical operands have canonical monomials, so their sum needs no
@@ -407,7 +390,7 @@ class Polynomial:
                 if type(c) is not int and c.denominator == 1:
                     c = c.numerator
             out[m] = c
-        return _trusted(out, False if self._inv is False and other._inv is False else None)
+        return _trusted(out)
 
     def __rsub__(self, other: PolyLike) -> "Polynomial":
         return self._coerce(other) - self
@@ -416,43 +399,12 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             other = self._coerce(other)
         left, right = self._terms, other._terms
-        if not left or not right:
-            return _trusted({}, False)
-        guard = _GUARD
         if len(left) == 1 and len(right) == 1:
             # one term times one term: one integer addition, one coefficient product
             ((m1, c1),) = left.items()
             ((m2, c2),) = right.items()
-            m = m1 + m2
-            if m & guard:
-                raise _overflow(m)
-            c = c1 * c2
-            if type(c) is not int and c.denominator == 1:
-                c = c.numerator
-            out = {m: c}
-        else:
-            if len(left) > len(right):
-                left, right = right, left
-            # the first row of term pairs cannot collide, so it needs no lookups
-            rows = iter(left.items())
-            m1, c1 = next(rows)
-            pairs = right.items()
-            out = {m1 + m2: c1 * c2 for m2, c2 in pairs}
-            get = out.get
-            for m1, c1 in rows:
-                for m2, c2 in pairs:
-                    m = m1 + m2
-                    out[m] = get(m, 0) + c1 * c2
-            # fields never carry, so every overflowed pair left its guard bit
-            # in a key of out; one test per key covers every pair
-            if any(map(guard.__and__, out)):
-                raise _overflow(next(m for m in out if m & guard))
-            out = _canonical(out)
-        if self._inv is False and other._inv is False:
-            return _trusted(out, False)
-        if self._holds_inverse() or other._holds_inverse():
-            return _trusted(_reduce_inverses(out))
-        return _trusted(out, False)
+            return _finished({m1 + m2: c1 * c2})
+        return Polynomial.dot(((self, other),))
 
     __rmul__ = __mul__
 
@@ -474,17 +426,8 @@ class Polynomial:
                     break  # the products below raise the overflow
                 rest &= below
             else:
-                return _trusted({mono * exponent: coeff**exponent}, self._inv)
-        # square-and-multiply from the base itself: p ** 1 takes no product
-        result = None
-        base = self
-        while True:
-            if exponent & 1:
-                result = base if result is None else result * base
-            exponent >>= 1
-            if not exponent:
-                return result
-            base = base * base
+                return _trusted({mono * exponent: coeff**exponent})
+        return _square_and_multiply(self, exponent)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -613,7 +556,7 @@ class Polynomial:
         if not divisor:
             raise ZeroDivisionError("division by the zero polynomial")
         if not self:
-            return _trusted({}, False)
+            return _trusted({})
         lead = divisor._leading()
         lead_coeff = divisor._terms[lead]
         guard = _GUARD
@@ -691,15 +634,41 @@ class Polynomial:
 
 _new = object.__new__
 _set_terms = Polynomial._terms.__set__
-_set_inv = Polynomial._inv.__set__
 
 
-def _trusted(terms: dict[int, Scalar], inv: bool | None = None) -> Polynomial:
+def _trusted(terms: dict[int, Scalar]) -> Polynomial:
     """Wrap a term map that is already canonical, without copying or checking it."""
     poly = _new(Polynomial)
     _set_terms(poly, terms)
-    _set_inv(poly, inv)
     return poly
+
+
+def _finished(raw: dict[int, Scalar]) -> Polynomial:
+    """The polynomial of a product's raw term map, each key a sum of canonical
+    monomials.  Fields never carry, so a pair of terms that went past
+    ``MAX_EXPONENT`` left its guard bit in a key, and one scan of the keys
+    for ``_FLAGS`` finds every overflow and every monomial the inverse
+    rewrite could touch."""
+    flags = _FLAGS
+    if not any(map(flags.__and__, raw)):
+        return _trusted(_canonical(raw))
+    guard = _GUARD
+    if any(map(guard.__and__, raw)):
+        raise _overflow(next(m for m in raw if m & guard))
+    return _trusted(_reduce_inverses(_canonical(raw)))
+
+
+def _square_and_multiply(base, exponent: int):
+    """``base ** exponent``, ``exponent >= 1``, by repeated squaring from the
+    base itself: ``base ** 1`` takes no product and ``base ** 2`` one."""
+    result = None
+    while True:
+        if exponent & 1:
+            result = base if result is None else result * base
+        exponent >>= 1
+        if not exponent:
+            return result
+        base = base * base
 
 
 def binomial(n: int, k: int) -> int:

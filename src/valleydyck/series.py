@@ -41,7 +41,7 @@ from .errors import (
     NotDivisibleByX,
     OrderMismatch,
 )
-from .polynomials import Polynomial, Scalar
+from .polynomials import Polynomial, Scalar, _square_and_multiply
 
 CoeffLike = Union[Polynomial, int, Fraction]
 
@@ -237,16 +237,7 @@ class TruncatedSeries:
             raise ValueError("series powers must be nonnegative integers")
         if exponent == 0:
             return TruncatedSeries.one(self.order)
-        # square-and-multiply from the base itself: s ** 1 takes no product
-        result = None
-        base = self
-        while True:
-            if exponent & 1:
-                result = base if result is None else result * base
-            exponent >>= 1
-            if not exponent:
-                return result
-            base = base * base
+        return _square_and_multiply(self, exponent)
 
     def inverse(self) -> "TruncatedSeries":
         """Multiplicative inverse, the quotient 1 / self."""

@@ -12,7 +12,6 @@ from valleydyck.errors import (
     IllegalCharacter,
     NegativeLevel,
     NonzeroEnd,
-    NotValleyUniform,
 )
 from valleydyck.paths import (
     FAMILY_STEPS,
@@ -177,13 +176,12 @@ def test_valley_structures_frees_its_parts():
         gc.enable()
 
 
-def test_intro_structure_round_trips():
+def test_intro_structure_builds_the_intro_path():
     structure = ValleyStructure(
         (ValleyBlock(3, (3, 1, 1)), ValleyBlock(2, (1, 1)), Pyramid(2))
     )
     assert structure.semilength == 14
     assert structure.to_path() == INTRO_EXAMPLE
-    assert ValleyStructure.from_path(INTRO_EXAMPLE) == structure
 
 
 def test_structures_match_filtered_enumeration():
@@ -195,18 +193,10 @@ def test_structures_match_filtered_enumeration():
         assert from_structures == filtered
 
 
-def test_round_trip_structure_path():
-    for n in range(7):
-        for s in valley_structures(n):
-            assert ValleyStructure.from_path(s.to_path()) == s
-
-
 def test_is_valley_uniform():
     assert is_valley_uniform(INTRO_EXAMPLE)
     assert is_valley_uniform(Path("dyck", "UD"))
     assert not is_valley_uniform(Path("dyck", "UUUDUDDUDD"))
-    with pytest.raises(NotValleyUniform):
-        ValleyStructure.from_path(Path("dyck", "UUUDUDDUDD"))
 
 
 def test_render_ascii():

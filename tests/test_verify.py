@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from valleydyck import cli, series, verify, weights
+from valleydyck import cli, polynomials, series, verify, weights
 from valleydyck.bijections import (
     MAPS,
     DecoratedStructure,
@@ -386,6 +386,29 @@ def test_check_catches_a_broken_scalar_kernel(check, monkeypatch):
         _clear_series_caches()
     assert result.status == "fail"
     assert result.detail.startswith(f"{KERNEL_FAULTS[check]}: ") and " != " in result.detail
+
+
+# checks whose tables hold a formal inverse variable, and the comparison that
+# catches products that skip the inverse rewrite
+INVERSE_FAULTS = {
+    "diff_motzkin": "motzkin_diff n=2",
+    "diff_narayana_shift": "narayana_shift_diff n=2",
+}
+
+
+@pytest.mark.parametrize("check", INVERSE_FAULTS)
+def test_check_catches_products_that_skip_the_inverse_rewrite(check, monkeypatch):
+    assert verify.run_check(check, 6).passed
+    # the finishing pass of every product then looks for guard bits only
+    monkeypatch.setattr(polynomials, "_FLAGS", polynomials._GUARD)
+    _clear_series_caches()
+    try:
+        result = CHECKS[check](6)
+    finally:
+        monkeypatch.undo()
+        _clear_series_caches()
+    assert result.status == "fail"
+    assert result.detail.startswith(f"{INVERSE_FAULTS[check]}: ") and " != " in result.detail
 
 
 def _without_h_above_the_axis(family, n, filt="none"):

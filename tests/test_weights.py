@@ -44,7 +44,8 @@ def sym(stem, k):
 def test_worked_examples_weigh_alike_by_structure_and_by_path():
     # worked_examples pins the intro path's weight and each decoration sum
     spec = registry_get("generic", 14)
-    intro = ValleyStructure.from_path(INTRO_EXAMPLE)
+    intro = ValleyStructure((ValleyBlock(3, (3, 1, 1)), ValleyBlock(2, (1, 1)), Pyramid(2)))
+    assert intro.to_path() == INTRO_EXAMPLE
     assert structure_weight(intro, spec) == path_weight(INTRO_EXAMPLE, spec)
     for obj in DECORATED_EXAMPLES.values():
         spec = registry_get(MAPS[obj.map_id].registry, 14)
