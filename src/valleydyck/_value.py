@@ -3,8 +3,9 @@
 Public constructors validate: every object built from outside input (a
 constructor call, ``from_json``, the command line) is checked once, there.
 Unchecked construction, ``cls._trusted(*fields)``, is kept for the places
-whose output is valid by construction (the enumerators and the inverse
-maps), and never for a map the checks test.
+whose output is valid by construction, and never for a map the checks test:
+the enumerators, the inverse maps, and the series arithmetic, whose
+coefficients are polynomials computed from operands already canonical.
 """
 
 _new = object.__new__
@@ -23,8 +24,8 @@ class Value:
     out per class because a generic one, reading the fields through a
     getter, costs about 130 ns more per call on the brute-force path.  A
     subclass that defines one of the four is refused.  ``repr`` reads every
-    slot, and pickling rebuilds through ``__init__``, whose parameters name
-    fields.
+    slot unless the subclass writes its own, and pickling rebuilds through
+    ``__init__``, whose parameters name fields.
     """
 
     __slots__ = ("__weakref__",)  # objects stay weakly referenceable

@@ -44,6 +44,7 @@ from .errors import (
     NotInTargetFamily,
     UniqueFactorizationFailure,
 )
+from .params import A, B, Q, T
 from .paths import (
     STEP_RISE,
     Path,
@@ -57,10 +58,6 @@ from .paths import (
 from .polynomials import Polynomial
 from .weights import target_weight
 
-_A = Polynomial.var("a")
-_B = Polynomial.var("b")
-_Q = Polynomial.var("q")
-_T = Polynomial.var("t")
 _ONE = Polynomial.one()
 
 
@@ -100,13 +97,13 @@ MAPS: dict[str, MapSpec] = {
         target=("motzkin", "first_not_flat"), target_weighting="motzkin_ab",
         registry="motzkin_ab", formula="motzkin_diff",
         decoration="motzkin", decoration_weighting="motzkin_ab",
-        tail=((None, "F", _A),), offset=1, core=_B,
+        tail=((None, "F", A),), offset=1, core=B,
     ),
     "theta": MapSpec(
         target=("schroder_large", "y_filter"), target_weighting="schroder_q",
         registry="schroder_large_q", formula="schroder_large_diff",
         decoration="schroder_large", decoration_weighting="schroder_q",
-        tail=(("H", "H", _Q), ("ud", "UD", _ONE)),
+        tail=(("H", "H", Q), ("ud", "UD", _ONE)),
     ),
     "sigma": MapSpec(
         target=("schroder_small", "first_two_not_ud"), target_weighting="schroder_q",
@@ -118,13 +115,13 @@ MAPS: dict[str, MapSpec] = {
         target=("dyck", "first_two_not_ud"), target_weighting="narayana_t",
         registry="narayana_t", formula="narayana_diff",
         decoration="dyck", decoration_weighting="narayana_t",
-        tail=((None, "UD", _T),),
+        tail=((None, "UD", T),),
     ),
     "psi": MapSpec(
         target=("dyck", "first_two_not_ud"), target_weighting="level_peaks",
         registry="narayana_shift_t", formula="narayana_shift_diff",
         decoration="dyck", decoration_weighting="narayana_t",
-        tail=((None, "UD", _T + 1),),
+        tail=((None, "UD", T + 1),),
     ),
 }
 

@@ -115,12 +115,7 @@ def _tables(name: str, order: int, params: dict[str, str]) -> Callable[[int], We
         raise ValleyDyckError(
             f"spec file holds order {spec.order}, but order {order} was requested"
         )
-    spec = WeightSpec(spec.alpha[:order], spec.beta[:order], spec.gamma[:order])
-    return _truncations(_pin_params(spec, params, f"{name} at order {order}"))
-
-
-def _truncations(spec: WeightSpec) -> Callable[[int], WeightSpec]:
-    return lambda at: WeightSpec(spec.alpha[:at], spec.beta[:at], spec.gamma[:at])
+    return _pin_params(spec.truncated(order), params, f"{name} at order {order}").truncated
 
 
 def _flatten(value: Polynomial) -> str:
@@ -140,7 +135,7 @@ def _refuse_symbolic_early(tables: Callable[[int], WeightSpec], order: int) -> N
     low = 1
     while low < order:
         spec = tables(low)
-        if not all(p.is_constant for table in (spec.alpha, spec.beta, spec.gamma) for p in table):
+        if spec.variables():
             for coeff in valley_series(*spec.to_series()).coeffs:
                 _flatten(coeff)
         low *= 2
@@ -158,7 +153,7 @@ def _cmd_series(args) -> int:
     if args.dump_spec:  # the whole table is built and written first
         spec = tables(args.order)
         FilePath(args.dump_spec).write_text(json.dumps(spec.to_json(), indent=2) + "\n")
-        tables = _truncations(spec)
+        tables = spec.truncated
     if args.format == "csv":
         _refuse_symbolic_early(tables, args.order)
     series = valley_series(*tables(args.order).to_series())
@@ -428,10 +423,7 @@ def main(argv: list[str] | None = None) -> int:
             if value > cap:
                 raise ValleyDyckError(f"--{dest.replace('_', '-')} {value} is above its cap of {cap}")
         return args.fn(args)
-    except ValleyDyckError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (ValleyDyckError, OSError, ValueError) as exc:  # a JSONDecodeError is a ValueError
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

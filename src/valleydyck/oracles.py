@@ -24,10 +24,7 @@ from typing import Callable
 from .errors import BadParams, IndexOutOfRange
 from .paths import enumerate_family
 from .polynomials import Polynomial, binomial
-from .params import Arity, read_params
-
-_Q = Polynomial.var("q")
-_T = Polynomial.var("t")
+from .params import Arity, Q, T, read_params
 
 
 def catalan_number(n: int) -> int:
@@ -53,7 +50,7 @@ def narayana_polynomial(n: int) -> Polynomial:
     if n == 0:
         return Polynomial.one()
     return Polynomial.sum(
-        Polynomial.const(Fraction(binomial(n, i) * binomial(n, i - 1), n)) * _T**i
+        Polynomial.const(Fraction(binomial(n, i) * binomial(n, i - 1), n)) * T**i
         for i in range(1, n + 1)
     )
 
@@ -83,7 +80,7 @@ def schroder_small_polynomial(n: int) -> Polynomial:
         raise IndexOutOfRange("schroder index must be nonnegative")
     if n == 0:
         return Polynomial.one()
-    return schroder_large_polynomial(n).exact_div(_Q + 1)
+    return schroder_large_polynomial(n).exact_div(Q + 1)
 
 
 def chebyshev_u_at(n: int, argument) -> Polynomial:
@@ -165,8 +162,8 @@ def _narayana_diff(n: int, t: Polynomial) -> Polynomial:
 
 def _narayana_shift_diff(n: int, t: Polynomial) -> Polynomial:
     # divided by the symbol t, so that a pin to t = 0 is taken after the division
-    diff = narayana_polynomial(n + 1) - (_T + 1) * narayana_polynomial(n)
-    return diff.exact_div(_T)
+    diff = narayana_polynomial(n + 1) - (T + 1) * narayana_polynomial(n)
+    return diff.exact_div(T)
 
 
 def _chebyshev_closed(

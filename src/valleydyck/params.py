@@ -1,10 +1,18 @@
-"""How a named parameter is read from its text or number.
+"""The paper's parameters: their symbols, and how a named one is read.
 
-One rule serves the weight registry and the oracles: a function declares
-its parameters as keyword parameters after its first, and each parameter's
-annotation says what its value must be.  This module imports only the
-polynomial kernel, so the oracles read parameters without loading the
-series code the registry is built on.
+The symbols are made here, once, for every module and test that needs them:
+a and b weight (a,b)-Motzkin paths, q weights q-Schroder paths and t counts
+Narayana peaks; ``a_inv`` and ``t1_inv`` are the formal inverses of a and of
+t + 1 (see :mod:`valleydyck.polynomials`).  They are not made in the
+polynomial kernel because a variable's packed field is assigned when the
+process first sees it, and the kernel is tested alone for output that does
+not depend on that order.
+
+One rule reads a parameter, for the weight registry and the oracles: a
+function declares its parameters as keyword parameters after its first, and
+each parameter's annotation says what its value must be.  This module
+imports only the polynomial kernel, so the oracles read parameters without
+loading the series code the registry is built on.
 """
 
 from __future__ import annotations
@@ -16,6 +24,8 @@ from .errors import BadParams
 from .polynomials import Polynomial
 
 ParamValue = Union[int, Fraction, str]
+
+A, B, Q, T, A_INV, T1_INV = map(Polynomial.var, ("a", "b", "q", "t", "a_inv", "t1_inv"))
 
 
 class Arity(int):

@@ -49,14 +49,13 @@ _FAMILY_RULES = {
     for family, alphabet in FAMILY_STEPS.items()
 }
 
-FILTERS = ("none", "first_not_flat", "first_two_not_ud", "y_filter")
-
 _FILTER_PREDICATES = {
     "none": lambda s: True,
     "first_not_flat": lambda s: not s.startswith("F"),
     "first_two_not_ud": lambda s: not s.startswith("UD"),
     "y_filter": lambda s: not (s.startswith("H") or s.startswith("UD")),
 }
+FILTERS = tuple(_FILTER_PREDICATES)
 
 
 def passes_filter(steps: str, filt: str) -> bool:

@@ -9,7 +9,7 @@ when their term maps are equal, so identity testing is fully reliable.
 Monomials have a public view and a packed storage form.  The public view is
 a tuple of ``(variable, exponent)`` pairs with positive exponents, sorted by
 ``var_key``: the constructor, ``monomial`` and ``from_json`` take it, and
-``sorted_terms``, ``leading_term``, text, JSON and pickles give it back.
+``sorted_terms``, text, JSON and pickles give it back.
 Inside, a monomial is one ``int`` holding a packed exponent vector (Monagan
 and Pearce, "Polynomial division using dynamic arrays, heaps, and packed
 exponent vectors", 2007).  Each variable owns a bit field of ``_WIDTH`` bits,
@@ -469,13 +469,6 @@ class Polynomial:
             support |= m
         return support
 
-    def total_degree(self) -> int:
-        if not self._terms:
-            return 0
-        fields, _, mask = _LAYOUT
-        # the key leads with the degree
-        return max([_key(m, fields) for m in self._terms]) >> mask.bit_length()
-
     def variables(self) -> tuple[str, ...]:
         fields, places, mask = _LAYOUT
         return tuple(_view(_key(self._support(), fields), places, mask))
@@ -486,13 +479,6 @@ class Polynomial:
     def _leading(self) -> int:
         fields = _LAYOUT[0]
         return max(self._terms, key=lambda m: _key(m, fields))
-
-    def leading_term(self) -> tuple[Monomial, Scalar]:
-        if not self._terms:
-            raise ValueError("zero polynomial has no leading term")
-        fields, places, mask = _LAYOUT
-        mono = self._leading()
-        return tuple(_view(_key(mono, fields), places, mask).items()), self._terms[mono]
 
     # -- substitution ------------------------------------------------------
 

@@ -33,6 +33,7 @@ from itertools import starmap
 from operator import add, mul, neg, sub
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
+from ._value import Value
 from .errors import (
     BadParams,
     NonzeroConstantTerm,
@@ -41,6 +42,7 @@ from .errors import (
     NotDivisibleByX,
     OrderMismatch,
 )
+from .params import A, B, Q, T
 from .polynomials import Polynomial, Scalar, _square_and_multiply
 
 CoeffLike = Union[Polynomial, int, Fraction]
@@ -48,12 +50,6 @@ CoeffLike = Union[Polynomial, int, Fraction]
 
 _ZERO = Polynomial.zero()
 _ONE = Polynomial.one()
-
-
-def _coeff(value: CoeffLike) -> Polynomial:
-    if isinstance(value, Polynomial):
-        return value
-    return Polynomial.const(value)
 
 
 def _nonzero(coeffs: Sequence[Polynomial]) -> list[tuple[int, Polynomial]]:
@@ -94,30 +90,16 @@ def _kernel(*operands: Sequence[Polynomial]) -> tuple[Sequence, Callable, Callab
     return values, _mac, _constants
 
 
-class TruncatedSeries:
+class TruncatedSeries(Value):
     """Coefficients c0..cN of a formal power series in x, each a Polynomial."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[CoeffLike]):
-        data = tuple(_coeff(c) for c in coeffs)
+        data = tuple(map(Polynomial._coerce, coeffs))
         if not data:
             raise ValueError("a truncated series needs at least the x^0 coefficient")
-        object.__setattr__(self, "_coeffs", data)
-
-    @classmethod
-    def _trusted(cls, coeffs: tuple[Polynomial, ...]) -> "TruncatedSeries":
-        """Wrap a nonempty tuple of Polynomials without coercing it."""
-        series = object.__new__(cls)
-        object.__setattr__(series, "_coeffs", coeffs)
-        return series
-
-    def __setattr__(self, name, value):  # pragma: no cover - defensive
-        raise AttributeError("TruncatedSeries is immutable")
-
-    def __reduce__(self):
-        # the default slot restore would go through the raising __setattr__
-        return (TruncatedSeries, (self._coeffs,))
+        self._fill(data)
 
     # -- constructors ------------------------------------------------------
 
@@ -150,33 +132,21 @@ class TruncatedSeries:
 
     @property
     def order(self) -> int:
-        return len(self._coeffs) - 1
-
-    @property
-    def coeffs(self) -> tuple[Polynomial, ...]:
-        return self._coeffs
+        return len(self.coeffs) - 1
 
     def coefficient(self, n: int) -> Polynomial:
         if not 0 <= n <= self.order:
             raise IndexError(f"coefficient {n} outside stored order {self.order}")
-        return self._coeffs[n]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash(self._coeffs)
+        return self.coeffs[n]
 
     def __str__(self) -> str:
-        return " ; ".join(f"{n}: {c}" for n, c in enumerate(self._coeffs))
+        return " ; ".join(f"{n}: {c}" for n, c in enumerate(self.coeffs))
 
     def __repr__(self) -> str:
         return f"TruncatedSeries(order={self.order}, [{self}])"
 
     def pretty(self) -> str:
-        return "\n".join(f"{n}: {c}" for n, c in enumerate(self._coeffs))
+        return "\n".join(f"{n}: {c}" for n, c in enumerate(self.coeffs))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -188,18 +158,18 @@ class TruncatedSeries:
         if isinstance(other, (Polynomial, int, Fraction)):
             other = TruncatedSeries.constant(other, self.order)
         self._match(other)
-        return TruncatedSeries._trusted(tuple(map(add, self._coeffs, other._coeffs)))
+        return TruncatedSeries._trusted(tuple(map(add, self.coeffs, other.coeffs)))
 
     __radd__ = __add__
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries._trusted(tuple(map(neg, self._coeffs)))
+        return TruncatedSeries._trusted(tuple(map(neg, self.coeffs)))
 
     def __sub__(self, other) -> "TruncatedSeries":
         if isinstance(other, (Polynomial, int, Fraction)):
             other = TruncatedSeries.constant(other, self.order)
         self._match(other)
-        return TruncatedSeries._trusted(tuple(map(sub, self._coeffs, other._coeffs)))
+        return TruncatedSeries._trusted(tuple(map(sub, self.coeffs, other.coeffs)))
 
     def __rsub__(self, other) -> "TruncatedSeries":
         return (-self) + other
@@ -210,7 +180,7 @@ class TruncatedSeries:
         self._match(other)
         n = self.order
         square = other is self
-        (mine, theirs), dot, wrap = _kernel(self._coeffs, () if square else other._coeffs)
+        (mine, theirs), dot, wrap = _kernel(self.coeffs, () if square else other.coeffs)
         left = _nonzero(mine)
         # a square forms each cross product a_i a_j, i < j, once, against 2 a_j
         right = [(j, b * 2) for j, b in left] if square else _nonzero(theirs)
@@ -229,8 +199,8 @@ class TruncatedSeries:
     __rmul__ = __mul__
 
     def scale(self, factor: CoeffLike) -> "TruncatedSeries":
-        factor = _coeff(factor)
-        return TruncatedSeries._trusted(tuple(c * factor for c in self._coeffs))
+        factor = Polynomial._coerce(factor)
+        return TruncatedSeries._trusted(tuple(c * factor for c in self.coeffs))
 
     def __pow__(self, exponent: int) -> "TruncatedSeries":
         if not isinstance(exponent, int) or exponent < 0:
@@ -250,14 +220,14 @@ class TruncatedSeries:
         if isinstance(other, (Polynomial, int, Fraction)):
             return self.div_poly(other)
         self._match(other)
-        d0 = other._coeffs[0]
+        d0 = other.coeffs[0]
         if not d0.is_constant or not d0:
             raise NotAUnit(f"constant term {d0} is not a nonzero rational")
         # the factor 1/D_0 rides on N_n and, negated, on each D_i, once
         inv0 = Polynomial.const(Fraction(1) / d0.constant_value())
-        divisor = _nonzero(other._coeffs)[1:]
+        divisor = _nonzero(other.coeffs)[1:]
         (nums, (inv0, *scaled)), dot, wrap = _kernel(
-            self._coeffs, [inv0] + [c * -inv0 for _, c in divisor]
+            self.coeffs, [inv0] + [c * -inv0 for _, c in divisor]
         )
         tail = [(i, d) for (i, _), d in zip(divisor, scaled)]
         out: list = []
@@ -270,25 +240,25 @@ class TruncatedSeries:
         if k < 0:
             raise ValueError("times_x needs a nonnegative power")
         k = min(k, self.order + 1)
-        return TruncatedSeries._trusted((_ZERO,) * k + self._coeffs[: self.order + 1 - k])
+        return TruncatedSeries._trusted((_ZERO,) * k + self.coeffs[: self.order + 1 - k])
 
     def shift_div_x(self, k: int = 1) -> "TruncatedSeries":
         """Divide by x^k exactly; the order drops to N - k."""
         if not 0 <= k <= self.order:
             raise NotDivisibleByX(f"cannot divide an order-{self.order} series by x^{k}")
-        if any(self._coeffs[i] for i in range(k)):
+        if any(self.coeffs[i] for i in range(k)):
             raise NotDivisibleByX("leading coefficients are not all zero")
-        return TruncatedSeries(self._coeffs[k:])
+        return TruncatedSeries(self.coeffs[k:])
 
     def div_poly(self, divisor: CoeffLike) -> "TruncatedSeries":
         """Divide every coefficient exactly by a scalar polynomial."""
-        divisor = _coeff(divisor)
-        return TruncatedSeries._trusted(tuple(c.exact_div(divisor) for c in self._coeffs))
+        divisor = Polynomial._coerce(divisor)
+        return TruncatedSeries._trusted(tuple(c.exact_div(divisor) for c in self.coeffs))
 
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
-        return {"order": self.order, "coeffs": [c.to_json() for c in self._coeffs]}
+        return {"order": self.order, "coeffs": [c.to_json() for c in self.coeffs]}
 
     @classmethod
     def from_json(cls, data: Mapping) -> "TruncatedSeries":
@@ -320,7 +290,7 @@ class Equation:
                 raise ValueError(f"term ({j}, {i}) needs a power of F >= 0 and of x >= 0")
             if j != 0 and i == 0:
                 raise NotAContraction(f"the coefficient of F^{j} must vanish at x = 0")
-            checked.append((j, i, _coeff(c)))
+            checked.append((j, i, Polynomial._coerce(c)))
         object.__setattr__(self, "terms", tuple(checked))
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
@@ -397,22 +367,20 @@ def solve_equation(equation: Equation, order: int, r: int | None = None) -> Trun
     return solution
 
 
-_A, _B, _Q, _T = (Polynomial.var(v) for v in "abqt")
-
 # the named series, each the solution of its algebraic equation
 EQUATIONS: dict[str, Equation] = {
     "catalan": Equation((0, 0, 1), (2, 1, 1)),
-    "motzkin_ab": Equation((0, 0, 1), (1, 1, _A), (2, 2, _B)),
-    "schroder_large": Equation((0, 0, 1), (1, 1, _Q), (2, 1, 1)),
-    "schroder_small": Equation((0, 0, 1), (1, 1, -_Q), (2, 1, _Q + 1)),
-    "narayana": Equation((0, 0, 1), (1, 1, _T - 1), (2, 1, 1)),
+    "motzkin_ab": Equation((0, 0, 1), (1, 1, A), (2, 2, B)),
+    "schroder_large": Equation((0, 0, 1), (1, 1, Q), (2, 1, 1)),
+    "schroder_small": Equation((0, 0, 1), (1, 1, -Q), (2, 1, Q + 1)),
+    "narayana": Equation((0, 0, 1), (1, 1, T - 1), (2, 1, 1)),
     # (1 + xF)(1 + txF): the n-th coefficient is the (n+1)-st Narayana polynomial
-    "narayana_shift": Equation((0, 0, 1), (1, 1, _T + 1), (2, 2, _T)),
+    "narayana_shift": Equation((0, 0, 1), (1, 1, T + 1), (2, 2, T)),
     "fuss": Equation((0, 0, 1), (ARITY, 1, 1)),
     # the beta series of two weight tables, solved without dividing:
     # (R - 1) / (q + 1) for R = schroder_large and (N - 1) / t for N = narayana
-    "schroder_large_beta": Equation((0, 1, 1), (1, 1, _Q + 2), (2, 1, _Q + 1)),
-    "narayana_beta": Equation((0, 1, 1), (1, 1, _T + 1), (2, 1, _T)),
+    "schroder_large_beta": Equation((0, 1, 1), (1, 1, Q + 2), (2, 1, Q + 1)),
+    "narayana_beta": Equation((0, 1, 1), (1, 1, T + 1), (2, 1, T)),
 }
 
 # numeric values for some of an equation's variables, as sorted (name, value)

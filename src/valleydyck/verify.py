@@ -51,6 +51,7 @@ from .oracles import (
     schroder_large_polynomial,
     schroder_small_polynomial,
 )
+from .params import A, B, Q, T
 from .paths import Path, Pyramid, ValleyBlock, ValleyStructure, enumerate_family, is_valley_uniform
 from .polynomials import Polynomial, binomial
 from .series import TruncatedSeries, valley_series
@@ -63,10 +64,6 @@ from .weights import (
     valley_weight_sum,
 )
 
-_A = Polynomial.var("a")
-_B = Polynomial.var("b")
-_Q = Polynomial.var("q")
-_T = Polynomial.var("t")
 
 Comparison = tuple[str, object, object]
 
@@ -253,9 +250,9 @@ def _worked_examples(bound: int) -> Iterator[Comparison]:
     # image shape, inverse and summed structure weight of the Motzkin, Schroder
     # and Narayana examples, all above the bijection checks' clamp
     expected = {
-        "motzkin": ("UFFFDUFFDFFFUD", _A**3 * _B**3 * (_A**2 + _B) * (_A**3 + 3 * _A * _B)),
-        "schroder": ("UHHDUHDHUD", (_Q + 2) * (_Q + 1) ** 4),
-        "narayana": ("UUUDDDUUDUDDUDUDUD", (_T + _T * _T) ** 2 * _T**3),
+        "motzkin": ("UFFFDUFFDFFFUD", A**3 * B**3 * (A**2 + B) * (A**3 + 3 * A * B)),
+        "schroder": ("UHHDUHDHUD", (Q + 2) * (Q + 1) ** 4),
+        "narayana": ("UUUDDDUUDUDDUDUDUD", (T + T * T) ** 2 * T**3),
     }
     for name, obj in DECORATED_EXAMPLES.items():
         steps, total = expected[name]
@@ -390,9 +387,9 @@ def _oracle_bridges(bound: int) -> Iterator[Comparison]:
         nar = narayana_polynomial(n)
         large = schroder_large_polynomial(n)
         yield f"peak polynomial at t=1, n={n}", nar.substitute({"t": 1}), catalan_number(n)
-        yield f"t -> q+1 bridge, n={n}", nar.substitute({"t": _Q + 1}), large
+        yield f"t -> q+1 bridge, n={n}", nar.substitute({"t": Q + 1}), large
         if n >= 1:
-            yield f"small/large Schroder, n={n}", (_Q + 1) * schroder_small_polynomial(n), large
+            yield f"small/large Schroder, n={n}", (Q + 1) * schroder_small_polynomial(n), large
     # the two binomial forms of the central Delannoy numbers, and the recurrence
     d = [delannoy_number(n) for n in range(21)]
     for n in range(21):

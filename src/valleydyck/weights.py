@@ -37,7 +37,7 @@ from typing import Callable, Iterable, Mapping
 
 from ._value import Value
 from .errors import BadParams, FamilyViolation, NotValleyUniform, OrderExceeded
-from .params import Arity, ParamValue, _read, read_params
+from .params import A, A_INV, B, Q, T, T1_INV, Arity, ParamValue, _read, read_params
 from .paths import (
     Part,
     Path,
@@ -65,6 +65,18 @@ class WeightSpec(Value):
     def order(self) -> int:
         return len(self.alpha)
 
+    def _tables(self) -> tuple[tuple[Polynomial, ...], ...]:
+        return self.alpha, self.beta, self.gamma
+
+    def truncated(self, order: int) -> "WeightSpec":
+        """The first ``order`` entries of each sequence."""
+        return WeightSpec(*(table[:order] for table in self._tables()))
+
+    def variables(self) -> tuple[str, ...]:
+        """The variables of every entry, in ``var_key`` order."""
+        names = {v for table in self._tables() for p in table for v in p.variables()}
+        return tuple(sorted(names, key=var_key))
+
     def _at(self, table: tuple[Polynomial, ...], k: int) -> Polynomial:
         if not 1 <= k <= self.order:
             raise OrderExceeded(f"index {k} outside the table order {self.order}")
@@ -80,35 +92,20 @@ class WeightSpec(Value):
         return self._at(self.gamma, k)
 
     def to_series(self) -> tuple[TruncatedSeries, TruncatedSeries, TruncatedSeries]:
-        def series(table):
-            return TruncatedSeries((Polynomial.zero(),) + table)
-
-        return series(self.alpha), series(self.beta), series(self.gamma)
+        return tuple(TruncatedSeries((Polynomial.zero(),) + table) for table in self._tables())
 
     def to_json(self) -> dict:
-        return {
-            "alpha": [p.to_json() for p in self.alpha],
-            "beta": [p.to_json() for p in self.beta],
-            "gamma": [p.to_json() for p in self.gamma],
-        }
+        return {name: [p.to_json() for p in getattr(self, name)] for name in self.__slots__}
 
     @classmethod
     def from_json(cls, data: Mapping) -> "WeightSpec":
-        return cls(
-            tuple(Polynomial.from_json(p) for p in data["alpha"]),
-            tuple(Polynomial.from_json(p) for p in data["beta"]),
-            tuple(Polynomial.from_json(p) for p in data["gamma"]),
-        )
+        return cls(*(tuple(map(Polynomial.from_json, data[name])) for name in cls.__slots__))
 
     def substitute(self, bindings: Mapping[str, Polynomial]) -> "WeightSpec":
         """Substitute values for symbolic parameters in every entry."""
         if not bindings:
             return self
-        return WeightSpec(
-            tuple(p.substitute(bindings) for p in self.alpha),
-            tuple(p.substitute(bindings) for p in self.beta),
-            tuple(p.substitute(bindings) for p in self.gamma),
-        )
+        return WeightSpec(*(tuple(p.substitute(bindings) for p in t) for t in self._tables()))
 
 
 def spec_from_series(
@@ -169,8 +166,7 @@ def valley_weight_sum(n: int, spec: WeightSpec) -> Polynomial:
     constant, the part weights are kept as numbers, multiplied and added as
     ``int`` and ``Fraction``, and the sum becomes a polynomial once.
     """
-    numbers = all(p.scalar is not None for table in (spec.alpha, spec.beta, spec.gamma)
-                  for p in table[:n])
+    numbers = all(p.scalar is not None for table in spec._tables() for p in table[:n])
     weights: dict[Part, Polynomial | Scalar] = {}
 
     def weight_of(part: Part) -> Polynomial | Scalar:
@@ -193,33 +189,26 @@ def _number_sum(rows: Iterable[Iterable[Scalar]]) -> Scalar:
 
 # -- target-family weightings --------------------------------------------------
 
-_A = Polynomial.var("a")
-_B = Polynomial.var("b")
-_Q = Polynomial.var("q")
-_T = Polynomial.var("t")
-_A_INV = Polynomial.var("a_inv")
-_T1_INV = Polynomial.var("t1_inv")
-
 
 def _motzkin_ab_weight(path: Path) -> Polynomial:
     flats = path.steps.count("F")
     downs = path.steps.count("D")
-    return _A**flats * _B**downs
+    return A**flats * B**downs
 
 
 def _schroder_q_weight(path: Path) -> Polynomial:
-    return _Q ** path.steps.count("H")
+    return Q ** path.steps.count("H")
 
 
 def _narayana_t_weight(path: Path) -> Polynomial:
     # a peak is a "UD" pair of steps, and two such pairs never overlap
-    return _T ** path.steps.count("UD")
+    return T ** path.steps.count("UD")
 
 
 def _level_peaks_weight(path: Path) -> Polynomial:
     total = Polynomial.one()
     for _, level in analyze(path).peaks:
-        total = total * ((_T + 1) if level == 1 else _T)
+        total = total * ((T + 1) if level == 1 else T)
     return total
 
 
@@ -276,11 +265,11 @@ def _abcd(order: int, a: Polynomial, b: Polynomial, c: Polynomial, d: Polynomial
 # schroder_small_q solves the large Schroder beta series, because the small and
 # large Schroder series S and R have S - 1 = (R - 1) / (q + 1).
 SOLVED: dict[str, tuple[str, Polynomial, Polynomial, int]] = {
-    "motzkin_ab": ("motzkin_ab", _A, _B * _A_INV, 1),
-    "schroder_large_q": ("schroder_large_beta", _Q + 1, Polynomial.one(), 0),
-    "schroder_small_q": ("schroder_large_beta", Polynomial.one(), _Q + 1, 0),
-    "narayana_t": ("narayana_beta", _T, Polynomial.one(), 0),
-    "narayana_shift_t": ("narayana_shift", _T + 1, _T * _T1_INV, 1),
+    "motzkin_ab": ("motzkin_ab", A, B * A_INV, 1),
+    "schroder_large_q": ("schroder_large_beta", Q + 1, Polynomial.one(), 0),
+    "schroder_small_q": ("schroder_large_beta", Polynomial.one(), Q + 1, 0),
+    "narayana_t": ("narayana_beta", T, Polynomial.one(), 0),
+    "narayana_shift_t": ("narayana_shift", T + 1, T * T1_INV, 1),
 }
 
 
@@ -423,12 +412,11 @@ def _check_names(
 ) -> None:
     """Raise ``BadParams``, listing what the table ``label`` has, unless each
     of ``names`` is a variable of ``spec``."""
-    present = {v for table in (spec.alpha, spec.beta, spec.gamma) for p in table
-               for v in p.variables()}
+    present = spec.variables()
     unknown = [k for k in names if k not in present]
     if unknown:
         has = f"parameters: {', '.join(declared)}; " if declared else ""
-        has += f"variables: {', '.join(sorted(present, key=var_key)) or 'none'}"
+        has += f"variables: {', '.join(present) or 'none'}"
         raise BadParams(f"{label} has no parameter or variable {', '.join(unknown)} ({has})")
 
 

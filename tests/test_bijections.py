@@ -29,12 +29,9 @@ from valleydyck.paths import (
     enumerate_family,
     valley_structures,
 )
+from valleydyck.params import A, B, T
 from valleydyck.polynomials import Polynomial
 from valleydyck.weights import registry_get, structure_weight, target_weight
-
-A = Polynomial.var("a")
-B = Polynomial.var("b")
-T = Polynomial.var("t")
 
 MAX_N = 5  # per-map exhaustive bound for the unit suite; acceptance pushes to 6
 

@@ -385,14 +385,14 @@ def test_enumerate_writes_each_batch_as_it_comes(monkeypatch, capsys):
 def test_series_json_is_written_as_the_whole_document(batch, monkeypatch, capsys):
     from fractions import Fraction
 
+    from valleydyck.params import A, B
     from valleydyck.polynomials import Polynomial
     from valleydyck.series import TruncatedSeries
 
     monkeypatch.setattr(cli, "SERIES_JSON_BATCH", batch)
-    a, b = Polynomial.var("a"), Polynomial.var("b")
     # coefficients of 0 to 5 terms, so that batches of 1, 2 and 3 end inside them
-    five = Polynomial.sum([a, b, a * b, a**2 * Fraction(-1, 2), 3])
-    for coeffs in ([1], [1, 0, a * Fraction(-1, 2) + a**2 * b], [0, 0], [five, 0, five, a + b]):
+    five = Polynomial.sum([A, B, A * B, A**2 * Fraction(-1, 2), 3])
+    for coeffs in ([1], [1, 0, A * Fraction(-1, 2) + A**2 * B], [0, 0], [five, 0, five, A + B]):
         series = TruncatedSeries(coeffs)
         cli._write_series_json(series)
         assert capsys.readouterr().out == json.dumps(series.to_json(), indent=2) + "\n"

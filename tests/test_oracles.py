@@ -21,14 +21,12 @@ from valleydyck.oracles import (
     schroder_large_polynomial,
     schroder_small_polynomial,
 )
+from valleydyck.params import A, B, T
 from valleydyck.paths import enumerate_family
 from valleydyck.polynomials import Polynomial
 from valleydyck.series import TruncatedSeries, named_series
 
-A = Polynomial.var("a")
-B = Polynomial.var("b")
 C = Polynomial.var("c")
-T = Polynomial.var("t")
 
 
 def test_catalan_against_brute_force():

@@ -2,8 +2,8 @@
 
 Fields are assigned in the order a process first sees each variable, so the
 order-dependence tests run the kernel in fresh subprocesses.  Those import
-``valleydyck.polynomials`` under a bare package, without the package
-``__init__``, whose imports would see ``a``, ``b``, ``q`` and ``t`` first.
+``valleydyck.polynomials`` alone, under a bare package: ``valleydyck.params``,
+which the other modules import, makes ``a``, ``b``, ``q`` and ``t`` first.
 """
 
 import pickle
@@ -14,6 +14,7 @@ from pathlib import Path as FilePath
 import pytest
 
 from valleydyck import polynomials
+from valleydyck.params import A, B
 from valleydyck.polynomials import MAX_EXPONENT, Polynomial
 
 SRC = str(FilePath(polynomials.__file__).parent)
@@ -46,7 +47,7 @@ for poly in (p, q, q.substitute({"t": 2}), q.substitute({"alpha2": V("a") + 1}))
     print(poly)
     print(json.dumps(poly.to_json()))
     print(poly.sorted_terms())
-    print(poly.variables(), poly.leading_term(), poly.total_degree())
+    print(poly.variables())
 """
 
 IN_ORDER = "a,a_inv,alpha2,alpha10,b,t,t1_inv"
@@ -62,35 +63,33 @@ def _kernel(script: str, order: str, stdin: bytes = b"") -> bytes:
 
 
 def test_guard_refuses_exponent_overflow():
-    a, b = Polynomial.var("a"), Polynomial.var("b")
     top = Polynomial.monomial(1, {"a": MAX_EXPONENT, "b": 1})
     assert top.sorted_terms() == [((("a", MAX_EXPONENT), ("b", 1)), 1)]
     with pytest.raises(OverflowError, match="exponent of a would exceed"):
-        top * a  # one term times one term
+        top * A  # one term times one term
     with pytest.raises(OverflowError, match="exponent of a would exceed"):
-        (top + b) * (a + 1)  # the term-pair loop
+        (top + B) * (A + 1)  # the term-pair loop
     with pytest.raises(OverflowError, match="exponent of a would exceed"):
-        a ** (MAX_EXPONENT + 1)
+        A ** (MAX_EXPONENT + 1)
     with pytest.raises(OverflowError, match=f"exponent {MAX_EXPONENT + 1} of a exceeds"):
         Polynomial.monomial(1, {"a": MAX_EXPONENT + 1})
     with pytest.raises(OverflowError, match="exponent of a would exceed"):
         Polynomial({(("a", MAX_EXPONENT), ("a", 1)): 1})
     # right below the limit nothing spills into the neighbouring field
-    assert (a ** (MAX_EXPONENT - 1) * a * b).sorted_terms() == top.sorted_terms()
-    assert (top * b).sorted_terms() == [((("a", MAX_EXPONENT), ("b", 2)), 1)]
+    assert (A ** (MAX_EXPONENT - 1) * A * B).sorted_terms() == top.sorted_terms()
+    assert (top * B).sorted_terms() == [((("a", MAX_EXPONENT), ("b", 2)), 1)]
 
 
 def test_one_term_powers_past_the_cap_raise_as_products_do():
-    a, b = Polynomial.var("a"), Polynomial.var("b")
     for power, name in (
-        (lambda: a ** (MAX_EXPONENT + 1), "a"),
-        (lambda: (a**20000) ** 2, "a"),
-        (lambda: (-3 * a * b**20000) ** 2, "b"),
+        (lambda: A ** (MAX_EXPONENT + 1), "a"),
+        (lambda: (A**20000) ** 2, "a"),
+        (lambda: (-3 * A * B**20000) ** 2, "b"),
     ):
         with pytest.raises(OverflowError) as raised:
             power()
         assert str(raised.value) == f"exponent of {name} would exceed {MAX_EXPONENT}"
-    assert (a * b**16383) ** 2 == Polynomial.monomial(1, {"a": 2, "b": 32766})
+    assert (A * B**16383) ** 2 == Polynomial.monomial(1, {"a": 2, "b": 32766})
 
 
 def test_output_does_not_depend_on_first_sight_order():
@@ -106,7 +105,7 @@ def test_pickle_crosses_processes_with_other_field_orders():
         v("t1_inv") * v("alpha2") ** 2 * v("a") + 5,
         Polynomial.zero(),
     ]
-    # this process saw a, b, q and t first, when the package was imported
+    # this process saw a, b, q and t first, when valleydyck.params was imported
     assert polynomials._NAMES[:4] != IN_ORDER.split(",")[:4]
     script = """
 import pickle

@@ -13,6 +13,7 @@ from valleydyck.errors import (
     NotDivisibleByX,
     OrderMismatch,
 )
+from valleydyck.params import A, A_INV, B, Q, T, T1_INV
 from valleydyck.polynomials import Polynomial
 from valleydyck.series import (
     ARITY,
@@ -25,11 +26,6 @@ from valleydyck.series import (
     valley_series_ab,
 )
 from valleydyck.weights import registry_get
-
-A = Polynomial.var("a")
-B = Polynomial.var("b")
-Q = Polynomial.var("q")
-T = Polynomial.var("t")
 
 
 def geometric(ratio, order):
@@ -241,6 +237,12 @@ def test_reciprocal_functional_equation_forms():
         ).inverse()
 
 
+def test_coefficients_are_read_as_polynomial_operands_are():
+    assert TruncatedSeries([1, Fraction(1, 2), A]).coeffs == (1, Fraction(1, 2), A)
+    with pytest.raises(TypeError, match="cannot treat str as a polynomial"):
+        TruncatedSeries(["1/2"])
+
+
 def test_json_round_trip():
     s = named_series("narayana", 3)
     assert TruncatedSeries.from_json(s.to_json()) == s
@@ -251,9 +253,9 @@ _ATOMS = _RATIONALS + [
     A,
     B,
     T,
-    Polynomial.var("a_inv"),
-    Polynomial.var("t1_inv"),
-    A * Polynomial.var("t1_inv") + 1,
+    A_INV,
+    T1_INV,
+    A * T1_INV + 1,
 ]
 
 
@@ -313,7 +315,7 @@ def test_solved_series_truncate_consistently():
 
 def test_pickle_round_trip():
     s = named_series("motzkin_ab", 6) + TruncatedSeries.from_coeffs(
-        [0, Fraction(1, 2), Polynomial.var("a_inv")], 6
+        [0, Fraction(1, 2), A_INV], 6
     )
     t = pickle.loads(pickle.dumps(s))
     assert t == s and hash(t) == hash(s) and str(t) == str(s)

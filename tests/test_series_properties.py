@@ -21,6 +21,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from schoolbook import schoolbook_inverse, schoolbook_product  # noqa: E402
 from valleydyck.errors import NotAUnit  # noqa: E402
+from valleydyck.params import T  # noqa: E402
 from valleydyck.polynomials import Polynomial  # noqa: E402
 from valleydyck.series import (  # noqa: E402
     Equation,
@@ -31,7 +32,7 @@ from valleydyck.series import (  # noqa: E402
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 coefficients = st.one_of(
     rationals.map(Polynomial.const),
-    st.tuples(rationals, rationals).map(lambda p: p[0] + p[1] * Polynomial.var("t")),
+    st.tuples(rationals, rationals).map(lambda p: p[0] + p[1] * T),
 )
 # (power of F, power of x): x^0 only for the constant c_0
 powers = st.one_of(

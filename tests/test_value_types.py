@@ -1,4 +1,4 @@
-"""The contract every immutable value type keeps, pinned once for all 13.
+"""The contract every immutable value type keeps, pinned once for all 14.
 
 Each case builds one instance by keyword and checks: positional construction
 gives an equal object; equality holds only against the same class with the
@@ -22,13 +22,13 @@ from valleydyck.bijections import (
     TauDecorated,
     TauFactor,
 )
+from valleydyck.params import A, Q
 from valleydyck.paths import Path, PathStats, Pyramid, ValleyBlock, ValleyStructure, analyze
 from valleydyck.polynomials import Polynomial
+from valleydyck.series import TruncatedSeries
 from valleydyck.verify import CheckResult, VerifyReport
 from valleydyck.weights import WeightSpec
 
-A = Polynomial.var("a")
-Q = Polynomial.var("q")
 ONE = Polynomial.one()
 
 THETA_FIELDS = dict(
@@ -62,6 +62,10 @@ CASES = {
         ValleyStructure, dict(parts=(Pyramid(2), ValleyBlock(1, (1, 1)))), 0, (),
         "ValleyStructure(parts=(Pyramid(height=2), ValleyBlock(ascent=1, heights=(1, 1))))",
         ValleyStructure((ValleyBlock(1, (1, 1)), Pyramid(2))),
+    ),
+    "TruncatedSeries": (
+        TruncatedSeries, dict(coeffs=(ONE, A)), 1, (), "TruncatedSeries(order=1, [0: 1 ; 1: a])",
+        TruncatedSeries((ONE, Q)),
     ),
     "WeightSpec": (
         WeightSpec, dict(alpha=(A,), beta=(ONE,), gamma=(Polynomial.zero(),)), 3, (),

@@ -25,8 +25,8 @@ from valleydyck.oracles import (
     narayana_polynomial,
     schroder_small_polynomial,
 )
+from valleydyck.params import A, B, Q, T
 from valleydyck.paths import Path, enumerate_family
-from valleydyck.polynomials import Polynomial
 from valleydyck.series import Equation, valley_series
 from valleydyck.verify import CHECKS
 from valleydyck.weights import DELANNOY_TUPLES, path_weight, registry_get, valley_weight_sum
@@ -266,7 +266,7 @@ PROPERTY_FAULTS = {
         for n in range(2, 7)
     },
     "narayana_bridge": ("oracle_bridges", "narayana_polynomial",
-                        lambda n: narayana_polynomial(n) * Polynomial.var("t"),
+                        lambda n: narayana_polynomial(n) * T,
                         "t -> q+1 bridge, n=0"),
     "small_schroder_scaling": ("oracle_bridges", "schroder_small_polynomial",
                                _doubled(schroder_small_polynomial), "small/large Schroder, n=1"),
@@ -321,15 +321,13 @@ def test_check_catches_a_broken_property(fault, monkeypatch):
     assert result.detail.startswith(f"{label}: ") and " != " in result.detail, result.detail
 
 
-_A, _B, _Q = (Polynomial.var(v) for v in "abq")
-
-_WRONG_SCHRODER_BETA = Equation((0, 1, 1), (1, 1, _Q + 2), (2, 1, _Q + 2))
+_WRONG_SCHRODER_BETA = Equation((0, 1, 1), (1, 1, Q + 2), (2, 1, Q + 2))
 
 # a wrong coefficient in one entry of series.EQUATIONS, which the weight
 # table is built from; the oracle side is a binomial sum that never sees it.
 # Both Schroder tables solve the large beta series, since S - 1 = (R - 1) / (q + 1)
 EQUATION_FAULTS = {
-    "diff_motzkin": ("motzkin_ab", Equation((0, 0, 1), (1, 1, _A), (2, 2, 2 * _B))),
+    "diff_motzkin": ("motzkin_ab", Equation((0, 0, 1), (1, 1, A), (2, 2, 2 * B))),
     "diff_schroder_large": ("schroder_large_beta", _WRONG_SCHRODER_BETA),
     "diff_schroder_small": ("schroder_large_beta", _WRONG_SCHRODER_BETA),
 }

@@ -14,7 +14,8 @@ from valleydyck.paths import (
     valley_structures,
 )
 from valleydyck import weights
-from valleydyck.polynomials import Polynomial, var_key
+from valleydyck.params import A, A_INV, B, Q, T, T1_INV
+from valleydyck.polynomials import Polynomial
 from valleydyck.series import named_series, valley_series, valley_series_ab
 from valleydyck.verify import DECORATED_EXAMPLES, INTRO_EXAMPLE
 from valleydyck.weights import (
@@ -32,10 +33,6 @@ from valleydyck.weights import (
     valley_weight_sum,
 )
 
-A = Polynomial.var("a")
-B = Polynomial.var("b")
-Q = Polynomial.var("q")
-T = Polynomial.var("t")
 
 def sym(stem, k):
     return Polynomial.var(f"{stem}{k}")
@@ -93,10 +90,9 @@ def test_geom_3x_values():
 
 def test_registry_motzkin_coefficients():
     spec = registry_get("motzkin_ab", 4)
-    a_inv = Polynomial.var("a_inv")
     m = [Polynomial.one(), A, A * A + B, A**3 + 3 * A * B]
     assert spec.alpha == (A, Polynomial.zero(), Polynomial.zero(), Polynomial.zero())
-    assert spec.beta == tuple(B * a_inv * mk for mk in m)
+    assert spec.beta == tuple(B * A_INV * mk for mk in m)
     assert spec.gamma == (Polynomial.zero(), B * m[0], B * m[1], B * m[2])
 
 
@@ -125,10 +121,9 @@ def test_registry_schroder_and_narayana_divisibility():
 
 def test_registry_narayana_shift_entries():
     spec = registry_get("narayana_shift_t", 4)
-    t1_inv = Polynomial.var("t1_inv")
     assert spec.alpha[0] == T + 1
     # beta_1 = t/(1+t) = 1 - 1/(1+t)
-    assert spec.beta[0] == 1 - t1_inv
+    assert spec.beta[0] == 1 - T1_INV
     # products with alpha_1^r recombine to polynomials
     assert spec.beta[0] * spec.alpha[0] == T
     assert spec.gamma[1] == T  # t * f_0
@@ -346,12 +341,11 @@ def _substituted(name, order, params):
     declared = {k: v for k, v in params.items() if k in names}
     symbolic = registry_get(name, order, **{**_DECLARED.get(name, {}), **declared})
     pinned = {k: v for k, v in params.items() if k not in declared}
-    present = {v for t in (symbolic.alpha, symbolic.beta, symbolic.gamma) for p in t
-               for v in p.variables()}
+    present = symbolic.variables()
     unknown = [k for k in pinned if k not in present]
     if unknown:
         has = f"parameters: {', '.join(names)}; " if names else ""
-        has += f"variables: {', '.join(sorted(present, key=var_key)) or 'none'}"
+        has += f"variables: {', '.join(present) or 'none'}"
         raise BadParams(f"{name} at order {order} has no parameter or variable "
                         f"{', '.join(unknown)} ({has})")
     return symbolic.substitute(
@@ -441,9 +435,7 @@ def test_pins_reach_the_builder_and_no_full_symbolic_table_is_built(monkeypatch)
 def test_every_table_but_generic_has_all_its_variables_by_order_2(name):
     # registry_builder reads the names a pin may bind off the table at order 2
     def variables(order):
-        spec = registry_get(name, order, **_DECLARED.get(name, {}))
-        return {v for table in (spec.alpha, spec.beta, spec.gamma) for p in table
-                for v in p.variables()}
+        return registry_get(name, order, **_DECLARED.get(name, {})).variables()
 
     assert variables(2) == variables(12)
 
