@@ -125,8 +125,6 @@ MAPS: dict[str, MapSpec] = {
     ),
 }
 
-MAP_IDS = tuple(MAPS)
-
 MAP_TARGET = {map_id: spec.target for map_id, spec in MAPS.items()}
 
 _SYMBOLS = frozenset(s for spec in MAPS.values() for s in spec.symbols)

@@ -11,36 +11,22 @@ decorated objects for biject --apply).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-import time
-from fractions import Fraction
-from itertools import islice
-from pathlib import Path as FilePath
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from .bijections import (
-    MAP_IDS,
-    DecoratedStructure,
-    TauDecorated,
-    forward,
-    inverse,
-)
 from .errors import ValleyDyckError
-from .oracles import oracle
-from .paths import FAMILY_STEPS, FILTERS, Path, enumerate_family, render_ascii
-from .polynomials import Polynomial
-from .series import valley_series
-from . import verify
-from .verify import SUITES, run_check, run_suite
-from .weights import (
-    REGISTRY,
-    WeightSpec,
-    _pin_params,
-    registry_builder,
-    registry_get,
-    valley_weight_sum,
-)
+from .paths import FAMILY_STEPS, FILTERS
+
+if TYPE_CHECKING:
+    from .polynomials import Polynomial
+    from .weights import WeightSpec
+
+# the parser is built from these names, not from the layers, so that a
+# subcommand loads only what it runs (each handler imports its own layers);
+# tests hold them equal to ``bijections.MAPS`` and ``verify.SUITES``
+MAP_NAMES = ("phi", "theta", "sigma", "rho", "psi", "tau")
+SUITE_NAMES = ("all", "bijections", "chebyshev", "closed_forms", "delannoy", "fuss", "master",
+               "motzkin", "narayana", "oracles", "schroder", "weights")
 
 DEFAULT_ORDER = 12
 ENUMERATE_BATCH = 2048  # paths held at once by enumerate
@@ -52,15 +38,17 @@ SERIES_JSON_BATCH = 1024  # terms of one coefficient dumped at once by series --
 # schroder_large_q 142, schroder_small_q 146, narayana_t 141 and
 # narayana_shift_t 143 takes 13-19 s in one process on a 2-vCPU VM (pinned,
 # 0.2-0.5 s). An input without a cap of its own (a spec file) is held to the
-# lowest cap of its command
+# lowest cap of its command. The series caps name every weight table (a test
+# holds them equal to ``weights.REGISTRY``), so count takes its keys from them
+_SERIES_CAPS = {
+    "generic": 19, "geom_3x": 1405, "geom_fib": 1277, "motzkin_ab": 204,
+    "schroder_large_q": 142, "schroder_small_q": 146, "narayana_t": 141,
+    "narayana_shift_t": 143, "chebyshev_abcd": 45, "chebyshev_second": 71,
+    "delannoy_tuple": 829, "fuss_sym": 859, "fuss_asym": 789, "fuss_cubic": 775,
+}
 SIZE_CAPS = {
-    "series": ("order", "spec", {
-        "generic": 19, "geom_3x": 1405, "geom_fib": 1277, "motzkin_ab": 204,
-        "schroder_large_q": 142, "schroder_small_q": 146, "narayana_t": 141,
-        "narayana_shift_t": 143, "chebyshev_abcd": 45, "chebyshev_second": 71,
-        "delannoy_tuple": 829, "fuss_sym": 859, "fuss_asym": 789, "fuss_cubic": 775,
-    }),
-    "count": ("n", "spec", dict.fromkeys(REGISTRY, 14)
+    "series": ("order", "spec", _SERIES_CAPS),
+    "count": ("n", "spec", dict.fromkeys(_SERIES_CAPS, 14)
               | dict.fromkeys(("generic", "chebyshev_abcd", "chebyshev_second"), 13)),
     "enumerate": ("n", "family", {
         "dyck": 11, "motzkin": 14, "schroder_large": 9, "schroder_small": 9, "delannoy": 7,
@@ -75,11 +63,13 @@ SIZE_CAPS = {
         "delannoy_convolution": 460, "fuss_sym": 3405, "fuss_asym": 602,
         "fuss_asym_collapse": 4302, "fuss_cubic": 637, "fuss_cubic_collapse": 4302,
     }),
-    "verify": ("max_n", "suite", dict.fromkeys(SUITES, 33)),
+    "verify": ("max_n", "suite", dict.fromkeys(SUITE_NAMES, 33)),
 }
 
 
 def _parse_params(pairs: list[str] | None) -> dict[str, str]:
+    from fractions import Fraction
+
     params: dict[str, str] = {}
     for pair in pairs or []:
         if "=" not in pair:
@@ -97,6 +87,8 @@ def _parse_params(pairs: list[str] | None) -> dict[str, str]:
 
 
 def _load_json(reference: str) -> dict:
+    import json
+
     if reference.lstrip().startswith("{") or reference.lstrip().startswith("["):
         return json.loads(reference)
     with open(reference[1:] if reference.startswith("@") else reference) as handle:
@@ -106,6 +98,8 @@ def _load_json(reference: str) -> dict:
 def _tables(name: str, order: int, params: dict[str, str]) -> Callable[[int], WeightSpec]:
     """Check the request for the table ``name`` at ``order``, and return the
     function that gives its table at any order up to that one."""
+    from .weights import WeightSpec, _pin_params, registry_builder
+
     if not name.startswith("@"):
         return registry_builder(name, order, **params)
     if order < 0:  # refused as registry_get refuses it for a name
@@ -132,10 +126,12 @@ def _refuse_symbolic_early(tables: Callable[[int], WeightSpec], order: int) -> N
     table at ``order`` is read: tables and series are truncation-consistent,
     so the series of the tables at orders 1, 2, 4, ... below it meet the first
     one, and a table of numbers has a series of numbers."""
+    from .series import valley_series
+
     low = 1
     while low < order:
         spec = tables(low)
-        if spec.variables():
+        if not spec.is_numeric():
             for coeff in valley_series(*spec.to_series()).coeffs:
                 _flatten(coeff)
         low *= 2
@@ -148,6 +144,11 @@ def _emit(text: str) -> None:
 
 
 def _cmd_series(args) -> int:
+    import json
+    from pathlib import Path as FilePath
+
+    from .series import valley_series
+
     params = _parse_params(args.param)
     tables = _tables(args.spec, args.order, params)
     if args.dump_spec:  # the whole table is built and written first
@@ -171,6 +172,8 @@ def _write_series_json(series) -> None:
     each coefficient's terms ``SERIES_JSON_BATCH`` at a time, so that no whole
     document or coefficient text is held: a batch's dump without its brackets
     sits two levels deep, so its lines are indented by four more spaces."""
+    import json
+
     write = sys.stdout.write
     write(f'{{\n  "order": {series.order},\n  "coeffs": [\n')
     for n, coeff in enumerate(series.coeffs):
@@ -186,6 +189,11 @@ def _write_series_json(series) -> None:
 
 
 def _cmd_count(args) -> int:
+    import json
+    from pathlib import Path as FilePath
+
+    from .weights import valley_weight_sum
+
     params = _parse_params(args.param)
     order = max(args.n, 1)
     spec = _tables(args.spec, order, params)(order)
@@ -205,6 +213,11 @@ def _cmd_enumerate(args) -> int:
     # the paths are written in batches as they are enumerated, so memory stays
     # flat; each batch is joined as the whole listing would be, and the layout
     # is (opening, separator, closing, the text when there is no path)
+    import json
+    from itertools import islice
+
+    from .paths import enumerate_family, render_ascii
+
     paths = enumerate_family(args.family, args.n, args.filter)
     if args.format == "json":
         # json.dumps(items, indent=2) is "[\n", the items joined by ",\n", "\n]"
@@ -229,6 +242,10 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    import json
+
+    from .oracles import oracle
+
     value = oracle(args.name, args.n, **_parse_params(args.param))
     try:
         if args.format == "json":
@@ -262,6 +279,8 @@ def _read_object(parse, reference: str, flag: str):
 
 
 def _decorated_from_json(data: dict):
+    from .bijections import DecoratedStructure, TauDecorated
+
     return (TauDecorated if "side" in data else DecoratedStructure).from_json(data)
 
 
@@ -276,6 +295,8 @@ def _cmd_biject(args) -> int:
     if args.roundtrip:
         if args.n is None:
             raise ValleyDyckError("--roundtrip needs --n")
+        from .verify import run_check
+
         check = "tau_exchange" if args.map == "tau" else f"bijection_{args.map}"
         report = run_check(check, args.n)
         _emit(f"{report.results[0].status.upper()} {check}")
@@ -283,6 +304,11 @@ def _cmd_biject(args) -> int:
         return 0 if report.passed else 1
     if not args.apply:
         raise ValleyDyckError("biject needs --roundtrip or --apply")
+    import json
+
+    from .bijections import TauDecorated, forward, inverse
+    from .paths import Path
+
     if args.direction == "inverse":
         parse = TauDecorated.from_json if args.map == "tau" else Path.from_json
         result = inverse(args.map, _read_object(parse, args.apply, "--apply"))
@@ -293,6 +319,11 @@ def _cmd_biject(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    import json
+    import time
+
+    from .verify import run_suite
+
     started = time.monotonic()
     try:
         report = run_suite(args.suite, args.max_n, jobs=args.jobs)
@@ -316,6 +347,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    from .paths import Path, render_ascii
+
     if args.path.startswith("@"):
         path = _read_object(Path.from_json, args.path, "--path")
     else:
@@ -325,6 +358,13 @@ def _cmd_render(args) -> int:
 
 
 def _seed_fixtures(directory: str) -> int:
+    import json
+    from pathlib import Path as FilePath
+
+    from . import verify
+    from .paths import render_ascii
+    from .weights import registry_get
+
     target = FilePath(directory)
     target.mkdir(parents=True, exist_ok=True)
     source = verify.EXCHANGE_SOURCE
@@ -379,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_enumerate)
 
     p = sub.add_parser("biject", help="run or apply one of the six bijections")
-    p.add_argument("--map", required=True, choices=MAP_IDS + ("tau",))
+    p.add_argument("--map", required=True, choices=MAP_NAMES)
     p.add_argument("--n", type=int)
     p.add_argument("--roundtrip", action="store_true")
     p.add_argument("--apply", metavar="@FILE")
@@ -394,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_oracle)
 
     p = sub.add_parser("verify", help="run a named verification suite")
-    p.add_argument("--suite", required=True, choices=sorted(SUITES))
+    p.add_argument("--suite", required=True, choices=SUITE_NAMES)
     p.add_argument("--max-n", type=int, default=6)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--format", choices=("pretty", "json"), default="pretty")

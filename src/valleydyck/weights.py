@@ -72,6 +72,11 @@ class WeightSpec(Value):
         """The first ``order`` entries of each sequence."""
         return WeightSpec(*(table[:order] for table in self._tables()))
 
+    def is_numeric(self, order: int | None = None) -> bool:
+        """Whether every entry up to ``order`` (every entry when ``None``) is a
+        number; it stops at the first symbolic entry."""
+        return all(p.scalar is not None for table in self._tables() for p in table[:order])
+
     def variables(self) -> tuple[str, ...]:
         """The variables of every entry, in ``var_key`` order."""
         names = {v for table in self._tables() for p in table for v in p.variables()}
@@ -166,7 +171,7 @@ def valley_weight_sum(n: int, spec: WeightSpec) -> Polynomial:
     constant, the part weights are kept as numbers, multiplied and added as
     ``int`` and ``Fraction``, and the sum becomes a polynomial once.
     """
-    numbers = all(p.scalar is not None for table in spec._tables() for p in table[:n])
+    numbers = spec.is_numeric(n)
     weights: dict[Part, Polynomial | Scalar] = {}
 
     def weight_of(part: Part) -> Polynomial | Scalar:

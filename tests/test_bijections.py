@@ -229,7 +229,7 @@ def _tuple_fields(obj: DecoratedStructure) -> bool:
 def test_list_input_is_stored_as_tuples(monkeypatch, capsys):
     # enumerated objects arrive with tuple fields; JSON brings lists, which the
     # constructors still convert, so both kinds compare and hash alike
-    from valleydyck import cli
+    from valleydyck import bijections, cli
 
     block = ValleyBlock(2, [1, 1])
     assert type(block.heights) is tuple and hash(block) == hash(ValleyBlock(2, (1, 1)))
@@ -241,13 +241,13 @@ def test_list_input_is_stored_as_tuples(monkeypatch, capsys):
     assert type(deco.symbols) is tuple
 
     seen = []
-    real_forward = cli.forward
+    real_forward = bijections.forward
 
     def recording_forward(map_id, obj):
         seen.append(obj)
         return real_forward(map_id, obj)
 
-    monkeypatch.setattr(cli, "forward", recording_forward)
+    monkeypatch.setattr(bijections, "forward", recording_forward)
     for map_id in ("phi", "psi", "rho", "sigma", "theta"):
         for obj in enumerate_decorated(4, map_id):
             assert _tuple_fields(obj)

@@ -2,6 +2,7 @@ import concurrent.futures
 import importlib.util
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path as FilePath
@@ -9,7 +10,8 @@ from pathlib import Path as FilePath
 import pytest
 
 from conftest import run_cli
-from valleydyck import cli, verify
+import valleydyck
+from valleydyck import cli, paths, series, verify
 from valleydyck.oracles import ORACLES
 from valleydyck.paths import FAMILY_STEPS
 from valleydyck.weights import REGISTRY
@@ -94,7 +96,7 @@ def test_csv_refuses_a_symbolic_series_before_computing_it(table, monkeypatch, c
     # asked, and after --dump-spec has written the table
     orders = []
     monkeypatch.setattr(
-        cli, "valley_series", lambda *s: orders.append(s[0].order) or valley_series(*s)
+        series, "valley_series", lambda *s: orders.append(s[0].order) or valley_series(*s)
     )
     dump = tmp_path / "spec.json"
     argv = ["series", "--spec", table, "--order", "16", "--format", "csv", "--dump-spec", str(dump)]
@@ -363,7 +365,7 @@ def test_series_and_count_have_no_ascii_format(command):
 
 
 def test_enumerate_writes_each_batch_as_it_comes(monkeypatch, capsys):
-    real = cli.enumerate_family
+    real = paths.enumerate_family
     seen = []
 
     def watched(*args):
@@ -371,7 +373,7 @@ def test_enumerate_writes_each_batch_as_it_comes(monkeypatch, capsys):
             seen.append(capsys.readouterr().out)  # what was written since the last path
             yield path
 
-    monkeypatch.setattr(cli, "enumerate_family", watched)
+    monkeypatch.setattr(paths, "enumerate_family", watched)
     monkeypatch.setattr(cli, "ENUMERATE_BATCH", 2)
     for fmt in ("steps", "json", "ascii", "csv"):
         seen.clear()
@@ -499,6 +501,41 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     code = f"import sys, valleydyck.cli; print([m for m in {modules!r} if m in sys.modules])"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.stdout == "[]\n", proc.stderr
+
+
+_LAYERS = {m.name for m in pkgutil.iter_modules(valleydyck.__path__)} - {"__main__", "cli"}
+_HEAVY = {"polynomials", "series", "weights", "bijections", "oracles", "verify"}
+
+
+@pytest.mark.parametrize("argv, absent", [
+    ([], _LAYERS - {"errors", "paths", "_value"}),
+    (["render", "--path", "UUDD"], _HEAVY),
+    (["enumerate", "--family", "dyck", "--n", "3"], _HEAVY),
+    (["oracle", "--name", "catalan", "--n", "5"], {"series", "weights", "bijections", "verify"}),
+    (["series", "--spec", "geom_3x", "--order", "4"], {"bijections", "oracles", "verify"}),
+    (["count", "--spec", "geom_3x", "--n", "3"], {"bijections", "oracles", "verify"}),
+], ids=lambda value: " ".join(value) or "import" if isinstance(value, list) else None)
+def test_each_command_loads_only_its_layers(argv, absent):
+    # the parser is built from name tables alone, and each handler imports its layers
+    code = f"""if True:
+        import contextlib, io, json, sys
+        from valleydyck import cli
+        if {argv!r}:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main({argv!r}) == 0
+        print(json.dumps([m.split(".", 1)[1] for m in sys.modules if m.startswith("valleydyck.")]))
+    """
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    assert "cli" in loaded and not loaded & absent, sorted(loaded & absent)
+
+
+def test_parser_name_tables_match_the_layers():
+    from valleydyck.bijections import MAPS
+
+    assert cli.MAP_NAMES == (*MAPS, "tau")
+    assert cli.SUITE_NAMES == tuple(sorted(verify.SUITES))
 
 
 def test_package_namespace_loads_on_first_use():

@@ -23,7 +23,7 @@ from pathlib import Path as FilePath
 import pytest
 
 from valleydyck import cli, verify
-from valleydyck.bijections import MAP_IDS
+from valleydyck.bijections import MAPS
 from valleydyck.paths import FAMILY_STEPS, FILTERS
 from valleydyck.weights import REGISTRY
 
@@ -115,7 +115,7 @@ CASES = (
         for command, size in (("series", "--order"), ("count", "--n"))
         for fmt in ("csv", "pretty")
     ]
-    + [["biject", "--map", map_id, "--n", "5", "--roundtrip"] for map_id in MAP_IDS + ("tau",)]
+    + [["biject", "--map", map_id, "--n", "5", "--roundtrip"] for map_id in (*MAPS, "tau")]
     + [["biject", "--map", data["map"], "--apply", _compact(data)] for data in _APPLY_OBJECTS]
     + [
         ["biject", "--map", "theta", "--direction", "inverse", "--apply",

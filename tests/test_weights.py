@@ -248,6 +248,18 @@ def test_a_symbolic_entry_takes_the_polynomial_route(monkeypatch):
     assert len(summed) == 1
 
 
+def test_is_numeric_reads_the_entries_up_to_an_order():
+    spec = registry_get("delannoy_tuple", 6, a=4, b=3, c=7, d=2)
+    mixed = WeightSpec(spec.alpha[:1] + (Polynomial.var("z"),) + spec.alpha[2:],
+                       spec.beta, spec.gamma)
+    assert spec.is_numeric() and not mixed.is_numeric()
+    assert [mixed.is_numeric(order) for order in range(4)] == [True, True, False, False]
+    for name in REGISTRY:
+        for order in range(4):
+            table = registry_get(name, order, **_DECLARED.get(name, {}))
+            assert table.is_numeric() == (not table.variables()), (name, order)
+
+
 def test_part_weight_of_each_part_kind():
     spec = registry_get("generic", 4)
     assert part_weight(Pyramid(3), spec) == sym("gamma", 3)
