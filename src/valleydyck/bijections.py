@@ -20,7 +20,8 @@ Delannoy pair (4,3,7,2) and (2,1,7,4).  It works purely on run-length data:
 a factor is (marked ascent k0, inner pyramid heights, a letter string of
 length k0 - 1), and the map is a reversal-and-relabeling shuffle between
 the letter string and the encoded pyramid heights that preserves the letter
-value product.
+value product.  Each side's letters, pyramid marker and far side are one
+row of one side table, :data:`TAU_TABLE`.
 
 ``MapSpec``, the decorated objects and the tau factors are slotted immutable
 values (``_value.Value``), each checked once, by its constructor.  The
@@ -53,6 +54,7 @@ from .paths import (
     ValleyStructure,
     enumerate_family,
     passes_filter,
+    primitive_part,
     valley_structures,
 )
 from .polynomials import Polynomial
@@ -141,8 +143,7 @@ class PartDecoration(Value):
     __slots__ = ("subpath", "symbols")
 
     def __init__(self, subpath: Path, symbols: tuple[str, ...] = ()):
-        if type(symbols) is not tuple:
-            symbols = tuple(symbols)
+        symbols = tuple(symbols)
         if not _SYMBOLS.issuperset(symbols):
             bad = next(s for s in symbols if s not in _SYMBOLS)
             raise InvalidDecoration(f"unknown decoration symbol {bad!r}")
@@ -153,8 +154,7 @@ class DecoratedStructure(Value):
     __slots__ = ("map_id", "structure", "decorations")
 
     def __init__(self, map_id: str, structure: ValleyStructure, decorations: tuple = ()):
-        if type(decorations) is not tuple:
-            decorations = tuple(decorations)
+        decorations = tuple(decorations)
         spec = _map_spec(map_id)
         if len(decorations) != len(structure.parts):
             raise InvalidDecoration("one decoration per part is required")
@@ -174,10 +174,6 @@ class DecoratedStructure(Value):
             elif deco.symbols:
                 raise InvalidDecoration(f"{map_id} takes no symbols")
         self._fill(map_id, structure, decorations)
-
-    @property
-    def size(self) -> int:
-        return self.structure.semilength
 
     def to_json(self) -> dict:
         parts = []
@@ -270,8 +266,8 @@ def _tail_units(spec: MapSpec, map_id: str, part, deco: PartDecoration):
 
 @lru_cache(maxsize=256)
 def _unit_part(k: int, r: int):
-    """The part u^k (ud)^r d^k: a pyramid of height k + 1 when r = 1."""
-    return Pyramid(k + 1) if r == 1 else ValleyBlock(k, (1,) * r)
+    """The part u^k (ud)^r d^k."""
+    return primitive_part(k, (1,) * r)
 
 
 def inverse(map_id: str, target):
@@ -345,10 +341,14 @@ def decorated_weight(obj: DecoratedStructure) -> Polynomial:
 
 # -- the tau exchange between the two integer Delannoy weightings ---------------
 
-TAU_SIDES = ("src_4372", "dst_2174")
+# side -> (letters, the hatted one last, in enumerate_tau's order; pyramid marker; far side)
+TAU_TABLE = {
+    "src_4372": (("1", "1h"), "3", "dst_2174"),
+    "dst_2174": (("1", "3h"), "1", "src_4372"),
+}
+TAU_SIDES = tuple(TAU_TABLE)
 
-_TAU_LETTERS = {"src_4372": ("1", "1h"), "dst_2174": ("1", "3h")}
-_TAU_ALLOWED = {side: frozenset(letters) for side, letters in _TAU_LETTERS.items()}
+_TAU_ALLOWED = {side: frozenset(letters) for side, (letters, _, _) in TAU_TABLE.items()}
 
 _LETTER_VALUE = {"1": 1, "1h": 1, "3": 3, "3h": 3, "7": 7}
 
@@ -363,10 +363,8 @@ class TauFactor(Value):
     __slots__ = ("ascent", "heights", "letters")
 
     def __init__(self, ascent: int, heights: tuple[int, ...], letters: tuple[str, ...] = ()):
-        if type(heights) is not tuple:
-            heights = tuple(heights)
-        if type(letters) is not tuple:
-            letters = tuple(letters)
+        heights = tuple(heights)
+        letters = tuple(letters)
         if ascent < 1:
             raise InvalidDecoration("the marked ascent must have length at least 1")
         if not heights or min(heights) < 1:
@@ -375,17 +373,12 @@ class TauFactor(Value):
             raise InvalidDecoration("a factor carries ascent-1 letters")
         self._fill(ascent, heights, letters)
 
-    @property
-    def semilength(self) -> int:
-        return self.ascent + sum(self.heights)
-
 
 class TauDecorated(Value):
     __slots__ = ("side", "factors")
 
     def __init__(self, side: str, factors: tuple[TauFactor, ...] = ()):
-        if type(factors) is not tuple:
-            factors = tuple(factors)
+        factors = tuple(factors)
         if side not in TAU_SIDES:
             raise BadParams(f"unknown tau side {side!r}")
         allowed = _TAU_ALLOWED[side]
@@ -394,10 +387,6 @@ class TauDecorated(Value):
                 bad = [tok for tok in factor.letters if tok not in allowed]
                 raise InvalidDecoration(f"letters {bad} are not allowed on side {side}")
         self._fill(side, factors)
-
-    @property
-    def size(self) -> int:
-        return sum(f.semilength for f in self.factors)
 
     def to_path(self) -> Path:
         return tau_structure(self).to_path()
@@ -428,7 +417,7 @@ def enumerate_tau(n: int, side: str) -> Iterator[TauDecorated]:
     """All marked, lettered objects of size n on one side of the exchange."""
     if side not in TAU_SIDES:
         raise BadParams(f"unknown tau side {side!r}")
-    alphabet = _TAU_LETTERS[side]
+    alphabet = TAU_TABLE[side][0]
     for structure in valley_structures(n):
         per_part: list[list[TauFactor]] = []
         for part in structure.parts:
@@ -478,9 +467,9 @@ def _decode_heights(tokens: tuple[str, ...], marker: str) -> tuple[int, ...]:
 def tau_apply(obj: TauDecorated) -> TauDecorated:
     """Exchange sides one primitive factor at a time.
 
-    Per factor, with V the encoding of the inner heights in the other
-    side's hatted letter ('3h' from the source, '1h' from the target; V
-    always ends in '1'):
+    Per factor, with V the encoding of the inner heights in the far side's
+    hatted letter ('3h' from the source, '1h' from the target; V always
+    ends in '1'):
 
         new ascent   = sum of old heights
         new heights  = decode of reversed(letters) + ('1',), this side's
@@ -491,47 +480,33 @@ def tau_apply(obj: TauDecorated) -> TauDecorated:
     value product (3 per hatted-3, 7 once per factor) is preserved because
     the dropped token is always the valueless '1'.
     """
-    src = obj.side == "src_4372"
-    ours, theirs = ("1h", "3h") if src else ("3h", "1h")
+    letters, _, far = TAU_TABLE[obj.side]
+    ours, theirs = letters[-1], TAU_TABLE[far][0][-1]
     out: list[TauFactor] = []
     for f in obj.factors:
         new_letters = tuple(reversed(_encode_heights(f.heights, theirs)[:-1]))
         new_heights = _decode_heights(tuple(reversed(f.letters)) + ("1",), ours)
         out.append(TauFactor(sum(f.heights), new_heights, new_letters))
-    return TauDecorated("dst_2174" if src else "src_4372", tuple(out))
+    return TauDecorated(far, tuple(out))
 
 
 def tau_value(obj: TauDecorated) -> int:
-    """Product of the numeric letter values over all up steps."""
+    """Product of the letter values over all up steps: per factor 7, the marker's
+    value for each inner pyramid step but a pyramid's last, and each letter's."""
+    marker = _LETTER_VALUE[TAU_TABLE[obj.side][1]]
     total = 1
     for f in obj.factors:
-        total *= 7
-        if obj.side == "src_4372":
-            for h in f.heights:
-                total *= 3 ** (h - 1)
-        else:
-            for letter in f.letters:
-                total *= _LETTER_VALUE[letter]
+        total *= 7 * marker ** (sum(f.heights) - len(f.heights))
+        for letter in f.letters:
+            total *= _LETTER_VALUE[letter]
     return total
 
 
 def tau_ustep_weights(factor: TauFactor, side: str) -> tuple[str, ...]:
     """Weight tokens of the factor's up steps in path order, starting with '7'."""
-    tokens: list[str] = ["7"]
-    tokens.extend(factor.letters)
-    if side == "src_4372":
-        tokens.extend(_encode_heights(factor.heights, "3"))
-    else:
-        tokens.extend(["1"] * sum(factor.heights))
-    return tuple(tokens)
+    return ("7", *factor.letters, *_encode_heights(factor.heights, TAU_TABLE[side][1]))
 
 
 def tau_structure(obj: TauDecorated) -> ValleyStructure:
     """Forget marks and letters, keeping the underlying valley structure."""
-    parts = []
-    for f in obj.factors:
-        if len(f.heights) == 1:
-            parts.append(Pyramid(f.ascent + f.heights[0]))
-        else:
-            parts.append(ValleyBlock(f.ascent, f.heights))
-    return ValleyStructure(tuple(parts))
+    return ValleyStructure(tuple(primitive_part(f.ascent, f.heights) for f in obj.factors))

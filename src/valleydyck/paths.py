@@ -249,8 +249,7 @@ class ValleyBlock(Value):
     __slots__ = ("ascent", "heights")
 
     def __init__(self, ascent: int, heights: tuple[int, ...] = ()):
-        if type(heights) is not tuple:
-            heights = tuple(heights)
+        heights = tuple(heights)
         if ascent < 1:
             raise ValueError("block ascent must be positive")
         if len(heights) < 2 or any(h < 1 for h in heights):
@@ -265,14 +264,18 @@ class ValleyBlock(Value):
 Part = Union[Pyramid, ValleyBlock]
 
 
+def primitive_part(ascent: int, heights: tuple[int, ...]) -> Part:
+    """u^ascent (u^h d^h for h in heights) d^ascent: a pyramid if one h, else a block."""
+    return Pyramid(ascent + heights[0]) if len(heights) == 1 else ValleyBlock(ascent, heights)
+
+
 class ValleyStructure(Value):
     """Canonical decomposition of a valley-uniform Dyck path into parts."""
 
     __slots__ = ("parts",)
 
     def __init__(self, parts: tuple[Part, ...] = ()):
-        if type(parts) is not tuple:
-            parts = tuple(parts)
+        parts = tuple(parts)
         self._fill(parts)
 
     @property

@@ -271,7 +271,7 @@ class TruncatedSeries(Value):
 ARITY = "r+1"  # a power of F that is the equation's parameter r plus one
 
 
-class Equation:
+class Equation(Value):
     """The algebraic equation F = sum of c x^i F^j over its terms (j, i, c).
 
     A term with j >= 1 must have i >= 1: each c_j(x) but c_0 vanishes at
@@ -283,7 +283,7 @@ class Equation:
 
     __slots__ = ("terms",)
 
-    def __init__(self, *terms: tuple[int | str, int, CoeffLike]):
+    def __init__(self, terms: Iterable[tuple[int | str, int, CoeffLike]]):
         checked = []
         for j, i, c in terms:
             if j != ARITY and not (isinstance(j, int) and j >= 0) or i < 0:
@@ -291,10 +291,7 @@ class Equation:
             if j != 0 and i == 0:
                 raise NotAContraction(f"the coefficient of F^{j} must vanish at x = 0")
             checked.append((j, i, Polynomial._coerce(c)))
-        object.__setattr__(self, "terms", tuple(checked))
-
-    def __setattr__(self, name, value):  # pragma: no cover - defensive
-        raise AttributeError("Equation is immutable")
+        self._fill(tuple(checked))
 
     @property
     def takes_r(self) -> bool:
@@ -304,7 +301,7 @@ class Equation:
         """The equation with ``bindings`` substituted into every coefficient; a
         term whose coefficient becomes zero is dropped."""
         terms = [(j, i, c.substitute(bindings)) for j, i, c in self.terms]
-        return Equation(*[(j, i, c) for j, i, c in terms if c])
+        return Equation((j, i, c) for j, i, c in terms if c)
 
 
 def solve_equation(equation: Equation, order: int, r: int | None = None) -> TruncatedSeries:
@@ -369,18 +366,18 @@ def solve_equation(equation: Equation, order: int, r: int | None = None) -> Trun
 
 # the named series, each the solution of its algebraic equation
 EQUATIONS: dict[str, Equation] = {
-    "catalan": Equation((0, 0, 1), (2, 1, 1)),
-    "motzkin_ab": Equation((0, 0, 1), (1, 1, A), (2, 2, B)),
-    "schroder_large": Equation((0, 0, 1), (1, 1, Q), (2, 1, 1)),
-    "schroder_small": Equation((0, 0, 1), (1, 1, -Q), (2, 1, Q + 1)),
-    "narayana": Equation((0, 0, 1), (1, 1, T - 1), (2, 1, 1)),
+    "catalan": Equation(((0, 0, 1), (2, 1, 1))),
+    "motzkin_ab": Equation(((0, 0, 1), (1, 1, A), (2, 2, B))),
+    "schroder_large": Equation(((0, 0, 1), (1, 1, Q), (2, 1, 1))),
+    "schroder_small": Equation(((0, 0, 1), (1, 1, -Q), (2, 1, Q + 1))),
+    "narayana": Equation(((0, 0, 1), (1, 1, T - 1), (2, 1, 1))),
     # (1 + xF)(1 + txF): the n-th coefficient is the (n+1)-st Narayana polynomial
-    "narayana_shift": Equation((0, 0, 1), (1, 1, T + 1), (2, 2, T)),
-    "fuss": Equation((0, 0, 1), (ARITY, 1, 1)),
+    "narayana_shift": Equation(((0, 0, 1), (1, 1, T + 1), (2, 2, T))),
+    "fuss": Equation(((0, 0, 1), (ARITY, 1, 1))),
     # the beta series of two weight tables, solved without dividing:
     # (R - 1) / (q + 1) for R = schroder_large and (N - 1) / t for N = narayana
-    "schroder_large_beta": Equation((0, 1, 1), (1, 1, Q + 2), (2, 1, Q + 1)),
-    "narayana_beta": Equation((0, 1, 1), (1, 1, T + 1), (2, 1, T)),
+    "schroder_large_beta": Equation(((0, 1, 1), (1, 1, Q + 2), (2, 1, Q + 1))),
+    "narayana_beta": Equation(((0, 1, 1), (1, 1, T + 1), (2, 1, T))),
 }
 
 # numeric values for some of an equation's variables, as sorted (name, value)

@@ -175,7 +175,7 @@ def test_bijection_check_catches_a_broken_property(map_id, prop, monkeypatch):
 
 
 def test_tau_small_cases():
-    assert [t.size for t in enumerate_tau(2, "src_4372")] == [2]
+    assert [tau_structure(t).semilength for t in enumerate_tau(2, "src_4372")] == [2]
     only = next(iter(enumerate_tau(2, "src_4372")))
     assert tau_value(only) == 7
     three = list(enumerate_tau(3, "src_4372"))

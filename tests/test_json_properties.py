@@ -15,10 +15,10 @@ from hypothesis import strategies as st  # noqa: E402
 from valleydyck.bijections import (  # noqa: E402
     MAPS,
     TAU_SIDES,
+    TAU_TABLE,
     DecoratedStructure,
     TauDecorated,
     TauFactor,
-    _TAU_LETTERS,
     inverse,
 )
 from valleydyck.paths import FAMILY_STEPS, Path, passes_filter  # noqa: E402
@@ -59,7 +59,7 @@ def decorated(map_id: str):
 @st.composite
 def tau_objects(draw):
     side = draw(st.sampled_from(TAU_SIDES))
-    letters = st.sampled_from(_TAU_LETTERS[side])
+    letters = st.sampled_from(TAU_TABLE[side][0])
     factors = []
     for _ in range(draw(st.integers(0, 3))):
         ascent = draw(st.integers(1, 5))

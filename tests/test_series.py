@@ -332,13 +332,13 @@ def test_each_solved_series_declares_its_contraction():
         assert all(i >= 1 for j, i, _ in equation.terms if j != 0), name
         assert equation.takes_r == (name == "fuss")
     with pytest.raises(NotAContraction):
-        Equation((0, 0, 1), (1, 1, 1), (2, 0, Q))
+        Equation(((0, 0, 1), (1, 1, 1), (2, 0, Q)))
     with pytest.raises(NotAContraction):
-        Equation((0, 0, 1), (ARITY, 0, 1))
+        Equation(((0, 0, 1), (ARITY, 0, 1)))
     with pytest.raises(ValueError):
-        Equation((0, 0, 1), (-1, 1, 1))
+        Equation(((0, 0, 1), (-1, 1, 1)))
     with pytest.raises(ValueError):
-        Equation((0, -1, 1))
+        Equation(((0, -1, 1),))
 
 
 def test_named_series_parameter_errors():
@@ -361,7 +361,7 @@ def test_named_series_parameter_errors():
 def test_solve_equation_beyond_the_named_series():
     # c_0 with x terms, a power of F above 2 and rational coefficients
     half = Fraction(1, 2)
-    equation = Equation((0, 0, 2), (0, 2, -1), (1, 2, half), (3, 1, T), (5, 2, 1))
+    equation = Equation(((0, 0, 2), (0, 2, -1), (1, 2, half), (3, 1, T), (5, 2, 1)))
     got = solve_equation(equation, 9)
     # the right-hand side, evaluated at the solution, gives the solution back
     rhs = (TruncatedSeries.from_coeffs([2, 0, -1], 9) + got.times_x(2).scale(half)

@@ -137,7 +137,7 @@ def as_map(equation_terms):
 @settings(max_examples=60, deadline=None)
 @given(terms, st.integers(0, 12))
 def test_online_solver_finds_the_fixed_point(equation_terms, order):
-    got = solve_equation(Equation(*equation_terms), order)
+    got = solve_equation(Equation(equation_terms), order)
     assert got.order == order
     assert as_map(equation_terms)(got) == got
 
@@ -145,7 +145,7 @@ def test_online_solver_finds_the_fixed_point(equation_terms, order):
 @settings(max_examples=30, deadline=None)
 @given(mixed_terms, st.integers(0, 6))
 def test_online_solver_matches_schoolbook_iteration(equation_terms, order):
-    got = solve_equation(Equation(*equation_terms), order)
+    got = solve_equation(Equation(equation_terms), order)
     assert list(got.coeffs) == schoolbook_solution(equation_terms, order)
 
 
@@ -175,7 +175,7 @@ def test_quotient_matches_schoolbook(pair):
 @settings(max_examples=60, deadline=None)
 @given(numeric_terms, numeric_orders)
 def test_online_solver_finds_the_fixed_point_over_numbers(equation_terms, order):
-    got = solve_equation(Equation(*equation_terms), order)
+    got = solve_equation(Equation(equation_terms), order)
     assert got.order == order
     assert as_map(equation_terms)(got) == got
 
@@ -183,7 +183,7 @@ def test_online_solver_finds_the_fixed_point_over_numbers(equation_terms, order)
 @settings(max_examples=30, deadline=None)
 @given(numeric_terms, numeric_orders)
 def test_online_solver_matches_schoolbook_iteration_over_numbers(equation_terms, order):
-    got = solve_equation(Equation(*equation_terms), order)
+    got = solve_equation(Equation(equation_terms), order)
     assert list(got.coeffs) == schoolbook_solution(equation_terms, order)
 
 

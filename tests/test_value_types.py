@@ -1,4 +1,4 @@
-"""The contract every immutable value type keeps, pinned once for all 14.
+"""The contract every immutable value type keeps, pinned once for all 15.
 
 Each case builds one instance by keyword and checks: positional construction
 gives an equal object; equality holds only against the same class with the
@@ -25,7 +25,7 @@ from valleydyck.bijections import (
 from valleydyck.params import A, Q
 from valleydyck.paths import Path, PathStats, Pyramid, ValleyBlock, ValleyStructure, analyze
 from valleydyck.polynomials import Polynomial
-from valleydyck.series import TruncatedSeries
+from valleydyck.series import Equation, TruncatedSeries
 from valleydyck.verify import CheckResult, VerifyReport
 from valleydyck.weights import WeightSpec
 
@@ -66,6 +66,11 @@ CASES = {
     "TruncatedSeries": (
         TruncatedSeries, dict(coeffs=(ONE, A)), 1, (), "TruncatedSeries(order=1, [0: 1 ; 1: a])",
         TruncatedSeries((ONE, Q)),
+    ),
+    "Equation": (
+        Equation, dict(terms=((0, 0, ONE), (2, 1, A))), 1, (),
+        "Equation(terms=((0, 0, Polynomial(1)), (2, 1, Polynomial(a))))",
+        Equation(((0, 0, ONE), (2, 1, Q))),
     ),
     "WeightSpec": (
         WeightSpec, dict(alpha=(A,), beta=(ONE,), gamma=(Polynomial.zero(),)), 3, (),

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from valleydyck import cli, polynomials, series, verify, weights
+from valleydyck import bijections, cli, polynomials, series, verify, weights
 from valleydyck.bijections import (
     MAPS,
     DecoratedStructure,
@@ -12,6 +12,7 @@ from valleydyck.bijections import (
     decorated_weight,
     decorations,
     inverse,
+    tau_structure,
     tau_ustep_weights,
     tau_value,
 )
@@ -260,7 +261,7 @@ PROPERTY_FAULTS = {
     **{
         f"tau_values_n{n}": (
             "tau_exchange", "tau_value",
-            lambda t, n=n: tau_value(t) + (t.size == n and t.side == "dst_2174"),
+            lambda t, n=n: tau_value(t) + (t.side == "dst_2174" and tau_structure(t).semilength == n),
             f"n={n}: letter values",
         )
         for n in range(2, 7)
@@ -321,13 +322,28 @@ def test_check_catches_a_broken_property(fault, monkeypatch):
     assert result.detail.startswith(f"{label}: ") and " != " in result.detail, result.detail
 
 
-_WRONG_SCHRODER_BETA = Equation((0, 1, 1), (1, 1, Q + 2), (2, 1, Q + 2))
+# one side's marker set to the other side's in the side table that tau_value and
+# tau_ustep_weights read, and the worked example that catches it
+@pytest.mark.parametrize("side, marker, example", [
+    ("src_4372", "1", "exchange source letters"),
+    ("dst_2174", "3", "exchange image letters"),
+])
+def test_checks_catch_a_wrong_tau_marker(side, marker, example, monkeypatch):
+    letters, _, far = bijections.TAU_TABLE[side]
+    monkeypatch.setitem(bijections.TAU_TABLE, side, (letters, marker, far))
+    for check, detail in (("tau_exchange", "n=3: letter values: 21 != 7"),
+                          ("worked_examples", f"{example}: ")):
+        result = CHECKS[check](6)
+        assert result.status == "fail" and result.detail.startswith(detail), result.detail
+
+
+_WRONG_SCHRODER_BETA = Equation(((0, 1, 1), (1, 1, Q + 2), (2, 1, Q + 2)))
 
 # a wrong coefficient in one entry of series.EQUATIONS, which the weight
 # table is built from; the oracle side is a binomial sum that never sees it.
 # Both Schroder tables solve the large beta series, since S - 1 = (R - 1) / (q + 1)
 EQUATION_FAULTS = {
-    "diff_motzkin": ("motzkin_ab", Equation((0, 0, 1), (1, 1, A), (2, 2, 2 * B))),
+    "diff_motzkin": ("motzkin_ab", Equation(((0, 0, 1), (1, 1, A), (2, 2, 2 * B)))),
     "diff_schroder_large": ("schroder_large_beta", _WRONG_SCHRODER_BETA),
     "diff_schroder_small": ("schroder_large_beta", _WRONG_SCHRODER_BETA),
 }
