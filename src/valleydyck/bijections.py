@@ -25,11 +25,11 @@ row of one side table, :data:`TAU_TABLE`.
 
 ``MapSpec``, the decorated objects and the tau factors are slotted immutable
 values (``_value.Value``), each checked once, by its constructor.  The
-decorations a structure admits and the inverse's output are valid by how
-they are built, so ``decorations`` and ``inverse`` build them unchecked,
-through the ``_trusted`` that ``Value`` writes for each type; the forward
-image and the tau exchange, the maps the checks test, keep their validating
-constructors.
+decorations a structure admits, the tau objects of a size and the inverse's
+output are valid by how they are built, so ``decorations``, ``enumerate_tau``
+and ``inverse`` build them unchecked, through the ``_trusted`` that
+``Value`` writes for each type; the forward image and the tau exchange, the
+maps the checks test, keep their validating constructors.
 """
 
 from __future__ import annotations
@@ -427,7 +427,7 @@ def enumerate_tau(n: int, side: str) -> Iterator[TauDecorated]:
             else:
                 marks = [(part.ascent, part.heights)]
             choices = [
-                TauFactor(k0, heights, letters)
+                TauFactor._trusted(k0, heights, letters)
                 for k0, heights in marks
                 for letters in product(alphabet, repeat=k0 - 1)
             ]
@@ -436,7 +436,7 @@ def enumerate_tau(n: int, side: str) -> Iterator[TauDecorated]:
             per_part.append(choices)
         else:
             for combo in product(*per_part):
-                yield TauDecorated(side, tuple(combo))
+                yield TauDecorated._trusted(side, combo)
 
 
 def _encode_heights(heights: tuple[int, ...], marker: str) -> tuple[str, ...]:

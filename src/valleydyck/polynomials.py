@@ -636,7 +636,10 @@ def _finished(raw: dict[int, Scalar]) -> Polynomial:
     for ``_FLAGS`` finds every overflow and every monomial the inverse
     rewrite could touch."""
     flags = _FLAGS
-    if not any(map(flags.__and__, raw)):
+    for m in raw:
+        if m & flags:
+            break
+    else:
         return _trusted(_canonical(raw))
     guard = _GUARD
     if any(map(guard.__and__, raw)):

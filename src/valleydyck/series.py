@@ -5,33 +5,33 @@ arithmetic is the truncated ring arithmetic and never consults anything
 beyond the stored order.  No square root is ever taken.
 
 The named series, each the solution of an algebraic equation
-F = sum_j c_j(x) F^j, are one table, ``EQUATIONS``: each entry lists the terms of its equation, and
-its constructor checks the contraction condition c_j(0) = 0 for j >= 1
-once.  One online solver, :func:`solve_equation`, serves every entry: it
-reads coefficient k of F off the power tables [x^m] F^j for m < k, grows
-each table by one convolution, and at the end checks the equation at the
-full order with the ordinary arithmetic below instead of trusting it.
+F = sum_j c_j(x) F^j, are one table, ``EQUATIONS``; each entry's constructor
+checks the contraction condition c_j(0) = 0 for j >= 1 once.  One online solver,
+:func:`solve_equation`, serves every entry: it reads coefficient k of F off
+the power tables [x^m] F^j for m < k, grows each table by one coefficient of
+its product, and at the end checks the equation at the full order with the
+ordinary arithmetic below instead of trusting it.
 
-Every convolution, the product, the square, the quotient and the solver's
-power tables, hands each output coefficient's pairs of factors to one
-multiply-accumulate kernel, chosen once per call by :func:`_kernel`.  When
-every coefficient of every operand is a constant, the pairs are numbers and
-``_mac`` sums their products as ``int`` and ``Fraction``; the results become
-constant polynomials once, at the end.  Otherwise :meth:`Polynomial.dot`
-multiplies and adds them into one term map without building any product on
-its own.  Products skip zero coefficients and stop at the truncation order,
-and a square forms each cross product a_i a_j, i < j, only once, against
-2 a_j.  A quotient N / D is one pass, never N times the inverse of D, and
-the inverse is the quotient 1 / D.
+Every product is one coefficient stream, :func:`_product`: it forms
+coefficient k of a * b when read, from the entries up to k, so ``*`` reads
+it to the truncation order, the solver's power tables read it as F grows,
+and no product holds more than one coefficient's pairs of factors.  It
+skips the zeros of its first factor, and a square forms each cross product
+a_i a_j, i < j, once, against 2 a_j.  Those pairs, and the quotient's, go to
+one multiply-accumulate kernel chosen per call by :func:`_kernel`: ``_mac``
+sums their products as ``int`` and ``Fraction`` when every coefficient of
+every operand is a constant, else :meth:`Polynomial.dot` multiplies and adds
+them into one term map.  A quotient N / D is one pass, never N times the
+inverse of D, and the inverse is the quotient 1 / D.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import starmap
+from itertools import count, islice, starmap
 from operator import add, mul, neg, sub
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from ._value import Value
 from .errors import (
@@ -52,17 +52,11 @@ _ZERO = Polynomial.zero()
 _ONE = Polynomial.one()
 
 
-def _nonzero(coeffs: Sequence[Polynomial]) -> list[tuple[int, Polynomial]]:
-    """(index, coefficient) for each nonzero coefficient."""
-    return [(i, c) for i, c in enumerate(coeffs) if c]
-
-
 def _values(coeffs: Sequence[Polynomial]) -> list[Scalar] | None:
     """The value of each coefficient, or None if one is not a constant."""
     values = []
     for c in coeffs:
-        value = c.scalar
-        if value is None:
+        if (value := c.scalar) is None:
             return None
         values.append(value)
     return values
@@ -90,6 +84,29 @@ def _kernel(*operands: Sequence[Polynomial]) -> tuple[Sequence, Callable, Callab
     return values, _mac, _constants
 
 
+def _product(a: Sequence, b: Sequence, dot: Callable) -> Iterator:
+    """Coefficients 0, 1, 2, ... of a * b, each formed by ``dot`` when it is
+    read, from the entries of a and b up to its index, so both may still be
+    growing.  The zeros of a are skipped; a square (a is b) forms each cross
+    product a_i a_j, i < j, once, against 2 a_j."""
+    support: list[int] = []  # the indices i of the nonzero a_i that coefficient k pairs
+    if a is not b:
+        for k in count():
+            if a[k]:
+                support.append(k)
+            yield dot([(a[i], b[k - i]) for i in support])
+    doubled: list = []
+    for k in count():
+        doubled.append(a[k] * 2)
+        mid = a[k // 2]
+        if k % 2 and mid:
+            support.append(k // 2)  # a square pairs a_i with 2 a_(k-i) once 2 i < k
+        pairs = [(a[i], doubled[k - i]) for i in support]
+        if k % 2 == 0 and mid:
+            pairs.append((mid, mid))
+        yield dot(pairs)
+
+
 class TruncatedSeries(Value):
     """Coefficients c0..cN of a formal power series in x, each a Polynomial."""
 
@@ -107,9 +124,7 @@ class TruncatedSeries(Value):
     def from_coeffs(cls, coeffs: Sequence[CoeffLike], order: int | None = None) -> "TruncatedSeries":
         data = list(coeffs)
         if order is not None:
-            if len(data) > order + 1:
-                data = data[: order + 1]
-            data.extend([0] * (order + 1 - len(data)))
+            data = data[: order + 1] + [0] * (order + 1 - len(data))
         return cls(data)
 
     @classmethod
@@ -178,23 +193,12 @@ class TruncatedSeries(Value):
         if isinstance(other, (Polynomial, int, Fraction)):
             return self.scale(other)
         self._match(other)
-        n = self.order
-        square = other is self
-        (mine, theirs), dot, wrap = _kernel(self.coeffs, () if square else other.coeffs)
-        left = _nonzero(mine)
-        # a square forms each cross product a_i a_j, i < j, once, against 2 a_j
-        right = [(j, b * 2) for j, b in left] if square else _nonzero(theirs)
-        pairs: list[list[tuple]] = [[] for _ in range(n + 1)]
-        for pos, (i, a) in enumerate(left):
-            if square:
-                if 2 * i > n:
-                    break
-                pairs[2 * i].append((a, a))
-            for j, b in right[pos + 1:] if square else right:
-                if i + j > n:
-                    break
-                pairs[i + j].append((a, b))
-        return TruncatedSeries._trusted(wrap(map(dot, pairs)))
+        (mine, theirs), dot, wrap = _kernel(self.coeffs, other.coeffs)
+        if other is self:
+            theirs = mine
+        elif sum(map(bool, theirs)) < sum(map(bool, mine)):
+            mine, theirs = theirs, mine  # the sparser factor first: its zeros are skipped
+        return TruncatedSeries._trusted(wrap(islice(_product(mine, theirs, dot), self.order + 1)))
 
     __rmul__ = __mul__
 
@@ -225,7 +229,7 @@ class TruncatedSeries(Value):
             raise NotAUnit(f"constant term {d0} is not a nonzero rational")
         # the factor 1/D_0 rides on N_n and, negated, on each D_i, once
         inv0 = Polynomial.const(Fraction(1) / d0.constant_value())
-        divisor = _nonzero(other.coeffs)[1:]
+        divisor = [(i, c) for i, c in enumerate(other.coeffs) if c][1:]
         (nums, (inv0, *scaled)), dot, wrap = _kernel(
             self.coeffs, [inv0] + [c * -inv0 for _, c in divisor]
         )
@@ -309,7 +313,7 @@ def solve_equation(equation: Equation, order: int, r: int | None = None) -> Trun
 
     Coefficient k of F is read off the terms and the power tables
     [x^m] F^j for m < k, which is all a term with i >= 1 needs; then each
-    table grows by one coefficient, one convolution (the relaxed method of
+    table reads coefficient k off its product stream (the relaxed method of
     van der Hoeven, "Relax, but don't be too lazy", 2002).  That is O(d k)
     products for coefficient k, d the top power, where rerunning the whole
     map at every order costs O(k^2).  F^j is kept as the square of F^(j/2)
@@ -318,42 +322,32 @@ def solve_equation(equation: Equation, order: int, r: int | None = None) -> Trun
     the sum of the terms must give F back, else NotAContraction.
     """
     terms = [(r + 1 if j == ARITY else j, i, c) for j, i, c in equation.terms]
-    # the powers of F the terms read, and the powers those are built from
-    chain: dict[int, int] = {}
+    # the powers of F the terms read, and the two powers each is the product of
+    chain: dict[int, tuple[int, int]] = {}
     todo = [j for j, _, _ in terms]
     while todo:
         j = todo.pop()
         if j >= 2 and j not in chain:
-            chain[j] = j // 2 if j % 2 == 0 else j - 1
-            todo.append(chain[j])
+            chain[j] = (j // 2, j // 2) if j % 2 == 0 else (j - 1, 1)
+            todo.extend(chain[j])
     f: list = []
-    powers: dict[int, list] = {1: f}
-    powers.update((j, []) for j in chain)
-    steps = sorted(chain)
+    powers: dict[int, list] = {1: f, **{j: [] for j in chain}}
     # 1 and the terms' coefficients, as the kernel reads them
     ((one, *cs),), dot, wrap = _kernel([_ONE] + [c for _, _, c in terms])
     reads = [(powers[j], i, c) for (j, i, _), c in zip(terms, cs) if j]
     constants = [(i, c) for (j, i, _), c in zip(terms, cs) if j == 0]
-    # for a square F^j = (F^h)^2: the coefficients 2 [x^m] F^h, so that each
-    # cross product is formed once
-    twice: dict[int, list] = {j: [] for j in steps if j == 2 * chain[j]}
+    # each table with its product stream, lower powers first, as higher ones read them
+    tables = [
+        (powers[j], _product(powers[h], powers[g], dot)) for j, (h, g) in sorted(chain.items())
+    ]
     for k in range(order + 1):
         pairs = [(c, one) for i, c in constants if i == k]
         pairs += [(row[k - i], c) for row, i, c in reads if i <= k]
         f.append(dot(pairs))
         if k == order:
             break
-        for j in steps:
-            row = powers[chain[j]]
-            if j in twice:
-                doubled = twice[j]
-                doubled.append(row[k] * 2)
-                pairs = [(row[m], doubled[k - m]) for m in range((k + 1) // 2)]
-                if k % 2 == 0:
-                    pairs.append((row[k // 2], row[k // 2]))
-            else:
-                pairs = [(row[m], f[k - m]) for m in range(k + 1)]
-            powers[j].append(dot(pairs))
+        for row, product in tables:
+            row.append(next(product))
     solution = TruncatedSeries._trusted(wrap(f))
     image = TruncatedSeries.zero(order)
     for j, i, c in terms:

@@ -54,7 +54,7 @@ from .oracles import (
 from .params import A, B, Q, T
 from .paths import Path, Pyramid, ValleyBlock, ValleyStructure, enumerate_family, is_valley_uniform
 from .polynomials import Polynomial, binomial
-from .series import TruncatedSeries, valley_series
+from .series import TruncatedSeries, named_series, valley_series
 from .weights import (
     DELANNOY_TUPLES,
     path_weight,
@@ -383,6 +383,9 @@ def _fuss_formulas(bound: int) -> Iterator[Comparison]:
 
 @_check("oracle_bridges", least=12)
 def _oracle_bridges(bound: int) -> Iterator[Comparison]:
+    # the named series no weight table reads, each against its oracle
+    for name in ("catalan", "narayana", "schroder_large", "schroder_small"):
+        yield from _coefficients(named_series(name, bound), name, bound)
     for n in range(bound + 1):
         nar = narayana_polynomial(n)
         large = schroder_large_polynomial(n)

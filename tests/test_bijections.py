@@ -7,6 +7,7 @@ from conftest import rebuilt
 from valleydyck import verify
 from valleydyck.bijections import (
     MAPS,
+    TAU_SIDES,
     DecoratedStructure,
     PartDecoration,
     TauDecorated,
@@ -181,6 +182,27 @@ def test_tau_small_cases():
     three = list(enumerate_tau(3, "src_4372"))
     assert sorted(tau_value(t) for t in three) == [7, 7, 7, 21]
     assert sum(tau_value(t) for t in three) == 42  # 7 * (D0*D1 + D1*D0)
+
+
+def test_enumerate_tau_builds_its_objects_unchecked(monkeypatch):
+    # enumerate_tau builds through TauFactor._trusted and TauDecorated._trusted,
+    # so it runs with both validating constructors refusing; restored, they
+    # must accept each object it yielded, with tuple fields, and equal it
+    def refuse(self, *args):
+        raise AssertionError("enumerate_tau ran a validating constructor")
+
+    monkeypatch.setattr(TauFactor, "__init__", refuse)
+    monkeypatch.setattr(TauDecorated, "__init__", refuse)
+    objs = [obj for side in TAU_SIDES for n in range(8) for obj in enumerate_tau(n, side)]
+    monkeypatch.undo()
+    assert objs
+    for obj in objs:
+        assert type(obj.factors) is tuple
+        factors = []
+        for f in obj.factors:
+            assert type(f.heights) is tuple and type(f.letters) is tuple
+            factors.append(TauFactor(f.ascent, f.heights, f.letters))
+        assert TauDecorated(obj.side, factors) == obj
 
 
 def test_tau_values_match_registry_weights():

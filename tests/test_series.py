@@ -1,5 +1,6 @@
 import pickle
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -290,6 +291,22 @@ def test_product_and_inverse_match_dense_reference():
             assert list(inv.coeffs) == schoolbook_inverse(unit.coeffs)
             one = TruncatedSeries.one(order)
             assert schoolbook_product(unit.coeffs, inv.coeffs) == list(one.coeffs)
+
+
+@pytest.mark.parametrize("square", [False, True], ids=["a*b", "a*a"])
+def test_a_product_holds_one_coefficients_pairs(square):
+    # a product forms one coefficient's pairs of factors at a time, so at
+    # order 600 its peak is the result and one coefficient's pairs, about
+    # 0.2 MB; the pairs of every coefficient at once take 5.7 MB (a*a) to 11.3 MB
+    alpha, beta, _ = registry_get("geom_3x", 600).to_series()
+    other = alpha if square else beta
+    tracemalloc.start()
+    try:
+        alpha * other
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_times_x_mirrors_shift_div_x():

@@ -340,12 +340,14 @@ def test_checks_catch_a_wrong_tau_marker(side, marker, example, monkeypatch):
 _WRONG_SCHRODER_BETA = Equation(((0, 1, 1), (1, 1, Q + 2), (2, 1, Q + 2)))
 
 # a wrong coefficient in one entry of series.EQUATIONS, which the weight
-# table is built from; the oracle side is a binomial sum that never sees it.
+# table is built from, or which oracle_bridges solves on its own; the oracle
+# side is a binomial sum that never sees it.
 # Both Schroder tables solve the large beta series, since S - 1 = (R - 1) / (q + 1)
 EQUATION_FAULTS = {
     "diff_motzkin": ("motzkin_ab", Equation(((0, 0, 1), (1, 1, A), (2, 2, 2 * B)))),
     "diff_schroder_large": ("schroder_large_beta", _WRONG_SCHRODER_BETA),
     "diff_schroder_small": ("schroder_large_beta", _WRONG_SCHRODER_BETA),
+    "oracle_bridges": ("narayana", Equation(((0, 0, 1), (1, 1, T - 2), (2, 1, 1)))),
 }
 
 
