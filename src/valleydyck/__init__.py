@@ -18,9 +18,8 @@ _EXPORTS = {
     for module, names in (
         ("polynomials", ("Polynomial", "binomial")),
         ("series", ("TruncatedSeries", "named_series", "valley_series", "valley_series_ab")),
-        ("paths", ("Path", "PathStats", "Pyramid", "ValleyBlock", "ValleyStructure", "analyze",
-                   "enumerate_family", "is_valley_uniform", "primitive_factors", "render_ascii",
-                   "valley_structures")),
+        ("paths", ("Path", "Pyramid", "ValleyBlock", "ValleyStructure", "enumerate_family",
+                   "is_valley_uniform", "render_ascii", "valley_structures")),
         ("weights", ("WeightSpec", "path_weight", "registry_get", "spec_from_series",
                      "structure_weight", "target_weight", "target_weight_sum",
                      "valley_weight_sum")),

@@ -426,17 +426,13 @@ def enumerate_tau(n: int, side: str) -> Iterator[TauDecorated]:
                 marks = [(k0, (part.height - k0,)) for k0 in range(1, part.height)]
             else:
                 marks = [(part.ascent, part.heights)]
-            choices = [
+            per_part.append([
                 TauFactor._trusted(k0, heights, letters)
                 for k0, heights in marks
                 for letters in product(alphabet, repeat=k0 - 1)
-            ]
-            if not choices:
-                break
-            per_part.append(choices)
-        else:
-            for combo in product(*per_part):
-                yield TauDecorated._trusted(side, combo)
+            ])
+        for combo in product(*per_part):
+            yield TauDecorated._trusted(side, combo)
 
 
 def _encode_heights(heights: tuple[int, ...], marker: str) -> tuple[str, ...]:

@@ -22,7 +22,7 @@ from functools import lru_cache
 from typing import Callable
 
 from .errors import BadParams, IndexOutOfRange
-from .paths import enumerate_family
+from .paths import STEP_RISE, enumerate_family
 from .polynomials import Polynomial, binomial
 from .params import Arity, Q, T, read_params
 
@@ -329,6 +329,8 @@ def delannoy_hstep_count(n: int) -> int:
         raise IndexOutOfRange("axis H-step counting starts at semilength 1")
     count = 0
     for path in enumerate_family("delannoy", n):
-        # levels() starts at the level before the first step
-        count += sum(ch == "H" and level == 0 for ch, level in zip(path.steps, path.levels()))
+        level = 0
+        for ch in path.steps:
+            level += STEP_RISE[ch]  # an H step is flat, so it is on the axis iff it ends there
+            count += ch == "H" and not level
     return count

@@ -1,4 +1,4 @@
-"""Lattice path families, structural statistics, and exhaustive enumerators.
+"""Lattice path families, exhaustive enumerators, and the valley reading of Dyck paths.
 
 Steps are single characters: ``U`` = (1,1), ``D`` = (1,-1), ``F`` = (1,0)
 (the Motzkin unit flat) and ``H`` = (2,0) (the Schroder/Delannoy double
@@ -11,9 +11,16 @@ forbids ``H`` on the axis.
 The size of a path is its semilength (half the width) except for Motzkin
 paths, whose size is the step count.
 
-``Path``, ``PathStats`` and the structure types ``Pyramid``, ``ValleyBlock``
-and ``ValleyStructure`` are slotted immutable values (``_value.Value``):
-each is checked once, by its constructor, and compares by its fields.  The
+A Dyck path is read by its runs: ``valley_factors`` groups the steps once
+into up and down runs and gives each primitive factor's valley levels and
+maximal pyramid heights, all that ``is_valley_uniform`` and
+``weights.path_weight`` read.  An up run and the down run after it are one
+maximal pyramid, as high as the shorter run; a down run and the up run after
+it meet at a valley unless they meet on the axis, where the factor ends.
+
+``Path`` and the structure types ``Pyramid``, ``ValleyBlock`` and
+``ValleyStructure`` are slotted immutable values (``_value.Value``): each
+is checked once, by its constructor, and compares by its fields.  The
 enumerator's walker keeps every rule as it goes, so it builds its paths
 unchecked (``Path._trusted``).
 """
@@ -21,7 +28,7 @@ unchecked (``Path._trusted``).
 from __future__ import annotations
 
 import math
-from itertools import accumulate
+from itertools import accumulate, groupby
 from typing import Iterator, Mapping, Union
 
 from ._value import Value
@@ -117,58 +124,6 @@ class Path(Value):
         if type(steps) is not str:
             raise TypeError(f"path steps must be a string, got {type(steps).__name__}")
         return cls(data["family"], steps)
-
-
-class PathStats(Value):
-    """Deterministic structural statistics of a path.
-
-    Positions are 0-based step indices.  A peak/valley is recorded with the
-    level of the shared point of its two steps; a maximal pyramid with its
-    height, altitude (level of its last down step) and start position.
-    Every field is a tuple of such tuples.
-    """
-
-    __slots__ = ("peaks", "valleys", "pyramids")
-
-    def __init__(self, peaks, valleys, pyramids):
-        self._fill(peaks, valleys, pyramids)
-
-
-def analyze(path: Path) -> PathStats:
-    steps = path.steps
-    levels = path.levels()
-    peaks = []
-    valleys = []
-    for i in range(len(steps) - 1):
-        if steps[i] == "U" and steps[i + 1] == "D":
-            peaks.append((i, levels[i + 1]))
-        elif steps[i] == "D" and steps[i + 1] == "U":
-            valleys.append((i, levels[i + 1]))
-    pyramids = []
-    for i, _ in peaks:
-        h = 1
-        while (
-            i - h >= 0
-            and i + 1 + h < len(steps)
-            and steps[i - h] == "U"
-            and steps[i + 1 + h] == "D"
-        ):
-            h += 1
-        pyramids.append((h, levels[i + 1 + h], i - h + 1))
-    return PathStats(peaks=tuple(peaks), valleys=tuple(valleys), pyramids=tuple(pyramids))
-
-
-def primitive_factors(path: Path) -> list[Path]:
-    """Split at every return to level zero."""
-    factors = []
-    start = 0
-    level = 0
-    for i, ch in enumerate(path.steps):
-        level += STEP_RISE[ch]
-        if level == 0:
-            factors.append(Path(path.family, path.steps[start : i + 1]))
-            start = i + 1
-    return factors
 
 
 def enumerate_family(family: str, n: int, filt: str = "none") -> Iterator[Path]:
@@ -293,15 +248,30 @@ class ValleyStructure(Value):
         return Path("dyck", "".join(chunks))
 
 
+def valley_factors(steps: str) -> Iterator[tuple[int, int, set[int], list[int]]]:
+    """Each primitive factor of a valid Dyck step string, read off its runs as
+    the module docstring says: (start, end, valley levels, maximal pyramid
+    heights)."""
+    runs = [len(list(run)) for _, run in groupby(steps)]
+    start = end = level = 0
+    valleys: set[int] = set()
+    heights: list[int] = []
+    for up, down in zip(runs[::2], runs[1::2]):
+        heights.append(min(up, down))
+        end += up + down
+        level += up - down
+        if level:
+            valleys.add(level)
+        else:
+            yield start, end, valleys, heights
+            start, valleys, heights = end, set(), []
+
+
 def is_valley_uniform(path: Path) -> bool:
     """True when every primitive factor has all its valleys at one level."""
     if path.family != "dyck":
         raise FamilyViolation("the valley condition applies to Dyck paths")
-    for factor in primitive_factors(path):
-        levels = {level for _, level in analyze(factor).valleys}
-        if len(levels) > 1:
-            return False
-    return True
+    return all(len(valleys) < 2 for _, _, valleys, _ in valley_factors(path.steps))
 
 
 def valley_structures(n: int) -> Iterator[ValleyStructure]:

@@ -39,13 +39,13 @@ from ._value import Value
 from .errors import BadParams, FamilyViolation, NotValleyUniform, OrderExceeded
 from .params import A, A_INV, B, Q, T, T1_INV, Arity, ParamValue, _read, read_params
 from .paths import (
+    STEP_RISE,
     Part,
     Path,
     Pyramid,
     ValleyStructure,
-    analyze,
     enumerate_family,
-    primitive_factors,
+    valley_factors,
     valley_structures,
 )
 from .polynomials import INVERSE_VARS, Polynomial, Scalar, var_key
@@ -137,7 +137,7 @@ def structure_weight(structure: ValleyStructure, spec: WeightSpec) -> Polynomial
 
 
 def path_weight(path: Path, spec: WeightSpec) -> Polynomial:
-    """Weight of a raw valley-uniform Dyck path, read off its statistics.
+    """Weight of a raw valley-uniform Dyck path, read off its runs.
 
     This route never builds a ValleyStructure: a factor without valleys is a
     pyramid on the axis, and a factor with valleys at the common level k
@@ -147,17 +147,15 @@ def path_weight(path: Path, spec: WeightSpec) -> Polynomial:
     if path.family != "dyck":
         raise FamilyViolation("valley weights apply to Dyck paths")
     total = Polynomial.one()
-    for factor in primitive_factors(path):
-        stats = analyze(factor)
-        levels = {lvl for _, lvl in stats.valleys}
+    for start, end, levels, heights in valley_factors(path.steps):
         if not levels:
-            total = total * spec.gamma_at(factor.size)
+            total = total * spec.gamma_at((end - start) // 2)
         elif len(levels) == 1:
             total = total * spec.beta_at(levels.pop())
-            for height, _, _ in stats.pyramids:
+            for height in heights:
                 total = total * spec.alpha_at(height)
         else:
-            raise NotValleyUniform(f"valleys of {factor.steps!r} sit at several levels")
+            raise NotValleyUniform(f"valleys of {path.steps[start:end]!r} sit at several levels")
     return total
 
 
@@ -211,10 +209,12 @@ def _narayana_t_weight(path: Path) -> Polynomial:
 
 
 def _level_peaks_weight(path: Path) -> Polynomial:
-    total = Polynomial.one()
-    for _, level in analyze(path).peaks:
-        total = total * ((T + 1) if level == 1 else T)
-    return total
+    # a peak weighs t + 1 when its U step leaves the axis, and t elsewhere
+    steps, level, axis = path.steps, 0, 0
+    for ch, after in zip(steps, steps[1:]):
+        axis += not level and ch == "U" and after == "D"
+        level += STEP_RISE[ch]
+    return (T + 1) ** axis * T ** (steps.count("UD") - axis)
 
 
 TARGET_WEIGHTINGS: dict[str, Callable[[Path], Polynomial]] = {

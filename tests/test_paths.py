@@ -21,12 +21,11 @@ from valleydyck.paths import (
     Pyramid,
     ValleyBlock,
     ValleyStructure,
-    analyze,
     enumerate_family,
     is_valley_uniform,
     passes_filter,
-    primitive_factors,
     render_ascii,
+    valley_factors,
     valley_structures,
 )
 from valleydyck.verify import INTRO_EXAMPLE
@@ -48,40 +47,32 @@ def test_parse_and_validation():
     assert Path("delannoy", "DU").size == 1
 
 
-def test_analyze_simple():
-    stats = analyze(Path("dyck", "UD"))
-    assert stats.peaks == ((0, 1),)
-    assert stats.valleys == ()
-    assert stats.pyramids == ((1, 0, 0),)
+def test_valley_factors_give_back_each_part():
+    # a structure's path is one primitive factor per part, in order: a pyramid
+    # has no valley, and a block has its valleys on its ascent level and its
+    # inner pyramids for its maximal pyramids
+    for n in range(9):
+        for s in valley_structures(n):
+            steps = s.to_path().steps
+            factors = list(valley_factors(steps))
+            assert len(factors) == len(s.parts)
+            at = 0
+            for (start, end, valleys, heights), part in zip(factors, s.parts):
+                assert (start, (end - start) // 2) == (at, part.size)
+                if isinstance(part, Pyramid):
+                    assert (valleys, heights) == (set(), [part.height])
+                else:
+                    assert (valleys, tuple(heights)) == ({part.ascent}, part.heights)
+                at = end
+            assert at == len(steps)
 
-    stats = analyze(Path("dyck", "UUDUDD"))
-    assert [lvl for _, lvl in stats.valleys] == [1]
-    assert [(h, alt) for h, alt, _ in stats.pyramids] == [(1, 1), (1, 1)]
-    assert [lvl for _, lvl in stats.peaks] == [2, 2]
 
-
-def test_analyze_intro_example():
-    stats = analyze(INTRO_EXAMPLE)
-    assert [(h, alt) for h, alt, _ in stats.pyramids] == [
-        (3, 3),
-        (1, 3),
-        (1, 3),
-        (1, 2),
-        (1, 2),
-        (2, 0),
+def test_valley_factors_of_the_intro_example_and_a_nonuniform_path():
+    # blocks of ascent 3 and 2, then an axis pyramid of height 2
+    assert list(valley_factors(INTRO_EXAMPLE.steps)) == [
+        (0, 16, {3}, [3, 1, 1]), (16, 24, {2}, [1, 1]), (24, 28, set(), [2])
     ]
-    assert [lvl for _, lvl in stats.valleys] == [3, 3, 0, 2, 0]
-
-
-def test_primitive_factors_and_rebuild():
-    p = INTRO_EXAMPLE
-    factors = primitive_factors(p)
-    assert [f.size for f in factors] == [8, 4, 2]
-    assert Path(p.family, "".join(f.steps for f in factors)) == p
-    assert primitive_factors(Path("dyck", "UDUD")) == [
-        Path("dyck", "UD"),
-        Path("dyck", "UD"),
-    ]
+    assert list(valley_factors("UUUDUDDUDD")) == [(0, 10, {2, 1}, [1, 1, 1])]
 
 
 def test_enumerate_dyck_catalan_counts():

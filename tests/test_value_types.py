@@ -1,4 +1,4 @@
-"""The contract every immutable value type keeps, pinned once for all 15.
+"""The contract every immutable value type keeps, pinned once for all 14.
 
 Each case builds one instance by keyword and checks: positional construction
 gives an equal object; equality holds only against the same class with the
@@ -23,7 +23,7 @@ from valleydyck.bijections import (
     TauFactor,
 )
 from valleydyck.params import A, Q
-from valleydyck.paths import Path, PathStats, Pyramid, ValleyBlock, ValleyStructure, analyze
+from valleydyck.paths import Path, Pyramid, ValleyBlock, ValleyStructure
 from valleydyck.polynomials import Polynomial
 from valleydyck.series import Equation, TruncatedSeries
 from valleydyck.verify import CheckResult, VerifyReport
@@ -45,12 +45,6 @@ CASES = {
         Path, dict(family="dyck", steps="UD"), 1, (),
         "Path(family='dyck', steps='UD')",
         Path("dyck", "UUDD"),
-    ),
-    "PathStats": (
-        PathStats,
-        dict(peaks=((1, 2),), valleys=(), pyramids=((2, 0, 0),)), 3, (),
-        "PathStats(peaks=((1, 2),), valleys=(), pyramids=((2, 0, 0),))",
-        analyze(Path("dyck", "UDUD")),
     ),
     "Pyramid": (Pyramid, dict(height=2), 1, (), "Pyramid(height=2)", Pyramid(3)),
     "ValleyBlock": (

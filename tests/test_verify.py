@@ -1,10 +1,11 @@
 """The verify runner: effective bounds, skipped checks, clamp notes, and faults."""
 
 import json
+from itertools import groupby
 
 import pytest
 
-from valleydyck import bijections, cli, polynomials, series, verify, weights
+from valleydyck import bijections, cli, paths, polynomials, series, verify, weights
 from valleydyck.bijections import (
     MAPS,
     DecoratedStructure,
@@ -375,25 +376,29 @@ def test_diff_check_fails_on_a_wrong_equation(check, monkeypatch):
 _MAC = series._mac
 
 
-def _dropping_last_pair(pairs):
+def _dropping_first_pair(pairs):
     """The scalar kernel, broken: a coefficient of two or more pairs of factors
-    loses its last pair."""
-    return _MAC(pairs[:-1] if len(pairs) > 1 else pairs)
+    loses its first pair."""
+    return _MAC(pairs[1:] if len(pairs) > 1 else pairs)
 
 
 # checks whose tables are all numbers, so every convolution in them runs on
 # the scalar kernel, and the comparison that catches it broken
 KERNEL_FAULTS = {
-    "geom_3x_values": "geom_3x n=1",
-    "delannoy_scaled_sums": "n=3, tuple (4, 3, 7, 2) vs 7 * convolution",
-    "fuss_formulas": "fuss_sym {'m': 1, 'r': 1} n=2",
+    "geom_3x_values": "geom_3x n=2",
+    "delannoy_scaled_sums": "n=2, tuple (4, 3, 7, 2) vs 7 * convolution",
+    "fuss_formulas": "fuss_sym {'m': 1, 'r': 1} n=3",
 }
 
 
 @pytest.mark.parametrize("check", KERNEL_FAULTS)
 def test_check_catches_a_broken_scalar_kernel(check, monkeypatch):
     assert verify.run_check(check, 6).passed
-    monkeypatch.setattr(series, "_mac", _dropping_last_pair)
+    alpha, beta, _ = registry_get("geom_3x", 8).to_series()
+    product = alpha * beta
+    monkeypatch.setattr(series, "_mac", _dropping_first_pair)
+    # the fault reaches a product of two weight series, whose b_0 is 0
+    assert alpha * beta != product
     _clear_series_caches()
     try:
         result = CHECKS[check](6)
@@ -442,6 +447,13 @@ def _dropping_last_structure(rows):
     return _NUMBER_SUM(list(rows)[:-1])
 
 
+def _longer_runs(steps):
+    """valley_factors, broken: each maximal pyramid is as high as its longer run."""
+    for start, end, valleys, _ in paths.valley_factors(steps):
+        runs = [len(list(run)) for _, run in groupby(steps[start:end])]
+        yield start, end, valleys, [max(pair) for pair in zip(runs[::2], runs[1::2])]
+
+
 # faults in the brute-force routes, each set in the module that runs it, and
 # the comparison that catches it: (check, module, attribute, replacement, label)
 BRUTE_FORCE_FAULTS = {
@@ -454,6 +466,8 @@ BRUTE_FORCE_FAULTS = {
     "numeric_delannoy_sum": ("delannoy_scaled_sums", weights, "_number_sum",
                              _dropping_last_structure,
                              "n=2, tuple (4, 3, 7, 2) vs 7 * convolution"),
+    "path_reader": ("master_triple_agreement", weights, "valley_factors", _longer_runs,
+                    "n=3: paths vs series"),
 }
 
 

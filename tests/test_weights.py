@@ -9,11 +9,11 @@ from valleydyck.paths import (
     Pyramid,
     ValleyBlock,
     ValleyStructure,
-    analyze,
     enumerate_family,
+    is_valley_uniform,
     valley_structures,
 )
-from valleydyck import weights
+from valleydyck import paths, weights
 from valleydyck.params import A, A_INV, B, Q, T, T1_INV
 from valleydyck.polynomials import Polynomial
 from valleydyck.series import named_series, valley_series, valley_series_ab
@@ -67,6 +67,28 @@ def test_path_weight_rejects_nonuniform():
     spec = registry_get("generic", 6)
     with pytest.raises(NotValleyUniform):
         path_weight(Path("dyck", "UUUDUDDUDD"), spec)
+
+
+def test_the_path_route_reaches_no_structure_code(monkeypatch):
+    spec = registry_get("generic", 7)
+    sums = [valley_weight_sum(n, spec) for n in range(8)]
+
+    def unreachable(*args):
+        raise AssertionError("the path route reached the structure route")
+
+    for module, name in ((paths, "valley_structures"), (paths, "primitive_part"),
+                         (weights, "valley_structures"), (weights, "part_weight"),
+                         (weights, "structure_weight")):
+        monkeypatch.setattr(module, name, unreachable)
+    for n in range(8):
+        total = Polynomial.zero()
+        for path in enumerate_family("dyck", n):
+            if is_valley_uniform(path):
+                total += path_weight(path, spec)
+            else:
+                with pytest.raises(NotValleyUniform):
+                    path_weight(path, spec)
+        assert total == sums[n], n
 
 
 def test_weight_sums_small_generic():
@@ -179,7 +201,7 @@ def test_target_weightings():
     assert lp == (T + 1) * T
     for n in range(7):
         for path in enumerate_family("dyck", n):
-            assert target_weight(path, "narayana_t") == T ** len(analyze(path).peaks)
+            assert target_weight(path, "narayana_t") == T ** path.steps.count("UD")
 
 
 def test_target_weight_sums_match_differences():
