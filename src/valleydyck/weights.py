@@ -404,10 +404,6 @@ def registry_builder(name: str, order: int, **params: ParamValue) -> Callable[[i
     # order 2 but generic, which is its variables and has nothing to solve
     probe = order if name == "generic" else min(order, 2)
     _check_names(_registry_get_cached(name, probe, frozen, ()), pinned, label, tuple(declared))
-    for k, v in pinned.items():
-        if k in INVERSE_VARS and v != "sym":
-            base = INVERSE_VARS[k][0]
-            raise BadParams(f"{label}: {k} is the formal inverse of {base}; pin {base} instead")
     pins = tuple(sorted(_bindings(pinned, label).items()))
     return lambda at: _registry_get_cached(name, at, frozen, pins)
 
@@ -426,7 +422,11 @@ def _check_names(
 
 
 def _bindings(pinned: Mapping[str, ParamValue], label: str) -> dict[str, Polynomial]:
-    """The value of each pin that is not ``"sym"``."""
+    """The value of each pin that is not ``"sym"``, refusing one for a formal inverse."""
+    for k, v in pinned.items():
+        if k in INVERSE_VARS and v != "sym":
+            base = INVERSE_VARS[k][0]
+            raise BadParams(f"{label}: {k} is the formal inverse of {base}; pin {base} instead")
     return {k: _read(k, "Polynomial", v, label) for k, v in pinned.items() if v != "sym"}
 
 

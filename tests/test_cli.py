@@ -324,6 +324,26 @@ def test_param_on_spec_file_matches_registry(tmp_path):
     assert "no parameter or variable zz" in proc.stderr and "variables: a, a_inv, b" in proc.stderr
 
 
+@pytest.mark.parametrize("table, inv, base", [
+    ("motzkin_ab", "a_inv", "a"), ("narayana_shift_t", "t1_inv", "t"),
+])
+def test_a_formal_inverse_is_not_pinned_on_a_spec_file_either(table, inv, base, tmp_path, capsys):
+    # its base variable's value fixes it; "sym" leaves it as it is
+    dump = tmp_path / "spec.json"
+    assert cli.main(["series", "--spec", table, "--order", "3", "--dump-spec", str(dump)]) == 0
+    capsys.readouterr()
+    for command, size in (("series", "--order"), ("count", "--n")):
+        assert cli.main([command, "--spec", table, size, "3"]) == 0
+        symbolic = capsys.readouterr().out
+        for spec in (table, f"@{dump}"):
+            argv = [command, "--spec", spec, size, "3", "--param"]
+            assert cli.main([*argv, f"{inv}=sym"]) == 0
+            assert capsys.readouterr().out == symbolic
+            assert cli.main([*argv, f"{inv}=2"]) == 2
+            message = f"{spec} at order 3: {inv} is the formal inverse of {base}; pin {base} instead"
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("argv, names", [
     (("catalan", "--n", "5", "--param", "zz=1"), "catalan has no parameter zz"),
     (("fuss_sym", "--n", "6", "--param", "m=2", "--param", "r=1.9"), "parameter r"),

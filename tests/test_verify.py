@@ -1,10 +1,18 @@
-"""The verify runner: effective bounds, skipped checks, clamp notes, and faults."""
+"""The verify runner: effective bounds, skipped checks, clamp notes, and faults.
+
+Every fault test is one row of ``FAULTS``, run by one harness: a fault put
+into the program must make its check fail with the comparison, or the error,
+that the row names.  A new check adds a row, and so does the fix for a mutant
+that the verify suites let survive (the mutation sweep in ROADMAP.md).
+"""
 
 import json
+import sys
 from itertools import groupby
 
 import pytest
 
+from conftest import rebuilt
 from valleydyck import bijections, cli, paths, polynomials, series, verify, weights
 from valleydyck.bijections import (
     MAPS,
@@ -12,6 +20,7 @@ from valleydyck.bijections import (
     PartDecoration,
     decorated_weight,
     decorations,
+    enumerate_decorated,
     inverse,
     tau_structure,
     tau_ustep_weights,
@@ -29,9 +38,16 @@ from valleydyck.oracles import (
 )
 from valleydyck.params import A, B, Q, T
 from valleydyck.paths import Path, enumerate_family
-from valleydyck.series import Equation, valley_series
+from valleydyck.polynomials import Polynomial
+from valleydyck.series import Equation, TruncatedSeries, valley_series
 from valleydyck.verify import CHECKS
-from valleydyck.weights import DELANNOY_TUPLES, path_weight, registry_get, valley_weight_sum
+from valleydyck.weights import (
+    DELANNOY_TUPLES,
+    path_weight,
+    registry_get,
+    target_weight,
+    valley_weight_sum,
+)
 
 # the clamp each check puts on the requested bound
 UPTO = {
@@ -98,95 +114,24 @@ def test_clamped_bound_is_noted_on_stderr(capsys):
     assert "note" not in capsys.readouterr().err
 
 
-def _formula_off_at_one(name, n, **params):
-    value = formula_vn(name, n, **params)
-    return value + 1 if n == 1 else value
+def _doubled(fn, when=lambda *args, **kw: True):
+    """``fn``, its value doubled where ``when`` holds of the arguments."""
+    return lambda *args, **kw: (2 if when(*args, **kw) else 1) * fn(*args, **kw)
 
 
-_FORMULA_CHECKS = (
-    "geom_3x_values",
-    "geom_fib_values",
-    "diff_motzkin",
-    "diff_schroder_large",
-    "diff_schroder_small",
-    "diff_narayana",
-    "diff_narayana_shift",
-    "chebyshev_rational_identity",
-    "fuss_formulas",
-)
-
-# one wrong input in the verify namespace per check: (name, replacement)
-FAULTS = {
-    **{check: ("formula_vn", _formula_off_at_one) for check in _FORMULA_CHECKS},
-    "master_triple_agreement": ("path_weight", lambda p, spec: 2 * path_weight(p, spec)),
-    "tau_exchange": ("delannoy_convolution", lambda n, gap: delannoy_convolution(n + 1, gap)),
-    "delannoy_scaled_sums": (
-        "delannoy_convolution", lambda n, gap: delannoy_convolution(n + 1, gap)
-    ),
-    "oracle_bridges": ("catalan_number", lambda n: catalan_number(n) + 1),
-    "delannoy_table": ("DELANNOY_TUPLES", ((DELANNOY_TUPLES[0][0], 8),) + DELANNOY_TUPLES[1:]),
-    "delannoy_axis_hsteps": ("delannoy_hstep_count", lambda n: delannoy_hstep_count(n) + 1),
-    "worked_examples": (
-        "INTRO_EXAMPLE", Path("dyck", verify.INTRO_EXAMPLE.steps.replace("UDUD", "UUDD", 1))
-    ),
-}
+def _plus_one(fn, when=lambda *args, **kw: True):
+    """``fn``, its value plus one where ``when`` holds of the arguments."""
+    return lambda *args, **kw: fn(*args, **kw) + bool(when(*args, **kw))
 
 
-def test_every_check_has_a_fault():
-    # the bijection checks and target_difference_enumeration are faulted in test_bijections
-    faulted_elsewhere = {f"bijection_{map_id}" for map_id in MAPS}
-    faulted_elsewhere.add("target_difference_enumeration")
-    assert set(FAULTS) == set(CHECKS) - faulted_elsewhere
-
-
-@pytest.mark.parametrize("check", FAULTS)
-def test_check_fails_on_a_wrong_input(check, monkeypatch):
-    assert CHECKS[check](3).status == "pass"
-    monkeypatch.setattr(verify, *FAULTS[check])
-    result = CHECKS[check](3)
-    assert result.status == "fail"
-    assert " != " in result.detail, result.detail  # a comparison caught it, not an exception
-
-
-def test_binomial_forms_of_delannoy_fail_by_comparison(monkeypatch):
-    # delannoy_number computes one form; oracle_bridges compares it with the other
-    monkeypatch.setattr(verify, "delannoy_number", lambda n: delannoy_number(n) + (n == 7))
-    result = CHECKS["oracle_bridges"](3)
-    assert result.detail == "Delannoy binomial forms, n=7: 48640 != 48639"
+def _two_weights(alpha, beta, gamma):
+    """Whether the series are those of a two-weight table, gamma == alpha*beta."""
+    return gamma == alpha * beta
 
 
 def _other(obj):
     """A decoration of ``obj``'s structure other than ``obj`` itself."""
     return next(c for c in decorations(obj.structure, obj.map_id) if c != obj)
-
-
-def _other_example(name):
-    return {**verify.DECORATED_EXAMPLES, name: _other(verify.DECORATED_EXAMPLES[name])}
-
-
-def _doubled(fn):
-    return lambda *args: 2 * fn(*args)
-
-
-def _doubled_shape(two_weights):
-    """valley_series, doubled only where gamma == alpha*beta is ``two_weights``."""
-    def broken(alpha, beta, gamma):
-        right = valley_series(alpha, beta, gamma)
-        return 2 * right if (gamma == alpha * beta) == two_weights else right
-    return broken
-
-
-def _doubled_for(table):
-    """valley_series, doubled only on the series of one registry table."""
-    def broken(alpha, beta, gamma):
-        right = valley_series(alpha, beta, gamma)
-        ours = registry_get(table, alpha.order).to_series() == (alpha, beta, gamma)
-        return 2 * right if ours else right
-    return broken
-
-
-def _formula_off_for(name):
-    return lambda f, n, **params: formula_vn(f, n, **params) + (f == name)
 
 
 # decorations that only the checks of the validating constructors reject;
@@ -223,6 +168,212 @@ def _with_stray_path(family, n, filt="none"):
     return paths
 
 
+def _without_h_above_the_axis(family, n, filt="none"):
+    """enumerate_family, broken: the walk never takes an H step above the axis."""
+    for path in enumerate_family(family, n, filt):
+        if not any(ch == "H" and level for ch, level in zip(path.steps, path.levels())):
+            yield path
+
+
+_MAC = series._mac
+_NUMBER_SUM = weights._number_sum
+
+
+def _dropping_first_pair(pairs):
+    """The scalar kernel, broken: a coefficient of two or more pairs of factors
+    loses its first pair."""
+    return _MAC(pairs[1:] if len(pairs) > 1 else pairs)
+
+
+def _dropping_last_structure(rows):
+    """The numeric structure sum, broken: the last structure's weight is left out."""
+    return _NUMBER_SUM(list(rows)[:-1])
+
+
+def _longer_runs(steps):
+    """valley_factors, broken: each maximal pyramid is as high as its longer run."""
+    for start, end, valleys, _ in paths.valley_factors(steps):
+        runs = [len(list(run)) for _, run in groupby(steps[start:end])]
+        yield start, end, valleys, [max(pair) for pair in zip(runs[::2], runs[1::2])]
+
+
+# the label of the first coefficient comparison of each check that compares a
+# series with a closed form
+SERIES_LABELS = {
+    "geom_3x_values": "geom_3x",
+    "geom_fib_values": "geom_fib",
+    **{"diff_" + spec.formula.removesuffix("_diff"): spec.formula for spec in MAPS.values()},
+    "chebyshev_rational_identity": "chebyshev_closed",
+    "fuss_formulas": "fuss_sym {'m': 1, 'r': 1}",
+}
+_WRONG_SCHRODER_BETA = Equation(((0, 1, 1), (1, 1, Q + 2), (2, 1, Q + 2)))
+
+ONE = Polynomial.one()
+
+# Every check's faults, one a row: (check, target, name, replacement, label).
+# The target is a module, whose attribute ``name`` is set to the replacement,
+# or a table, whose entry ``name`` is; the check must then fail with a detail
+# that starts "{label}: ", the comparison that catches the fault or the error
+# it raises.
+FAULTS = [
+    # a closed form off by one at n = 1, on the oracle side
+    *((check, verify, "formula_vn", _plus_one(formula_vn, lambda f, n, **kw: n == 1),
+       f"{label} n=1") for check, label in SERIES_LABELS.items()),
+    # every series with gamma == alpha*beta is read through valley_series, the
+    # route the series command takes; Fuss's third table has gamma == alpha
+    *((check, verify, "valley_series", _doubled(valley_series, _two_weights), f"{label} n=0")
+      for check, label in SERIES_LABELS.items()),
+    ("delannoy_table", verify, "valley_series", _doubled(valley_series, _two_weights),
+     "tuple (4, 3, 7, 2) vs 1 + 7x^2/(1-6x+x^2)"),
+    ("fuss_formulas", verify, "valley_series",
+     _doubled(valley_series, lambda *s: not _two_weights(*s)), "fuss_cubic {'m': 1, 'r': 1} n=0"),
+    ("chebyshev_rational_identity", verify, "valley_series",
+     _doubled(valley_series,
+              lambda *s: s == registry_get("chebyshev_second", s[0].order).to_series()),
+     "chebyshev_second n=0"),
+    ("fuss_formulas", verify, "formula_vn",
+     _plus_one(formula_vn, lambda f, n, **kw: f == "fuss_asym_collapse"),
+     "asymmetric collapse r=1 n=0"),
+    ("fuss_formulas", verify, "formula_vn",
+     _plus_one(formula_vn, lambda f, n, **kw: f == "fuss_cubic_collapse"),
+     "cubic collapse r=1 n=0"),
+    # the structure sums and the path sums
+    *((check, verify, "valley_weight_sum", _doubled(valley_weight_sum), label)
+      for check, label in (("master_triple_agreement", "n=0: structures vs series"),
+                           ("geom_3x_values", "enumeration n=0"),
+                           ("geom_fib_values", "enumeration n=0"))),
+    ("master_triple_agreement", verify, "path_weight", _doubled(path_weight),
+     "n=0: paths vs series"),
+    ("master_triple_agreement", weights, "valley_factors", _longer_runs, "n=3: paths vs series"),
+    ("geom_3x_values", weights, "_number_sum", _dropping_last_structure, "enumeration n=0"),
+    ("delannoy_scaled_sums", weights, "_number_sum", _dropping_last_structure,
+     "n=2, tuple (4, 3, 7, 2) vs 7 * convolution"),
+    # the scalar kernel: these checks' tables are all numbers
+    ("geom_3x_values", series, "_mac", _dropping_first_pair, "geom_3x n=2"),
+    ("delannoy_scaled_sums", series, "_mac", _dropping_first_pair,
+     "n=2, tuple (4, 3, 7, 2) vs 7 * convolution"),
+    ("fuss_formulas", series, "_mac", _dropping_first_pair, "fuss_sym {'m': 1, 'r': 1} n=3"),
+    # products that skip the inverse rewrite, in the tables that hold a formal
+    # inverse: the finishing pass then looks for guard bits only (those of the
+    # variables assigned when this module is imported, every variable they read)
+    ("diff_motzkin", polynomials, "_FLAGS", polynomials._GUARD, "motzkin_diff n=2"),
+    ("diff_narayana_shift", polynomials, "_FLAGS", polynomials._GUARD, "narayana_shift_diff n=2"),
+    # a wrong coefficient in an equation a table is built from, or one
+    # oracle_bridges solves on its own; both Schroder tables solve the large
+    # beta series, since S - 1 = (R - 1) / (q + 1)
+    ("diff_motzkin", series.EQUATIONS, "motzkin_ab",
+     Equation(((0, 0, 1), (1, 1, A), (2, 2, 2 * B))), "motzkin_diff n=4"),
+    ("diff_schroder_large", series.EQUATIONS, "schroder_large_beta", _WRONG_SCHRODER_BETA,
+     "schroder_large_diff n=4"),
+    ("diff_schroder_small", series.EQUATIONS, "schroder_large_beta", _WRONG_SCHRODER_BETA,
+     "schroder_small_diff n=4"),
+    ("oracle_bridges", series.EQUATIONS, "narayana",
+     Equation(((0, 0, 1), (1, 1, T - 2), (2, 1, 1))), "narayana n=1"),
+    # the oracles and bridges
+    ("oracle_bridges", verify, "catalan_number", _plus_one(catalan_number),
+     "peak polynomial at t=1, n=0"),
+    ("oracle_bridges", verify, "narayana_polynomial", lambda n: narayana_polynomial(n) * T,
+     "t -> q+1 bridge, n=0"),
+    ("oracle_bridges", verify, "schroder_small_polynomial", _doubled(schroder_small_polynomial),
+     "small/large Schroder, n=1"),
+    # delannoy_number computes one binomial form; oracle_bridges compares it with the other
+    ("oracle_bridges", verify, "delannoy_number", _plus_one(delannoy_number, lambda n: n == 7),
+     "Delannoy binomial forms, n=7"),
+    ("delannoy_axis_hsteps", verify, "delannoy_hstep_count", _plus_one(delannoy_hstep_count),
+     "n=1"),
+    ("delannoy_table", verify, "DELANNOY_TUPLES",
+     ((DELANNOY_TUPLES[0][0], 8), *DELANNOY_TUPLES[1:]),
+     "tuple (4, 3, 7, 2) vs 1 + 8x^2/(1-6x+x^2)"),
+    *((check, verify, "delannoy_convolution", lambda n, gap: delannoy_convolution(n + 1, gap),
+       label) for check, label in (("tau_exchange", "n=2: far-side sum vs 7 * convolution"),
+                                   ("delannoy_scaled_sums",
+                                    "n=2, tuple (4, 3, 7, 2) vs 7 * convolution"))),
+    # the exchange: one side's pyramid marker set to the other side's, and the
+    # letter values of the far side's objects of one size
+    *((check, bijections.TAU_TABLE, side, (letters, bijections.TAU_TABLE[far][1], far), label)
+      for (side, (letters, _, far)), role in zip(bijections.TAU_TABLE.items(), ("source", "image"))
+      for check, label in (("tau_exchange", "n=3: letter values"),
+                           ("worked_examples", f"exchange {role} letters"))),
+    *(("tau_exchange", verify, "tau_value",
+       _plus_one(tau_value, lambda t, n=n:
+                 t.side == "dst_2174" and tau_structure(t).semilength == n),
+       f"n={n}: letter values") for n in range(2, 7)),
+    # the worked examples
+    ("worked_examples", verify, "INTRO_EXAMPLE",
+     Path("dyck", verify.INTRO_EXAMPLE.steps.replace("UDUD", "UUDD", 1)),
+     "introductory example weight"),
+    *(("worked_examples", verify, "DECORATED_EXAMPLES",
+       {**verify.DECORATED_EXAMPLES, name: _other(verify.DECORATED_EXAMPLES[name])},
+       f"{name.capitalize()} image shape") for name in ("motzkin", "schroder", "narayana")),
+    ("worked_examples", verify, "decorated_weight", _doubled(decorated_weight),
+     "Motzkin example weight"),
+    ("worked_examples", verify, "inverse",
+     lambda m, p: _other(inverse(m, p)) if m == "theta" else inverse(m, p),
+     "Schroder inverse of the image"),
+    ("worked_examples", verify, "tau_ustep_weights",
+     lambda f, side: tau_ustep_weights(f, side)[::-1], "exchange source letters"),
+    ("worked_examples", verify, "EXCHANGE_IMAGE", verify.EXCHANGE_SOURCE.to_path(),
+     "exchange image path"),
+    # the bijections: a round trip, completeness and weights, each broken for every map
+    *((f"bijection_{map_id}", verify, "inverse",
+       lambda m, p: next(iter(enumerate_decorated(p.size, m))), f"n={n}: inverse(forward)")
+      for map_id, n in {"phi": 3, "theta": 2, "sigma": 2, "rho": 3, "psi": 3}.items()),
+    *((f"bijection_{map_id}", verify, name, replacement, f"n=0: {label}")
+      for map_id in MAPS
+      for name, replacement, label in (
+          ("enumerate_family",
+           lambda family, n, filt="none": list(enumerate_family(family, n, filt))[1:],
+           "image multiset"),
+          ("target_weight", _doubled(target_weight), "(image, weight)"))),
+    *((f"bijection_{map_id}", verify, "inverse", _corrupted_inverse, "n=2: inverse(forward)")
+      for map_id in UNCHECKED_FAULTS),
+    ("bijection_sigma", verify, "enumerate_family", _with_stray_path, "n=2: image multiset"),
+    ("bijection_theta", verify, "enumerate_family", _without_h_above_the_axis,
+     "n=2: image multiset"),
+    ("target_difference_enumeration", weights, "enumerate_family", _without_h_above_the_axis,
+     "schroder_large/schroder_q at n=2"),
+    # one wrong fact in a map's record
+    ("bijection_psi", MAPS, "psi", rebuilt(MAPS["psi"], tail=((None, "UD", T),)),
+     "n=3: (image, weight)"),
+    ("bijection_sigma", MAPS, "sigma", rebuilt(MAPS["sigma"], tail=((None, "H", ONE),)),
+     "FamilyViolation"),
+    ("bijection_theta", MAPS, "theta",
+     rebuilt(MAPS["theta"], tail=(("H", "H", ONE), ("ud", "UD", ONE))),
+     "n=3: (image, weight)"),
+    ("bijection_phi", MAPS, "phi", rebuilt(MAPS["phi"], core=A), "n=2: (image, weight)"),
+    ("bijection_rho", MAPS, "rho", rebuilt(MAPS["rho"], target_weighting="level_peaks"),
+     "n=3: (image, weight)"),
+    ("target_difference_enumeration", MAPS, "sigma",
+     rebuilt(MAPS["sigma"], formula="schroder_large_diff"),
+     "schroder_small/schroder_q at n=3"),
+]
+
+
+def _clear_series_caches():
+    series.named_series.cache_clear()
+    weights._registry_get_cached.cache_clear()
+
+
+def test_every_check_has_a_fault():
+    assert {row[0] for row in FAULTS} == set(CHECKS)
+
+
+@pytest.mark.parametrize("check, target, name, replacement, label", FAULTS,
+                         ids=[f"{row[0]}-{row[2]}" for row in FAULTS])
+def test_check_catches_its_fault(check, target, name, replacement, label, monkeypatch):
+    # test_check_bounds_match_their_clamps shows each check passes unbroken
+    _clear_series_caches()
+    patch = monkeypatch.setitem if isinstance(target, dict) else monkeypatch.setattr
+    patch(target, name, replacement)
+    try:
+        result = CHECKS[check](6)
+    finally:
+        monkeypatch.undo()
+        _clear_series_caches()
+    assert result.status == "fail"
+    assert result.detail.startswith(f"{label}: "), result.detail
+
+
 @pytest.mark.parametrize("map_id", UNCHECKED_FAULTS)
 def test_constructors_reject_the_unchecked_faults(map_id):
     family, filt = MAPS[map_id].target
@@ -239,246 +390,31 @@ def test_the_stray_path_is_outside_its_family():
         Path(stray.family, stray.steps)
 
 
-# one property a check compares, broken in the verify namespace, and the label
-# of the comparison that must catch it: (check, attribute, replacement, label)
-PROPERTY_FAULTS = {
-    **{
-        f"{name}_example": ("worked_examples", "DECORATED_EXAMPLES", _other_example(name),
-                            f"{name.capitalize()} image shape")
-        for name in ("motzkin", "schroder", "narayana")
-    },
-    "example_weight": ("worked_examples", "decorated_weight", _doubled(decorated_weight),
-                       "Motzkin example weight"),
-    "theta_inverse": (
-        "worked_examples", "inverse",
-        lambda m, p: _other(inverse(m, p)) if m == "theta" else inverse(m, p),
-        "Schroder inverse of the image",
-    ),
-    "exchange_letters": ("worked_examples", "tau_ustep_weights",
-                         lambda f, side: tau_ustep_weights(f, side)[::-1],
-                         "exchange source letters"),
-    "exchange_image": ("worked_examples", "EXCHANGE_IMAGE", verify.EXCHANGE_SOURCE.to_path(),
-                       "exchange image path"),
-    **{
-        f"tau_values_n{n}": (
-            "tau_exchange", "tau_value",
-            lambda t, n=n: tau_value(t) + (t.side == "dst_2174" and tau_structure(t).semilength == n),
-            f"n={n}: letter values",
-        )
-        for n in range(2, 7)
-    },
-    "narayana_bridge": ("oracle_bridges", "narayana_polynomial",
-                        lambda n: narayana_polynomial(n) * T,
-                        "t -> q+1 bridge, n=0"),
-    "small_schroder_scaling": ("oracle_bridges", "schroder_small_polynomial",
-                               _doubled(schroder_small_polynomial), "small/large Schroder, n=1"),
-    # every check whose series has gamma == alpha*beta reads it through
-    # valley_series, the route the series command takes
-    **{
-        f"{check}_two_weight_series": (check, "valley_series", _doubled_shape(True), label)
-        for check, label in {
-            "geom_3x_values": "geom_3x n=0",
-            "geom_fib_values": "geom_fib n=0",
-            **{
-                "diff_" + spec.formula.removesuffix("_diff"): f"{spec.formula} n=0"
-                for spec in MAPS.values()
-            },
-            "chebyshev_rational_identity": "chebyshev_closed n=0",
-            "delannoy_table": "tuple (4, 3, 7, 2) vs 1 + 7x^2/(1-6x+x^2)",
-        }.items()
-    },
-    "fuss_two_weight_series": ("fuss_formulas", "valley_series", _doubled_shape(True),
-                               "fuss_sym {'m': 1, 'r': 1} n=0"),
-    "fuss_three_weight_series": ("fuss_formulas", "valley_series", _doubled_shape(False),
-                                 "fuss_cubic {'m': 1, 'r': 1} n=0"),
-    "fuss_asym_collapse": ("fuss_formulas", "formula_vn", _formula_off_for("fuss_asym_collapse"),
-                           "asymmetric collapse r=1 n=0"),
-    "fuss_cubic_collapse": ("fuss_formulas", "formula_vn", _formula_off_for("fuss_cubic_collapse"),
-                            "cubic collapse r=1 n=0"),
-    "master_structure_sums": ("master_triple_agreement", "valley_weight_sum",
-                              _doubled(valley_weight_sum), "n=0: structures vs series"),
-    "geom_3x_structure_sums": ("geom_3x_values", "valley_weight_sum",
-                               _doubled(valley_weight_sum), "enumeration n=0"),
-    "geom_fib_structure_sums": ("geom_fib_values", "valley_weight_sum",
-                                _doubled(valley_weight_sum), "enumeration n=0"),
-    "chebyshev_second_kind": ("chebyshev_rational_identity", "valley_series",
-                              _doubled_for("chebyshev_second"), "chebyshev_second n=0"),
-    **{
-        f"unchecked_{map_id}_decoration": (f"bijection_{map_id}", "inverse", _corrupted_inverse,
-                                           "n=2: inverse(forward)")
-        for map_id in UNCHECKED_FAULTS
-    },
-    "stray_target_path": ("bijection_sigma", "enumerate_family", _with_stray_path,
-                          "n=2: image multiset"),
-}
-
-
-@pytest.mark.parametrize("fault", PROPERTY_FAULTS)
-def test_check_catches_a_broken_property(fault, monkeypatch):
-    # test_check_bounds_match_their_clamps shows each check passes unbroken
-    check, attr, replacement, label = PROPERTY_FAULTS[fault]
-    monkeypatch.setattr(verify, attr, replacement)
-    result = CHECKS[check](6)
-    assert result.status == "fail"
-    assert result.detail.startswith(f"{label}: ") and " != " in result.detail, result.detail
-
-
-# one side's marker set to the other side's in the side table that tau_value and
-# tau_ustep_weights read, and the worked example that catches it
-@pytest.mark.parametrize("side, marker, example", [
-    ("src_4372", "1", "exchange source letters"),
-    ("dst_2174", "3", "exchange image letters"),
-])
-def test_checks_catch_a_wrong_tau_marker(side, marker, example, monkeypatch):
-    letters, _, far = bijections.TAU_TABLE[side]
-    monkeypatch.setitem(bijections.TAU_TABLE, side, (letters, marker, far))
-    for check, detail in (("tau_exchange", "n=3: letter values: 21 != 7"),
-                          ("worked_examples", f"{example}: ")):
-        result = CHECKS[check](6)
-        assert result.status == "fail" and result.detail.startswith(detail), result.detail
-
-
-_WRONG_SCHRODER_BETA = Equation(((0, 1, 1), (1, 1, Q + 2), (2, 1, Q + 2)))
-
-# a wrong coefficient in one entry of series.EQUATIONS, which the weight
-# table is built from, or which oracle_bridges solves on its own; the oracle
-# side is a binomial sum that never sees it.
-# Both Schroder tables solve the large beta series, since S - 1 = (R - 1) / (q + 1)
-EQUATION_FAULTS = {
-    "diff_motzkin": ("motzkin_ab", Equation(((0, 0, 1), (1, 1, A), (2, 2, 2 * B)))),
-    "diff_schroder_large": ("schroder_large_beta", _WRONG_SCHRODER_BETA),
-    "diff_schroder_small": ("schroder_large_beta", _WRONG_SCHRODER_BETA),
-    "oracle_bridges": ("narayana", Equation(((0, 0, 1), (1, 1, T - 2), (2, 1, 1)))),
-}
-
-
-def _clear_series_caches():
-    series.named_series.cache_clear()
-    weights._registry_get_cached.cache_clear()
-
-
-@pytest.mark.parametrize("check", EQUATION_FAULTS)
-def test_diff_check_fails_on_a_wrong_equation(check, monkeypatch):
-    name, wrong = EQUATION_FAULTS[check]
-    assert verify.run_check(check, 6).passed
-    monkeypatch.setitem(series.EQUATIONS, name, wrong)
-    _clear_series_caches()
-    try:
-        report = verify.run_check(check, 6)
-    finally:
-        monkeypatch.undo()
-        _clear_series_caches()
-    (result,) = report.results
-    assert not report.passed and result.status == "fail"
-    assert " != " in result.detail, result.detail  # a comparison caught it, not an exception
-
-
-_MAC = series._mac
-
-
-def _dropping_first_pair(pairs):
-    """The scalar kernel, broken: a coefficient of two or more pairs of factors
-    loses its first pair."""
-    return _MAC(pairs[1:] if len(pairs) > 1 else pairs)
-
-
-# checks whose tables are all numbers, so every convolution in them runs on
-# the scalar kernel, and the comparison that catches it broken
-KERNEL_FAULTS = {
-    "geom_3x_values": "geom_3x n=2",
-    "delannoy_scaled_sums": "n=2, tuple (4, 3, 7, 2) vs 7 * convolution",
-    "fuss_formulas": "fuss_sym {'m': 1, 'r': 1} n=3",
-}
-
-
-@pytest.mark.parametrize("check", KERNEL_FAULTS)
-def test_check_catches_a_broken_scalar_kernel(check, monkeypatch):
-    assert verify.run_check(check, 6).passed
+def test_the_kernel_fault_changes_a_product(monkeypatch):
+    # it reaches a product of two weight series, whose b_0 is 0
     alpha, beta, _ = registry_get("geom_3x", 8).to_series()
     product = alpha * beta
     monkeypatch.setattr(series, "_mac", _dropping_first_pair)
-    # the fault reaches a product of two weight series, whose b_0 is 0
     assert alpha * beta != product
+
+
+@pytest.mark.parametrize("check", [
+    *(f"bijection_{map_id}" for map_id in MAPS), "tau_exchange",
+    "target_difference_enumeration", "worked_examples", "delannoy_axis_hsteps",
+])
+def test_brute_force_checks_reach_no_series_code(check):
+    # neither series.py nor the methods Value compiles for TruncatedSeries;
+    # with the caches cleared, a cached table cannot hide a call
+    series_code = {series.__file__, TruncatedSeries.__eq__.__code__.co_filename}
+    reached = set()
     _clear_series_caches()
+    sys.setprofile(lambda frame, event, arg: reached.add(frame.f_code.co_filename))
     try:
         result = CHECKS[check](6)
     finally:
-        monkeypatch.undo()
-        _clear_series_caches()
-    assert result.status == "fail"
-    assert result.detail.startswith(f"{KERNEL_FAULTS[check]}: ") and " != " in result.detail
-
-
-# checks whose tables hold a formal inverse variable, and the comparison that
-# catches products that skip the inverse rewrite
-INVERSE_FAULTS = {
-    "diff_motzkin": "motzkin_diff n=2",
-    "diff_narayana_shift": "narayana_shift_diff n=2",
-}
-
-
-@pytest.mark.parametrize("check", INVERSE_FAULTS)
-def test_check_catches_products_that_skip_the_inverse_rewrite(check, monkeypatch):
-    assert verify.run_check(check, 6).passed
-    # the finishing pass of every product then looks for guard bits only
-    monkeypatch.setattr(polynomials, "_FLAGS", polynomials._GUARD)
-    _clear_series_caches()
-    try:
-        result = CHECKS[check](6)
-    finally:
-        monkeypatch.undo()
-        _clear_series_caches()
-    assert result.status == "fail"
-    assert result.detail.startswith(f"{INVERSE_FAULTS[check]}: ") and " != " in result.detail
-
-
-def _without_h_above_the_axis(family, n, filt="none"):
-    """enumerate_family, broken: the walk never takes an H step above the axis."""
-    for path in enumerate_family(family, n, filt):
-        if not any(ch == "H" and level for ch, level in zip(path.steps, path.levels())):
-            yield path
-
-
-_NUMBER_SUM = weights._number_sum
-
-
-def _dropping_last_structure(rows):
-    """The numeric structure sum, broken: the last structure's weight is left out."""
-    return _NUMBER_SUM(list(rows)[:-1])
-
-
-def _longer_runs(steps):
-    """valley_factors, broken: each maximal pyramid is as high as its longer run."""
-    for start, end, valleys, _ in paths.valley_factors(steps):
-        runs = [len(list(run)) for _, run in groupby(steps[start:end])]
-        yield start, end, valleys, [max(pair) for pair in zip(runs[::2], runs[1::2])]
-
-
-# faults in the brute-force routes, each set in the module that runs it, and
-# the comparison that catches it: (check, module, attribute, replacement, label)
-BRUTE_FORCE_FAULTS = {
-    "walker_targets": ("bijection_theta", verify, "enumerate_family",
-                       _without_h_above_the_axis, "n=2: image multiset"),
-    "walker_target_sums": ("target_difference_enumeration", weights, "enumerate_family",
-                           _without_h_above_the_axis, "schroder_large/schroder_q at n=2"),
-    "numeric_geom_sum": ("geom_3x_values", weights, "_number_sum", _dropping_last_structure,
-                         "enumeration n=0"),
-    "numeric_delannoy_sum": ("delannoy_scaled_sums", weights, "_number_sum",
-                             _dropping_last_structure,
-                             "n=2, tuple (4, 3, 7, 2) vs 7 * convolution"),
-    "path_reader": ("master_triple_agreement", weights, "valley_factors", _longer_runs,
-                    "n=3: paths vs series"),
-}
-
-
-@pytest.mark.parametrize("fault", BRUTE_FORCE_FAULTS)
-def test_check_catches_a_broken_brute_force_route(fault, monkeypatch):
-    check, module, attr, replacement, label = BRUTE_FORCE_FAULTS[fault]
-    assert CHECKS[check](6).status == "pass"
-    monkeypatch.setattr(module, attr, replacement)
-    result = CHECKS[check](6)
-    assert result.status == "fail"
-    assert result.detail.startswith(f"{label}: ") and " != " in result.detail, result.detail
+        sys.setprofile(None)
+    assert result.status == "pass"
+    assert not reached & series_code, reached & series_code
 
 
 def test_max_n_cap(assert_capped):
