@@ -65,23 +65,23 @@ SIZE_CAPS = {
     }),
     "verify": ("max_n", "suite", dict.fromkeys(SUITE_NAMES, 33)),
 }
+# two inputs have a size but no size flag, and JSON nested too deeply is
+# refused too: a tau object's semilength for biject --apply (at 150,000 its
+# worst shape, one factor per 2 units, took 1.1 s and 110 MB) and a render
+# picture's (highest level + 1) x width cells (at 600,000 its worst shape, one
+# flat row, took 0.6 s and 101 MB, and 700,000 took 151 MB); one fresh process,
+# median of 3, within 8 s and the 125 MB CI holds generic JSON to
+TAU_SEMILENGTH_CAP = 150_000
+RENDER_CELL_CAP = 600_000
 
 
 def _parse_params(pairs: list[str] | None) -> dict[str, str]:
-    from fractions import Fraction
-
+    # each value is read where it is used, by ``params._read``, which names its table
     params: dict[str, str] = {}
     for pair in pairs or []:
-        if "=" not in pair:
+        key, eq, value = pair.partition("=")
+        if not eq:
             raise ValleyDyckError(f"--param needs key=value, got {pair!r}")
-        key, value = pair.split("=", 1)
-        if value != "sym":
-            try:
-                Fraction(value)
-            except (ValueError, ZeroDivisionError):
-                raise ValleyDyckError(
-                    f"--param {key} needs a rational number or 'sym', got {value!r}"
-                ) from None
         params[key] = value
     return params
 
@@ -263,7 +263,10 @@ def _cmd_oracle(args) -> int:
 
 def _read_object(parse, reference: str, flag: str):
     """Build the object a ``@FILE`` or ``--apply`` input holds; malformed JSON is a usage error."""
-    data = _load_json(reference)
+    try:
+        data = _load_json(reference)
+    except RecursionError:
+        raise ValleyDyckError(f"{flag} JSON is nested too deeply") from None
     if not isinstance(data, dict):
         raise ValleyDyckError(f"{flag} needs a JSON object, got {type(data).__name__}")
     try:
@@ -311,9 +314,15 @@ def _cmd_biject(args) -> int:
 
     if args.direction == "inverse":
         parse = TauDecorated.from_json if args.map == "tau" else Path.from_json
-        result = inverse(args.map, _read_object(parse, args.apply, "--apply"))
     else:
-        result = forward(args.map, _read_object(_decorated_from_json, args.apply, "--apply"))
+        parse = _decorated_from_json
+    obj = _read_object(parse, args.apply, "--apply")
+    if isinstance(obj, TauDecorated):  # its blocks are bare numbers, which tau spells out
+        size = sum(f.ascent + sum(f.heights) for f in obj.factors)
+        if size > TAU_SEMILENGTH_CAP:
+            raise ValleyDyckError(f"--apply holds a tau object of semilength {size}, "
+                                  f"above its cap of {TAU_SEMILENGTH_CAP}")
+    result = (inverse if args.direction == "inverse" else forward)(args.map, obj)
     _emit(json.dumps(result.to_json(), indent=2))
     return 0
 
@@ -325,10 +334,7 @@ def _cmd_verify(args) -> int:
     from .verify import run_suite
 
     started = time.monotonic()
-    try:
-        report = run_suite(args.suite, args.max_n, jobs=args.jobs)
-    except KeyError as exc:
-        raise ValleyDyckError(str(exc)) from None
+    report = run_suite(args.suite, args.max_n, jobs=args.jobs)
     if args.format == "json":
         _emit(json.dumps(report.to_json(), indent=2))
     else:
@@ -353,6 +359,9 @@ def _cmd_render(args) -> int:
         path = _read_object(Path.from_json, args.path, "--path")
     else:
         path = Path(args.family, args.path)
+    cells = (max(path.levels()) + 1) * path.width
+    if cells > RENDER_CELL_CAP:
+        raise ValleyDyckError(f"--path draws {cells} cells, above its cap of {RENDER_CELL_CAP}")
     _emit(render_ascii(path))
     return 0
 
@@ -454,8 +463,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.seed_fixtures:
         return _seed_fixtures(args.seed_fixtures)
     if not getattr(args, "command", None):
-        parser.print_usage(sys.stderr)
-        return 2
+        parser.error("a command is required")
     try:
         if args.command in SIZE_CAPS:
             dest, key, caps = SIZE_CAPS[args.command]

@@ -1,15 +1,16 @@
+import ast
 import concurrent.futures
 import importlib.util
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path as FilePath
 
 import pytest
 
-from conftest import run_cli
 import valleydyck
 from valleydyck import cli, paths, series, verify
 from valleydyck.oracles import ORACLES
@@ -17,50 +18,193 @@ from valleydyck.paths import FAMILY_STEPS
 from valleydyck.weights import REGISTRY
 
 FIXTURES = FilePath(__file__).parent / "fixtures"
+SPEC = (FIXTURES / "motzkin_spec.json").read_text()  # motzkin_ab at order 6
+DEEP = "[" * 100_000 + "]" * 100_000
+TALL = "U" * 548 + "D" * 548  # 549 levels by 1096 columns, just over render's cap
+TAU = '{"side":"src_4372","parts":[{"k0":%s,"letters":[],"blocks":[%s]}]}'
+RHO = '{"map":"rho","parts":[{"kind":%s,"sub":"UD"}]}'
+ALPHA = '{"alpha":[[{"coeff":%s,"monomial":{%s}}]],"beta":[[]],"gamma":[[]]}'
+DIGITS = (f"oracle fuss at n = 2000 gives a number of more than {sys.get_int_max_str_digits()} "
+          "digits, more than can be printed")
+SHAPE = "JSON has the wrong shape: "
+
+# Every usage error of the CLI, as (argv, text) or (argv, text, body): argv is
+# split on spaces, body is written to a file whose path replaces FILE in argv
+# and text, and the command must exit 2 with stdout empty and stderr exactly
+# "error: {text}". A refusal argparse makes ends in SystemExit(2) instead, and
+# its text is the last line of stderr up to the list of choices, which
+# argparse words differently across Python versions
+REFUSALS = [
+    ("", "valleydyck: error: a command is required"),
+    ("enumerate --family nope --n 1",
+     "valleydyck enumerate: error: argument --family: invalid choice: 'nope'"),
+    ("series --spec geom_3x --format ascii",
+     "valleydyck series: error: argument --format: invalid choice: 'ascii'"),
+    ("count --spec geom_3x --n 3 --format ascii",
+     "valleydyck count: error: argument --format: invalid choice: 'ascii'"),
+    ("series --spec geom_3x --order abc",
+     "valleydyck series: error: argument --order: invalid int value: 'abc'"),
+    # sizes and bounds
+    ("series --spec generic --order 20", "--order 20 is above its cap of 19"),
+    ("series --spec motzkin_ab --order -1", "order must be nonnegative"),
+    ("series --spec @FILE --order -1", "order must be nonnegative", SPEC),
+    ("series --spec @FILE --order 9", "spec file holds order 6, but order 9 was requested", SPEC),
+    ("count --spec @FILE --n 9", "spec file holds order 6, but order 9 was requested", SPEC),
+    ("verify --suite master --max-n -3", "the sweep bound must be nonnegative, got -3"),
+    ("verify --suite master --max-n 2 --jobs 0", "the number of jobs must be at least 1, got 0"),
+    ("verify --suite master --max-n 2 --jobs -3", "the number of jobs must be at least 1, got -3"),
+    ("render --path " + TALL, "--path draws 601704 cells, above its cap of 600000"),
+    ("render --path @FILE", "--path draws 601704 cells, above its cap of 600000",
+     json.dumps({"family": "dyck", "steps": TALL})),
+    ("biject --map tau --apply " + TAU % (1, 150000),
+     "--apply holds a tau object of semilength 150001, above its cap of 150000"),
+    ("biject --map tau --apply " + TAU % (1, 10**12),
+     "--apply holds a tau object of semilength 1000000000001, above its cap of 150000"),
+    ("biject --map tau --direction inverse --apply @FILE",
+     "--apply holds a tau object of semilength 1000000000001, above its cap of 150000",
+     TAU % (1, 10**12)),
+    ("oracle --name fuss --n 2000 --param r=99", DIGITS),
+    ("oracle --name fuss --n 2000 --param r=99 --format json", DIGITS),
+    # names and parameters
+    ("series --spec no_such_table",
+     "unknown weight table 'no_such_table'; known: " + ", ".join(REGISTRY)),
+    ("oracle --name nonsense --n 1", "unknown oracle 'nonsense'; known: " + ", ".join(ORACLES)),
+    ("series --spec geom_3x --param a", "--param needs key=value, got 'a'"),
+    ("series --spec geom_3x --param a=1/0",
+     "geom_3x at order 12 has no parameter or variable a (variables: none)"),
+    ("series --spec motzkin_ab --order 3 --param a=1/0",
+     "motzkin_ab at order 3: parameter a must be a rational number or 'sym', got '1/0'"),
+    ("series --spec @FILE --order 3 --param a=x",
+     "@FILE at order 3: parameter a must be a rational number or 'sym', got 'x'", SPEC),
+    ("oracle --name narayana --n 3 --param t=1/0",
+     "narayana: parameter t must be a rational number or 'sym', got '1/0'"),
+    ("count --spec generic --n 2 --param alpha5=sym", "generic at order 2 has no parameter or "
+     "variable alpha5 (variables: alpha1, alpha2, beta1, beta2, gamma1, gamma2)"),
+    ("series --spec @FILE --order 3 --param zz=1 --param a=2",
+     "@FILE at order 3 has no parameter or variable zz (variables: a, a_inv, b)", SPEC),
+    ("series --spec motzkin_ab --format csv",
+     "csv output needs every parameter bound; ('b',) remain symbolic"),
+    ("oracle --name catalan --n 5 --param zz=1", "catalan has no parameter zz (parameters: none)"),
+    ("oracle --name fuss_sym --n 6 --param m=2 --param r=1.9",
+     "fuss_sym: parameter r must be an integer >= 1, got '1.9'"),
+    ("oracle --name fuss --n 3 --param r=2.5",
+     "fuss: parameter r must be an integer >= 1, got '2.5'"),
+    ("oracle --name abcd_power --n 0 --param a=2 --param b=1 --param c=3 --param d=1",
+     "abcd_power needs ad = (a-b)c"),
+    ("oracle --name fuss_asym_collapse --n 0 --param r=0",
+     "fuss_asym_collapse: parameter r must be an integer >= 1, got '0'"),
+    ("biject --map phi --roundtrip", "--roundtrip needs --n"),
+    ("biject --map phi", "biject needs --roundtrip or --apply"),
+    # JSON inputs
+    ("series --spec @FILE", "[Errno 2] No such file or directory: 'FILE'"),
+    ("biject --map rho --apply {bad",
+     "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ("biject --map rho --apply @FILE", "--apply JSON is nested too deeply", DEEP),
+    ("series --spec @FILE --order 1", "--spec JSON is nested too deeply", DEEP),
+    ("render --path @FILE", "--path JSON is nested too deeply", DEEP),
+    ('biject --map rho --apply {"map":"rho"}', "--apply JSON lacks the key 'parts'"),
+    ("biject --map rho --apply [1,2]", "--apply needs a JSON object, got list"),
+    ("biject --map rho --direction inverse --apply [1,2]", "--apply needs a JSON object, got list"),
+    ('biject --map rho --direction inverse --apply {"steps":"UD"}',
+     "--apply JSON lacks the key 'family'"),
+    ('biject --map rho --apply {"map":"rho","parts":[1]}',
+     f"--apply {SHAPE}'int' object is not subscriptable"),
+    ('biject --map tau --apply {"side":"src_4372"}', "--apply JSON lacks the key 'parts'"),
+    ('biject --map tau --direction inverse --apply {"side":"src_4372","parts":[{"k0":1,"letters":5}]}',
+     "--apply JSON lacks the key 'blocks'"),
+    ('biject --map phi --direction inverse --apply {"family":"motzkin","steps":["U","D"]}',
+     f"--apply {SHAPE}path steps must be a string, got list"),
+    ('biject --map rho --apply {"map":"rho","parts":[{"kind":"pyramid","height":2,"sub":["U","D"]}]}',
+     f"--apply {SHAPE}path steps must be a string, got list"),
+    *[("biject --map tau --apply " + TAU % k0_block,
+       f"--apply {SHAPE}a tau part needs an integer k0 and a list of integer blocks")
+      for k0_block in ((1, 1.5), ("true", 1))],
+    *[("biject --map rho --apply " + RHO % part,
+       f"--apply {SHAPE}a part's height, ascent and heights must be integers")
+      for part in ('"pyramid","height":1.5', '"pyramid","height":2.0', '"block","ascent":true,'
+                   '"heights":[1,1]', '"block","ascent":1,"heights":[1,1.0]')],
+    ("render --path @FILE", "--path JSON lacks the key 'steps'", '{"family": "dyck"}'),
+    ("render --path @FILE", "--path needs a JSON object, got list", "[1]"),
+    ("render --path @FILE", f"--path {SHAPE}path steps must be a string, got int",
+     '{"family": "dyck", "steps": 5}'),
+    ("series --spec @FILE", "--spec JSON lacks the key 'gamma'", '{"alpha": [[]], "beta": [[]]}'),
+    ("series --spec @FILE", "--spec needs a JSON object, got list", "[]"),
+    ("series --spec @FILE --order 1", "--spec JSON: exponent 99999 of a exceeds 32767",
+     ALPHA % ('"1"', '"a": 99999')),
+    *[("series --spec @FILE --order 1", f"--spec {SHAPE}the exponent of a must be an integer, "
+       f"got {got}", ALPHA % ('"1"', f'"a": {exponent}'))
+      for exponent, got in (('"x"', "'x'"), ("true", True), (1.0, 1.0))],
+    ("series --spec @FILE --order 1",
+     f"--spec {SHAPE}a coefficient must be an integer or a string, got 0.1", ALPHA % (0.1, "")),
+    ("series --spec @FILE --order 1", "--spec JSON: Fraction(1, 0)", ALPHA % ('"1/0"', "")),
+    ("count --spec @FILE --n 1", "--spec JSON: Invalid literal for Fraction: 'abc'",
+     ALPHA % ('"abc"', "")),
+]
 
 
-def test_series_pretty_matches_example():
-    proc = run_cli("series", "--spec", "geom_3x", "--order", "5")
-    assert proc.stdout.splitlines() == ["0: 1", "1: 0", "2: 1", "3: 4", "4: 13", "5: 40"]
+@pytest.mark.parametrize("argv, text, body", [(*row, None)[:3] for row in REFUSALS],
+                         ids=[row[0][:60] for row in REFUSALS])
+def test_refusal(argv, text, body, tmp_path, capsys):
+    source = tmp_path / "input.json"
+    if body is not None:
+        source.write_text(body)
+    argv = [arg.replace("FILE", str(source)) for arg in argv.split()]
+    text = text.replace("FILE", str(source))
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        out, err = capsys.readouterr()
+        assert (exc.code, out, err.splitlines()[-1].split(" (choose from ")[0]) == (2, "", text)
+    else:
+        assert (code, *capsys.readouterr()) == (2, "", f"error: {text}\n")
 
 
-def test_series_spec_file_round_trip(tmp_path):
+def test_every_refusal_of_cli_has_a_row():
+    # each message cli.py raises, its fields read as wildcards, matches some row's text
+    tree = ast.parse(FilePath(cli.__file__).read_text())
+    raised = [node.exc.args[0] for node in ast.walk(tree) if isinstance(node, ast.Raise)
+              and getattr(getattr(node.exc, "func", None), "id", None) == "ValleyDyckError"]
+    assert len(raised) >= 12
+    for message in raised:
+        parts = message.values if isinstance(message, ast.JoinedStr) else [message]
+        assert {type(p) for p in parts} <= {ast.Constant, ast.FormattedValue}, ast.unparse(message)
+        pattern = "".join(re.escape(p.value) if type(p) is ast.Constant else ".+" for p in parts)
+        assert any(re.fullmatch(pattern, row[1]) for row in REFUSALS), ast.unparse(message)
+
+
+@pytest.fixture
+def run(capsys):
+    """``run(*argv)``: run ``cli.main`` in-process, assert exit 0 and return stdout."""
+    def run(*argv):
+        assert cli.main([str(arg) for arg in argv]) == 0
+        return capsys.readouterr().out
+
+    return run
+
+
+def test_series_pretty_matches_example(run):
+    out = run("series", "--spec", "geom_3x", "--order", "5")
+    assert out.splitlines() == ["0: 1", "1: 0", "2: 1", "3: 4", "4: 13", "5: 40"]
+
+
+def test_series_spec_file_round_trip(run, tmp_path):
     dump = tmp_path / "spec.json"
-    first = run_cli(
-        "series", "--spec", "motzkin_ab", "--order", "5", "--dump-spec", str(dump)
-    )
-    again = run_cli("series", "--spec", f"@{dump}", "--order", "5")
-    assert first.stdout == again.stdout
-    data = json.loads(dump.read_text())
-    assert set(data) == {"alpha", "beta", "gamma"}
+    first = run("series", "--spec", "motzkin_ab", "--order", "5", "--dump-spec", dump)
+    assert run("series", "--spec", f"@{dump}", "--order", "5") == first
+    assert set(json.loads(dump.read_text())) == {"alpha", "beta", "gamma"}
 
 
-def test_series_json_round_trips_through_library():
+def test_series_json_round_trips_through_library(run):
     from valleydyck.series import TruncatedSeries
 
-    proc = run_cli("series", "--spec", "narayana_t", "--order", "4", "--format", "json")
-    series = TruncatedSeries.from_json(json.loads(proc.stdout))
-    assert series.order == 4
+    out = run("series", "--spec", "narayana_t", "--order", "4", "--format", "json")
+    assert TruncatedSeries.from_json(json.loads(out)).order == 4
 
 
-def test_series_csv_requires_bound_params():
-    proc = run_cli(
-        "series",
-        "--spec",
-        "motzkin_ab",
-        "--order",
-        "4",
-        "--format",
-        "csv",
-        "--param",
-        "a=1",
-        "--param",
-        "b=1",
-    )
-    rows = proc.stdout.splitlines()
-    assert rows[0] == "n,value"
-    assert rows[1:] == ["0,1", "1,0", "2,1", "3,2", "4,5"]
-    run_cli("series", "--spec", "motzkin_ab", "--format", "csv", expect=2)
+def test_series_csv_with_bound_params(run):
+    out = run("series", "--spec", "motzkin_ab", "--order", "4", "--format", "csv",
+              "--param", "a=1", "--param", "b=1")
+    assert out.splitlines() == ["n,value", "0,1", "1,0", "2,1", "3,2", "4,5"]
 
 
 # each table with a variable, at orders 1 and 5, with the variables csv names
@@ -140,188 +284,102 @@ def test_csv_refusal_without_a_dump_builds_no_table_at_the_order_asked(monkeypat
         weights._registry_get_cached.cache_clear()
 
 
-def test_count_command():
-    proc = run_cli("count", "--spec", "geom_3x", "--n", "4")
-    assert proc.stdout.strip() == "13"
-    proc = run_cli(
-        "count",
-        "--spec",
-        "delannoy_tuple",
-        "--n",
-        "4",
-        "--param", "a=4", "--param", "b=3", "--param", "c=7", "--param", "d=2",
-    )
-    assert proc.stdout.strip() == "245"
+def test_count_command(run):
+    assert run("count", "--spec", "geom_3x", "--n", "4") == "13\n"
+    pins = ["--param", "a=4", "--param", "b=3", "--param", "c=7", "--param", "d=2"]
+    assert run("count", "--spec", "delannoy_tuple", "--n", "4", *pins) == "245\n"
 
 
-def test_enumerate_json_reingested_by_render(tmp_path):
-    proc = run_cli("enumerate", "--family", "dyck", "--n", "2", "--format", "json")
-    paths = json.loads(proc.stdout)
-    assert {"family": "dyck", "steps": "UUDD"} in paths
+def test_enumerate_json_reingested_by_render(run, tmp_path):
+    found = json.loads(run("enumerate", "--family", "dyck", "--n", "2", "--format", "json"))
+    assert {"family": "dyck", "steps": "UUDD"} in found
     target = tmp_path / "path.json"
-    target.write_text(json.dumps(paths[0]))
-    rendered = run_cli("render", "--path", f"@{target}")
-    direct = run_cli("render", "--path", paths[0]["steps"])
-    assert rendered.stdout == direct.stdout
+    target.write_text(json.dumps(found[0]))
+    assert run("render", "--path", f"@{target}") == run("render", "--path", found[0]["steps"])
 
 
-def test_render_matches_golden_fixtures():
-    for name, steps in [
-        ("schroder_source", "UUUDDDUUDUDUDD"),
-        ("intro_example", "UUUUUUDDDUDUDDDDUUUDUDDDUUDD"),
-    ]:
-        proc = run_cli("render", "--path", steps)
-        golden = (FIXTURES / f"{name}.txt").read_text()
-        assert proc.stdout == golden
+def test_render_matches_golden_fixtures(run):
+    for name, steps in [("schroder_source", "UUUDDDUUDUDUDD"),
+                        ("intro_example", "UUUUUUDDDUDUDDDDUUUDUDDDUUDD")]:
+        assert run("render", "--path", steps) == (FIXTURES / f"{name}.txt").read_text()
 
 
-def test_oracle_command():
-    proc = run_cli("oracle", "--name", "narayana", "--n", "5", "--param", "t=sym")
-    assert proc.stdout.strip() == "t^5 + 10*t^4 + 20*t^3 + 10*t^2 + t"
-    proc = run_cli("oracle", "--name", "delannoy", "--n", "2", "--format", "json")
-    data = json.loads(proc.stdout)
+def test_oracle_command(run):
+    out = run("oracle", "--name", "narayana", "--n", "5", "--param", "t=sym")
+    assert out == "t^5 + 10*t^4 + 20*t^3 + 10*t^2 + t\n"
+    data = json.loads(run("oracle", "--name", "delannoy", "--n", "2", "--format", "json"))
     assert data["value"] == [{"coeff": "13", "monomial": {}}]
-    run_cli("oracle", "--name", "nonsense", "--n", "1", expect=2)
 
 
-@pytest.mark.parametrize("fmt", ["pretty", "json"])
-def test_oracle_value_past_the_digit_limit_is_a_usage_error(fmt):
-    # n = 2000 is under the fuss cap, yet its value has more digits than
-    # Python turns into text by default
-    proc = run_cli("oracle", "--name", "fuss", "--n", "2000", "--param", "r=99",
-                   "--format", fmt, expect=2)
-    _one_error_line(proc)
-    assert proc.stderr == (
-        "error: oracle fuss at n = 2000 gives a number of more than "
-        f"{sys.get_int_max_str_digits()} digits, more than can be printed\n"
-    )
+def test_biject_roundtrip_exit_codes(run):
+    for map_id in cli.MAP_NAMES:
+        check = "tau_exchange" if map_id == "tau" else f"bijection_{map_id}"
+        assert run("biject", "--map", map_id, "--n", "4", "--roundtrip") == f"PASS {check}\n"
 
 
-def test_biject_roundtrip_exit_codes():
-    for map_id in ("phi", "theta", "sigma", "rho", "psi", "tau"):
-        run_cli("biject", "--map", map_id, "--n", "4", "--roundtrip")
-
-
-def test_biject_apply_both_directions(tmp_path):
+def test_biject_apply_both_directions(run, tmp_path):
     source = FIXTURES / "exchange_source.json"
-    proc = run_cli("biject", "--map", "tau", "--apply", f"@{source}")
-    image = json.loads(proc.stdout)
-    assert image["side"] == "dst_2174"
-    assert image["parts"][0]["k0"] == 6
-    assert image["parts"][0]["blocks"] == [4, 1, 2, 1]
+    out = run("biject", "--map", "tau", "--apply", f"@{source}")
+    image = json.loads(out)
+    assert (image["side"], image["parts"][0]["k0"], image["parts"][0]["blocks"]) == (
+        "dst_2174", 6, [4, 1, 2, 1])
     back_file = tmp_path / "image.json"
-    back_file.write_text(proc.stdout)
-    back = run_cli("biject", "--map", "tau", "--apply", f"@{back_file}")
-    assert json.loads(back.stdout) == json.loads(source.read_text())
+    back_file.write_text(out)
+    back = run("biject", "--map", "tau", "--apply", f"@{back_file}")
+    assert json.loads(back) == json.loads(source.read_text())
 
 
-def test_biject_apply_phi(tmp_path):
-    obj = {
-        "map": "phi",
-        "parts": [
-            {"kind": "pyramid", "height": 5, "sub": "FFF"},
-            {"kind": "block", "ascent": 3, "heights": [1, 1, 1, 1], "sub": "FF"},
-            {"kind": "pyramid", "height": 2, "sub": ""},
-        ],
-    }
+def test_biject_apply_phi(run, tmp_path):
+    obj = {"map": "phi", "parts": [
+        {"kind": "pyramid", "height": 5, "sub": "FFF"},
+        {"kind": "block", "ascent": 3, "heights": [1, 1, 1, 1], "sub": "FF"},
+        {"kind": "pyramid", "height": 2, "sub": ""},
+    ]}
     source = tmp_path / "obj.json"
     source.write_text(json.dumps(obj))
-    proc = run_cli("biject", "--map", "phi", "--apply", f"@{source}")
-    image = json.loads(proc.stdout)
-    assert image == {"family": "motzkin", "steps": "UFFFDUFFDFFFUD"}
+    out = run("biject", "--map", "phi", "--apply", f"@{source}")
+    assert json.loads(out) == {"family": "motzkin", "steps": "UFFFDUFFDFFFUD"}
     path_file = tmp_path / "img.json"
-    path_file.write_text(proc.stdout)
-    back = run_cli(
-        "biject", "--map", "phi", "--apply", f"@{path_file}", "--direction", "inverse"
-    )
-    assert json.loads(back.stdout) == obj
+    path_file.write_text(out)
+    back = run("biject", "--map", "phi", "--apply", f"@{path_file}", "--direction", "inverse")
+    assert json.loads(back) == obj
 
 
-def test_verify_all_passes_and_jobs_invariance(verify_all_runs):
-    assert verify_all_runs["text"] == verify_all_runs["text_jobs4"]
-    assert "result: PASS" in verify_all_runs["text"]
-    assert verify_all_runs["json"] == verify_all_runs["json_jobs3"]
-    assert json.loads(verify_all_runs["json"])["passed"] is True
+def test_enumerate_ascii_and_csv_formats(run):
+    assert "/\\" in run("enumerate", "--family", "dyck", "--n", "2", "--format", "ascii")
+    out = run("enumerate", "--family", "dyck", "--n", "2", "--format", "csv")
+    assert out.splitlines() == ["family,steps", "dyck,UUDD", "dyck,UDUD"]
 
 
-def test_enumerate_ascii_and_csv_formats():
-    proc = run_cli("enumerate", "--family", "dyck", "--n", "2", "--format", "ascii")
-    assert "/\\" in proc.stdout
-    proc = run_cli("enumerate", "--family", "dyck", "--n", "2", "--format", "csv")
-    assert proc.stdout.splitlines() == ["family,steps", "dyck,UUDD", "dyck,UDUD"]
-
-
-def test_seed_fixtures_regenerates_goldens(tmp_path):
-    run_cli("--seed-fixtures", str(tmp_path))
+def test_seed_fixtures_regenerates_goldens(run, tmp_path):
+    run("--seed-fixtures", tmp_path)
     written = sorted(p.name for p in tmp_path.iterdir())
     assert written == [
-        "exchange_image.txt", "exchange_source.json", "exchange_source.txt",
-        "intro_example.txt", "motzkin_source.txt", "motzkin_spec.json",
-        "narayana_source.txt", "schroder_source.txt",
-    ]
+        "exchange_image.txt", "exchange_source.json", "exchange_source.txt", "intro_example.txt",
+        "motzkin_source.txt", "motzkin_spec.json", "narayana_source.txt", "schroder_source.txt"]
     for name in written:
         assert (tmp_path / name).read_bytes() == (FIXTURES / name).read_bytes(), name
 
 
-def test_usage_errors_exit_two(capsys):
-    run_cli("enumerate", "--family", "nope", "--n", "1", expect=2)
-    run_cli("series", "--spec", "no_such_table", expect=2)
-    run_cli(expect=2)
-    # a negative order is refused alike for a registry name and a spec file
-    for spec in ("motzkin_ab", f"@{FIXTURES / 'motzkin_spec.json'}"):
-        assert cli.main(["series", "--spec", spec, "--order", "-1"]) == 2
-        assert capsys.readouterr() == ("", "error: order must be nonnegative\n")
-    # fewer than one verify job is refused, not run serially
-    for jobs in ("0", "-3"):
-        assert cli.main(["verify", "--suite", "master", "--max-n", "2", "--jobs", jobs]) == 2
-        message = f"error: the number of jobs must be at least 1, got {jobs}\n"
-        assert capsys.readouterr() == ("", message)
-
-
-def _one_error_line(proc):
-    assert proc.stdout == ""
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
-
-
-def test_unreadable_param_value_is_a_usage_error():
-    proc = run_cli("series", "--spec", "geom_3x", "--param", "a=1/0", expect=2)
-    _one_error_line(proc)
-    assert "--param a" in proc.stderr
-
-
-def test_param_naming_nothing_is_a_usage_error(capsys):
+def test_param_pins_a_variable_and_reads_a_declared_parameter(run):
     from valleydyck.polynomials import Polynomial
     from valleydyck.series import TruncatedSeries
 
-    proc = run_cli("series", "--spec", "geom_3x", "--param", "zz=1", expect=2)
-    _one_error_line(proc)
-    assert "zz" in proc.stderr and "variables: none" in proc.stderr
-    assert cli.main(["count", "--spec", "generic", "--n", "2", "--param", "alpha5=sym"]) == 2
-    err = capsys.readouterr().err
-    assert "alpha5" in err and "alpha1, alpha2, beta1" in err
     # a pinned variable of the table is substituted, a declared parameter is built in
-    assert cli.main(["series", "--spec", "motzkin_ab", "--order", "6", "--format", "json"]) == 0
-    symbolic = TruncatedSeries.from_json(json.loads(capsys.readouterr().out))
     argv = ["series", "--spec", "motzkin_ab", "--order", "6", "--format", "json"]
-    assert cli.main(argv + ["--param", "a=1", "--param", "b=1"]) == 0
-    pinned = TruncatedSeries.from_json(json.loads(capsys.readouterr().out))
+    symbolic = TruncatedSeries.from_json(json.loads(run(*argv)))
+    pinned = TruncatedSeries.from_json(json.loads(run(*argv, "--param", "a=1", "--param", "b=1")))
     one = Polynomial.const(1)
     assert pinned == TruncatedSeries([c.substitute({"a": one, "b": one}) for c in symbolic.coeffs])
-    assert cli.main(["count", "--spec", "chebyshev_abcd", "--n", "3", "--param", "d=2"]) == 0
+    run("count", "--spec", "chebyshev_abcd", "--n", "3", "--param", "d=2")
 
 
-def test_param_on_spec_file_matches_registry(tmp_path):
+def test_param_on_spec_file_matches_registry(run, tmp_path):
     dump = tmp_path / "m.json"
-    run_cli("series", "--spec", "motzkin_ab", "--order", "3", "--dump-spec", str(dump))
-    from_file = run_cli("series", "--spec", f"@{dump}", "--order", "3", "--param", "a=2")
-    from_registry = run_cli("series", "--spec", "motzkin_ab", "--order", "3", "--param", "a=2")
-    assert from_file.stdout == from_registry.stdout
-    assert from_file.stdout.splitlines()[3] == "3: 4*b"
-    argv = ("series", "--spec", f"@{dump}", "--order", "3", "--param", "zz=1", "--param", "a=2")
-    proc = run_cli(*argv, expect=2)
-    _one_error_line(proc)
-    assert "no parameter or variable zz" in proc.stderr and "variables: a, a_inv, b" in proc.stderr
+    run("series", "--spec", "motzkin_ab", "--order", "3", "--dump-spec", dump)
+    from_file = run("series", "--spec", f"@{dump}", "--order", "3", "--param", "a=2")
+    assert from_file == run("series", "--spec", "motzkin_ab", "--order", "3", "--param", "a=2")
+    assert from_file.splitlines()[3] == "3: 4*b"
 
 
 @pytest.mark.parametrize("table, inv, base", [
@@ -344,24 +402,10 @@ def test_a_formal_inverse_is_not_pinned_on_a_spec_file_either(table, inv, base, 
             assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
-@pytest.mark.parametrize("argv, names", [
-    (("catalan", "--n", "5", "--param", "zz=1"), "catalan has no parameter zz"),
-    (("fuss_sym", "--n", "6", "--param", "m=2", "--param", "r=1.9"), "parameter r"),
-    (("fuss", "--n", "3", "--param", "r=2.5"), "parameter r"),
-    (("abcd_power", "--n", "0", "--param", "a=2", "--param", "b=1", "--param", "c=3",
-      "--param", "d=1"), "abcd_power needs ad = (a-b)c"),
-    (("fuss_asym_collapse", "--n", "0", "--param", "r=0"), "parameter r"),
-])
-def test_oracle_param_errors_exit_two(argv, names):
-    proc = run_cli("oracle", "--name", *argv, expect=2)
-    _one_error_line(proc)
-    assert names in proc.stderr
-
-
-def test_oracle_pins_its_variables():
-    assert run_cli("oracle", "--name", "motzkin_diff", "--n", "3", "--param", "a=2").stdout == "4*b\n"
-    proc = run_cli("oracle", "--name", "narayana_diff", "--n", "4", "--param", "t=3")
-    assert proc.stdout == "129\n"  # 3t^3 + 5t^2 + t at t = 3
+def test_oracle_pins_its_variables(run):
+    assert run("oracle", "--name", "motzkin_diff", "--n", "3", "--param", "a=2") == "4*b\n"
+    # 3t^3 + 5t^2 + t at t = 3
+    assert run("oracle", "--name", "narayana_diff", "--n", "4", "--param", "t=3") == "129\n"
 
 
 @pytest.mark.parametrize("value, accepted", [("3", True), ("3/1", True), ("1.9", False), ("sym", False)])
@@ -376,12 +420,6 @@ def test_fuss_params_read_alike_by_oracle_and_series(value, accepted, capsys):
             assert code == (0 if accepted else 2), (argv, name, captured.err)
             if not accepted:
                 assert captured.err.startswith("error: ") and f"parameter {name} " in captured.err
-
-
-@pytest.mark.parametrize("command", [("series", "--order"), ("count", "--n")])
-def test_series_and_count_have_no_ascii_format(command):
-    proc = run_cli(command[0], "--spec", "geom_3x", command[1], "3", "--format", "ascii", expect=2)
-    assert proc.stdout == "" and "invalid choice: 'ascii'" in proc.stderr
 
 
 def test_enumerate_writes_each_batch_as_it_comes(monkeypatch, capsys):
@@ -433,79 +471,6 @@ def test_enumerate_output_does_not_depend_on_the_batch(fmt, monkeypatch, capsys)
             assert cli.main(argv) == 0
             outputs.append(capsys.readouterr())
         assert outputs[1:] == outputs[:1] * 3, argv
-
-
-def test_negative_verify_bound_is_a_usage_error():
-    proc = run_cli("verify", "--suite", "master", "--max-n", "-3", expect=2)
-    _one_error_line(proc)
-
-
-def test_biject_apply_malformed_json_is_a_usage_error(capsys):
-    for text in ('{"map":"rho"}', "[1,2]"):
-        _one_error_line(run_cli("biject", "--map", "rho", "--apply", text, expect=2))
-    for map_id, direction, text in [
-        ("rho", "inverse", "[1,2]"),
-        ("rho", "inverse", '{"steps": "UD"}'),
-        ("rho", "forward", '{"map": "rho", "parts": [1]}'),
-        ("tau", "forward", '{"side": "src_4372"}'),
-        ("tau", "inverse", '{"side": "src_4372", "parts": [{"k0": 1, "letters": 5}]}'),
-        ("phi", "inverse", '{"family": "motzkin", "steps": ["U", "D"]}'),
-        ("rho", "forward", '{"map": "rho", "parts": [{"kind": "pyramid", "height": 2, '
-                           '"sub": ["U", "D"]}]}'),
-        ("tau", "forward", '{"side": "src_4372", "parts": [{"k0": 1, "letters": [], '
-                           '"blocks": [1.5]}]}'),
-        ("tau", "forward", '{"side": "src_4372", "parts": [{"k0": true, "letters": [], '
-                           '"blocks": [1]}]}'),
-        ("rho", "forward", '{"map": "rho", "parts": [{"kind": "pyramid", "height": 1.5, '
-                           '"sub": "U"}]}'),
-        ("rho", "forward", '{"map": "rho", "parts": [{"kind": "pyramid", "height": 2.0, '
-                           '"sub": "UD"}]}'),
-        ("rho", "forward", '{"map": "rho", "parts": [{"kind": "block", "ascent": true, '
-                           '"heights": [1, 1], "sub": "UD"}]}'),
-        ("rho", "forward", '{"map": "rho", "parts": [{"kind": "block", "ascent": 1, '
-                           '"heights": [1, 1.0], "sub": "UD"}]}'),
-    ]:
-        argv = ["biject", "--map", map_id, "--direction", direction, "--apply", text]
-        assert cli.main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert len(captured.err.splitlines()) == 1
-        assert captured.err.startswith("error: --apply ")
-
-
-# per command line reading a @FILE, JSON files it must refuse with one usage error
-MALFORMED_FILES = [
-    (["render", "--path"], '{"family": "dyck"}'),
-    (["render", "--path"], "[1]"),
-    (["render", "--path"], '{"family": "dyck", "steps": 5}'),
-    (["series", "--order", "1", "--spec"], '{"alpha": [[]], "beta": [[]]}'),
-    (["series", "--order", "1", "--spec"], "[]"),
-    (["series", "--order", "1", "--spec"],
-     '{"alpha": [[{"coeff": "1", "monomial": {"a": 99999}}]], "beta": [[]], "gamma": [[]]}'),
-    (["series", "--order", "1", "--spec"],
-     '{"alpha": [[{"coeff": "1", "monomial": {"a": "x"}}]], "beta": [[]], "gamma": [[]]}'),
-    (["series", "--order", "1", "--spec"],
-     '{"alpha": [[{"coeff": 0.1, "monomial": {}}]], "beta": [[]], "gamma": [[]]}'),
-    (["series", "--order", "1", "--spec"],
-     '{"alpha": [[{"coeff": "1", "monomial": {"a": true}}]], "beta": [[]], "gamma": [[]]}'),
-    (["series", "--order", "1", "--spec"],
-     '{"alpha": [[{"coeff": "1", "monomial": {"a": 1.0}}]], "beta": [[]], "gamma": [[]]}'),
-    (["series", "--order", "1", "--spec"],
-     '{"alpha": [[{"coeff": "1/0", "monomial": {}}]], "beta": [[]], "gamma": [[]]}'),
-    (["count", "--n", "1", "--spec"],
-     '{"alpha": [[{"coeff": "abc", "monomial": {}}]], "beta": [[]], "gamma": [[]]}'),
-]
-
-
-@pytest.mark.parametrize("argv, text", MALFORMED_FILES)
-def test_malformed_json_file_is_a_usage_error(tmp_path, capsys, argv, text):
-    source = tmp_path / "input.json"
-    source.write_text(text)
-    assert cli.main(argv + [f"@{source}"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert len(captured.err.splitlines()) == 1
-    assert captured.err.startswith(f"error: {argv[-1]} ")
 
 
 def test_cli_import_loads_no_process_pool():
