@@ -5,7 +5,8 @@ constructor call, ``from_json``, the command line) is checked once, there.
 Unchecked construction, ``cls._trusted(*fields)``, is kept for the places
 whose output is valid by construction, and never for a map the checks test:
 the enumerators, the inverse maps, and the series arithmetic, whose
-coefficients are polynomials computed from operands already canonical.
+coefficients are numbers or polynomials computed from operands already
+canonical and stored in the one form their value has.
 """
 
 _new = object.__new__

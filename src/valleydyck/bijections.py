@@ -419,6 +419,8 @@ def enumerate_tau(n: int, side: str) -> Iterator[TauDecorated]:
         raise BadParams(f"unknown tau side {side!r}")
     alphabet = TAU_TABLE[side][0]
     for structure in valley_structures(n):
+        if any(isinstance(part, Pyramid) and part.height == 1 for part in structure.parts):
+            continue  # an axis pyramid of height 1 has no mark, so the structure has no object
         per_part: list[list[TauFactor]] = []
         for part in structure.parts:
             if isinstance(part, Pyramid):

@@ -4,6 +4,16 @@ A series of order N stores the coefficients of x^0 .. x^N exactly; all
 arithmetic is the truncated ring arithmetic and never consults anything
 beyond the stored order.  No square root is ever taken.
 
+A series whose coefficients are all constants stores them as numbers, an
+``int`` when integral and a ``Fraction`` otherwise; any other series stores
+``Polynomial`` coefficients.  Each value has that one stored form, whatever
+built it, so equality and hashing read the stored field.  Arithmetic
+between two series of numbers runs on numbers throughout; a series of
+numbers that meets a symbolic one is converted to polynomials once, and a
+result whose symbols cancel is stored as numbers again.  A coefficient
+becomes a ``Polynomial`` only where it leaves the series: ``coefficient``,
+``coeffs``, the text forms and ``to_json``.
+
 The named series, each the solution of an algebraic equation
 F = sum_j c_j(x) F^j, are one table, ``EQUATIONS``; each entry's constructor
 checks the contraction condition c_j(0) = 0 for j >= 1 once.  One online solver,
@@ -18,11 +28,11 @@ it to the truncation order, the solver's power tables read it as F grows,
 and no product holds more than one coefficient's pairs of factors.  It
 skips the zeros of its first factor, and a square forms each cross product
 a_i a_j, i < j, once, against 2 a_j.  Those pairs, and the quotient's, go to
-one multiply-accumulate kernel chosen per call by :func:`_kernel`: ``_mac``
-sums their products as ``int`` and ``Fraction`` when every coefficient of
-every operand is a constant, else :meth:`Polynomial.dot` multiplies and adds
-them into one term map.  A quotient N / D is one pass, never N times the
-inverse of D, and the inverse is the quotient 1 / D.
+one multiply-accumulate kernel: ``_mac`` sums their products as ``int`` and
+``Fraction`` for series of numbers, and :meth:`Polynomial.dot` multiplies
+and adds them into one term map for polynomial ones.  A quotient N / D is
+one pass, never N times the inverse of D, and the inverse is the quotient
+1 / D.
 """
 
 from __future__ import annotations
@@ -43,7 +53,8 @@ from .errors import (
     OrderMismatch,
 )
 from .params import A, B, Q, T
-from .polynomials import Polynomial, Scalar, _square_and_multiply
+from .polynomials import Polynomial, Scalar, _scalar, _square_and_multiply
+from .polynomials import _trusted as _wrapped
 
 CoeffLike = Union[Polynomial, int, Fraction]
 
@@ -52,14 +63,10 @@ _ZERO = Polynomial.zero()
 _ONE = Polynomial.one()
 
 
-def _values(coeffs: Sequence[Polynomial]) -> list[Scalar] | None:
-    """The value of each coefficient, or None if one is not a constant."""
-    values = []
-    for c in coeffs:
-        if (value := c.scalar) is None:
-            return None
-        values.append(value)
-    return values
+def _number(value: CoeffLike) -> Scalar | None:
+    """The value of a number or of a constant polynomial, an ``int`` when
+    integral; ``None`` for a polynomial that is not a constant."""
+    return value if type(value) is int else Polynomial._coerce(value).scalar
 
 
 def _mac(pairs: Iterable[tuple[Scalar, Scalar]]) -> Scalar:
@@ -68,20 +75,29 @@ def _mac(pairs: Iterable[tuple[Scalar, Scalar]]) -> Scalar:
     return total if type(total) is int or total.denominator != 1 else total.numerator
 
 
-def _constants(values: Iterable[Scalar]) -> tuple[Polynomial, ...]:
-    return tuple(map(Polynomial.const, values))
+def _ints(values: Iterable[Scalar]) -> tuple[Scalar, ...]:
+    """``values`` with each integral ``Fraction`` an ``int``."""
+    return tuple([v if type(v) is int or v.denominator != 1 else v.numerator for v in values])
 
 
-def _kernel(*operands: Sequence[Polynomial]) -> tuple[Sequence, Callable, Callable]:
-    """(operands, dot, wrap) for a convolution of ``operands``: their values,
-    ``_mac`` and ``_constants`` when every coefficient is a constant, else the
-    operands themselves, :meth:`Polynomial.dot` and ``tuple``.  ``dot`` maps
-    an output coefficient's pairs of factors to its value, and ``wrap`` turns
-    the values into coefficients."""
-    values = [_values(operand) for operand in operands]
-    if None in values:
-        return operands, Polynomial.dot, tuple
-    return values, _mac, _constants
+def _polynomials(stored: tuple) -> tuple[Polynomial, ...]:
+    """Stored coefficients as polynomials; a stored number is already
+    canonical, so it is wrapped as it is."""
+    if type(stored[0]) is Polynomial:
+        return stored
+    return tuple([_wrapped({0: c}) if c else _ZERO for c in stored])
+
+
+def _series(coeffs: Iterable) -> "TruncatedSeries":
+    """The series of ``coeffs``, all numbers or all polynomials, in its stored
+    form: numbers with each integral one an ``int``, and polynomials as their
+    values when every one is a constant."""
+    coeffs = tuple(coeffs)
+    if type(coeffs[0]) is not Polynomial:
+        return TruncatedSeries._trusted(_ints(coeffs))
+    if all(c.scalar is not None for c in coeffs):
+        coeffs = tuple(c.scalar for c in coeffs)
+    return TruncatedSeries._trusted(coeffs)
 
 
 def _product(a: Sequence, b: Sequence, dot: Callable) -> Iterator:
@@ -108,15 +124,18 @@ def _product(a: Sequence, b: Sequence, dot: Callable) -> Iterator:
 
 
 class TruncatedSeries(Value):
-    """Coefficients c0..cN of a formal power series in x, each a Polynomial."""
+    """Coefficients c0..cN of a formal power series in x: numbers when every
+    one is a constant, else polynomials (``stored``).  ``coeffs`` and
+    ``coefficient`` give them as polynomials either way."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("stored",)
 
     def __init__(self, coeffs: Iterable[CoeffLike]):
-        data = tuple(map(Polynomial._coerce, coeffs))
+        data = tuple(coeffs)
         if not data:
             raise ValueError("a truncated series needs at least the x^0 coefficient")
-        self._fill(data)
+        values = tuple(map(_number, data))
+        self._fill(tuple(map(Polynomial._coerce, data)) if None in values else values)
 
     # -- constructors ------------------------------------------------------
 
@@ -147,12 +166,17 @@ class TruncatedSeries(Value):
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.stored) - 1
+
+    @property
+    def coeffs(self) -> tuple[Polynomial, ...]:
+        """The coefficients as polynomials."""
+        return _polynomials(self.stored)
 
     def coefficient(self, n: int) -> Polynomial:
         if not 0 <= n <= self.order:
             raise IndexError(f"coefficient {n} outside stored order {self.order}")
-        return self.coeffs[n]
+        return Polynomial._coerce(self.stored[n])
 
     def __str__(self) -> str:
         return " ; ".join(f"{n}: {c}" for n, c in enumerate(self.coeffs))
@@ -165,26 +189,32 @@ class TruncatedSeries(Value):
 
     # -- arithmetic --------------------------------------------------------
 
-    def _match(self, other: "TruncatedSeries") -> None:
+    def _match(self, other: "TruncatedSeries") -> tuple[tuple, tuple, bool]:
+        """The stored coefficients of self and other in one form, numbers when
+        both are series of numbers, else polynomials, and whether they are numbers."""
         if self.order != other.order:
             raise OrderMismatch(f"orders differ: {self.order} vs {other.order}")
+        mine, theirs = self.stored, other.stored
+        if type(mine[0]) is not Polynomial and type(theirs[0]) is not Polynomial:
+            return mine, theirs, True
+        return _polynomials(mine), _polynomials(theirs), False
 
     def __add__(self, other) -> "TruncatedSeries":
         if isinstance(other, (Polynomial, int, Fraction)):
             other = TruncatedSeries.constant(other, self.order)
-        self._match(other)
-        return TruncatedSeries._trusted(tuple(map(add, self.coeffs, other.coeffs)))
+        mine, theirs, _ = self._match(other)
+        return _series(map(add, mine, theirs))
 
     __radd__ = __add__
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries._trusted(tuple(map(neg, self.coeffs)))
+        return TruncatedSeries._trusted(tuple(map(neg, self.stored)))
 
     def __sub__(self, other) -> "TruncatedSeries":
         if isinstance(other, (Polynomial, int, Fraction)):
             other = TruncatedSeries.constant(other, self.order)
-        self._match(other)
-        return TruncatedSeries._trusted(tuple(map(sub, self.coeffs, other.coeffs)))
+        mine, theirs, _ = self._match(other)
+        return _series(map(sub, mine, theirs))
 
     def __rsub__(self, other) -> "TruncatedSeries":
         return (-self) + other
@@ -192,19 +222,22 @@ class TruncatedSeries(Value):
     def __mul__(self, other) -> "TruncatedSeries":
         if isinstance(other, (Polynomial, int, Fraction)):
             return self.scale(other)
-        self._match(other)
-        (mine, theirs), dot, wrap = _kernel(self.coeffs, other.coeffs)
+        mine, theirs, numbers = self._match(other)
         if other is self:
             theirs = mine
         elif sum(map(bool, theirs)) < sum(map(bool, mine)):
             mine, theirs = theirs, mine  # the sparser factor first: its zeros are skipped
-        return TruncatedSeries._trusted(wrap(islice(_product(mine, theirs, dot), self.order + 1)))
+        dot = _mac if numbers else Polynomial.dot
+        return _series(islice(_product(mine, theirs, dot), self.order + 1))
 
     __rmul__ = __mul__
 
     def scale(self, factor: CoeffLike) -> "TruncatedSeries":
+        number = _number(factor)
+        if number is not None and type(self.stored[0]) is not Polynomial:
+            return _series([c * number for c in self.stored])
         factor = Polynomial._coerce(factor)
-        return TruncatedSeries._trusted(tuple(c * factor for c in self.coeffs))
+        return _series([c * factor for c in _polynomials(self.stored)])
 
     def __pow__(self, exponent: int) -> "TruncatedSeries":
         if not isinstance(exponent, int) or exponent < 0:
@@ -223,41 +256,43 @@ class TruncatedSeries(Value):
         divides each coefficient."""
         if isinstance(other, (Polynomial, int, Fraction)):
             return self.div_poly(other)
-        self._match(other)
-        d0 = other.coeffs[0]
-        if not d0.is_constant or not d0:
+        nums, dens, numbers = self._match(other)
+        d0 = dens[0]
+        value = d0 if numbers else d0.scalar
+        if not value:  # None or 0
             raise NotAUnit(f"constant term {d0} is not a nonzero rational")
         # the factor 1/D_0 rides on N_n and, negated, on each D_i, once
-        inv0 = Polynomial.const(Fraction(1) / d0.constant_value())
-        divisor = [(i, c) for i, c in enumerate(other.coeffs) if c][1:]
-        (nums, (inv0, *scaled)), dot, wrap = _kernel(
-            self.coeffs, [inv0] + [c * -inv0 for _, c in divisor]
-        )
-        tail = [(i, d) for (i, _), d in zip(divisor, scaled)]
+        inv0 = _scalar(Fraction(1) / value)
+        tail = [(i, c * -inv0) for i, c in enumerate(dens) if c][1:]
+        dot = _mac if numbers else Polynomial.dot
+        if not numbers:
+            inv0 = Polynomial.const(inv0)
         out: list = []
         for n, num in enumerate(nums):
             out.append(dot([(num, inv0)] + [(d, out[n - i]) for i, d in tail if i <= n]))
-        return TruncatedSeries._trusted(wrap(out))
+        return _series(out)
 
     def times_x(self, k: int = 1) -> "TruncatedSeries":
         """Multiply by x^k at the same order; the top k coefficients drop."""
         if k < 0:
             raise ValueError("times_x needs a nonnegative power")
         k = min(k, self.order + 1)
-        return TruncatedSeries._trusted((_ZERO,) * k + self.coeffs[: self.order + 1 - k])
+        stored = self.stored
+        zero = _ZERO if type(stored[0]) is Polynomial else 0
+        return _series((zero,) * k + stored[: self.order + 1 - k])
 
     def shift_div_x(self, k: int = 1) -> "TruncatedSeries":
         """Divide by x^k exactly; the order drops to N - k."""
         if not 0 <= k <= self.order:
             raise NotDivisibleByX(f"cannot divide an order-{self.order} series by x^{k}")
-        if any(self.coeffs[i] for i in range(k)):
+        if any(self.stored[i] for i in range(k)):
             raise NotDivisibleByX("leading coefficients are not all zero")
-        return TruncatedSeries(self.coeffs[k:])
+        return _series(self.stored[k:])
 
     def div_poly(self, divisor: CoeffLike) -> "TruncatedSeries":
         """Divide every coefficient exactly by a scalar polynomial."""
         divisor = Polynomial._coerce(divisor)
-        return TruncatedSeries._trusted(tuple(c.exact_div(divisor) for c in self.coeffs))
+        return _series([c.exact_div(divisor) for c in _polynomials(self.stored)])
 
     # -- serialization -----------------------------------------------------
 
@@ -332,8 +367,10 @@ def solve_equation(equation: Equation, order: int, r: int | None = None) -> Trun
             todo.extend(chain[j])
     f: list = []
     powers: dict[int, list] = {1: f, **{j: [] for j in chain}}
-    # 1 and the terms' coefficients, as the kernel reads them
-    ((one, *cs),), dot, wrap = _kernel([_ONE] + [c for _, _, c in terms])
+    # 1 and the terms' coefficients as numbers when every one is a constant
+    one, cs, dot = 1, [c.scalar for _, _, c in terms], _mac
+    if None in cs:
+        one, cs, dot = _ONE, [c for _, _, c in terms], Polynomial.dot
     reads = [(powers[j], i, c) for (j, i, _), c in zip(terms, cs) if j]
     constants = [(i, c) for (j, i, _), c in zip(terms, cs) if j == 0]
     # each table with its product stream, lower powers first, as higher ones read them
@@ -348,7 +385,7 @@ def solve_equation(equation: Equation, order: int, r: int | None = None) -> Trun
             break
         for row, product in tables:
             row.append(next(product))
-    solution = TruncatedSeries._trusted(wrap(f))
+    solution = _series(f)
     image = TruncatedSeries.zero(order)
     for j, i, c in terms:
         term = (solution**j).times_x(i)
@@ -410,7 +447,7 @@ def _require_weight_series(*series: TruncatedSeries) -> None:
     for s in series:
         if s.order != first.order:
             raise OrderMismatch("weight series must share one order")
-        if s.coefficient(0):
+        if s.stored[0]:
             raise NonzeroConstantTerm(f"weight series has constant term {s.coefficient(0)}")
 
 

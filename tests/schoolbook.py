@@ -3,8 +3,9 @@
 Products are formed by ``public_product`` from the public view of their
 operands, and sums by ``Polynomial.sum``: no ``Polynomial.__mul__``, no
 ``Polynomial.dot`` and no series code.  Each series reference works on a
-sequence of coefficients (a series' ``coeffs``) and returns a list.  Nothing
-here needs hypothesis.
+sequence of coefficients (a series' ``coeffs``) and returns a list, but
+``stored_form``, which gives what a series of them must store.  Nothing here
+needs hypothesis.
 """
 
 from fractions import Fraction
@@ -43,3 +44,23 @@ def schoolbook_inverse(f):
         total = Polynomial.sum(public_product(f[i], out[k - i]) for i in range(1, k + 1))
         out.append(public_product(-inv0, total))
     return out
+
+
+def schoolbook_sum(f, g, sign=1):
+    """Coefficients of f + g, or of f - g when ``sign`` is -1."""
+    factor = Polynomial.const(sign)
+    return [Polynomial.sum((a, public_product(factor, b))) for a, b in zip(f, g)]
+
+
+def schoolbook_scale(f, factor):
+    """Coefficients of f times the polynomial ``factor``."""
+    return [public_product(c, factor) for c in f]
+
+
+def stored_form(f):
+    """What a series with coefficients f stores: their values (an int when
+    integral) when every one is a constant, else the polynomials."""
+    values = [c.constant_value() if c.is_constant else None for c in f]
+    if None in values:
+        return tuple(f)
+    return tuple(v.numerator if v.denominator == 1 else v for v in values)

@@ -155,6 +155,24 @@ def test_enumerate_tau_builds_its_objects_unchecked(monkeypatch):
         assert TauDecorated(obj.side, factors) == obj
 
 
+def test_enumerate_tau_builds_only_factors_it_yields(monkeypatch):
+    # a structure with an axis pyramid of height 1 has no object, so none of
+    # its parts' factors may be built: every TauFactor._trusted call's result
+    # sits in some yielded object
+    built = []
+    trusted = TauFactor._trusted
+
+    def counting(*fields):
+        built.append(trusted(*fields))
+        return built[-1]
+
+    monkeypatch.setattr(TauFactor, "_trusted", staticmethod(counting))
+    objs = [obj for side in TAU_SIDES for obj in enumerate_tau(5, side)]
+    held = {id(f) for obj in objs for f in obj.factors}
+    assert len(built) == len(held) == 88
+    assert held == {id(f) for f in built}
+
+
 def test_tau_values_match_registry_weights():
     for n in range(2, 6):
         for side, (a, b, c, d) in (

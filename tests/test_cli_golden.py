@@ -5,7 +5,7 @@ and of ``enumerate`` for every family, filter and format at small sizes.
 
 The fixture ``fixtures/cli_golden.json`` maps each command line to the exact
 stdout it printed when the fixture was made, so a change that alters one
-output byte fails here.  Seventeen more ``series`` outputs are pinned the same
+output byte fails here.  Twenty-one more ``series`` outputs are pinned the same
 way by the sha256 of their stdout (``DIGESTS``).  Print a fresh fixture with
 
     PYTHONPATH=src python tests/test_cli_golden.py > tests/fixtures/cli_golden.json
@@ -191,6 +191,15 @@ DIGESTS = {
     "series --spec chebyshev_second --order 71 --format json --param a=1/2 --param b=3 "
     "--param c=-2/3":
         "5ab3d7d826b462d7bcc707913e3df87773e77e92e117222987d2ad44aa69d8c0",
+    # solved tables pinned to numbers, and geom_fib at its order cap
+    "series --spec motzkin_ab --order 100 --format json --param a=3/2 --param b=-2":
+        "9a105a8e4756a462d20d9fdc291b39a4e61df1d4b39b34e458325dc95ec9f4e8",
+    "series --spec schroder_small_q --order 80 --format json --param q=5":
+        "ea261393c66ebd0322c8a113dce3e1cab637d2349ed71f670e78aabe2ed3d72f",
+    "series --spec narayana_shift_t --order 80 --format json --param t=2/3":
+        "d21bdeed211061839451fcc53ec808e48bf42c984d3c86f3ba136e4c6c3cc824",
+    "series --spec geom_fib --order 1277 --format json":
+        "4135a66cf1afbcc7dd2848e2bbf6d2f0a4cb63f8c032e513ed8b83b1b064710f",
 }
 
 

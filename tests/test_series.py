@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from schoolbook import schoolbook_inverse, schoolbook_product
+from schoolbook import schoolbook_inverse, schoolbook_product, stored_form
+from valleydyck import series
 from valleydyck.errors import (
     BadParams,
     NonzeroConstantTerm,
@@ -336,6 +337,87 @@ def test_pickle_round_trip():
     )
     t = pickle.loads(pickle.dumps(s))
     assert t == s and hash(t) == hash(s) and str(t) == str(s)
+
+
+# -- one stored form per value -----------------------------------------------------
+
+_NUMBERS = [0, 1, Fraction(1, 2), -3, 2]
+
+
+def _routes():
+    """(label, series) pairs that all hold the series of _NUMBERS, each built
+    another way; the last routes pass through symbolic coefficients."""
+    want = TruncatedSeries(_NUMBERS)
+    symbolic = TruncatedSeries([A, 0, T, A_INV, 1])
+    halves = TruncatedSeries([Fraction(c) / 2 for c in _NUMBERS])
+    return [
+        ("numbers", want),
+        ("Polynomial.const", TruncatedSeries(map(Polynomial.const, _NUMBERS))),
+        ("halves", halves + halves),
+        ("json", TruncatedSeries.from_json(want.to_json())),
+        ("cancelled symbols", (want + symbolic) - symbolic),
+        ("a times a_inv", want.scale(A).scale(A_INV)),
+        ("a_inv series times a", (want * TruncatedSeries.constant(A_INV, 4)).scale(A)),
+        ("exact division", want.scale(T + 1).div_poly(T + 1)),
+        ("dropped symbol", TruncatedSeries(_NUMBERS[1:] + [T]).times_x()),
+    ]
+
+
+def _first_disagreement() -> str | None:
+    """The label and comparison of the first route whose series is not equal
+    to, hashed as, stored as or pickled as the series built from numbers."""
+    want = TruncatedSeries(_NUMBERS)
+    for label, s in _routes():
+        copy = pickle.loads(pickle.dumps(s))
+        for comparison, holds in (
+            ("==", s == want),
+            ("hash", hash(s) == hash(want)),
+            ("stored form", list(map(type, s.stored)) == list(map(type, stored_form(s.coeffs)))
+             and s.stored == stored_form(s.coeffs)),
+            ("pickle", copy == s and hash(copy) == hash(s) and copy.stored == s.stored),
+        ):
+            if not holds:
+                return f"{label}: {comparison}"
+    return None
+
+
+def test_every_route_to_a_numeric_series_stores_one_form():
+    assert _first_disagreement() is None
+    assert TruncatedSeries(_NUMBERS).stored == (0, 1, Fraction(1, 2), -3, 2)
+
+
+_SERIES = series._series
+
+
+def _keeping_polynomials(coeffs):
+    """series._series, broken: polynomials are stored as they are, even when
+    every one is a constant."""
+    coeffs = tuple(coeffs)
+    if type(coeffs[0]) is Polynomial:
+        return TruncatedSeries._trusted(coeffs)
+    return _SERIES(coeffs)
+
+
+# faults in the normalisation, each with the comparison that catches it: an
+# integral Fraction kept as a Fraction is equal and hashes alike, so only its
+# stored form differs; a result whose symbols cancelled, kept as polynomials,
+# is equal but hashes apart
+@pytest.mark.parametrize("name, fault, caught_by", [
+    ("_ints", tuple, "halves: stored form"),
+    ("_series", _keeping_polynomials, "cancelled symbols: hash"),
+])
+def test_a_broken_normalisation_is_caught(monkeypatch, name, fault, caught_by):
+    monkeypatch.setattr(series, name, fault)
+    assert _first_disagreement() == caught_by
+
+
+def test_coefficients_leave_as_polynomials():
+    for s in (TruncatedSeries(_NUMBERS), TruncatedSeries([A, 0, T, A_INV, 1])):
+        assert all(type(c) is Polynomial for c in s.coeffs)
+        assert all(type(s.coefficient(n)) is Polynomial for n in range(s.order + 1))
+        assert s.coeffs == stored_form(s.coeffs)
+    assert TruncatedSeries(_NUMBERS).coefficient(2) == Polynomial.const(Fraction(1, 2))
+    assert TruncatedSeries([A, 0, T]).stored == (A, Polynomial.zero(), T)
 
 
 def test_each_solved_series_declares_its_contraction():

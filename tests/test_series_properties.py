@@ -9,8 +9,10 @@ The series product, square, inverse and quotient and the solver are also
 held to a schoolbook reference (``schoolbook``, and here the solver's plain
 iteration), built from ``Polynomial.__mul__`` and ``Polynomial.sum`` only,
 over coefficients that hold the formal inverses, over series whose
-coefficients are all numbers (the scalar kernel's route), and over a series
-of numbers against a symbolic one.
+coefficients are all numbers (stored as numbers, the scalar kernel's route),
+and over a series of numbers against a symbolic one; sums, differences and
+scalings too, and each result must be stored in its one form
+(``stored_form``).
 """
 
 import pytest
@@ -19,7 +21,13 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from schoolbook import schoolbook_inverse, schoolbook_product  # noqa: E402
+from schoolbook import (  # noqa: E402
+    schoolbook_inverse,
+    schoolbook_product,
+    schoolbook_scale,
+    schoolbook_sum,
+    stored_form,
+)
 from valleydyck.errors import NotAUnit  # noqa: E402
 from valleydyck.params import T  # noqa: E402
 from valleydyck.polynomials import Polynomial  # noqa: E402
@@ -134,6 +142,11 @@ def as_map(equation_terms):
     return phi
 
 
+def assert_stored_in_one_form(*results):
+    for s in results:
+        assert list(map(type, s.stored)) == list(map(type, stored_form(s.coeffs)))
+
+
 @settings(max_examples=60, deadline=None)
 @given(terms, st.integers(0, 12))
 def test_online_solver_finds_the_fixed_point(equation_terms, order):
@@ -196,6 +209,19 @@ def test_numeric_and_mixed_products_match_schoolbook(pair):
     assert list((f * f).coeffs) == schoolbook_product(f.coeffs, f.coeffs)
     cube = schoolbook_product(schoolbook_product(f.coeffs, f.coeffs), f.coeffs)
     assert list((f**3).coeffs) == cube
+    assert_stored_in_one_form(f * g, f * f, f**3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(numeric_pairs, mixed_pairs), st.one_of(numbers.map(Polynomial.const), polys))
+def test_numeric_and_mixed_sums_and_scales_match_schoolbook(pair, factor):
+    f, g = pair
+    for a, b in ((f, g), (g, f)):
+        assert list((a + b).coeffs) == schoolbook_sum(a.coeffs, b.coeffs)
+        assert list((a - b).coeffs) == schoolbook_sum(a.coeffs, b.coeffs, -1)
+        assert list(a.scale(factor).coeffs) == schoolbook_scale(a.coeffs, factor)
+        assert_stored_in_one_form(a + b, a - b, a.scale(factor), -a, a.times_x(2))
+    assert (g + f) - f == g and hash((g + f) - f) == hash(g)
 
 
 @settings(max_examples=60, deadline=None)
@@ -209,6 +235,7 @@ def test_numeric_inverse_matches_schoolbook(f):
 def test_numeric_and_mixed_quotients_match_schoolbook(pair):
     f, u = pair
     assert list((f / u).coeffs) == schoolbook_product(f.coeffs, schoolbook_inverse(u.coeffs))
+    assert_stored_in_one_form(f / u)
 
 
 @settings(max_examples=30, deadline=None)
