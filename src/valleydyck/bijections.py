@@ -446,19 +446,15 @@ def _encode_heights(heights: tuple[int, ...], marker: str) -> tuple[str, ...]:
     return tuple(out)
 
 
-def _decode_heights(tokens: tuple[str, ...], marker: str) -> tuple[int, ...]:
+def _decode_heights(tokens: tuple[str, ...]) -> tuple[int, ...]:
     heights: list[int] = []
     run = 0
     for tok in tokens:
-        if tok == marker:
-            run += 1
-        elif tok == "1":
+        if tok == "1":
             heights.append(run + 1)
             run = 0
         else:
-            raise InvalidDecoration(f"unexpected token {tok!r} while decoding heights")
-    if run:
-        raise InvalidDecoration("height encoding must end with a closing '1'")
+            run += 1
     return tuple(heights)
 
 
@@ -478,12 +474,13 @@ def tau_apply(obj: TauDecorated) -> TauDecorated:
     value product (3 per hatted-3, 7 once per factor) is preserved because
     the dropped token is always the valueless '1'.
     """
-    letters, _, far = TAU_TABLE[obj.side]
-    ours, theirs = letters[-1], TAU_TABLE[far][0][-1]
+    far = TAU_TABLE[obj.side][2]
+    theirs = TAU_TABLE[far][0][-1]
     out: list[TauFactor] = []
     for f in obj.factors:
+        # TauDecorated admits only "1" and this side's hatted letter
         new_letters = tuple(reversed(_encode_heights(f.heights, theirs)[:-1]))
-        new_heights = _decode_heights(tuple(reversed(f.letters)) + ("1",), ours)
+        new_heights = _decode_heights(tuple(reversed(f.letters)) + ("1",))
         out.append(TauFactor(sum(f.heights), new_heights, new_letters))
     return TauDecorated(far, tuple(out))
 

@@ -1,9 +1,11 @@
 """Exception types shared across the library.
 
-Every error raised on a documented failure path derives from
-:class:`ValleyDyckError`, so callers can catch one base class.  Arithmetic
-failures additionally derive from :class:`ArithmeticError` and the input
-validation errors from :class:`ValueError`.
+Each type here derives from :class:`ValleyDyckError`; arithmetic failures
+also from :class:`ArithmeticError` and input validation errors from
+:class:`ValueError`.  Some refusals raise a built-in type alone, such as
+``enumerate_family``'s ``ValueError("size must be nonnegative")``, so one
+base class does not catch every refusal; ``LIBRARY_REFUSALS`` in
+``tests/test_validation_contract.py`` lists each with its type.
 """
 
 

@@ -315,24 +315,24 @@ def _compositions(total: int, min_parts: int) -> Iterator[tuple[int, ...]]:
     return go(total, 0)
 
 
-_GLYPHS = {"U": "/", "D": "\\", "F": "_", "H": "__"}
+_GLYPHS = {"U": b"/", "D": b"\\", "F": b"_", "H": b"__"}
 
 
 def render_ascii(path: Path) -> str:
     """Fixed-width picture: '/' and '\\' for slopes, '_' for flats, one row per level."""
     if not path.steps:
         return ""
-    cells: dict[tuple[int, int], str] = {}
-    x = 0
     levels = path.levels()
-    # a step is drawn in the row of its lower end, one glyph per unit of width
+    low = min(levels)
+    # one buffer per level, from the lowest; a step is drawn in the row of its
+    # lower end, one glyph per unit of width, after blanks up to its column
+    rows = [bytearray() for _ in range(max(levels) - low + 1)]
+    x = 0
     for ch, before, after in zip(path.steps, levels, levels[1:]):
-        for glyph in _GLYPHS[ch]:
-            cells[(min(before, after), x)] = glyph
-            x += 1
-    rows = sorted({r for r, _ in cells})
-    lines = []
-    for r in range(rows[-1], rows[0] - 1, -1):
-        line = "".join(cells.get((r, c), " ") for c in range(x))
-        lines.append(line.rstrip())
-    return "\n".join(lines)
+        row = rows[min(before, after) - low]
+        row += b" " * (x - len(row))
+        row += _GLYPHS[ch]
+        x = len(row)
+    while not rows[-1]:
+        rows.pop()  # the top level, when no flat runs along it
+    return "\n".join(row.decode() for row in reversed(rows))

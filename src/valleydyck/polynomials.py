@@ -272,7 +272,7 @@ class Polynomial:
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
         object.__setattr__(self, "_terms", _collect((terms or {}).items()))
 
-    def __setattr__(self, name, value):  # pragma: no cover - defensive
+    def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
     def __reduce__(self):

@@ -1,4 +1,6 @@
+import ast
 import inspect
+import re
 import subprocess
 import sys
 
@@ -16,6 +18,14 @@ def run_cli(*args, expect=0):
     )
     assert proc.returncode == expect, proc.stderr + proc.stdout
     return proc
+
+
+def message_pattern(message: ast.expr) -> str:
+    """The regular expression a raised message's text must match: a string
+    literal is itself, and each field of an f-string matches any text."""
+    parts = message.values if isinstance(message, ast.JoinedStr) else [message]
+    assert {type(p) for p in parts} <= {ast.Constant, ast.FormattedValue}, ast.unparse(message)
+    return "".join(re.escape(p.value) if type(p) is ast.Constant else ".+" for p in parts)
 
 
 def rebuilt(spec, **change):

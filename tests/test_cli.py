@@ -11,6 +11,8 @@ from pathlib import Path as FilePath
 
 import pytest
 
+from conftest import message_pattern
+
 import valleydyck
 from valleydyck import cli, paths, series, verify
 from valleydyck.oracles import ORACLES
@@ -166,9 +168,7 @@ def test_every_refusal_of_cli_has_a_row():
               and getattr(getattr(node.exc, "func", None), "id", None) == "ValleyDyckError"]
     assert len(raised) >= 12
     for message in raised:
-        parts = message.values if isinstance(message, ast.JoinedStr) else [message]
-        assert {type(p) for p in parts} <= {ast.Constant, ast.FormattedValue}, ast.unparse(message)
-        pattern = "".join(re.escape(p.value) if type(p) is ast.Constant else ".+" for p in parts)
+        pattern = message_pattern(message)
         assert any(re.fullmatch(pattern, row[1]) for row in REFUSALS), ast.unparse(message)
 
 

@@ -9,7 +9,7 @@ drawn factor by factor, so every drawn object is valid by construction.
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from valleydyck.bijections import (  # noqa: E402
@@ -22,6 +22,7 @@ from valleydyck.bijections import (  # noqa: E402
     inverse,
 )
 from valleydyck.paths import FAMILY_STEPS, Path, passes_filter  # noqa: E402
+from valleydyck.verify import EXCHANGE_SOURCE  # noqa: E402
 
 
 def step_strings(flats: str, axis_flats: str):
@@ -86,5 +87,6 @@ def test_decorated_json_round_trip(obj):
 
 @examples
 @given(tau_objects())
+@example(EXCHANGE_SOURCE)  # an ascent of 8, above what tau_objects draws
 def test_tau_json_round_trip(obj):
     assert TauDecorated.from_json(obj.to_json()) == obj

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from schoolbook import public_product  # noqa: E402
 
-from valleydyck.params import A, A_INV, T, T1_INV  # noqa: E402
+from valleydyck.params import A, A_INV, B, Q, T, T1_INV  # noqa: E402
 from valleydyck.polynomials import MAX_EXPONENT, Polynomial, var_key  # noqa: E402
 
 VARIABLES = ("a", "b", "t", "a_inv", "t1_inv")
@@ -101,6 +101,7 @@ def test_multiplication_distributes(p, r, s):
 
 @kernel
 @given(polys, st.integers(0, 3), st.integers(0, 3))
+@example(Polynomial.zero(), 0, 3)
 def test_powers_add_exponents(p, m, n):
     assert p**0 == 1
     assert p**1 == p
@@ -158,6 +159,7 @@ def test_dot_refuses_an_exponent_past_the_cap_as_mul_does(name, e, other):
 
 @kernel
 @given(operands)
+@example(Fraction(7, 3) * A**2 * B - 1 + Q)  # q is no variable the strategies draw
 def test_json_round_trip(p):
     assert Polynomial.from_json(p.to_json()) == p
 

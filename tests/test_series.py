@@ -7,15 +7,7 @@ import pytest
 
 from schoolbook import schoolbook_inverse, schoolbook_product, stored_form
 from valleydyck import series
-from valleydyck.errors import (
-    BadParams,
-    NonzeroConstantTerm,
-    NotAContraction,
-    NotAUnit,
-    NotDivisibleByX,
-    OrderMismatch,
-)
-from valleydyck.params import A, A_INV, B, Q, T, T1_INV
+from valleydyck.params import A, A_INV, B, Q, T
 from valleydyck.polynomials import Polynomial
 from valleydyck.series import (
     ARITY,
@@ -41,8 +33,6 @@ def test_basic_ring_ops():
     assert (one + x) * (one - x) == TruncatedSeries.from_coeffs([1, 0, -1], 3)
     alpha = x.scale(A)
     assert alpha * alpha == TruncatedSeries.from_coeffs([0, 0, A * A], 3)
-    with pytest.raises(OrderMismatch):
-        one + TruncatedSeries.one(5)
 
 
 def test_catalan_square():
@@ -67,31 +57,12 @@ def test_inverse_chebyshev():
     assert u.coeffs == (Polynomial.one(), 2 * T, 4 * T * T - 1)
 
 
-def test_inverse_requires_unit():
-    with pytest.raises(NotAUnit):
-        TruncatedSeries.from_coeffs([0, 1], 2).inverse()
-    with pytest.raises(NotAUnit):
-        TruncatedSeries.from_coeffs([T, 1], 2).inverse()
-
-
-def test_inverse_round_trip_random():
-    rng = random.Random(5)
-    for _ in range(25):
-        coeffs = [Fraction(rng.randrange(1, 5))] + [
-            Fraction(rng.randrange(-4, 5), rng.randrange(1, 3)) for _ in range(5)
-        ]
-        s = TruncatedSeries(coeffs)
-        assert s * s.inverse() == TruncatedSeries.one(5)
-
-
 def test_shift_and_poly_division():
     narayana = named_series("narayana", 3)
     f = (narayana - 1).shift_div_x(1).div_poly(T)
     assert f.order == 2
     assert f.coeffs == (Polynomial.one(), 1 + T, 1 + 3 * T + T * T)
     assert f == named_series("narayana_shift", 2)
-    with pytest.raises(NotDivisibleByX):
-        narayana.shift_div_x(1)
 
 
 def test_pow():
@@ -166,15 +137,6 @@ def test_valley_series_matches_ab_form():
     assert valley_series_ab(alpha, beta) == valley_series(alpha, beta, alpha * beta)
 
 
-def test_quotient_needs_a_rational_unit_and_one_order():
-    num = TruncatedSeries.from_coeffs([1, A], 3)
-    for head in (T, 0):
-        with pytest.raises(NotAUnit):
-            num / TruncatedSeries.from_coeffs([head, 1], 3)
-    with pytest.raises(OrderMismatch):
-        num / TruncatedSeries.one(4)
-
-
 def test_valley_series_is_the_papers_formula():
     # 1 / (1 - gamma - alpha^2 beta / (1 - alpha)), every product and inverse schoolbook
     alpha, beta, gamma = (s.coeffs for s in registry_get("generic", 7).to_series())
@@ -187,11 +149,6 @@ def test_valley_series_is_the_papers_formula():
         want = schoolbook_inverse(minus(minus(one, g), pyramids))
         got = valley_series(*(TruncatedSeries(c) for c in (alpha, beta, g)))
         assert list(got.coeffs) == want
-
-
-def test_valley_series_rejects_constant_term():
-    with pytest.raises(NonzeroConstantTerm):
-        valley_series_ab(TruncatedSeries.one(3), TruncatedSeries.zero(3))
 
 
 def test_fixed_point_satisfies_equation():
@@ -241,57 +198,6 @@ def test_reciprocal_functional_equation_forms():
 
 def test_coefficients_are_read_as_polynomial_operands_are():
     assert TruncatedSeries([1, Fraction(1, 2), A]).coeffs == (1, Fraction(1, 2), A)
-    with pytest.raises(TypeError, match="cannot treat str as a polynomial"):
-        TruncatedSeries(["1/2"])
-
-
-def test_json_round_trip():
-    s = named_series("narayana", 3)
-    assert TruncatedSeries.from_json(s.to_json()) == s
-
-
-_RATIONALS = [Polynomial.const(c) for c in (1, -1, 2, Fraction(-3, 2))]
-_ATOMS = _RATIONALS + [
-    A,
-    B,
-    T,
-    A_INV,
-    T1_INV,
-    A * T1_INV + 1,
-]
-
-
-def random_series(rng, order, unit=False):
-    """Sparse series: zero, unit and inverse-variable coefficients are common."""
-    coeffs = []
-    for _ in range(order + 1):
-        roll = rng.random()
-        if roll < 0.3:
-            coeffs.append(Polynomial.zero())
-        elif roll < 0.5:
-            coeffs.append(Polynomial.one())
-        else:
-            term = rng.choice(_ATOMS) * rng.choice(_ATOMS)
-            coeffs.append(term + rng.choice(_ATOMS) if rng.random() < 0.5 else term)
-    if unit:
-        coeffs[0] = rng.choice(_RATIONALS)
-    return TruncatedSeries(coeffs)
-
-
-def test_product_and_inverse_match_dense_reference():
-    rng = random.Random(11)
-    for order in range(13):
-        for _ in range(4):
-            s = random_series(rng, order)
-            u = random_series(rng, order)
-            assert list((s * u).coeffs) == schoolbook_product(s.coeffs, u.coeffs)
-            assert list((s * s).coeffs) == schoolbook_product(s.coeffs, s.coeffs)
-            assert s * s == s * TruncatedSeries(s.coeffs)
-            unit = random_series(rng, order, unit=True)
-            inv = unit.inverse()
-            assert list(inv.coeffs) == schoolbook_inverse(unit.coeffs)
-            one = TruncatedSeries.one(order)
-            assert schoolbook_product(unit.coeffs, inv.coeffs) == list(one.coeffs)
 
 
 @pytest.mark.parametrize("square", [False, True], ids=["a*b", "a*a"])
@@ -430,31 +336,6 @@ def test_each_solved_series_declares_its_contraction():
         assert type(equation) is Equation
         assert all(i >= 1 for j, i, _ in equation.terms if j != 0), name
         assert equation.takes_r == (name == "fuss")
-    with pytest.raises(NotAContraction):
-        Equation(((0, 0, 1), (1, 1, 1), (2, 0, Q)))
-    with pytest.raises(NotAContraction):
-        Equation(((0, 0, 1), (ARITY, 0, 1)))
-    with pytest.raises(ValueError):
-        Equation(((0, 0, 1), (-1, 1, 1)))
-    with pytest.raises(ValueError):
-        Equation(((0, -1, 1),))
-
-
-def test_named_series_parameter_errors():
-    cases = [
-        (("fuss", 3), "fuss needs an integer parameter r >= 1"),
-        (("fuss", 3, 0), "fuss needs an integer parameter r >= 1"),
-        (("catalan", 3, 2), "series 'catalan' takes no r parameter"),
-        (("nope", 3), "unknown series name 'nope'"),
-        (("nope", 3, 1), "unknown series name 'nope'"),
-        (("delannoy", 3), "unknown series name 'delannoy'"),
-        (("chebyshev_u", 3), "unknown series name 'chebyshev_u'"),
-        (("catalan", -1), "order must be nonnegative"),
-    ]
-    for args, message in cases:
-        with pytest.raises(BadParams) as info:
-            named_series(*args)
-        assert str(info.value) == message
 
 
 def test_solve_equation_beyond_the_named_series():

@@ -18,7 +18,7 @@ scalings too, and each result must be stored in its one form
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from schoolbook import (  # noqa: E402
@@ -34,6 +34,7 @@ from valleydyck.polynomials import Polynomial  # noqa: E402
 from valleydyck.series import (  # noqa: E402
     Equation,
     TruncatedSeries,
+    named_series,
     solve_equation,
 )
 
@@ -250,5 +251,6 @@ def test_a_numeric_zero_constant_term_is_not_a_unit(pair):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 6).flatmap(series_of))
+@example(named_series("narayana", 3))  # t^3, a power above what series_of draws
 def test_json_round_trip(f):
     assert TruncatedSeries.from_json(f.to_json()) == f

@@ -176,9 +176,6 @@ def test_value_type_defaults():
     assert TauFactor(1, (2,)).letters == ()
     assert TauDecorated("dst_2174").factors == ()
     assert CheckResult("x", "skip") == CheckResult("x", "skip", "", 0, 0)
-    # a block's heights default to (), which its own check then rejects
-    with pytest.raises(ValueError, match="at least two positive pyramid heights"):
-        ValleyBlock(1)
     spec = MapSpec(**{k: v for k, v in THETA_FIELDS.items() if k not in ("offset", "core")})
     assert spec == MapSpec(**THETA_FIELDS) and spec.offset == 0 and spec.core is None
 
@@ -268,18 +265,6 @@ def test_generated_functions_carry_the_class_names():
             fn = getattr(cls, name)
             assert fn.__qualname__ == f"{cls.__qualname__}.{name}"
             assert fn.__module__ == __name__
-
-
-def test_a_value_type_may_not_write_its_own_methods():
-    with pytest.raises(TypeError, match="must not define __eq__"):
-        class HandWritten(Value):
-            __slots__ = ("x",)
-
-            def __init__(self, x):
-                self._fill(x)
-
-            def __eq__(self, other):
-                return True
 
 
 def _package_value_types():
