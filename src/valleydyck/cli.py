@@ -68,9 +68,9 @@ SIZE_CAPS = {
 # two inputs have a size but no size flag, and JSON nested too deeply is
 # refused too: a tau object's semilength for biject --apply (at 150,000 its
 # worst shape, one factor per 2 units, took 1.1 s and 110 MB) and a render
-# picture's (highest level + 1) x width cells (at 600,000 one flat row took
-# 0.3 s and 24 MB, drawn into one buffer per level, and U^547 D^547 17 MB); one
-# fresh process, median of 3, within 8 s and the 125 MB CI holds generic JSON to
+# picture's (highest level + 1) x width cells (at 600,000 one flat row, drawn
+# into one buffer per level, took 0.4 s and 24 MB, U^547 D^547 0.06 s and 16 MB);
+# one fresh process, median of 3, within 8 s and the 125 MB CI holds generic JSON to
 TAU_SEMILENGTH_CAP = 150_000
 RENDER_CELL_CAP = 600_000
 

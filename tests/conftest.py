@@ -3,6 +3,7 @@ import inspect
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -28,6 +29,15 @@ def message_pattern(message: ast.expr) -> str:
     return "".join(re.escape(p.value) if type(p) is ast.Constant else ".+" for p in parts)
 
 
+def traced_peak(call):
+    """``call()``'s result and the peak memory, in bytes, tracemalloc saw while it ran."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def rebuilt(spec, **change):
     """``spec`` rebuilt through the ``MapSpec`` constructor with one field changed."""
     fields = {name: getattr(spec, name) for name in inspect.signature(MapSpec).parameters}
@@ -48,16 +58,7 @@ def verify_all_runs():
         "json": ("--format", "json"),
         "json_jobs3": ("--format", "json", "--jobs", "3"),
     }
-    out = {}
-    for key, extra in variants.items():
-        proc = subprocess.run(
-            [sys.executable, "-m", "valleydyck", *VERIFY_ALL, *extra],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0, proc.stderr + proc.stdout
-        out[key] = proc.stdout
-    return out
+    return {key: run_cli(*VERIFY_ALL, *extra).stdout for key, extra in variants.items()}
 
 
 @pytest.fixture

@@ -1,10 +1,10 @@
 import gc
 import inspect
-import tracemalloc
 import weakref
 
 import pytest
 
+from conftest import traced_peak
 from reference_walk import reference_walk
 
 from valleydyck import paths
@@ -189,15 +189,8 @@ def test_render_ascii():
 
 
 def test_a_flat_picture_costs_about_a_byte_a_cell():
-    # one buffer per level: 100,000 flat columns peak near 1.7 MB, most of it
-    # the levels tuple
-    path = Path("motzkin", "F" * 100_000)
-    tracemalloc.start()
-    try:
-        art = render_ascii(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    # one buffer per level: 100,000 flat columns peak near 1.7 MB, mostly the levels tuple
+    art, peak = traced_peak(lambda: render_ascii(Path("motzkin", "F" * 100_000)))
     assert art == "_" * 100_000
     assert peak < 3_000_000
 

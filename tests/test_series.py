@@ -1,10 +1,10 @@
 import pickle
 import random
-import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from conftest import traced_peak
 from schoolbook import schoolbook_inverse, schoolbook_product, stored_form
 from valleydyck import series
 from valleydyck.params import A, A_INV, B, Q, T
@@ -207,12 +207,7 @@ def test_a_product_holds_one_coefficients_pairs(square):
     # 0.2 MB; the pairs of every coefficient at once take 5.7 MB (a*a) to 11.3 MB
     alpha, beta, _ = registry_get("geom_3x", 600).to_series()
     other = alpha if square else beta
-    tracemalloc.start()
-    try:
-        alpha * other
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: alpha * other)
     assert peak < 2 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 

@@ -135,9 +135,8 @@ def _structure(*parts):
     return ValleyStructure(tuple(parts))
 
 
-def _unchecked_path(family: str, steps: str) -> Path:
-    """A Path that skipped validation, to reach the factorization guards."""
-    return Path._trusted(family, steps)
+# a Path that skipped validation, to reach the factorization guards
+_unchecked_path = Path._trusted
 
 
 # with the filter lifted, a leading ud is a core factor with an empty subpath
@@ -456,11 +455,13 @@ def library_raises():
         helpers = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
         for node in ast.walk(tree):
             if isinstance(node, ast.Raise):
-                exc = node.exc
-                if exc.func.id in helpers:
+                where, exc = f"{file.name}:{node.lineno}", node.exc
+                if getattr(getattr(exc, "func", None), "id", None) in helpers:
                     returns = ast.walk(helpers[exc.func.id])
                     exc = next(n.value for n in returns if isinstance(n, ast.Return))
-                yield f"{file.name}:{node.lineno}", exc.func.id, exc.args[0]
+                # a bare raise, ``raise err`` or ``raise errors.X(...)`` names no class to match
+                assert isinstance(exc, ast.Call) and type(exc.func) is ast.Name and exc.args, where
+                yield where, exc.func.id, exc.args[0]
 
 
 def test_every_library_refusal_has_a_row():
