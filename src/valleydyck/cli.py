@@ -366,39 +366,10 @@ def _cmd_render(args) -> int:
     return 0
 
 
-def _seed_fixtures(directory: str) -> int:
-    import json
-    from pathlib import Path as FilePath
-
-    from . import verify
-    from .paths import render_ascii
-    from .weights import registry_get
-
-    target = FilePath(directory)
-    target.mkdir(parents=True, exist_ok=True)
-    source = verify.EXCHANGE_SOURCE
-    paths = {f"{name}_source": obj.structure.to_path()
-             for name, obj in verify.DECORATED_EXAMPLES.items()}
-    paths.update(intro_example=verify.INTRO_EXAMPLE, exchange_source=source.to_path(),
-                 exchange_image=verify.EXCHANGE_IMAGE)
-    for name, path in paths.items():
-        (target / f"{name}.txt").write_text(render_ascii(path) + "\n")
-    (target / "exchange_source.json").write_text(json.dumps(source.to_json(), indent=2) + "\n")
-    spec = registry_get("motzkin_ab", 6)
-    (target / "motzkin_spec.json").write_text(json.dumps(spec.to_json(), indent=2) + "\n")
-    sys.stderr.write(f"fixtures written to {target}\n")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="valleydyck",
         description="Exact valley-uniform weighted Dyck path toolkit",
-    )
-    parser.add_argument(
-        "--seed-fixtures",
-        metavar="DIR",
-        help="write the golden example fixtures into DIR and exit",
     )
     sub = parser.add_subparsers(dest="command")
 
@@ -460,9 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.seed_fixtures:
-        return _seed_fixtures(args.seed_fixtures)
-    if not getattr(args, "command", None):
+    if args.command is None:
         parser.error("a command is required")
     try:
         if args.command in SIZE_CAPS:

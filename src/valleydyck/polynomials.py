@@ -275,6 +275,9 @@ class Polynomial:
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("Polynomial is immutable")
+
     def __reduce__(self):
         # the default slot restore would go through the raising __setattr__,
         # and field positions are per process, so pickle the public view

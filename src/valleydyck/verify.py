@@ -209,8 +209,8 @@ for _map_id, _spec in MAPS.items():
 
 
 # The worked examples of the paper, each written once: ``worked_examples``
-# compares them with the values the paper gives, ``--seed-fixtures`` renders
-# them, and the tests take them as inputs.
+# compares them with the values the paper gives, and the tests take them as
+# inputs, among them the golden table's ``render`` of each one's path.
 INTRO_EXAMPLE = Path("dyck", "UUU" + "UUUDDD" + "UDUD" + "DDD" + "UU" + "UDUD" + "DD" + "UU" + "DD")
 DECORATED_EXAMPLES = {
     "motzkin": DecoratedStructure(
@@ -469,7 +469,7 @@ def _require_bound(max_n: int) -> None:
 
 def run_suite(suite: str, max_n: int, jobs: int = 1) -> VerifyReport:
     if suite not in SUITES:
-        raise KeyError(f"unknown suite {suite!r}; known: {', '.join(SUITES)}")
+        raise BadParams(f"unknown suite {suite!r}; known: {', '.join(SUITES)}")
     _require_bound(max_n)
     if jobs < 1:
         raise BadParams(f"the number of jobs must be at least 1, got {jobs}")
@@ -491,6 +491,6 @@ def run_suite(suite: str, max_n: int, jobs: int = 1) -> VerifyReport:
 def run_check(check_name: str, max_n: int) -> VerifyReport:
     """Run one named check as a single-entry report."""
     if check_name not in CHECKS:
-        raise KeyError(f"unknown check {check_name!r}")
+        raise BadParams(f"unknown check {check_name!r}")
     _require_bound(max_n)
     return VerifyReport(check_name, max_n, (_execute((check_name, max_n)),))

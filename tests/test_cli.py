@@ -189,9 +189,9 @@ def test_series_pretty_matches_example(run):
 
 def test_series_spec_file_round_trip(run, tmp_path):
     dump = tmp_path / "spec.json"
-    first = run("series", "--spec", "motzkin_ab", "--order", "5", "--dump-spec", dump)
-    assert run("series", "--spec", f"@{dump}", "--order", "5") == first
-    assert set(json.loads(dump.read_text())) == {"alpha", "beta", "gamma"}
+    first = run("series", "--spec", "motzkin_ab", "--order", "6", "--dump-spec", dump)
+    assert run("series", "--spec", f"@{dump}", "--order", "6") == first
+    assert dump.read_bytes() == (FIXTURES / "motzkin_spec.json").read_bytes()
 
 
 def test_series_json_round_trips_through_library(run):
@@ -298,12 +298,6 @@ def test_enumerate_json_reingested_by_render(run, tmp_path):
     assert run("render", "--path", f"@{target}") == run("render", "--path", found[0]["steps"])
 
 
-def test_render_matches_golden_fixtures(run):
-    for name, steps in [("schroder_source", "UUUDDDUUDUDUDD"),
-                        ("intro_example", "UUUUUUDDDUDUDDDDUUUDUDDDUUDD")]:
-        assert run("render", "--path", steps) == (FIXTURES / f"{name}.txt").read_text()
-
-
 def test_oracle_command(run):
     out = run("oracle", "--name", "narayana", "--n", "5", "--param", "t=sym")
     assert out == "t^5 + 10*t^4 + 20*t^3 + 10*t^2 + t\n"
@@ -326,7 +320,7 @@ def test_biject_apply_both_directions(run, tmp_path):
     back_file = tmp_path / "image.json"
     back_file.write_text(out)
     back = run("biject", "--map", "tau", "--apply", f"@{back_file}")
-    assert json.loads(back) == json.loads(source.read_text())
+    assert back == source.read_text()
 
 
 def test_biject_apply_phi(run, tmp_path):
@@ -349,16 +343,6 @@ def test_enumerate_ascii_and_csv_formats(run):
     assert "/\\" in run("enumerate", "--family", "dyck", "--n", "2", "--format", "ascii")
     out = run("enumerate", "--family", "dyck", "--n", "2", "--format", "csv")
     assert out.splitlines() == ["family,steps", "dyck,UUDD", "dyck,UDUD"]
-
-
-def test_seed_fixtures_regenerates_goldens(run, tmp_path):
-    run("--seed-fixtures", tmp_path)
-    written = sorted(p.name for p in tmp_path.iterdir())
-    assert written == [
-        "exchange_image.txt", "exchange_source.json", "exchange_source.txt", "intro_example.txt",
-        "motzkin_source.txt", "motzkin_spec.json", "narayana_source.txt", "schroder_source.txt"]
-    for name in written:
-        assert (tmp_path / name).read_bytes() == (FIXTURES / name).read_bytes(), name
 
 
 def test_param_pins_a_variable_and_reads_a_declared_parameter(run):

@@ -1,7 +1,10 @@
 """Golden stdout of ``count`` and ``series`` for every weight table (and in
 every format for two pinned tables), of every round trip, of ``biject
---apply`` for every structure map, of ``render``, of ``oracle`` for every name
-and of ``enumerate`` for every family, filter and format at small sizes.
+--apply`` for every structure map, of ``render`` for the paper's six worked
+example paths (``verify.INTRO_EXAMPLE``, the paths of ``DECORATED_EXAMPLES``,
+``EXCHANGE_SOURCE`` and ``EXCHANGE_IMAGE``), of the verify report ``verify
+--suite all --max-n 6 --format json``, of ``oracle`` for every name and of
+``enumerate`` for every family, filter and format at small sizes.
 
 The fixture ``fixtures/cli_golden.json`` maps each command line to the exact
 stdout it printed when the fixture was made, so a change that alters one
@@ -94,6 +97,16 @@ _APPLY_OBJECTS = [obj.to_json() for obj in verify.DECORATED_EXAMPLES.values()] +
 ]
 
 
+# the paper's worked examples as Dyck paths: the introductory path, the paths
+# of the Motzkin, Schroder and Narayana examples, and both sides of the exchange
+_WORKED_PATHS = [
+    verify.INTRO_EXAMPLE,
+    *(obj.structure.to_path() for obj in verify.DECORATED_EXAMPLES.values()),
+    verify.EXCHANGE_SOURCE.to_path(),
+    verify.EXCHANGE_IMAGE,
+]
+
+
 def _compact(data) -> str:
     return json.dumps(data, separators=(",", ":"))
 
@@ -121,7 +134,9 @@ CASES = (
         ["biject", "--map", "theta", "--direction", "inverse", "--apply",
          _compact({"family": "schroder_large", "steps": "UHDHUD"})],
         ["render", "--path", "UUDDUD"],
+        ["verify", "--suite", "all", "--max-n", "6", "--format", "json"],
     ]
+    + [["render", "--path", path.steps] for path in _WORKED_PATHS]
     + [_oracle_argv(name, "json") for name in _ORACLE_PARAMS]
     + [_oracle_argv(name, "pretty") for name in ("catalan", "narayana", "chebyshev_closed")]
     + [

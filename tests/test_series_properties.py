@@ -97,6 +97,7 @@ numeric_pairs = numeric_orders.flatmap(
 )
 # a series of numbers and a symbolic one, which take the symbolic route together
 mixed_pairs = st.integers(0, 6).flatmap(lambda n: st.tuples(numeric_series_of(n), series_of(n)))
+all_pairs = st.one_of(series_pairs, numeric_pairs, mixed_pairs)
 numeric_units = numeric_orders.flatmap(lambda n: numeric_series_of(n, nonzero_numbers))
 numeric_quotients = numeric_orders.flatmap(
     lambda n: st.tuples(numeric_series_of(n), numeric_series_of(n, nonzero_numbers))
@@ -148,62 +149,26 @@ def assert_stored_in_one_form(*results):
         assert list(map(type, s.stored)) == list(map(type, stored_form(s.coeffs)))
 
 
-@settings(max_examples=60, deadline=None)
-@given(terms, st.integers(0, 12))
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(terms, numeric_terms), st.integers(0, 12))
 def test_online_solver_finds_the_fixed_point(equation_terms, order):
     got = solve_equation(Equation(equation_terms), order)
     assert got.order == order
     assert as_map(equation_terms)(got) == got
 
 
-@settings(max_examples=30, deadline=None)
-@given(mixed_terms, st.integers(0, 6))
-def test_online_solver_matches_schoolbook_iteration(equation_terms, order):
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.tuples(mixed_terms, st.integers(0, 6)),
+                 st.tuples(numeric_terms, numeric_orders)))
+def test_online_solver_matches_schoolbook_iteration(drawn):
+    equation_terms, order = drawn
     got = solve_equation(Equation(equation_terms), order)
     assert list(got.coeffs) == schoolbook_solution(equation_terms, order)
 
 
-@settings(max_examples=60, deadline=None)
-@given(series_pairs)
+@settings(max_examples=120, deadline=None)
+@given(all_pairs)
 def test_product_and_square_match_schoolbook(pair):
-    f, g = pair
-    assert list((f * g).coeffs) == schoolbook_product(f.coeffs, g.coeffs)
-    assert list((f * f).coeffs) == schoolbook_product(f.coeffs, f.coeffs)
-    cube = schoolbook_product(schoolbook_product(f.coeffs, f.coeffs), f.coeffs)
-    assert list((f**3).coeffs) == cube
-
-
-@settings(max_examples=60, deadline=None)
-@given(units)
-def test_inverse_matches_schoolbook(f):
-    assert list(f.inverse().coeffs) == schoolbook_inverse(f.coeffs)
-
-
-@settings(max_examples=60, deadline=None)
-@given(quotients)
-def test_quotient_matches_schoolbook(pair):
-    f, u = pair
-    assert list((f / u).coeffs) == schoolbook_product(f.coeffs, schoolbook_inverse(u.coeffs))
-
-
-@settings(max_examples=60, deadline=None)
-@given(numeric_terms, numeric_orders)
-def test_online_solver_finds_the_fixed_point_over_numbers(equation_terms, order):
-    got = solve_equation(Equation(equation_terms), order)
-    assert got.order == order
-    assert as_map(equation_terms)(got) == got
-
-
-@settings(max_examples=30, deadline=None)
-@given(numeric_terms, numeric_orders)
-def test_online_solver_matches_schoolbook_iteration_over_numbers(equation_terms, order):
-    got = solve_equation(Equation(equation_terms), order)
-    assert list(got.coeffs) == schoolbook_solution(equation_terms, order)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.one_of(numeric_pairs, mixed_pairs))
-def test_numeric_and_mixed_products_match_schoolbook(pair):
     f, g = pair
     assert list((f * g).coeffs) == schoolbook_product(f.coeffs, g.coeffs)
     assert list((g * f).coeffs) == schoolbook_product(g.coeffs, f.coeffs)
@@ -213,9 +178,9 @@ def test_numeric_and_mixed_products_match_schoolbook(pair):
     assert_stored_in_one_form(f * g, f * f, f**3)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.one_of(numeric_pairs, mixed_pairs), st.one_of(numbers.map(Polynomial.const), polys))
-def test_numeric_and_mixed_sums_and_scales_match_schoolbook(pair, factor):
+@settings(max_examples=90, deadline=None)
+@given(all_pairs, st.one_of(numbers.map(Polynomial.const), polys))
+def test_sums_and_scales_match_schoolbook(pair, factor):
     f, g = pair
     for a, b in ((f, g), (g, f)):
         assert list((a + b).coeffs) == schoolbook_sum(a.coeffs, b.coeffs)
@@ -225,15 +190,15 @@ def test_numeric_and_mixed_sums_and_scales_match_schoolbook(pair, factor):
     assert (g + f) - f == g and hash((g + f) - f) == hash(g)
 
 
-@settings(max_examples=60, deadline=None)
-@given(numeric_units)
-def test_numeric_inverse_matches_schoolbook(f):
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(units, numeric_units))
+def test_inverse_matches_schoolbook(f):
     assert list(f.inverse().coeffs) == schoolbook_inverse(f.coeffs)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.one_of(numeric_quotients, mixed_quotients))
-def test_numeric_and_mixed_quotients_match_schoolbook(pair):
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(quotients, numeric_quotients, mixed_quotients))
+def test_quotient_matches_schoolbook(pair):
     f, u = pair
     assert list((f / u).coeffs) == schoolbook_product(f.coeffs, schoolbook_inverse(u.coeffs))
     assert_stored_in_one_form(f / u)

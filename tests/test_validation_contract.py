@@ -274,6 +274,7 @@ LIBRARY_REFUSALS = [
     # the polynomial kernel
     (lambda: var_key("1a"), ValueError, "bad variable name: '1a'"),
     (lambda: setattr(A, "x", 1), AttributeError, "Polynomial is immutable"),
+    (lambda: delattr(A, "_terms"), AttributeError, "Polynomial is immutable"),
     (lambda: Polynomial.monomial(1, {"a": -1}), ValueError,
      "monomial exponents must be nonnegative"),
     (lambda: Polynomial.monomial(1, {"a": MAX_EXPONENT + 1}), OverflowError,
@@ -418,11 +419,11 @@ LIBRARY_REFUSALS = [
     (lambda: oracles.oracle("abcd_power", 4, a=2, b=1, c=3, d=1), BadParams,
      "abcd_power needs ad = (a-b)c"),
     # verify
-    (lambda: run_suite("nope", 1), KeyError, f"unknown suite 'nope'; known: {', '.join(SUITES)}"),
+    (lambda: run_suite("nope", 1), BadParams, f"unknown suite 'nope'; known: {', '.join(SUITES)}"),
     (lambda: run_suite("master", -1), BadParams, "the sweep bound must be nonnegative, got -1"),
     (lambda: run_suite("master", 1, jobs=0), BadParams,
      "the number of jobs must be at least 1, got 0"),
-    (lambda: run_check("nope", 1), KeyError, "unknown check 'nope'"),
+    (lambda: run_check("nope", 1), BadParams, "unknown check 'nope'"),
     (lambda: run_check("worked_examples", -2), BadParams,
      "the sweep bound must be nonnegative, got -2"),
 ]
