@@ -36,8 +36,9 @@ SERIES_JSON_BATCH = 1024  # terms of one coefficient dumped at once by series --
 # largest size that ran within an 8 s budget when measured (CHANGES.md), but
 # for the five solved tables: symbolic, series at motzkin_ab 204,
 # schroder_large_q 142, schroder_small_q 146, narayana_t 141 and
-# narayana_shift_t 143 takes 8.7-13.2 s in one process on a 2-vCPU VM (median
-# of 3; pinned, 0.2-0.5 s). A spec file, which has no cap of its own, is held
+# narayana_shift_t 143 takes 8.8-10.5 s in one process on a shared 2-vCPU VM
+# (median of 3; another set read 10.2-12.6 s, as the VM's load moves them;
+# pinned, 0.08-0.12 s). A spec file, which has no cap of its own, is held
 # to the lowest cap of its command. The series caps name every weight table (a
 # test holds them equal to ``weights.REGISTRY``), so count takes its keys from them
 _SERIES_CAPS = {

@@ -12,7 +12,8 @@ sequences and the 18 closed forms of the weighted sums V_n.  Each entry
 declares its first index, its body and any condition on its parameters.
 Below the first index a closed form is 1 at n = 0 and 0 at n = 1.  The
 body's keyword parameters and their annotations declare the parameters the
-name takes, read by the registry's rule, :func:`valleydyck.params.read_params`.
+name takes and their kinds (:func:`valleydyck.params.signature`), read by
+the registry's rule, :func:`valleydyck.params.read_params`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Callable
 from .errors import BadParams, IndexOutOfRange
 from .paths import STEP_RISE, enumerate_family
 from .polynomials import Polynomial, binomial
-from .params import Arity, Q, T, read_params
+from .params import Arity, Q, T, read_params, signature
 
 
 def catalan_number(n: int) -> int:
@@ -199,18 +200,16 @@ def _delannoy_convolution(n: int, multiplier: Fraction) -> Polynomial:
     return Polynomial.const(multiplier * delannoy_convolution(n, 2))
 
 
-def _fuss_sym(n: int, m: int, r: Arity) -> Polynomial:
+def _fuss_sym(n: int, m: Arity, r: Arity) -> Polynomial:
     total = Fraction(0)
     for k in range(1, n):
         weight = m * (k + 1) * fibonacci_number(k)
-        if weight == 0:
-            continue
         denom = n * (r + 1) + (m - r - 1) * (k + 1)
         total += Fraction(weight, denom) * binomial(denom, n - k - 1)
     return Polynomial.const(total)
 
 
-def _fuss_asym(n: int, m: int, r: Arity) -> Polynomial:
+def _fuss_asym(n: int, m: Arity, r: Arity) -> Polynomial:
     total = Fraction(0)
     for k in range(n // 2 + 1):
         for j in range(n - 2 * k + 1):
@@ -228,7 +227,7 @@ def _fuss_asym_collapse(n: int, r: Arity) -> Polynomial:
     return Polynomial.const(total)
 
 
-def _fuss_cubic(n: int, m: int, r: Arity) -> Polynomial:
+def _fuss_cubic(n: int, m: Arity, r: Arity) -> Polynomial:
     total = Fraction(0)
     for k in range(n // 3 + 1):
         for j in range(n - 3 * k + 1):
@@ -299,7 +298,7 @@ def oracle(name: str, n: int, **params) -> Polynomial:
         raise BadParams(f"unknown oracle {name!r}; known: {', '.join(ORACLES)}") from None
     if n < 0:
         raise IndexOutOfRange(f"{name} index must be nonnegative")
-    values = read_params(body, params, name)
+    values = read_params(signature(body), params, name)
     unknown = [k for k in params if k not in values]
     if unknown:
         has = ", ".join(values) or "none"

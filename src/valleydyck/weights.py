@@ -9,35 +9,34 @@ and weight sums over all structures of a given size are computed by
 exhaustive enumeration so they can be checked against generating-function
 coefficients computed independently.
 
-Registry entries build their weight series from each specialization's
-defining generating functions, with any numeric pins bound into the
-equations and scale factors they read before anything is solved.  The
-tables come in a few shapes.  ``generic`` has one variable per entry.  Four
-are rational, alpha = (a - b) x / (1 - b x), beta = c x / (1 - d x) and
-gamma = alpha beta, from one builder: ``chebyshev_abcd`` in its variables,
-``delannoy_tuple`` at rationals, ``geom_3x`` at (2, 1, 1, 2) and
-``geom_fib`` at (2, 1, 1, 1).  Five are solved, each one row of ``SOLVED``:
+The registry is one table, ``REGISTRY``, of rows (shape builder, shape
+data, declared parameters), and a table's numeric pins are bound into the
+equations and scale factors it reads before anything is solved.  ``generic``
+has one variable per entry.  Four tables are alpha = (a - b) x / (1 - b x),
+beta = c x / (1 - d x) and gamma = alpha beta: ``geom_3x`` and ``geom_fib``
+at (2, 1, 1, 2) and (2, 1, 1, 1), ``chebyshev_abcd`` and ``delannoy_tuple``
+in declared a, b, c, d.  Five are solved, with (equation, s, c, j) as data:
 alpha = x s, beta = x^j F c and gamma = x^(j+1) F s c, for the series F of
-one ``EQUATIONS`` entry.  The two Schroder tables share one F, the large
-Schroder beta series (R - 1) / (q + 1), because the small and large
-Schroder series S and R have S - 1 = (R - 1) / (q + 1).  ``chebyshev_second``
-and the three Fuss tables are written out.  Two solved tables need the
-formal inverse variables from :mod:`valleydyck.polynomials` (``a_inv`` for
-the Motzkin table, ``t1_inv`` for the shifted Narayana table) because a
-lone ``beta[k]`` is a genuine rational function there even though every
-full path weight is a polynomial.
+one ``EQUATIONS`` entry; both Schroder tables solve the large Schroder beta
+series (R - 1) / (q + 1), because the small and large Schroder series have
+S - 1 = (R - 1) / (q + 1).  ``chebyshev_second`` is written out, and the
+three Fuss tables' data says which parameter is alpha's exponent and
+whether gamma is alpha or alpha beta.  A table's variables are read off its
+row, so no table is built to check a pin.  ``a_inv`` and ``t1_inv``, formal
+inverses from :mod:`valleydyck.polynomials`, appear in the Motzkin and the
+shifted Narayana tables, where a lone ``beta[k]`` is a rational function
+though every full path weight is a polynomial.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import prod
 from typing import Callable, Iterable, Mapping
 
 from ._value import Value
 from .errors import BadParams, FamilyViolation, NotValleyUniform, OrderExceeded
-from .params import A, A_INV, B, Q, T, T1_INV, Arity, ParamValue, _read, read_params
+from .params import A, A_INV, B, Q, T, T1_INV, ParamValue, _read, read_params
 from .paths import (
     STEP_RISE,
     Part,
@@ -49,7 +48,7 @@ from .paths import (
     valley_structures,
 )
 from .polynomials import INVERSE_VARS, Polynomial, Scalar, var_key
-from .series import Pins, TruncatedSeries, _require_weight_series, named_series
+from .series import EQUATIONS, Pins, TruncatedSeries, _require_weight_series, named_series
 
 class WeightSpec(Value):
     """The three 1-indexed weight sequences, each a tuple of polynomials up to one order."""
@@ -242,14 +241,16 @@ def target_weight_sum(n: int, family: str, filt: str, weighting: str) -> Polynom
 # -- the registry of specializations -------------------------------------------
 
 
-def _build_generic(order: int, *, pins: Pins = ()) -> WeightSpec:
+def _generic(order: int, *, pins: Pins = ()) -> WeightSpec:
     bound = dict(pins)
+    return WeightSpec(*(tuple(bound.get(v, Polynomial.var(v)) for v in names)
+                        for names in _entries(order)))
 
-    def table(stem: str) -> tuple[Polynomial, ...]:
-        names = [f"{stem}{k}" for k in range(1, order + 1)]
-        return tuple(bound.get(v, Polynomial.var(v)) for v in names)
 
-    return WeightSpec(table("alpha"), table("beta"), table("gamma"))
+def _entries(order: int) -> tuple[tuple[str, ...], ...]:
+    """The names of generic's alpha, beta and gamma entries up to ``order``."""
+    return tuple(tuple(f"{stem}{k}" for k in range(1, order + 1))
+                 for stem in ("alpha", "beta", "gamma"))
 
 
 def _abcd(order: int, a: Polynomial, b: Polynomial, c: Polynomial, d: Polynomial) -> WeightSpec:
@@ -265,40 +266,25 @@ def _abcd(order: int, a: Polynomial, b: Polynomial, c: Polynomial, d: Polynomial
     return spec_from_series(alpha, beta, alpha * beta)
 
 
-# The solved tables, each a row (equation, s, c, j): alpha = x s, beta = x^j F c
-# and gamma = x^(j+1) F (s c), for the series F that solves EQUATIONS[equation].
-# schroder_small_q solves the large Schroder beta series, because the small and
-# large Schroder series S and R have S - 1 = (R - 1) / (q + 1).
-SOLVED: dict[str, tuple[str, Polynomial, Polynomial, int]] = {
-    "motzkin_ab": ("motzkin_ab", A, B * A_INV, 1),
-    "schroder_large_q": ("schroder_large_beta", Q + 1, Polynomial.one(), 0),
-    "schroder_small_q": ("schroder_large_beta", Polynomial.one(), Q + 1, 0),
-    "narayana_t": ("narayana_beta", T, Polynomial.one(), 0),
-    "narayana_shift_t": ("narayana_shift", T + 1, T * T1_INV, 1),
-}
-
-
-def _solved(name: str) -> Callable[..., WeightSpec]:
-    """The builder of the solved table ``name``.
+def _solved(
+    order: int, equation: str, s: Polynomial, c: Polynomial, j: int, *, pins: Pins = ()
+) -> WeightSpec:
+    """alpha = x s, beta = x^j F c and gamma = x^(j+1) F (s c), for the series F
+    that solves ``EQUATIONS[equation]``.
 
     A solved table reads its variables only through its equation and the
     factors s, c and s c, and ``pins`` is substituted into each of them:
     substitution is a ring homomorphism and every step below is a ring
     operation, so the table equals the symbolic one with the pins substituted.
     """
-    equation, s, c, j = SOLVED[name]
-
-    def build(order: int, *, pins: Pins = ()) -> WeightSpec:
-        f = named_series(equation, order, pins=pins).times_x(j)
-        bindings = dict(pins)
-        s_at, c_at, sc_at = (p.substitute(bindings) for p in (s, c, s * c))
-        alpha = TruncatedSeries.x(order).scale(s_at)
-        return spec_from_series(alpha, f.scale(c_at), f.times_x(1).scale(sc_at))
-
-    return build
+    f = named_series(equation, order, pins=pins).times_x(j)
+    bindings = dict(pins)
+    s_at, c_at, sc_at = (p.substitute(bindings) for p in (s, c, s * c))
+    alpha = TruncatedSeries.x(order).scale(s_at)
+    return spec_from_series(alpha, f.scale(c_at), f.times_x(1).scale(sc_at))
 
 
-def _build_chebyshev_second(order: int, a: Polynomial, b: Polynomial, c: Polynomial) -> WeightSpec:
+def _chebyshev_second(order: int, a: Polynomial, b: Polynomial, c: Polynomial) -> WeightSpec:
     x = TruncatedSeries.x(order)
     one = TruncatedSeries.one(order)
     x2 = x.times_x(1)
@@ -309,45 +295,36 @@ def _build_chebyshev_second(order: int, a: Polynomial, b: Polynomial, c: Polynom
     return spec_from_series(alpha, beta, gamma)
 
 
-def _build_delannoy_tuple(
-    order: int, a: Fraction, b: Fraction, c: Fraction, d: Fraction
-) -> WeightSpec:
-    return _abcd(order, a, b, c, d)
+def _fuss(order: int, alpha_power: str, gamma_is_alpha: bool, m: int, r: int) -> WeightSpec:
+    """alpha = x T^r (beta itself when ``alpha_power`` is ``"m"``), beta = x T^m
+    and gamma = alpha beta (alpha when ``gamma_is_alpha``), T the r-ary tree series."""
+    trees = named_series("fuss", order, r=r)
+    beta = (trees**m).times_x(1)
+    alpha = beta if alpha_power == "m" else (trees**r).times_x(1)
+    return spec_from_series(alpha, beta, alpha if gamma_is_alpha else alpha * beta)
 
 
-def _fuss_power(order: int, r: int, exponent: int) -> TruncatedSeries:
-    return (named_series("fuss", order, r=r) ** exponent).times_x(1)
+_ONE = Polynomial.one()
+_FUSS = {"m": "Arity", "r": "Arity"}
 
-
-def _build_fuss_sym(order: int, m: int, r: Arity) -> WeightSpec:
-    alpha = _fuss_power(order, r, m)
-    return spec_from_series(alpha, alpha, alpha * alpha)
-
-
-def _build_fuss_asym(order: int, m: int, r: Arity) -> WeightSpec:
-    alpha = _fuss_power(order, r, r)
-    beta = _fuss_power(order, r, m)
-    return spec_from_series(alpha, beta, alpha * beta)
-
-
-def _build_fuss_cubic(order: int, m: int, r: Arity) -> WeightSpec:
-    # gamma deliberately equals alpha here, not alpha*beta
-    alpha = _fuss_power(order, r, r)
-    beta = _fuss_power(order, r, m)
-    return spec_from_series(alpha, beta, alpha)
-
-
-REGISTRY: dict[str, Callable[..., WeightSpec]] = {
-    "generic": _build_generic,
-    "geom_3x": lambda order: _abcd(order, 2, 1, 1, 2),
-    "geom_fib": lambda order: _abcd(order, 2, 1, 1, 1),
-    **{name: _solved(name) for name in SOLVED},
-    "chebyshev_abcd": _abcd,
-    "chebyshev_second": _build_chebyshev_second,
-    "delannoy_tuple": _build_delannoy_tuple,
-    "fuss_sym": _build_fuss_sym,
-    "fuss_asym": _build_fuss_asym,
-    "fuss_cubic": _build_fuss_cubic,
+# name: (builder, data, declared parameters, each name with its kind).  The
+# builder is called with the order, and with the row's data, the values
+# ``read_params`` reads for its declared parameters and any pins as keywords
+REGISTRY: dict[str, tuple[Callable[..., WeightSpec], dict, dict[str, str]]] = {
+    "generic": (_generic, {}, {}),
+    "geom_3x": (_abcd, dict(a=2, b=1, c=1, d=2), {}),
+    "geom_fib": (_abcd, dict(a=2, b=1, c=1, d=1), {}),
+    "motzkin_ab": (_solved, dict(equation="motzkin_ab", s=A, c=B * A_INV, j=1), {}),
+    "schroder_large_q": (_solved, dict(equation="schroder_large_beta", s=Q + 1, c=_ONE, j=0), {}),
+    "schroder_small_q": (_solved, dict(equation="schroder_large_beta", s=_ONE, c=Q + 1, j=0), {}),
+    "narayana_t": (_solved, dict(equation="narayana_beta", s=T, c=_ONE, j=0), {}),
+    "narayana_shift_t": (_solved, dict(equation="narayana_shift", s=T + 1, c=T * T1_INV, j=1), {}),
+    "chebyshev_abcd": (_abcd, {}, dict.fromkeys("abcd", "Polynomial")),
+    "chebyshev_second": (_chebyshev_second, {}, dict.fromkeys("abc", "Polynomial")),
+    "delannoy_tuple": (_abcd, {}, dict.fromkeys("abcd", "Fraction")),
+    "fuss_sym": (_fuss, dict(alpha_power="m", gamma_is_alpha=False), _FUSS),
+    "fuss_asym": (_fuss, dict(alpha_power="r", gamma_is_alpha=False), _FUSS),
+    "fuss_cubic": (_fuss, dict(alpha_power="r", gamma_is_alpha=True), _FUSS),
 }
 
 # the seven weight tuples whose scaled weight sums agree, with their multipliers
@@ -364,24 +341,23 @@ DELANNOY_TUPLES: tuple[tuple[tuple[int, int, int, int], int], ...] = (
 
 @lru_cache(maxsize=None)
 def _registry_get_cached(name: str, order: int, frozen_params: tuple, pins: Pins) -> WeightSpec:
-    builder = REGISTRY[name]
+    build, data, _ = REGISTRY[name]
     if pins:
-        return builder(order, **dict(frozen_params), pins=pins)
-    return builder(order, **dict(frozen_params))
+        return build(order, **data, **dict(frozen_params), pins=pins)
+    return build(order, **data, **dict(frozen_params))
 
 
 def registry_get(name: str, order: int, **params: ParamValue) -> WeightSpec:
     """Build a registered weight table at the given order.
 
-    The keyword parameters of an entry's builder are read by
-    :func:`read_params`.  A parameter an entry does not declare pins a
-    variable of the table to a number (``"sym"`` leaves it symbolic).  Pins
-    are bound before the table is solved, in the equation coefficients and
-    scale factors the builder reads, so a pinned table is built from its
-    values and equals the symbolic table with them substituted.  A name that
-    is no variable of the table at this order raises ``BadParams``, and so
-    does a value for a formal inverse variable (``a_inv``, ``t1_inv``), which
-    its base variable's value fixes.
+    The parameters an entry's row declares are read by :func:`read_params`.
+    A parameter it does not declare pins a variable of the table to a number
+    (``"sym"`` leaves it symbolic).  Pins are bound before the table is
+    solved, in the equation coefficients and scale factors the builder reads,
+    so a pinned table is built from its values and equals the symbolic table
+    with them substituted.  A name that is no variable of the table at this
+    order raises ``BadParams``, and so does a value for a formal inverse
+    variable (``a_inv``, ``t1_inv``), which its base variable's value fixes.
     """
     return registry_builder(name, order, **params)(order)
 
@@ -394,26 +370,37 @@ def registry_builder(name: str, order: int, **params: ParamValue) -> Callable[[i
         raise BadParams(f"unknown weight table {name!r}; known: {', '.join(REGISTRY)}")
     if order < 0:
         raise BadParams("order must be nonnegative")
-    declared = read_params(REGISTRY[name], params, name)
+    _, data, kinds = REGISTRY[name]
+    declared = read_params(kinds, params, name)
     frozen = tuple(declared.items())
     pinned = {k: v for k, v in params.items() if k not in declared}
-    if not pinned:
-        return lambda at: _registry_get_cached(name, at, frozen, ())
     label = f"{name} at order {order}"
-    # tables are truncation-consistent, and each has all its variables by
-    # order 2 but generic, which is its variables and has nothing to solve
-    probe = order if name == "generic" else min(order, 2)
-    _check_names(_registry_get_cached(name, probe, frozen, ()), pinned, label, tuple(declared))
+    if pinned:
+        _check_names(_variables(name, order, data, declared), pinned, label, tuple(declared))
     pins = tuple(sorted(_bindings(pinned, label).items()))
     return lambda at: _registry_get_cached(name, at, frozen, pins)
 
 
+def _variables(name: str, order: int, data: dict, declared: dict) -> tuple[str, ...]:
+    """The variables of the table ``name`` at ``order``, read off its row, in
+    ``var_key`` order: generic's are its entries up to the order, a solved
+    row's those of its equation's coefficients, s and c, and any other row's
+    its declared parameters left symbolic."""
+    if name == "generic":
+        names = [v for entries in _entries(order) for v in entries]
+    elif "equation" in data:
+        polys = [p for *_, p in EQUATIONS[data["equation"]].terms] + [data["s"], data["c"]]
+        names = {v for p in polys for v in p.variables()}
+    else:
+        names = [k for k, v in declared.items() if isinstance(v, Polynomial) and not v.is_constant]
+    return tuple(sorted(names, key=var_key))
+
+
 def _check_names(
-    spec: WeightSpec, names: Iterable[str], label: str, declared: tuple[str, ...] = ()
+    present: tuple[str, ...], names: Iterable[str], label: str, declared: tuple[str, ...] = ()
 ) -> None:
     """Raise ``BadParams``, listing what the table ``label`` has, unless each
-    of ``names`` is a variable of ``spec``."""
-    present = spec.variables()
+    of ``names`` is one of its variables, ``present``."""
     unknown = [k for k in names if k not in present]
     if unknown:
         has = f"parameters: {', '.join(declared)}; " if declared else ""
@@ -438,5 +425,5 @@ def _pin_params(spec: WeightSpec, params: Mapping[str, ParamValue], label: str) 
     """
     if not params:
         return spec
-    _check_names(spec, params, label)
+    _check_names(spec.variables(), params, label)
     return spec.substitute(_bindings(params, label))

@@ -91,6 +91,12 @@ REFUSALS = [
      "fuss_sym: parameter r must be an integer >= 1, got '1.9'"),
     ("oracle --name fuss --n 3 --param r=2.5",
      "fuss: parameter r must be an integer >= 1, got '2.5'"),
+    ("oracle --name fuss_sym --n 3 --param m=-1 --param r=1",
+     "fuss_sym: parameter m must be an integer >= 1, got '-1'"),
+    ("series --spec fuss_sym --param m=-1",
+     "fuss_sym: parameter m must be an integer >= 1, got '-1'"),
+    ("oracle --name fuss_asym --n 3 --param m=0 --param r=1",
+     "fuss_asym: parameter m must be an integer >= 1, got '0'"),
     ("oracle --name abcd_power --n 0 --param a=2 --param b=1 --param c=3 --param d=1",
      "abcd_power needs ad = (a-b)c"),
     ("oracle --name fuss_asym_collapse --n 0 --param r=0",
@@ -255,24 +261,23 @@ def test_csv_refusal_without_a_dump_builds_no_table_at_the_order_asked(monkeypat
     from valleydyck.polynomials import Polynomial
 
     calls = []
-    original = REGISTRY["motzkin_ab"]
+    original, data, kinds = REGISTRY["motzkin_ab"]
 
-    def recording(order: int, *, pins=()):
+    def recording(order, *, pins=(), **data):
         calls.append((order, pins))
-        return original(order, pins=pins)
+        return original(order, **data, pins=pins)
 
-    monkeypatch.setitem(REGISTRY, "motzkin_ab", recording)
+    monkeypatch.setitem(REGISTRY, "motzkin_ab", (recording, data, kinds))
     weights._registry_get_cached.cache_clear()
     try:
         argv = ["series", "--spec", "motzkin_ab", "--order", "204", "--format", "csv"]
         assert cli.main(argv + ["--param", "a=2"]) == 2
         message = "error: csv output needs every parameter bound; ('b',) remain symbolic\n"
         assert capsys.readouterr() == ("", message)
-        # the names check reads the symbolic table at order 2, and the probes
-        # read tables built from the checked pins, each below the order asked
-        assert calls[0] == (2, ())
-        assert calls[1:] and all(
-            order < 204 and pins == (("a", Polynomial.const(2)),) for order, pins in calls[1:]
+        # the names check reads the row, and the probes read tables built
+        # from the checked pins, each below the order asked
+        assert calls and all(
+            order < 204 and pins == (("a", Polynomial.const(2)),) for order, pins in calls
         ), calls
         # the names check still speaks of the order asked
         assert cli.main(argv[:4] + ["16", "--format", "csv", "--param", "zz=1"]) == 2
@@ -356,6 +361,8 @@ def test_param_pins_a_variable_and_reads_a_declared_parameter(run):
     one = Polynomial.const(1)
     assert pinned == TruncatedSeries([c.substitute({"a": one, "b": one}) for c in symbolic.coeffs])
     run("count", "--spec", "chebyshev_abcd", "--n", "3", "--param", "d=2")
+    # a solved table's variables are its row's, at order 0 too
+    assert run("series", "--spec", "motzkin_ab", "--order", "0", "--param", "a=2") == "0: 1\n"
 
 
 def test_param_on_spec_file_matches_registry(run, tmp_path):

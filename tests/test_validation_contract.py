@@ -49,7 +49,7 @@ from valleydyck.errors import (
     OrderMismatch,
     UniqueFactorizationFailure,
 )
-from valleydyck.params import A, A_INV, B, T, Arity, read_params
+from valleydyck.params import A, A_INV, B, T, Arity, read_params, signature
 from valleydyck.paths import (
     Path,
     Pyramid,
@@ -144,7 +144,7 @@ LIFTED = {map_id: rebuilt(MAPS[map_id], target=(MAPS[map_id].target[0], "none"))
           for map_id in ("rho", "theta")}
 
 
-def _body(n: int, m: int, r: Arity, x: Fraction, t: Polynomial):
+def _body(n: int, r: Arity, x: Fraction, t: Polynomial):
     """Parameters of each kind ``read_params`` reads."""
 
 
@@ -359,8 +359,10 @@ LIBRARY_REFUSALS = [
       for args, params, kind, message in [
         (("fuss_asym", 3), dict(m=1, r="1.9"), BadParams,
          "fuss_asym: parameter r must be an integer >= 1, got '1.9'"),
-        (("motzkin_ab", 0), dict(a=0), BadParams,
-         "motzkin_ab at order 0 has no parameter or variable a (variables: none)"),
+        (("fuss_cubic", 3), dict(m=0, r=1), BadParams,
+         "fuss_cubic: parameter m must be an integer >= 1, got 0"),
+        (("motzkin_ab", 0), dict(a=0), ValueError,
+         "binding a that way leaves no rational value for a_inv"),
         (("motzkin_ab", 5), dict(a=0), ValueError,
          "binding a that way leaves no rational value for a_inv"),
         (("motzkin_ab", 2), dict(a=2, zz=1), BadParams,
@@ -373,6 +375,14 @@ LIBRARY_REFUSALS = [
          "variable alpha9 (variables: alpha1, alpha2, beta1, beta2, gamma1, gamma2)"),
         (("chebyshev_abcd", 5), dict(a=1, z=1), BadParams, "chebyshev_abcd at order 5 has no "
          "parameter or variable z (parameters: a, b, c, d; variables: b, c, d)"),
+        # the variables are the declared parameters left symbolic, at every
+        # order and whatever factor a value zeroes
+        (("chebyshev_abcd", 1), dict(z=1), BadParams, "chebyshev_abcd at order 1 has no "
+         "parameter or variable z (parameters: a, b, c, d; variables: a, b, c, d)"),
+        (("chebyshev_abcd", 5), dict(c=0, z=1), BadParams, "chebyshev_abcd at order 5 has no "
+         "parameter or variable z (parameters: a, b, c, d; variables: a, b, d)"),
+        (("chebyshev_second", 5), dict(b=0, z=1), BadParams, "chebyshev_second at order 5 has "
+         "no parameter or variable z (parameters: a, b, c; variables: a, c)"),
         (("delannoy_tuple", 2), dict(a=4, b=3, c=7, d=2, e=1), BadParams, "delannoy_tuple at "
          "order 2 has no parameter or variable e (parameters: a, b, c, d; variables: none)"),
         (("geom_3x", 2), dict(x=1), BadParams,
@@ -382,15 +392,14 @@ LIBRARY_REFUSALS = [
         (("narayana_shift_t", 4), dict(t1_inv=3), BadParams,
          "narayana_shift_t at order 4: t1_inv is the formal inverse of t; pin t instead"),
     ]],
-    *[(lambda params=params: read_params(_body, params, "body"), BadParams, message)
+    *[(lambda params=params: read_params(signature(_body), params, "body"), BadParams, message)
       for params, message in [
-        ({"m": "1.5", "r": 1, "x": 0}, "body: parameter m must be an integer, got '1.5'"),
-        ({"m": 1, "r": 0, "x": 0}, "body: parameter r must be an integer >= 1, got 0"),
-        ({"m": 1, "r": "sym", "x": 0}, "body: parameter r must be an integer >= 1, got 'sym'"),
-        ({"m": 1, "r": 1, "x": "sym"}, "body: parameter x must be a rational number, got 'sym'"),
-        ({"m": 1, "r": 1, "x": 0, "t": "1/0"},
+        ({"r": 0, "x": 0}, "body: parameter r must be an integer >= 1, got 0"),
+        ({"r": "sym", "x": 0}, "body: parameter r must be an integer >= 1, got 'sym'"),
+        ({"r": 1, "x": "sym"}, "body: parameter x must be a rational number, got 'sym'"),
+        ({"r": 1, "x": 0, "t": "1/0"},
          "body: parameter t must be a rational number or 'sym', got '1/0'"),
-        ({"m": 1, "x": 0}, "body needs the parameter r"),
+        ({"x": 0}, "body needs the parameter r"),
     ]],
     # the oracles
     (lambda: oracles.catalan_number(-1), IndexOutOfRange, "catalan index must be nonnegative"),

@@ -14,17 +14,15 @@ from valleydyck.paths import (
     valley_structures,
 )
 from valleydyck import paths, weights
-from valleydyck.params import A, A_INV, B, Q, T, T1_INV
+from valleydyck.params import A, A_INV, B, Q, T, T1_INV, Arity, read_params, signature
 from valleydyck.polynomials import Polynomial
 from valleydyck.series import named_series, valley_series, valley_series_ab
 from valleydyck.verify import DECORATED_EXAMPLES, INTRO_EXAMPLE
 from valleydyck.weights import (
     REGISTRY,
-    Arity,
     WeightSpec,
     part_weight,
     path_weight,
-    read_params,
     registry_get,
     spec_from_series,
     structure_weight,
@@ -147,21 +145,11 @@ def test_spec_round_trips_through_series_and_json():
 
 
 def test_registry_entries_match_ab_series():
+    # every table but generic and fuss_cubic, whose gamma is not alpha * beta
     order = 10
-    for name, params in [
-        ("geom_3x", {}),
-        ("geom_fib", {}),
-        ("motzkin_ab", {}),
-        ("schroder_large_q", {}),
-        ("schroder_small_q", {}),
-        ("narayana_t", {}),
-        ("narayana_shift_t", {}),
-        ("fuss_sym", {"m": 2, "r": 2}),
-        ("fuss_asym", {"m": 3, "r": 2}),
-        ("chebyshev_abcd", {"a": 4, "b": 3, "c": 7, "d": 2}),
-        ("chebyshev_second", {"a": 1, "b": 2, "c": 1}),
-    ]:
-        spec = registry_get(name, order, **params)
+    numbers = {"chebyshev_abcd": dict(a=4, b=3, c=7, d=2), "chebyshev_second": dict(a=1, b=2, c=1)}
+    for name in [name for name in REGISTRY if name not in ("generic", "fuss_cubic")]:
+        spec = registry_get(name, order, **numbers.get(name, _DECLARED.get(name, {})))
         alpha, beta, gamma = spec.to_series()
         assert gamma == alpha * beta, name
         series = valley_series_ab(alpha, beta)
@@ -264,10 +252,6 @@ def test_is_numeric_reads_the_entries_up_to_an_order():
                        spec.beta, spec.gamma)
     assert spec.is_numeric() and not mixed.is_numeric()
     assert [mixed.is_numeric(order) for order in range(4)] == [True, True, False, False]
-    for name in REGISTRY:
-        for order in range(4):
-            table = registry_get(name, order, **_DECLARED.get(name, {}))
-            assert table.is_numeric() == (not table.variables()), (name, order)
 
 
 def test_part_weight_of_each_part_kind():
@@ -294,14 +278,16 @@ def test_weight_sum_memo_is_per_call():
 
 def test_read_params_by_annotation():
     # annotations evaluated here, as text in the package's modules
-    def body(n: int, m: int, r: Arity, x: Fraction, t: Polynomial):
+    def body(n: int, r: Arity, x: Fraction, t: Polynomial):
         return None
 
-    read = read_params(body, {"m": "6/2", "r": 1, "x": "7/3", "t": "2", "zz": 5}, "body")
-    assert read == {"m": 3, "r": 1, "x": Fraction(7, 3), "t": Polynomial.const(2)}
-    assert type(read["m"]) is int
-    assert read_params(body, {"m": 0, "r": 2, "x": 0, "t": "sym"}, "body")["t"] == T
-    assert read_params(body, {"m": 0, "r": 2, "x": 0}, "body")["t"] == T
+    kinds = signature(body)
+    assert kinds == {"r": "Arity", "x": "Fraction", "t": "Polynomial"}
+    read = read_params(kinds, {"r": "6/2", "x": "7/3", "t": "2", "zz": 5}, "body")
+    assert read == {"r": 3, "x": Fraction(7, 3), "t": Polynomial.const(2)}
+    assert type(read["r"]) is int
+    assert read_params(kinds, {"r": 2, "x": 0, "t": "sym"}, "body")["t"] == T
+    assert read_params(kinds, {"r": 2, "x": 0}, "body")["t"] == T
 
 
 def test_registry_caches_read_values():
@@ -312,7 +298,9 @@ def test_registry_caches_read_values():
 
 # -- pinned tables: built from their values, equal to the symbolic table substituted
 
-# the parameters a table declares, which are built in and never pinned
+# the parameters each table declares, and values for those that must have one
+_PARAMETERS = {"chebyshev_abcd": "abcd", "chebyshev_second": "abc", "delannoy_tuple": "abcd",
+               **dict.fromkeys(("fuss_sym", "fuss_asym", "fuss_cubic"), "mr")}
 _DECLARED = {
     "delannoy_tuple": dict(a=4, b=3, c=7, d=2),
     "fuss_sym": dict(m=2, r=2),
@@ -331,9 +319,11 @@ _PINS = {
                    dict(a="sym", b=5), dict(a=0, b=0), dict(b=-1), dict(a=1, zz=1)],
     "schroder_large_q": [dict(q=-1), dict(q=0), dict(q="-3/2"), dict(q=5), dict(q="sym"),
                          dict(q=-2), dict(t=1)],
-    "schroder_small_q": [dict(q=-1), dict(q=-2), dict(q=0), dict(q="1/2")],
-    "narayana_t": [dict(t=0), dict(t=-1), dict(t="1/3"), dict(t=7), dict(t="sym"), dict(t=-2)],
-    "narayana_shift_t": [dict(t=-1), dict(t=0), dict(t="1/3"), dict(t="-1/2"), dict(t=2)],
+    "schroder_small_q": [dict(q=-1), dict(q=-2), dict(q=0), dict(q="1/2"), dict(q=1, zz=1)],
+    "narayana_t": [dict(t=0), dict(t=-1), dict(t="1/3"), dict(t=7), dict(t="sym"), dict(t=-2),
+                   dict(zz=1)],
+    "narayana_shift_t": [dict(t=-1), dict(t=0), dict(t="1/3"), dict(t="-1/2"), dict(t=2),
+                         dict(t1_inv="sym", zz=1)],
     "chebyshev_abcd": [dict(z=1), dict(a=1, z=1)],
     "chebyshev_second": [dict(c=0, z=1)],
     "delannoy_tuple": [dict(e=1)],
@@ -344,12 +334,14 @@ _PINS = {
 
 
 def _substituted(name, order, params):
-    """The route that solved symbolically first: the symbolic table, each pin
-    named in it, and the pins substituted into every entry."""
-    code = REGISTRY[name].__code__
-    names = code.co_varnames[1:code.co_argcount]  # the builder's parameters after the order
+    """The route that solved symbolically first: the symbolic table at order
+    2 or more (at the order for generic, whose entries are its variables),
+    each pin named in it, the pins substituted into every entry, and the
+    table cut to the order."""
+    names = tuple(_PARAMETERS.get(name, ""))
     declared = {k: v for k, v in params.items() if k in names}
-    symbolic = registry_get(name, order, **{**_DECLARED.get(name, {}), **declared})
+    at = order if name == "generic" else max(order, 2)
+    symbolic = registry_get(name, at, **{**_DECLARED.get(name, {}), **declared})
     pinned = {k: v for k, v in params.items() if k not in declared}
     present = symbolic.variables()
     unknown = [k for k in pinned if k not in present]
@@ -360,7 +352,7 @@ def _substituted(name, order, params):
                         f"{', '.join(unknown)} ({has})")
     return symbolic.substitute(
         {k: Polynomial.const(Fraction(v)) for k, v in pinned.items() if v != "sym"}
-    )
+    ).truncated(order)
 
 
 def _outcome(build):
@@ -390,44 +382,42 @@ def test_a_formal_inverse_variable_is_pinned_only_as_sym():
 def test_pins_reach_the_builder_and_no_full_symbolic_table_is_built(monkeypatch):
     calls = []
     for name in ("motzkin_ab", "generic"):
-        original = REGISTRY[name]
+        original, data, kinds = REGISTRY[name]
 
-        def recording(order: int, *, pins=(), original=original):
+        def recording(order, *, pins=(), original=original, **data):
             calls.append((order, pins))
-            return original(order, pins=pins)
+            return original(order, **data, pins=pins)
 
-        monkeypatch.setitem(REGISTRY, name, recording)
+        monkeypatch.setitem(REGISTRY, name, (recording, data, kinds))
     weights._registry_get_cached.cache_clear()
     two, three = Polynomial.const(2), Polynomial.const(3)
+    # the names a pin may bind are read off the row, so the table is built
+    # once, from the values
     registry_get("motzkin_ab", 30, a=2, b=3)
-    # the names are read off the table at order 2, so the table at order 30 is
-    # built once, from the values
-    assert calls == [(2, ()), (30, (("a", two), ("b", three)))]
+    assert calls == [(30, (("a", two), ("b", three)))]
     calls.clear()
-    # generic is only its variables: its names are read off the symbolic table
-    # at the order asked
     registry_get("generic", 8, alpha5=3, beta1="sym")
-    assert calls == [(8, ()), (8, (("alpha5", three),))]
+    assert calls == [(8, (("alpha5", three),))]
     weights._registry_get_cached.cache_clear()
 
 
-@pytest.mark.parametrize("name", [name for name in REGISTRY if name != "generic"])
-def test_every_table_but_generic_has_all_its_variables_by_order_2(name):
-    # registry_builder reads the names a pin may bind off the table at order 2
-    def variables(order):
-        return registry_get(name, order, **_DECLARED.get(name, {})).variables()
-
-    assert variables(2) == variables(12)
+@pytest.mark.parametrize("name", REGISTRY)
+def test_each_row_names_every_variable_its_table_has(name):
+    # pins are checked against the row's variables: each variable of the built
+    # table, and from order 2 on (every order for generic) no other
+    _, data, kinds = REGISTRY[name]
+    declared = read_params(kinds, _DECLARED.get(name, {}), name)
+    for order in range(9):
+        table = registry_get(name, order, **_DECLARED.get(name, {}))
+        built, row = table.variables(), weights._variables(name, order, data, declared)
+        exact = order >= 2 or name == "generic"
+        assert built == row if exact else set(built) <= set(row), (order, built, row)
+        assert table.is_numeric() == (not built), order
 
 
 def test_an_unknown_pin_is_refused_without_solving_at_the_order_asked(monkeypatch):
-    orders = []
-
-    def recording(name, order, r=None, pins=()):
-        orders.append(order)
-        return named_series(name, order, r, pins)
-
-    monkeypatch.setattr(weights, "named_series", recording)
+    solved = []
+    monkeypatch.setattr(weights, "named_series", lambda *args, **kw: solved.append(args))
     weights._registry_get_cached.cache_clear()
     try:
         with pytest.raises(BadParams) as info:
@@ -437,8 +427,7 @@ def test_an_unknown_pin_is_refused_without_solving_at_the_order_asked(monkeypatc
     assert str(info.value) == (
         "motzkin_ab at order 204 has no parameter or variable zz (variables: a, a_inv, b)"
     )
-    # the names are read off the table at order 2; the table at order 204 is never built
-    assert orders == [2]
+    assert solved == []
 
 
 def test_division_free_betas_equal_the_exact_quotients():
