@@ -196,8 +196,7 @@ def _cmd_count(args) -> int:
     from .weights import valley_weight_sum
 
     params = _parse_params(args.param)
-    order = max(args.n, 1)
-    spec = _tables(args.spec, order, params)(order)
+    spec = _tables(args.spec, args.n, params)(args.n)
     value = valley_weight_sum(args.n, spec)
     if args.dump_spec:
         FilePath(args.dump_spec).write_text(json.dumps(spec.to_json(), indent=2) + "\n")

@@ -112,9 +112,6 @@ class Path(Value):
         """Level after 0, 1, 2, ... steps (length len(steps)+1)."""
         return tuple(accumulate(map(STEP_RISE.__getitem__, self.steps), initial=0))
 
-    def __len__(self) -> int:
-        return len(self.steps)
-
     def to_json(self) -> dict:
         return {"family": self.family, "steps": self.steps}
 

@@ -52,6 +52,7 @@ REFUSALS = [
     ("series --spec @FILE --order -1", "order must be nonnegative", SPEC),
     ("series --spec @FILE --order 9", "spec file holds order 6, but order 9 was requested", SPEC),
     ("count --spec @FILE --n 9", "spec file holds order 6, but order 9 was requested", SPEC),
+    ("count --spec geom_3x --n -1", "order must be nonnegative"),
     ("verify --suite master --max-n -3", "the sweep bound must be nonnegative, got -3"),
     ("verify --suite master --max-n 2 --jobs 0", "the number of jobs must be at least 1, got 0"),
     ("verify --suite master --max-n 2 --jobs -3", "the number of jobs must be at least 1, got -3"),
@@ -82,6 +83,8 @@ REFUSALS = [
      "narayana: parameter t must be a rational number or 'sym', got '1/0'"),
     ("count --spec generic --n 2 --param alpha5=sym", "generic at order 2 has no parameter or "
      "variable alpha5 (variables: alpha1, alpha2, beta1, beta2, gamma1, gamma2)"),
+    ("count --spec generic --n 0 --param alpha1=3",
+     "generic at order 0 has no parameter or variable alpha1 (variables: none)"),
     ("series --spec @FILE --order 3 --param zz=1 --param a=2",
      "@FILE at order 3 has no parameter or variable zz (variables: a, a_inv, b)", SPEC),
     ("series --spec motzkin_ab --format csv",
@@ -137,6 +140,8 @@ REFUSALS = [
      '{"family": "dyck", "steps": 5}'),
     ("series --spec @FILE", "--spec JSON lacks the key 'gamma'", '{"alpha": [[]], "beta": [[]]}'),
     ("series --spec @FILE", "--spec needs a JSON object, got list", "[]"),
+    ("series --spec @FILE --order 0", "--spec JSON: weight sequences must share one length",
+     '{"alpha": [[]], "beta": [], "gamma": [[]]}'),
     ("series --spec @FILE --order 1", "--spec JSON: exponent 99999 of a exceeds 32767",
      ALPHA % ('"1"', '"a": 99999')),
     *[("series --spec @FILE --order 1", f"--spec {SHAPE}the exponent of a must be an integer, "
@@ -289,10 +294,16 @@ def test_csv_refusal_without_a_dump_builds_no_table_at_the_order_asked(monkeypat
         weights._registry_get_cached.cache_clear()
 
 
-def test_count_command(run):
+def test_count_command(run, tmp_path):
     assert run("count", "--spec", "geom_3x", "--n", "4") == "13\n"
     pins = ["--param", "a=4", "--param", "b=3", "--param", "c=7", "--param", "d=2"]
     assert run("count", "--spec", "delannoy_tuple", "--n", "4", *pins) == "245\n"
+    # count builds its table at order n: at n = 0 it writes and reads an order-0 file
+    dump = tmp_path / "order0.json"
+    assert run("count", "--spec", "motzkin_ab", "--n", "0", "--dump-spec", dump) == "1\n"
+    assert json.loads(dump.read_text()) == {"alpha": [], "beta": [], "gamma": []}
+    assert run("count", "--spec", f"@{dump}", "--n", "0") == "1\n"
+    assert run("series", "--spec", f"@{dump}", "--order", "0") == "0: 1\n"
 
 
 def test_enumerate_json_reingested_by_render(run, tmp_path):

@@ -21,7 +21,9 @@ from valleydyck.bijections import (
     decorated_weight,
     decorations,
     enumerate_decorated,
+    enumerate_tau,
     inverse,
+    tau_apply,
     tau_structure,
     tau_ustep_weights,
     tau_value,
@@ -415,6 +417,34 @@ def test_brute_force_checks_reach_no_series_code(check):
         sys.setprofile(None)
     assert result.status == "pass"
     assert not reached & series_code, reached & series_code
+
+
+@pytest.mark.parametrize("map_id", MAPS)
+def test_a_bijection_check_inverts_each_object_once(map_id, monkeypatch):
+    # the multiset of images already implies forward(inverse(p)) == p
+    inverted = []
+    monkeypatch.setattr(verify, "inverse", lambda m, p: inverted.append(p) or inverse(m, p))
+    assert CHECKS[f"bijection_{map_id}"](6).status == "pass"
+    assert len(inverted) == sum(1 for n in range(7) for _ in enumerate_decorated(n, map_id))
+
+
+def test_the_exchange_check_applies_tau_only_to_source_objects_and_their_images(monkeypatch):
+    # the far side equals the images, whose round trips already passed
+    far_side, applied = [], []
+
+    def enumerating(n, side):
+        for obj in enumerate_tau(n, side):
+            if side == "dst_2174":
+                far_side.append(obj)
+            yield obj
+
+    monkeypatch.setattr(verify, "enumerate_tau", enumerating)
+    monkeypatch.setattr(verify, "tau_apply", lambda t: applied.append(t) or tau_apply(t))
+    assert CHECKS["tau_exchange"](8).status == "pass"
+    sources = sum(1 for n in range(2, 9) for _ in enumerate_tau(n, "src_4372"))
+    assert len(applied) == 2 * sources
+    # both lists hold their objects, so no two of them share an id
+    assert not {id(obj) for obj in far_side} & {id(obj) for obj in applied}
 
 
 def test_max_n_cap(assert_capped):
