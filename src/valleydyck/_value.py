@@ -6,7 +6,9 @@ Unchecked construction, ``cls._trusted(*fields)``, is kept for the places
 whose output is valid by construction, and never for a map the checks test:
 the enumerators, the inverse maps, and the series arithmetic, whose
 coefficients are numbers or polynomials computed from operands already
-canonical and stored in the one form their value has.
+canonical and stored in the one form their value has, and the weight
+tables and series that ``spec_from_series`` and ``WeightSpec.to_series``
+read off one another in that same form.
 """
 
 _new = object.__new__

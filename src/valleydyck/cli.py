@@ -18,7 +18,7 @@ from .errors import ValleyDyckError
 from .paths import FAMILY_STEPS, FILTERS
 
 if TYPE_CHECKING:
-    from .polynomials import Polynomial
+    from .polynomials import Polynomial, Scalar
     from .weights import WeightSpec
 
 # the parser is built from these names, not from the layers, so that a
@@ -113,13 +113,18 @@ def _tables(name: str, order: int, params: dict[str, str]) -> Callable[[int], We
     return _pin_params(spec.truncated(order), params, f"{name} at order {order}").truncated
 
 
-def _flatten(value: Polynomial) -> str:
+def _flatten(value: Polynomial | Scalar) -> str:
+    """A number, or a polynomial that must be a constant, as csv writes it."""
+    from .polynomials import Polynomial
+
+    if type(value) is not Polynomial:
+        return str(value)
     # the table is pinned to every numeric --param already, so a variable left is symbolic
     if not value.is_constant:
         raise ValleyDyckError(
             f"csv output needs every parameter bound; {value.variables()} remain symbolic"
         )
-    return str(value.constant_value())
+    return str(value.scalar)
 
 
 def _refuse_symbolic_early(tables: Callable[[int], WeightSpec], order: int) -> None:
@@ -133,7 +138,7 @@ def _refuse_symbolic_early(tables: Callable[[int], WeightSpec], order: int) -> N
     while low < order:
         spec = tables(low)
         if not spec.is_numeric():
-            for coeff in valley_series(*spec.to_series()).coeffs:
+            for coeff in valley_series(*spec.to_series()).stored:
                 _flatten(coeff)
         low *= 2
 
@@ -162,7 +167,7 @@ def _cmd_series(args) -> int:
     if args.format == "json":
         _write_series_json(series)
     elif args.format == "csv":
-        _emit("\n".join(["n,value"] + [f"{n},{_flatten(c)}" for n, c in enumerate(series.coeffs)]))
+        _emit("\n".join(["n,value"] + [f"{n},{_flatten(c)}" for n, c in enumerate(series.stored)]))
     else:
         _emit(series.pretty())
     return 0
@@ -175,10 +180,12 @@ def _write_series_json(series) -> None:
     sits two levels deep, so its lines are indented by four more spaces."""
     import json
 
+    from .polynomials import _coeff_json
+
     write = sys.stdout.write
     write(f'{{\n  "order": {series.order},\n  "coeffs": [\n')
-    for n, coeff in enumerate(series.coeffs):
-        terms = coeff.to_json()
+    for n, coeff in enumerate(series.stored):
+        terms = _coeff_json(coeff)
         write((",\n    " if n else "    ") + ("[\n" if terms else "[]"))
         for i in range(0, len(terms), SERIES_JSON_BATCH):
             batch = terms[i : i + SERIES_JSON_BATCH]

@@ -650,6 +650,29 @@ def _finished(raw: dict[int, Scalar]) -> Polynomial:
     return _trusted(_reduce_inverses(_canonical(raw)))
 
 
+def _number(value: PolyLike) -> Scalar | None:
+    """The value of a number or of a constant polynomial, an ``int`` when
+    integral; ``None`` for a polynomial that is not a constant."""
+    return value if type(value) is int else Polynomial._coerce(value).scalar
+
+
+def _stored_form(values: tuple) -> tuple:
+    """``values`` in the one form a series stores its coefficients and a weight
+    table each of its sequences: numbers, each integral one an ``int``, when
+    every value is a constant, else polynomials.  A value that is neither a
+    number nor a polynomial raises ``Polynomial._coerce``'s ``TypeError``."""
+    numbers = tuple(map(_number, values))
+    return tuple(map(Polynomial._coerce, values)) if None in numbers else numbers
+
+
+def _coeff_json(value: Polynomial | Scalar) -> list[dict]:
+    """``to_json`` of a polynomial, or of the constant polynomial a stored
+    number stands for, written from the number."""
+    if type(value) is Polynomial:
+        return value.to_json()
+    return [{"coeff": str(value), "monomial": {}}] if value else []
+
+
 def _square_and_multiply(base, exponent: int):
     """``base ** exponent``, ``exponent >= 1``, by repeated squaring from the
     base itself: ``base ** 1`` takes no product and ``base ** 2`` one."""

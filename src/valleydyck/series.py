@@ -11,8 +11,11 @@ built it, so equality and hashing read the stored field.  Arithmetic
 between two series of numbers runs on numbers throughout; a series of
 numbers that meets a symbolic one is converted to polynomials once, and a
 result whose symbols cancel is stored as numbers again.  A coefficient
-becomes a ``Polynomial`` only where it leaves the series: ``coefficient``,
-``coeffs``, the text forms and ``to_json``.
+becomes a ``Polynomial`` only where a caller asks for one, ``coefficient``
+and ``coeffs``: the text forms and ``to_json`` write a number from the
+number, and a weight table (``weights.WeightSpec``) stores its sequences
+in this same form, so a table of numbers passes to and from its series as
+numbers.
 
 The named series, each the solution of an algebraic equation
 F = sum_j c_j(x) F^j, are one table, ``EQUATIONS``; each entry's constructor
@@ -53,7 +56,15 @@ from .errors import (
     OrderMismatch,
 )
 from .params import A, B, Q, T
-from .polynomials import Polynomial, Scalar, _scalar, _square_and_multiply
+from .polynomials import (
+    Polynomial,
+    Scalar,
+    _coeff_json,
+    _number,
+    _scalar,
+    _square_and_multiply,
+    _stored_form,
+)
 from .polynomials import _trusted as _wrapped
 
 CoeffLike = Union[Polynomial, int, Fraction]
@@ -61,12 +72,6 @@ CoeffLike = Union[Polynomial, int, Fraction]
 
 _ZERO = Polynomial.zero()
 _ONE = Polynomial.one()
-
-
-def _number(value: CoeffLike) -> Scalar | None:
-    """The value of a number or of a constant polynomial, an ``int`` when
-    integral; ``None`` for a polynomial that is not a constant."""
-    return value if type(value) is int else Polynomial._coerce(value).scalar
 
 
 def _mac(pairs: Iterable[tuple[Scalar, Scalar]]) -> Scalar:
@@ -134,8 +139,7 @@ class TruncatedSeries(Value):
         data = tuple(coeffs)
         if not data:
             raise ValueError("a truncated series needs at least the x^0 coefficient")
-        values = tuple(map(_number, data))
-        self._fill(tuple(map(Polynomial._coerce, data)) if None in values else values)
+        self._fill(_stored_form(data))
 
     # -- constructors ------------------------------------------------------
 
@@ -179,13 +183,13 @@ class TruncatedSeries(Value):
         return Polynomial._coerce(self.stored[n])
 
     def __str__(self) -> str:
-        return " ; ".join(f"{n}: {c}" for n, c in enumerate(self.coeffs))
+        return " ; ".join(f"{n}: {c}" for n, c in enumerate(self.stored))
 
     def __repr__(self) -> str:
         return f"TruncatedSeries(order={self.order}, [{self}])"
 
     def pretty(self) -> str:
-        return "\n".join(f"{n}: {c}" for n, c in enumerate(self.coeffs))
+        return "\n".join(f"{n}: {c}" for n, c in enumerate(self.stored))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -297,7 +301,7 @@ class TruncatedSeries(Value):
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
-        return {"order": self.order, "coeffs": [c.to_json() for c in self.coeffs]}
+        return {"order": self.order, "coeffs": list(map(_coeff_json, self.stored))}
 
     @classmethod
     def from_json(cls, data: Mapping) -> "TruncatedSeries":

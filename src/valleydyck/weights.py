@@ -47,24 +47,33 @@ from .paths import (
     valley_factors,
     valley_structures,
 )
-from .polynomials import INVERSE_VARS, Polynomial, Scalar, var_key
+from .polynomials import INVERSE_VARS, Polynomial, Scalar, _coeff_json, _stored_form, var_key
 from .series import EQUATIONS, Pins, TruncatedSeries, _require_weight_series, named_series
 
 class WeightSpec(Value):
-    """The three 1-indexed weight sequences, each a tuple of polynomials up to one order."""
+    """The three 1-indexed weight sequences up to one order.
+
+    Each sequence is stored as a series stores its coefficients: as numbers,
+    an ``int`` when integral and a ``Fraction`` otherwise, when every entry
+    of that sequence is a constant, else as polynomials.  So a table equals,
+    and hashes like, every table of the same values, and a table of numbers
+    passes to and from its series (``to_series``, ``spec_from_series``) with
+    no entry converted.  ``alpha_at``, ``beta_at`` and ``gamma_at`` give an
+    entry as a polynomial either way.
+    """
 
     __slots__ = ("alpha", "beta", "gamma")
 
     def __init__(self, alpha: tuple, beta: tuple, gamma: tuple):
         if not len(alpha) == len(beta) == len(gamma):
             raise ValueError("weight sequences must share one length")
-        self._fill(alpha, beta, gamma)
+        self._fill(*(_stored_form(tuple(table)) for table in (alpha, beta, gamma)))
 
     @property
     def order(self) -> int:
         return len(self.alpha)
 
-    def _tables(self) -> tuple[tuple[Polynomial, ...], ...]:
+    def _tables(self) -> tuple[tuple, ...]:
         return self.alpha, self.beta, self.gamma
 
     def truncated(self, order: int) -> "WeightSpec":
@@ -74,32 +83,38 @@ class WeightSpec(Value):
     def is_numeric(self, order: int | None = None) -> bool:
         """Whether every entry up to ``order`` (every entry when ``None``) is a
         number; it stops at the first symbolic entry."""
-        return all(p.scalar is not None for table in self._tables() for p in table[:order])
+        return all(p.scalar is not None
+                   for table in self._tables() if _symbolic(table) for p in table[:order])
 
     def variables(self) -> tuple[str, ...]:
         """The variables of every entry, in ``var_key`` order."""
-        names = {v for table in self._tables() for p in table for v in p.variables()}
+        names = {v for table in self._tables() if _symbolic(table)
+                 for p in table for v in p.variables()}
         return tuple(sorted(names, key=var_key))
 
-    def _at(self, table: tuple[Polynomial, ...], k: int) -> Polynomial:
+    def _at(self, table: tuple, k: int):
+        """Entry k of ``table`` as it is stored."""
         if not 1 <= k <= self.order:
             raise OrderExceeded(f"index {k} outside the table order {self.order}")
         return table[k - 1]
 
     def alpha_at(self, k: int) -> Polynomial:
-        return self._at(self.alpha, k)
+        return _polynomial(self._at(self.alpha, k))
 
     def beta_at(self, k: int) -> Polynomial:
-        return self._at(self.beta, k)
+        return _polynomial(self._at(self.beta, k))
 
     def gamma_at(self, k: int) -> Polynomial:
-        return self._at(self.gamma, k)
+        return _polynomial(self._at(self.gamma, k))
 
     def to_series(self) -> tuple[TruncatedSeries, TruncatedSeries, TruncatedSeries]:
-        return tuple(TruncatedSeries((Polynomial.zero(),) + table) for table in self._tables())
+        """The three series 0 + sum of entry k x^k, new ones at each call, each
+        stored as its sequence is."""
+        return tuple(TruncatedSeries._trusted((_ZERO if _symbolic(table) else 0,) + table)
+                     for table in self._tables())
 
     def to_json(self) -> dict:
-        return {name: [p.to_json() for p in getattr(self, name)] for name in self.__slots__}
+        return {name: list(map(_coeff_json, getattr(self, name))) for name in self.__slots__}
 
     @classmethod
     def from_json(cls, data: Mapping) -> "WeightSpec":
@@ -109,15 +124,30 @@ class WeightSpec(Value):
         """Substitute values for symbolic parameters in every entry."""
         if not bindings:
             return self
-        return WeightSpec(*(tuple(p.substitute(bindings) for p in t) for t in self._tables()))
+        return WeightSpec(*(tuple(p.substitute(bindings) for p in table) if _symbolic(table)
+                            else table for table in self._tables()))
+
+
+_ZERO = Polynomial.zero()
+
+
+def _symbolic(table: tuple) -> bool:
+    """Whether a stored sequence holds polynomials, not numbers."""
+    return bool(table) and type(table[0]) is Polynomial
+
+
+def _polynomial(entry) -> Polynomial:
+    """A stored entry as a polynomial."""
+    return entry if type(entry) is Polynomial else Polynomial.const(entry)
 
 
 def spec_from_series(
     alpha: TruncatedSeries, beta: TruncatedSeries, gamma: TruncatedSeries
 ) -> WeightSpec:
-    """Extract the weight sequences from three series with zero constant term."""
+    """The weight sequences of three series with zero constant term, each the
+    series' stored coefficients from x^1 on, as they are stored."""
     _require_weight_series(alpha, beta, gamma)
-    return WeightSpec(alpha.coeffs[1:], beta.coeffs[1:], gamma.coeffs[1:])
+    return WeightSpec._trusted(alpha.stored[1:], beta.stored[1:], gamma.stored[1:])
 
 
 def part_weight(part: Part, spec: WeightSpec) -> Polynomial:
@@ -165,17 +195,32 @@ def valley_weight_sum(n: int, spec: WeightSpec) -> Polynomial:
     are multiplied out.  The weight of each distinct part is computed once
     per call and kept in a dict local to the call, so nothing carries over
     to a later call with another table.  When every entry up to n is a
-    constant, the part weights are kept as numbers, multiplied and added as
-    ``int`` and ``Fraction``, and the sum becomes a polynomial once.
+    constant, a part weight is the product of the stored numbers, as
+    ``int`` and ``Fraction``, with no ``Polynomial`` built for it; the
+    products are added as numbers and the sum becomes a polynomial once.
     """
     numbers = spec.is_numeric(n)
+    if numbers:
+        # a sequence that holds polynomials holds constants up to n
+        alpha, beta, gamma = (tuple(p.scalar for p in table[:n]) if _symbolic(table) else table
+                              for table in spec._tables())
+        at = spec._at
+
+        def weigh(part: Part) -> Scalar:
+            if isinstance(part, Pyramid):
+                return at(gamma, part.height)
+            return prod([at(beta, part.ascent)] + [at(alpha, h) for h in part.heights])
+    else:
+
+        def weigh(part: Part) -> Polynomial:
+            return part_weight(part, spec)
+
     weights: dict[Part, Polynomial | Scalar] = {}
 
     def weight_of(part: Part) -> Polynomial | Scalar:
         weight = weights.get(part)
         if weight is None:
-            weight = part_weight(part, spec)
-            weight = weights[part] = weight.scalar if numbers else weight
+            weight = weights[part] = weigh(part)
         return weight
 
     rows = (map(weight_of, s.parts) for s in valley_structures(n))

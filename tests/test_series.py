@@ -321,6 +321,22 @@ def test_coefficients_leave_as_polynomials():
     assert TruncatedSeries([A, 0, T]).stored == (A, Polynomial.zero(), T)
 
 
+def test_a_series_of_numbers_writes_its_json_without_polynomial_to_json(monkeypatch):
+    numbers = registry_get("geom_3x", 8)
+    series_json = [TruncatedSeries(_NUMBERS).to_json(), valley_series(*numbers.to_series()).to_json()]
+    table_json = numbers.to_json()
+
+    def unreachable(*args):
+        raise AssertionError("a number was written through Polynomial.to_json")
+
+    monkeypatch.setattr(Polynomial, "to_json", unreachable)
+    assert [TruncatedSeries(_NUMBERS).to_json(),
+            valley_series(*numbers.to_series()).to_json()] == series_json
+    assert numbers.to_json() == table_json
+    with pytest.raises(AssertionError):
+        TruncatedSeries([A, 0, T]).to_json()
+
+
 def test_each_solved_series_declares_its_contraction():
     assert set(EQUATIONS) == {
         "catalan", "motzkin_ab", "schroder_large", "schroder_small", "narayana",

@@ -12,8 +12,15 @@ over coefficients that hold the formal inverses, over series whose
 coefficients are all numbers (stored as numbers, the scalar kernel's route),
 and over a series of numbers against a symbolic one; sums, differences and
 scalings too, and each result must be stored in its one form
-(``stored_form``).
+(``stored_form``).  A series or a weight table of numbers writes its text,
+JSON and csv from its numbers, and must write what its coefficients as
+polynomials would.
 """
+
+import contextlib
+import io
+import json
+from fractions import Fraction
 
 import pytest
 
@@ -28,14 +35,22 @@ from schoolbook import (  # noqa: E402
     schoolbook_sum,
     stored_form,
 )
-from valleydyck.errors import NotAUnit  # noqa: E402
+from valleydyck import cli  # noqa: E402
+from valleydyck.errors import NotAUnit, ValleyDyckError  # noqa: E402
 from valleydyck.params import T  # noqa: E402
+from valleydyck.paths import valley_structures  # noqa: E402
 from valleydyck.polynomials import Polynomial  # noqa: E402
 from valleydyck.series import (  # noqa: E402
     Equation,
     TruncatedSeries,
     named_series,
     solve_equation,
+)
+from valleydyck.weights import (  # noqa: E402
+    WeightSpec,
+    spec_from_series,
+    structure_weight,
+    valley_weight_sum,
 )
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -219,3 +234,84 @@ def test_a_numeric_zero_constant_term_is_not_a_unit(pair):
 @example(named_series("narayana", 3))  # t^3, a power above what series_of draws
 def test_json_round_trip(f):
     assert TruncatedSeries.from_json(f.to_json()) == f
+
+
+# series and weight tables of numbers, of polynomials and of both: ints,
+# Fractions, negatives, zeros, constant polynomials and symbolic ones
+entries = st.one_of(numbers, numbers.map(Polynomial.const), polys)
+
+
+def mixed_series_of(order: int):
+    return st.lists(entries, min_size=order + 1, max_size=order + 1).map(TruncatedSeries)
+
+
+any_series = st.one_of(
+    numeric_orders.flatmap(numeric_series_of),
+    st.integers(0, 6).flatmap(series_of),
+    st.integers(0, 6).flatmap(mixed_series_of),
+)
+
+
+def tables_of(order: int):
+    sequence = st.one_of(st.lists(numbers, min_size=order, max_size=order),
+                         st.lists(entries, min_size=order, max_size=order))
+    return st.tuples(sequence, sequence, sequence)
+
+
+weight_tables = st.integers(0, 5).flatmap(tables_of)
+
+
+def csv_values(values):
+    """The csv column of ``values``, or the refusal's message."""
+    try:
+        return [cli._flatten(c) for c in values]
+    except ValleyDyckError as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_series)
+@example(TruncatedSeries([0, 1, Polynomial.const(-3), Fraction(-1, 2)]))
+@example(TruncatedSeries([Fraction(1, 2), 0, -2 * T, 3]))
+def test_a_series_writes_what_its_polynomials_would(s):
+    coeffs = s.coeffs
+    want = {"order": s.order, "coeffs": [c.to_json() for c in coeffs]}
+    assert s.to_json() == want
+    assert str(s) == " ; ".join(f"{n}: {str(c)}" for n, c in enumerate(coeffs))
+    assert s.pretty() == "\n".join(f"{n}: {str(c)}" for n, c in enumerate(coeffs))
+    written = io.StringIO()
+    with contextlib.redirect_stdout(written):
+        cli._write_series_json(s)
+    assert written.getvalue() == json.dumps(want, indent=2) + "\n"
+    symbolic = [c for c in coeffs if not c.is_constant]
+    if symbolic:
+        want_csv = (f"csv output needs every parameter bound; {symbolic[0].variables()} "
+                    "remain symbolic")
+    else:
+        want_csv = [str(c.constant_value()) for c in coeffs]
+    assert csv_values(s.stored) == want_csv
+
+
+@settings(max_examples=100, deadline=None)
+@given(weight_tables)
+def test_a_table_is_stored_as_its_series_store_it(tables):
+    spec = WeightSpec(*tables)
+    polynomials = WeightSpec(*(tuple(map(Polynomial._coerce, t)) for t in tables))
+    assert polynomials == spec and hash(polynomials) == hash(spec)
+    series = spec.to_series()
+    assert_stored_in_one_form(*series)
+    for name, got in zip(("alpha", "beta", "gamma"), series):
+        # each sequence is stored as the series of its entries stores them
+        table = getattr(spec, name)
+        entries = [getattr(spec, f"{name}_at")(k) for k in range(1, spec.order + 1)]
+        assert got == TruncatedSeries([0, *entries]) and got.stored[1:] == table
+        assert hash(got) == hash(TruncatedSeries([0, *entries]))
+        assert list(map(type, table)) == list(map(type, stored_form(entries)))
+        assert spec.to_json()[name] == [p.to_json() for p in entries]
+    rebuilt = spec_from_series(*series)
+    assert rebuilt == spec and hash(rebuilt) == hash(spec)
+    assert WeightSpec.from_json(spec.to_json()) == spec
+    for n in range(spec.order + 1):
+        # structure_weight multiplies the entries as polynomials
+        want = Polynomial.sum(structure_weight(s, spec) for s in valley_structures(n))
+        assert valley_weight_sum(n, spec) == want, n

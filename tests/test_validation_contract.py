@@ -78,6 +78,7 @@ from valleydyck.weights import (
     registry_get,
     structure_weight,
     target_weight,
+    valley_weight_sum,
 )
 
 FAMILIES = ("dyck", "motzkin", "schroder_large", "schroder_small", "delannoy")
@@ -345,6 +346,13 @@ LIBRARY_REFUSALS = [
      "weight series has constant term 1"),
     # weights and the weight registry
     (lambda: WeightSpec((), (A,), ()), ValueError, "weight sequences must share one length"),
+    # a table entry is read as a series coefficient is: a number or a polynomial
+    (lambda: WeightSpec((1.5,), (1,), (A,)), TypeError, "cannot treat float as a polynomial"),
+    (lambda: WeightSpec((1,), ("a",), (A,)), TypeError, "cannot treat str as a polynomial"),
+    (lambda: WeightSpec((1,), (1,), (None,)), TypeError, "cannot treat NoneType as a polynomial"),
+    # a table of numbers sums on numbers, and refuses an index past it as any table does
+    (lambda: valley_weight_sum(3, WeightSpec((1, 2), (3, 4), (5, 6))), OrderExceeded,
+     "index 3 outside the table order 2"),
     (lambda: structure_weight(_structure(Pyramid(3)), registry_get("generic", 2)), OrderExceeded,
      "index 3 outside the table order 2"),
     (lambda: path_weight(Path("motzkin"), registry_get("generic", 2)), FamilyViolation,

@@ -66,10 +66,11 @@ CASES = {
         "Equation(terms=((0, 0, Polynomial(1)), (2, 1, Polynomial(a))))",
         Equation(((0, 0, ONE), (2, 1, Q))),
     ),
+    # a sequence of constants is stored as numbers, a series' stored form
     "WeightSpec": (
-        WeightSpec, dict(alpha=(A,), beta=(ONE,), gamma=(Polynomial.zero(),)), 3, (),
-        "WeightSpec(alpha=(Polynomial(a),), beta=(Polynomial(1),), gamma=(Polynomial(0),))",
-        WeightSpec((A,), (ONE,), (ONE,)),
+        WeightSpec, dict(alpha=(A,), beta=(1,), gamma=(0,)), 3, (),
+        "WeightSpec(alpha=(Polynomial(a),), beta=(1,), gamma=(0,))",
+        WeightSpec((A,), (1,), (1,)),
     ),
     "MapSpec": (
         MapSpec, THETA_FIELDS, 7, (("H", "ud"),),

@@ -105,17 +105,19 @@ def test_registry_motzkin_coefficients():
 
 
 def test_registry_delannoy_tuple_sequences():
+    # a table of numbers stores its entries as numbers
     spec = registry_get("delannoy_tuple", 3, a=4, b=3, c=7, d=2)
-    assert [p.constant_value() for p in spec.alpha] == [1, 3, 9]
-    assert [p.constant_value() for p in spec.beta] == [7, 14, 28]
-    assert [p.constant_value() for p in spec.gamma] == [0, 7, 35]
+    assert spec.alpha == (1, 3, 9)
+    assert spec.beta == (7, 14, 28)
+    assert spec.gamma == (0, 7, 35)
     other = registry_get("delannoy_tuple", 4, a=2, b=1, c=7, d=4)
-    assert [p.constant_value() for p in other.gamma] == [
+    assert other.gamma == (
         0,
         7,
         Fraction(7, 3) * (16 - 1),
         7 * (16 + 4 + 1),
-    ]
+    )
+    assert {type(v) for v in spec.alpha + spec.beta + spec.gamma + other.gamma} == {int}
 
 
 def test_registry_schroder_and_narayana_divisibility():
@@ -244,6 +246,44 @@ def test_a_symbolic_entry_takes_the_polynomial_route(monkeypatch):
         assert got == _by_polynomials(n, mixed)
         assert ("z" in got.variables()) == (n >= 4)
     assert len(summed) == 1
+
+
+def test_a_table_of_numbers_sums_without_part_weights(monkeypatch):
+    specs = [registry_get("delannoy_tuple", 8, a=2, b=1, c=7, d=4), registry_get("geom_fib", 8)]
+    sums = [[_by_polynomials(n, spec) for n in range(9)] for spec in specs]
+
+    def unreachable(*args):
+        raise AssertionError("the number route built a part weight")
+
+    monkeypatch.setattr(weights, "part_weight", unreachable)
+    for spec, want in zip(specs, sums):
+        assert [valley_weight_sum(n, spec) for n in range(9)] == want
+    with pytest.raises(AssertionError):
+        valley_weight_sum(2, registry_get("generic", 2))
+
+
+def test_a_table_built_from_numbers_is_its_polynomial_twin():
+    # entries are read as a series reads its coefficients: ints and Fractions
+    # are stored as numbers, and so are polynomials when all are constants
+    values = ((1, 2, Fraction(-1, 2)), (3, 0, 4), (5, -6, Fraction(4, 2)))
+    numbers = WeightSpec(*values)
+    twin = WeightSpec(*(tuple(map(Polynomial.const, table)) for table in values))
+    assert numbers == twin and hash(numbers) == hash(twin) and repr(numbers) == repr(twin)
+    assert numbers.gamma == (5, -6, 2) and type(numbers.gamma[2]) is int
+    assert numbers.alpha_at(3) == Polynomial.const(Fraction(-1, 2))
+    for n in range(4):
+        assert valley_weight_sum(n, numbers) == _by_polynomials(n, twin), n
+    assert valley_weight_sum(2, WeightSpec((1, 2), (3, 4), (5, 6))) == 31  # gamma2 + gamma1^2
+
+
+def test_to_series_gives_new_series_at_each_call():
+    # fuss_sym's alpha and beta sequences are equal, but they are two series,
+    # so a product of them is not taken as a square
+    spec = registry_get("fuss_sym", 6, m=2, r=2)
+    first, again = spec.to_series(), spec.to_series()
+    assert spec.alpha == spec.beta and first[0] is not first[1]
+    assert first == again and all(a is not b for a, b in zip(first, again))
+    assert spec_from_series(*first) == spec
 
 
 def test_is_numeric_reads_the_entries_up_to_an_order():
