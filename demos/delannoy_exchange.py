@@ -10,7 +10,7 @@ map is a reversal-and-relabeling shuffle between the two.
 
 from valleydyck import TauDecorated, TauFactor, enumerate_tau, render_ascii, tau_apply, tau_value
 from valleydyck.bijections import tau_ustep_weights
-from valleydyck.oracles import delannoy_number
+from valleydyck.oracles import delannoy_convolution
 
 src = TauDecorated(
     "src_4372",
@@ -33,7 +33,7 @@ assert tau_value(src) == tau_value(dst)
 print("\nweighted totals agree with the Delannoy convolution:")
 for n in range(2, 8):
     total = sum(tau_value(t) for t in enumerate_tau(n, "src_4372"))
-    conv = 7 * sum(delannoy_number(i) * delannoy_number(n - 2 - i) for i in range(n - 1))
+    conv = 7 * delannoy_convolution(n, 2)
     marker = "ok" if total == conv else "MISMATCH"
     print(f"  n={n}: {total} == 7*conv {conv}  {marker}")
     assert total == conv

@@ -83,6 +83,8 @@ def _parse_params(pairs: list[str] | None) -> dict[str, str]:
         key, eq, value = pair.partition("=")
         if not eq:
             raise ValleyDyckError(f"--param needs key=value, got {pair!r}")
+        if key in params:
+            raise ValleyDyckError(f"--param {key} is given more than once")
         params[key] = value
     return params
 
@@ -303,6 +305,8 @@ def _note_clamps(report) -> None:
 
 def _cmd_biject(args) -> int:
     if args.roundtrip:
+        if args.apply:
+            raise ValleyDyckError("biject takes --roundtrip or --apply, not both")
         if args.n is None:
             raise ValleyDyckError("--roundtrip needs --n")
         from .verify import run_check

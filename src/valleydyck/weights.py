@@ -30,7 +30,7 @@ though every full path weight is a polynomial.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import prod
 from typing import Callable, Iterable, Mapping
 
@@ -80,11 +80,9 @@ class WeightSpec(Value):
         """The first ``order`` entries of each sequence."""
         return WeightSpec(*(table[:order] for table in self._tables()))
 
-    def is_numeric(self, order: int | None = None) -> bool:
-        """Whether every entry up to ``order`` (every entry when ``None``) is a
-        number; it stops at the first symbolic entry."""
-        return all(p.scalar is not None
-                   for table in self._tables() if _symbolic(table) for p in table[:order])
+    def is_numeric(self) -> bool:
+        """Whether every entry is a number: no sequence holds polynomials."""
+        return not any(map(_symbolic, self._tables()))
 
     def variables(self) -> tuple[str, ...]:
         """The variables of every entry, in ``var_key`` order."""
@@ -150,14 +148,16 @@ def spec_from_series(
     return WeightSpec._trusted(alpha.stored[1:], beta.stored[1:], gamma.stored[1:])
 
 
-def part_weight(part: Part, spec: WeightSpec) -> Polynomial:
+def part_weight(part: Part, spec: WeightSpec) -> Polynomial | Scalar:
     """A pyramid of height h weighs gamma[h]; a block with ascent k and inner
-    heights i_1..i_r weighs beta[k] * alpha[i_1] * ... * alpha[i_r]."""
+    heights i_1..i_r weighs beta[k] * alpha[i_1] * ... * alpha[i_r].
+
+    The entries are multiplied as the table stores them, so the weight is an
+    ``int`` or ``Fraction`` when each is a number, else a polynomial."""
+    at = spec._at
     if isinstance(part, Pyramid):
-        return spec.gamma_at(part.height)
-    return Polynomial.product(
-        [spec.beta_at(part.ascent)] + [spec.alpha_at(h) for h in part.heights]
-    )
+        return at(spec.gamma, part.height)
+    return prod([at(spec.alpha, h) for h in part.heights], start=at(spec.beta, part.ascent))
 
 
 def structure_weight(structure: ValleyStructure, spec: WeightSpec) -> Polynomial:
@@ -192,39 +192,15 @@ def valley_weight_sum(n: int, spec: WeightSpec) -> Polynomial:
     """Sum of structure weights over every valley structure of size n.
 
     The sum is exhaustive: every structure is visited and its part weights
-    are multiplied out.  The weight of each distinct part is computed once
-    per call and kept in a dict local to the call, so nothing carries over
-    to a later call with another table.  When every entry up to n is a
-    constant, a part weight is the product of the stored numbers, as
-    ``int`` and ``Fraction``, with no ``Polynomial`` built for it; the
-    products are added as numbers and the sum becomes a polynomial once.
+    are multiplied out.  Each distinct part is weighed once per call, by
+    :func:`part_weight`, in a memo local to the call, so nothing carries over
+    to a later call with another table.  When every entry is a number, the
+    part weights are numbers, their products are added as numbers and the
+    sum becomes a polynomial once.
     """
-    numbers = spec.is_numeric(n)
-    if numbers:
-        # a sequence that holds polynomials holds constants up to n
-        alpha, beta, gamma = (tuple(p.scalar for p in table[:n]) if _symbolic(table) else table
-                              for table in spec._tables())
-        at = spec._at
-
-        def weigh(part: Part) -> Scalar:
-            if isinstance(part, Pyramid):
-                return at(gamma, part.height)
-            return prod([at(beta, part.ascent)] + [at(alpha, h) for h in part.heights])
-    else:
-
-        def weigh(part: Part) -> Polynomial:
-            return part_weight(part, spec)
-
-    weights: dict[Part, Polynomial | Scalar] = {}
-
-    def weight_of(part: Part) -> Polynomial | Scalar:
-        weight = weights.get(part)
-        if weight is None:
-            weight = weights[part] = weigh(part)
-        return weight
-
-    rows = (map(weight_of, s.parts) for s in valley_structures(n))
-    if numbers:
+    weight = cache(lambda part: part_weight(part, spec))
+    rows = (map(weight, s.parts) for s in valley_structures(n))
+    if spec.is_numeric():
         return Polynomial.const(_number_sum(rows))
     return Polynomial.sum(map(Polynomial.product, rows))
 

@@ -89,6 +89,8 @@ REFUSALS = [
      "@FILE at order 3 has no parameter or variable zz (variables: a, a_inv, b)", SPEC),
     ("series --spec motzkin_ab --format csv",
      "csv output needs every parameter bound; ('b',) remain symbolic"),
+    ("count --spec delannoy_tuple --n 3 --param a=4 --param b=3 --param c=7 --param d=2 "
+     "--param a=5", "--param a is given more than once"),
     ("oracle --name catalan --n 5 --param zz=1", "catalan has no parameter zz (parameters: none)"),
     ("oracle --name fuss_sym --n 6 --param m=2 --param r=1.9",
      "fuss_sym: parameter r must be an integer >= 1, got '1.9'"),
@@ -106,6 +108,8 @@ REFUSALS = [
      "fuss_asym_collapse: parameter r must be an integer >= 1, got '0'"),
     ("biject --map phi --roundtrip", "--roundtrip needs --n"),
     ("biject --map phi", "biject needs --roundtrip or --apply"),
+    ("biject --map phi --roundtrip --n 3 --apply @FILE",
+     "biject takes --roundtrip or --apply, not both"),
     # JSON inputs
     ("series --spec @FILE", "[Errno 2] No such file or directory: 'FILE'"),
     ("biject --map rho --apply {bad",
@@ -475,32 +479,25 @@ def test_enumerate_output_does_not_depend_on_the_batch(fmt, monkeypatch, capsys)
         assert outputs[1:] == outputs[:1] * 3, argv
 
 
-def test_cli_import_loads_no_process_pool():
-    # verify imports concurrent.futures (and with it logging) only to start a pool
-    code = "import sys, valleydyck.cli; print('concurrent.futures' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.stdout == "False\n", proc.stderr
-
-
-def test_cli_import_loads_no_dataclasses_or_inspect():
-    # the value types are slotted classes, and no module reads signatures
-    modules = ("dataclasses", "inspect", "ast", "dis", "tokenize")
-    code = f"import sys, valleydyck.cli; print([m for m in {modules!r} if m in sys.modules])"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.stdout == "[]\n", proc.stderr
-
-
 _LAYERS = {m.name for m in pkgutil.iter_modules(valleydyck.__path__)} - {"__main__", "cli"}
 _HEAVY = {"polynomials", "series", "weights", "bijections", "oracles", "verify"}
 
 
+def _modules(*layers):
+    return {f"valleydyck.{layer}" for layer in layers}
+
+
 @pytest.mark.parametrize("argv, absent", [
-    ([], _LAYERS - {"errors", "paths", "_value"}),
-    (["render", "--path", "UUDD"], _HEAVY),
-    (["enumerate", "--family", "dyck", "--n", "3"], _HEAVY),
-    (["oracle", "--name", "catalan", "--n", "5"], {"series", "weights", "bijections", "verify"}),
-    (["series", "--spec", "geom_3x", "--order", "4"], {"bijections", "oracles", "verify"}),
-    (["count", "--spec", "geom_3x", "--n", "3"], {"bijections", "oracles", "verify"}),
+    # verify imports concurrent.futures (and with it logging) only to start a
+    # pool, the value types are slotted classes, and no module reads signatures
+    ([], _modules(*_LAYERS - {"errors", "paths", "_value"})
+     | {"concurrent.futures", "dataclasses", "inspect", "ast", "dis", "tokenize"}),
+    (["render", "--path", "UUDD"], _modules(*_HEAVY)),
+    (["enumerate", "--family", "dyck", "--n", "3"], _modules(*_HEAVY)),
+    (["oracle", "--name", "catalan", "--n", "5"],
+     _modules("series", "weights", "bijections", "verify")),
+    (["series", "--spec", "geom_3x", "--order", "4"], _modules("bijections", "oracles", "verify")),
+    (["count", "--spec", "geom_3x", "--n", "3"], _modules("bijections", "oracles", "verify")),
 ], ids=lambda value: " ".join(value) or "import" if isinstance(value, list) else None)
 def test_each_command_loads_only_its_layers(argv, absent):
     # the parser is built from name tables alone, and each handler imports its layers
@@ -510,12 +507,12 @@ def test_each_command_loads_only_its_layers(argv, absent):
         if {argv!r}:
             with contextlib.redirect_stdout(io.StringIO()):
                 assert cli.main({argv!r}) == 0
-        print(json.dumps([m.split(".", 1)[1] for m in sys.modules if m.startswith("valleydyck.")]))
+        print(json.dumps(list(sys.modules)))
     """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     loaded = set(json.loads(proc.stdout))
-    assert "cli" in loaded and not loaded & absent, sorted(loaded & absent)
+    assert "valleydyck.cli" in loaded and not loaded & absent, sorted(loaded & absent)
 
 
 def test_parser_name_tables_match_the_layers():
@@ -601,6 +598,23 @@ def _perfbench_jobs():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_the_benchmark_tracer_installs():
+    # perfbench/tracer.py wraps the program's operators and functions by name,
+    # so a deleted or renamed one it looks up fails its install() here
+    root = FilePath(__file__).parents[1]
+    code = f"""if True:
+        import importlib.util, sys
+        sys.path.insert(0, {str(root / "src")!r})
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_tracer", {str(root / "perfbench" / "tracer.py")!r})
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        tracer.install()
+    """
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_order_cap(assert_capped, capsys):

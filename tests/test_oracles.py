@@ -1,6 +1,3 @@
-import json
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
@@ -120,14 +117,6 @@ def test_binomial_sums_match_the_solved_series():
         (schroder_small_polynomial, "schroder_small"),
     ):
         assert [poly(n) for n in range(order + 1)] == list(named_series(name, order).coeffs)
-
-
-def test_oracles_load_no_series_code():
-    code = "import json, sys, valleydyck.oracles; print(json.dumps(sorted(sys.modules)))"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    loaded = json.loads(proc.stdout)
-    assert "valleydyck.oracles" in loaded
-    assert "valleydyck.series" not in loaded and "valleydyck.weights" not in loaded
 
 
 def test_oracle_dispatch():
