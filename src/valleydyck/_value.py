@@ -4,9 +4,11 @@ Public constructors validate: every object built from outside input (a
 constructor call, ``from_json``, the command line) is checked once, there.
 Unchecked construction, ``cls._trusted(*fields)``, is kept for the places
 whose output is valid by construction, and never for a map the checks test:
-the enumerators, the inverse maps, and the series arithmetic, whose
+the enumerators, the inverse maps, the series arithmetic, whose
 coefficients are numbers or polynomials computed from operands already
-canonical and stored in the one form their value has, and the weight
+canonical and stored in the one form their value has, the series
+constructors ``zero``, ``one``, ``constant`` and ``x``, which read their
+first entries into that form and pad them with zeros of it, and the weight
 tables and series that ``spec_from_series`` and ``WeightSpec.to_series``
 read off one another in that same form.
 """

@@ -159,12 +159,12 @@ def _cmd_series(args) -> int:
 
     params = _parse_params(args.param)
     tables = _tables(args.spec, args.order, params)
-    if args.dump_spec:  # the whole table is built and written first
+    if args.format == "csv":  # before the whole table is built or written
+        _refuse_symbolic_early(tables, args.order)
+    if args.dump_spec:
         spec = tables(args.order)
         FilePath(args.dump_spec).write_text(json.dumps(spec.to_json(), indent=2) + "\n")
         tables = spec.truncated
-    if args.format == "csv":
-        _refuse_symbolic_early(tables, args.order)
     series = valley_series(*tables(args.order).to_series())
     if args.format == "json":
         _write_series_json(series)
@@ -202,10 +202,16 @@ def _cmd_count(args) -> int:
     import json
     from pathlib import Path as FilePath
 
+    from .series import valley_series
     from .weights import valley_weight_sum
 
     params = _parse_params(args.param)
     spec = _tables(args.spec, args.n, params)(args.n)
+    if args.format == "csv" and not spec.is_numeric():
+        # V_n is coefficient n of the master series, which costs far less than
+        # the sum, so a symbolic V_n is refused before any sum or write; a
+        # lower coefficient says nothing, as a symbolic one can precede V_n = 0
+        _flatten(valley_series(*spec.to_series()).stored[args.n])
     value = valley_weight_sum(args.n, spec)
     if args.dump_spec:
         FilePath(args.dump_spec).write_text(json.dumps(spec.to_json(), indent=2) + "\n")

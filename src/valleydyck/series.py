@@ -28,23 +28,25 @@ ordinary arithmetic below instead of trusting it.
 Every product is one coefficient stream, :func:`_product`: it forms
 coefficient k of a * b when read, from the entries up to k, so ``*`` reads
 it to the truncation order, the solver's power tables read it as F grows,
-and no product holds more than one coefficient's pairs of factors.  It
-skips the zeros of its first factor, and a square forms each cross product
-a_i a_j, i < j, once, against 2 a_j.  Those pairs, and the quotient's, go to
-one multiply-accumulate kernel: ``_mac`` sums their products as ``int`` and
-``Fraction`` for series of numbers, and :meth:`Polynomial.dot` multiplies
-and adds them into one term map for polynomial ones.  A quotient N / D is
-one pass, never N times the inverse of D, and the inverse is the quotient
-1 / D.
+and no product holds more than one coefficient's terms.  It skips the zeros
+of its first factor, and a square forms each cross product a_i a_j, i < j,
+once, against 2 a_j.  A coefficient of a product, of a quotient or of a
+solved F is one multiply-accumulate.  For series of numbers the terms are
+the products themselves, one list of numbers, and ``_mac`` sums it; that
+sum is already in stored form, so a numeric product, quotient or solution
+is stored as the kernel made it.  For polynomial series the terms are pairs
+of factors, which :meth:`Polynomial.dot` multiplies and adds into one term
+map.  A quotient N / D is one pass, never N times the inverse of D, and the
+inverse is the quotient 1 / D.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count, islice, starmap
-from operator import add, mul, neg, sub
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
+from itertools import count, islice
+from operator import add, neg, sub
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from ._value import Value
 from .errors import (
@@ -74,9 +76,10 @@ _ZERO = Polynomial.zero()
 _ONE = Polynomial.one()
 
 
-def _mac(pairs: Iterable[tuple[Scalar, Scalar]]) -> Scalar:
-    """Sum of the products a * b over ``pairs`` of numbers; an integral sum is an int."""
-    total = sum(starmap(mul, pairs))
+def _mac(products: list[Scalar]) -> Scalar:
+    """Sum of ``products``, the terms of one coefficient of a convolution of
+    numbers, in stored form: an integral sum is an int."""
+    total = sum(products)
     return total if type(total) is int or total.denominator != 1 else total.numerator
 
 
@@ -105,27 +108,39 @@ def _series(coeffs: Iterable) -> "TruncatedSeries":
     return TruncatedSeries._trusted(coeffs)
 
 
-def _product(a: Sequence, b: Sequence, dot: Callable) -> Iterator:
-    """Coefficients 0, 1, 2, ... of a * b, each formed by ``dot`` when it is
-    read, from the entries of a and b up to its index, so both may still be
-    growing.  The zeros of a are skipped; a square (a is b) forms each cross
-    product a_i a_j, i < j, once, against 2 a_j."""
-    support: list[int] = []  # the indices i of the nonzero a_i that coefficient k pairs
+def _product(a: Sequence, b: Sequence, numbers: bool) -> Iterator:
+    """Coefficients 0, 1, 2, ... of a * b, each formed when it is read, from
+    the entries of a and b up to its index, so both may still be growing.
+    Numbers pass the products a_i b_(k-i) to ``_mac``; polynomials pass the
+    pairs (a_i, b_(k-i)) to ``Polynomial.dot``.  The zeros of a are skipped;
+    a square (a is b) forms each cross product a_i a_j, i < j, once, against
+    2 a_j."""
+    support: list[int] = []  # the indices i of the nonzero a_i that coefficient k reads
     if a is not b:
         for k in count():
             if a[k]:
                 support.append(k)
-            yield dot([(a[i], b[k - i]) for i in support])
+            if numbers:
+                yield _mac([a[i] * b[k - i] for i in support])
+            else:
+                yield Polynomial.dot([(a[i], b[k - i]) for i in support])
     doubled: list = []
     for k in count():
         doubled.append(a[k] * 2)
         mid = a[k // 2]
         if k % 2 and mid:
-            support.append(k // 2)  # a square pairs a_i with 2 a_(k-i) once 2 i < k
-        pairs = [(a[i], doubled[k - i]) for i in support]
-        if k % 2 == 0 and mid:
-            pairs.append((mid, mid))
-        yield dot(pairs)
+            support.append(k // 2)  # a square reads a_i against 2 a_(k-i) once 2 i < k
+        middle = k % 2 == 0 and mid  # the one term a_(k/2)^2
+        if numbers:
+            products = [a[i] * doubled[k - i] for i in support]
+            if middle:
+                products.append(mid * mid)
+            yield _mac(products)
+        else:
+            pairs = [(a[i], doubled[k - i]) for i in support]
+            if middle:
+                pairs.append((mid, mid))
+            yield Polynomial.dot(pairs)
 
 
 class TruncatedSeries(Value):
@@ -151,20 +166,30 @@ class TruncatedSeries(Value):
         return cls(data)
 
     @classmethod
+    def _padded(cls, head: tuple, order: int) -> "TruncatedSeries":
+        """The series of ``head`` followed by zeros, to ``order``: only the
+        head is read into stored form, and the zeros take that form."""
+        if order < 0:
+            raise ValueError("a truncated series needs at least the x^0 coefficient")
+        head = _stored_form(head)
+        zero = _ZERO if type(head[0]) is Polynomial else 0
+        return cls._trusted((head + (zero,) * order)[: order + 1])
+
+    @classmethod
     def zero(cls, order: int) -> "TruncatedSeries":
-        return cls([0] * (order + 1))
+        return cls._padded((0,), order)
 
     @classmethod
     def one(cls, order: int) -> "TruncatedSeries":
-        return cls.constant(1, order)
+        return cls._padded((1,), order)
 
     @classmethod
     def constant(cls, value: CoeffLike, order: int) -> "TruncatedSeries":
-        return cls.from_coeffs([value], order)
+        return cls._padded((value,), order)
 
     @classmethod
     def x(cls, order: int) -> "TruncatedSeries":
-        return cls.from_coeffs([0, 1], order)
+        return cls._padded((0, 1), order)
 
     # -- basics ------------------------------------------------------------
 
@@ -231,8 +256,8 @@ class TruncatedSeries(Value):
             theirs = mine
         elif sum(map(bool, theirs)) < sum(map(bool, mine)):
             mine, theirs = theirs, mine  # the sparser factor first: its zeros are skipped
-        dot = _mac if numbers else Polynomial.dot
-        return _series(islice(_product(mine, theirs, dot), self.order + 1))
+        coeffs = islice(_product(mine, theirs, numbers), self.order + 1)
+        return TruncatedSeries._trusted(tuple(coeffs)) if numbers else _series(coeffs)
 
     __rmul__ = __mul__
 
@@ -268,12 +293,14 @@ class TruncatedSeries(Value):
         # the factor 1/D_0 rides on N_n and, negated, on each D_i, once
         inv0 = _scalar(Fraction(1) / value)
         tail = [(i, c * -inv0) for i, c in enumerate(dens) if c][1:]
-        dot = _mac if numbers else Polynomial.dot
-        if not numbers:
-            inv0 = Polynomial.const(inv0)
         out: list = []
+        if numbers:
+            for n, num in enumerate(nums):
+                out.append(_mac([num * inv0] + [d * out[n - i] for i, d in tail if i <= n]))
+            return TruncatedSeries._trusted(tuple(out))
+        inv0 = Polynomial.const(inv0)
         for n, num in enumerate(nums):
-            out.append(dot([(num, inv0)] + [(d, out[n - i]) for i, d in tail if i <= n]))
+            out.append(Polynomial.dot([(num, inv0)] + [(d, out[n - i]) for i, d in tail if i <= n]))
         return _series(out)
 
     def times_x(self, k: int = 1) -> "TruncatedSeries":
@@ -371,25 +398,30 @@ def solve_equation(equation: Equation, order: int, r: int | None = None) -> Trun
             todo.extend(chain[j])
     f: list = []
     powers: dict[int, list] = {1: f, **{j: [] for j in chain}}
-    # 1 and the terms' coefficients as numbers when every one is a constant
-    one, cs, dot = 1, [c.scalar for _, _, c in terms], _mac
-    if None in cs:
-        one, cs, dot = _ONE, [c for _, _, c in terms], Polynomial.dot
+    # the terms' coefficients as numbers when every one is a constant
+    cs = [c.scalar for _, _, c in terms]
+    numbers = None not in cs
+    if not numbers:
+        cs = [c for _, _, c in terms]
     reads = [(powers[j], i, c) for (j, i, _), c in zip(terms, cs) if j]
     constants = [(i, c) for (j, i, _), c in zip(terms, cs) if j == 0]
     # each table with its product stream, lower powers first, as higher ones read them
     tables = [
-        (powers[j], _product(powers[h], powers[g], dot)) for j, (h, g) in sorted(chain.items())
+        (powers[j], _product(powers[h], powers[g], numbers))
+        for j, (h, g) in sorted(chain.items())
     ]
     for k in range(order + 1):
-        pairs = [(c, one) for i, c in constants if i == k]
-        pairs += [(row[k - i], c) for row, i, c in reads if i <= k]
-        f.append(dot(pairs))
+        if numbers:
+            products = [c for i, c in constants if i == k]
+            f.append(_mac(products + [row[k - i] * c for row, i, c in reads if i <= k]))
+        else:
+            pairs = [(c, _ONE) for i, c in constants if i == k]
+            f.append(Polynomial.dot(pairs + [(row[k - i], c) for row, i, c in reads if i <= k]))
         if k == order:
             break
         for row, product in tables:
             row.append(next(product))
-    solution = _series(f)
+    solution = TruncatedSeries._trusted(tuple(f)) if numbers else _series(f)
     image = TruncatedSeries.zero(order)
     for j, i, c in terms:
         term = (solution**j).times_x(i)

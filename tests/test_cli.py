@@ -29,13 +29,17 @@ ALPHA = '{"alpha":[[{"coeff":%s,"monomial":{%s}}]],"beta":[[]],"gamma":[[]]}'
 DIGITS = (f"oracle fuss at n = 2000 gives a number of more than {sys.get_int_max_str_digits()} "
           "digits, more than can be printed")
 SHAPE = "JSON has the wrong shape: "
+# the variables of generic's V_13
+GENERIC_13 = tuple(f"{name}{i}" for name, top in (("alpha", 11), ("beta", 11), ("gamma", 13))
+                   for i in range(1, top + 1))
 
 # Every usage error of the CLI, as (argv, text) or (argv, text, body): argv is
 # split on spaces, body is written to a file whose path replaces FILE in argv
 # and text, and the command must exit 2 with stdout empty and stderr exactly
-# "error: {text}". A refusal argparse makes ends in SystemExit(2) instead, and
-# its text is the last line of stderr up to the list of choices, which
-# argparse words differently across Python versions
+# "error: {text}"; a row with no body must leave no file at FILE. A refusal
+# argparse makes ends in SystemExit(2) instead, and its text is the last line
+# of stderr up to the list of choices, which argparse words differently
+# across Python versions
 REFUSALS = [
     ("", "valleydyck: error: a command is required"),
     ("enumerate --family nope --n 1",
@@ -89,6 +93,13 @@ REFUSALS = [
      "@FILE at order 3 has no parameter or variable zz (variables: a, a_inv, b)", SPEC),
     ("series --spec motzkin_ab --format csv",
      "csv output needs every parameter bound; ('b',) remain symbolic"),
+    # a csv refusal comes before --dump-spec writes FILE, and before count sums
+    ("series --spec motzkin_ab --order 3 --format csv --dump-spec FILE",
+     "csv output needs every parameter bound; ('b',) remain symbolic"),
+    ("count --spec motzkin_ab --n 3 --format csv --dump-spec FILE",
+     "csv output needs every parameter bound; ('a', 'b') remain symbolic"),
+    ("count --spec generic --n 13 --format csv",
+     f"csv output needs every parameter bound; {GENERIC_13} remain symbolic"),
     ("count --spec delannoy_tuple --n 3 --param a=4 --param b=3 --param c=7 --param d=2 "
      "--param a=5", "--param a is given more than once"),
     ("oracle --name catalan --n 5 --param zz=1", "catalan has no parameter zz (parameters: none)"),
@@ -174,6 +185,7 @@ def test_refusal(argv, text, body, tmp_path, capsys):
         assert (exc.code, out, err.splitlines()[-1].split(" (choose from ")[0]) == (2, "", text)
     else:
         assert (code, *capsys.readouterr()) == (2, "", f"error: {text}\n")
+    assert body is not None or not source.exists()
 
 
 def test_every_refusal_of_cli_has_a_row():
@@ -252,7 +264,7 @@ def test_csv_refuses_a_symbolic_series_before_computing_it(table, monkeypatch, c
             message = f"error: csv output needs every parameter bound; {names} remain symbolic\n"
             assert (code, capsys.readouterr()) == (2, ("", message))
     # the refusal comes from series at orders 1, 2, 4, ..., not at the order
-    # asked, and after --dump-spec has written the table
+    # asked, and before --dump-spec writes the table
     orders = []
     monkeypatch.setattr(
         series, "valley_series", lambda *s: orders.append(s[0].order) or valley_series(*s)
@@ -262,7 +274,7 @@ def test_csv_refuses_a_symbolic_series_before_computing_it(table, monkeypatch, c
     assert cli.main(argv) == 2
     assert capsys.readouterr().err.startswith("error: csv output needs every parameter bound")
     assert orders and max(orders) < 16, orders
-    assert json.loads(dump.read_text()) == registry_get(table, 16).to_json()
+    assert not dump.exists()
 
 
 def test_csv_refusal_without_a_dump_builds_no_table_at_the_order_asked(monkeypatch, capsys):

@@ -28,7 +28,7 @@ from valleydyck.bijections import (
     tau_ustep_weights,
     tau_value,
 )
-from valleydyck.errors import InvalidDecoration, NegativeLevel
+from valleydyck.errors import InvalidDecoration, NegativeLevel, NotAContraction
 from valleydyck.oracles import (
     catalan_number,
     delannoy_convolution,
@@ -181,10 +181,10 @@ _MAC = series._mac
 _NUMBER_SUM = weights._number_sum
 
 
-def _dropping_first_pair(pairs):
-    """The scalar kernel, broken: a coefficient of two or more pairs of factors
-    loses its first pair."""
-    return _MAC(pairs[1:] if len(pairs) > 1 else pairs)
+def _dropping_first_pair(products):
+    """The scalar kernel, broken: a coefficient of two or more products (pairs
+    of factors, multiplied) loses its first product."""
+    return _MAC(products[1:] if len(products) > 1 else products)
 
 
 def _dropping_last_structure(rows):
@@ -393,11 +393,29 @@ def test_the_stray_path_is_outside_its_family():
 
 
 def test_the_kernel_fault_changes_a_product(monkeypatch):
-    # it reaches a product of two weight series, whose b_0 is 0
+    # every numeric convolution calls the kernel itself: a product of two
+    # weight series, whose b_0 is 0, a square, a quotient, and the solver's
+    # step that forms F's next coefficient, whose own check then fails
     alpha, beta, _ = registry_get("geom_3x", 8).to_series()
-    product = alpha * beta
-    monkeypatch.setattr(series, "_mac", _dropping_first_pair)
-    assert alpha * beta != product
+    one = TruncatedSeries.one(8)
+    den = one - alpha - alpha * beta
+    results = (alpha * beta, (one - alpha) ** 2, (one - alpha) / den)
+    callers = set()
+
+    def dropping(products):
+        callers.add(sys._getframe(1).f_code.co_name)
+        return _dropping_first_pair(products)
+
+    _clear_series_caches()
+    monkeypatch.setattr(series, "_mac", dropping)
+    faulty = (alpha * beta, (one - alpha) ** 2, (one - alpha) / den)
+    assert all(map(TruncatedSeries.__ne__, faulty, results))
+    assert callers == {"_product", "__truediv__"}
+    callers.clear()
+    pins = (("a", Polynomial.const(2)), ("b", Polynomial.const(3)))
+    with pytest.raises(NotAContraction):
+        series.named_series("motzkin_ab", 8, pins=pins)
+    assert "solve_equation" in callers
 
 
 @pytest.mark.parametrize("check", [
