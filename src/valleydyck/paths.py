@@ -11,6 +11,11 @@ forbids ``H`` on the axis.
 The size of a path is its semilength (half the width) except for Motzkin
 paths, whose size is the step count.
 
+An opening-step filter is the tuple of openings it forbids
+(``FORBIDDEN_OPENINGS``), and a path passes it when it starts with none of
+them.  The enumerator refuses a step when it would complete a forbidden
+opening, so it never walks the paths under one.
+
 A Dyck path is read by its runs: ``valley_factors`` groups the steps once
 into up and down runs and gives each primitive factor's valley levels and
 maximal pyramid heights, all that ``is_valley_uniform`` and
@@ -56,21 +61,26 @@ _FAMILY_RULES = {
     for family, alphabet in FAMILY_STEPS.items()
 }
 
-_FILTER_PREDICATES = {
-    "none": lambda s: True,
-    "first_not_flat": lambda s: not s.startswith("F"),
-    "first_two_not_ud": lambda s: not s.startswith("UD"),
-    "y_filter": lambda s: not (s.startswith("H") or s.startswith("UD")),
+# per filter: the openings it forbids; a path passes when it starts with none of them
+FORBIDDEN_OPENINGS = {
+    "none": (),
+    "first_not_flat": ("F",),
+    "first_two_not_ud": ("UD",),
+    "y_filter": ("H", "UD"),
 }
-FILTERS = tuple(_FILTER_PREDICATES)
+FILTERS = tuple(FORBIDDEN_OPENINGS)
+
+
+def _openings(filt: str) -> tuple[str, ...]:
+    try:
+        return FORBIDDEN_OPENINGS[filt]
+    except KeyError:
+        raise ValueError(f"unknown filter {filt!r}") from None
 
 
 def passes_filter(steps: str, filt: str) -> bool:
-    """Whether a step string satisfies one of the opening-step filters."""
-    try:
-        return _FILTER_PREDICATES[filt](steps)
-    except KeyError:
-        raise ValueError(f"unknown filter {filt!r}") from None
+    """Whether a step string starts with none of the openings the filter forbids."""
+    return not steps.startswith(_openings(filt))
 
 
 class Path(Value):
@@ -124,53 +134,61 @@ class Path(Value):
 
 
 def enumerate_family(family: str, n: int, filt: str = "none") -> Iterator[Path]:
-    """All paths of the family with the given size, lexicographic in U<D<F<H.
-
-    The optional filter keeps only paths whose opening steps satisfy the
-    subfamily condition (no leading flat, no leading ud, or both exclusions
-    combined for the large Schroder subfamily).
+    """All paths of the family with the given size, lexicographic in U<D<F<H,
+    less those that start with an opening the filter forbids.
 
     The walk is one depth-first loop over an explicit stack, one frame per
-    point of the current prefix: (level, remaining width, index of the next
-    step to try from there).  A step is taken only if it keeps the floor, is
-    not the barred axis step and leaves a level the remaining width can
-    return from, so every frame with no width left closes a path at level 0,
-    which the loop yields itself, unchecked, and then steps back from.
+    point of the current prefix: (level, remaining width, the moves still to
+    try from there).  A step is taken only if it keeps the floor, is not the
+    barred axis step and leaves a level the remaining width can return from,
+    so every frame with no width left closes a path at level 0, which the
+    loop yields itself, unchecked, and then steps back from.  The filter is
+    kept the same way, when the step is taken: within the first steps, the
+    moves offered leave out each step that would complete a forbidden
+    opening, so no path under one is walked and nothing is tested at a yield.
     """
     if n < 0:
         raise ValueError("size must be nonnegative")
-    if filt not in _FILTER_PREDICATES:
-        raise ValueError(f"unknown filter {filt!r}")
+    forbidden = _openings(filt)
     rules = _FAMILY_RULES.get(family)
     if rules is None:
         raise FamilyViolation(f"unknown family {family!r}")
     rise, floor, barred = rules
-    keep = _FILTER_PREDICATES[filt]
-    moves = [(ch, rise[ch], STEP_WIDTH[ch]) for ch in rise]  # in U<D<F<H order
-    last = len(moves)
+    full = _moves(rise, "", ())
     prefix: list[str] = []
-    stack = [(0, n if family == "motzkin" else 2 * n, 0)]
+    stack = [(0, n if family == "motzkin" else 2 * n, iter(_moves(rise, "", forbidden)))]
     pop, push, take = stack.pop, stack.append, prefix.append
     while stack:
-        level, remaining, i = pop()
+        level, remaining, moves = pop()
         if not remaining:
-            steps = "".join(prefix)
-            if keep(steps):
-                yield Path._trusted(family, steps)
+            yield Path._trusted(family, "".join(prefix))
             del prefix[-1:]  # step back; the empty path has no step to take back
             continue
-        while i < last:
-            ch, r, w = moves[i]
-            i += 1
+        for ch, r, w, after in moves:
             nl = level + r
             if w > remaining or nl < floor or abs(nl) > remaining - w or not level and ch == barred:
                 continue
-            push((level, remaining, i))
-            push((nl, remaining - w, 0))
+            push((level, remaining, moves))
+            push((nl, remaining - w, iter(full if after is None else after)))
             take(ch)
             break
         else:
             del prefix[-1:]  # no step left from here; the root has none to take back
+
+
+def _moves(rise: Mapping[str, int], opening: str, forbidden: tuple[str, ...]) -> tuple:
+    """The moves (step, rise, width, moves after it) from the end of ``opening``,
+    in U<D<F<H order, that complete no ``forbidden`` opening.  The moves after
+    a step are ``None`` once the prefix it makes starts no forbidden opening:
+    from there on every step is a move."""
+    moves = []
+    for ch, r in rise.items():
+        longer = opening + ch
+        if longer in forbidden:
+            continue
+        inside = any(o.startswith(longer) for o in forbidden)
+        moves.append((ch, r, STEP_WIDTH[ch], _moves(rise, longer, forbidden) if inside else None))
+    return tuple(moves)
 
 
 # -- valley-uniform structure ------------------------------------------------

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count, islice
+from itertools import accumulate, count, islice
 from operator import add, neg, sub
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -293,14 +293,21 @@ class TruncatedSeries(Value):
         # the factor 1/D_0 rides on N_n and, negated, on each D_i, once
         inv0 = _scalar(Fraction(1) / value)
         tail = [(i, c * -inv0) for i, c in enumerate(dens) if c][1:]
+        # the tail is sorted by i, so the terms q_n reads, those with i <= n, are
+        # its first reach[n]
+        live = [0] * len(nums)
+        for i, _ in tail:
+            live[i] = 1
+        reach = list(accumulate(live))
         out: list = []
         if numbers:
             for n, num in enumerate(nums):
-                out.append(_mac([num * inv0] + [d * out[n - i] for i, d in tail if i <= n]))
+                out.append(_mac([num * inv0] + [d * out[n - i] for i, d in tail[: reach[n]]]))
             return TruncatedSeries._trusted(tuple(out))
         inv0 = Polynomial.const(inv0)
         for n, num in enumerate(nums):
-            out.append(Polynomial.dot([(num, inv0)] + [(d, out[n - i]) for i, d in tail if i <= n]))
+            pairs = [(d, out[n - i]) for i, d in tail[: reach[n]]]
+            out.append(Polynomial.dot([(num, inv0)] + pairs))
         return _series(out)
 
     def times_x(self, k: int = 1) -> "TruncatedSeries":

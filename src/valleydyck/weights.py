@@ -26,10 +26,18 @@ row, so no table is built to check a pin.  ``a_inv`` and ``t1_inv``, formal
 inverses from :mod:`valleydyck.polynomials`, appear in the Motzkin and the
 shifted Narayana tables, where a lone ``beta[k]`` is a rational function
 though every full path weight is a polynomial.
+
+A target weighting, the weight each bijection's image paths carry, is a
+``TARGET_WEIGHTINGS`` pair: the step counts of a path that it reads (H steps,
+peaks, flats and downs, or peaks on and off the axis) and the weight of
+those counts.  ``target_weight`` weighs one path's counts, and
+``target_weight_sum`` tallies the counts of every path the filtered walk
+keeps, then builds each distinct weight once, times its count.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cache, lru_cache
 from math import prod
 from typing import Callable, Iterable, Mapping
@@ -38,7 +46,6 @@ from ._value import Value
 from .errors import BadParams, FamilyViolation, NotValleyUniform, OrderExceeded
 from .params import A, A_INV, B, Q, T, T1_INV, ParamValue, _read, read_params
 from .paths import (
-    STEP_RISE,
     Part,
     Path,
     Pyramid,
@@ -213,50 +220,52 @@ def _number_sum(rows: Iterable[Iterable[Scalar]]) -> Scalar:
 # -- target-family weightings --------------------------------------------------
 
 
-def _motzkin_ab_weight(path: Path) -> Polynomial:
-    flats = path.steps.count("F")
-    downs = path.steps.count("D")
-    return A**flats * B**downs
+def _peak_counts(steps: str) -> tuple[int, int]:
+    """(peaks on the axis, other peaks).  A peak is a "UD" pair of steps, and two
+    never overlap; the peak at index i is on the axis when its U step leaves
+    level 0, that is when the steps before i hold as many U as D steps."""
+    axis = peaks = 0
+    i = steps.find("UD")
+    while i >= 0:
+        peaks += 1
+        axis += steps.count("U", 0, i) == steps.count("D", 0, i)
+        i = steps.find("UD", i + 2)
+    return axis, peaks - axis
 
 
-def _schroder_q_weight(path: Path) -> Polynomial:
-    return Q ** path.steps.count("H")
+# (the step counts of a path's steps that its weight reads, the weight of those counts)
+Weighting = tuple[Callable[[str], tuple[int, ...]], Callable[..., Polynomial]]
 
-
-def _narayana_t_weight(path: Path) -> Polynomial:
-    # a peak is a "UD" pair of steps, and two such pairs never overlap
-    return T ** path.steps.count("UD")
-
-
-def _level_peaks_weight(path: Path) -> Polynomial:
-    # a peak weighs t + 1 when its U step leaves the axis, and t elsewhere
-    steps, level, axis = path.steps, 0, 0
-    for ch, after in zip(steps, steps[1:]):
-        axis += not level and ch == "U" and after == "D"
-        level += STEP_RISE[ch]
-    return (T + 1) ** axis * T ** (steps.count("UD") - axis)
-
-
-TARGET_WEIGHTINGS: dict[str, Callable[[Path], Polynomial]] = {
-    "motzkin_ab": _motzkin_ab_weight,
-    "schroder_q": _schroder_q_weight,
-    "narayana_t": _narayana_t_weight,
-    "level_peaks": _level_peaks_weight,
+# a path's weight depends on its counts alone, so a sum over paths builds each
+# distinct weight once; ``level_peaks`` weighs a peak t + 1 on the axis, t elsewhere
+TARGET_WEIGHTINGS: dict[str, Weighting] = {
+    "motzkin_ab": (lambda s: (s.count("F"), s.count("D")), lambda f, d: A**f * B**d),
+    "schroder_q": (lambda s: (s.count("H"),), lambda h: Q**h),
+    "narayana_t": (lambda s: (s.count("UD"),), lambda peaks: T**peaks),
+    "level_peaks": (_peak_counts, lambda axis, other: (T + 1) ** axis * T**other),
 }
 
 
-def target_weight(path: Path, weighting: str) -> Polynomial:
+def _weighting(name: str) -> Weighting:
     try:
-        fn = TARGET_WEIGHTINGS[weighting]
+        return TARGET_WEIGHTINGS[name]
     except KeyError:
-        raise BadParams(f"unknown target weighting {weighting!r}") from None
-    return fn(path)
+        raise BadParams(f"unknown target weighting {name!r}") from None
+
+
+def target_weight(path: Path, weighting: str) -> Polynomial:
+    """The weight of the path's step counts."""
+    counts, weight = _weighting(weighting)
+    return weight(*counts(path.steps))
 
 
 def target_weight_sum(n: int, family: str, filt: str, weighting: str) -> Polynomial:
-    return Polynomial.sum(
-        target_weight(path, weighting) for path in enumerate_family(family, n, filt)
-    )
+    """Sum of ``target_weight`` over the family's paths of size n that pass the
+    filter.  Every path is walked and its counts tallied; each distinct
+    weight is then built once and multiplied by how many paths have it."""
+    counts, weight = _weighting(weighting)
+    tally = Counter(counts(path.steps) for path in enumerate_family(family, n, filt))
+    return Polynomial.sum(weight(*key) * times for key, times in tally.items())
 
 
 # -- the registry of specializations -------------------------------------------

@@ -78,6 +78,7 @@ from valleydyck.weights import (
     registry_get,
     structure_weight,
     target_weight,
+    target_weight_sum,
     valley_weight_sum,
 )
 
@@ -360,6 +361,9 @@ LIBRARY_REFUSALS = [
     (lambda: path_weight(Path("dyck", "UUUDUDDUDD"), registry_get("generic", 6)),
      NotValleyUniform, "valleys of 'UUUDUDDUDD' sit at several levels"),
     (lambda: target_weight(DYCK, "nope"), BadParams, "unknown target weighting 'nope'"),
+    # refused before any path is walked, also where no path passes the filter
+    (lambda: target_weight_sum(1, "schroder_large", "y_filter", "nope"), BadParams,
+     "unknown target weighting 'nope'"),
     (lambda: registry_get("nope", 1), BadParams,
      f"unknown weight table 'nope'; known: {', '.join(REGISTRY)}"),
     (lambda: registry_get("generic", -1), BadParams, "order must be nonnegative"),

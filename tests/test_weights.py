@@ -171,6 +171,17 @@ def test_gamma_not_product_table_triple_agreement():
         assert by_enum == formula_vn("fuss_cubic", n, m=3, r=2)
 
 
+def _level_peaks_by_steps(steps):
+    """The level_peaks weight read one step at a time: a peak weighs t + 1 when
+    its U step leaves the axis, and t elsewhere."""
+    weight, level = Polynomial.one(), 0
+    for ch, after in zip(steps, steps[1:]):
+        if ch + after == "UD":
+            weight = weight * (T + 1 if level == 0 else T)
+        level += paths.STEP_RISE[ch]
+    return weight
+
+
 def test_target_weightings():
     assert target_weight(Path("motzkin", "UFDF"), "motzkin_ab") == A * A * B
     assert target_weight(Path("schroder_large", "HUHD"), "schroder_q") == Q * Q
@@ -180,6 +191,24 @@ def test_target_weightings():
     for n in range(7):
         for path in enumerate_family("dyck", n):
             assert target_weight(path, "narayana_t") == T ** path.steps.count("UD")
+    # level_peaks counts its axis peaks off the whole string; Delannoy paths dip below the axis
+    for family in paths.FAMILY_STEPS:
+        for n in range(6):
+            for path in enumerate_family(family, n):
+                assert target_weight(path, "level_peaks") == _level_peaks_by_steps(path.steps)
+
+
+def test_the_tally_equals_the_per_path_fold():
+    # target_weight_sum builds each distinct weight once and multiplies it by
+    # its count; the plain sum of target_weight over the same paths must agree
+    for family in paths.FAMILY_STEPS:
+        for filt in paths.FILTERS:
+            for n in range(10 if family == "motzkin" else 7):
+                family_paths = list(enumerate_family(family, n, filt))
+                for weighting in weights.TARGET_WEIGHTINGS:
+                    folded = Polynomial.sum(target_weight(p, weighting) for p in family_paths)
+                    got = target_weight_sum(n, family, filt, weighting)
+                    assert got == folded, (family, filt, n, weighting)
 
 
 def test_target_weight_sums_match_differences():
