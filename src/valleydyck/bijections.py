@@ -14,6 +14,9 @@ symbol per unit.  The forward map and the weight read a part's tail units
 from one place: the recorded symbols' units, or else the lone unit r - 1
 times.  The inverse reads the unique factorization of a target
 path back off: first primitive factor, then the maximal run of tail units.
+A record's ``tail`` is read once per ``MapSpec`` object, never per map id.
+``enumerate_decorated`` walks only the structures made of parts the maps
+admit, and ``decorated_weight`` builds each distinct tally's weight once.
 
 The sixth map, tau, exchanges the two integer weight systems of the
 Delannoy pair (4,3,7,2) and (2,1,7,4).  It works purely on run-length data:
@@ -34,9 +37,10 @@ maps the checks test, keep their validating constructors.
 
 from __future__ import annotations
 
+import weakref
 from functools import lru_cache
 from itertools import product
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 from ._value import Value
 from .errors import (
@@ -52,13 +56,14 @@ from .paths import (
     Pyramid,
     ValleyBlock,
     ValleyStructure,
+    _part_sequences,
+    _valley_parts,
     enumerate_family,
     passes_filter,
     primitive_part,
-    valley_structures,
 )
 from .polynomials import Polynomial
-from .weights import target_weight
+from .weights import _weighting
 
 _ONE = Polynomial.one()
 
@@ -234,11 +239,18 @@ def decorations(structure: ValleyStructure, map_id: str) -> Iterator[DecoratedSt
         yield DecoratedStructure._trusted(map_id, structure, combo)
 
 
+def _mapped_parts(size: int) -> list:
+    """The parts of the size the maps admit, in ``valley_structures``' order."""
+    pyramid = [_unit_part(size - 1, 1)] if size > 1 else []
+    return pyramid + [_unit_part(k, size - k) for k in range(1, size - 1)]
+
+
 def enumerate_decorated(n: int, map_id: str) -> Iterator[DecoratedStructure]:
-    """All decorated objects of size n, structure by structure."""
+    """All decorated objects of size n, structure by structure; only the
+    structures made of parts the maps admit are walked."""
     _map_spec(map_id)
-    for structure in valley_structures(n):
-        yield from decorations(structure, map_id)
+    for parts in _part_sequences(n, _mapped_parts):
+        yield from decorations(ValleyStructure._trusted(parts), map_id)
 
 
 def forward(map_id: str, obj):
@@ -250,18 +262,52 @@ def forward(map_id: str, obj):
     if not isinstance(obj, DecoratedStructure) or obj.map_id != map_id:
         raise BadParams(f"object does not belong to map {map_id!r}")
     spec = MAPS[map_id]
+    crossing = _crossing(spec)
     chunks: list[str] = []
     for part, deco in zip(obj.structure.parts, obj.decorations):
         chunks.append("U" + deco.subpath.steps + "D")
-        chunks += [letters for _, letters, _ in _tail_units(spec, map_id, part, deco)]
+        for _, letters, _ in _tail_units(crossing, part, deco):
+            chunks.append(letters)
     return Path(spec.target[0], "".join(chunks))
 
 
-def _tail_units(spec: MapSpec, map_id: str, part, deco: PartDecoration):
-    """The ``tail`` entries one part appends, in path order."""
-    if spec.symbols:
-        return [unit for symbol in deco.symbols for unit in spec.tail if unit[0] == symbol]
-    return spec.tail * (_part_form(map_id, part)[1] - 1)  # the lone unit, r - 1 times
+class _Crossing:
+    """One ``MapSpec`` object's tail units by symbol and by first letter, and
+    the weight of each tally ``decorated_weight`` met."""
+
+    __slots__ = ("entries", "by_symbol", "by_lead", "weights")
+
+    def __init__(self, tail: tuple, symbols: tuple):
+        self.entries = tail
+        # with no symbols recorded, a part appends every entry once per further peak
+        self.by_symbol = {entry[0]: entry for entry in reversed(tail)} if symbols else None
+        self.by_lead: dict[str, list] = {}
+        for entry in tail:
+            self.by_lead.setdefault(entry[1][0], []).append(entry)
+        self.weights: dict = {}  # a tally -> its weight
+
+
+# id of a live MapSpec -> its crossing.  Keyed by the record object, never by
+# the map id, so a record rebuilt under an old id gets its own crossing.
+_CROSSINGS: dict[int, _Crossing] = {}
+
+
+def _crossing(spec: MapSpec) -> _Crossing:
+    crossing = _CROSSINGS.get(id(spec))
+    if crossing is None:
+        crossing = _CROSSINGS[id(spec)] = _Crossing(spec.tail, spec.symbols)
+        weakref.finalize(spec, _CROSSINGS.pop, id(spec), None)  # dropped with its record
+    return crossing
+
+
+def _tail_units(crossing: _Crossing, part, deco: PartDecoration) -> Sequence[tuple]:
+    """The ``tail`` entries one part appends, in path order: the units its
+    recorded symbols name, or else the lone unit once per further peak (a
+    pyramid has none, a block one fewer than its inner pyramids)."""
+    by_symbol = crossing.by_symbol
+    if by_symbol is not None:
+        return list(map(by_symbol.__getitem__, deco.symbols))
+    return crossing.entries * (0 if part.__class__ is Pyramid else len(part.heights) - 1)
 
 
 @lru_cache(maxsize=256)
@@ -282,7 +328,9 @@ def inverse(map_id: str, target):
         raise NotInTargetFamily(f"path {target.steps!r} fails the {filt} condition")
     steps = target.steps
     end = len(steps)
-    rise, tail, decoration, offset = STEP_RISE, spec.tail, spec.decoration, spec.offset
+    by_lead = _crossing(spec).by_lead
+    rise, decoration, offset = STEP_RISE, spec.decoration, spec.offset
+    per_size = 1 if decoration == "motzkin" else 2  # width per unit of size, as Path.size reads it
     i = 0
     parts: list = []
     decos: list[PartDecoration] = []
@@ -298,13 +346,15 @@ def inverse(map_id: str, target):
             raise UniqueFactorizationFailure(f"unbalanced factor at {i} in {steps!r}")
         # a factor of a target path, less its first and last step, is a
         # decoration path: every map's decoration family admits its target's steps
-        sub = Path._trusted(decoration, steps[i + 1 : j - 1])
+        core = steps[i + 1 : j - 1]
+        k = (j - i - 2 + core.count("H")) // per_size + offset
         i = j
-        # the maximal run of tail units after the core factor
+        # the maximal run of tail units after the core factor, trying at
+        # each step the units that begin with it
         symbols: list[str] = []
         r = 1
         while i < end:
-            for symbol, letters, _ in tail:
+            for symbol, letters, _ in by_lead.get(steps[i], ()):
                 if steps.startswith(letters, i):
                     break
             else:
@@ -313,30 +363,45 @@ def inverse(map_id: str, target):
             r += 1
             if symbol is not None:
                 symbols.append(symbol)
-        k = sub.size + offset
         if k < 1:
             raise UniqueFactorizationFailure(f"empty core factor at {i} in {steps!r}")
         parts.append(_unit_part(k, r))
-        decos.append(PartDecoration._trusted(sub, tuple(symbols)))
+        decos.append(PartDecoration._trusted(Path._trusted(decoration, core), tuple(symbols)))
     # each part is u^k (ud)^r d^k with k >= 1, its subpath has size k - offset,
     # and it records one symbol per tail unit that has one
-    return DecoratedStructure._trusted(map_id, ValleyStructure(tuple(parts)), tuple(decos))
+    return DecoratedStructure._trusted(
+        map_id, ValleyStructure._trusted(tuple(parts)), tuple(decos)
+    )
 
 
 def decorated_weight(obj: DecoratedStructure) -> Polynomial:
-    """Product over the parts of the core, decoration and tail-unit weights."""
+    """Product over the parts of the core, decoration and tail-unit weights.
+
+    Every weighting is a product of powers of its counts, so the weight
+    depends only on the tally (decoration step counts summed over the parts,
+    number of parts, number of each tail unit) and is built once per tally.
+    """
+    decos = obj.decorations
+    if not decos:
+        return _ONE
     spec = MAPS[obj.map_id]
-    weighting, core = spec.decoration_weighting, spec.core
-    total = None
-    for part, deco in zip(obj.structure.parts, obj.decorations):
-        weight = target_weight(deco.subpath, weighting)
-        if core is not None:
-            weight = weight * core
-        for _, _, unit in _tail_units(spec, obj.map_id, part, deco):
-            if unit != _ONE:
-                weight = weight * unit
-        total = weight if total is None else total * weight
-    return _ONE if total is None else total
+    counts, weigh = _weighting(spec.decoration_weighting)
+    crossing = _crossing(spec)
+    rows, units = [], []
+    for part, deco in zip(obj.structure.parts, decos):
+        rows.append(counts(deco.subpath.steps))
+        units += _tail_units(crossing, part, deco)
+    tally = (tuple(map(sum, zip(*rows))), len(decos), tuple(map(units.count, crossing.entries)))
+    weight = crossing.weights.get(tally)
+    if weight is None:
+        totals, parts, times = tally
+        weight = weigh(*totals)
+        if spec.core is not None:
+            weight = weight * spec.core**parts
+        for (_, _, unit), n in zip(crossing.entries, times):
+            weight = weight * unit**n
+        crossing.weights[tally] = weight
+    return weight
 
 
 # -- the tau exchange between the two integer Delannoy weightings ---------------
@@ -418,11 +483,10 @@ def enumerate_tau(n: int, side: str) -> Iterator[TauDecorated]:
     if side not in TAU_SIDES:
         raise BadParams(f"unknown tau side {side!r}")
     alphabet = TAU_TABLE[side][0]
-    for structure in valley_structures(n):
-        if any(isinstance(part, Pyramid) and part.height == 1 for part in structure.parts):
-            continue  # an axis pyramid of height 1 has no mark, so the structure has no object
+    # an axis pyramid of height 1 has no mark, so no structure holding one has an object
+    for parts in _part_sequences(n, _marked_parts):
         per_part: list[list[TauFactor]] = []
-        for part in structure.parts:
+        for part in parts:
             if isinstance(part, Pyramid):
                 # the mark splits a height-h axis pyramid as k0 + (h - k0)
                 marks = [(k0, (part.height - k0,)) for k0 in range(1, part.height)]
@@ -435,6 +499,11 @@ def enumerate_tau(n: int, side: str) -> Iterator[TauDecorated]:
             ])
         for combo in product(*per_part):
             yield TauDecorated._trusted(side, combo)
+
+
+def _marked_parts(size: int) -> list:
+    """Every part of the size but the height-1 pyramid."""
+    return _valley_parts(size) if size > 1 else []
 
 
 def _encode_heights(heights: tuple[int, ...], marker: str) -> tuple[str, ...]:
@@ -489,11 +558,15 @@ def tau_value(obj: TauDecorated) -> int:
     """Product of the letter values over all up steps: per factor 7, the marker's
     value for each inner pyramid step but a pyramid's last, and each letter's."""
     marker = _LETTER_VALUE[TAU_TABLE[obj.side][1]]
-    total = 1
+    total = 7 ** len(obj.factors)
     for f in obj.factors:
-        total *= 7 * marker ** (sum(f.heights) - len(f.heights))
+        # a marker or letter of value 1 multiplies nothing in
+        if marker != 1:
+            total *= marker ** (sum(f.heights) - len(f.heights))
         for letter in f.letters:
-            total *= _LETTER_VALUE[letter]
+            value = _LETTER_VALUE[letter]
+            if value != 1:
+                total *= value
     return total
 
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from itertools import accumulate, groupby
-from typing import Iterator, Mapping, Union
+from typing import Callable, Iterator, Mapping, Union
 
 from ._value import Value
 from .errors import FamilyViolation, IllegalCharacter, NegativeLevel, NonzeroEnd
@@ -291,27 +291,38 @@ def is_valley_uniform(path: Path) -> bool:
 
 def valley_structures(n: int) -> Iterator[ValleyStructure]:
     """Every decomposition of total size n into pyramids and valley blocks."""
-    if n < 0:
-        raise ValueError("size must be nonnegative")
-
-    # every part of each size, built once and shared by the structures
-    parts_of_size = {
-        s: [Pyramid(s)]
-        + [ValleyBlock(k, heights) for k in range(1, s - 1) for heights in _compositions(s - k, 2)]
-        for s in range(1, n + 1)
-    }
-    for parts in _part_sequences(n, parts_of_size):
+    for parts in _part_sequences(n, _valley_parts):
         yield ValleyStructure(parts)
 
 
-def _part_sequences(remaining: int, parts_of_size: dict) -> Iterator[tuple[Part, ...]]:
+def _valley_parts(size: int) -> list[Part]:
+    """Every part of the size: its pyramid, then its blocks by ascent."""
+    blocks = (ValleyBlock(k, heights) for k in range(1, size - 1)
+              for heights in _compositions(size - k, 2))
+    return [Pyramid(size), *blocks]
+
+
+def _part_sequences(
+    n: int, parts_of_size: Callable[[int], list[Part]]
+) -> Iterator[tuple[Part, ...]]:
+    """Every sequence of parts of total size n, by the first part's size, then
+    its place in ``parts_of_size``, then the rest the same way.  A caller that
+    leaves a part out of its table walks no sequence holding it, and the
+    sequences it keeps come in the order of the full walk."""
+    if n < 0:
+        raise ValueError("size must be nonnegative")
+    # every part of each size, built once and shared by the sequences
+    return _sequences(n, {s: parts_of_size(s) for s in range(1, n + 1)})
+
+
+def _sequences(remaining: int, parts_of_size: dict) -> Iterator[tuple[Part, ...]]:
     # not a closure: a recursive closure is a cycle that would keep the parts alive
     if remaining == 0:
         yield ()
         return
     for s in range(1, remaining + 1):
         for part in parts_of_size[s]:
-            for tail in _part_sequences(remaining - s, parts_of_size):
+            for tail in _sequences(remaining - s, parts_of_size):
                 yield (part,) + tail
 
 

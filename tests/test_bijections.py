@@ -1,7 +1,9 @@
 import json
+from itertools import groupby
 
 import pytest
 
+from conftest import rebuilt
 from valleydyck.bijections import (
     MAPS,
     TAU_SIDES,
@@ -26,7 +28,7 @@ from valleydyck.paths import (
     enumerate_family,
     valley_structures,
 )
-from valleydyck.params import B
+from valleydyck.params import B, T
 from valleydyck.polynomials import Polynomial
 from valleydyck.weights import registry_get, structure_weight, target_weight
 
@@ -56,22 +58,73 @@ def test_phi_inverse_of_udf():
     assert forward("phi", obj) == Path("motzkin", "UDF")
 
 
+def _product_over_parts(obj: DecoratedStructure, spec) -> Polynomial:
+    """The weight of ``obj`` under the record ``spec``, part by part."""
+    unit_weight = {symbol: weight for symbol, _, weight in spec.tail}
+    expected = Polynomial.one()
+    for part, deco in zip(obj.structure.parts, obj.decorations):
+        if spec.core is not None:
+            expected = expected * spec.core
+        expected = expected * target_weight(deco.subpath, spec.decoration_weighting)
+        units = 1 if isinstance(part, Pyramid) else len(part.heights)
+        chosen = deco.symbols if spec.symbols else [None] * (units - 1)
+        for symbol in chosen:
+            expected = expected * unit_weight[symbol]
+    return expected
+
+
 @pytest.mark.parametrize("map_id", MAPS)
 def test_decorated_weight_is_the_product_over_parts(map_id):
-    spec = MAPS[map_id]
-    unit_weight = {symbol: weight for symbol, _, weight in spec.tail}
     for n in range(7):
         for obj in enumerate_decorated(n, map_id):
-            expected = Polynomial.one()
-            for part, deco in zip(obj.structure.parts, obj.decorations):
-                if spec.core is not None:
-                    expected = expected * spec.core
-                expected = expected * target_weight(deco.subpath, spec.decoration_weighting)
-                units = 1 if isinstance(part, Pyramid) else len(part.heights)
-                chosen = deco.symbols if spec.symbols else [None] * (units - 1)
-                for symbol in chosen:
-                    expected = expected * unit_weight[symbol]
-            assert decorated_weight(obj) == expected, obj
+            assert decorated_weight(obj) == _product_over_parts(obj, MAPS[map_id]), obj
+
+
+def test_weight_memo_follows_the_record(monkeypatch):
+    # decorated_weight keeps one weight per tally for each MapSpec object, not
+    # per map id: a record put in under an old id, as the verify faults do,
+    # is weighed by its own facts with no cache cleared, and so is the
+    # original once it is back
+    one = Polynomial.one()
+    faults = {
+        "theta": rebuilt(MAPS["theta"], tail=(("H", "H", one), ("ud", "UD", one))),
+        "psi": rebuilt(MAPS["psi"], tail=((None, "UD", T),)),
+    }
+    objects = {map_id: [obj for n in range(5) for obj in enumerate_decorated(n, map_id)]
+               for map_id in faults}
+
+    def weighed(map_id):
+        return [decorated_weight(obj) for obj in objects[map_id]]
+
+    def expected(map_id):
+        return [_product_over_parts(obj, MAPS[map_id]) for obj in objects[map_id]]
+
+    before = {map_id: weighed(map_id) for map_id in faults}
+    assert before == {map_id: expected(map_id) for map_id in faults}
+    for map_id, record in faults.items():
+        monkeypatch.setitem(MAPS, map_id, record)
+        assert weighed(map_id) == expected(map_id) != before[map_id]
+    monkeypatch.undo()
+    assert {map_id: weighed(map_id) for map_id in faults} == before
+
+
+@pytest.mark.parametrize("map_id", MAPS)
+def test_domain_walk_is_the_filtered_full_walk(map_id):
+    # enumerate_decorated walks only the structures whose parts the maps admit;
+    # it yields what decorating every structure of the full walk yields, in order
+    for n in range(10):
+        full = [obj for s in valley_structures(n) for obj in decorations(s, map_id)]
+        assert list(enumerate_decorated(n, map_id)) == full, n
+
+
+@pytest.mark.parametrize("side", TAU_SIDES)
+def test_tau_walk_skips_only_the_unmarkable_structures(side):
+    # enumerate_tau walks no structure holding a height-1 axis pyramid; the
+    # structures of its objects are every other one, in valley_structures'
+    # order, each with its objects together
+    for n in range(10):
+        walked = [key for key, _ in groupby(map(tau_structure, enumerate_tau(n, side)))]
+        assert walked == [s for s in valley_structures(n) if Pyramid(1) not in s.parts], n
 
 
 @pytest.mark.parametrize("map_id", MAPS)

@@ -26,6 +26,7 @@ from valleydyck.bijections import (
     TauDecorated,
     TauFactor,
     decorations,
+    enumerate_decorated,
     enumerate_tau,
     forward,
     inverse,
@@ -191,6 +192,9 @@ LIBRARY_REFUSALS = [
     (lambda: is_valley_uniform(Path("motzkin")), FamilyViolation,
      "the valley condition applies to Dyck paths"),
     (lambda: list(valley_structures(-1)), ValueError, "size must be nonnegative"),
+    # the domain-only walks share the structure walk and its refusal
+    (lambda: list(enumerate_decorated(-1, "phi")), ValueError, "size must be nonnegative"),
+    (lambda: list(enumerate_tau(-1, "src_4372")), ValueError, "size must be nonnegative"),
     # the decorated objects: the first bad part is reported, and a part's
     # form is checked before its decoration
     (lambda: DecoratedStructure("nope", _structure(Pyramid(2)), (PartDecoration(UD),)),
